@@ -13,16 +13,16 @@ Grouped-query attention is supported: ``n_heads`` query heads share
 
 Both entry points are vectorised across heads: all kv-head groups go
 through one broadcast ``np.matmul`` (a batched GEMM) for the scores and one
-for the weighted sum, instead of one GEMM per head.  Per-slice results of a
-broadcast matmul are computed by the same BLAS kernel as the equivalent
-2-D products, so the head-batched paths reproduce the historical per-head
-loops bit for bit — pinned by ``tests/test_hotpath_equivalence.py``.  Long
-prefills additionally process queries in cache-sized row blocks; blocking
-changes GEMM kernel selection and with it last-bit rounding (suite-
-verified, like the fused projection GEMMs).
-:func:`selected_attention_batch` is the decode hot path: it takes the
-per-kv-head selections as one stacked (optionally padded) tensor so that a
-whole layer's attention is two GEMM launches regardless of head count.
+for the weighted sum, with scale, mask and softmax run in place on the score
+buffer in between.  Per-slice results of a broadcast matmul come from the
+same BLAS kernel as the equivalent 2-D products, so short prefills and
+decode reproduce the historical per-head loops bit for bit — pinned by
+``tests/test_hotpath_equivalence.py``.  Long prefills process queries in
+cache-sized row blocks, each against the keys up to its causal frontier
+only; row sums then skip exactly-zero terms, so last bits differ from the
+single-shot result (suite-verified).  :func:`selected_attention_batch` is
+the decode hot path: per-kv-head selections arrive as one stacked
+(optionally padded) tensor, two GEMM launches whatever the head count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..perf import counters
-from .tensor_ops import causal_mask, masked_fill, softmax
 
 __all__ = [
     "AttentionOutput",
@@ -63,10 +62,18 @@ class AttentionOutput:
 
 
 # Score-tensor budget of one prefill query block: 256k float64 elements
-# (2 MB) across all heads — measured sweet spot on long prompts, where
-# cache locality of the score/softmax passes dominates; short prompts
-# (scores below the budget) take the single-shot path.
+# (2 MB) across all heads at full key width (blocks before the last stop at
+# their causal frontier and are smaller) — measured sweet spot on long
+# prompts; prompts whose whole score tensor fits are a single block.
 _PREFILL_BLOCK_ELEMENTS = 1 << 18
+
+
+def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
+    """``tensor_ops.softmax`` over the last axis, same bits, in the caller's buffer."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _check_group(n_heads: int, n_kv_heads: int) -> int:
@@ -105,47 +112,40 @@ def full_causal_attention(
     n_heads, t_q, head_dim = queries.shape
     n_kv_heads, t_k, _ = keys.shape
     group = _check_group(n_heads, n_kv_heads)
-
-    mask = causal_mask(t_q, t_k)
+    if t_q > t_k:
+        raise ValueError(f"query_len {t_q} cannot exceed key_len {t_k}")
+    offset = t_k - t_q
     grouped = queries.reshape(n_kv_heads, group, t_q, head_dim)
     keys_t = np.swapaxes(keys, 1, 2)[:, None]
     values_b = values[:, None]
 
-    # Long prompts are processed in query-row blocks so the score tensor
-    # stays cache-sized instead of materialising all n_heads * T_q * T_k
-    # float64 entries at once (a 4k-token prompt would need gigabytes, and
-    # locality of the mask/softmax passes dominates the wall clock).  Each
-    # row's attention is the same mathematical computation either way;
-    # last-bit rounding may differ between blocked and single-shot GEMM
-    # kernels (suite-verified, like all GEMM re-batching in this module).
-    # Weight-returning callers (analyses on short contexts) always take
-    # the single-shot path.
+    # Long prompts go through in query-row blocks so the score tensor stays
+    # cache-sized.  Rows [start, end) only meet keys [0, offset + end), their
+    # causal frontier: the masked half of the score matrix is never computed
+    # and only the trailing rows x rows triangle of a block needs masking.
+    # Weight-returning callers (analyses on short contexts) and short prompts
+    # are one full-width block — the historical single-shot computation.
     if return_weights or n_heads * t_q * t_k <= _PREFILL_BLOCK_ELEMENTS:
         block = t_q
     else:
         block = max(1, _PREFILL_BLOCK_ELEMENTS // (n_heads * t_k))
-    stacked = np.empty((t_q, n_heads * head_dim))
-    weights_list = None
+    future = ~np.tri(block, dtype=bool)  # [i, j]: block key j is after row i
+    buffer = np.empty(n_heads * block * t_k)
+    stacked = np.empty((t_q, n_heads, head_dim))
     for start in range(0, t_q, block):
         end = min(start + block, t_q)
-        # All heads in one pair of broadcast GEMMs: queries grouped by kv
-        # head against (n_kv_heads, 1, head_dim, T_k) keys, then weights
-        # against values.  The mask rows broadcast over the leading
-        # (kv head, group) axes.
-        scores = np.matmul(grouped[:, :, start:end], keys_t) * scale
+        rows, width = end - start, offset + end
+        scores = buffer[: n_heads * rows * width].reshape(n_kv_heads, group, rows, -1)
+        np.matmul(grouped[:, :, start:end], keys_t[..., :width], out=scores)
         counters.record("gemm.attention_prefill", 2)
-        scores = masked_fill(scores, mask[start:end])
-        weights = softmax(scores, axis=-1)
-        outputs = np.matmul(weights, values_b)  # (n_kv, group, rows, d)
-        stacked[start:end] = (
-            outputs.reshape(n_heads, end - start, head_dim)
-            .transpose(1, 0, 2)
-            .reshape(end - start, n_heads * head_dim)
-        )
-        if return_weights:
-            per_head = weights.reshape(n_heads, t_q, t_k)
-            weights_list = [per_head[head] for head in range(n_heads)]
-    return AttentionOutput(output=stacked, weights=weights_list)
+        counters.record("attention_prefill.score_elements", scores.size)
+        scores *= scale
+        np.copyto(scores[..., width - rows :], -1e30, where=future[:rows, :rows])
+        weights = _softmax_inplace(scores)
+        outputs = np.matmul(weights, values_b[:, :, :width])  # (n_kv, group, rows, d)
+        stacked[start:end] = outputs.reshape(n_heads, rows, head_dim).swapaxes(0, 1)
+    weights_list = list(weights.reshape(n_heads, t_q, t_k)) if return_weights else None
+    return AttentionOutput(stacked.reshape(t_q, n_heads * head_dim), weights_list)
 
 
 def selected_attention_batch(
@@ -217,7 +217,7 @@ def selected_attention_batch(
             valid = lengths[kv_head]
             if valid < max_selected:
                 scores[kv_head, :, valid:] = -np.inf
-    weights = softmax(scores, axis=-1)
+    weights = _softmax_inplace(scores)
     output = np.matmul(weights, values)  # (n_kv_heads, group, head_dim)
 
     weights_list: list[np.ndarray] | None = None

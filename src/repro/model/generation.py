@@ -47,7 +47,11 @@ from ..baselines.full import FullKVSelector
 from ..baselines.oracle import top_k_indices
 from ..memory import OffloadManager, TransferLedger
 from ..perf import counters
-from .attention import full_causal_attention, selected_attention_batch
+from .attention import (
+    _softmax_inplace,
+    full_causal_attention,
+    selected_attention_batch,
+)
 from .config import GenerationConfig, ModelConfig
 from .kv_cache import KVCacheStore
 from .pointer import CopyHead
@@ -1025,7 +1029,7 @@ class EngineCore:
                 valid = lengths[i, kv_head]
                 if valid < s_max:
                     scores[i, kv_head, :, valid:] = -np.inf
-        weights = softmax(scores, axis=-1)
+        weights = _softmax_inplace(scores)
         outputs = np.matmul(weights, values)  # (num, n_kv, group, head_dim)
         for i, (b, prep) in enumerate(entries):
             out[b] = outputs[i].reshape(-1)

@@ -96,8 +96,21 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def swiglu(gate: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """SwiGLU gating: ``silu(gate) * up`` (Llama/GLM feed-forward)."""
-    return silu(gate) * np.asarray(up, dtype=np.float64)
+    """SwiGLU gating: ``silu(gate) * up`` (Llama/GLM feed-forward).
+
+    Evaluated in one contiguous workspace with the operation order of
+    ``silu(gate) * up`` (so bit-identical to it): the feed-forward block
+    passes strided column halves of its fused gate/up product, and one
+    temporary per operation over such operands costs more than the math.
+    """
+    gate = np.asarray(gate, dtype=np.float64)
+    work = np.empty(gate.shape)
+    np.negative(gate, out=work)
+    np.exp(work, out=work)
+    work += 1.0
+    np.divide(gate, work, out=work)
+    work *= np.asarray(up, dtype=np.float64)
+    return work
 
 
 def rope_frequencies(head_dim: int, base: float = 10000.0) -> np.ndarray:

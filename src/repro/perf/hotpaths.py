@@ -47,6 +47,11 @@ PRE_PR_BASELINE_TOKENS_PER_S = {
     "full": 905.7,
 }
 
+# Wall time of the pinned 512-token prefill as BENCH_hotpaths.json recorded
+# it before the causal-frontier attention kernel; every later run reports
+# its own measurement beside this anchor, like the serve rows above.
+PRE_PR_BASELINE_PREFILL_WALL_SECONDS = 0.1587128480005049
+
 
 @dataclass(frozen=True)
 class PerfBenchConfig:
@@ -112,24 +117,25 @@ def _bench_prompt(config: PerfBenchConfig, length: int):
     return rng.integers(4, vocab, size=length).astype(np.int64)
 
 
+def _counted_prefill(config: PerfBenchConfig) -> tuple[float, dict[str, int]]:
+    """Wall seconds and op counters of one exact prefill of the long prompt."""
+    prompt = _bench_prompt(config, config.prefill_prompt_len)
+    engine = _clusterkv_engine(config, max_new_tokens=1)
+    with count_ops() as ops:
+        start = time.perf_counter()
+        engine._core.prefill(engine._sequence, prompt)
+        seconds = time.perf_counter() - start
+    return seconds, ops.as_dict()
+
+
 def _prefill_section(config: PerfBenchConfig) -> dict[str, object]:
     """Time one exact prefill (plus ClusterKV build) of a long prompt."""
-    import numpy as np
-
-    prompt = _bench_prompt(config, config.prefill_prompt_len)
-    best = float("inf")
-    counter_snapshot: dict[str, int] = {}
-    for _ in range(config.repeats):
-        engine = _clusterkv_engine(config, max_new_tokens=1)
-        with count_ops() as ops:
-            start = time.perf_counter()
-            engine._core.prefill(engine._sequence, np.asarray(prompt))
-            best = min(best, time.perf_counter() - start)
-        counter_snapshot = ops.as_dict()
+    runs = [_counted_prefill(config) for _ in range(config.repeats)]
     return {
-        "wall_seconds": best,
+        "wall_seconds": min(seconds for seconds, _ in runs),
+        "pre_pr_baseline_wall_seconds": PRE_PR_BASELINE_PREFILL_WALL_SECONDS,
         "prompt_tokens": config.prefill_prompt_len,
-        "counters": counter_snapshot,
+        "counters": runs[-1][1],
     }
 
 
@@ -446,6 +452,14 @@ def deterministic_counters(config: PerfBenchConfig | None = None) -> dict[str, o
     spec_accounting = spec_report.speculation()
 
     return {
+        # Long-prompt prefill: the only pinned scenario on the blocked
+        # attention path.  Its attention_prefill.score_elements counts the
+        # score entries actually computed, about half of T^2 per head while
+        # every row block stops at its causal frontier.
+        "prefill": {
+            "prompt_tokens": config.prefill_prompt_len,
+            "counters": _counted_prefill(config)[1],
+        },
         "serve": {
             "engine_steps": report.engine_steps,
             "total_tokens": report.total_generated_tokens,
@@ -525,7 +539,8 @@ def format_perf_bench(payload: dict[str, object]) -> str:
         clustering = wall["clustering"]
         lines.append(
             f"prefill     {prefill['prompt_tokens']:5d} tokens   "
-            f"{prefill['wall_seconds'] * 1e3:8.2f} ms"
+            f"{prefill['wall_seconds'] * 1e3:8.2f} ms   "
+            f"(pre-PR {prefill['pre_pr_baseline_wall_seconds'] * 1e3:.2f} ms)"
         )
         lines.append(
             f"decode      {decode['decode_steps']:5d} steps    "

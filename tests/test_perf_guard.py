@@ -16,6 +16,8 @@ sys.path.insert(0, str(SCRIPTS_DIR))
 
 from check_perf import BENCH_PATH, counter_diff, load_baseline  # noqa: E402
 
+from repro.model import attention, get_model_config  # noqa: E402
+
 
 def test_bench_file_exists_and_has_sections():
     """The committed bench file is present with its regression-guard section."""
@@ -59,3 +61,22 @@ def test_gemm_counters_prove_vectorization():
     assert per_step <= 2 * (4 + 4)
     # Instrumentation is off in the pinned run: zero true-score GEMMs.
     assert counters.get("gemm.true_score", 0) == 0
+
+
+def test_prefill_attention_stops_at_the_causal_frontier():
+    """The pinned 512-token prefill scores about half of T x T per head.
+
+    Row blocks of ``b`` rows multiplied against keys up to their own last
+    row touch ``0.5 * T^2 * H * (1 + b/T)`` score elements per layer; full-
+    width blocks (the pre-frontier kernel) touch ``T^2 * H`` and fail this
+    bound with no timing loop.
+    """
+    payload = load_baseline()
+    model = get_model_config(payload["config"]["model"])
+    prefill = payload["deterministic"]["prefill"]
+    tokens, heads = prefill["prompt_tokens"], model.n_heads
+    block = attention._PREFILL_BLOCK_ELEMENTS // (heads * tokens)
+    assert 1 <= block < tokens  # the pinned prefill takes the blocked path
+    bound = 0.5 * tokens**2 * heads * (1 + block / tokens) * model.n_layers
+    assert 0 < prefill["counters"]["attention_prefill.score_elements"] <= bound
+    assert payload["wall"]["prefill"]["pre_pr_baseline_wall_seconds"] > 0

@@ -77,6 +77,18 @@ class TestActivations:
         up = np.array([3.0, 4.0])
         np.testing.assert_allclose(swiglu(gate, up), silu(gate) * up)
 
+    def test_swiglu_workspace_is_bit_identical_on_strided_halves(self):
+        """The feed-forward block's layout: column halves of one fused product."""
+        rng = np.random.default_rng(5)
+        for rows in (1, 3, 64):
+            fused = rng.normal(size=(rows, 24)) * 4.0
+            gate, up = fused[:, :12], fused[:, 12:]
+            before = fused.copy()
+            got = swiglu(gate, up)
+            assert np.array_equal(got, silu(gate) * up)
+            assert got.flags.c_contiguous
+            assert np.array_equal(fused, before)  # operands are not mutated
+
 
 class TestRope:
     def test_requires_even_head_dim(self):
