@@ -11,6 +11,8 @@ the virtual perfmodel clock (pure arithmetic — byte-reproducible):
   strictly fewer decoded tokens than drain-and-retry from the prompt.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from conftest import run_once
@@ -21,6 +23,7 @@ from repro.traffic import (
     SLOSpec,
     TrafficConfig,
     TrafficRequest,
+    WorkloadSpec,
     format_traffic_report,
     simulate,
 )
@@ -103,21 +106,23 @@ def test_bench_preemption_cuts_interactive_p99(benchmark):
 
 def test_bench_checkpoint_recovery_beats_retry(benchmark):
     """Periodic checkpoints lose strictly fewer tokens than retries."""
-    kwargs = dict(
-        num_requests=10,
-        rate=4.0,
-        min_replicas=2,
-        max_replicas=2,
-        autoscaler="static",
-        failures=FailurePlan(events=(FailureEvent(time_s=6.0, slot=0),)),
-    )
+    def bench(checkpoint_interval_s):
+        fleet = replace(
+            ClusterBenchConfig().fleet,
+            min_replicas=2,
+            max_replicas=2,
+            autoscaler="static",
+            failures=FailurePlan(events=(FailureEvent(time_s=6.0, slot=0),)),
+            checkpoint_interval_s=checkpoint_interval_s,
+        )
+        return ClusterBenchConfig(
+            workload=WorkloadSpec(num_requests=10, rate=4.0), fleet=fleet
+        )
 
     def compare():
         return {
-            "retry": run_cluster_bench(ClusterBenchConfig(**kwargs)),
-            "recover": run_cluster_bench(
-                ClusterBenchConfig(checkpoint_interval_s=2.0, **kwargs)
-            ),
+            "retry": run_cluster_bench(bench(None)),
+            "recover": run_cluster_bench(bench(2.0)),
         }
 
     results = run_once(benchmark, compare)

@@ -21,6 +21,7 @@ again asserted on the deterministic tokens-per-engine-step.
 from conftest import run_once
 
 from repro.serving import ServeBenchConfig, format_serve_bench, run_serve_bench
+from repro.serving.bench import serving_engine_spec
 
 
 def test_bench_serving_throughput_batch8(benchmark):
@@ -32,13 +33,13 @@ def test_bench_serving_throughput_batch8(benchmark):
     assert {item.method for item in results} == {"clusterkv", "streaming_llm", "full"}
     for item in results:
         # All requests fit one batch, so occupancy should be nearly full.
-        assert item.mean_occupancy > config.max_batch_size * 0.9
-        assert item.total_tokens == config.num_requests * config.max_new_tokens
+        assert item.mean_occupancy > config.engine.max_batch_size * 0.9
+        assert item.total_tokens == config.num_requests * config.engine.max_new_tokens
         # Deterministic step accounting: 8 sequential runs take
         # num_requests * max_new_tokens per-token passes, the batch takes
         # ~max_new_tokens engine steps.
         assert item.sequential_engine_steps == (
-            config.num_requests * config.max_new_tokens
+            config.num_requests * config.engine.max_new_tokens
         )
         assert item.step_speedup > 1.5, (
             f"{item.method}: batching only amortised {item.step_speedup:.2f}x steps"
@@ -55,10 +56,9 @@ def test_bench_serving_batch_size_scaling(benchmark):
         per_step = {}
         for batch in (1, 4, 8):
             config = ServeBenchConfig(
+                engine=serving_engine_spec(max_batch_size=batch, max_new_tokens=48),
                 methods=("clusterkv",),
                 num_requests=batch,
-                max_batch_size=batch,
-                max_new_tokens=48,
                 repeats=1,
             )
             item = run_serve_bench(config)[0]

@@ -19,11 +19,13 @@ import numpy as np
 from conftest import run_once
 
 from repro.api import EngineSpec
+from repro.serving.bench import serving_engine_spec
 from repro.traffic import (
     SLOSpec,
     TrafficBenchConfig,
     TrafficConfig,
     TrafficRequest,
+    WorkloadSpec,
     build_router,
     format_traffic_report,
     run_traffic_bench,
@@ -33,13 +35,8 @@ from repro.traffic import (
 
 def test_bench_traffic_p99_ttft(benchmark):
     """Moderate Poisson load on 2 replicas keeps p99 TTFT bounded."""
-    config = TrafficBenchConfig(
-        num_requests=12,
-        rate=0.5,
-        num_replicas=2,
-        router="jsq",
-        seed=0,
-    )
+    # The bench's default fleet: two serving-tuned replicas behind jsq.
+    config = TrafficBenchConfig(workload=WorkloadSpec(num_requests=12, rate=0.5, seed=0))
     report = run_once(benchmark, run_traffic_bench, config)
     print()
     print(format_traffic_report(report))
@@ -125,26 +122,23 @@ def test_bench_chunked_prefill_p99_ttft(benchmark):
     decode steps.  On the deterministic perfmodel clock the chunked run
     must strictly reduce p99 TTFT while giving up none of the goodput.
     """
-    from dataclasses import replace
-
-    base = TrafficBenchConfig(
-        policies=("clusterkv",),
-        rate=0.1,
-        num_requests=16,
-        num_replicas=1,
-        router="round_robin",
-        prompt_len_min=32,
-        prompt_len_max=512,
-        max_new_tokens=64,
-        budget=48,
-        slo=SLOSpec(ttft_s=20.0, tpot_s=0.35),
-        seed=3,
-    )
+    def bench(prefill_chunk_tokens):
+        return TrafficBenchConfig(
+            workload=WorkloadSpec(
+                rate=0.1, num_requests=16, prompt_len_min=32, prompt_len_max=512, seed=3
+            ),
+            fleet=TrafficConfig(
+                engine=serving_engine_spec(
+                    max_new_tokens=64, prefill_chunk_tokens=prefill_chunk_tokens
+                ),
+                num_replicas=1,
+                router="round_robin",
+                slo=SLOSpec(ttft_s=20.0, tpot_s=0.35),
+            ),
+        )
 
     def run_pair():
-        monolithic = run_traffic_bench(replace(base, prefill_chunk=None))
-        chunked = run_traffic_bench(replace(base, prefill_chunk=64))
-        return monolithic, chunked
+        return run_traffic_bench(bench(None)), run_traffic_bench(bench(64))
 
     monolithic, chunked = run_once(benchmark, run_pair)
     print()
@@ -264,20 +258,18 @@ def test_bench_cluster_autoscaler_goodput(benchmark):
 
     from repro.cluster import ClusterBenchConfig, format_cluster_report, run_cluster_bench
 
+    # The bench's default fleet: 1..4 replicas scaled on SLO attainment.
     base = ClusterBenchConfig(
-        policies=("clusterkv",),
-        rate=0.8,
-        arrivals="onoff",
-        burstiness=4.0,
-        num_requests=18,
-        min_replicas=1,
-        max_replicas=4,
-        autoscaler="slo_attainment",
-        seed=1,
+        workload=WorkloadSpec(
+            rate=0.8, arrivals="onoff", burstiness=4.0, num_requests=18, seed=1
+        )
     )
+    assert (base.fleet.max_replicas, base.fleet.autoscaler) == (4, "slo_attainment")
 
     def compare():
-        static = run_cluster_bench(replace(base, autoscaler="static", max_replicas=1))
+        static = run_cluster_bench(
+            replace(base, fleet=replace(base.fleet, autoscaler="static", max_replicas=1))
+        )
         elastic = run_cluster_bench(base)
         elastic_again = run_cluster_bench(base)
         return static, elastic, elastic_again

@@ -28,28 +28,26 @@ from repro.cluster import (
     format_cluster_report,
     run_cluster_bench,
 )
-from repro.traffic.bench import build_bench_requests
+from repro.traffic.bench import WorkloadSpec, build_bench_requests
 
 
 def main() -> None:
     """Compare static, autoscaled, admission-gated and failure-injected runs."""
+    # A bursty workload over the bench's default elastic fleet: one to four
+    # serving-tuned replicas scaled by the slo_attainment autoscaler.
     base = ClusterBenchConfig(
-        policies=("clusterkv",),
-        rate=0.8,
-        arrivals="onoff",
-        burstiness=4.0,
-        num_requests=18,
-        min_replicas=1,
-        max_replicas=4,
-        autoscaler="slo_attainment",
-        seed=1,
+        workload=WorkloadSpec(
+            rate=0.8, arrivals="onoff", burstiness=4.0, num_requests=18, seed=1
+        )
     )
 
-    static = run_cluster_bench(replace(base, autoscaler="static", max_replicas=1))
+    def with_fleet(**knobs) -> ClusterBenchConfig:
+        return replace(base, fleet=replace(base.fleet, **knobs))
+
+    static = run_cluster_bench(with_fleet(autoscaler="static", max_replicas=1))
     elastic = run_cluster_bench(base)
     admitted = run_cluster_bench(
-        replace(
-            base,
+        with_fleet(
             autoscaler="static",
             max_replicas=1,
             admission="queue_deadline:deadline_s=2.5,service_tokens_per_s=60",
@@ -80,10 +78,9 @@ def main() -> None:
     # Failure injection: kill a replica mid-run; outputs do not change.
     requests = build_bench_requests(base)
     plan = FailurePlan(events=(FailureEvent(time_s=10.0, slot=0),))
-    clean_sim = ClusterSimulator(base.cluster_config())
+    clean_sim = ClusterSimulator(base.fleet)
     clean_sim.run(requests)
-    failed_config = replace(base, failures=plan)
-    failed_sim = ClusterSimulator(failed_config.cluster_config())
+    failed_sim = ClusterSimulator(with_fleet(failures=plan).fleet)
     failed_report = failed_sim.run(requests)
 
     clean_tokens = {

@@ -1,7 +1,8 @@
 """Setuptools entry point.
 
-Kept alongside ``pyproject.toml`` so that editable installs work with the
-legacy (pre-PEP 660) setuptools available in offline environments.
+The project's only packaging file: a plain ``setup.py`` keeps editable
+installs working with the legacy (pre-PEP 660) setuptools available in
+offline environments.
 """
 
 from setuptools import find_packages, setup
@@ -16,5 +17,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=1.24"],
 )

@@ -23,6 +23,8 @@ Compression methods are referred to declaratively through
 session serves heterogeneous traffic.
 """
 
+from dataclasses import fields
+
 from .session import Session, TokenEvent
 from .spec import EngineSpec
 
@@ -76,25 +78,22 @@ def simulate(
         return _simulate(requests, config, router=router, clock=clock, workers=workers)
 
     from ..cluster import ClusterConfig, simulate_cluster as _simulate_cluster
-    from ..traffic import TrafficConfig
+    from ..traffic import FleetConfig, TrafficConfig
 
     base = config or TrafficConfig()
     floor = base.num_replicas if min_replicas is None else min_replicas
-    ceiling = max(floor, 2 * floor) if max_replicas is None else max_replicas
+    # Knobs left unset fall back to ClusterConfig's own field defaults.
+    knobs = {
+        "autoscaler": autoscaler,
+        "admission": admission,
+        "failures": failures,
+        "max_retries": max_retries,
+        "max_replicas": 2 * floor if max_replicas is None else max_replicas,
+    }
     cluster_config = ClusterConfig(
-        engine=base.engine,
+        **{item.name: getattr(base, item.name) for item in fields(FleetConfig)},
         min_replicas=floor,
-        max_replicas=ceiling,
-        autoscaler=autoscaler if autoscaler is not None else "static",
-        admission=admission if admission is not None else "always",
-        router=base.router,
-        clock=base.clock,
-        arch=base.arch,
-        context_scale=base.context_scale,
-        slo=base.slo,
-        failures=failures if failures is not None else _empty_failure_plan(),
-        max_retries=max_retries if max_retries is not None else 3,
-        workers=base.workers,
+        **{name: value for name, value in knobs.items() if value is not None},
     )
     return _simulate_cluster(
         requests, cluster_config, router=router, clock=clock, workers=workers
@@ -110,10 +109,3 @@ def simulate_cluster(requests, config=None, router=None, clock=None, *, workers=
     from ..cluster import simulate_cluster as _simulate_cluster
 
     return _simulate_cluster(requests, config, router=router, clock=clock, workers=workers)
-
-
-def _empty_failure_plan():
-    """A fresh empty :class:`~repro.cluster.FailurePlan` (lazy import)."""
-    from ..cluster import FailurePlan
-
-    return FailurePlan()

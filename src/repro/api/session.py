@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..execbackend import build_engine
 from ..model import GenerationResult, SyntheticTokenizer
 from ..policies import PolicySpec
-from ..serving import BatchedEngine, CompletedRequest, ServeReport, ServeRequest
+from ..serving import CompletedRequest, ServeReport, ServeRequest
 from .spec import EngineSpec
 
 __all__ = ["TokenEvent", "Session"]
@@ -90,14 +91,7 @@ class Session:
         self.spec = base
         self.model = base.build_model()
         self.tokenizer = SyntheticTokenizer(self.model.config.vocab_size)
-        self.engine = BatchedEngine(
-            self.model,
-            selector=base.build_policy(),
-            generation_config=base.generation_config(),
-            scheduler_config=base.scheduler_config(),
-            tiers=base.tiers,
-            speculation=base.speculation_config(),
-        )
+        self.engine = build_engine(self.model, base)
         self._completed: list[CompletedRequest] = []
         self._completed_by_id: dict[str, CompletedRequest] = {}
         # Requests with a live stream() iterator; their results survive

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
+from ..knobs import knob
 from ..memory import TierBudgets
 from ..model import GenerationConfig, TransformerModel, get_model_config
 from ..policies import PolicySpec, build_policy, resolve_policy_spec
@@ -27,6 +28,13 @@ __all__ = ["EngineSpec"]
 @dataclass(frozen=True)
 class EngineSpec:
     """One serialisable description of a complete serving engine.
+
+    The one declaration of every engine knob: the
+    :class:`GenerationConfig` / :class:`SchedulerConfig` slices are
+    derived by field name, the benchmark configs *hold* a spec instead of
+    repeating its fields, and every bench CLI generates its flags from
+    the fields declared with :func:`repro.knobs.knob`.  A new knob is a
+    field here plus the config class that consumes it.
 
     Attributes
     ----------
@@ -95,28 +103,80 @@ class EngineSpec:
         self-drafter needs no second model.
     """
 
-    model: str = "serve-sim"
+    model: str = knob("serve-sim", "model configuration name")
+    # No flag: every bench sets the policy itself, from its own --policy list.
     policy: PolicySpec | str = field(default_factory=lambda: PolicySpec("full"))
-    budget: int | None = None
-    max_new_tokens: int = 32
-    num_full_layers: int = 2
-    num_sink_tokens: int = 16
-    greedy: bool = True
-    temperature: float = 1.0
-    seed: int = 0
-    max_batch_size: int = 8
-    max_prefills_per_step: int = 2
-    kv_budget_bytes: int | None = None
-    prefill_chunk_tokens: int | None = None
-    prefix_cache_tokens: int | None = None
-    prefix_block_tokens: int = 32
-    prefix_semantic_reuse: bool = True
-    kv_capacity_tokens: int | None = None
-    preemption: bool = False
-    tiers: TierBudgets | None = None
-    backend: str = "serial"
-    speculate_k: int = 0
-    drafter: str = "ngram"
+    budget: int | None = knob(
+        None, "KV budget in tokens per head (<= 0: no compression)", none_if="<=0"
+    )
+    max_new_tokens: int = knob(32, "decode tokens per request", "--new-tokens")
+    num_full_layers: int = knob(2, "leading layers that attend over the full KV cache")
+    num_sink_tokens: int = knob(16, "initial attention-sink tokens always retained")
+    greedy: bool = knob(True, "greedy (argmax) decoding")
+    temperature: float = knob(1.0, "sampling temperature under --no-greedy")
+    seed: int = knob(
+        0,
+        "seed of stochastic token sampling (--seed is the workload seed)",
+        flag="--sampling-seed",
+    )
+    max_batch_size: int = knob(8, "max concurrently decoding requests", "--batch")
+    max_prefills_per_step: int = knob(2, "max requests prefilled in one engine step")
+    kv_budget_bytes: int | None = knob(
+        None, "scheduler KV memory gate in bytes (<= 0: slots only)", none_if="<=0"
+    )
+    prefill_chunk_tokens: int | None = knob(
+        None,
+        "chunked-prefill token budget per engine step (<= 0 keeps monolithic prefill)",
+        "--prefill-chunk",
+        none_if="<=0",
+    )
+    prefix_cache_tokens: int | None = knob(
+        None,
+        "per-replica cross-request prefix-cache capacity in KV tokens "
+        "(<= 0 disables; pair with --router prefix_affine)",
+        "--prefix-cache",
+        none_if="<=0",
+    )
+    prefix_block_tokens: int = knob(
+        32, "radix-block size of the prefix cache, in tokens", "--prefix-block"
+    )
+    prefix_semantic_reuse: bool = knob(
+        True, "prefix cache also restores ClusterKV cluster state"
+    )
+    kv_capacity_tokens: int | None = knob(
+        None,
+        "declared per-replica capacity in projected KV tokens, read by "
+        "--admission token_budget (<= 0 derives it)",
+        none_if="<=0",
+    )
+    preemption: bool = knob(
+        False,
+        "let replicas checkpoint-preempt batch-class work for an interactive "
+        "queue head (repro.seqstate)",
+        "--preempt",
+    )
+    tiers: TierBudgets | None = knob(
+        None,
+        "per-tier capacity budgets (binary/decimal size suffixes; 'none' leaves "
+        "a tier unbounded)",
+        metavar="gpu=SIZE,host=SIZE,ssd=SIZE",
+    )
+    backend: str = knob(
+        "serial",
+        "execution backend replicas run on: serial (in-process) or multiprocess "
+        "(worker pool with shared read-only weights); reports are byte-identical "
+        "either way",
+        choices=("serial", "multiprocess"),
+    )
+    speculate_k: int = knob(
+        0,
+        "speculative decoding: draft up to K tokens per request per engine step "
+        "and verify them in one batched pass (0 disables; greedy outputs are "
+        "identical either way)",
+        "--speculate",
+        metavar="K",
+    )
+    drafter: str = knob("ngram", "registered drafter used with --speculate")
 
     def __post_init__(self) -> None:
         if self.backend not in ("serial", "multiprocess"):
@@ -148,30 +208,18 @@ class EngineSpec:
         """Instantiate the default selector factory through the registry."""
         return build_policy(self.policy)
 
+    def _slice(self, config_cls):
+        """``config_cls`` built from this spec's same-named fields."""
+        names = {item.name for item in fields(config_cls)} & {item.name for item in fields(self)}
+        return config_cls(**{name: getattr(self, name) for name in names})
+
     def generation_config(self) -> GenerationConfig:
         """The :class:`GenerationConfig` slice of this spec."""
-        return GenerationConfig(
-            budget=self.budget,
-            max_new_tokens=self.max_new_tokens,
-            num_full_layers=self.num_full_layers,
-            num_sink_tokens=self.num_sink_tokens,
-            greedy=self.greedy,
-            temperature=self.temperature,
-            seed=self.seed,
-        )
+        return self._slice(GenerationConfig)
 
     def scheduler_config(self) -> SchedulerConfig:
         """The :class:`SchedulerConfig` slice of this spec."""
-        return SchedulerConfig(
-            max_batch_size=self.max_batch_size,
-            max_prefills_per_step=self.max_prefills_per_step,
-            kv_budget_bytes=self.kv_budget_bytes,
-            prefill_chunk_tokens=self.prefill_chunk_tokens,
-            prefix_cache_tokens=self.prefix_cache_tokens,
-            prefix_block_tokens=self.prefix_block_tokens,
-            prefix_semantic_reuse=self.prefix_semantic_reuse,
-            preemption=self.preemption,
-        )
+        return self._slice(SchedulerConfig)
 
     def speculation_config(self) -> SpeculationConfig | None:
         """The :class:`~repro.specdec.SpeculationConfig` slice of this spec.

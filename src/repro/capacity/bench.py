@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..knobs import knob
 from .report import CapacityReport
 from .scenarios import CapacityScenarioConfig, run_scenario, scenario_names
 
@@ -38,7 +39,10 @@ class CapacityBenchConfig:
         sweep grid, SLO floor, seed.
     """
 
-    scenario: str = "capacity_frontier"
+    scenario: str = knob(
+        "capacity_frontier",
+        "sweep strategy, resolved through the scenario registry (see `repro list`)",
+    )
     config: CapacityScenarioConfig = field(default_factory=CapacityScenarioConfig)
 
     def __post_init__(self) -> None:

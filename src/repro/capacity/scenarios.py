@@ -21,19 +21,20 @@ byte-identical across machines and runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..api import EngineSpec
+from ..knobs import knob
 from ..memory import CapacityExceeded, TierBudgets
 from ..model import get_model_config
 from ..policies import PolicySpec
-from ..serving.bench import serving_policy_spec
-from ..traffic.arrivals import build_arrivals
+from ..serving.bench import POLICY_FLAG, resolve_serving_policies, serving_engine_spec
+from ..traffic.bench import TrafficBenchConfig, WorkloadSpec, build_bench_requests
 from ..traffic.report import SLOSpec
 from ..traffic.simulator import TrafficConfig, TrafficSimulator
-from ..traffic.workload import RequestShape, TrafficRequest, generate_traffic
+from ..traffic.workload import TrafficRequest
 from .report import CapacityPoint, CapacityReport
 
 __all__ = [
@@ -51,18 +52,40 @@ __all__ = [
 
 DEFAULT_TIERS = "gpu=320KiB,host=448KiB,ssd=4MiB"
 
+# Fleet/engine fields every probe sets itself, next to the swept policy
+# (traffic_config below): one round-robin replica batching exactly the swept
+# concurrency, on the virtual clock the byte-identical reports rest on.
+# They get no CLI flag.
+PROBE_SET_FIELDS = (
+    "max_batch_size", "max_prefills_per_step", "num_replicas", "router", "clock"
+)
+
+
+def _default_fleet() -> TrafficConfig:
+    # The SLO is looser than the interactive-serving default: capacity
+    # probes run long prompts under spill pricing, where a 2.5 s TTFT bound
+    # is unattainable at any rate and the curve would collapse at its first
+    # point for every policy.
+    return TrafficConfig(
+        engine=serving_engine_spec(max_new_tokens=16, tiers=DEFAULT_TIERS),
+        slo=SLOSpec(ttft_s=8.0, tpot_s=0.5),
+    )
+
 
 @dataclass(frozen=True)
 class CapacityScenarioConfig:
-    """Shared knobs of all capacity scenarios.
+    """Shared knobs of all capacity scenarios: a fleet plus the sweep grid.
 
-    The defaults describe the pinned reference setup of the capacity
-    benchmark: the ``serve-sim`` model under tight tier budgets
-    (``gpu=320KiB,host=448KiB,ssd=4MiB``) where the host-resident
-    ClusterKV policy survives points the dense ``full`` baseline cannot
-    admit.  ``policies`` entries resolve through the same serving-tuned
-    configuration as ``serve-bench``
-    (:func:`repro.serving.bench.serving_policy_spec`).
+    ``fleet`` holds the probed replica (:class:`~repro.api.EngineSpec`:
+    model, tier budgets, KV budget, decode length, backend, …) and the
+    perfmodel-clock parameters / SLO / workers settings (every probe runs
+    one round-robin replica on the perfmodel clock).  Its default is the
+    pinned reference setup of the capacity benchmark: the ``serve-sim`` model
+    under tight tier budgets (``gpu=320KiB,host=448KiB,ssd=4MiB``) where
+    the host-resident ClusterKV policy survives points the dense ``full``
+    baseline cannot admit.  ``policies`` entries resolve through the same
+    serving-tuned configuration as ``serve-bench``
+    (:func:`repro.serving.bench.resolve_serving_policies`).
 
     Context sweeps (``oom_finder``, ``capacity_frontier``) probe closed
     bursts: ``concurrency`` requests of exactly ``context_tokens``
@@ -75,30 +98,26 @@ class CapacityScenarioConfig:
     ``slo_floor``.
     """
 
-    model: str = "serve-sim"
-    policies: tuple[PolicySpec | str, ...] = ("clusterkv", "full")
-    tiers: TierBudgets | str = DEFAULT_TIERS
-    budget: int = 48
-    max_new_tokens: int = 16
-    num_full_layers: int = 1
-    num_sink_tokens: int = 8
-    concurrencies: tuple[int, ...] = (1, 2, 3)
+    fleet: TrafficConfig = field(default_factory=_default_fleet)
+    policies: tuple[PolicySpec | str, ...] = knob(
+        ("clusterkv", "full"),
+        "policy spec, repeatable; each is swept independently",
+        **POLICY_FLAG,
+    )
+    concurrencies: tuple[int, ...] = knob(
+        (1, 2, 3), "concurrency levels to probe", "--concurrency"
+    )
     context_min: int = 64
     context_max: int = 192
     context_step: int = 64
-    rates: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
-    num_requests: int = 12
-    arch: str = "llama-3.1-8b"
-    context_scale: int = 64
-    # Looser than the interactive-serving default: capacity probes run
-    # long prompts under spill pricing, where a 2.5 s TTFT bound is
-    # unattainable at any rate and the curve would collapse at its first
-    # point for every policy.
-    slo: SLOSpec = field(default_factory=lambda: SLOSpec(ttft_s=8.0, tpot_s=0.5))
-    slo_floor: float = 0.5
-    seed: int = 0
-    backend: str = "serial"
-    workers: int | None = None
+    rates: tuple[float, ...] = knob(
+        (0.25, 0.5, 1.0, 2.0), "offered request rates swept by latency_curve"
+    )
+    num_requests: int = knob(12, "requests per latency_curve probe", "--requests")
+    slo_floor: float = knob(
+        0.5, "latency_curve stops once SLO attainment drops below this"
+    )
+    seed: int = knob(0, "workload seed")
 
     def __post_init__(self) -> None:
         if not self.policies:
@@ -111,31 +130,18 @@ class CapacityScenarioConfig:
             raise ValueError("concurrencies must be positive")
         if not 0.0 <= self.slo_floor <= 1.0:
             raise ValueError("slo_floor must lie in [0, 1]")
-        resolved = tuple(
-            spec
-            if isinstance(spec, PolicySpec) and spec.kwargs
-            else serving_policy_spec(
-                spec.name if isinstance(spec, PolicySpec) else str(spec).strip(),
-                self.num_sink_tokens,
-            )
-            for spec in self.policies
-        )
+        resolved = resolve_serving_policies(self.policies, self.engine.num_sink_tokens)
         object.__setattr__(self, "policies", resolved)
-        tiers = self.tiers
-        if isinstance(tiers, str):
-            tiers = TierBudgets.parse(tiers)
-        object.__setattr__(self, "tiers", tiers)
+
+    @property
+    def engine(self) -> EngineSpec:
+        """The probed replica's engine description (``fleet.engine``)."""
+        return self.fleet.engine
 
     @property
     def policy_names(self) -> tuple[str, ...]:
         """Names of the resolved policies, in sweep order."""
         return tuple(spec.name for spec in self.policies)  # type: ignore[union-attr]
-
-    @property
-    def tier_budgets(self) -> TierBudgets:
-        """The resolved tier budgets (``tiers`` after string parsing)."""
-        assert isinstance(self.tiers, TierBudgets)
-        return self.tiers
 
     def contexts(self) -> list[int]:
         """The swept context lengths: ``context_min..context_max`` stepped."""
@@ -143,51 +149,35 @@ class CapacityScenarioConfig:
             range(self.context_min, self.context_max + 1, self.context_step)
         )
 
-    def engine_spec(self, policy: PolicySpec, concurrency: int) -> EngineSpec:
-        """Replica engine description of one probe."""
-        return EngineSpec(
-            model=self.model,
-            policy=policy,
-            budget=self.budget,
-            max_new_tokens=self.max_new_tokens,
-            num_full_layers=self.num_full_layers,
-            num_sink_tokens=self.num_sink_tokens,
-            max_batch_size=concurrency,
-            max_prefills_per_step=concurrency,
-            tiers=self.tier_budgets,
-            backend=self.backend,
-        )
-
     def traffic_config(self, policy: PolicySpec, concurrency: int) -> TrafficConfig:
         """Single-replica simulation configuration of one probe."""
-        return TrafficConfig(
-            engine=self.engine_spec(policy, concurrency),
-            num_replicas=1,
-            router="round_robin",
-            clock="perfmodel",
-            arch=self.arch,
-            context_scale=self.context_scale,
-            slo=self.slo,
-            workers=self.workers,
+        engine = replace(
+            self.engine,
+            policy=policy,
+            max_batch_size=concurrency,
+            max_prefills_per_step=concurrency,
+        )
+        return replace(
+            self.fleet, engine=engine, num_replicas=1, router="round_robin", clock="perfmodel"
         )
 
     def describe(self) -> dict[str, object]:
         """Identifying engine/workload configuration (for reports)."""
         return {
-            "model": self.model,
-            "budget": self.budget,
-            "max_new_tokens": self.max_new_tokens,
-            "num_full_layers": self.num_full_layers,
-            "num_sink_tokens": self.num_sink_tokens,
+            "model": self.engine.model,
+            "budget": self.engine.budget,
+            "max_new_tokens": self.engine.max_new_tokens,
+            "num_full_layers": self.engine.num_full_layers,
+            "num_sink_tokens": self.engine.num_sink_tokens,
             "concurrencies": list(self.concurrencies),
             "context_min": self.context_min,
             "context_max": self.context_max,
             "context_step": self.context_step,
             "rates": list(self.rates),
             "num_requests": self.num_requests,
-            "arch": self.arch,
-            "context_scale": self.context_scale,
-            "slo": self.slo.to_dict(),
+            "arch": self.fleet.arch,
+            "context_scale": self.fleet.context_scale,
+            "slo": self.fleet.slo.to_dict(),
             "slo_floor": self.slo_floor,
             "seed": self.seed,
         }
@@ -201,7 +191,7 @@ def _burst_requests(
     Prompt contents are seeded by ``(seed, context, concurrency)`` so
     every grid point's workload is deterministic yet distinct.
     """
-    vocab_size = get_model_config(config.model).vocab_size
+    vocab_size = get_model_config(config.engine.model).vocab_size
     rng = np.random.default_rng([config.seed, context_tokens, concurrency])
     return [
         TrafficRequest(
@@ -210,7 +200,7 @@ def _burst_requests(
             prompt_ids=rng.integers(4, vocab_size, size=context_tokens).astype(
                 np.int64
             ),
-            max_new_tokens=config.max_new_tokens,
+            max_new_tokens=config.engine.max_new_tokens,
         )
         for index in range(concurrency)
     ]
@@ -220,16 +210,15 @@ def _rate_requests(
     config: CapacityScenarioConfig, policy: PolicySpec, rate: float
 ) -> list[TrafficRequest]:
     """Open-loop Poisson workload at one offered rate."""
-    vocab_size = get_model_config(config.model).vocab_size
-    times = build_arrivals("poisson", rate=rate).times(
-        config.num_requests, seed=config.seed
+    workload = WorkloadSpec(
+        rate=rate,
+        num_requests=config.num_requests,
+        prompt_len_min=config.context_min,
+        prompt_len_max=config.context_max,
+        policies=(policy,),
+        seed=config.seed,
     )
-    shape = RequestShape(
-        prompt_len_range=(config.context_min, config.context_max),
-        max_new_tokens=config.max_new_tokens,
-        policy=policy,
-    )
-    return generate_traffic([shape], times, vocab_size=vocab_size, seed=config.seed)
+    return build_bench_requests(TrafficBenchConfig(workload, config.fleet))
 
 
 def probe_point(
@@ -310,7 +299,7 @@ class CapacityScenario:
         return CapacityReport(
             scenario=self.name,
             policies=self.config.policy_names,
-            tiers=self.config.tier_budgets.to_dict(),
+            tiers=(self.config.engine.tiers or TierBudgets()).to_dict(),
             engine=self.config.describe(),
             points=tuple(points),
             frontier=frontier,

@@ -21,116 +21,163 @@ Run an accuracy experiment at a reduced context scale::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from collections.abc import Sequence
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 from . import experiments as exp
+from .knobs import NONE_IF
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "add_dataclass_flags", "dataclass_from_args"]
+
+_SCALARS = {"int": int, "float": float, "bool": bool}
 
 
-def _parse_bench_policies(args: argparse.Namespace) -> "tuple | None":
-    """Collect ``--policy``/``--policy-json`` flags into policy specs."""
-    import json
+def _flags(item) -> list[str]:
+    """Every spelling of a field's flag, the canonical one first."""
+    canonical = item.metadata.get("flag", "--" + item.name.replace("_", "-"))
+    return [canonical, *item.metadata.get("aliases", ())]
 
+
+def _dest(item) -> str:
+    return _flags(item)[0][2:].replace("-", "_")
+
+
+def _shown(value: object) -> str:
+    """A default value as the user would type it."""
+    if isinstance(value, tuple):
+        return " ".join(map(_shown, value))
+    return value.to_cli() if hasattr(value, "to_cli") else str(value)
+
+
+def _converter(kind, none_if):
+    """argparse ``type``: parse ``kind``, mapping the disabling sentinel to None."""
+    if none_if is None:
+        return kind
+
+    def convert(text: str):
+        value = kind(text)
+        return None if NONE_IF[none_if](value) else value
+
+    convert.__name__ = kind.__name__  # argparse names the type in its error message
+    return convert
+
+
+def add_dataclass_flags(parser, cls, defaults=None, exclude=()) -> None:
+    """Generate one ``--field-name`` flag per :func:`~repro.knobs.knob` of ``cls``.
+
+    A field gets a flag when its ``metadata`` has a ``"help"`` entry (what
+    :func:`~repro.knobs.knob` writes; its other hints are honoured too).
+    The flag's type comes from the field's annotation (``int``, ``float``,
+    ``bool`` → ``--x/--no-x``, ``tuple[T, ...]`` → repeatable, anything
+    else a string) and its default from ``defaults`` (default ``cls()``),
+    so no default is written twice.  A field *without* help whose default
+    is itself a dataclass is descended into, which is how a bench config
+    that holds an ``EngineSpec`` exposes every engine knob.  ``exclude``
+    names fields (at any depth) that get no flag.
+    """
+    defaults = cls() if defaults is None else defaults
+    for item in fields(cls):
+        value = getattr(defaults, item.name)
+        if item.name in exclude:
+            continue
+        if "help" not in item.metadata:
+            if is_dataclass(value):
+                add_dataclass_flags(parser, type(value), value, exclude)
+            continue
+        # A string under ``from __future__ import annotations``; else a class
+        # (``int``) or an alias whose str() reads the same (``tuple[int, ...]``).
+        annotation = item.type.__name__ if type(item.type) is type else str(item.type)
+        repeated = annotation.startswith("tuple[")
+        # "tuple[int, ...]" / "int | None" / "int" all name their scalar first.
+        scalar = annotation.removeprefix("tuple[").split(",")[0].split("|")[0].strip()
+        kind = _SCALARS.get(scalar, str)
+        options = {
+            "default": argparse.SUPPRESS,  # only flags actually passed reach the namespace
+            "help": f"{item.metadata['help']} (default: {_shown(value)})",
+        }
+        if kind is bool:
+            options["action"] = argparse.BooleanOptionalAction
+        else:
+            options["type"] = _converter(kind, item.metadata.get("none_if"))
+            options["choices"] = item.metadata.get("choices")
+            options["metavar"] = item.metadata.get("metavar")
+            if repeated:
+                options.update(nargs="+", action="extend")
+        parser.add_argument(*_flags(item), **options)
+
+
+def dataclass_from_args(cls, args: argparse.Namespace, defaults=None):
+    """``cls`` built from its field defaults with every passed flag applied.
+
+    The inverse of :func:`add_dataclass_flags`: held dataclasses are
+    rebuilt the same way first, fields with no flag keep their default
+    (``defaults``' value when given), and every config is constructed
+    exactly once, from its finished parts — so a config that derives
+    fields at construction (resolved policies, the prefill cap) derives
+    them from what the command line said, as ``cls(part=...)`` written
+    by hand does.
+    """
+    values = {}
+    for item in fields(cls):
+        if defaults is not None:
+            value = getattr(defaults, item.name)
+        elif item.default is not MISSING:
+            value = item.default
+        elif is_dataclass(item.default_factory):
+            value = item.default_factory  # a held config's own class: built below, once
+        else:
+            value = item.default_factory()
+        if "help" in item.metadata:
+            if hasattr(args, _dest(item)):
+                value = getattr(args, _dest(item))
+                value = tuple(value) if isinstance(value, list) else value
+        elif isinstance(value, type):
+            value = dataclass_from_args(value, args)
+        elif is_dataclass(value):
+            value = dataclass_from_args(type(value), args, value)
+        values[item.name] = value
+    return cls(**values)
+
+
+def _parse_policy_json(text: str) -> tuple:
+    """The policy specs of one ``--policy-json`` value (an object or a list)."""
     from .policies import PolicySpec
 
-    specs: list[PolicySpec] = []
-    for text in args.policy or ():
-        specs.append(PolicySpec.parse(text))
-    if args.policy_json:
-        payload = json.loads(args.policy_json)
-        items = payload if isinstance(payload, list) else [payload]
-        for item in items:
-            if isinstance(item, str):
-                specs.append(PolicySpec.parse(item))
-            elif isinstance(item, dict):
-                specs.append(PolicySpec.from_dict(item))
-            else:
-                raise ValueError(
-                    "--policy-json entries must be policy objects like "
-                    '{"name": "quest", "page_size": 32} or name strings, '
-                    f"got {item!r}"
-                )
-    return tuple(specs) if specs else None
+    payload = json.loads(text)
+    specs = []
+    for item in payload if isinstance(payload, list) else [payload]:
+        if isinstance(item, str):
+            specs.append(item)
+        elif isinstance(item, dict):
+            specs.append(PolicySpec.from_dict(item))
+        else:
+            raise ValueError(
+                "--policy-json entries must be policy objects like "
+                '{"name": "quest", "page_size": 32} or name strings, '
+                f"got {item!r}"
+            )
+    return tuple(specs)
 
 
 def _run_serve_bench(args: argparse.Namespace) -> str:
-    from .serving import (
-        ServeBenchConfig,
-        format_mixed_serve_bench,
-        format_serve_bench,
-        run_mixed_serve_bench,
-        run_serve_bench,
-    )
+    from . import serving
 
-    config = ServeBenchConfig(
-        model=args.model,
-        methods=tuple(args.methods),
-        policies=_parse_bench_policies(args),
-        num_requests=args.requests,
-        max_batch_size=args.batch,
-        prompt_len=args.prompt_len,
-        max_new_tokens=args.new_tokens,
-        budget=args.budget,
-        repeats=args.repeats,
-        speculate_k=args.speculate,
-        drafter=args.drafter,
-    )
+    config = dataclass_from_args(serving.ServeBenchConfig, args)
+    if args.policy_json:
+        policies = (config.policies or ()) + _parse_policy_json(args.policy_json)
+        config = replace(config, policies=policies)
     if args.mixed:
-        return format_mixed_serve_bench(run_mixed_serve_bench(config))
-    return format_serve_bench(run_serve_bench(config))
-
-
-def _workload_kwargs(args: argparse.Namespace) -> dict:
-    """The TrafficBenchConfig kwargs shared by traffic- and cluster-bench."""
-    from .policies import PolicySpec
-    from .traffic import SLOSpec
-
-    policies = tuple(PolicySpec.parse(text) for text in args.policy or ()) or (
-        "clusterkv",
-    )
-    return dict(
-        model=args.model,
-        policies=policies,
-        rate=args.rate,
-        arrivals=args.arrivals,
-        burstiness=args.burstiness,
-        num_requests=args.requests,
-        router=args.router,
-        clock=args.clock,
-        arch=args.arch,
-        context_scale=args.context_scale,
-        prompt_len_min=args.prompt_len_min,
-        prompt_len_max=args.prompt_len_max,
-        max_new_tokens=args.new_tokens,
-        budget=args.budget,
-        prefill_chunk=None if args.prefill_chunk <= 0 else args.prefill_chunk,
-        prefix_cache=None if args.prefix_cache <= 0 else args.prefix_cache,
-        prefix_block=args.prefix_block,
-        slo_class_mix=None if args.slo_class_mix < 0 else args.slo_class_mix,
-        preemption=args.preempt,
-        slo=SLOSpec(
-            ttft_s=None if args.slo_ttft <= 0 else args.slo_ttft,
-            tpot_s=None if args.slo_tpot <= 0 else args.slo_tpot,
-        ),
-        seed=args.seed,
-        trace=args.trace,
-        backend=args.backend,
-        workers=None if args.workers <= 0 else args.workers,
-        speculate_k=args.speculate,
-        drafter=args.drafter,
-    )
+        return serving.format_mixed_serve_bench(serving.run_mixed_serve_bench(config))
+    return serving.format_serve_bench(serving.run_serve_bench(config))
 
 
 def _run_traffic_bench(args: argparse.Namespace) -> str:
     from .traffic import TrafficBenchConfig, format_traffic_report, run_traffic_bench
 
-    config = TrafficBenchConfig(num_replicas=args.replicas, **_workload_kwargs(args))
-    report = run_traffic_bench(config)
-    if args.json:
-        return report.to_json()
-    return format_traffic_report(report)
+    report = run_traffic_bench(dataclass_from_args(TrafficBenchConfig, args))
+    return report.to_json() if args.json else format_traffic_report(report)
 
 
 def _parse_failure_plan(args: argparse.Namespace):
@@ -138,7 +185,6 @@ def _parse_failure_plan(args: argparse.Namespace):
     from .cluster import FailureEvent, FailurePlan
 
     events = []
-    num_zones = args.failure_zones
     for text in args.kill or ():
         time_text, _, target_text = text.partition("@")
         try:
@@ -164,86 +210,35 @@ def _parse_failure_plan(args: argparse.Namespace):
             horizon_s=args.failure_horizon,
         )
         events.extend(seeded.events)
-    return FailurePlan(events=tuple(events), num_zones=num_zones)
+    return FailurePlan(events=tuple(events), num_zones=args.failure_zones)
 
 
 def _run_cluster_bench(args: argparse.Namespace) -> str:
     from .cluster import ClusterBenchConfig, format_cluster_report, run_cluster_bench
 
-    config = ClusterBenchConfig(
-        min_replicas=args.min_replicas,
-        max_replicas=args.max_replicas,
-        autoscaler=args.autoscaler,
-        admission=args.admission,
-        failures=_parse_failure_plan(args),
-        max_retries=args.max_retries,
-        migrate_on_drain=args.migrate_on_drain,
-        checkpoint_interval_s=(
-            None if args.checkpoint_interval <= 0 else args.checkpoint_interval
-        ),
-        **_workload_kwargs(args),
+    config = dataclass_from_args(ClusterBenchConfig, args)
+    config = replace(
+        config, fleet=replace(config.fleet, failures=_parse_failure_plan(args))
     )
     report = run_cluster_bench(config)
-    if args.json:
-        return report.to_json()
-    return format_cluster_report(report)
+    return report.to_json() if args.json else format_cluster_report(report)
 
 
 def _run_capacity_bench(args: argparse.Namespace) -> str:
-    from .capacity import (
-        CapacityBenchConfig,
-        CapacityScenarioConfig,
-        format_capacity_report,
-        run_capacity_bench,
-    )
-    from .policies import PolicySpec
-    from .traffic import SLOSpec
+    from .capacity import CapacityBenchConfig, format_capacity_report, run_capacity_bench
 
-    policies = tuple(PolicySpec.parse(text) for text in args.policy or ()) or (
-        "clusterkv",
-        "full",
-    )
-    try:
-        lo_text, hi_text, step_text = args.sweep.split(":")
-        context_min, context_max, context_step = (
-            int(lo_text),
-            int(hi_text),
-            int(step_text),
-        )
-    except ValueError as error:
-        raise ValueError(
-            f"malformed --sweep {args.sweep!r}; expected MIN:MAX:STEP token counts"
-        ) from error
-    config = CapacityBenchConfig(
-        scenario=args.scenario,
-        config=CapacityScenarioConfig(
-            model=args.model,
-            policies=policies,
-            tiers=args.tiers,
-            budget=args.budget,
-            max_new_tokens=args.new_tokens,
-            concurrencies=tuple(args.concurrency or (1, 2, 3)),
-            context_min=context_min,
-            context_max=context_max,
-            context_step=context_step,
-            rates=tuple(args.rates),
-            num_requests=args.requests,
-            arch=args.arch,
-            context_scale=args.context_scale,
-            slo=SLOSpec(
-                ttft_s=None if args.slo_ttft <= 0 else args.slo_ttft,
-                tpot_s=None if args.slo_tpot <= 0 else args.slo_tpot,
-            ),
-            slo_floor=args.slo_floor,
-            seed=args.seed,
-            backend=args.backend,
-            workers=None if args.workers <= 0 else args.workers,
-        ),
-    )
+    config = dataclass_from_args(CapacityBenchConfig, args)
+    if args.sweep:
+        try:
+            low, high, step = (int(text) for text in args.sweep.split(":"))
+        except ValueError as error:
+            raise ValueError(
+                f"malformed --sweep {args.sweep!r}; expected MIN:MAX:STEP token counts"
+            ) from error
+        grid = replace(config.config, context_min=low, context_max=high, context_step=step)
+        config = replace(config, config=grid)
     report = run_capacity_bench(config)
-    if args.json:
-        return report.to_json()
-    return format_capacity_report(report)
+    return report.to_json() if args.json else format_capacity_report(report)
 
 
 def _run_perf_bench(args: argparse.Namespace) -> str:
@@ -430,6 +425,8 @@ def _format_listing() -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser of the ``repro`` CLI."""
+    from . import capacity, cluster, serving, traffic
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ClusterKV reproduction: regenerate the paper's tables and figures.",
@@ -449,31 +446,23 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--samples", type=int, default=2, help="samples per task (default 2)"
         )
-        sub.add_argument("--out", type=str, default=None, help="write output to a file")
 
-    serve = subparsers.add_parser(
-        "serve-bench", help=_SERVING_COMMANDS["serve-bench"][0]
+    def bench(command: str, cls, exclude) -> argparse.ArgumentParser:
+        # Every flag that sets a config field is generated from that field,
+        # except the fields the bench sets itself; only flags that are not a
+        # field are written out below.
+        sub = subparsers.add_parser(command, help=_SERVING_COMMANDS[command][0])
+        add_dataclass_flags(sub, cls, exclude=exclude)
+        return sub
+
+    bench_sets = serving.bench.BENCH_SET_FIELDS
+    serve = bench("serve-bench", serving.ServeBenchConfig, bench_sets)
+    traffic_bench = bench("traffic-bench", traffic.TrafficBenchConfig, bench_sets)
+    cluster_bench = bench("cluster-bench", cluster.ClusterBenchConfig, bench_sets)
+    capacity_bench = bench(
+        "capacity-bench", capacity.CapacityBenchConfig, capacity.scenarios.PROBE_SET_FIELDS
     )
-    serve.add_argument(
-        "--model", type=str, default="serve-sim", help="model config (default serve-sim)"
-    )
-    serve.add_argument(
-        "--methods",
-        type=str,
-        nargs="+",
-        default=["clusterkv", "streaming_llm", "full"],
-        help="KV selection methods to benchmark",
-    )
-    serve.add_argument(
-        "--policy",
-        action="append",
-        metavar="NAME[:KEY=VAL,...]",
-        help="policy spec, repeatable (e.g. clusterkv:tokens_per_cluster=32); "
-        "overrides --methods. A bare name uses the same serving-tuned "
-        "config as --methods; a spec with any explicit key is used "
-        "verbatim (unspecified keys take the method's registered "
-        "defaults, not the serving-tuned base)",
-    )
+    perf = subparsers.add_parser("perf-bench", help=_SERVING_COMMANDS["perf-bench"][0])
     serve.add_argument(
         "--policy-json",
         type=str,
@@ -487,165 +476,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve ONE batch mixing the policies across its requests "
         "instead of benchmarking each policy separately",
     )
-    serve.add_argument("--requests", type=int, default=8, help="number of requests")
-    serve.add_argument("--batch", type=int, default=8, help="max concurrent requests")
-    serve.add_argument("--prompt-len", type=int, default=64, help="prompt tokens")
-    serve.add_argument("--new-tokens", type=int, default=96, help="decode tokens")
-    serve.add_argument("--budget", type=int, default=48, help="KV budget per head")
-    serve.add_argument("--repeats", type=int, default=2, help="timing repeats")
-    serve.add_argument(
-        "--speculate",
-        type=int,
-        default=0,
-        metavar="K",
-        help="speculative decoding: draft up to K tokens per request per "
-        "step and verify them in one batched pass (0 disables; greedy "
-        "outputs are identical either way)",
-    )
-    serve.add_argument(
-        "--drafter",
-        type=str,
-        default="ngram",
-        help="registered drafter used with --speculate (default ngram, "
-        "a self-drafting prompt-lookup drafter)",
-    )
-    serve.add_argument("--out", type=str, default=None, help="write output to a file")
-
-    traffic = subparsers.add_parser(
-        "traffic-bench", help=_SERVING_COMMANDS["traffic-bench"][0]
-    )
-    traffic.add_argument("--replicas", type=int, default=2, help="engine replicas")
-    _add_workload_flags(traffic)
-
-    cluster = subparsers.add_parser(
-        "cluster-bench", help=_SERVING_COMMANDS["cluster-bench"][0]
-    )
-    cluster.add_argument(
-        "--min-replicas", type=int, default=1, help="fleet floor (always provisioned)"
-    )
-    cluster.add_argument(
-        "--max-replicas", type=int, default=4, help="fleet ceiling for scale-up"
-    )
-    cluster.add_argument(
-        "--autoscaler", type=str, default="slo_attainment",
-        metavar="NAME[:KEY=VAL,...]",
-        help="autoscaler spec, resolved through the registry "
-        "(see `repro list`; e.g. queue_depth:high=2,low=0.25)",
-    )
-    cluster.add_argument(
-        "--admission", type=str, default="always",
-        metavar="NAME[:KEY=VAL,...]",
-        help="admission-control spec, resolved through the registry "
-        "(see `repro list`; e.g. queue_deadline:deadline_s=2.5)",
-    )
-    cluster.add_argument(
+    cluster_bench.add_argument(
         "--kill", action="append", metavar="TIME[@SLOT|@zoneZ]",
         help="kill a replica at TIME seconds (optional live-replica slot), "
         "or with @zoneZ every replica of failure zone Z; repeatable",
     )
-    cluster.add_argument(
+    cluster_bench.add_argument(
         "--failure-zones", type=int, default=0,
         help="number of correlated failure zones replicas stripe across "
         "(0 disables zone-targeted kills)",
     )
-    cluster.add_argument(
+    cluster_bench.add_argument(
         "--failure-count", type=int, default=0,
         help="number of seeded random replica kills (0 disables)",
     )
-    cluster.add_argument(
+    cluster_bench.add_argument(
         "--failure-seed", type=int, default=0, help="seed of the random kills"
     )
-    cluster.add_argument(
+    cluster_bench.add_argument(
         "--failure-horizon", type=float, default=60.0,
         help="random kills are drawn uniform over [0, HORIZON) seconds",
     )
-    cluster.add_argument(
-        "--max-retries", type=int, default=3,
-        help="failure re-dispatches a request may consume before giving up",
+    capacity_bench.add_argument(
+        "--sweep", type=str, default=None, metavar="MIN:MAX:STEP",
+        help="context-length grid swept by the scenario, in prompt tokens "
+        "(default: the config's context_min:context_max:context_step)",
     )
-    cluster.add_argument(
-        "--migrate-on-drain", action="store_true",
-        help="checkpoint-migrate in-flight requests off draining replicas "
-        "(repro.seqstate) instead of waiting for them to finish",
-    )
-    cluster.add_argument(
-        "--checkpoint-interval", type=float, default=0.0,
-        help="periodic per-replica checkpoint interval in seconds for "
-        "failure recovery (<= 0 disables; failures then retry from scratch)",
-    )
-    _add_workload_flags(cluster)
-
-    capacity = subparsers.add_parser(
-        "capacity-bench", help=_SERVING_COMMANDS["capacity-bench"][0]
-    )
-    capacity.add_argument(
-        "--scenario", type=str, default="capacity_frontier",
-        help="sweep strategy, resolved through the scenario registry "
-        "(see `repro list`)",
-    )
-    capacity.add_argument(
-        "--model", type=str, default="serve-sim", help="model config (default serve-sim)"
-    )
-    capacity.add_argument(
-        "--policy",
-        action="append",
-        metavar="NAME[:KEY=VAL,...]",
-        help="policy spec, repeatable; each is swept independently "
-        "(default: serving-tuned clusterkv and full)",
-    )
-    capacity.add_argument(
-        "--tiers", type=str, default="gpu=320KiB,host=448KiB,ssd=4MiB",
-        metavar="gpu=SIZE,host=SIZE,ssd=SIZE",
-        help="per-tier capacity budgets (binary/decimal size suffixes; "
-        "'none' leaves a tier unbounded)",
-    )
-    capacity.add_argument(
-        "--sweep", type=str, default="64:192:64", metavar="MIN:MAX:STEP",
-        help="context-length grid swept by the scenario, in prompt tokens",
-    )
-    capacity.add_argument(
-        "--concurrency", type=int, action="append", default=None,
-        help="concurrency level to probe, repeatable (default 1 2 3)",
-    )
-    capacity.add_argument(
-        "--rates", type=float, nargs="+", default=[0.25, 0.5, 1.0, 2.0],
-        help="offered request rates swept by latency_curve",
-    )
-    capacity.add_argument(
-        "--requests", type=int, default=12,
-        help="requests per latency_curve probe",
-    )
-    capacity.add_argument("--new-tokens", type=int, default=16, help="decode tokens")
-    capacity.add_argument("--budget", type=int, default=48, help="KV budget per head")
-    capacity.add_argument(
-        "--arch", type=str, default="llama-3.1-8b",
-        help="reference architecture priced by the perfmodel clock",
-    )
-    capacity.add_argument(
-        "--context-scale", type=int, default=64,
-        help="factor mapping simulated token counts to paper scale",
-    )
-    capacity.add_argument(
-        "--slo-ttft", type=float, default=8.0,
-        help="TTFT deadline in seconds (<= 0 disables)",
-    )
-    capacity.add_argument(
-        "--slo-tpot", type=float, default=0.5,
-        help="TPOT deadline in seconds (<= 0 disables)",
-    )
-    capacity.add_argument(
-        "--slo-floor", type=float, default=0.5,
-        help="latency_curve stops once SLO attainment drops below this",
-    )
-    capacity.add_argument("--seed", type=int, default=0, help="workload seed")
-    _add_backend_flags(capacity)
-    capacity.add_argument(
-        "--json", action="store_true",
-        help="print the CapacityReport as canonical JSON instead of a table",
-    )
-    capacity.add_argument("--out", type=str, default=None, help="write output to a file")
-
-    perf = subparsers.add_parser("perf-bench", help=_SERVING_COMMANDS["perf-bench"][0])
     perf.add_argument(
         "--write", type=str, default=None,
         help="write the full JSON payload (e.g. BENCH_hotpaths.json)",
@@ -654,128 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--counters-only", action="store_true",
         help="skip wall-clock timings; only the deterministic counters",
     )
-    perf.add_argument("--out", type=str, default=None, help="write output to a file")
+    for sub in (traffic_bench, cluster_bench, capacity_bench):
+        sub.add_argument(
+            "--json", action="store_true",
+            help="print the report as canonical JSON instead of a table",
+        )
+    for sub in subparsers.choices.values():
+        sub.add_argument("--out", type=str, default=None, help="write output to a file")
     return parser
-
-
-def _add_workload_flags(traffic: argparse.ArgumentParser) -> None:
-    """Register the workload/SLO flags shared by traffic- and cluster-bench."""
-    traffic.add_argument(
-        "--model", type=str, default="serve-sim", help="model config (default serve-sim)"
-    )
-    traffic.add_argument(
-        "--policy",
-        action="append",
-        metavar="NAME[:KEY=VAL,...]",
-        help="per-request policy spec, repeatable; several specs are mixed "
-        "across the workload by an equal-weight seeded draw "
-        "(default: serving-tuned clusterkv)",
-    )
-    traffic.add_argument(
-        "--rate", type=float, default=0.5,
-        help="mean arrival rate in requests per second of simulated time",
-    )
-    traffic.add_argument(
-        "--arrivals", type=str, default="poisson",
-        help="arrival process name, resolved through the registry — see "
-        "`repro list` (use --trace to replay a JSONL trace instead)",
-    )
-    traffic.add_argument(
-        "--burstiness", type=float, default=4.0,
-        help="peak-to-mean rate ratio of the onoff process",
-    )
-    traffic.add_argument(
-        "--trace", type=str, default=None,
-        help="replay arrivals/shapes from a JSONL trace file",
-    )
-    traffic.add_argument("--requests", type=int, default=16, help="number of requests")
-    traffic.add_argument(
-        "--router", type=str, default="jsq",
-        help="routing strategy (see `repro list` for registered routers)",
-    )
-    traffic.add_argument(
-        "--clock", type=str, default="perfmodel", choices=("perfmodel", "wall"),
-        help="step clock: perfmodel (virtual, bit-reproducible) or wall",
-    )
-    traffic.add_argument(
-        "--arch", type=str, default="llama-3.1-8b",
-        help="reference architecture priced by the perfmodel clock",
-    )
-    traffic.add_argument(
-        "--context-scale", type=int, default=64,
-        help="factor mapping simulated token counts to paper scale",
-    )
-    traffic.add_argument(
-        "--prompt-len-min", type=int, default=48, help="minimum prompt tokens"
-    )
-    traffic.add_argument(
-        "--prompt-len-max", type=int, default=96, help="maximum prompt tokens"
-    )
-    traffic.add_argument("--new-tokens", type=int, default=48, help="decode tokens")
-    traffic.add_argument("--budget", type=int, default=48, help="KV budget per head")
-    traffic.add_argument(
-        "--prefill-chunk", type=int, default=0,
-        help="chunked-prefill token budget per engine step (<= 0 keeps "
-        "monolithic prefill)",
-    )
-    traffic.add_argument(
-        "--prefix-cache", type=int, default=0,
-        help="per-replica cross-request prefix-cache capacity in KV tokens "
-        "(<= 0 disables; pair with --router prefix_affine)",
-    )
-    traffic.add_argument(
-        "--prefix-block", type=int, default=32,
-        help="radix-block size of the prefix cache, in tokens",
-    )
-    traffic.add_argument(
-        "--slo-class-mix", type=float, default=-1.0,
-        help="fraction of interactive-class traffic, the rest batch-class "
-        "(< 0 keeps everything interactive; pair with --router slo_aware)",
-    )
-    traffic.add_argument(
-        "--preempt", action="store_true",
-        help="let replicas checkpoint-preempt batch-class work for an "
-        "interactive queue head (repro.seqstate)",
-    )
-    traffic.add_argument(
-        "--speculate", type=int, default=0, metavar="K",
-        help="speculative decoding: draft up to K tokens per request per "
-        "engine step and verify them in one batched pass (0 disables)",
-    )
-    traffic.add_argument(
-        "--drafter", type=str, default="ngram",
-        help="registered drafter used with --speculate (default ngram)",
-    )
-    traffic.add_argument(
-        "--slo-ttft", type=float, default=2.5,
-        help="TTFT deadline in seconds (<= 0 disables)",
-    )
-    traffic.add_argument(
-        "--slo-tpot", type=float, default=0.15,
-        help="TPOT deadline in seconds (<= 0 disables)",
-    )
-    traffic.add_argument("--seed", type=int, default=0, help="workload seed")
-    _add_backend_flags(traffic)
-    traffic.add_argument(
-        "--json", action="store_true",
-        help="print the TrafficReport as canonical JSON instead of a table",
-    )
-    traffic.add_argument("--out", type=str, default=None, help="write output to a file")
-
-
-def _add_backend_flags(command: argparse.ArgumentParser) -> None:
-    """Register the execution-backend flags (traffic/cluster/capacity-bench)."""
-    command.add_argument(
-        "--backend", type=str, default="serial", choices=("serial", "multiprocess"),
-        help="execution backend replicas run on: serial (in-process) or "
-        "multiprocess (worker pool with shared read-only weights); "
-        "reports are byte-identical either way",
-    )
-    command.add_argument(
-        "--workers", type=int, default=0,
-        help="worker-process count for the multiprocess backend (implies "
-        "--backend multiprocess; <= 0 derives min(replicas, cpu_count))",
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -786,11 +528,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_help()
         return 2
     if args.command == "list":
-        print(_format_listing())
-        return 0
-    _, runner = {**_EXPERIMENTS, **_SERVING_COMMANDS}[args.command]
-    output = runner(args)
-    if getattr(args, "out", None):
+        output = _format_listing()
+    else:
+        _, runner = {**_EXPERIMENTS, **_SERVING_COMMANDS}[args.command]
+        output = runner(args)
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(output + "\n")
     print(output)

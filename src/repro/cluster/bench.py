@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..serving.bench import serving_engine_spec
 from ..traffic.bench import TrafficBenchConfig, build_bench_requests, format_traffic_report
 from ..traffic.report import TrafficReport
-from .admission import AdmissionPolicy
-from .autoscaler import Autoscaler
-from .failures import FailurePlan
 from .simulator import ClusterConfig, simulate_cluster
 
 __all__ = ["ClusterBenchConfig", "run_cluster_bench", "format_cluster_report"]
@@ -25,76 +23,29 @@ __all__ = ["ClusterBenchConfig", "run_cluster_bench", "format_cluster_report"]
 
 @dataclass(frozen=True)
 class ClusterBenchConfig(TrafficBenchConfig):
-    """Workload plus control-plane shape of the cluster benchmark.
+    """The cluster benchmark: the traffic benchmark over an elastic fleet.
 
-    Inherits every workload knob of
-    :class:`~repro.traffic.bench.TrafficBenchConfig` (arrival process,
-    request shapes, policies, SLO, seed, trace replay).  The fleet is
-    described by ``min_replicas``/``max_replicas`` instead of the static
-    ``num_replicas``, which the cluster benchmark ignores.
-
-    Attributes
-    ----------
-    min_replicas / max_replicas:
-        Provisioning bounds of the elastic fleet.
-    autoscaler / admission:
-        Control-plane policies as instances or compact spec strings
-        (``"slo_attainment:target=0.9"``, ``"token_budget"``).
-    failures:
-        Failure-injection plan (empty by default).
-    max_retries:
-        Failure re-dispatch budget per request.
-    migrate_on_drain:
-        Checkpoint-migrate in-flight requests off draining replicas
-        instead of waiting for them to finish
-        (:attr:`~repro.cluster.ClusterConfig.migrate_on_drain`).
-    checkpoint_interval_s:
-        Periodic checkpoint interval for failure recovery
-        (:attr:`~repro.cluster.ClusterConfig.checkpoint_interval_s`;
-        ``None`` disables periodic checkpoints).
+    Same :class:`~repro.traffic.bench.WorkloadSpec`; ``fleet`` is a
+    :class:`~repro.cluster.ClusterConfig`, so provisioning bounds,
+    autoscaler, admission, failure plan, retry budget, drain migration
+    and periodic checkpoints are that class's fields.  The default fleet
+    scales one to four serving-tuned replicas on SLO attainment behind
+    join-shortest-queue routing.
     """
 
-    min_replicas: int = 1
-    max_replicas: int = 4
-    autoscaler: Autoscaler | str = "slo_attainment"
-    admission: AdmissionPolicy | str = "always"
-    failures: FailurePlan = field(default_factory=FailurePlan)
-    max_retries: int = 3
-    migrate_on_drain: bool = False
-    checkpoint_interval_s: float | None = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.min_replicas < 1:
-            raise ValueError("min_replicas must be at least 1")
-        if self.max_replicas < self.min_replicas:
-            raise ValueError("max_replicas must be >= min_replicas")
-
-    def cluster_config(self) -> ClusterConfig:
-        """The simulation configuration of this benchmark."""
-        return ClusterConfig(
-            engine=self.engine_spec(),
-            min_replicas=self.min_replicas,
-            max_replicas=self.max_replicas,
-            autoscaler=self.autoscaler,
-            admission=self.admission,
-            router=self.router,
-            clock=self.clock,
-            arch=self.arch,
-            context_scale=self.context_scale,
-            slo=self.slo,
-            failures=self.failures,
-            max_retries=self.max_retries,
-            migrate_on_drain=self.migrate_on_drain,
-            checkpoint_interval_s=self.checkpoint_interval_s,
-            workers=self.workers,
+    fleet: ClusterConfig = field(
+        default_factory=lambda: ClusterConfig(
+            engine=serving_engine_spec(max_new_tokens=48),
+            router="jsq",
+            autoscaler="slo_attainment",
         )
+    )
 
 
 def run_cluster_bench(config: ClusterBenchConfig | None = None) -> TrafficReport:
     """Simulate the benchmark workload over the elastic fleet."""
     config = config or ClusterBenchConfig()
-    return simulate_cluster(build_bench_requests(config), config.cluster_config())
+    return simulate_cluster(build_bench_requests(config), config.fleet)
 
 
 def format_cluster_report(report: TrafficReport) -> str:

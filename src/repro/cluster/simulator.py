@@ -44,14 +44,14 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ..api import EngineSpec
 from ..execbackend import ReplicaHandle
+from ..knobs import knob
 from ..seqstate import SequenceCheckpoint
 from ..serving import BatchedEngine
 from ..traffic.clock import StepClock
-from ..traffic.report import RejectedRequest, SLOSpec, TrafficReport
+from ..traffic.report import RejectedRequest, TrafficReport
 from ..traffic.router import Router
-from ..traffic.simulator import Replica, TrafficConfig, TrafficSimulator
+from ..traffic.simulator import FleetConfig, Replica, TrafficSimulator
 from ..traffic.workload import TrafficRequest
 from .admission import AdmissionPolicy, resolve_admission
 from .autoscaler import Autoscaler, resolve_autoscaler
@@ -73,15 +73,16 @@ RECENT_SLO_WINDOW = 16
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(FleetConfig):
     """Configuration of one elastic cluster simulation.
+
+    A :class:`~repro.traffic.simulator.FleetConfig` (``engine``,
+    ``router``, ``clock``, ``arch``, ``context_scale``, ``slo``,
+    ``workers`` — the engine's ``kv_capacity_tokens`` feeds admission
+    control) plus the control plane:
 
     Attributes
     ----------
-    engine:
-        Replica engine description; every booted replica is built from
-        this one spec (its ``kv_capacity_tokens`` feeds admission
-        control).
     min_replicas / max_replicas:
         Provisioning bounds.  The simulator heals the fleet back to
         ``min_replicas`` after failures regardless of the autoscaler and
@@ -89,8 +90,6 @@ class ClusterConfig:
     autoscaler / admission:
         Control-plane policies — instances, or compact spec strings such
         as ``"queue_depth:high=2"`` resolved through the registries.
-    router / clock / arch / context_scale / slo:
-        As in :class:`~repro.traffic.simulator.TrafficConfig`.
     failures:
         The failure-injection plan (empty by default).
     max_retries:
@@ -110,29 +109,41 @@ class ClusterConfig:
         failure victim whose requests hold a checkpoint resumes from it
         instead of re-prefilling; only the tokens decoded after the last
         checkpoint count toward ``lost_tokens``.
-    workers:
-        Worker-process count for the ``multiprocess`` execution backend
-        (as in :class:`~repro.traffic.simulator.TrafficConfig`); reports
-        stay byte-identical to the serial default.
     """
 
-    engine: EngineSpec = field(default_factory=EngineSpec)
-    min_replicas: int = 1
-    max_replicas: int = 4
-    autoscaler: Autoscaler | str = "static"
-    admission: AdmissionPolicy | str = "always"
-    router: str = "round_robin"
-    clock: str = "perfmodel"
-    arch: str = "llama-3.1-8b"
-    context_scale: int = 64
-    slo: SLOSpec = field(default_factory=SLOSpec)
+    min_replicas: int = knob(1, "fleet floor (always provisioned)")
+    max_replicas: int = knob(4, "fleet ceiling for scale-up")
+    autoscaler: Autoscaler | str = knob(
+        "static",
+        "autoscaler spec, resolved through the registry "
+        "(see `repro list`; e.g. queue_depth:high=2,low=0.25)",
+        metavar="NAME[:KEY=VAL,...]",
+    )
+    admission: AdmissionPolicy | str = knob(
+        "always",
+        "admission-control spec, resolved through the registry "
+        "(see `repro list`; e.g. queue_deadline:deadline_s=2.5)",
+        metavar="NAME[:KEY=VAL,...]",
+    )
     failures: FailurePlan = field(default_factory=FailurePlan)
-    max_retries: int = 3
-    migrate_on_drain: bool = False
-    checkpoint_interval_s: float | None = None
-    workers: int | None = None
+    max_retries: int = knob(
+        3, "failure re-dispatches a request may consume before giving up"
+    )
+    migrate_on_drain: bool = knob(
+        False,
+        "checkpoint-migrate in-flight requests off draining replicas "
+        "(repro.seqstate) instead of waiting for them to finish",
+    )
+    checkpoint_interval_s: float | None = knob(
+        None,
+        "periodic per-replica checkpoint interval in seconds for failure "
+        "recovery (<= 0 disables; failures then retry from scratch)",
+        "--checkpoint-interval",
+        none_if="<=0",
+    )
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.min_replicas < 1:
             raise ValueError("min_replicas must be at least 1")
         if self.max_replicas < self.min_replicas:
@@ -142,18 +153,10 @@ class ClusterConfig:
         if self.checkpoint_interval_s is not None and self.checkpoint_interval_s <= 0:
             raise ValueError("checkpoint_interval_s must be positive when set")
 
-    def traffic_config(self) -> TrafficConfig:
-        """The base-simulator slice of this configuration."""
-        return TrafficConfig(
-            engine=self.engine,
-            num_replicas=self.min_replicas,
-            router=self.router,
-            clock=self.clock,
-            arch=self.arch,
-            context_scale=self.context_scale,
-            slo=self.slo,
-            workers=self.workers,
-        )
+    @property
+    def num_replicas(self) -> int:
+        """Replicas provisioned at t=0 (sizes the default worker pool)."""
+        return self.min_replicas
 
     def capacity_tokens(self, kv_bytes_per_token: int) -> int:
         """Per-replica admission capacity in projected KV tokens.
@@ -212,12 +215,11 @@ class ClusterSimulator(TrafficSimulator):
         router: Router | None = None,
         clock: StepClock | None = None,
     ) -> None:
-        self.cluster_config = config or ClusterConfig()
-        super().__init__(self.cluster_config.traffic_config(), router=router, clock=clock)
-        self.autoscaler = resolve_autoscaler(self.cluster_config.autoscaler)
-        self.admission = resolve_admission(self.cluster_config.admission)
+        super().__init__(config or ClusterConfig(), router=router, clock=clock)
+        self.autoscaler = resolve_autoscaler(self.config.autoscaler)
+        self.admission = resolve_admission(self.config.admission)
         self._kv_bytes_per_token = self.model.config.kv_bytes_per_token()
-        self._capacity_tokens = self.cluster_config.capacity_tokens(
+        self._capacity_tokens = self.config.capacity_tokens(
             self._kv_bytes_per_token
         )
         self._reset_cluster_state()
@@ -282,8 +284,8 @@ class ClusterSimulator(TrafficSimulator):
             replicas=infos,
             parked=len(self._parked),
             recent_slo_attainment=attainment,
-            min_replicas=self.cluster_config.min_replicas,
-            max_replicas=self.cluster_config.max_replicas,
+            min_replicas=self.config.min_replicas,
+            max_replicas=self.config.max_replicas,
         )
 
     def _log_scale(self, now_s: float, action: str, replica: int, reason: str) -> None:
@@ -339,7 +341,7 @@ class ClusterSimulator(TrafficSimulator):
             replica.state = ReplicaLifecycle.DRAINING
             replica.handle.drain()
             self._log_scale(now_s, "drain", replica.index, reason)
-            if self.cluster_config.migrate_on_drain:
+            if self.config.migrate_on_drain:
                 self._migrate_out(replica, now_s)
             elif not replica.has_work():
                 self._stop_replica(replica, now_s)
@@ -413,15 +415,15 @@ class ClusterSimulator(TrafficSimulator):
         # Healing to the floor is the simulator's own responsibility: a
         # fleet below min_replicas (after failures) boots replacements
         # whatever the autoscaler policy says.
-        while self._provisioned() < self.cluster_config.min_replicas:
+        while self._provisioned() < self.config.min_replicas:
             self._boot_replica(now_s, warm=True, reason="min_replicas")
         decision = self.autoscaler.decide(self._fleet_view(now_s))
         if decision.add:
-            can_add = max(self.cluster_config.max_replicas - self._provisioned(), 0)
+            can_add = max(self.config.max_replicas - self._provisioned(), 0)
             for _ in range(min(decision.add, can_add)):
                 self._boot_replica(now_s, warm=True, reason=decision.reason or "scale_up")
         if decision.drain:
-            can_drain = max(self._provisioned() - self.cluster_config.min_replicas, 0)
+            can_drain = max(self._provisioned() - self.config.min_replicas, 0)
             if can_drain:
                 self._begin_drains(
                     min(decision.drain, can_drain), now_s, decision.reason or "scale_down"
@@ -512,7 +514,7 @@ class ClusterSimulator(TrafficSimulator):
         self._replica_of.pop(request_id, None)
         request = self._request_of[request_id]
         retries_so_far = self._retry_counts.get(request_id, 0)
-        if retries_so_far >= self.cluster_config.max_retries:
+        if retries_so_far >= self.config.max_retries:
             self._reject(
                 request, "retries_exhausted", {"retries": float(retries_so_far)}
             )
@@ -541,7 +543,7 @@ class ClusterSimulator(TrafficSimulator):
             ),
             key=lambda r: r.index,
         )
-        num_zones = self.cluster_config.failures.num_zones
+        num_zones = self.config.failures.num_zones
         if event.zone is not None and num_zones:
             victims = [r for r in pool if r.index % num_zones == event.zone]
         else:
@@ -620,7 +622,7 @@ class ClusterSimulator(TrafficSimulator):
         round; each active request's latest checkpoint replaces the
         previous one (purged at retirement).
         """
-        interval = self.cluster_config.checkpoint_interval_s
+        interval = self.config.checkpoint_interval_s
         if interval is None:
             return
         if now_s - self._last_ckpt_s.get(replica.index, 0.0) < interval:
@@ -660,8 +662,8 @@ class ClusterSimulator(TrafficSimulator):
         pending = deque(
             sorted(enumerate(requests), key=lambda item: (item[1].arrival_time_s, item[0]))
         )
-        failures = deque(self.cluster_config.failures.events)
-        for _ in range(self.cluster_config.min_replicas):
+        failures = deque(self.config.failures.events)
+        for _ in range(self.config.min_replicas):
             self._boot_replica(0.0, warm=False, reason="initial fleet")
         self._peak_provisioned = self._provisioned()
         # Step-compute speculation is sound only while no control-plane
@@ -671,7 +673,7 @@ class ClusterSimulator(TrafficSimulator):
         # mid-window ready event.  Everything else (drain flags, failure
         # kills, periodic checkpoints) only fires once every earlier step
         # outcome has been consumed — see repro.execbackend.base.
-        may_speculate = not self.cluster_config.migrate_on_drain
+        may_speculate = not self.config.migrate_on_drain
         run_start = time.perf_counter()
 
         try:
@@ -790,8 +792,8 @@ class ClusterSimulator(TrafficSimulator):
         report.num_recoveries = sum(self._recovery_counts.values())
         report.autoscaler = {
             **self.autoscaler.describe(),
-            "min_replicas": self.cluster_config.min_replicas,
-            "max_replicas": self.cluster_config.max_replicas,
+            "min_replicas": self.config.min_replicas,
+            "max_replicas": self.config.max_replicas,
         }
         report.admission = self.admission.describe()
         report.failures = self._failure_log

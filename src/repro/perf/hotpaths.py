@@ -196,20 +196,32 @@ def _clustering_section(config: PerfBenchConfig) -> dict[str, object]:
     }
 
 
+def _bench_engine(config: PerfBenchConfig, **overrides: object):
+    """The serving-tuned engine spec of the pinned serve/traffic workloads."""
+    from ..serving.bench import serving_engine_spec
+
+    return serving_engine_spec(
+        model=config.model,
+        budget=config.budget,
+        num_sink_tokens=config.num_sink_tokens,
+        num_full_layers=config.num_full_layers,
+        **overrides,
+    )
+
+
 def _serve_section(config: PerfBenchConfig) -> dict[str, object]:
     """End-to-end continuous-batching throughput on the serve-sim config."""
     from ..serving.bench import ServeBenchConfig, run_serve_bench
 
     bench = ServeBenchConfig(
-        model=config.model,
+        engine=_bench_engine(
+            config,
+            max_batch_size=config.serve_batch,
+            max_new_tokens=config.serve_new_tokens,
+        ),
         methods=tuple(PRE_PR_BASELINE_TOKENS_PER_S),
         num_requests=config.serve_requests,
-        max_batch_size=config.serve_batch,
         prompt_len=config.serve_prompt_len,
-        max_new_tokens=config.serve_new_tokens,
-        budget=config.budget,
-        num_sink_tokens=config.num_sink_tokens,
-        num_full_layers=config.num_full_layers,
         repeats=config.repeats,
         seed=config.seed,
     )
@@ -232,22 +244,23 @@ def _serve_section(config: PerfBenchConfig) -> dict[str, object]:
 
 def _parallel_bench_config(config: PerfBenchConfig, workers: int | None = None):
     """The pinned multi-replica traffic workload of the parallel-serve bench."""
-    from ..traffic.bench import TrafficBenchConfig
+    from ..traffic.bench import TrafficBenchConfig, WorkloadSpec
+    from ..traffic.simulator import TrafficConfig
 
     return TrafficBenchConfig(
-        model=config.model,
-        policies=("clusterkv",),
-        num_requests=config.parallel_requests,
-        num_replicas=config.parallel_replicas,
-        rate=2.0,
-        prompt_len_min=32,
-        prompt_len_max=48,
-        max_new_tokens=config.parallel_new_tokens,
-        budget=config.budget,
-        num_sink_tokens=config.num_sink_tokens,
-        num_full_layers=config.num_full_layers,
-        seed=config.seed,
-        workers=workers,
+        workload=WorkloadSpec(
+            num_requests=config.parallel_requests,
+            rate=2.0,
+            prompt_len_min=32,
+            prompt_len_max=48,
+            seed=config.seed,
+        ),
+        fleet=TrafficConfig(
+            engine=_bench_engine(config, max_new_tokens=config.parallel_new_tokens),
+            num_replicas=config.parallel_replicas,
+            router="jsq",
+            workers=workers,
+        ),
     )
 
 
@@ -270,14 +283,14 @@ def _parallel_serve_section(config: PerfBenchConfig) -> dict[str, object]:
 
     serial_config = _parallel_bench_config(config)
     requests = build_bench_requests(serial_config)
-    with TrafficSimulator(serial_config.traffic_config()) as sim:
+    with TrafficSimulator(serial_config.fleet) as sim:
         start = time.perf_counter()
         serial_report = sim.run(requests)
         serial_s = time.perf_counter() - start
 
     workers = max(1, min(config.parallel_replicas, os.cpu_count() or 1))
     parallel_config = _parallel_bench_config(config, workers=workers)
-    with TrafficSimulator(parallel_config.traffic_config()) as sim:
+    with TrafficSimulator(parallel_config.fleet) as sim:
         start = time.perf_counter()
         parallel_report = sim.run(requests)
         parallel_s = time.perf_counter() - start

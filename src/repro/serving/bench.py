@@ -22,28 +22,26 @@ Used by the ``repro serve-bench`` CLI command and by
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..baselines import KVSelectorFactory
-from ..model import (
-    GenerationConfig,
-    InferenceEngine,
-    TransformerModel,
-    get_model_config,
-)
-from ..policies import PolicySpec, build_policy
-from ..specdec import SpeculationConfig
+from ..knobs import knob
+from ..model import InferenceEngine, TransformerModel
+from ..policies import PolicySpec, build_policy, resolve_policy_spec
 from .engine import BatchedEngine
-from .scheduler import SchedulerConfig
+
+if TYPE_CHECKING:
+    from ..api import EngineSpec
 
 __all__ = [
     "ServeBenchConfig",
     "MethodThroughput",
     "MixedServeResult",
     "serving_policy_spec",
-    "build_serving_selector",
+    "resolve_serving_policies",
+    "serving_engine_spec",
     "run_serve_bench",
     "run_mixed_serve_bench",
     "format_serve_bench",
@@ -56,48 +54,75 @@ __all__ = [
 SERVE_BENCH_METHODS = ("clusterkv", "streaming_llm", "full")
 
 
+# How every benchmark spells its ``policies`` field on the command line.
+POLICY_FLAG = {"flag": "--policy", "metavar": "NAME[:KEY=VAL,...]"}
+
+# The engine knob serve-, traffic- and cluster-bench set themselves next to
+# the policy (which has no flag on any bench), so it gets no CLI flag: a
+# per-step prefill cap as wide as the batch, so ``max_batch_size`` alone
+# sizes the admission burst.
+BENCH_SET_FIELDS = ("max_prefills_per_step",)
+
+
+def serving_engine_spec(**overrides: object) -> EngineSpec:
+    """The serving-tuned engine every benchmark's default starts from.
+
+    KV budget 48, one full layer and eight sink tokens; ``overrides`` are
+    :class:`~repro.api.EngineSpec` fields.  Imported lazily:
+    :mod:`repro.api` sits above this package.
+    """
+    from ..api import EngineSpec
+
+    tuned = {"budget": 48, "num_full_layers": 1, "num_sink_tokens": 8}
+    return EngineSpec(**{**tuned, **overrides})
+
+
 @dataclass(frozen=True)
 class ServeBenchConfig:
     """Workload shape of the serving throughput benchmark.
 
-    The defaults describe a decode-heavy chat-style workload on the
+    ``engine`` holds every engine knob (:class:`~repro.api.EngineSpec`);
+    the default describes a decode-heavy chat-style workload on the
     ``serve-sim`` model: short prompts, long generations, a KV budget of 48
     tokens per head and a batch of eight concurrent requests — the regime
-    where continuous batching amortises the per-token matmuls.
+    where continuous batching amortises the per-token matmuls.  The
+    benchmark sets the spec's ``policy`` per benchmarked method itself, and
+    construction widens ``max_prefills_per_step`` to the batch size
+    (:data:`BENCH_SET_FIELDS`).
 
-    ``policies`` optionally replaces the ``methods`` name list with fully
-    configured :class:`~repro.policies.PolicySpec` entries (the CLI's
-    ``--policy``/``--policy-json`` path); when unset, each name in
-    ``methods`` resolves through :func:`serving_policy_spec`.
+    ``policies`` optionally replaces the ``methods`` name list with
+    configured policy specs or spec strings (the CLI's
+    ``--policy``/``--policy-json`` path); either way bare names resolve
+    through :func:`resolve_serving_policies`.
 
-    ``speculate_k > 0`` switches the *batched* mode to speculative
-    decoding with the named ``drafter`` (the sequential baseline always
-    decodes plainly — greedy outputs are bit-identical either way, so the
-    token-count guard still holds and the step ratio additionally shows
-    what speculation saves).
+    ``engine.speculate_k > 0`` switches the *batched* mode to speculative
+    decoding (the sequential baseline always decodes plainly — greedy
+    outputs are bit-identical either way, so the token-count guard still
+    holds and the step ratio additionally shows what speculation saves).
+    ``seed`` seeds the prompts; the sampling seed is ``engine.seed``.
     """
 
-    model: str = "serve-sim"
-    methods: tuple[str, ...] = SERVE_BENCH_METHODS
-    policies: tuple[PolicySpec, ...] | None = None
-    num_requests: int = 8
-    max_batch_size: int = 8
-    prompt_len: int = 64
-    max_new_tokens: int = 96
-    budget: int = 48
-    num_sink_tokens: int = 8
-    num_full_layers: int = 1
-    repeats: int = 2
-    seed: int = 0
-    speculate_k: int = 0
-    drafter: str = "ngram"
+    engine: EngineSpec = field(
+        default_factory=lambda: serving_engine_spec(max_new_tokens=96)
+    )
+    methods: tuple[str, ...] = knob(SERVE_BENCH_METHODS, "KV selection methods to benchmark")
+    policies: tuple[PolicySpec | str, ...] | None = knob(
+        None,
+        "policy spec, repeatable (e.g. clusterkv:tokens_per_cluster=32); "
+        "overrides --methods. A bare name uses the same serving-tuned config "
+        "as --methods; a spec with any explicit key is used verbatim "
+        "(unspecified keys take the method's registered defaults)",
+        **POLICY_FLAG,
+    )
+    num_requests: int = knob(8, "number of requests", "--requests")
+    prompt_len: int = knob(64, "prompt tokens per request")
+    repeats: int = knob(2, "timing repeats (the best is kept)")
+    seed: int = knob(0, "prompt seed")
 
     def __post_init__(self) -> None:
-        if self.speculate_k < 0:
-            raise ValueError("speculate_k must be >= 0 (0 disables speculation)")
-        if self.num_requests <= 0 or self.max_batch_size <= 0:
+        if self.num_requests <= 0 or self.engine.max_batch_size <= 0:
             raise ValueError("num_requests and max_batch_size must be positive")
-        if self.prompt_len <= 0 or self.max_new_tokens <= 0:
+        if self.prompt_len <= 0 or self.engine.max_new_tokens <= 0:
             raise ValueError("prompt_len and max_new_tokens must be positive")
         if self.repeats <= 0:
             raise ValueError("repeats must be positive")
@@ -105,31 +130,15 @@ class ServeBenchConfig:
             raise ValueError("policies must be non-empty when set (or None)")
         if self.policies is None and not self.methods:
             raise ValueError("methods must be non-empty")
+        widened = replace(self.engine, max_prefills_per_step=self.engine.max_batch_size)
+        object.__setattr__(self, "engine", widened)
 
     def resolved_policies(self) -> tuple[PolicySpec, ...]:
-        """The policy specs this benchmark runs (explicit or from names).
-
-        Bare-name specs (no kwargs) resolve through
-        :func:`serving_policy_spec`, so ``--policy clusterkv`` benchmarks
-        the same serving-tuned configuration as ``--methods clusterkv``;
-        a spec with explicit kwargs is used verbatim.
-        """
-        if self.policies is not None:
-            return tuple(
-                spec
-                if spec.kwargs
-                else serving_policy_spec(spec.name, self.num_sink_tokens)
-                for spec in self.policies
-            )
-        return tuple(
-            serving_policy_spec(name, self.num_sink_tokens) for name in self.methods
+        """The policy specs this benchmark runs (explicit or from names)."""
+        return resolve_serving_policies(
+            self.methods if self.policies is None else self.policies,
+            self.engine.num_sink_tokens,
         )
-
-    def speculation_config(self) -> SpeculationConfig | None:
-        """Speculation of the batched mode; ``None`` when disabled."""
-        if self.speculate_k <= 0:
-            return None
-        return SpeculationConfig(drafter=self.drafter, k=self.speculate_k)
 
 
 @dataclass
@@ -248,23 +257,21 @@ def serving_policy_spec(name: str, num_sink_tokens: int = 8) -> PolicySpec:
     return PolicySpec(name)
 
 
-def build_serving_selector(name: str, config: ServeBenchConfig) -> KVSelectorFactory:
-    """Selector factory used by the serving benchmark for ``name``.
+def resolve_serving_policies(
+    policies: Iterable[PolicySpec | str], num_sink_tokens: int = 8
+) -> tuple[PolicySpec, ...]:
+    """Normalise a benchmark's policy list (specs or spec strings).
 
-    Resolves :func:`serving_policy_spec` through the policy registry, so
-    any registered method (including third-party ones) benchmarks without
-    code changes here.
+    A bare name — ``"clusterkv"`` or ``PolicySpec("clusterkv")`` —
+    resolves to the serving-tuned :func:`serving_policy_spec`; a spec with
+    any explicit key (``"clusterkv:tokens_per_cluster=16"``) is used
+    verbatim.  The one resolver behind serve-, traffic- and
+    capacity-bench.
     """
-    return build_policy(serving_policy_spec(name, config.num_sink_tokens))
-
-
-def _generation_config(name: str, config: ServeBenchConfig) -> GenerationConfig:
-    budget = None if name == "full" else config.budget
-    return GenerationConfig(
-        budget=budget,
-        max_new_tokens=config.max_new_tokens,
-        num_full_layers=config.num_full_layers,
-        num_sink_tokens=config.num_sink_tokens,
+    specs = (resolve_policy_spec(item) for item in policies)
+    return tuple(
+        spec if spec.kwargs else serving_policy_spec(spec.name, num_sink_tokens)
+        for spec in specs
     )
 
 
@@ -283,8 +290,10 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> list[MethodThroug
     timing of each mode is kept.  Sequential and batched runs serve the
     same prompts and produce the same number of tokens.
     """
+    from ..execbackend import build_engine  # sits above this package, like repro.api
+
     config = config or ServeBenchConfig()
-    model = TransformerModel(get_model_config(config.model))
+    model = config.engine.build_model()
     prompts = _bench_prompts(config, model)
 
     specs = config.resolved_policies()
@@ -305,10 +314,17 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> list[MethodThroug
         if label in labels_used:
             label = f"{label}#{idx}"
         labels_used.add(label)
-        gen = _generation_config(spec.name, config)
+        # The two fields the benchmark sets itself: the method's policy, and
+        # no budget for full attention (it has none to honour).
+        engine_spec = replace(
+            config.engine,
+            policy=spec,
+            budget=None if spec.name == "full" else config.engine.budget,
+        )
+        gen = engine_spec.generation_config()
         # One stateless factory per method, shared by both modes (per-request
         # selector states are created inside each engine, inside the timers).
-        selector = build_policy(spec)
+        selector = engine_spec.build_policy()
         # Warm the BLAS/allocator before timing.
         InferenceEngine(model, selector, gen).generate(prompts[0])
         best_sequential = float("inf")
@@ -333,16 +349,7 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> list[MethodThroug
             best_sequential = min(best_sequential, time.perf_counter() - start)
 
             start = time.perf_counter()
-            batched = BatchedEngine(
-                model,
-                selector,
-                gen,
-                SchedulerConfig(
-                    max_batch_size=config.max_batch_size,
-                    max_prefills_per_step=config.max_batch_size,
-                ),
-                speculation=config.speculation_config(),
-            )
+            batched = build_engine(model, engine_spec)
             for prompt in prompts:
                 batched.submit(prompt)
             report = batched.run()
@@ -356,13 +363,13 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> list[MethodThroug
                     "sequential and batched runs generated different token counts"
                 )
         extra: dict[str, float] = {}
-        if config.speculate_k > 0:
+        if engine_spec.speculate_k > 0:
             extra = dict(speculation)
         results.append(
             MethodThroughput(
                 method=label,
                 num_requests=config.num_requests,
-                batch_size=config.max_batch_size,
+                batch_size=engine_spec.max_batch_size,
                 total_tokens=total_tokens,
                 sequential_seconds=best_sequential,
                 batched_seconds=best_batched,
@@ -390,14 +397,9 @@ def run_mixed_serve_bench(config: ServeBenchConfig | None = None) -> MixedServeR
     """
     config = config or ServeBenchConfig()
     specs = config.resolved_policies()
-    model = TransformerModel(get_model_config(config.model))
+    model = config.engine.build_model()
     prompts = _bench_prompts(config, model)
-    gen = GenerationConfig(
-        budget=config.budget,
-        max_new_tokens=config.max_new_tokens,
-        num_full_layers=config.num_full_layers,
-        num_sink_tokens=config.num_sink_tokens,
-    )
+    gen = config.engine.generation_config()
     assignments = [specs[idx % len(specs)] for idx in range(len(prompts))]
     # Warm the BLAS/allocator before timing, as in run_serve_bench.
     InferenceEngine(model, build_policy(assignments[0]), gen).generate(prompts[0])
@@ -408,10 +410,7 @@ def run_mixed_serve_bench(config: ServeBenchConfig | None = None) -> MixedServeR
         engine = BatchedEngine(
             model,
             generation_config=gen,
-            scheduler_config=SchedulerConfig(
-                max_batch_size=config.max_batch_size,
-                max_prefills_per_step=config.max_batch_size,
-            ),
+            scheduler_config=config.engine.scheduler_config(),
         )
         for idx, prompt in enumerate(prompts):
             engine.submit(prompt, request_id=f"mixed-{idx}", policy=assignments[idx])

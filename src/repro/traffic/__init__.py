@@ -37,6 +37,7 @@ from .arrivals import (
 )
 from .bench import (
     TrafficBenchConfig,
+    WorkloadSpec,
     build_bench_requests,
     format_traffic_report,
     run_traffic_bench,
@@ -55,7 +56,7 @@ from .router import (
     register_router,
     router_names,
 )
-from .simulator import Replica, TrafficConfig, TrafficSimulator, simulate
+from .simulator import FleetConfig, Replica, TrafficConfig, TrafficSimulator, simulate
 from .trace import load_trace, save_trace
 from .workload import RequestShape, TrafficRequest, generate_traffic
 
@@ -90,10 +91,12 @@ __all__ = [
     "SLOSpec",
     "RequestMetrics",
     "TrafficReport",
+    "FleetConfig",
     "TrafficConfig",
     "Replica",
     "TrafficSimulator",
     "simulate",
+    "WorkloadSpec",
     "TrafficBenchConfig",
     "build_bench_requests",
     "run_traffic_bench",

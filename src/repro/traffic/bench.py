@@ -11,19 +11,20 @@ the property the reproducibility tests assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..api import EngineSpec
+from ..knobs import knob
 from ..model import get_model_config
 from ..policies import PolicySpec
-from ..serving.bench import serving_policy_spec
+from ..serving.bench import POLICY_FLAG, resolve_serving_policies, serving_engine_spec
 from .arrivals import build_arrivals
-from .report import SLOSpec, TrafficReport
+from .report import TrafficReport
 from .simulator import TrafficConfig, simulate
 from .trace import load_trace
 from .workload import RequestShape, TrafficRequest, generate_traffic
 
 __all__ = [
+    "WorkloadSpec",
     "TrafficBenchConfig",
     "build_bench_requests",
     "run_traffic_bench",
@@ -32,77 +33,56 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TrafficBenchConfig:
-    """Workload and fleet shape of the traffic benchmark.
+class WorkloadSpec:
+    """The open-loop workload of the traffic and cluster benchmarks.
 
-    The defaults describe a bursty chat-style workload: Poisson arrivals
-    at ``rate`` requests/s (on the perfmodel clock's paper-scale seconds)
-    over two replicas behind join-shortest-queue routing, each request
-    decoding under the serving-tuned ClusterKV policy.
+    ``arrivals`` names the arrival process drawing ``num_requests``
+    arrival instants at mean ``rate`` requests/s of simulated time
+    (``burstiness`` is the peak-to-mean ratio of ``onoff``); ``trace``
+    replays a JSONL trace instead (``rate``/``arrivals`` are then
+    ignored; ``num_requests`` caps how many records are replayed).
+    Prompt lengths are uniform in ``[prompt_len_min, prompt_len_max]``;
+    the decode length is the engine's ``max_new_tokens``.
 
     With several ``policies`` entries the workload mixes them across
     requests through an equal-weight seeded draw (one
-    :class:`~repro.traffic.workload.RequestShape` per policy, chosen per
-    request by the workload generator — proportions are equal in
-    expectation, not exactly balanced); bare names resolve through the
-    same serving-tuned configuration as ``serve-bench``
-    (:func:`repro.serving.bench.serving_policy_spec`).
-    ``trace`` replays a JSONL trace instead of generating arrivals
-    (``rate``/``arrivals`` are then ignored; ``num_requests`` caps how
-    many records are replayed).  ``prefill_chunk`` enables chunked
-    prefill on every replica: at most that many prompt tokens are
-    prefilled per engine step, interleaved with decoding (``None`` keeps
-    monolithic prefill).  ``prefix_cache`` gives every replica a
-    cross-request prefix cache of that many KV tokens
-    (:mod:`repro.prefixcache`; ``None`` disables it) with radix blocks of
-    ``prefix_block`` tokens; pair it with ``router="prefix_affine"`` so
-    requests sharing a preamble land on the same replica-local cache.
+    :class:`~repro.traffic.workload.RequestShape` per policy —
+    proportions are equal in expectation, not exactly balanced); entries
+    are specs or spec strings, bare names resolving to the serving-tuned
+    configuration of ``serve-bench``
+    (:func:`repro.serving.bench.resolve_serving_policies`).
     ``slo_class_mix`` splits the workload into service classes: that
     fraction of traffic (in expectation, seeded draw) is
     ``interactive``-class and the rest ``batch``-class (``None`` keeps
-    everything interactive); pair it with ``preemption`` — which lets
-    replicas checkpoint-preempt batch work for an interactive queue head
-    (:mod:`repro.seqstate`) — and ``router="slo_aware"``.
-    ``backend``/``workers`` select the execution backend replicas run on
-    (:mod:`repro.execbackend`): ``workers`` set runs engines in that many
-    worker processes, byte-identical numbers, lower wall-clock on
-    multi-core hosts.
-    ``speculate_k``/``drafter`` switch every replica to speculative
-    decoding (:mod:`repro.specdec`): up to ``speculate_k`` drafted tokens
-    verified per request per engine step; the report then carries
-    per-request and aggregate acceptance accounting.
+    everything interactive); pair it with the engine's ``preemption`` and
+    ``router="slo_aware"``.  ``seed`` seeds arrivals, shapes and prompt
+    contents (the engine's own ``seed`` is the sampling seed).
     """
 
-    model: str = "serve-sim"
-    policies: tuple[PolicySpec | str, ...] = ("clusterkv",)
-    rate: float = 0.5
-    arrivals: str = "poisson"
-    burstiness: float = 4.0
-    num_requests: int = 16
-    num_replicas: int = 2
-    router: str = "jsq"
-    clock: str = "perfmodel"
-    arch: str = "llama-3.1-8b"
-    context_scale: int = 64
-    prompt_len_min: int = 48
-    prompt_len_max: int = 96
-    max_new_tokens: int = 48
-    budget: int = 48
-    num_full_layers: int = 1
-    num_sink_tokens: int = 8
-    max_batch_size: int = 8
-    prefill_chunk: int | None = None
-    prefix_cache: int | None = None
-    prefix_block: int = 32
-    slo_class_mix: float | None = None
-    preemption: bool = False
-    slo: SLOSpec = field(default_factory=SLOSpec)
-    seed: int = 0
-    trace: str | None = None
-    backend: str = "serial"
-    workers: int | None = None
-    speculate_k: int = 0
-    drafter: str = "ngram"
+    arrivals: str = knob(
+        "poisson",
+        "arrival process name, resolved through the registry — see `repro list` "
+        "(use --trace to replay a JSONL trace instead)",
+    )
+    rate: float = knob(0.5, "mean arrival rate in requests per second of simulated time")
+    burstiness: float = knob(4.0, "peak-to-mean rate ratio of the onoff process")
+    num_requests: int = knob(16, "number of requests", "--requests")
+    prompt_len_min: int = knob(48, "minimum prompt tokens")
+    prompt_len_max: int = knob(96, "maximum prompt tokens")
+    policies: tuple[PolicySpec | str, ...] = knob(
+        ("clusterkv",),
+        "per-request policy spec, repeatable; several specs are mixed across "
+        "the workload by an equal-weight seeded draw",
+        **POLICY_FLAG,
+    )
+    slo_class_mix: float | None = knob(
+        None,
+        "fraction of interactive-class traffic, the rest batch-class "
+        "(< 0 keeps everything interactive; pair with --router slo_aware)",
+        none_if="<0",
+    )
+    seed: int = knob(0, "workload seed")
+    trace: str | None = knob(None, "replay arrivals/shapes from a JSONL trace file")
 
     def __post_init__(self) -> None:
         if not self.policies:
@@ -113,49 +93,41 @@ class TrafficBenchConfig:
             raise ValueError("rate must be positive")
         if self.slo_class_mix is not None and not 0.0 <= self.slo_class_mix <= 1.0:
             raise ValueError("slo_class_mix must lie in [0, 1]")
-        resolved = tuple(
-            spec
-            if isinstance(spec, PolicySpec) and spec.kwargs
-            else serving_policy_spec(
-                spec.name if isinstance(spec, PolicySpec) else str(spec).strip(),
-                self.num_sink_tokens,
-            )
-            for spec in self.policies
-        )
-        object.__setattr__(self, "policies", resolved)
 
-    def engine_spec(self) -> EngineSpec:
-        """Replica engine description of this benchmark."""
-        return EngineSpec(
-            model=self.model,
-            policy=self.policies[0],
-            budget=self.budget,
-            max_new_tokens=self.max_new_tokens,
-            num_full_layers=self.num_full_layers,
-            num_sink_tokens=self.num_sink_tokens,
-            max_batch_size=self.max_batch_size,
-            max_prefills_per_step=self.max_batch_size,
-            prefill_chunk_tokens=self.prefill_chunk,
-            prefix_cache_tokens=self.prefix_cache,
-            prefix_block_tokens=self.prefix_block,
-            preemption=self.preemption,
-            backend=self.backend,
-            speculate_k=self.speculate_k,
-            drafter=self.drafter,
-        )
 
-    def traffic_config(self) -> TrafficConfig:
-        """Simulation configuration of this benchmark."""
-        return TrafficConfig(
-            engine=self.engine_spec(),
-            num_replicas=self.num_replicas,
-            router=self.router,
-            clock=self.clock,
-            arch=self.arch,
-            context_scale=self.context_scale,
-            slo=self.slo,
-            workers=self.workers,
+@dataclass(frozen=True)
+class TrafficBenchConfig:
+    """The traffic benchmark: a :class:`WorkloadSpec` over a static fleet.
+
+    Every knob lives in one of the two parts — the workload, or the
+    :class:`~repro.traffic.simulator.TrafficConfig` (replica count,
+    router, clock, SLO, workers, and the replica
+    :class:`~repro.api.EngineSpec` with its chunked-prefill, prefix-cache,
+    preemption, backend and speculation fields).  The defaults describe a
+    bursty chat-style workload: Poisson arrivals over two serving-tuned
+    replicas behind join-shortest-queue routing.  Construction resolves
+    the workload's policies, makes the first one the engines' default and
+    widens their per-step prefill cap to the batch size.
+    """
+
+    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
+    fleet: TrafficConfig = field(
+        default_factory=lambda: TrafficConfig(
+            engine=serving_engine_spec(max_new_tokens=48), num_replicas=2, router="jsq"
         )
+    )
+
+    def __post_init__(self) -> None:
+        # The engine fields the benchmark sets itself (BENCH_SET_FIELDS): every
+        # replica's default policy is the first entry of the workload's policy
+        # mix, and a replica may prefill a whole batch in one step.
+        engine = self.fleet.engine
+        policies = resolve_serving_policies(self.workload.policies, engine.num_sink_tokens)
+        engine = replace(
+            engine, policy=policies[0], max_prefills_per_step=engine.max_batch_size
+        )
+        object.__setattr__(self, "workload", replace(self.workload, policies=policies))
+        object.__setattr__(self, "fleet", replace(self.fleet, engine=engine))
 
 
 def build_bench_requests(config: TrafficBenchConfig) -> list[TrafficRequest]:
@@ -165,30 +137,31 @@ def build_bench_requests(config: TrafficBenchConfig) -> list[TrafficRequest]:
     ``--requests`` bounds the run length against a large trace file);
     otherwise ``num_requests`` arrivals are drawn from the named process.
     """
-    vocab_size = get_model_config(config.model).vocab_size
-    if config.trace is not None:
+    workload, engine = config.workload, config.fleet.engine
+    vocab_size = get_model_config(engine.model).vocab_size
+    if workload.trace is not None:
         return load_trace(
-            config.trace,
+            workload.trace,
             vocab_size=vocab_size,
-            seed=config.seed,
-            limit=config.num_requests,
+            seed=workload.seed,
+            limit=workload.num_requests,
         )
-    if config.arrivals == "trace":
+    if workload.arrivals == "trace":
         raise ValueError(
             "the 'trace' arrival process replays a file: pass --trace PATH "
             "instead of --arrivals trace"
         )
-    if config.arrivals == "onoff":
+    if workload.arrivals == "onoff":
         process = build_arrivals(
-            "onoff", rate=config.rate, burstiness=config.burstiness
+            "onoff", rate=workload.rate, burstiness=workload.burstiness
         )
     else:
-        process = build_arrivals(config.arrivals, rate=config.rate)
-    times = process.times(config.num_requests, seed=config.seed)
+        process = build_arrivals(workload.arrivals, rate=workload.rate)
+    times = process.times(workload.num_requests, seed=workload.seed)
     # With a class mix, every policy contributes one shape per service
     # class, weighted by the interactive fraction (degenerate fractions
     # collapse to a single class — a RequestShape weight must be positive).
-    mix = config.slo_class_mix
+    mix = workload.slo_class_mix
     if mix is None:
         class_weights = [("interactive", 1.0)]
     elif mix <= 0.0:
@@ -199,22 +172,22 @@ def build_bench_requests(config: TrafficBenchConfig) -> list[TrafficRequest]:
         class_weights = [("interactive", mix), ("batch", 1.0 - mix)]
     shapes = [
         RequestShape(
-            prompt_len_range=(config.prompt_len_min, config.prompt_len_max),
-            max_new_tokens=config.max_new_tokens,
+            prompt_len_range=(workload.prompt_len_min, workload.prompt_len_max),
+            max_new_tokens=engine.max_new_tokens,
             policy=spec,
             weight=weight,
             slo_class=slo_class,
         )
-        for spec in config.policies
+        for spec in workload.policies
         for slo_class, weight in class_weights
     ]
-    return generate_traffic(shapes, times, vocab_size=vocab_size, seed=config.seed)
+    return generate_traffic(shapes, times, vocab_size=vocab_size, seed=workload.seed)
 
 
 def run_traffic_bench(config: TrafficBenchConfig | None = None) -> TrafficReport:
     """Simulate the benchmark workload and return its report."""
     config = config or TrafficBenchConfig()
-    return simulate(build_bench_requests(config), config.traffic_config())
+    return simulate(build_bench_requests(config), config.fleet)
 
 
 def format_traffic_report(report: TrafficReport) -> str:

@@ -25,6 +25,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ..knobs import knob
+
 __all__ = [
     "SLOSpec",
     "RequestMetrics",
@@ -79,8 +81,12 @@ class SLOSpec:
     queued or compression-free one does not.
     """
 
-    ttft_s: float | None = 2.5
-    tpot_s: float | None = 0.15
+    ttft_s: float | None = knob(
+        2.5, "TTFT deadline in seconds (<= 0 disables)", flag="--slo-ttft", none_if="<=0"
+    )
+    tpot_s: float | None = knob(
+        0.15, "TPOT deadline in seconds (<= 0 disables)", flag="--slo-tpot", none_if="<=0"
+    )
 
     def __post_init__(self) -> None:
         if self.ttft_s is not None and self.ttft_s <= 0:

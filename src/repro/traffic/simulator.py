@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ..api import EngineSpec
+from ..knobs import knob
 from ..execbackend import (
     ExecutionBackend,
     LocalReplicaHandle,
@@ -46,12 +47,17 @@ from .report import RequestMetrics, SLOSpec, TrafficReport
 from .router import Router, build_router
 from .workload import TrafficRequest
 
-__all__ = ["TrafficConfig", "Replica", "TrafficSimulator", "simulate"]
+__all__ = ["FleetConfig", "TrafficConfig", "Replica", "TrafficSimulator", "simulate"]
 
 
 @dataclass(frozen=True)
-class TrafficConfig:
-    """Configuration of one traffic simulation.
+class FleetConfig:
+    """What a static and an elastic fleet have in common, declared once.
+
+    The base of :class:`TrafficConfig` and
+    :class:`repro.cluster.ClusterConfig`; each adds only how its fleet
+    is sized.  Not a runnable configuration on its own: the simulators
+    read the subclasses' ``num_replicas``.
 
     Attributes
     ----------
@@ -59,8 +65,6 @@ class TrafficConfig:
         Replica engine description (model, default policy, budget,
         decoding and scheduler knobs); every replica is built from this
         one spec.
-    num_replicas:
-        Number of identical replicas behind the router.
     router:
         Routing strategy name (see :func:`repro.traffic.build_router`).
     clock:
@@ -81,19 +85,43 @@ class TrafficConfig:
     """
 
     engine: EngineSpec = field(default_factory=EngineSpec)
-    num_replicas: int = 1
-    router: str = "round_robin"
-    clock: str = "perfmodel"
-    arch: str = "llama-3.1-8b"
-    context_scale: int = 64
+    router: str = knob(
+        "round_robin", "routing strategy (see `repro list` for registered routers)"
+    )
+    clock: str = knob(
+        "perfmodel",
+        "step clock: perfmodel (virtual, bit-reproducible) or wall",
+        choices=("perfmodel", "wall"),
+    )
+    arch: str = knob("llama-3.1-8b", "reference architecture priced by the perfmodel clock")
+    context_scale: int = knob(64, "factor mapping simulated token counts to paper scale")
     slo: SLOSpec = field(default_factory=SLOSpec)
-    workers: int | None = None
+    workers: int | None = knob(
+        None,
+        "worker-process count for the multiprocess backend (implies "
+        "--backend multiprocess; <= 0 derives min(replicas, cpu_count))",
+        none_if="<=0",
+    )
 
     def __post_init__(self) -> None:
-        if self.num_replicas <= 0:
-            raise ValueError("num_replicas must be positive")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be at least 1 when set")
+
+
+@dataclass(frozen=True)
+class TrafficConfig(FleetConfig):
+    """Configuration of one traffic simulation over a static fleet.
+
+    A :class:`FleetConfig` plus ``num_replicas`` identical replicas
+    behind the router.
+    """
+
+    num_replicas: int = knob(1, "engine replicas", "--replicas")
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.num_replicas <= 0:
+            raise ValueError("num_replicas must be positive")
 
 
 class Replica:
@@ -159,6 +187,10 @@ class TrafficSimulator:
         from it (a :class:`~repro.traffic.router.Router` or
         :class:`~repro.traffic.clock.StepClock` instance can be injected
         through ``router``/``clock`` for custom strategies).
+        :class:`~repro.cluster.ClusterSimulator` passes its own
+        :class:`~repro.cluster.ClusterConfig` through: the shared
+        :class:`FleetConfig` fields plus ``num_replicas`` are all this
+        class reads.
     """
 
     def __init__(

@@ -1,8 +1,63 @@
 """Unit tests for the command-line interface."""
 
+import hashlib
+import shlex
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, dataclass_from_args, main
+from repro.serving import ServeBenchConfig
+from repro.traffic import TrafficBenchConfig
+
+# Golden CLI behaviour: sha256(stdout)[:16] of ``main(argv)``, taken at the
+# commit before the bench configs became composed and the flags generated
+# (identical with 1 and 2 BLAS threads).  Every legacy flag spelling, default
+# and sentinel below must keep its meaning.
+TINY = (
+    "--model tiny --prompt-len-min 16 --prompt-len-max 24 --new-tokens 4 "
+    "--budget 16 --json"
+)
+TRAFFIC_GOLDEN = f"traffic-bench --requests 4 --rate 0.8 --replicas 2 --router jsq --seed 3 {TINY}"
+CLUSTER_GOLDEN = (
+    "cluster-bench --requests 4 --rate 0.8 --min-replicas 1 --max-replicas 2 "
+    "--autoscaler queue_depth:high=1,low=0.25,cooldown_s=1 --admission token_budget "
+    f"--kill 4.0@0 --seed 3 {TINY}"
+)
+GOLDEN = {
+    TRAFFIC_GOLDEN: "352b1cb3b2b99205",
+    "traffic-bench --requests 6 --arrivals onoff --burstiness 6 --policy clusterkv "
+    f"--policy full --seed 1 {TINY}": "433ef2636ecf92d6",
+    "traffic-bench --requests 6 --prefix-cache 256 --prefix-block 8 "
+    f"--router prefix_affine --prefill-chunk 8 --seed 0 {TINY}": "3c6633d2610a3449",
+    "traffic-bench --requests 6 --slo-class-mix 0.5 --preempt --router slo_aware "
+    "--slo-ttft 1.0 --slo-tpot 0 --clock perfmodel --arch llama-3.1-8b "
+    f"--context-scale 32 --seed 2 {TINY}": "b90e012777508404",
+    f"traffic-bench --requests 4 --speculate 3 --drafter ngram --seed 0 {TINY}": "7c2a273998d1a8bd",
+    # A batch wider than the default 8 still prefills in one step.  The flag is
+    # new on traffic-bench; the digest is that commit's
+    # ``TrafficBenchConfig(max_batch_size=16, ...)`` report.
+    "traffic-bench --requests 16 --batch 16 --rate 200 --replicas 1 --seed 0 "
+    f"{TINY}": "1d77a9ae15841adb",
+    CLUSTER_GOLDEN: "90f1b0234c8bd468",
+    "cluster-bench --requests 8 --rate 2 --migrate-on-drain --checkpoint-interval 2 "
+    f"--kill 3.0 --max-retries 1 --seed 0 {TINY}": "5eabe0359d3be1c4",
+    "cluster-bench --requests 8 --rate 2 --failure-zones 2 --kill 2.0@zone0 "
+    "--min-replicas 3 --failure-count 1 --failure-seed 7 --failure-horizon 6 "
+    f"--seed 0 {TINY}": "7537f3f52ce5673a",
+    "capacity-bench --scenario oom_finder --sweep 32:64:32 --concurrency 1 "
+    "--concurrency 2 --new-tokens 4 --budget 16 --model tiny "
+    "--tiers gpu=64KiB,host=96KiB,ssd=1MiB --json": "73f366f09ddc26f1",
+    "capacity-bench --scenario latency_curve --sweep 32:64:32 --concurrency 2 "
+    "--rates 0.5 2.0 --requests 4 --new-tokens 4 --budget 16 --model tiny "
+    "--slo-ttft 4 --slo-tpot 0.5 --slo-floor 0.5 --seed 1 --json": "748d6b1dfca68fb7",
+}
+
+
+def stdout_digest(capsys, argv: str) -> tuple[str, str]:
+    """Run ``main(argv)``; return its stdout and the golden-style digest."""
+    assert main(shlex.split(argv)) == 0
+    out = capsys.readouterr().out
+    return out, hashlib.sha256(out.encode()).hexdigest()[:16]
 
 
 class TestParser:
@@ -25,9 +80,10 @@ class TestParser:
             ["serve-bench", "--batch", "4", "--requests", "6", "--methods", "full"]
         )
         assert args.command == "serve-bench"
-        assert args.batch == 4
-        assert args.requests == 6
-        assert args.methods == ["full"]
+        config = dataclass_from_args(ServeBenchConfig, args)
+        assert config.engine.max_batch_size == 4
+        assert config.num_requests == 6
+        assert config.methods == ("full",)
 
     def test_serve_bench_policy_flags(self):
         parser = build_parser()
@@ -63,12 +119,15 @@ class TestParser:
             ]
         )
         assert args.command == "traffic-bench"
-        assert args.rate == 0.7
-        assert args.replicas == 2
-        assert args.router == "jsq"
-        assert args.arrivals == "onoff"
-        assert args.slo_ttft == 3.0
-        assert args.seed == 5
+        config = dataclass_from_args(TrafficBenchConfig, args)
+        assert config.workload.rate == 0.7
+        assert config.fleet.num_replicas == 2
+        assert config.fleet.router == "jsq"
+        assert config.workload.arrivals == "onoff"
+        assert config.fleet.slo.ttft_s == 3.0
+        assert config.workload.seed == 5
+        # --seed is the workload seed; the engine's sampling seed is its own flag.
+        assert config.fleet.engine.seed == 0
 
 
 class TestMain:
@@ -138,28 +197,19 @@ class TestMain:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "argv", [a for a in GOLDEN if a not in (TRAFFIC_GOLDEN, CLUSTER_GOLDEN)]
+    )
+    def test_golden_stdout(self, capsys, argv):
+        assert stdout_digest(capsys, argv)[1] == GOLDEN[argv]
+
     def test_traffic_bench_runs_and_is_bit_reproducible(self, capsys):
-        argv = [
-            "traffic-bench",
-            "--model", "tiny",
-            "--requests", "4",
-            "--rate", "0.8",
-            "--replicas", "2",
-            "--router", "jsq",
-            "--prompt-len-min", "16",
-            "--prompt-len-max", "24",
-            "--new-tokens", "4",
-            "--budget", "16",
-            "--seed", "3",
-            "--json",
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
+        first, digest = stdout_digest(capsys, TRAFFIC_GOLDEN)
+        second, _ = stdout_digest(capsys, TRAFFIC_GOLDEN)
         # The acceptance contract: identical TrafficReport JSON run-to-run.
         assert first == second
         assert '"num_replicas": 2' in first
+        assert digest == GOLDEN[TRAFFIC_GOLDEN]
 
     def test_traffic_bench_table_output(self, capsys):
         assert (
@@ -203,30 +253,12 @@ class TestMain:
             assert admission in out
 
     def test_cluster_bench_runs_and_is_bit_reproducible(self, capsys):
-        argv = [
-            "cluster-bench",
-            "--model", "tiny",
-            "--requests", "4",
-            "--rate", "0.8",
-            "--min-replicas", "1",
-            "--max-replicas", "2",
-            "--autoscaler", "queue_depth:high=1,low=0.25,cooldown_s=1",
-            "--admission", "token_budget",
-            "--kill", "4.0@0",
-            "--prompt-len-min", "16",
-            "--prompt-len-max", "24",
-            "--new-tokens", "4",
-            "--budget", "16",
-            "--seed", "3",
-            "--json",
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
+        first, digest = stdout_digest(capsys, CLUSTER_GOLDEN)
+        second, _ = stdout_digest(capsys, CLUSTER_GOLDEN)
         assert first == second
         assert '"autoscaler"' in first
         assert '"failures"' in first
+        assert digest == GOLDEN[CLUSTER_GOLDEN]
 
     def test_cluster_bench_table_output(self, capsys):
         assert (

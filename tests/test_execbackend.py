@@ -10,6 +10,7 @@ along but stays out of the serialized report.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,55 +22,72 @@ from repro.capacity.scenarios import (
     probe_point,
 )
 from repro.cli import build_parser, main
-from repro.cluster import ClusterBenchConfig, FailurePlan, run_cluster_bench
+from repro.cluster import ClusterBenchConfig, ClusterConfig, FailurePlan, run_cluster_bench
 from repro.execbackend import MultiprocessBackend, WorkerCrashed
 from repro.execbackend.mp import _model_digest
 from repro.memory import CapacityExceeded
 from repro.perf.counters import count_ops
+from repro.serving.bench import serving_engine_spec
 from repro.traffic.bench import (
     TrafficBenchConfig,
+    WorkloadSpec,
     build_bench_requests,
     run_traffic_bench,
 )
-from repro.traffic.simulator import TrafficSimulator
+from repro.traffic.simulator import TrafficConfig, TrafficSimulator
 
 
-def traffic_config(**overrides) -> TrafficBenchConfig:
+def traffic_config(backend: str = "serial", **fleet) -> TrafficBenchConfig:
     """Small three-policy workload: quick to run, exercises mixed traffic."""
-    base = dict(
-        policies=("clusterkv", "quest", "full"),
-        num_requests=6,
-        num_replicas=2,
-        rate=2.0,
-        prompt_len_min=24,
-        prompt_len_max=40,
-        max_new_tokens=8,
-        seed=3,
+    return TrafficBenchConfig(
+        workload=WorkloadSpec(
+            policies=("clusterkv", "quest", "full"),
+            num_requests=6,
+            rate=2.0,
+            prompt_len_min=24,
+            prompt_len_max=40,
+            seed=3,
+        ),
+        fleet=TrafficConfig(
+            engine=serving_engine_spec(max_new_tokens=8, backend=backend),
+            num_replicas=2,
+            router="jsq",
+            **fleet,
+        ),
     )
-    base.update(overrides)
-    return TrafficBenchConfig(**base)
 
 
-def cluster_config(**overrides) -> ClusterBenchConfig:
-    base = dict(
-        policies=("quest",),
-        num_requests=6,
-        rate=2.0,
-        prompt_len_min=24,
-        prompt_len_max=40,
-        max_new_tokens=8,
-        min_replicas=2,
-        max_replicas=3,
-        router="jsq",
-        seed=7,
+def cluster_config(**fleet) -> ClusterBenchConfig:
+    fleet = {"autoscaler": "slo_attainment", **fleet}
+    return ClusterBenchConfig(
+        workload=WorkloadSpec(
+            policies=("quest",),
+            num_requests=6,
+            rate=2.0,
+            prompt_len_min=24,
+            prompt_len_max=40,
+            seed=7,
+        ),
+        fleet=ClusterConfig(
+            engine=serving_engine_spec(max_new_tokens=8),
+            min_replicas=2,
+            max_replicas=3,
+            router="jsq",
+            **fleet,
+        ),
     )
-    base.update(overrides)
-    return ClusterBenchConfig(**base)
+
+
+def capacity_config(workers=None, **engine) -> CapacityScenarioConfig:
+    """The default capacity setup decoding 8 tokens, with engine overrides."""
+    fleet = CapacityScenarioConfig().fleet
+    engine = replace(fleet.engine, max_new_tokens=8, **engine)
+    return CapacityScenarioConfig(fleet=replace(fleet, engine=engine, workers=workers))
 
 
 def run_traffic(config: TrafficBenchConfig):
     """Run the benchmark workload, returning (report, raw per-request outputs)."""
-    with TrafficSimulator(config.traffic_config()) as sim:
+    with TrafficSimulator(config.fleet) as sim:
         report = sim.run(build_bench_requests(config))
         outputs = {
             request_id: (
@@ -142,8 +160,8 @@ class TestCapacityParity:
     TIGHT = "gpu=64KiB,host=64KiB,ssd=128KiB"
 
     def test_probe_points_identical(self):
-        serial_cfg = CapacityScenarioConfig(max_new_tokens=8)
-        parallel_cfg = CapacityScenarioConfig(max_new_tokens=8, workers=1)
+        serial_cfg = capacity_config()
+        parallel_cfg = capacity_config(workers=1)
         for context in (64, 192):
             serial = probe_point(serial_cfg, serial_cfg.policies[0], context, 2)
             parallel = probe_point(
@@ -152,20 +170,16 @@ class TestCapacityParity:
             assert serial == parallel
 
     def test_infeasible_point_reports_failed_tier(self):
-        config = CapacityScenarioConfig(
-            tiers=self.TIGHT, max_new_tokens=8, workers=1
-        )
+        config = capacity_config(workers=1, tiers=self.TIGHT)
         point = probe_point(config, config.policies[-1], 192, 3)
         assert not point.feasible
         assert point.failed_tier is not None
-        serial = CapacityScenarioConfig(tiers=self.TIGHT, max_new_tokens=8)
+        serial = capacity_config(tiers=self.TIGHT)
         assert point == probe_point(serial, serial.policies[-1], 192, 3)
 
     def test_capacity_exceeded_crosses_process_boundary(self):
         """The typed exception arrives intact — class and tier attribute."""
-        config = CapacityScenarioConfig(
-            tiers=self.TIGHT, max_new_tokens=8, workers=1
-        )
+        config = capacity_config(workers=1, tiers=self.TIGHT)
         requests = _burst_requests(config, 192, 3)
         with TrafficSimulator(config.traffic_config(config.policies[-1], 3)) as sim:
             with pytest.raises(CapacityExceeded) as excinfo:
@@ -200,7 +214,7 @@ class TestWorkerLifecycle:
     def test_worker_weights_match_parent(self):
         """Shared-arena rebuild is bit-identical in every worker."""
         config = traffic_config(workers=2)
-        with TrafficSimulator(config.traffic_config()) as sim:
+        with TrafficSimulator(config.fleet) as sim:
             parent = _model_digest(sim.model)
             digests = sim._backend.model_digests()
         assert len(digests) == 2
@@ -238,7 +252,7 @@ class TestSpecSurface:
 
     def test_workers_validation(self):
         with pytest.raises(ValueError):
-            traffic_config(workers=0).traffic_config()
+            traffic_config(workers=0)
 
 
 class TestCLISurface:

@@ -9,6 +9,8 @@ prefill.  The prefill cost is asserted through the deterministic
 higher when a failure forces a from-scratch retry.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from repro.cluster import (
 from repro.model import GenerationConfig, TransformerModel, get_model_config
 from repro.perf.counters import count_ops
 from repro.serving import BatchedEngine
-from repro.traffic.bench import build_bench_requests
+from repro.traffic.bench import WorkloadSpec, build_bench_requests
 
 CLUSTERKV = "clusterkv:tokens_per_cluster=12,decode_window=8,decode_clusters=2,num_sink_tokens=4"
 
@@ -147,16 +149,16 @@ class RecordingClusterSimulator(ClusterSimulator):
         return super()._metrics_of(item, finish_s)
 
 
-def cluster_run(**overrides):
+def cluster_run(**fleet):
     """One recorded cluster run; returns (report, outputs, op counter)."""
     config = ClusterBenchConfig(
-        num_requests=10,
-        rate=4.0,
-        policies=("clusterkv", "quest"),
-        **overrides,
+        workload=WorkloadSpec(
+            num_requests=10, rate=4.0, policies=("clusterkv", "quest")
+        ),
+        fleet=replace(ClusterBenchConfig().fleet, **fleet),
     )
     requests = build_bench_requests(config)
-    simulator = RecordingClusterSimulator(config.cluster_config())
+    simulator = RecordingClusterSimulator(config.fleet)
     with count_ops() as ops:
         report = simulator.run(requests)
     return report, getattr(simulator, "outputs", {}), ops

@@ -517,7 +517,7 @@ class TestServeBenchConfigPolicies:
 
         config = ServeBenchConfig(policies=(PolicySpec("clusterkv"),))
         (resolved,) = config.resolved_policies()
-        assert resolved == serving_policy_spec("clusterkv", config.num_sink_tokens)
+        assert resolved == serving_policy_spec("clusterkv", config.engine.num_sink_tokens)
         assert resolved.kwargs["tokens_per_cluster"] == 32
 
     def test_explicit_kwargs_policy_used_verbatim(self):
@@ -528,7 +528,7 @@ class TestServeBenchConfigPolicies:
         assert config.resolved_policies() == (spec,)
 
     def test_mixed_bench_reports_only_exercised_policies(self):
-        from repro.serving.bench import ServeBenchConfig, run_mixed_serve_bench
+        from repro.serving.bench import ServeBenchConfig, run_mixed_serve_bench, serving_engine_spec
 
         config = ServeBenchConfig(
             policies=(
@@ -537,16 +537,15 @@ class TestServeBenchConfigPolicies:
                 PolicySpec("quest"),
             ),
             num_requests=2,  # round-robin never reaches quest
-            max_batch_size=2,
+            engine=serving_engine_spec(max_batch_size=2, max_new_tokens=4),
             prompt_len=12,
-            max_new_tokens=4,
             repeats=1,
         )
         result = run_mixed_serve_bench(config)
         assert [spec.name for spec in result.policies] == ["streaming_llm", "full"]
 
     def test_duplicate_method_names_get_distinct_row_labels(self):
-        from repro.serving.bench import ServeBenchConfig, run_serve_bench
+        from repro.serving.bench import ServeBenchConfig, run_serve_bench, serving_engine_spec
 
         config = ServeBenchConfig(
             policies=(
@@ -554,9 +553,8 @@ class TestServeBenchConfigPolicies:
                 PolicySpec("quest", {"page_size": 32}),
             ),
             num_requests=2,
-            max_batch_size=2,
+            engine=serving_engine_spec(max_batch_size=2, max_new_tokens=4),
             prompt_len=12,
-            max_new_tokens=4,
             repeats=1,
         )
         labels = [row.method for row in run_serve_bench(config)]
@@ -564,18 +562,37 @@ class TestServeBenchConfigPolicies:
         assert "page_size=8" in labels[0] and "page_size=32" in labels[1]
 
     def test_identical_duplicate_specs_still_get_distinct_labels(self):
-        from repro.serving.bench import ServeBenchConfig, run_serve_bench
+        from repro.serving.bench import ServeBenchConfig, run_serve_bench, serving_engine_spec
 
         config = ServeBenchConfig(
             policies=(PolicySpec("quest"), PolicySpec("quest")),
             num_requests=2,
-            max_batch_size=2,
+            engine=serving_engine_spec(max_batch_size=2, max_new_tokens=4),
             prompt_len=12,
-            max_new_tokens=4,
             repeats=1,
         )
         labels = [row.method for row in run_serve_bench(config)]
         assert len(set(labels)) == 2
+
+    def test_a_wide_batch_prefills_in_one_step(self):
+        # The bench sets max_prefills_per_step = max_batch_size itself, so a
+        # batch of 16 admits all 16 requests at once: 3 engine steps at full
+        # occupancy, as measured before the configs were composed (a cap left
+        # at 8 needs a fourth step at mean occupancy 12).
+        from repro.serving.bench import ServeBenchConfig, run_serve_bench, serving_engine_spec
+
+        config = ServeBenchConfig(
+            engine=serving_engine_spec(
+                model="tiny", max_batch_size=16, max_new_tokens=4, budget=16
+            ),
+            methods=("clusterkv", "full"),
+            num_requests=16,
+            prompt_len=24,
+            repeats=1,
+        )
+        assert config.engine.max_prefills_per_step == 16
+        for row in run_serve_bench(config):
+            assert (row.batched_engine_steps, row.mean_occupancy) == (3, 16.0)
 
     def test_empty_policies_and_methods_rejected(self):
         from repro.serving.bench import ServeBenchConfig

@@ -45,7 +45,9 @@ from repro.specdec import (
     register_drafter,
 )
 from repro.specdec.drafter import _DRAFTERS
-from repro.traffic.bench import run_traffic_bench, TrafficBenchConfig
+from repro.serving.bench import serving_engine_spec
+from repro.traffic import TrafficConfig
+from repro.traffic.bench import run_traffic_bench, TrafficBenchConfig, WorkloadSpec
 from repro.traffic.report import RequestMetrics, TrafficReport, percentile
 
 CLUSTERKV = "clusterkv:tokens_per_cluster=12,decode_window=8,decode_clusters=2,num_sink_tokens=4"
@@ -591,18 +593,21 @@ class TestReports:
         assert accounting["acceptance_rate"] == 0.0
         assert accounting["mean_accepted_run_length"] == 0.0
 
-    def test_traffic_report_carries_speculation(self):
-        config = TrafficBenchConfig(
-            policies=("clusterkv",),
-            num_requests=4,
-            num_replicas=1,
-            rate=2.0,
-            prompt_len_min=24,
-            prompt_len_max=40,
-            max_new_tokens=8,
-            seed=3,
-            speculate_k=4,
+    @staticmethod
+    def _traffic_bench(num_replicas: int, speculate_k: int) -> TrafficBenchConfig:
+        return TrafficBenchConfig(
+            workload=WorkloadSpec(
+                num_requests=4, rate=2.0, prompt_len_min=24, prompt_len_max=40, seed=3
+            ),
+            fleet=TrafficConfig(
+                engine=serving_engine_spec(max_new_tokens=8, speculate_k=speculate_k),
+                num_replicas=num_replicas,
+                router="jsq",
+            ),
         )
+
+    def test_traffic_report_carries_speculation(self):
+        config = self._traffic_bench(num_replicas=1, speculate_k=4)
         report = run_traffic_bench(config)
         accounting = report.speculation()
         assert_conserved(accounting)
@@ -620,18 +625,8 @@ class TestReports:
 
     def test_traffic_speculation_matches_serial_outputs(self):
         """Spec-on traffic sim serves the same tokens as spec-off."""
-        base = dict(
-            policies=("clusterkv",),
-            num_requests=4,
-            num_replicas=2,
-            rate=2.0,
-            prompt_len_min=24,
-            prompt_len_max=40,
-            max_new_tokens=8,
-            seed=3,
-        )
-        plain = run_traffic_bench(TrafficBenchConfig(**base))
-        spec = run_traffic_bench(TrafficBenchConfig(**base, speculate_k=4))
+        plain = run_traffic_bench(self._traffic_bench(num_replicas=2, speculate_k=0))
+        spec = run_traffic_bench(self._traffic_bench(num_replicas=2, speculate_k=4))
         plain_tokens = {m.request_id: m.output_tokens for m in plain.requests}
         spec_tokens = {m.request_id: m.output_tokens for m in spec.requests}
         assert spec_tokens == plain_tokens

@@ -21,6 +21,7 @@ from repro.api import EngineSpec, simulate as api_simulate
 from repro.model import TransformerModel, get_model_config
 from repro.policies import PolicySpec
 from repro.serving import BatchedEngine, SchedulerConfig
+from repro.serving.bench import serving_engine_spec
 from repro.traffic import (
     ConstantArrivals,
     OnOffArrivals,
@@ -34,6 +35,7 @@ from repro.traffic import (
     TrafficRequest,
     TrafficSimulator,
     WallClock,
+    WorkloadSpec,
     arrival_names,
     build_arrivals,
     build_router,
@@ -441,17 +443,20 @@ class TestPolicySLOSeparation:
         reports = {}
         for policy in ("clusterkv", "full"):
             config = TrafficBenchConfig(
-                num_requests=12,
-                rate=0.7,
-                policies=(policy,),
-                num_replicas=1,
-                router="round_robin",
-                prompt_len_min=48,
-                prompt_len_max=64,
-                max_new_tokens=160,
-                budget=32,
-                slo=slo,
-                seed=0,
+                workload=WorkloadSpec(
+                    num_requests=12,
+                    rate=0.7,
+                    policies=(policy,),
+                    prompt_len_min=48,
+                    prompt_len_max=64,
+                    seed=0,
+                ),
+                fleet=TrafficConfig(
+                    engine=serving_engine_spec(max_new_tokens=160, budget=32),
+                    num_replicas=1,
+                    router="round_robin",
+                    slo=slo,
+                ),
             )
             reports[policy] = run_traffic_bench(config)
         clusterkv = reports["clusterkv"]
@@ -468,36 +473,40 @@ class TestPolicySLOSeparation:
 
 class TestTrafficBenchConfig:
     def test_bare_policies_get_serving_tuned_specs(self):
-        config = TrafficBenchConfig(policies=("clusterkv",))
-        (spec,) = config.policies
+        config = TrafficBenchConfig(workload=WorkloadSpec(policies=("clusterkv",)))
+        (spec,) = config.workload.policies
         assert isinstance(spec, PolicySpec)
         assert spec.kwargs["tokens_per_cluster"] == 32
 
     def test_explicit_spec_used_verbatim(self):
         spec = PolicySpec("clusterkv", {"tokens_per_cluster": 16})
-        config = TrafficBenchConfig(policies=(spec,))
-        assert config.policies == (spec,)
+        config = TrafficBenchConfig(workload=WorkloadSpec(policies=(spec,)))
+        assert config.workload.policies == (spec,)
+        assert config.fleet.engine.policy == spec
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrafficBenchConfig(policies=())
+            WorkloadSpec(policies=())
         with pytest.raises(ValueError):
-            TrafficBenchConfig(num_requests=0)
+            WorkloadSpec(num_requests=0)
         with pytest.raises(ValueError):
-            TrafficBenchConfig(rate=0.0)
+            WorkloadSpec(rate=0.0)
 
     def test_trace_replay_matches_generated_run(self, tmp_path):
         base = TrafficBenchConfig(
-            model="tiny",
-            num_requests=4,
-            rate=1.0,
-            policies=("full",),
-            num_replicas=1,
-            prompt_len_min=16,
-            prompt_len_max=24,
-            max_new_tokens=4,
-            budget=16,
-            seed=3,
+            workload=WorkloadSpec(
+                num_requests=4,
+                rate=1.0,
+                policies=("full",),
+                prompt_len_min=16,
+                prompt_len_max=24,
+                seed=3,
+            ),
+            fleet=TrafficConfig(
+                engine=serving_engine_spec(model="tiny", max_new_tokens=4, budget=16),
+                num_replicas=1,
+                router="jsq",
+            ),
         )
         from repro.traffic import build_bench_requests
 
@@ -506,7 +515,9 @@ class TestTrafficBenchConfig:
         save_trace(path, requests, include_prompt_ids=True)
         import dataclasses
 
-        replayed = dataclasses.replace(base, trace=str(path))
+        replayed = dataclasses.replace(
+            base, workload=dataclasses.replace(base.workload, trace=str(path))
+        )
         direct = run_traffic_bench(base)
         from_trace = run_traffic_bench(replayed)
         assert from_trace.to_json() == direct.to_json()
