@@ -1,7 +1,5 @@
 """Benchmark for the ClusterKV design-choice ablation (DESIGN.md §5)."""
 
-from conftest import run_once
-
 from repro.experiments import (
     DesignAblationConfig,
     format_design_ablation,
@@ -9,10 +7,10 @@ from repro.experiments import (
 )
 
 
-def test_bench_ablation_design(benchmark, bench_scale):
+def test_bench_ablation_design(bench_scale):
     """Score/recall/hit-rate of ClusterKV variants (sinks, trimming, cache, C0)."""
     config = DesignAblationConfig(scale=bench_scale, num_samples=2, decode_steps=10)
-    result = run_once(benchmark, run_design_ablation, config)
+    result = run_design_ablation(config)
     print()
     print(format_design_ablation(result))
 

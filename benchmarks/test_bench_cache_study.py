@@ -1,14 +1,12 @@
 """Benchmark regenerating the paper's Sec. V-C caching study."""
 
-from conftest import run_once
-
 from repro.experiments import CacheStudyConfig, format_cache_study, run_cache_study
 
 
-def test_bench_cache_study(benchmark, bench_scale):
+def test_bench_cache_study(bench_scale):
     """Cluster-cache hit rates for R=1/R=2 and the resulting throughput gain."""
     config = CacheStudyConfig(scale=bench_scale, decode_steps=16)
-    result = run_once(benchmark, run_cache_study, config)
+    result = run_cache_study(config)
     print()
     print(format_cache_study(result))
 

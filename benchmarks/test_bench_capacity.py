@@ -14,8 +14,6 @@ pins every number in it.
 import json
 from pathlib import Path
 
-from conftest import run_once
-
 from repro.capacity import (
     format_capacity_report,
     run_capacity_bench,
@@ -28,9 +26,9 @@ CONTEXT = 192
 CONCURRENCY = 3
 
 
-def test_bench_capacity_frontier(benchmark):
+def test_bench_capacity_frontier():
     """ClusterKV sustains the pinned point where ``full`` exhausts the GPU."""
-    report = run_once(benchmark, run_capacity_bench)
+    report = run_capacity_bench()
     print()
     print(format_capacity_report(report))
 
@@ -64,9 +62,9 @@ def test_bench_capacity_frontier(benchmark):
     assert report.frontier["full"] == {"1": 192, "2": 128, "3": 64}
 
 
-def test_bench_capacity_byte_reproducible(benchmark):
+def test_bench_capacity_byte_reproducible():
     """Two sweeps emit byte-identical JSON, matching BENCH_capacity.json."""
-    report = run_once(benchmark, run_capacity_bench)
+    report = run_capacity_bench()
     again = run_capacity_bench()
     assert report.to_json() == again.to_json()
 

@@ -1,11 +1,9 @@
 """Benchmark regenerating paper Fig. 10 (language-modelling perplexity)."""
 
-from conftest import run_once
-
 from repro.experiments import Fig10Config, format_fig10, run_fig10
 
 
-def test_bench_fig10_perplexity(benchmark, bench_scale, bench_samples):
+def test_bench_fig10_perplexity(bench_scale, bench_samples):
     """Perplexity of each method on the PG19 analogue under a fixed budget."""
     config = Fig10Config(
         scale=bench_scale,
@@ -13,7 +11,7 @@ def test_bench_fig10_perplexity(benchmark, bench_scale, bench_samples):
         paper_lengths=(8000, 16000, 32000),
         scored_tokens=32,
     )
-    result = run_once(benchmark, run_fig10, config)
+    result = run_fig10(config)
     print()
     print(format_fig10(result))
 

@@ -1,6 +1,6 @@
 """Benchmark regenerating paper Fig. 11 (recall rate of important tokens)."""
 
-from conftest import FULL_SIZE, run_once
+from conftest import FULL_SIZE
 
 from repro.experiments import (
     Fig11Config,
@@ -19,9 +19,9 @@ def _config(bench_scale):
     )
 
 
-def test_bench_fig11a_methods(benchmark, bench_scale):
+def test_bench_fig11a_methods(bench_scale):
     """Recall rate of ClusterKV vs. Quest vs. InfiniGen across budgets."""
-    result = run_once(benchmark, run_fig11_methods, _config(bench_scale))
+    result = run_fig11_methods(_config(bench_scale))
     print()
     print(format_fig11(result, "[Fig. 11a] recall rate by method"))
 
@@ -34,9 +34,9 @@ def test_bench_fig11a_methods(benchmark, bench_scale):
     assert clusterkv[budgets[-1]] > clusterkv[budgets[0]] - 0.02
 
 
-def test_bench_fig11b_ablation(benchmark, bench_scale):
+def test_bench_fig11b_ablation(bench_scale):
     """Ablation of the clustering distance metric and the cluster count C0."""
-    result = run_once(benchmark, run_fig11_ablation, _config(bench_scale))
+    result = run_fig11_ablation(_config(bench_scale))
     print()
     print(format_fig11(result, "[Fig. 11b] ClusterKV ablation"))
 

@@ -1,13 +1,11 @@
 """Benchmark regenerating paper Fig. 12 (latency vs. full KV cache)."""
 
-from conftest import run_once
-
 from repro.experiments import Fig12Config, format_fig12, run_fig12
 
 
-def test_bench_fig12_latency(benchmark):
+def test_bench_fig12_latency():
     """ClusterKV vs. full KV latency over the paper's P/D/budget grid."""
-    result = run_once(benchmark, run_fig12, Fig12Config())
+    result = run_fig12(Fig12Config())
     print()
     print(format_fig12(result))
 

@@ -1,7 +1,5 @@
 """Benchmark regenerating paper Fig. 13 (comparison with Quest and InfiniGen)."""
 
-from conftest import run_once
-
 from repro.experiments import (
     Fig13Config,
     format_fig13,
@@ -10,16 +8,16 @@ from repro.experiments import (
 )
 
 
-def test_bench_fig13a_vs_infinigen(benchmark):
+def test_bench_fig13a_vs_infinigen():
     """ClusterKV vs. InfiniGen on an OPT-6.7B-class model (paper: ~2.3x)."""
-    result = run_once(benchmark, run_fig13_infinigen, Fig13Config())
+    result = run_fig13_infinigen(Fig13Config())
     quest_result = run_fig13_quest(Fig13Config())
     print()
     print(format_fig13(result, quest_result))
     assert result.mean_speedup("infinigen") > 1.8
 
 
-def test_bench_fig13b_vs_quest(benchmark):
+def test_bench_fig13b_vs_quest():
     """ClusterKV vs. Quest on a Llama-3.1-8B-class model (paper: within ~5%)."""
-    result = run_once(benchmark, run_fig13_quest, Fig13Config())
+    result = run_fig13_quest(Fig13Config())
     assert result.max_deviation("quest") < 0.08

@@ -1,14 +1,12 @@
 """Benchmark regenerating paper Fig. 3 (motivation analyses)."""
 
-from conftest import run_once
-
 from repro.experiments import Fig3Config, format_fig3, run_fig3
 
 
-def test_bench_fig3_motivation(benchmark, bench_scale):
+def test_bench_fig3_motivation(bench_scale):
     """Token-importance fluctuation (3a) and page fragmentation (3b)."""
     config = Fig3Config(scale=bench_scale, decode_steps=24)
-    result = run_once(benchmark, run_fig3, config)
+    result = run_fig3(config)
     print()
     print(format_fig3(result))
 

@@ -1,18 +1,14 @@
 """Benchmark regenerating paper Fig. 9 (LongBench scores per task and budget)."""
 
-from conftest import run_once
-
-from repro.experiments import Fig9Config, format_fig9, run_fig9
+from repro.experiments import format_fig9
 
 
-def test_bench_fig9_longbench(benchmark, bench_scale, bench_samples):
+def test_bench_fig9_longbench(fig9_result):
     """Scores of Full/ClusterKV/Quest/InfiniGen on the eight task analogues."""
-    config = Fig9Config(scale=bench_scale, num_samples=bench_samples)
-    result = run_once(benchmark, run_fig9, config)
     print()
-    print(format_fig9(result))
+    print(format_fig9(fig9_result))
 
-    table = result.table
+    table = fig9_result.table
     budgets = table.budgets()
     # Shape checks: the full KV cache is an upper bound on average, and
     # ClusterKV improves (weakly) with larger budgets on average.

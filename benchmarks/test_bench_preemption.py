@@ -15,8 +15,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import run_once
-
 from repro.api import EngineSpec
 from repro.cluster import ClusterBenchConfig, FailureEvent, FailurePlan, run_cluster_bench
 from repro.traffic import (
@@ -74,7 +72,7 @@ def _class_config(preemption: bool) -> TrafficConfig:
     )
 
 
-def test_bench_preemption_cuts_interactive_p99(benchmark):
+def test_bench_preemption_cuts_interactive_p99():
     """Preemption: interactive p99 TTFT strictly lower, batch tokens equal."""
 
     def compare():
@@ -83,7 +81,7 @@ def test_bench_preemption_cuts_interactive_p99(benchmark):
             "preempt": simulate(_mixed_class_trace(), _class_config(preemption=True)),
         }
 
-    results = run_once(benchmark, compare)
+    results = compare()
     print()
     for name, report in results.items():
         print(f"--- {name}")
@@ -104,7 +102,7 @@ def test_bench_preemption_cuts_interactive_p99(benchmark):
     assert repeat.to_json() == results["preempt"].to_json()
 
 
-def test_bench_checkpoint_recovery_beats_retry(benchmark):
+def test_bench_checkpoint_recovery_beats_retry():
     """Periodic checkpoints lose strictly fewer tokens than retries."""
     def bench(checkpoint_interval_s):
         fleet = replace(
@@ -125,7 +123,7 @@ def test_bench_checkpoint_recovery_beats_retry(benchmark):
             "recover": run_cluster_bench(bench(2.0)),
         }
 
-    results = run_once(benchmark, compare)
+    results = compare()
     print()
     for name, report in results.items():
         print(f"--- {name}")

@@ -1,18 +1,11 @@
 """Benchmark regenerating paper Table I (average score across the eight tasks)."""
 
-from conftest import run_once
-
-from repro.experiments import Fig9Config, format_table1, run_table1
+from repro.experiments import format_table1, run_table1
 
 
-def test_bench_table1_average(benchmark, bench_scale, bench_samples):
+def test_bench_table1_average(fig9_result):
     """Average score per method and budget, next to the paper's values."""
-    config = Fig9Config(
-        scale=bench_scale,
-        num_samples=bench_samples,
-        tasks=("multifieldqa", "qasper", "hotpotqa", "triviaqa"),
-    )
-    result = run_once(benchmark, run_table1, config)
+    result = run_table1(fig9=fig9_result)
     print()
     print(format_table1(result))
 

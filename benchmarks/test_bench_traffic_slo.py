@@ -16,8 +16,6 @@ asserts the headline properties of the traffic and cluster layers:
 
 import numpy as np
 
-from conftest import run_once
-
 from repro.api import EngineSpec
 from repro.serving.bench import serving_engine_spec
 from repro.traffic import (
@@ -33,11 +31,11 @@ from repro.traffic import (
 )
 
 
-def test_bench_traffic_p99_ttft(benchmark):
+def test_bench_traffic_p99_ttft():
     """Moderate Poisson load on 2 replicas keeps p99 TTFT bounded."""
     # The bench's default fleet: two serving-tuned replicas behind jsq.
     config = TrafficBenchConfig(workload=WorkloadSpec(num_requests=12, rate=0.5, seed=0))
-    report = run_once(benchmark, run_traffic_bench, config)
+    report = run_traffic_bench(config)
     print()
     print(format_traffic_report(report))
     assert report.num_requests == 12
@@ -79,7 +77,7 @@ def _skewed_trace(vocab_size: int = 2048) -> list[TrafficRequest]:
     return requests
 
 
-def test_bench_jsq_goodput_vs_round_robin(benchmark):
+def test_bench_jsq_goodput_vs_round_robin():
     """Join-shortest-queue >= round-robin goodput on a skewed trace."""
 
     def compare():
@@ -98,7 +96,7 @@ def test_bench_jsq_goodput_vs_round_robin(benchmark):
             )
         return results
 
-    results = run_once(benchmark, compare)
+    results = compare()
     print()
     for router, report in results.items():
         print(f"--- router={router}")
@@ -112,7 +110,7 @@ def test_bench_jsq_goodput_vs_round_robin(benchmark):
     assert jsq.slo_attainment > rr.slo_attainment
 
 
-def test_bench_chunked_prefill_p99_ttft(benchmark):
+def test_bench_chunked_prefill_p99_ttft():
     """Chunked prefill cuts p99 TTFT at equal goodput under Poisson load.
 
     A single replica serves a Poisson stream mixing short and long prompts
@@ -140,7 +138,7 @@ def test_bench_chunked_prefill_p99_ttft(benchmark):
     def run_pair():
         return run_traffic_bench(bench(None)), run_traffic_bench(bench(64))
 
-    monolithic, chunked = run_once(benchmark, run_pair)
+    monolithic, chunked = run_pair()
     print()
     print("[monolithic]")
     print(format_traffic_report(monolithic))
@@ -184,7 +182,7 @@ def _shared_preamble_trace(
     ]
 
 
-def test_bench_prefix_cache_ttft(benchmark):
+def test_bench_prefix_cache_ttft():
     """Prefix caching strictly cuts mean TTFT on a shared-preamble trace.
 
     The same trace is served twice on one replica: once with the
@@ -213,7 +211,7 @@ def test_bench_prefix_cache_ttft(benchmark):
         plain = simulate(trace, TrafficConfig(engine=spec(None), num_replicas=1))
         return cached, cached_again, plain
 
-    cached, cached_again, plain = run_once(benchmark, compare)
+    cached, cached_again, plain = compare()
     print()
     print("--- prefix cache enabled (8192-token budget)")
     print(format_traffic_report(cached))
@@ -241,7 +239,7 @@ def test_bench_prefix_cache_ttft(benchmark):
     assert cached_p99 <= plain_p99
 
 
-def test_bench_cluster_autoscaler_goodput(benchmark):
+def test_bench_cluster_autoscaler_goodput():
     """Elastic fleet >= 1.3x static-minimum goodput on a seeded bursty trace.
 
     The same on/off bursty workload is served twice at equal per-replica
@@ -274,7 +272,7 @@ def test_bench_cluster_autoscaler_goodput(benchmark):
         elastic_again = run_cluster_bench(base)
         return static, elastic, elastic_again
 
-    static, elastic, elastic_again = run_once(benchmark, compare)
+    static, elastic, elastic_again = compare()
     print()
     print("--- static minimum fleet (1 replica)")
     print(format_cluster_report(static))

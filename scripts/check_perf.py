@@ -1,21 +1,26 @@
 #!/usr/bin/env python
-"""Hot-path performance regression guard.
+"""Deterministic performance regression guard.
 
-Recomputes the *deterministic* counters of the hot-path benchmark —
-engine steps, GEMM-launch counts (via :mod:`repro.perf.counters`) and
-k-means iteration counts on pinned configurations — and compares them
-against the ``deterministic`` section of the checked-in
-``BENCH_hotpaths.json``.  The counters are pure functions of
-configuration and control flow, so the comparison is exact and
-machine-independent: a vectorisation regression (say, attention falling
-back to one GEMM per head) multiplies the counts and fails tier-1
-(``tests/test_perf_guard.py``) even though every output token is
-unchanged.  Wall-clock numbers in the bench file are informational and
-are not compared.
+Recomputes the repo's two checked-in baselines and compares each against
+its file, key by key:
 
-    python scripts/check_perf.py            # verify against the baseline
-    python scripts/check_perf.py --update   # re-run the full benchmark and
-                                            # rewrite BENCH_hotpaths.json
+* ``BENCH_hotpaths.json`` — engine steps, GEMM-launch counts (via
+  :mod:`repro.perf.counters`), prefill score elements and k-means
+  iteration counts on pinned configurations;
+* ``BENCH_capacity.json`` — the pinned capacity-frontier sweep (frontier
+  contexts, per-direction transfer bytes, virtual-clock seconds).
+
+Every value is a pure function of seeds, configuration and control flow,
+so the comparison is exact and machine-independent: a vectorisation
+regression (say, attention falling back to one GEMM per head) multiplies
+the counts and fails tier-1 (``tests/test_perf_guard.py``) even though
+every output token is unchanged.  No wall-clock number lives in either
+file — seconds are recorded by ``bench/run.py`` — so both are
+byte-for-byte regenerable, and ``--update`` here is the only code that
+writes them.
+
+    python scripts/check_perf.py            # verify against the baselines
+    python scripts/check_perf.py --update   # recompute and rewrite both
 
 Run with ``src`` on ``sys.path`` (the script inserts it itself when
 needed), in the style of ``scripts/check_docs.py`` / ``check_api.py``.
@@ -36,16 +41,22 @@ if str(SOURCE_ROOT) not in sys.path:
     sys.path.insert(0, str(SOURCE_ROOT))
 
 
-def load_baseline() -> dict:
-    """The checked-in ``BENCH_hotpaths.json`` payload."""
-    return json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+def current_hotpaths() -> dict:
+    """Freshly computed ``BENCH_hotpaths.json`` payload."""
+    from repro.perf import run_perf_bench
+
+    return run_perf_bench()
 
 
-def current_deterministic() -> dict:
-    """Freshly computed deterministic counters on the pinned configs."""
-    from repro.perf import deterministic_counters
+def current_capacity() -> dict:
+    """Freshly computed ``BENCH_capacity.json`` payload."""
+    from repro.capacity import deterministic_capacity
 
-    return deterministic_counters()
+    return {"deterministic": deterministic_capacity()}
+
+
+# Baseline file -> the function that recomputes its whole payload.
+BASELINES = {BENCH_PATH: current_hotpaths, CAPACITY_BENCH_PATH: current_capacity}
 
 
 def _flatten(prefix: str, value: object, into: dict) -> None:
@@ -56,108 +67,41 @@ def _flatten(prefix: str, value: object, into: dict) -> None:
         into[prefix] = value
 
 
-def counter_diff() -> list[str]:
-    """Mismatch lines between the baseline and the live counters (empty = ok)."""
+def baseline_diff(path: Path) -> list[str]:
+    """Mismatch lines between one baseline file and its live payload (empty = ok)."""
     baseline: dict = {}
     live: dict = {}
-    _flatten("", load_baseline().get("deterministic", {}), baseline)
-    _flatten("", current_deterministic(), live)
-    lines = []
-    for key in sorted(set(baseline) | set(live)):
-        if baseline.get(key) != live.get(key):
-            lines.append(
-                f"{key}: baseline={baseline.get(key)!r} current={live.get(key)!r}"
-            )
-    return lines
-
-
-def load_capacity_baseline() -> dict:
-    """The checked-in ``BENCH_capacity.json`` payload."""
-    return json.loads(CAPACITY_BENCH_PATH.read_text(encoding="utf-8"))
-
-
-def current_capacity() -> dict:
-    """Freshly computed capacity-frontier report on the pinned sweep.
-
-    Like the hot-path counters, every value (frontier contexts,
-    per-direction transfer bytes, virtual-clock seconds) is a
-    deterministic function of seeds and configuration, so the comparison
-    is exact and machine-independent.
-    """
-    from repro.capacity import deterministic_capacity
-
-    return deterministic_capacity()
-
-
-def capacity_diff() -> list[str]:
-    """Mismatch lines between the baseline and the live capacity report."""
-    baseline: dict = {}
-    live: dict = {}
-    _flatten("", load_capacity_baseline().get("deterministic", {}), baseline)
-    _flatten("", current_capacity(), live)
-    lines = []
-    for key in sorted(set(baseline) | set(live)):
-        if baseline.get(key) != live.get(key):
-            lines.append(
-                f"{key}: baseline={baseline.get(key)!r} current={live.get(key)!r}"
-            )
-    return lines
-
-
-def update() -> None:
-    """Re-run both benchmarks and rewrite their baseline files."""
-    from repro.perf import run_perf_bench, write_bench_file
-
-    write_bench_file(str(BENCH_PATH), run_perf_bench())
-    print(f"wrote {BENCH_PATH}")
-    update_capacity()
-
-
-def update_capacity() -> None:
-    """Re-run the pinned capacity sweep and rewrite ``BENCH_capacity.json``."""
-    payload = {"deterministic": current_capacity()}
-    CAPACITY_BENCH_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {CAPACITY_BENCH_PATH}")
+    _flatten("", json.loads(path.read_text(encoding="utf-8")), baseline)
+    _flatten("", BASELINES[path](), live)
+    return [
+        f"{key}: baseline={baseline.get(key)!r} current={live.get(key)!r}"
+        for key in sorted(set(baseline) | set(live))
+        if baseline.get(key) != live.get(key)
+    ]
 
 
 def main(argv: list[str]) -> int:
     """CLI entry point; returns a process exit code."""
     if "--update" in argv:
-        update()
-        return 0
-    if "--update-capacity" in argv:
-        update_capacity()
+        for path, recompute in BASELINES.items():
+            text = json.dumps(recompute(), indent=2, sort_keys=True) + "\n"
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {path}")
         return 0
     failed = False
-    if not BENCH_PATH.exists():
-        print(f"missing {BENCH_PATH}; create it with: python scripts/check_perf.py --update")
-        return 1
-    mismatches = counter_diff()
-    if mismatches:
-        print("deterministic hot-path counters drifted from BENCH_hotpaths.json:")
-        for line in mismatches:
-            print(f"  {line}")
-        print("intentional? run: python scripts/check_perf.py --update")
-        failed = True
-    else:
-        print("hot-path counters match BENCH_hotpaths.json")
-    if not CAPACITY_BENCH_PATH.exists():
-        print(
-            f"missing {CAPACITY_BENCH_PATH}; create it with: "
-            "python scripts/check_perf.py --update-capacity"
-        )
-        return 1
-    mismatches = capacity_diff()
-    if mismatches:
-        print("capacity frontier drifted from BENCH_capacity.json:")
-        for line in mismatches:
-            print(f"  {line}")
-        print("intentional? run: python scripts/check_perf.py --update-capacity")
-        failed = True
-    else:
-        print("capacity frontier matches BENCH_capacity.json")
+    for path in BASELINES:
+        if not path.exists():
+            print(f"missing {path}; create it with: python scripts/check_perf.py --update")
+            return 1
+        mismatches = baseline_diff(path)
+        if mismatches:
+            print(f"live values drifted from {path.name}:")
+            for line in mismatches:
+                print(f"  {line}")
+            print("intentional? run: python scripts/check_perf.py --update")
+            failed = True
+        else:
+            print(f"live values match {path.name}")
     return 1 if failed else 0
 
 

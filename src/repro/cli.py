@@ -242,12 +242,9 @@ def _run_capacity_bench(args: argparse.Namespace) -> str:
 
 
 def _run_perf_bench(args: argparse.Namespace) -> str:
-    from .perf import format_perf_bench, run_perf_bench, write_bench_file
+    from .perf import format_perf_bench, run_perf_bench
 
-    payload = run_perf_bench(include_wall=not args.counters_only)
-    if args.write:
-        write_bench_file(args.write, payload)
-    return format_perf_bench(payload)
+    return format_perf_bench(run_perf_bench())
 
 
 def _run_fig3(args: argparse.Namespace) -> str:
@@ -336,8 +333,8 @@ _SERVING_COMMANDS = {
         _run_capacity_bench,
     ),
     "perf-bench": (
-        "hot-path benchmark: prefill/decode/clustering/serving timings + "
-        "deterministic op counters (BENCH_hotpaths.json)",
+        "deterministic hot-path op counters on pinned scenarios "
+        "(the BENCH_hotpaths.json guard)",
         _run_perf_bench,
     ),
 }
@@ -462,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     capacity_bench = bench(
         "capacity-bench", capacity.CapacityBenchConfig, capacity.scenarios.PROBE_SET_FIELDS
     )
-    perf = subparsers.add_parser("perf-bench", help=_SERVING_COMMANDS["perf-bench"][0])
+    subparsers.add_parser("perf-bench", help=_SERVING_COMMANDS["perf-bench"][0])
     serve.add_argument(
         "--policy-json",
         type=str,
@@ -501,14 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep", type=str, default=None, metavar="MIN:MAX:STEP",
         help="context-length grid swept by the scenario, in prompt tokens "
         "(default: the config's context_min:context_max:context_step)",
-    )
-    perf.add_argument(
-        "--write", type=str, default=None,
-        help="write the full JSON payload (e.g. BENCH_hotpaths.json)",
-    )
-    perf.add_argument(
-        "--counters-only", action="store_true",
-        help="skip wall-clock timings; only the deterministic counters",
     )
     for sub in (traffic_bench, cluster_bench, capacity_bench):
         sub.add_argument(

@@ -1,13 +1,15 @@
-"""Persistent performance harness: op counters and the hot-path benchmark.
+"""Persistent performance guard: op counters and the pinned scenarios they count.
 
 Two pieces:
 
 * :mod:`repro.perf.counters` — zero-overhead-when-disabled counters of
   deterministic hot-path events (GEMM launches, k-means iterations), the
   basis of the ``scripts/check_perf.py`` regression guard;
-* :mod:`repro.perf.hotpaths` — the ``repro perf-bench`` benchmark that
-  times prefill, decode stepping, clustering and serving throughput on
-  pinned configurations and writes ``BENCH_hotpaths.json``.
+* :mod:`repro.perf.hotpaths` — the pinned scenarios ``repro perf-bench``
+  runs under those counters; their payload is ``BENCH_hotpaths.json``.
+
+Nothing in this package reads a clock; wall-clock numbers come from
+``bench/run.py`` alone.
 """
 
 from . import counters
@@ -17,7 +19,6 @@ from .hotpaths import (
     deterministic_counters,
     format_perf_bench,
     run_perf_bench,
-    write_bench_file,
 )
 
 __all__ = [
@@ -28,5 +29,4 @@ __all__ = [
     "deterministic_counters",
     "run_perf_bench",
     "format_perf_bench",
-    "write_bench_file",
 ]

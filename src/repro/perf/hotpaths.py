@@ -1,18 +1,19 @@
-"""The ``repro perf-bench`` hot-path benchmark.
+"""The ``repro perf-bench`` hot-path op-counter guard.
 
-Times the four hot paths the serving stack lives in — prefill, decode
-stepping, k-means clustering, and end-to-end continuous-batching serving —
-on pinned configurations, and collects the *deterministic* operation
-counters (engine steps, GEMM launches via :mod:`repro.perf.counters`,
-k-means iterations) alongside the wall-clock numbers.
+Runs the serving stack's hot paths — prefill, decode stepping, k-means
+clustering, continuous-batching serving and its prefix-cache, migration,
+multi-replica and speculative variants — on small pinned configurations
+under :func:`repro.perf.count_ops` and collects the *deterministic*
+operation counters: engine steps, GEMM launches, prefill score elements,
+k-means iterations.
 
-The deterministic section is machine-independent: it depends only on
-configuration and control flow.  ``scripts/check_perf.py`` recomputes it
-and compares against the checked-in ``BENCH_hotpaths.json``, so a hot-path
+The counters are machine-independent: they depend only on configuration
+and control flow.  ``scripts/check_perf.py`` recomputes the payload and
+compares it against the checked-in ``BENCH_hotpaths.json``, so a hot-path
 regression that multiplies GEMM launches (e.g. a per-head loop creeping
-back into attention) fails tier-1 even though outputs are unchanged.  Wall
-times are informational — they seed the bench trajectory and record the
-measured speedup over the pre-overhaul baseline.
+back into attention) fails tier-1 even though outputs are unchanged.
+Nothing here reads a clock: seconds are recorded by ``bench/run.py``
+(``BENCHMARK.json``) and nowhere else.
 
 Heavy imports happen inside functions: :mod:`repro.perf` is imported by
 the hot-path modules themselves (for the counters), so this module must
@@ -21,8 +22,6 @@ not import them at module scope.
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import asdict, dataclass
 
 from .counters import count_ops
@@ -32,66 +31,38 @@ __all__ = [
     "deterministic_counters",
     "run_perf_bench",
     "format_perf_bench",
-    "write_bench_file",
 ]
-
-# Batched decode throughput of `repro serve-bench` (batch 8, serve-sim,
-# repeats=3) measured on the engine as it stood before the hot-path
-# vectorisation overhaul, recorded once so every later run reports its
-# speedup against the same anchor.  Wall-clock numbers from the machine the
-# overhaul was developed on; the speedup column, not the absolute numbers,
-# is the meaningful quantity.
-PRE_PR_BASELINE_TOKENS_PER_S = {
-    "clusterkv": 468.5,
-    "streaming_llm": 803.7,
-    "full": 905.7,
-}
-
-# Wall time of the pinned 512-token prefill as BENCH_hotpaths.json recorded
-# it before the causal-frontier attention kernel; every later run reports
-# its own measurement beside this anchor, like the serve rows above.
-PRE_PR_BASELINE_PREFILL_WALL_SECONDS = 0.1587128480005049
 
 
 @dataclass(frozen=True)
 class PerfBenchConfig:
-    """Pinned workload shapes of the hot-path benchmark.
+    """Pinned workload shapes of the hot-path counter guard.
 
-    The defaults match the ``serve-sim`` serving benchmark (prompt 64,
-    decode 96, budget 48, batch 8) plus standalone prefill/clustering
-    shapes large enough for the timings to be meaningful on a CPU.
+    The engine settings match the ``serve-sim`` serving benchmark (budget
+    48, 8 sink tokens); the prefill is long enough to take the blocked
+    attention path, and the ``parallel_*`` fields shape the 4-replica
+    traffic scenario.
     """
 
     model: str = "serve-sim"
     prefill_prompt_len: int = 512
-    decode_prompt_len: int = 64
-    decode_steps: int = 64
     budget: int = 48
     num_sink_tokens: int = 8
     num_full_layers: int = 1
-    clustering_heads: int = 4
-    clustering_tokens: int = 1024
-    clustering_dim: int = 16
-    clustering_clusters: int = 64
-    serve_requests: int = 8
-    serve_batch: int = 8
-    serve_prompt_len: int = 64
-    serve_new_tokens: int = 96
     parallel_replicas: int = 4
     parallel_requests: int = 8
     parallel_new_tokens: int = 16
-    repeats: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.repeats <= 0:
-            raise ValueError("repeats must be positive")
-        if self.decode_steps <= 0 or self.prefill_prompt_len <= 0:
-            raise ValueError("decode_steps and prefill_prompt_len must be positive")
+        if self.prefill_prompt_len <= 0:
+            raise ValueError("prefill_prompt_len must be positive")
 
 
-def _clusterkv_engine(config: PerfBenchConfig, max_new_tokens: int):
-    """Fresh single-sequence engine under the serving-tuned ClusterKV policy."""
+def _counted_prefill(config: PerfBenchConfig) -> dict[str, int]:
+    """Op counters of one exact prefill (plus ClusterKV build) of the long prompt."""
+    import numpy as np
+
     from ..model import GenerationConfig, InferenceEngine, TransformerModel, get_model_config
     from ..policies import build_policy
     from ..serving.bench import serving_policy_spec
@@ -100,150 +71,23 @@ def _clusterkv_engine(config: PerfBenchConfig, max_new_tokens: int):
     selector = build_policy(serving_policy_spec("clusterkv", config.num_sink_tokens))
     gen = GenerationConfig(
         budget=config.budget,
-        max_new_tokens=max_new_tokens,
+        max_new_tokens=1,
         num_full_layers=config.num_full_layers,
         num_sink_tokens=config.num_sink_tokens,
     )
-    return InferenceEngine(model, selector, gen)
-
-
-def _bench_prompt(config: PerfBenchConfig, length: int):
-    import numpy as np
-
-    from ..model import get_model_config
-
-    vocab = get_model_config(config.model).vocab_size
+    engine = InferenceEngine(model, selector, gen)
     rng = np.random.default_rng(config.seed)
-    return rng.integers(4, vocab, size=length).astype(np.int64)
-
-
-def _counted_prefill(config: PerfBenchConfig) -> tuple[float, dict[str, int]]:
-    """Wall seconds and op counters of one exact prefill of the long prompt."""
-    prompt = _bench_prompt(config, config.prefill_prompt_len)
-    engine = _clusterkv_engine(config, max_new_tokens=1)
+    prompt = rng.integers(
+        4, model.config.vocab_size, size=config.prefill_prompt_len
+    ).astype(np.int64)
     with count_ops() as ops:
-        start = time.perf_counter()
         engine._core.prefill(engine._sequence, prompt)
-        seconds = time.perf_counter() - start
-    return seconds, ops.as_dict()
+    return ops.as_dict()
 
 
-def _prefill_section(config: PerfBenchConfig) -> dict[str, object]:
-    """Time one exact prefill (plus ClusterKV build) of a long prompt."""
-    runs = [_counted_prefill(config) for _ in range(config.repeats)]
-    return {
-        "wall_seconds": min(seconds for seconds, _ in runs),
-        "pre_pr_baseline_wall_seconds": PRE_PR_BASELINE_PREFILL_WALL_SECONDS,
-        "prompt_tokens": config.prefill_prompt_len,
-        "counters": runs[-1][1],
-    }
-
-
-def _decode_section(config: PerfBenchConfig) -> dict[str, object]:
-    """Time steady-state single-sequence decode stepping under ClusterKV."""
-    best = float("inf")
-    counter_snapshot: dict[str, int] = {}
-    for _ in range(config.repeats):
-        engine = _clusterkv_engine(config, max_new_tokens=config.decode_steps)
-        prompt = _bench_prompt(config, config.decode_prompt_len)
-        core, seq = engine._core, engine._sequence
-        distribution = core.prefill(seq, prompt)
-        token = core.pick_token(seq, distribution)
-        with count_ops() as ops:
-            start = time.perf_counter()
-            for step in range(config.decode_steps - 1):
-                distribution = core.decode_step_batch([seq], [token], [step])[0]
-                token = core.pick_token(seq, distribution)
-            best = min(best, time.perf_counter() - start)
-        counter_snapshot = ops.as_dict()
-    steps = config.decode_steps - 1
-    return {
-        "wall_seconds": best,
-        "decode_steps": steps,
-        "tokens_per_second": steps / best if best > 0 else 0.0,
-        "counters": counter_snapshot,
-    }
-
-
-def _clustering_section(config: PerfBenchConfig) -> dict[str, object]:
-    """Time batched k-means over every head of one pinned key tensor."""
-    import numpy as np
-
-    from ..core.clustering import kmeans_cluster_batch
-
-    rng = np.random.default_rng(config.seed + 1)
-    keys = rng.normal(
-        size=(config.clustering_heads, config.clustering_tokens, config.clustering_dim)
-    )
-    best = float("inf")
-    results = []
-    counter_snapshot: dict[str, int] = {}
-    for _ in range(config.repeats):
-        with count_ops() as ops:
-            start = time.perf_counter()
-            results = kmeans_cluster_batch(
-                keys, config.clustering_clusters, metric="cosine", seed=config.seed
-            )
-            best = min(best, time.perf_counter() - start)
-        counter_snapshot = ops.as_dict()
-    return {
-        "wall_seconds": best,
-        "heads": config.clustering_heads,
-        "tokens": config.clustering_tokens,
-        "n_iters": [r.n_iters for r in results],
-        "converged": [bool(r.converged) for r in results],
-        "counters": counter_snapshot,
-    }
-
-
-def _bench_engine(config: PerfBenchConfig, **overrides: object):
-    """The serving-tuned engine spec of the pinned serve/traffic workloads."""
+def _parallel_bench_config(config: PerfBenchConfig):
+    """The pinned multi-replica traffic workload of the parallel-serve scenario."""
     from ..serving.bench import serving_engine_spec
-
-    return serving_engine_spec(
-        model=config.model,
-        budget=config.budget,
-        num_sink_tokens=config.num_sink_tokens,
-        num_full_layers=config.num_full_layers,
-        **overrides,
-    )
-
-
-def _serve_section(config: PerfBenchConfig) -> dict[str, object]:
-    """End-to-end continuous-batching throughput on the serve-sim config."""
-    from ..serving.bench import ServeBenchConfig, run_serve_bench
-
-    bench = ServeBenchConfig(
-        engine=_bench_engine(
-            config,
-            max_batch_size=config.serve_batch,
-            max_new_tokens=config.serve_new_tokens,
-        ),
-        methods=tuple(PRE_PR_BASELINE_TOKENS_PER_S),
-        num_requests=config.serve_requests,
-        prompt_len=config.serve_prompt_len,
-        repeats=config.repeats,
-        seed=config.seed,
-    )
-    rows = run_serve_bench(bench)
-    section: dict[str, object] = {}
-    for row in rows:
-        baseline = PRE_PR_BASELINE_TOKENS_PER_S.get(row.method)
-        section[row.method] = {
-            "batched_tokens_per_second": row.batched_tokens_per_second,
-            "sequential_tokens_per_second": row.sequential_tokens_per_second,
-            "batched_engine_steps": row.batched_engine_steps,
-            "total_tokens": row.total_tokens,
-            "pre_pr_baseline_tokens_per_second": baseline,
-            "speedup_vs_pre_pr": (
-                row.batched_tokens_per_second / baseline if baseline else None
-            ),
-        }
-    return section
-
-
-def _parallel_bench_config(config: PerfBenchConfig, workers: int | None = None):
-    """The pinned multi-replica traffic workload of the parallel-serve bench."""
     from ..traffic.bench import TrafficBenchConfig, WorkloadSpec
     from ..traffic.simulator import TrafficConfig
 
@@ -256,54 +100,17 @@ def _parallel_bench_config(config: PerfBenchConfig, workers: int | None = None):
             seed=config.seed,
         ),
         fleet=TrafficConfig(
-            engine=_bench_engine(config, max_new_tokens=config.parallel_new_tokens),
+            engine=serving_engine_spec(
+                model=config.model,
+                budget=config.budget,
+                num_sink_tokens=config.num_sink_tokens,
+                num_full_layers=config.num_full_layers,
+                max_new_tokens=config.parallel_new_tokens,
+            ),
             num_replicas=config.parallel_replicas,
             router="jsq",
-            workers=workers,
         ),
     )
-
-
-def _parallel_serve_section(config: PerfBenchConfig) -> dict[str, object]:
-    """Wall-clock speedup of the multiprocess backend over serial stepping.
-
-    Runs the pinned ``parallel_serve`` workload once on the serial
-    backend and once over ``min(parallel_replicas, cpu_count)`` worker
-    processes, and records both walls plus their ratio.  The reports are
-    byte-compared as a side effect (``reports_identical``).  Speedup is
-    machine-dependent: it approaches the worker count on a box with that
-    many free cores and can drop below 1.0 on a single-core host, where
-    the IPC overhead has no parallelism to pay for it (the recorded
-    ``cpu_count`` says which regime produced the numbers).
-    """
-    import os
-
-    from ..traffic.bench import build_bench_requests
-    from ..traffic.simulator import TrafficSimulator
-
-    serial_config = _parallel_bench_config(config)
-    requests = build_bench_requests(serial_config)
-    with TrafficSimulator(serial_config.fleet) as sim:
-        start = time.perf_counter()
-        serial_report = sim.run(requests)
-        serial_s = time.perf_counter() - start
-
-    workers = max(1, min(config.parallel_replicas, os.cpu_count() or 1))
-    parallel_config = _parallel_bench_config(config, workers=workers)
-    with TrafficSimulator(parallel_config.fleet) as sim:
-        start = time.perf_counter()
-        parallel_report = sim.run(requests)
-        parallel_s = time.perf_counter() - start
-
-    return {
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s > 0 else 0.0,
-        "workers": workers,
-        "cpu_count": os.cpu_count() or 1,
-        "replicas": config.parallel_replicas,
-        "reports_identical": serial_report.to_json() == parallel_report.to_json(),
-    }
 
 
 def deterministic_counters(config: PerfBenchConfig | None = None) -> dict[str, object]:
@@ -414,8 +221,8 @@ def deterministic_counters(config: PerfBenchConfig | None = None) -> dict[str, o
             target.restore_request(source.checkpoint_request(request_id, keep=False))
         migrated_report = target.run()
 
-    # Parallel-serve scenario: the pinned 4-replica traffic workload of the
-    # wall-clock section, run on the serial backend.  The multiprocess
+    # Parallel-serve scenario: the pinned 4-replica traffic workload, run on
+    # the serial backend.  The multiprocess
     # backend is byte-identical by construction (tests/test_execbackend.py),
     # so guarding the serial counters pins both: a drift in step scheduling
     # or GEMM launches on either backend shows up here.
@@ -471,7 +278,7 @@ def deterministic_counters(config: PerfBenchConfig | None = None) -> dict[str, o
         # every row block stops at its causal frontier.
         "prefill": {
             "prompt_tokens": config.prefill_prompt_len,
-            "counters": _counted_prefill(config)[1],
+            "counters": _counted_prefill(config),
         },
         "serve": {
             "engine_steps": report.engine_steps,
@@ -516,75 +323,23 @@ def deterministic_counters(config: PerfBenchConfig | None = None) -> dict[str, o
     }
 
 
-def run_perf_bench(
-    config: PerfBenchConfig | None = None, include_wall: bool = True
-) -> dict[str, object]:
-    """Run the hot-path benchmark and return the ``BENCH_hotpaths`` payload.
+def run_perf_bench(config: PerfBenchConfig | None = None) -> dict[str, object]:
+    """Run the counter guard and return the ``BENCH_hotpaths.json`` payload.
 
-    ``include_wall=False`` skips the timed sections and produces only the
-    deterministic regression-guard counters (what ``scripts/check_perf.py``
-    recomputes in tier-1).
+    Every value is deterministic, so the checked-in file is byte-for-byte
+    regenerable on any machine (``scripts/check_perf.py --update``).
     """
     config = config or PerfBenchConfig()
-    payload: dict[str, object] = {
+    return {
         "schema": "repro.perf/hotpaths/v1",
         "config": asdict(config),
         "deterministic": deterministic_counters(config),
     }
-    if include_wall:
-        payload["wall"] = {
-            "prefill": _prefill_section(config),
-            "decode": _decode_section(config),
-            "clustering": _clustering_section(config),
-            "serve": _serve_section(config),
-            "parallel_serve": _parallel_serve_section(config),
-        }
-    return payload
 
 
 def format_perf_bench(payload: dict[str, object]) -> str:
     """Human-readable summary of one :func:`run_perf_bench` payload."""
-    lines = ["[perf-bench] hot-path timings and deterministic op counters"]
-    wall = payload.get("wall")
-    if isinstance(wall, dict):
-        prefill = wall["prefill"]
-        decode = wall["decode"]
-        clustering = wall["clustering"]
-        lines.append(
-            f"prefill     {prefill['prompt_tokens']:5d} tokens   "
-            f"{prefill['wall_seconds'] * 1e3:8.2f} ms   "
-            f"(pre-PR {prefill['pre_pr_baseline_wall_seconds'] * 1e3:.2f} ms)"
-        )
-        lines.append(
-            f"decode      {decode['decode_steps']:5d} steps    "
-            f"{decode['wall_seconds'] * 1e3:8.2f} ms   "
-            f"{decode['tokens_per_second']:8.1f} tok/s"
-        )
-        lines.append(
-            f"clustering  {clustering['tokens']:5d} tokens   "
-            f"{clustering['wall_seconds'] * 1e3:8.2f} ms   "
-            f"iters={clustering['n_iters']}"
-        )
-        lines.append(
-            f"{'serve method':14s} {'batch tok/s':>12s} {'pre-PR tok/s':>13s} {'speedup':>8s}"
-        )
-        for method, row in wall["serve"].items():
-            speedup = row["speedup_vs_pre_pr"]
-            lines.append(
-                f"{method:14s} {row['batched_tokens_per_second']:12.1f} "
-                f"{row['pre_pr_baseline_tokens_per_second']:13.1f} "
-                f"{(f'{speedup:.2f}x' if speedup else 'n/a'):>8s}"
-            )
-        parallel = wall.get("parallel_serve")
-        if parallel:
-            lines.append(
-                f"parallel-serve {parallel['replicas']} replicas x "
-                f"{parallel['workers']} workers ({parallel['cpu_count']} cores): "
-                f"serial {parallel['serial_s'] * 1e3:.1f} ms, "
-                f"multiprocess {parallel['parallel_s'] * 1e3:.1f} ms, "
-                f"speedup {parallel['speedup']:.2f}x, "
-                f"identical={parallel['reports_identical']}"
-            )
+    lines = ["[perf-bench] deterministic hot-path op counters"]
     deterministic = payload["deterministic"]
     serve = deterministic["serve"]
     lines.append(
@@ -604,8 +359,3 @@ def format_perf_bench(payload: dict[str, object]) -> str:
         )
     return "\n".join(lines)
 
-
-def write_bench_file(path: str, payload: dict[str, object]) -> None:
-    """Write the payload as pretty-printed JSON to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

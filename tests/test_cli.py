@@ -23,6 +23,7 @@ CLUSTER_GOLDEN = (
     "--autoscaler queue_depth:high=1,low=0.25,cooldown_s=1 --admission token_budget "
     f"--kill 4.0@0 --seed 3 {TINY}"
 )
+PERF_GOLDEN = "perf-bench"
 GOLDEN = {
     TRAFFIC_GOLDEN: "352b1cb3b2b99205",
     "traffic-bench --requests 6 --arrivals onoff --burstiness 6 --policy clusterkv "
@@ -50,6 +51,9 @@ GOLDEN = {
     "capacity-bench --scenario latency_curve --sweep 32:64:32 --concurrency 2 "
     "--rates 0.5 2.0 --requests 4 --new-tokens 4 --budget 16 --model tiny "
     "--slo-ttft 4 --slo-tpot 0.5 --slo-floor 0.5 --seed 1 --json": "748d6b1dfca68fb7",
+    # perf-bench joined the table when it stopped timing anything: its stdout
+    # is the deterministic counters, pinned from that commit on.
+    PERF_GOLDEN: "79b6c4afe7423b1d",
 }
 
 
@@ -198,7 +202,8 @@ class TestMain:
             )
 
     @pytest.mark.parametrize(
-        "argv", [a for a in GOLDEN if a not in (TRAFFIC_GOLDEN, CLUSTER_GOLDEN)]
+        "argv",
+        [a for a in GOLDEN if a not in (TRAFFIC_GOLDEN, CLUSTER_GOLDEN, PERF_GOLDEN)],
     )
     def test_golden_stdout(self, capsys, argv):
         assert stdout_digest(capsys, argv)[1] == GOLDEN[argv]
@@ -210,6 +215,20 @@ class TestMain:
         assert first == second
         assert '"num_replicas": 2' in first
         assert digest == GOLDEN[TRAFFIC_GOLDEN]
+
+    def test_perf_bench_is_bit_reproducible(self, capsys):
+        first, digest = stdout_digest(capsys, PERF_GOLDEN)
+        second, _ = stdout_digest(capsys, PERF_GOLDEN)
+        assert first == second
+        assert "[perf-bench]" in first
+        assert digest == GOLDEN[PERF_GOLDEN]
+
+    @pytest.mark.parametrize("flag", ["--counters-only", "--write=BENCH_hotpaths.json"])
+    def test_perf_bench_has_no_stopwatch_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["perf-bench", flag])
+        assert usage.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_traffic_bench_table_output(self, capsys):
         assert (

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import (
     ACCURACY_METHODS,
     ContextScale,
+    Fig9Config,
     Fig12Config,
     Fig13Config,
     PAPER_TABLE1,
@@ -15,10 +16,12 @@ from repro.experiments import (
     format_kv,
     format_series,
     format_table,
+    run_fig9,
     run_fig12,
     run_fig13_infinigen,
     run_fig13_quest,
 )
+from repro.experiments import fig9_longbench
 from repro.baselines import FullKVSelector, InfiniGenSelector, QuestSelector
 from repro.core import ClusterKVSelector
 
@@ -98,6 +101,36 @@ class TestPaperReference:
             assert PAPER_TABLE1["clusterkv"][budget] > PAPER_TABLE1["infinigen"][budget]
             assert PAPER_TABLE1["clusterkv"][budget] > PAPER_TABLE1["quest"][budget]
             assert PAPER_TABLE1["clusterkv"][budget] < PAPER_TABLE1["full"][budget]
+
+
+class TestFig9:
+    def test_full_kv_is_generated_once_per_sample(self, monkeypatch):
+        """``full`` ignores the budget: one generation fills its whole row.
+
+        The scores are the ones the four-generations-per-sample loop
+        produced, so ``format_fig9`` / ``format_table1`` output is unchanged.
+        """
+        calls = []
+        evaluate_sample = fig9_longbench.evaluate_sample
+
+        def spy(context, selector, sample, budget, **kwargs):
+            calls.append(budget)
+            return evaluate_sample(context, selector, sample, budget, **kwargs)
+
+        monkeypatch.setattr(fig9_longbench, "evaluate_sample", spy)
+        config = Fig9Config(scale=ContextScale(64), num_samples=1, tasks=("hotpotqa",))
+        result = run_fig9(config)
+
+        budgets = len(config.paper_budgets)
+        assert len(calls) == config.num_samples * (1 + 3 * budgets)
+        assert calls.count(None) == config.num_samples
+        hit, miss = {"hotpotqa": 6 / 7}, {"hotpotqa": 0.0}
+        assert result.table.scores == {
+            "full": {256: hit, 512: hit, 1024: hit, 2048: hit},
+            "clusterkv": {256: miss, 512: miss, 1024: hit, 2048: hit},
+            "quest": {256: miss, 512: miss, 1024: miss, 2048: hit},
+            "infinigen": {256: hit, 512: hit, 1024: hit, 2048: hit},
+        }
 
 
 class TestPerfExperiments:

@@ -8,36 +8,59 @@ creeping back, duplicated selection scoring, instrumentation GEMMs on the
 disabled path) in CI, where wall-clock timings would be pure noise.
 """
 
+import json
 import sys
 from pathlib import Path
 
 SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
 sys.path.insert(0, str(SCRIPTS_DIR))
 
-from check_perf import BENCH_PATH, counter_diff, load_baseline  # noqa: E402
+import check_perf  # noqa: E402
+from check_perf import BENCH_PATH, baseline_diff  # noqa: E402
 
 from repro.model import attention, get_model_config  # noqa: E402
+from repro.perf import run_perf_bench  # noqa: E402
 
 
-def test_bench_file_exists_and_has_sections():
-    """The committed bench file is present with its regression-guard section."""
+def load_baseline() -> dict:
+    """The checked-in ``BENCH_hotpaths.json`` payload."""
+    return json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+
+
+def test_bench_file_is_byte_regenerable():
+    """The committed bench file is exactly what ``--update`` would write.
+
+    Holds only because the file carries no wall-clock number: its keys are
+    the deterministic payload and nothing else.
+    """
     assert BENCH_PATH.exists(), (
         f"missing {BENCH_PATH}; create it with: python scripts/check_perf.py --update"
     )
     payload = load_baseline()
-    assert "deterministic" in payload
+    assert set(payload) == {"schema", "config", "deterministic"}
     assert "serve" in payload["deterministic"]
     assert "kmeans" in payload["deterministic"]
+    text = json.dumps(run_perf_bench(), indent=2, sort_keys=True) + "\n"
+    assert text == BENCH_PATH.read_text(encoding="utf-8")
 
 
 def test_deterministic_counters_match_baseline():
     """Live engine-step / GEMM / k-means counters equal the checked-in ones."""
-    mismatches = counter_diff()
+    mismatches = baseline_diff(BENCH_PATH)
     assert not mismatches, (
         "deterministic hot-path counters drifted from BENCH_hotpaths.json:\n"
         + "\n".join(f"  - {line}" for line in mismatches)
         + "\nintentional? run: python scripts/check_perf.py --update"
     )
+
+
+def test_config_edit_without_regenerating_is_caught(monkeypatch):
+    """The comparison covers the whole file, so a ``PerfBenchConfig`` edit
+    that forgets ``--update`` fails even when no counter depends on it."""
+    live = load_baseline()
+    live["config"]["seed"] += 1
+    monkeypatch.setitem(check_perf.BASELINES, BENCH_PATH, lambda: live)
+    assert baseline_diff(BENCH_PATH) == ["config.seed: baseline=0 current=1"]
 
 
 def test_gemm_counters_prove_vectorization():
@@ -79,4 +102,3 @@ def test_prefill_attention_stops_at_the_causal_frontier():
     assert 1 <= block < tokens  # the pinned prefill takes the blocked path
     bound = 0.5 * tokens**2 * heads * (1 + block / tokens) * model.n_layers
     assert 0 < prefill["counters"]["attention_prefill.score_elements"] <= bound
-    assert payload["wall"]["prefill"]["pre_pr_baseline_wall_seconds"] > 0
