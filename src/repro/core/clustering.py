@@ -129,6 +129,19 @@ def _init_centroids(
     return keys[chosen].copy()
 
 
+def _label_sums(rows: np.ndarray, labels: np.ndarray, n_bins: int) -> np.ndarray:
+    """Per-label sums of ``rows`` (``(N, d)``), shape ``(n_bins, d)``.
+
+    One weighted ``np.bincount`` per column: it accumulates in input order
+    like ``np.add.at(sums, labels, rows)`` — the same bits — without that
+    call's per-element dispatch.
+    """
+    sums = np.empty((n_bins, rows.shape[1]))
+    for column in range(rows.shape[1]):
+        sums[:, column] = np.bincount(labels, weights=rows[:, column], minlength=n_bins)
+    return sums
+
+
 def _update_centroids(
     keys: np.ndarray,
     labels: np.ndarray,
@@ -140,9 +153,7 @@ def _update_centroids(
     Empty clusters keep their previous centroid; they are repaired by
     :func:`_repair_empty_clusters` before the next assignment.
     """
-    d = keys.shape[1]
-    sums = np.zeros((n_clusters, d))
-    np.add.at(sums, labels, keys)
+    sums = _label_sums(keys, labels, n_clusters)
     counts = np.bincount(labels, minlength=n_clusters).astype(np.float64)
     centroids = previous.copy()
     non_empty = counts > 0
@@ -339,17 +350,17 @@ def kmeans_cluster_batch(
         live_labels = new_labels[~unchanged]
         labels[live] = live_labels
 
-        # Batched update step: one np.add.at / bincount over all still-
-        # moving heads (per-(head, cluster) accumulation order equals the
-        # per-head _update_centroids call, so centroids are bit-identical).
+        # Batched update step: one pass of per-label sums / counts over all
+        # still-moving heads (per-(head, cluster) accumulation order equals
+        # the per-head _update_centroids call, so centroids are bit-identical).
         offsets = np.arange(live.size, dtype=np.int64)[:, None] * n_clusters
         flat = (live_labels + offsets).ravel()
-        sums = np.zeros((live.size * n_clusters, dim))
-        np.add.at(sums, flat, keys[live].reshape(-1, dim))
+        sums = _label_sums(
+            keys[live].reshape(-1, dim), flat, live.size * n_clusters
+        ).reshape(live.size, n_clusters, dim)
         counts = np.bincount(flat, minlength=live.size * n_clusters).reshape(
             live.size, n_clusters
         )
-        sums = sums.reshape(live.size, n_clusters, dim)
         non_empty = counts > 0
         for slot, head in enumerate(live):
             updated = centroids[head]

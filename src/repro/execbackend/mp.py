@@ -37,7 +37,10 @@ are deterministic functions of the model configuration: a forked worker
 inherits bit-identical tables, a spawned worker rebuilds bit-identical
 ones, so outputs never drift across processes (pinned by the backend
 parity tests, and re-checkable at runtime via
-:meth:`MultiprocessBackend.model_digests`).
+:meth:`MultiprocessBackend.model_digests`).  The prefill lanes of
+:mod:`repro.model._lanes` are threads that live only inside one call, so
+a parent that has prefilled before the pool forks hands its workers no
+thread state.
 
 Worker-side perf counters are folded back into the parent's active
 :func:`repro.perf.count_ops` counter when the simulator finishes a run —
@@ -61,6 +64,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from ..model import TransformerModel, get_model_config
+from ..model._lanes import available_cpus, set_lane_cap
 from ..model.weights import LayerWeights, ModelWeights
 from ..perf import count_ops
 from ..perf.counters import record
@@ -261,6 +265,7 @@ def _worker_main(
     manifest: list[tuple[str, tuple[int, ...], str, int]],
     num_layers: int,
     spec_blob: bytes,
+    workers: int,
 ) -> None:
     """Serve engine commands until ``close`` or pipe EOF.
 
@@ -268,6 +273,10 @@ def _worker_main(
     GEMM/k-means event is tallied; the parent drains the tallies at the
     end of each simulation run.
     """
+    # A worker sees the whole machine in its affinity mask; its prefill
+    # lanes take only this worker's share so the pool does not
+    # oversubscribe the box on long prompts.
+    set_lane_cap(max(1, available_cpus() // workers))
     # Attaching registers the segment with the process tree's (shared)
     # resource tracker; registrations dedupe, and the parent's unlink at
     # close() retires the single entry — no per-worker unregister needed.
@@ -600,6 +609,7 @@ class MultiprocessBackend(ExecutionBackend):
             self._arena.manifest,
             self._arena.num_layers,
             pickle.dumps(spec),
+            workers,
         )
         self._clients = [_WorkerClient(ctx, i, worker_args) for i in range(workers)]
         self._next_handle = 0

@@ -19,8 +19,10 @@ same BLAS kernel as the equivalent 2-D products, so short prefills and
 decode reproduce the historical per-head loops bit for bit — pinned by
 ``tests/test_hotpath_equivalence.py``.  Long prefills process queries in
 cache-sized row blocks, each against the keys up to its causal frontier
-only; row sums then skip exactly-zero terms, so last bits differ from the
-single-shot result (suite-verified).  :func:`selected_attention_batch` is
+only, dealt to one lane (thread) per CPU the process owns; row sums then
+skip exactly-zero terms and the output, not the weights, is normalised,
+so last bits differ from the single-shot result (suite-verified) — but
+never with the lane count.  :func:`selected_attention_batch` is
 the decode hot path: per-kv-head selections arrive as one stacked
 (optionally padded) tensor, two GEMM launches whatever the head count.
 """
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..perf import counters
+from ._lanes import lane_count, run_lanes
 
 __all__ = [
     "AttentionOutput",
@@ -66,6 +69,10 @@ class AttentionOutput:
 # their causal frontier and are smaller) — measured sweet spot on long
 # prompts; prompts whose whole score tensor fits are a single block.
 _PREFILL_BLOCK_ELEMENTS = 1 << 18
+
+# Blocks a lane must have before a second lane pays for its thread (measured
+# for the kernel alone, docs/PERFORMANCE.md § Prefill).
+_MIN_BLOCKS_PER_LANE = 4
 
 
 def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
@@ -125,26 +132,53 @@ def full_causal_attention(
     # and only the trailing rows x rows triangle of a block needs masking.
     # Weight-returning callers (analyses on short contexts) and short prompts
     # are one full-width block — the historical single-shot computation.
-    if return_weights or n_heads * t_q * t_k <= _PREFILL_BLOCK_ELEMENTS:
-        block = t_q
-    else:
-        block = max(1, _PREFILL_BLOCK_ELEMENTS // (n_heads * t_k))
+    blocked = not (return_weights or n_heads * t_q * t_k <= _PREFILL_BLOCK_ELEMENTS)
+    block = max(1, _PREFILL_BLOCK_ELEMENTS // (n_heads * t_k)) if blocked else t_q
+    starts = range(0, t_q, block)
+    # Blocks are independent, so they are dealt round-robin to lanes (balances
+    # the growing causal widths; a single block is a single lane).  Per-block
+    # arithmetic is the same whatever the lane count, so the result does not
+    # depend on it.
+    lanes = lane_count(len(starts), _MIN_BLOCKS_PER_LANE)
+    if blocked:
+        # A block drops two of its passes over the score tensor: the queries
+        # carry the scale in (T x d, once) and the (rows x d) output is
+        # normalised, not the (rows x width) weights.
+        grouped = grouped * scale
     future = ~np.tri(block, dtype=bool)  # [i, j]: block key j is after row i
-    buffer = np.empty(n_heads * block * t_k)
+    buffers = np.empty((lanes, n_heads * block * t_k))  # one score buffer per lane
     stacked = np.empty((t_q, n_heads, head_dim))
-    for start in range(0, t_q, block):
+    for start in starts:  # counters are recorded on the calling thread only
         end = min(start + block, t_q)
-        rows, width = end - start, offset + end
-        scores = buffer[: n_heads * rows * width].reshape(n_kv_heads, group, rows, -1)
-        np.matmul(grouped[:, :, start:end], keys_t[..., :width], out=scores)
         counters.record("gemm.attention_prefill", 2)
-        counters.record("attention_prefill.score_elements", scores.size)
-        scores *= scale
-        np.copyto(scores[..., width - rows :], -1e30, where=future[:rows, :rows])
-        weights = _softmax_inplace(scores)
-        outputs = np.matmul(weights, values_b[:, :, :width])  # (n_kv, group, rows, d)
-        stacked[start:end] = outputs.reshape(n_heads, rows, head_dim).swapaxes(0, 1)
-    weights_list = list(weights.reshape(n_heads, t_q, t_k)) if return_weights else None
+        counters.record(
+            "attention_prefill.score_elements", n_heads * (end - start) * (offset + end)
+        )
+
+    def attend(lane: int) -> None:
+        for start in starts[lane::lanes]:
+            end = min(start + block, t_q)
+            rows, width = end - start, offset + end
+            scores = buffers[lane][: n_heads * rows * width].reshape(
+                n_kv_heads, group, rows, -1
+            )
+            np.matmul(grouped[:, :, start:end], keys_t[..., :width], out=scores)
+            if not blocked:
+                scores *= scale
+            np.copyto(scores[..., width - rows :], -1e30, where=future[:rows, :rows])
+            if blocked:
+                scores -= scores.max(axis=-1, keepdims=True)
+                np.exp(scores, out=scores)
+                sums = scores.sum(axis=-1, keepdims=True)
+                outputs = np.matmul(scores, values_b[:, :, :width])
+                outputs /= sums
+            else:
+                outputs = np.matmul(_softmax_inplace(scores), values_b[:, :, :width])
+            # outputs: (n_kv, group, rows, d)
+            stacked[start:end] = outputs.reshape(n_heads, rows, head_dim).swapaxes(0, 1)
+
+    run_lanes(attend, lanes)
+    weights_list = list(buffers[0].reshape(n_heads, t_q, t_k)) if return_weights else None
     return AttentionOutput(stacked.reshape(t_q, n_heads * head_dim), weights_list)
 
 

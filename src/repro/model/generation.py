@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from ..baselines.full import FullKVSelector
 from ..baselines.oracle import top_k_indices
 from ..memory import OffloadManager, TransferLedger
 from ..perf import counters
+from ._lanes import lane_count, run_lanes
 from .attention import (
     _softmax_inplace,
     full_causal_attention,
@@ -64,6 +66,11 @@ from .sampling import (
 )
 from .tensor_ops import softmax
 from .transformer import TransformerModel
+
+# Row chunk of the prefill's dense blocks: bounds a lane's temporaries (the
+# (rows, 2 d_ff) gate/up product above all) and is the least a lane must
+# have before a second one pays (docs/PERFORMANCE.md § Prefill).
+_DENSE_CHUNK_ROWS = 256
 
 __all__ = [
     "RecallRecord",
@@ -297,6 +304,9 @@ class EngineCore:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Reusable buffers for :meth:`_attend_stacked`, grown by doubling.
 
+        Only the dimension that fell short grows: a wider selection keeps
+        the row count, a bigger batch keeps the width.
+
         The K/V buffer is zero-initialised on (re)allocation and *not*
         re-zeroed between steps: stale entries beyond a request's valid
         length are masked to ``-inf`` scores (keys) or multiplied by an
@@ -306,8 +316,12 @@ class EngineCore:
         config = self.model.config
         kv = self._stacked_kv
         if kv is None or kv.shape[1] < num or kv.shape[3] < s_max:
-            rows = max(num, 2 if kv is None else kv.shape[1] * 2)
-            width = 64 if kv is None else kv.shape[3]
+            if kv is None:
+                rows, width = max(num, 2), 64
+            else:
+                rows, width = kv.shape[1], kv.shape[3]
+                if rows < num:
+                    rows = max(num, rows * 2)
             while width < s_max:
                 width *= 2
             self._stacked_kv = np.zeros(
@@ -387,8 +401,37 @@ class EngineCore:
         positions = np.arange(start, end)
         hidden = self.model.embed(prompt_ids[start:end], positions)
 
+        # The dense blocks are row-independent: each layer's QKV+RoPE and its
+        # output projection+FFN run as fixed row chunks dealt round-robin to
+        # lanes (repro.model._lanes), writing into arrays allocated here.
+        # The chunking does not depend on the lane count, so neither does
+        # any byte of the result.  Everything stateful — KV store, attention
+        # (it records counters and runs lanes of its own), selectors, copy
+        # head, logits — stays on this thread.
+        model = self.model
+        rows = end - start
+        chunks = range(0, rows, _DENSE_CHUNK_ROWS)
+        lanes = lane_count(rows, _DENSE_CHUNK_ROWS)
+        model.reserve_positions(end)  # lanes must never grow the shared RoPE tables
+        q = np.empty((config.n_heads, rows, config.head_dim))
+        k = np.empty((config.n_kv_heads, rows, config.head_dim))
+        v = np.empty_like(k)
+
+        def in_row_chunks(block: Callable[[slice], None]) -> None:
+            def lane_chunks(lane: int) -> None:
+                for lo in chunks[lane::lanes]:
+                    block(slice(lo, lo + _DENSE_CHUNK_ROWS))
+
+            run_lanes(lane_chunks, lanes)
+
         for layer_idx in range(config.n_layers):
-            q, k, v = self.model.attention_qkv(layer_idx, hidden, positions)
+
+            def project(part: slice) -> None:
+                q[:, part], k[:, part], v[:, part] = model.attention_qkv(
+                    layer_idx, hidden[part], positions[part]
+                )
+
+            in_row_chunks(project)
             seq.kv_store.append(layer_idx, k, v, step=-1)
             if whole_prefix:
                 keys_ctx, values_ctx = k, v
@@ -396,8 +439,14 @@ class EngineCore:
                 keys_ctx = seq.kv_store.keys(layer_idx)
                 values_ctx = seq.kv_store.values(layer_idx)
             attn = full_causal_attention(q, keys_ctx, values_ctx, config.softmax_scale)
-            hidden = self.model.attention_output(layer_idx, hidden, attn.output)
-            hidden = self.model.ffn(layer_idx, hidden)
+
+            def mix(part: slice) -> None:
+                hidden[part] = model.ffn(
+                    layer_idx,
+                    model.attention_output(layer_idx, hidden[part], attn.output[part]),
+                )
+
+            in_row_chunks(mix)
 
         if seq.copy_head is not None:
             seq._prefill_copy_keys.append(seq.copy_head.ingest(prompt_ids[start:end]))

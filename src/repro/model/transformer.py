@@ -14,6 +14,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .tensor_ops import (
+    _rope_tables,
     apply_rope,
     gelu,
     layer_norm,
@@ -133,6 +134,16 @@ class TransformerModel:
             q = apply_rope(q, positions, self._inv_freq)
             k = apply_rope(k, positions, self._inv_freq)
         return q, k, v
+
+    def reserve_positions(self, end: int) -> None:
+        """Grow the shared RoPE tables to cover positions ``[0, end)`` now.
+
+        The tables grow lazily by doubling inside :func:`apply_rope`; a
+        caller about to run :meth:`attention_qkv` on several threads does
+        the growing here first, on its own thread.
+        """
+        if self._inv_freq is not None:
+            _rope_tables(self._inv_freq, end)
 
     def attention_output(
         self, layer_idx: int, hidden: np.ndarray, attn_concat: np.ndarray

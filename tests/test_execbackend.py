@@ -10,6 +10,7 @@ along but stays out of the serialized report.
 """
 
 import json
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.cluster import ClusterBenchConfig, ClusterConfig, FailurePlan, run_cl
 from repro.execbackend import MultiprocessBackend, WorkerCrashed
 from repro.execbackend.mp import _model_digest
 from repro.memory import CapacityExceeded
+from repro.model import _lanes
 from repro.perf.counters import count_ops
 from repro.serving.bench import serving_engine_spec
 from repro.traffic.bench import (
@@ -85,10 +87,10 @@ def capacity_config(workers=None, **engine) -> CapacityScenarioConfig:
     return CapacityScenarioConfig(fleet=replace(fleet, engine=engine, workers=workers))
 
 
-def run_traffic(config: TrafficBenchConfig):
+def run_traffic(config: TrafficBenchConfig, requests=None):
     """Run the benchmark workload, returning (report, raw per-request outputs)."""
     with TrafficSimulator(config.fleet) as sim:
-        report = sim.run(build_bench_requests(config))
+        report = sim.run(build_bench_requests(config) if requests is None else requests)
         outputs = {
             request_id: (
                 np.asarray(item.result.output_ids),
@@ -122,6 +124,30 @@ class TestTrafficParity:
         assert serial_ops.as_dict()  # non-trivial: the engines did work
         assert parallel.wall["backend"]["name"] == "multiprocess"
         assert parallel.wall["backend"]["workers"] == 2
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_long_prompt_after_a_laned_parent_prefill(self, monkeypatch, cpus):
+        """The pool forks after the parent has prefilled on several lanes.
+
+        The serial run prefills the 1100-token prompt on ``cpus`` lanes in
+        this process; the two workers forked afterwards cap themselves at
+        ``cpus // 2`` lanes each (1 = the serial path, 2 = threads inside a
+        forked worker).  Same report bytes, same outputs, same op counters.
+        """
+        monkeypatch.setattr(_lanes, "available_cpus", lambda: cpus)
+        requests = build_bench_requests(traffic_config())
+        long_prompt = np.random.default_rng(11).integers(4, 2048, size=1100)
+        requests[0] = replace(requests[0], prompt_ids=long_prompt)
+        with count_ops() as serial_ops:
+            serial, serial_outputs = run_traffic(traffic_config(), requests)
+        threads = threading.active_count()
+        with count_ops() as parallel_ops:
+            parallel, parallel_outputs = run_traffic(traffic_config(workers=2), requests)
+        assert serial.to_json() == parallel.to_json()
+        assert_outputs_identical(serial_outputs, parallel_outputs)
+        assert serial_ops.as_dict() == parallel_ops.as_dict()
+        assert threading.active_count() == threads
+        assert _lanes._lane_cap is None  # the cap is the workers', not the parent's
 
     def test_backend_spec_field_selects_multiprocess(self):
         report = run_traffic_bench(traffic_config(backend="multiprocess"))

@@ -191,3 +191,27 @@ class TestInferenceEngine:
         result = engine.generate(short_prompt)
         with pytest.raises(ValueError):
             result.perplexity()
+
+
+class TestStackedWorkspace:
+    """Growth of the fused cross-request attention buffers."""
+
+    def test_regrow_touches_only_the_short_dimension(self, tiny_model):
+        from repro.model.generation import EngineCore
+
+        core = EngineCore(tiny_model, GenerationConfig())
+        core._stacked_workspace(3, 60)
+        assert core._stacked_kv.shape[1:4:2] == (3, 64)
+        # Selections lengthen at a constant batch: rows must not double.
+        core._stacked_workspace(3, 65)
+        assert core._stacked_kv.shape[1:4:2] == (3, 128)
+        core._stacked_workspace(2, 300)
+        assert core._stacked_kv.shape[1:4:2] == (3, 512)
+        # A bigger batch at a covered width keeps the width.
+        core._stacked_workspace(4, 100)
+        assert core._stacked_kv.shape[1:4:2] == (6, 512)
+        assert core._stacked_queries.shape[0] == 6
+        assert core._stacked_lengths.shape[0] == 6
+        keys, values, queries, lengths = core._stacked_workspace(4, 100)
+        assert keys.shape[:1] + keys.shape[2:3] == (4, 100)
+        assert not keys.any() and not values.any()
