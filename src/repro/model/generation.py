@@ -57,13 +57,7 @@ from .attention import (
 from .config import GenerationConfig, ModelConfig
 from .kv_cache import KVCacheStore
 from .pointer import CopyHead
-from .sampling import (
-    DegenerateDistributionError,
-    apply_temperature,
-    greedy_sample,
-    mix_distributions,
-    temperature_sample,
-)
+from .sampling import greedy_sample, mix_distributions, temperature_sample
 from .tensor_ops import softmax
 from .transformer import TransformerModel
 
@@ -106,26 +100,6 @@ class StepAttentionRecord:
     selected_indices: list[np.ndarray]
     attention_weights: list[np.ndarray]
     true_scores: list[np.ndarray] | None = None
-
-
-@dataclass
-class _SpecAttendRecord:
-    """What one verify position did to one layer, for rollback replay.
-
-    Captured by :meth:`EngineCore._prepare_attend` while a speculative
-    round is active: the span of ledger events the position appended
-    (``[events[0], events[1])`` in the shared ledger), the new KV block
-    the selector observed, the context length its stats were bumped with
-    on the full-context path, and the exact ``select`` call it made (or
-    ``None`` when no selection ran).  Replaying the records of the
-    accepted positions against a restored selector snapshot reproduces
-    the state a speculation-off run would have reached.
-    """
-
-    events: tuple[int, int]
-    k_new: np.ndarray | None
-    context_length: int
-    select_args: tuple[np.ndarray, int, int] | None
 
 
 @dataclass
@@ -294,10 +268,6 @@ class EngineCore:
         self._stacked_kv: np.ndarray | None = None
         self._stacked_queries: np.ndarray | None = None
         self._stacked_lengths: np.ndarray | None = None
-        # Active speculative-round capture, or None outside a round.  Maps
-        # ``(id(seq), layer_idx)`` to the per-position attend records that
-        # let a rollback replay the accepted prefix (see speculative_round).
-        self._spec_capture: dict[tuple[int, int], list[_SpecAttendRecord]] | None = None
 
     def _stacked_workspace(
         self, num: int, s_max: int
@@ -570,12 +540,7 @@ class EngineCore:
             self._attn_buffers[batch] = attn_concat
         for layer_idx in range(config.n_layers):
             q, k, v = self.model.attention_qkv(layer_idx, hidden, positions)
-            if batch == 1:
-                attn_concat[0] = self._attend_one(
-                    seqs[0], layer_idx, q[:, 0, :], k[:, 0:1, :], v[:, 0:1, :], steps[0]
-                )
-            else:
-                self._attend_layer_batch(seqs, layer_idx, q, k, v, steps, attn_concat)
+            self._attend_layer_batch(seqs, layer_idx, q, k, v, steps, attn_concat)
             hidden = self.model.attention_output(layer_idx, hidden, attn_concat)
             hidden = self.model.ffn(layer_idx, hidden)
 
@@ -591,251 +556,6 @@ class EngineCore:
                 self._mix_copy(seq, all_probs[b], int(tokens[b]), allowed_indices)
             )
         return distributions
-
-    # ------------------------------------------------------------------
-    # speculative decoding (draft + verify + rollback)
-    # ------------------------------------------------------------------
-    def speculative_round(
-        self,
-        seqs: list[SequenceState],
-        token_ids: list[int],
-        steps: list[int],
-        drafts: list[list[int]],
-    ) -> list[list[int]]:
-        """One draft-then-verify round for a batch of sequences.
-
-        For each sequence the verify pass teacher-forces the fed entries
-        ``[current_token, d_1, ..., d_k]`` (``d_j`` the drafted
-        candidates; a sequence with an empty draft contributes just its
-        plain decode entry).  The pass sweeps the entries *time-major*:
-        position offset ``j`` of every drafting sequence is evaluated in
-        one call to :meth:`decode_step_batch`, so each position runs
-        byte-for-byte the code a speculation-off engine step would run —
-        which is what makes greedy speculation token- AND
-        logprob-identical to plain decoding (batching the offsets into
-        one wide GEMM instead would perturb the BLAS accumulation order
-        and break the repo's bit-identity contract; the virtual clock
-        still prices the round as a single fused pass, see
-        :meth:`repro.perfmodel.StepCostModel.step_seconds`).
-
-        Acceptance then runs per sequence: the longest matching prefix
-        of the draft for greedy decoding (plus the bonus token from the
-        first non-matching distribution), or distribution-preserving
-        rejection sampling against the re-tempered verified
-        distributions for temperature decoding.  Rejected positions are
-        rolled back so they leave no residue in the KV cache, the
-        selector and pointer states, or the offload ledger: the KV
-        buffers truncate (and resize their tier registrations down), the
-        selector states restore their round-start snapshots and replay
-        the accepted positions' captured ``observe``/``select`` calls,
-        the pointer head re-ingests the accepted tokens, and the
-        rejected positions' ledger events are dropped.
-
-        Emitted tokens (and their log-probabilities, taken from the raw
-        verified distributions exactly as in plain decoding) are
-        recorded on each sequence's result via :meth:`record_output`.
-        Returns the per-sequence emitted-token lists; every list holds
-        ``accepted + 1`` tokens.
-        """
-        if not (len(seqs) == len(token_ids) == len(steps) == len(drafts)):
-            raise ValueError("seqs, token_ids, steps and drafts must align")
-        entries = [
-            [int(token)] + [int(d) for d in draft]
-            for token, draft in zip(token_ids, drafts)
-        ]
-        snapshots: dict[int, dict[str, object]] = {}
-        for seq, draft in zip(seqs, drafts):
-            if draft:
-                snapshots[id(seq)] = self._spec_snapshot(seq)
-
-        capture: dict[tuple[int, int], list[_SpecAttendRecord]] = {}
-        self._spec_capture = capture
-        try:
-            all_dists: list[list[np.ndarray]] = [[] for _ in seqs]
-            max_entries = max(len(fed) for fed in entries)
-            for offset in range(max_entries):
-                batch = [i for i, fed in enumerate(entries) if len(fed) > offset]
-                dists = self.decode_step_batch(
-                    [seqs[i] for i in batch],
-                    [entries[i][offset] for i in batch],
-                    [steps[i] + offset for i in batch],
-                )
-                for i, dist in zip(batch, dists):
-                    all_dists[i].append(dist)
-        finally:
-            self._spec_capture = None
-
-        emitted_all: list[list[int]] = []
-        ledger_drops: dict[int, tuple[list, set[int]]] = {}
-        for i, seq in enumerate(seqs):
-            draft = [int(d) for d in drafts[i]]
-            emitted, accepted = self._spec_accept(seq, all_dists[i], draft)
-            if draft:
-                rejected = len(draft) - accepted
-                seq.result.spec_rounds += 1
-                seq.result.spec_drafted_tokens += len(draft)
-                seq.result.spec_accepted_tokens += accepted
-                seq.result.spec_rejected_tokens += rejected
-                counters.record("specdec.rounds", 1)
-                counters.record("specdec.drafted_tokens", len(draft))
-                counters.record("specdec.accepted_tokens", accepted)
-                counters.record("specdec.rejected_tokens", rejected)
-                if rejected > 0:
-                    self._spec_rollback(
-                        seq,
-                        snapshots[id(seq)],
-                        capture,
-                        entries[i],
-                        steps[i],
-                        accepted,
-                        ledger_drops,
-                    )
-            emitted_all.append(emitted)
-        for events, drops in ledger_drops.values():
-            events[:] = [
-                event for index, event in enumerate(events) if index not in drops
-            ]
-        return emitted_all
-
-    def _spec_accept(
-        self,
-        seq: SequenceState,
-        dists: list[np.ndarray],
-        draft: list[int],
-    ) -> tuple[list[int], int]:
-        """Accept a verified draft; returns ``(emitted tokens, accepted)``.
-
-        Greedy: longest matching prefix, then the bonus token from the
-        first non-matching distribution — bit-identical to what plain
-        greedy decoding would emit from the same distributions.
-        Temperature: accept draft token ``x`` with probability ``q(x)``
-        (``q`` the re-tempered verified distribution; the drafter is
-        deterministic, so its proposal distribution is a point mass and
-        the classic ``min(1, q/p)`` test reduces to ``q(x)``), sample
-        the replacement from the residual ``q`` with ``x`` zeroed on
-        rejection, and sample the bonus from the last distribution when
-        every draft token is accepted — per-position emissions are
-        distributed exactly as plain temperature decoding.
-        """
-        gen = self.generation_config
-        emitted: list[int] = []
-        accepted = 0
-        if gen.greedy:
-            for j, dist in enumerate(dists):
-                token = greedy_sample(dist)
-                emitted.append(token)
-                self.record_output(seq, token, dist)
-                if j < len(draft) and token == draft[j]:
-                    accepted += 1
-                else:
-                    break
-            return emitted, accepted
-        for j, dist in enumerate(dists):
-            if j < len(draft):
-                q = apply_temperature(dist, gen.temperature)
-                token = draft[j]
-                if seq.rng.random() < q[token]:
-                    emitted.append(token)
-                    self.record_output(seq, token, dist)
-                    accepted += 1
-                    continue
-                residual = q.copy()
-                residual[token] = 0.0
-                total = residual.sum()
-                if not total > 0:
-                    raise DegenerateDistributionError(
-                        "rejection-sampling residual has no probability mass"
-                    )
-                token = int(seq.rng.choice(residual.shape[0], p=residual / total))
-                emitted.append(token)
-                self.record_output(seq, token, dist)
-                break
-            token = temperature_sample(dist, seq.rng, gen.temperature)
-            emitted.append(token)
-            self.record_output(seq, token, dist)
-        return emitted, accepted
-
-    def _spec_snapshot(self, seq: SequenceState) -> dict[str, object]:
-        """Round-start snapshot of everything a rollback must restore."""
-        return {
-            "position": seq.position,
-            "copy_len": len(seq.copy_head) if seq.copy_head is not None else 0,
-            "layer_states": [
-                state.export_state() if state is not None else None
-                for state in seq.layer_states
-            ],
-            "copy_state": (
-                seq.copy_state.export_state() if seq.copy_state is not None else None
-            ),
-        }
-
-    def _spec_rollback(
-        self,
-        seq: SequenceState,
-        snapshot: dict[str, object],
-        capture: dict[tuple[int, int], list[_SpecAttendRecord]],
-        fed: list[int],
-        start_step: int,
-        accepted: int,
-        ledger_drops: dict[int, tuple[list, set[int]]],
-    ) -> None:
-        """Erase a sequence's rejected verify positions, state and ledger.
-
-        ``fed`` positions ``[0, accepted]`` stay (their fed tokens were
-        correct); everything after is removed: the KV cache truncates,
-        the selector states restore the round-start snapshot and replay
-        the accepted positions' captured calls, the pointer head
-        re-ingests the accepted tokens (its ingest is a pure per-token
-        function), and the rejected positions' ledger-event indices are
-        queued in ``ledger_drops`` for one batched rebuild per ledger.
-        """
-        config = self.model.config
-        keep = accepted + 1
-        position0 = snapshot["position"]
-        assert isinstance(position0, int)
-        seq.kv_store.rollback(position0 + keep)
-        seq.position = position0 + keep
-
-        layer_payloads = snapshot["layer_states"]
-        assert isinstance(layer_payloads, list)
-        for layer_idx in range(config.n_layers):
-            records = capture.get((id(seq), layer_idx), [])
-            for record in records[keep:]:
-                start, end = record.events
-                if end > start:
-                    events, drops = ledger_drops.setdefault(
-                        id(seq.offload.ledger),
-                        (seq.offload.ledger.events, set()),
-                    )
-                    drops.update(range(start, end))
-            state = seq.layer_states[layer_idx]
-            if state is None:
-                continue
-            payload = layer_payloads[layer_idx]
-            assert payload is not None
-            state.restore_state(payload)
-            for record in records[:keep]:
-                assert record.k_new is not None
-                state.observe_decode(record.k_new)
-                if record.select_args is not None:
-                    grouped, budget, step = record.select_args
-                    state.select(grouped, budget, step)
-                else:
-                    state.stats.selected_tokens += (
-                        record.context_length * config.n_kv_heads
-                    )
-                    state.stats.num_selections += 1
-
-        if seq.copy_head is not None:
-            copy_len = snapshot["copy_len"]
-            assert isinstance(copy_len, int)
-            seq.copy_head.truncate(copy_len)
-            copy_payload = snapshot["copy_state"]
-            if seq.copy_state is not None and copy_payload is not None:
-                assert isinstance(copy_payload, dict)
-                seq.copy_state.restore_state(copy_payload)
-            for j in range(keep):
-                self._update_copy_head(seq, fed[j], start_step + j)
 
     def _prepare_attend(
         self,
@@ -853,15 +573,11 @@ class EngineCore:
         the budget and gathers the selected keys/values into stacked
         tensors.  Returns the prepared-attention tuple ``(seq, query
         vectors, keys, values, lengths, indices_per_head, state, context
-        length, step, from_selection)`` consumed by :meth:`_attend_one`
-        and :meth:`_attend_layer_batch`.
+        length, step, from_selection)`` consumed by
+        :meth:`_attend_layer_batch`.
         """
         config = self.model.config
         gen = self.generation_config
-        capture = self._spec_capture
-        events_before = (
-            len(seq.offload.ledger.events) if capture is not None else 0
-        )
         seq.kv_store.append(layer_idx, k_new, v_new, step=step)
         state = seq.layer_states[layer_idx]
         context_length = len(seq.kv_store.layers[layer_idx])
@@ -898,17 +614,6 @@ class EngineCore:
             keys_sel = seq.kv_store.keys(layer_idx)
             values_sel = seq.kv_store.values(layer_idx)
             sel_lengths = None
-        if capture is not None:
-            capture.setdefault((id(seq), layer_idx), []).append(
-                _SpecAttendRecord(
-                    events=(events_before, len(seq.offload.ledger.events)),
-                    k_new=None if state is None else np.array(k_new, copy=True),
-                    context_length=context_length,
-                    select_args=(
-                        (grouped.copy(), budget, step) if use_selection else None
-                    ),
-                )
-            )
         return (
             seq,
             query_vectors,
@@ -954,37 +659,6 @@ class EngineCore:
                 seq, layer_idx, step, query_vectors, indices_per_head, weights
             )
 
-    def _attend_one(
-        self,
-        seq: SequenceState,
-        layer_idx: int,
-        query_vectors: np.ndarray,
-        k_new: np.ndarray,
-        v_new: np.ndarray,
-        step: int,
-    ) -> np.ndarray:
-        """KV append, token selection and attention of one sequence/layer.
-
-        ``query_vectors`` is ``(n_heads, head_dim)``; ``k_new``/``v_new``
-        are ``(n_kv_heads, 1, head_dim)``.  Returns the concatenated
-        attention output, shape ``(n_heads * head_dim,)``.
-        """
-        gen = self.generation_config
-        prep = self._prepare_attend(seq, layer_idx, query_vectors, k_new, v_new, step)
-        # Attention weights are only materialised when this layer's trace is
-        # actually recorded; the common path skips the per-head bookkeeping.
-        need_weights = gen.record_attention_trace and layer_idx == seq.trace_layer
-        attn = selected_attention_batch(
-            query_vectors,
-            prep[2],
-            prep[3],
-            self.model.config.softmax_scale,
-            lengths=prep[4],
-            return_weights=need_weights,
-        )
-        self._finish_attend(layer_idx, prep, attn.weights)
-        return attn.output
-
     def _attend_layer_batch(
         self,
         seqs: list[SequenceState],
@@ -1003,7 +677,9 @@ class EngineCore:
         (padding entries carry exactly-zero weight, so each request's
         output equals its solo computation).  Full-context requests keep
         per-request GEMMs on zero-copy cache views — padding them would
-        copy O(context) per step.  Rows of ``out`` are written in place.
+        copy O(context) per step; so does a lone budgeted request, which
+        is how a batch of one runs the single-sequence path.  Rows of
+        ``out`` are written in place.
         """
         gen = self.generation_config
         preps = [

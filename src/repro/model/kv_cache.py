@@ -152,23 +152,6 @@ class LayerKVCache:
             raise ValueError(f"payload holds {len(payload)} bytes, span needs {expected}")
         self._kv[:, :, start:end, :] = np.frombuffer(payload, dtype=np.float64).reshape(shape)
 
-    def truncate(self, new_length: int) -> None:
-        """Discard every token at position ``new_length`` and beyond.
-
-        The abandoned span is zeroed (not just logically hidden) so a
-        stale read after a speculative-decoding rollback would see zeros
-        rather than ghost data — the same honesty contract as
-        :meth:`evict_span`.  Capacity is kept; the next append reuses it.
-        """
-        if not 0 <= new_length <= self._length:
-            raise IndexError(
-                f"truncate length {new_length} outside [0, {self._length}]"
-            )
-        if new_length == self._length:
-            return
-        self._kv[:, :, new_length : self._length, :] = 0.0
-        self._length = new_length
-
     def _ensure_capacity(self, needed: int) -> None:
         if needed <= self._capacity:
             return
@@ -274,23 +257,6 @@ class KVCacheStore:
         if nbytes > 0:
             self.offload.record_partial_fetch(nbytes, step, tag)
         return nbytes
-
-    def rollback(self, new_length: int) -> None:
-        """Truncate every layer to ``new_length`` tokens and re-account.
-
-        Used by speculative decoding to remove rejected draft tokens: the
-        per-layer buffers shrink (zeroing the abandoned span) and the
-        offload registrations resize down so the memory ledger sees the
-        same residency it would have seen had the tokens never been
-        appended.  ``resize`` records no transfers, so no phantom traffic
-        is charged either way.
-        """
-        for layer_idx, layer in enumerate(self.layers):
-            layer.truncate(new_length)
-            if self.offload is not None:
-                self.offload.resize(
-                    self._buffer_name(layer_idx), new_length * self.token_nbytes()
-                )
 
     def keys(self, layer_idx: int) -> np.ndarray:
         """Keys of a layer, shape ``(n_kv_heads, length, head_dim)``."""

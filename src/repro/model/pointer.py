@@ -168,21 +168,6 @@ class CopyHead:
         self._token_ids = [int(token) for token in token_ids]
         self._copy_keys = [np.asarray(key, dtype=np.float64).copy() for key in copy_keys]
 
-    def truncate(self, length: int) -> None:
-        """Drop every ingested token beyond the first ``length``.
-
-        Re-ingesting the same tokens afterwards reproduces the dropped
-        signatures exactly (:meth:`ingest` is a pure function of the
-        token and its predecessor), which is what lets speculative
-        decoding roll back rejected drafts without snapshotting keys.
-        """
-        if not 0 <= length <= len(self._token_ids):
-            raise IndexError(
-                f"truncate length {length} outside [0, {len(self._token_ids)}]"
-            )
-        del self._token_ids[length:]
-        del self._copy_keys[length:]
-
     def reset(self) -> None:
         """Clear the token history."""
         self._token_ids.clear()

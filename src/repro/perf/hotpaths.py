@@ -237,7 +237,7 @@ def deterministic_counters(config: PerfBenchConfig | None = None) -> dict[str, o
     # plainly and then with k=4 speculation.  The pinned invariants: the
     # spec-on run emits the same token total in strictly fewer engine
     # steps, and the drafted/accepted/rejected counters conserve exactly —
-    # a drift in draft clipping, acceptance or rollback moves them.
+    # a drift in draft clipping or acceptance moves them.
     from ..specdec import SpeculationConfig
 
     spec_prompts = [

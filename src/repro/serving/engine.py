@@ -44,6 +44,7 @@ from ..policies import PolicySpec, build_policy, resolve_policy_spec
 from ..prefixcache import PrefixCacheConfig, PrefixMatch, RadixPrefixCache
 from ..seqstate import SequenceCheckpoint
 from ..specdec import Drafter, SpeculationConfig
+from ..specdec.verify import speculative_round
 from .queue import RequestQueue
 from .request import ActiveRequest, CompletedRequest, RequestStatus, ServeRequest
 from .scheduler import ContinuousBatchingScheduler, SchedulerConfig
@@ -321,8 +322,9 @@ class BatchedEngine:
         decode batch into *speculative decoding*: each engine step the
         configured drafter proposes up to ``k`` candidate tokens per
         decoding request and one verify round
-        (:meth:`~repro.model.generation.EngineCore.speculative_round`)
-        scores them all, accepting a prefix and rolling the rest back.
+        (:func:`repro.specdec.verify.speculative_round`) scores them
+        position by position, accepting a prefix and stopping at the
+        first miss.
         Accepted runs retire several tokens per engine step, so a
         predictable workload finishes in fewer steps.  Greedy outputs
         (tokens and log-probabilities) are bit-identical to running with
@@ -893,15 +895,16 @@ class BatchedEngine:
         bonus token never overshoots ``max_new_tokens``.  A request whose
         draft comes back empty (cold history, or one token remaining)
         rides the same round as a plain single-position decode.  One
-        :meth:`~repro.model.generation.EngineCore.speculative_round` call
-        verifies every candidate and rolls rejected positions back, so
-        after this method each request's KV length, selector state and
-        ledger reflect exactly its accepted tokens.
+        :func:`repro.specdec.verify.speculative_round` call verifies the
+        candidates, dropping each request at its first miss, so a
+        rejected position is never computed and each request's KV length,
+        selector state and ledger reflect exactly its accepted tokens.
 
-        The step trace records one decode entry per *fed* position
-        (accepted or not) at the KV context length that position attended
-        — rejected verify work is real work, and the virtual clock prices
-        the whole round as a single fused batched pass over those entries.
+        The step trace records one decode entry per *drafted* position
+        plus one, at the KV context length that position would attend,
+        whether or not the substrate computed it: the modelled system
+        verifies all ``k + 1`` positions in one fused batched pass, and
+        that is what the virtual clock prices.
         """
         assert self.speculation is not None and self._drafter is not None
         drafts: list[list[int]] = []
@@ -917,7 +920,8 @@ class BatchedEngine:
                 draft = self._drafter.propose(history, k_eff)
             drafts.append(draft)
             positions0.append(active.sequence.position)
-        emitted_all = self.core.speculative_round(
+        emitted_all = speculative_round(
+            self.core,
             [a.sequence for a in batch],
             [a.current_token for a in batch],
             [a.decode_step for a in batch],

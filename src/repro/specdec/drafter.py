@@ -2,11 +2,13 @@
 
 A :class:`Drafter` looks at a request's token history (prompt plus the
 tokens emitted so far) and proposes up to ``k`` candidate continuation
-tokens.  The serving engine then *verifies* all candidates in one
-batched forward pass (see :meth:`repro.serving.BatchedEngine.step`):
-whatever prefix of the draft matches what the model would have emitted
-anyway is accepted wholesale, collapsing up to ``k + 1`` sequential
-decode steps into a single batched one.
+tokens.  The serving engine then *verifies* them
+(:func:`repro.specdec.verify.speculative_round`): whatever prefix of the
+draft matches what the model would have emitted anyway is accepted,
+collapsing up to ``k + 1`` sequential decode steps into one engine step.
+The virtual clock prices that step as one fused pass over all ``k + 1``
+positions; the substrate computes them offset by offset and stops at the
+first miss.
 
 The registry starts with a single *self*-drafter — the seeded
 n-gram/prompt-lookup drafter of Saxena's *Prompt Lookup Decoding* (and

@@ -39,7 +39,9 @@ from repro.traffic.bench import (
 from repro.traffic.simulator import TrafficConfig, TrafficSimulator
 
 
-def traffic_config(backend: str = "serial", **fleet) -> TrafficBenchConfig:
+def traffic_config(
+    backend: str = "serial", speculate_k: int = 0, **fleet
+) -> TrafficBenchConfig:
     """Small three-policy workload: quick to run, exercises mixed traffic."""
     return TrafficBenchConfig(
         workload=WorkloadSpec(
@@ -51,7 +53,9 @@ def traffic_config(backend: str = "serial", **fleet) -> TrafficBenchConfig:
             seed=3,
         ),
         fleet=TrafficConfig(
-            engine=serving_engine_spec(max_new_tokens=8, backend=backend),
+            engine=serving_engine_spec(
+                max_new_tokens=8, backend=backend, speculate_k=speculate_k
+            ),
             num_replicas=2,
             router="jsq",
             **fleet,
@@ -113,17 +117,24 @@ def assert_outputs_identical(left, right):
 # ----------------------------------------------------------------------
 class TestTrafficParity:
     def test_mixed_policies_byte_identical(self):
-        with count_ops() as serial_ops:
-            serial, serial_outputs = run_traffic(traffic_config())
-        with count_ops() as parallel_ops:
-            parallel, parallel_outputs = run_traffic(traffic_config(workers=2))
-        assert serial.to_json() == parallel.to_json()
-        assert_outputs_identical(serial_outputs, parallel_outputs)
-        # Deterministic GEMM/op counters merge to the same totals.
-        assert serial_ops.as_dict() == parallel_ops.as_dict()
-        assert serial_ops.as_dict()  # non-trivial: the engines did work
-        assert parallel.wall["backend"]["name"] == "multiprocess"
-        assert parallel.wall["backend"]["workers"] == 2
+        # speculate_k=3 adds speculative rounds with rejections on both sides.
+        for speculate_k in (0, 3):
+            with count_ops() as serial_ops:
+                serial, serial_outputs = run_traffic(
+                    traffic_config(speculate_k=speculate_k)
+                )
+            with count_ops() as parallel_ops:
+                parallel, parallel_outputs = run_traffic(
+                    traffic_config(speculate_k=speculate_k, workers=2)
+                )
+            assert serial.to_json() == parallel.to_json()
+            assert_outputs_identical(serial_outputs, parallel_outputs)
+            # Deterministic GEMM/op counters merge to the same totals.
+            assert serial_ops.as_dict() == parallel_ops.as_dict()
+            assert serial_ops.as_dict()  # non-trivial: the engines did work
+            assert parallel.wall["backend"]["name"] == "multiprocess"
+            assert parallel.wall["backend"]["workers"] == 2
+            assert (serial.speculation()["rejected_tokens"] > 0) == (speculate_k > 0)
 
     @pytest.mark.parametrize("cpus", [2, 4])
     def test_long_prompt_after_a_laned_parent_prefill(self, monkeypatch, cpus):

@@ -4,14 +4,16 @@ The load-bearing guarantee: greedy decoding with speculation ON emits
 exactly the tokens AND log-probabilities of speculation OFF at batch
 size one, for every registered policy on both test models — speculation
 is a pure engine-step optimisation, invisible in the outputs.  On top:
-rollback hygiene (a fully rejected round leaves no residue in the KV
-cache, selector state or offload ledger), the conserved accounting
-``accepted + rejected == drafted`` in every report, the step-count win
-the feature exists for, checkpoint compatibility, and the satellite
-bugfixes of the same PR (NaN percentiles for empty samples, typed
-degenerate-distribution errors, ``WorkerCrashed`` detail).
+rejection hygiene (a fully rejected round computes one position and
+leaves no residue in the KV cache, selector state or offload ledger),
+the RNG draw order of sampled speculation pinned to a reference run, the
+conserved accounting ``accepted + rejected == drafted`` in every report,
+the step-count win the feature exists for, checkpoint compatibility, and
+the satellite bugfixes of the same PR (NaN percentiles for empty samples,
+typed degenerate-distribution errors, ``WorkerCrashed`` detail).
 """
 
+import hashlib
 import json
 import math
 
@@ -34,6 +36,7 @@ from repro.model.sampling import (
     mix_distributions,
     temperature_sample,
 )
+from repro.perf.counters import count_ops
 from repro.policies import available_policies, build_policy
 from repro.serving import BatchedEngine
 from repro.specdec import (
@@ -45,6 +48,7 @@ from repro.specdec import (
     register_drafter,
 )
 from repro.specdec.drafter import _DRAFTERS
+from repro.specdec.verify import speculative_round
 from repro.serving.bench import serving_engine_spec
 from repro.traffic import TrafficConfig
 from repro.traffic.bench import run_traffic_bench, TrafficBenchConfig, WorkloadSpec
@@ -231,7 +235,7 @@ class _ReplayDrafter(Drafter):
     Proposes the token the model will actually emit at each position,
     except every third position, which it flips to a guaranteed-wrong
     token — so every policy/model cell exercises non-trivial accepted
-    prefixes AND rejections with rollback, independent of whether the
+    prefixes AND rejections, independent of whether the
     n-gram drafter happens to find matches in that model's output.
     """
 
@@ -405,14 +409,14 @@ class TestGreedyDifferential:
 
 
 # ----------------------------------------------------------------------
-# rollback hygiene: rejected drafts leave no residue
+# rejection hygiene: rejected drafts are never computed, leave no residue
 # ----------------------------------------------------------------------
 class _AvoidDrafter(Drafter):
     """Adversarial drafter proposing tokens guaranteed to be rejected.
 
     Built from the plain run's known outputs: at every position it
     proposes ``expected_token + 1 (mod vocab)``, so greedy acceptance is
-    zero and every round exercises the full rollback path.
+    zero and every round stops at its first draft token.
     """
 
     name = "test-avoid"
@@ -458,7 +462,7 @@ class TestRollback:
             (plain.output_ids[1 + offset] + 1) % model.config.vocab_size
             for offset in range(4)
         ]
-        emitted = core.speculative_round([seq], [token], [0], [wrong])
+        emitted = speculative_round(core, [seq], [token], [0], [wrong])
         assert emitted == [[plain.output_ids[1]]]
         assert seq.result.spec_accepted_tokens == 0
         assert seq.result.spec_rejected_tokens == 4
@@ -467,7 +471,7 @@ class TestRollback:
         # Tier accounting reconciles against the live store mid-run.
         seq.offload.check_invariants(stores=[seq.kv_store])
 
-        # Continuing plainly from the rolled-back state must replay the
+        # Continuing plainly from the post-round state must replay the
         # uninterrupted run exactly — KV, selector state, pointer head and
         # ledger all back to where a plain step would have left them.
         token = emitted[0][-1]
@@ -477,6 +481,33 @@ class TestRollback:
             core.record_output(seq, token, distribution)
         assert seq.result.output_ids == plain.output_ids
         assert seq.result.output_logprobs == plain.output_logprobs
+
+    def test_fully_rejected_round_costs_one_decode_step(self, models):
+        """A miss at the first draft token stops the round: no wasted compute.
+
+        The four rejected positions are never fed, so the round's decode
+        attention and selection GEMMs equal one plain ``decode_step_batch``.
+        """
+        model = models["tiny"]
+        prompt = repetitive_prompt(model.config.vocab_size)
+        plain = results_by_id(run_serve(model, CLUSTERKV, [prompt]))["req-0"]
+        wrong = [
+            (plain.output_ids[1 + offset] + 1) % model.config.vocab_size
+            for offset in range(4)
+        ]
+        names = ("gemm.attention_decode", "gemm.selection_score")
+        counts = []
+        for speculate in (False, True):
+            core, seq = self._fresh(model, CLUSTERKV)
+            token = core.pick_token(seq, core.prefill(seq, prompt))
+            with count_ops() as ops:
+                if speculate:
+                    speculative_round(core, [seq], [token], [0], [wrong])
+                else:
+                    core.decode_step_batch([seq], [token], [0])
+            counts.append({name: ops.as_dict().get(name, 0) for name in names})
+        assert counts[1] == counts[0]
+        assert counts[0]["gemm.selection_score"] > 0
 
     def test_adversarial_drafter_end_to_end(self, models):
         """A zero-acceptance engine run is still bit-identical to plain."""
@@ -526,6 +557,45 @@ class TestTemperature:
         assert a.output_ids == b.output_ids
         assert a.output_logprobs == b.output_logprobs
         assert_conserved(first.speculation())
+
+    def test_sampled_speculation_matches_reference_run(self, models):
+        """RNG draw order pinned: 4 requests, temperature 0.8, rejections.
+
+        The digest of the output ids and the per-request
+        ``(rounds, drafted, accepted, rejected)`` were taken from the
+        rollback-based verify round that preceded stop-at-first-miss;
+        any change to the order of acceptance, residual and bonus draws
+        moves them.
+        """
+        model = models["tiny"]
+        vocab = model.config.vocab_size
+        prompts = [
+            repetitive_prompt(vocab, 40),
+            random_prompt(vocab, 36, seed=5),
+            repetitive_prompt(vocab, 44),
+            random_prompt(vocab, 48, seed=6),
+        ]
+        gen = generation(greedy=False, temperature=0.8, max_new_tokens=16)
+        report = run_serve(
+            model, CLUSTERKV, prompts, speculation=SpeculationConfig(k=4), gen=gen
+        )
+        results = results_by_id(report)
+        ids = json.dumps({rid: results[rid].output_ids for rid in sorted(results)})
+        assert hashlib.sha256(ids.encode()).hexdigest()[:16] == "221634bb3febb9d7"
+        assert {
+            rid: (
+                r.spec_rounds,
+                r.spec_drafted_tokens,
+                r.spec_accepted_tokens,
+                r.spec_rejected_tokens,
+            )
+            for rid, r in results.items()
+        } == {
+            "req-0": (3, 12, 12, 0),
+            "req-1": (4, 16, 10, 6),
+            "req-2": (3, 12, 12, 0),
+            "req-3": (4, 14, 11, 3),
+        }
 
     def test_sampled_speculation_emits_full_length(self, models):
         model = models["tiny"]
