@@ -29,10 +29,11 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.traffic` — trace-driven open-loop traffic simulation:
   seeded arrival processes, multi-replica routing and TTFT/TPOT/goodput
   SLO metrics on a virtual perfmodel clock.
-* :mod:`repro.cluster` — the elastic control plane over the traffic
-  simulator: autoscaler and admission-control registries, seeded
-  failure injection with deterministic retries, and the
-  ``repro cluster-bench`` scenario harness.
+* :mod:`repro.cluster` — the one fleet simulator (a static fleet is its
+  degenerate case) and its elastic control plane: autoscaler and
+  admission-control registries, seeded failure injection with
+  deterministic retries, and the ``repro cluster-bench`` scenario
+  harness.
 """
 
 from .baselines import (
@@ -70,7 +71,7 @@ from .serving import (
     ServeRequest,
     serve_prompts,
 )
-from .api import EngineSpec, Session, TokenEvent, simulate, simulate_cluster
+from .api import EngineSpec, Session, TokenEvent, simulate
 from .cluster import ClusterConfig, FailurePlan
 from .prefixcache import PrefixCacheConfig, RadixPrefixCache
 from .traffic import SLOSpec, TrafficConfig, TrafficReport
@@ -83,7 +84,6 @@ __all__ = [
     "EngineSpec",
     "TokenEvent",
     "simulate",
-    "simulate_cluster",
     "TrafficConfig",
     "TrafficReport",
     "SLOSpec",

@@ -28,7 +28,7 @@ from dataclasses import fields
 from .session import Session, TokenEvent
 from .spec import EngineSpec
 
-__all__ = ["EngineSpec", "Session", "TokenEvent", "simulate", "simulate_cluster"]
+__all__ = ["EngineSpec", "Session", "TokenEvent", "simulate"]
 
 
 def simulate(
@@ -47,11 +47,14 @@ def simulate(
 ):
     """Run one open-loop traffic simulation, static or elastic.
 
-    With only the base arguments this forwards to
-    :func:`repro.traffic.simulate`: a fixed fleet of
-    ``config.num_replicas`` replicas, every request admitted.  Passing
-    any cluster knob switches to the elastic
-    :class:`~repro.cluster.ClusterSimulator`:
+    ``config`` is either fleet description: a
+    :class:`~repro.traffic.TrafficConfig` (the default; a fixed fleet of
+    ``num_replicas`` replicas, every request admitted) or a full
+    :class:`~repro.cluster.ClusterConfig` (autoscaler, admission policy
+    and failure plan included).  Both run through the one
+    :class:`~repro.cluster.ClusterSimulator` event loop.  Passing any
+    cluster knob turns the config's shared fleet fields into an elastic
+    :class:`~repro.cluster.ClusterConfig`:
 
     * ``autoscaler`` / ``admission`` — control-plane policies, as
       instances or compact spec strings (``"queue_depth:high=2"``,
@@ -63,49 +66,32 @@ def simulate(
     * ``max_retries`` — failure re-dispatch budget per request.
 
     ``workers`` selects the multiprocess execution backend with that many
-    worker processes (see :mod:`repro.execbackend`) — valid for both the
-    static and elastic paths; reports are byte-identical to the serial
-    default.
+    worker processes (see :mod:`repro.execbackend`); reports are
+    byte-identical to the serial default.
 
     Imported lazily because :mod:`repro.traffic` and
     :mod:`repro.cluster` build their replicas from this module's
     :class:`EngineSpec`.
     """
+    from ..traffic import FleetConfig, TrafficConfig, simulate as _simulate
+
     cluster_knobs = (autoscaler, admission, failures, min_replicas, max_replicas, max_retries)
-    if all(knob is None for knob in cluster_knobs):
-        from ..traffic import simulate as _simulate
+    if any(knob is not None for knob in cluster_knobs):
+        from ..cluster import ClusterConfig
 
-        return _simulate(requests, config, router=router, clock=clock, workers=workers)
-
-    from ..cluster import ClusterConfig, simulate_cluster as _simulate_cluster
-    from ..traffic import FleetConfig, TrafficConfig
-
-    base = config or TrafficConfig()
-    floor = base.num_replicas if min_replicas is None else min_replicas
-    # Knobs left unset fall back to ClusterConfig's own field defaults.
-    knobs = {
-        "autoscaler": autoscaler,
-        "admission": admission,
-        "failures": failures,
-        "max_retries": max_retries,
-        "max_replicas": 2 * floor if max_replicas is None else max_replicas,
-    }
-    cluster_config = ClusterConfig(
-        **{item.name: getattr(base, item.name) for item in fields(FleetConfig)},
-        min_replicas=floor,
-        **{name: value for name, value in knobs.items() if value is not None},
-    )
-    return _simulate_cluster(
-        requests, cluster_config, router=router, clock=clock, workers=workers
-    )
-
-
-def simulate_cluster(requests, config=None, router=None, clock=None, *, workers=None):
-    """Run one elastic cluster simulation (see :func:`repro.cluster.simulate_cluster`).
-
-    Takes a full :class:`~repro.cluster.ClusterConfig`; for the common
-    cases the cluster knobs of :func:`simulate` are more convenient.
-    """
-    from ..cluster import simulate_cluster as _simulate_cluster
-
-    return _simulate_cluster(requests, config, router=router, clock=clock, workers=workers)
+        base = config or TrafficConfig()
+        floor = base.num_replicas if min_replicas is None else min_replicas
+        # Knobs left unset fall back to ClusterConfig's own field defaults.
+        knobs = {
+            "autoscaler": autoscaler,
+            "admission": admission,
+            "failures": failures,
+            "max_retries": max_retries,
+            "max_replicas": 2 * floor if max_replicas is None else max_replicas,
+        }
+        config = ClusterConfig(
+            **{item.name: getattr(base, item.name) for item in fields(FleetConfig)},
+            min_replicas=floor,
+            **{name: value for name, value in knobs.items() if value is not None},
+        )
+    return _simulate(requests, config, router=router, clock=clock, workers=workers)

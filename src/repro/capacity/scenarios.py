@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..api import EngineSpec
+from ..cluster import ClusterSimulator
 from ..knobs import knob
 from ..memory import CapacityExceeded, TierBudgets
 from ..model import get_model_config
@@ -33,7 +34,7 @@ from ..policies import PolicySpec
 from ..serving.bench import POLICY_FLAG, resolve_serving_policies, serving_engine_spec
 from ..traffic.bench import TrafficBenchConfig, WorkloadSpec, build_bench_requests
 from ..traffic.report import SLOSpec
-from ..traffic.simulator import TrafficConfig, TrafficSimulator
+from ..traffic.simulator import TrafficConfig
 from ..traffic.workload import TrafficRequest
 from .report import CapacityPoint, CapacityReport
 
@@ -247,7 +248,7 @@ def probe_point(
     duration_s = 0.0
     ttft_p50_s = 0.0
     slo_attainment = 0.0
-    with TrafficSimulator(config.traffic_config(policy, concurrency)) as sim:
+    with ClusterSimulator(config.traffic_config(policy, concurrency)) as sim:
         try:
             report = sim.run(requests)
         except CapacityExceeded as exc:
@@ -259,7 +260,7 @@ def probe_point(
             slo_attainment = report.slo_attainment
         # Read through the replica handle so worker-resident engines
         # report the same accounting as in-process ones.
-        stats = sim.replicas[0].handle.offload_stats()
+        stats = sim.fleet[0].handle.offload_stats()
     transfers = dict(stats["transfers"])
     peak_bytes = dict(stats["peak_bytes"])
     return CapacityPoint(

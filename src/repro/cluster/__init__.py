@@ -1,8 +1,10 @@
 """Elastic cluster serving: autoscaling, admission control, failure injection.
 
-This subsystem is the control plane over the :mod:`repro.traffic`
-simulator's replica set — the layer that decides how much capacity
-exists, which requests get in, and what happens when a replica dies:
+This subsystem holds the one fleet simulator,
+:class:`ClusterSimulator` — a static :class:`~repro.traffic.TrafficConfig`
+fleet runs through it as the degenerate cluster — and the control plane
+over its replica set: the layer that decides how much capacity exists,
+which requests get in, and what happens when a replica dies:
 
 * :mod:`~repro.cluster.autoscaler` — pluggable fleet-sizing policies
   (``static``, ``queue_depth``, ``slo_attainment``, ``interactive_slo``)
@@ -21,8 +23,8 @@ exists, which requests get in, and what happens when a replica dies:
   periodic checkpoint with only the post-checkpoint tokens lost — and
   reproduce their failure-free outputs token for token.
 
-Entry points: :func:`simulate_cluster` (also reachable through the
-cluster knobs of :func:`repro.api.simulate`), :func:`run_cluster_bench`
+Entry points: :func:`simulate_cluster` (which :func:`repro.traffic.simulate`
+and :func:`repro.api.simulate` forward to), :func:`run_cluster_bench`
 behind the ``repro cluster-bench`` CLI command, and the registries
 (:func:`build_autoscaler`, :func:`build_admission`) that make both
 policy families pluggable the same way :mod:`repro.policies` makes

@@ -1,8 +1,17 @@
-"""Elastic cluster simulation: autoscaling, admission control, failures.
+"""Virtual-clock fleet simulation: the one event loop behind every fleet run.
 
-:class:`ClusterSimulator` extends the open-loop
-:class:`~repro.traffic.simulator.TrafficSimulator` with a control plane
-over its replica set:
+:class:`ClusterSimulator` drives one or more
+:class:`~repro.serving.BatchedEngine` replicas open-loop: requests arrive
+at externally given instants (an
+:class:`~repro.traffic.arrivals.ArrivalProcess` or a replayed trace), a
+:class:`~repro.traffic.router.Router` picks the replica, and every engine
+step is charged simulation time through a
+:class:`~repro.traffic.clock.StepClock`.  Requests decode on the real
+NumPy engines — outputs are exactly what the serving engine produces (a
+single replica at batch capacity 1 reproduces ``BatchedEngine.run()``
+token for token) — while time is virtual.
+
+A control plane runs over the replica set:
 
 * the fleet is **elastic** — an :class:`~repro.cluster.autoscaler.Autoscaler`
   is consulted after every event and may boot replicas (which pay a
@@ -29,29 +38,43 @@ over its replica set:
   re-prefilling — only the tokens decoded after the checkpoint count as
   lost work.
 
-Event order extends the base simulator's total order and stays fully
-deterministic: at equal instants, replicas becoming ready beat failures,
-failures beat arrivals, and arrivals beat engine steps; every tie within
-a kind breaks on the stable (index, plan, arrival) order.  On the
-perfmodel clock two runs with equal seeds emit byte-identical reports —
-including the scaling timeline, the failure log and every rejection.
+A static fleet is the degenerate cluster: a
+:class:`~repro.traffic.TrafficConfig` runs as ``min_replicas ==
+max_replicas == num_replicas`` with the ``static`` autoscaler, ``always``
+admission and an empty failure plan, through the same loop.  Its report
+leaves the ``autoscaler``, ``admission`` and ``scaling`` fields empty.
+
+Event order is total and fully deterministic: at equal instants, replicas
+becoming ready beat failures, failures beat arrivals, and arrivals beat
+engine steps (an arrival at exactly a step boundary is enqueued first, and
+routing sees replica state *at the arrival instant*); every tie within a
+kind breaks on the stable (index, plan slot, arrival order).  On the
+perfmodel clock two runs with equal seeds emit byte-identical
+:class:`~repro.traffic.report.TrafficReport` JSON — including the scaling
+timeline, the failure log and every rejection.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
-from ..execbackend import ReplicaHandle
+from ..execbackend import (
+    ExecutionBackend,
+    LocalReplicaHandle,
+    ReplicaHandle,
+    SerialBackend,
+)
 from ..knobs import knob
+from ..model import _lanes
 from ..seqstate import SequenceCheckpoint
-from ..serving import BatchedEngine
-from ..traffic.clock import StepClock
-from ..traffic.report import RejectedRequest, TrafficReport
-from ..traffic.router import Router
-from ..traffic.simulator import FleetConfig, Replica, TrafficSimulator
+from ..serving import BatchedEngine, CompletedRequest
+from ..traffic.clock import StepClock, build_clock
+from ..traffic.report import RejectedRequest, RequestMetrics, TrafficReport
+from ..traffic.router import Router, build_router
+from ..traffic.simulator import FleetConfig
 from ..traffic.workload import TrafficRequest
 from .admission import AdmissionPolicy, resolve_admission
 from .autoscaler import Autoscaler, resolve_autoscaler
@@ -173,8 +196,15 @@ class ClusterConfig(FleetConfig):
         return self.engine.max_batch_size * DEFAULT_CAPACITY_TOKENS_PER_SLOT
 
 
-class ClusterReplica(Replica):
-    """One fleet replica: a serving engine plus its lifecycle stage."""
+class ClusterReplica:
+    """One fleet replica: a serving engine, its simulation clock and lifecycle stage.
+
+    The engine is driven through an execution-backend
+    :class:`~repro.execbackend.ReplicaHandle` — in-process for the
+    serial backend, worker-resident for the multiprocess one.  A bare
+    :class:`~repro.serving.BatchedEngine` is wrapped on the spot for
+    callers constructing replicas directly.
+    """
 
     def __init__(
         self,
@@ -183,9 +213,48 @@ class ClusterReplica(Replica):
         state: ReplicaLifecycle = ReplicaLifecycle.ACTIVE,
         ready_at_s: float = 0.0,
     ) -> None:
-        super().__init__(index, engine)
+        self.index = index
+        self.handle: ReplicaHandle = (
+            engine if isinstance(engine, ReplicaHandle) else LocalReplicaHandle(engine)
+        )
         self.state = state
         self.ready_at_s = ready_at_s
+        self.clock_s = 0.0
+        self.steps = 0
+        self.occupancy: list[int] = []
+        # Host wall time spent computing this replica's steps (virtual
+        # clock time lives in clock_s) — observability only.
+        self.step_wall_s = 0.0
+
+    @property
+    def engine(self) -> BatchedEngine:
+        """The in-process engine (raises on worker-resident replicas)."""
+        return self.handle.engine
+
+    @property
+    def queued(self) -> int:
+        """Requests waiting in this replica's admission queue."""
+        return self.handle.queued
+
+    @property
+    def active(self) -> int:
+        """Requests currently decoding on this replica."""
+        return self.handle.active
+
+    @property
+    def reserved_kv_bytes(self) -> int:
+        """Projected KV bytes of this replica's in-flight *and queued* requests.
+
+        Queued requests count too: during a burst, arrivals are routed
+        before any replica steps, so a size-aware router must see the KV
+        demand already committed to each queue, not just what has been
+        admitted.
+        """
+        return self.handle.reserved_kv_bytes + self.handle.queued_kv_bytes
+
+    def has_work(self) -> bool:
+        """Whether the replica has queued, in-flight or preempted requests."""
+        return self.handle.has_work()
 
     @property
     def is_live(self) -> bool:
@@ -197,38 +266,91 @@ class ClusterReplica(Replica):
         )
 
 
-class ClusterSimulator(TrafficSimulator):
-    """Open-loop traffic over an elastic, failure-prone replica fleet.
+class ClusterSimulator:
+    """Open-loop traffic over a (possibly elastic, failure-prone) replica fleet.
 
     Parameters
     ----------
     config:
-        The cluster description; autoscaler, admission policy, router and
-        clock are built from it (instances can be injected through the
-        config's ``autoscaler``/``admission`` fields or the
-        ``router``/``clock`` constructor arguments).
+        The fleet description; autoscaler, admission policy, router and
+        clock are built from it (instances can be injected through a
+        :class:`ClusterConfig`'s ``autoscaler``/``admission`` fields or
+        the ``router``/``clock`` constructor arguments).  A
+        :class:`~repro.traffic.TrafficConfig` runs as the degenerate
+        static cluster of its ``num_replicas`` replicas.
     """
 
     def __init__(
         self,
-        config: ClusterConfig | None = None,
+        config: FleetConfig | None = None,
         router: Router | None = None,
         clock: StepClock | None = None,
     ) -> None:
-        super().__init__(config or ClusterConfig(), router=router, clock=clock)
-        self.autoscaler = resolve_autoscaler(self.config.autoscaler)
-        self.admission = resolve_admission(self.config.admission)
-        self._kv_bytes_per_token = self.model.config.kv_bytes_per_token()
-        self._capacity_tokens = self.config.capacity_tokens(
-            self._kv_bytes_per_token
+        config = config or ClusterConfig()
+        # The one place a static fleet differs from an elastic one: its
+        # report carries no control-plane fields.
+        self._elastic = isinstance(config, ClusterConfig)
+        if not self._elastic:
+            config = ClusterConfig(
+                **{item.name: getattr(config, item.name) for item in fields(FleetConfig)},
+                min_replicas=config.num_replicas,
+                max_replicas=config.num_replicas,
+            )
+        self.config: ClusterConfig = config
+        self.model = config.engine.build_model()
+        self.router = router if router is not None else build_router(config.router)
+        self.clock = (
+            clock
+            if clock is not None
+            else build_clock(config.clock, arch=config.arch, context_scale=config.context_scale)
         )
-        self._reset_cluster_state()
+        self.autoscaler = resolve_autoscaler(config.autoscaler)
+        self.admission = resolve_admission(config.admission)
+        self._kv_bytes_per_token = self.model.config.kv_bytes_per_token()
+        self._capacity_tokens = config.capacity_tokens(self._kv_bytes_per_token)
+        self._run_wall_s = 0.0
+        self._backend = self._build_backend()
+        # Per-run state; between runs it holds the last run (for inspection).
+        self._reset_run_state()
 
-    def _reset_cluster_state(self) -> None:
-        """(Re-)initialise the per-run cluster state (called by every run())."""
+    def _build_backend(self) -> ExecutionBackend:
+        """The execution backend replicas run on, from the config.
+
+        ``config.workers`` set implies the multiprocess backend even when
+        the engine spec says serial; a multiprocess spec with no worker
+        count defaults to ``min(num_replicas, available CPUs)``, counting
+        only the CPUs in this process's affinity mask.
+        """
+        spec = self.config.engine
+        workers = self.config.workers
+        if spec.backend == "multiprocess" or workers is not None:
+            from ..execbackend import MultiprocessBackend
+
+            if workers is None:
+                workers = max(1, min(self.config.num_replicas, _lanes.available_cpus()))
+            return MultiprocessBackend(self.model, spec, workers)
+        return SerialBackend(self.model, spec)
+
+    def close(self) -> None:
+        """Release backend resources (worker processes, shared memory)."""
+        self._backend.close()
+
+    def __enter__(self) -> "ClusterSimulator":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _reset_run_state(self) -> None:
+        """(Re-)initialise the per-run fleet and bookkeeping."""
         self.fleet: list[ClusterReplica] = []
-        self.replicas = self.fleet
+        self.completed: dict[str, CompletedRequest] = {}
         self._next_index = 0
+        self._replica_of: dict[str, int] = {}
+        self._admitted_at_s: dict[str, float] = {}
+        self._first_token_at_s: dict[str, float] = {}
+        self._metrics: list[RequestMetrics] = []
+        self._duration_s = 0.0
         self._parked: deque[TrafficRequest] = deque()
         self._parked_checkpoints: deque[SequenceCheckpoint] = deque()
         self._request_of: dict[str, TrafficRequest] = {}
@@ -316,9 +438,6 @@ class ClusterSimulator(TrafficSimulator):
             replica.ready_at_s = now_s
             replica.clock_s = now_s
         self.fleet.append(replica)
-        # The base-class report aggregation (occupancy, engine steps) sums
-        # over self.replicas; keep it aliased to the full fleet history.
-        self.replicas = self.fleet
         self._log_scale(now_s, "boot", replica.index, reason)
         return replica
 
@@ -450,8 +569,9 @@ class ClusterSimulator(TrafficSimulator):
                 f"but only {len(accepting)} accept traffic"
             )
         replica = accepting[choice]
-        # Fast-forward an idle replica to the dispatch instant (a retry
-        # dispatches at the failure instant, later than its arrival).
+        # An idle replica fast-forwards to the dispatch instant (a retry
+        # dispatches at the failure instant, later than its arrival); a
+        # working one already sits at or past it.
         replica.clock_s = max(replica.clock_s, now_s)
         replica.handle.submit(
             request.prompt_ids,
@@ -645,7 +765,7 @@ class ClusterSimulator(TrafficSimulator):
         )
 
     def run(self, requests: Sequence[TrafficRequest]) -> TrafficReport:
-        """Simulate the workload over the elastic fleet to completion.
+        """Simulate the workload over the fleet to completion.
 
         Each call starts cold: the fleet is rebuilt at ``min_replicas``,
         all control-plane state (autoscaler windows, admission state,
@@ -657,7 +777,6 @@ class ClusterSimulator(TrafficSimulator):
         self.admission.reset()
         self._backend.reset()
         self._reset_run_state()
-        self._reset_cluster_state()
 
         pending = deque(
             sorted(enumerate(requests), key=lambda item: (item[1].arrival_time_s, item[0]))
@@ -681,7 +800,11 @@ class ClusterSimulator(TrafficSimulator):
                 pending or self._parked or self._parked_checkpoints or self._has_live_work()
             ):
                 # Candidate next events as (time, kind priority, tiebreak):
-                # ready < failure < arrival < step at equal instants.
+                # ready < failure < arrival < step at equal instants.  A
+                # linear scan, not a heap: the fleets simulated here hold
+                # at most six replicas, and a heap would need re-keying
+                # whenever a dispatch fast-forwards an idle replica's
+                # clock or a migration charges one.
                 candidates: list[tuple[float, int, int, str, object]] = []
                 starting = [r for r in self.fleet if r.state is ReplicaLifecycle.STARTING]
                 if starting:
@@ -709,6 +832,8 @@ class ClusterSimulator(TrafficSimulator):
                         # non-step event must step before that event can
                         # observe or touch it — start those steps now so
                         # backend workers compute them concurrently.
+                        # Outcomes are still *processed* one at a time, in
+                        # exactly the serial order.
                         gate_s = min((c[0] for c in candidates), default=None)
                         for candidate in working:
                             if gate_s is None or candidate.clock_s < gate_s:
@@ -725,6 +850,8 @@ class ClusterSimulator(TrafficSimulator):
 
                 self._run_event(kind, payload, time_s, pending, failures)
         finally:
+            # Fold worker-side GEMM/k-means tallies into this process's
+            # active perf counter (no-op for the serial backend).
             self._backend.drain_counters()
             self._run_wall_s = time.perf_counter() - run_start
 
@@ -766,55 +893,197 @@ class ClusterSimulator(TrafficSimulator):
                 self._stop_replica(replica, step_end_s)
             self._control(step_end_s)
 
+    def _step_replica(
+        self, replica: ClusterReplica
+    ) -> tuple[list[RequestMetrics], float]:
+        """Run one engine step on ``replica`` and charge it clock time.
+
+        Returns the metrics of the requests that retired during the step
+        and the step's end instant on the replica clock.  The step may
+        already be computing in a backend worker (speculation); this
+        collects its outcome at exactly the serial processing point.
+        """
+        replica.handle.start_step()
+        outcome = replica.handle.finish_step()
+        trace = outcome.trace
+        step_start_s = replica.clock_s
+        step_end_s = step_start_s + self.clock.step_seconds(trace)
+        replica.clock_s = step_end_s
+        replica.steps += 1
+        replica.occupancy.append(len(trace.decodes))
+        replica.step_wall_s += outcome.wall_s
+        for entry in trace.attaches:
+            # A prefix-cache attach admits the request before any prefill
+            # chunk of it runs; it never produces the first token itself.
+            self._admitted_at_s.setdefault(entry.request_id, step_start_s)
+        for entry in trace.prefills:
+            # Under chunked prefill a request emits one prefill entry
+            # per chunk: admission is the FIRST chunk's step start
+            # (setdefault), while the first token lands at the end of
+            # the LAST chunk's step (overwrite).
+            self._admitted_at_s.setdefault(entry.request_id, step_start_s)
+            self._first_token_at_s[entry.request_id] = step_end_s
+        retired: list[RequestMetrics] = []
+        for item in outcome.finished:
+            record = self._metrics_of(item, step_end_s)
+            retired.append(record)
+            self._metrics.append(record)
+            self.completed[item.request.request_id] = item
+            self._duration_s = max(self._duration_s, step_end_s)
+        return retired, step_end_s
+
     # ------------------------------------------------------------------
     # report
     # ------------------------------------------------------------------
-    def _retries_of(self, request_id: str) -> int:
-        """Failure re-dispatches the request consumed before completing."""
-        return self._retry_counts.get(request_id, 0)
-
-    def _migrations_of(self, request_id: str) -> int:
-        """Drain migrations the request went through before completing."""
-        return self._migration_counts.get(request_id, 0)
-
-    def _recoveries_of(self, request_id: str) -> int:
-        """Checkpoint recoveries the request went through before completing."""
-        return self._recovery_counts.get(request_id, 0)
+    def _metrics_of(self, item: CompletedRequest, finish_s: float) -> RequestMetrics:
+        """Convert one retirement into its :class:`RequestMetrics` record."""
+        request_id = item.request.request_id
+        arrival = item.request.arrival_time_s
+        first_token = self._first_token_at_s[request_id]
+        tokens = len(item.result.output_ids)
+        ttft = first_token - arrival
+        tpot = (finish_s - first_token) / (tokens - 1) if tokens > 1 else 0.0
+        return RequestMetrics(
+            request_id=request_id,
+            replica=self._replica_of[request_id],
+            policy=item.result.method,
+            arrival_time_s=arrival,
+            queue_wait_s=self._admitted_at_s[request_id] - arrival,
+            ttft_s=ttft,
+            tpot_s=tpot,
+            e2e_s=finish_s - arrival,
+            prompt_tokens=item.request.prompt_length(),
+            output_tokens=tokens,
+            slo_met=self.config.slo.is_met(ttft, tpot),
+            retries=self._retry_counts.get(request_id, 0),
+            cached_prefix_tokens=int(
+                getattr(item.result, "cached_prefix_tokens", 0)
+            ),
+            slo_class=item.request.slo_class,
+            migrations=self._migration_counts.get(request_id, 0),
+            recoveries=self._recovery_counts.get(request_id, 0),
+            spec_rounds=int(getattr(item.result, "spec_rounds", 0)),
+            spec_drafted_tokens=int(
+                getattr(item.result, "spec_drafted_tokens", 0)
+            ),
+            spec_accepted_tokens=int(
+                getattr(item.result, "spec_accepted_tokens", 0)
+            ),
+            spec_rejected_tokens=int(
+                getattr(item.result, "spec_rejected_tokens", 0)
+            ),
+        )
 
     def _build_report(self) -> TrafficReport:
-        """The base report plus the cluster-layer outcome records."""
-        report = super()._build_report()
-        report.num_replicas = self._peak_provisioned
-        report.rejected = self._rejected
-        report.num_retries = sum(self._retry_counts.values())
-        report.lost_tokens = self._lost_tokens
-        report.num_migrations = sum(self._migration_counts.values())
-        report.num_recoveries = sum(self._recovery_counts.values())
-        report.autoscaler = {
-            **self.autoscaler.describe(),
-            "min_replicas": self.config.min_replicas,
-            "max_replicas": self.config.max_replicas,
-        }
-        report.admission = self.admission.describe()
-        report.failures = self._failure_log
-        report.scaling = self._scaling_log
+        """Assemble the report of the run that just drained."""
+        occupancy = [o for replica in self.fleet for o in replica.occupancy]
+        report = TrafficReport(
+            requests=self._metrics,
+            slo=self.config.slo,
+            num_replicas=self._peak_provisioned,
+            router=self.router.describe(),
+            clock=self.clock.describe(),
+            duration_s=self._duration_s,
+            engine_steps=sum(replica.steps for replica in self.fleet),
+            mean_occupancy=(sum(occupancy) / len(occupancy)) if occupancy else 0.0,
+            rejected=self._rejected,
+            num_retries=sum(self._retry_counts.values()),
+            lost_tokens=self._lost_tokens,
+            num_migrations=sum(self._migration_counts.values()),
+            num_recoveries=sum(self._recovery_counts.values()),
+            num_preemptions=sum(
+                replica.handle.num_preemptions_total for replica in self.fleet
+            ),
+            failures=self._failure_log,
+            prefix_cache=self._prefix_cache_summary(),
+        )
+        if self._elastic:
+            report.autoscaler = {
+                **self.autoscaler.describe(),
+                "min_replicas": self.config.min_replicas,
+                "max_replicas": self.config.max_replicas,
+            }
+            report.admission = self.admission.describe()
+            report.scaling = self._scaling_log
+        report.wall = self._wall_summary()
         return report
+
+    def _wall_summary(self) -> dict[str, object]:
+        """Host wall-time breakdown of the run (never part of to_dict).
+
+        ``idle_wall_s`` is the run wall time a replica spent *not*
+        computing steps — waiting its turn under the serial backend,
+        genuinely idle or overlapped under the multiprocess one.
+        """
+        return {
+            "run_wall_s": self._run_wall_s,
+            "step_wall_s": sum(replica.step_wall_s for replica in self.fleet),
+            "replicas": [
+                {
+                    "replica": replica.index,
+                    "step_wall_s": replica.step_wall_s,
+                    "idle_wall_s": max(0.0, self._run_wall_s - replica.step_wall_s),
+                }
+                for replica in self.fleet
+            ],
+            "backend": self._backend.describe(),
+        }
+
+    def _prefix_cache_summary(self) -> dict[str, object]:
+        """Fleet-wide prefix-cache accounting plus the hit/miss TTFT split.
+
+        Counters are summed over the replica-local caches; the TTFT means
+        split the served requests by whether they attached a cached prefix
+        (``cached_prefix_tokens > 0``).  Empty when no replica ran with a
+        prefix cache.
+        """
+        per_replica = [replica.handle.prefix_cache_stats() for replica in self.fleet]
+        per_replica = [stats for stats in per_replica if stats]
+        if not per_replica:
+            return {}
+        summed = (
+            "hits",
+            "misses",
+            "hit_tokens",
+            "inserted_tokens",
+            "evicted_tokens",
+            "evictions",
+            "cached_tokens",
+            "num_nodes",
+        )
+        summary: dict[str, object] = {
+            key: int(sum(int(stats.get(key, 0)) for stats in per_replica))
+            for key in summed
+        }
+        lookups = int(summary["hits"]) + int(summary["misses"])
+        summary["hit_rate"] = int(summary["hits"]) / lookups if lookups else 0.0
+        hit_ttfts = [m.ttft_s for m in self._metrics if m.cached_prefix_tokens > 0]
+        miss_ttfts = [m.ttft_s for m in self._metrics if m.cached_prefix_tokens == 0]
+        summary["requests_with_hit"] = len(hit_ttfts)
+        summary["ttft_hit_mean_s"] = (
+            float(sum(hit_ttfts) / len(hit_ttfts)) if hit_ttfts else 0.0
+        )
+        summary["ttft_miss_mean_s"] = (
+            float(sum(miss_ttfts) / len(miss_ttfts)) if miss_ttfts else 0.0
+        )
+        return summary
 
 
 def simulate_cluster(
     requests: Sequence[TrafficRequest],
-    config: ClusterConfig | None = None,
+    config: FleetConfig | None = None,
     router: Router | None = None,
     clock: StepClock | None = None,
     *,
     workers: int | None = None,
 ) -> TrafficReport:
-    """Run one elastic cluster simulation and return its report.
+    """Run one fleet simulation and return its report.
 
-    The cluster counterpart of :func:`repro.traffic.simulate` (also
-    reachable through the ``autoscaler``/``admission``/``failures`` knobs
-    of :func:`repro.api.simulate`).  ``workers`` selects the multiprocess
-    execution backend; the report is byte-identical to the serial default.
+    Takes a :class:`ClusterConfig` (the default) or a static
+    :class:`~repro.traffic.TrafficConfig`; :func:`repro.traffic.simulate`
+    and :func:`repro.api.simulate` forward here.  ``workers`` selects the
+    multiprocess execution backend; the report is byte-identical to the
+    serial default.
     """
     config = config or ClusterConfig()
     if workers is not None:

@@ -1,7 +1,7 @@
 """Execution-backend interface: where replica engines live and step.
 
-The traffic and cluster simulators drive their replicas exclusively
-through this layer.  A :class:`ReplicaHandle` is the simulator-facing
+The fleet simulator (:class:`~repro.cluster.ClusterSimulator`) drives
+its replicas exclusively through this layer.  A :class:`ReplicaHandle` is the simulator-facing
 surface of one :class:`~repro.serving.BatchedEngine` — it may wrap the
 engine in-process (:class:`~repro.execbackend.SerialBackend`, bit-for-bit
 today's behaviour) or proxy it to a persistent worker process
@@ -11,13 +11,13 @@ a cached :class:`ReplicaStateView`.
 
 Determinism contract
 --------------------
-The simulators process events (ready < failure < arrival < step at equal
+The simulator processes events (ready < failure < arrival < step at equal
 instants) in exactly the serial order regardless of backend; only the
 *compute* of engine steps is allowed to run ahead on workers
 (speculation, see :meth:`ReplicaHandle.start_step`).  Speculation is
 sound because engines are fully isolated per replica: a replica's next
 step depends only on its own engine state, which no other replica's
-processing can touch.  The simulators disable speculation in the narrow
+processing can touch.  The simulator disables speculation in the narrow
 cases where the control plane may mutate another replica between steps
 (drain-migration, parked work) — those runs execute steps one at a time
 through the same handles and stay byte-identical.
@@ -82,7 +82,7 @@ class WorkerCrashed(RuntimeError):
 class ReplicaStateView:
     """Snapshot of the scheduler-visible state of one replica engine.
 
-    This is everything the simulators, routers and control-plane policies
+    This is everything the simulator, routers and control-plane policies
     read between steps.  The serial backend computes it live from the
     engine; the multiprocess backend mirrors it across the process
     boundary with every state-changing reply.

@@ -18,7 +18,8 @@ The pieces compose left to right::
                                        prefix_affine)
 
 Entry points: :func:`simulate` (also re-exported as
-:func:`repro.api.simulate`), :func:`run_traffic_bench` behind the
+:func:`repro.api.simulate`; it runs the fleet on
+:class:`repro.cluster.ClusterSimulator`), :func:`run_traffic_bench` behind the
 ``repro traffic-bench`` CLI command, and the small registries
 (:func:`build_arrivals`, :func:`build_router`) that make arrival
 processes and routing strategies pluggable the same way
@@ -56,7 +57,7 @@ from .router import (
     register_router,
     router_names,
 )
-from .simulator import FleetConfig, Replica, TrafficConfig, TrafficSimulator, simulate
+from .simulator import FleetConfig, TrafficConfig, simulate
 from .trace import load_trace, save_trace
 from .workload import RequestShape, TrafficRequest, generate_traffic
 
@@ -93,8 +94,6 @@ __all__ = [
     "TrafficReport",
     "FleetConfig",
     "TrafficConfig",
-    "Replica",
-    "TrafficSimulator",
     "simulate",
     "WorkloadSpec",
     "TrafficBenchConfig",

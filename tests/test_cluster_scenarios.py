@@ -26,6 +26,7 @@ import pytest
 
 from repro.api import EngineSpec, simulate
 from repro.cluster import (
+    Autoscaler,
     ClusterConfig,
     ClusterSimulator,
     FailureEvent,
@@ -34,6 +35,7 @@ from repro.cluster import (
     QueueDepthAutoscaler,
     ReplicaInfo,
     ReplicaLifecycle,
+    ScaleDecision,
     SLOAttainmentAutoscaler,
     StaticAutoscaler,
     TokenBudgetAdmission,
@@ -45,7 +47,19 @@ from repro.cluster import (
 )
 from repro.serving import BatchedEngine
 from repro.serving.bench import serving_policy_spec
-from repro.traffic import RequestShape, SLOSpec, build_arrivals, generate_traffic
+from repro.model import get_model_config
+from repro.traffic import (
+    RequestShape,
+    Router,
+    SLOSpec,
+    StepClock,
+    TrafficConfig,
+    TrafficRequest,
+    build_arrivals,
+    generate_traffic,
+    router_names,
+)
+from repro.traffic import simulate as traffic_simulate
 
 POLICIES = ("clusterkv", "streaming_llm", "full")
 SCENARIOS = ("poisson_burst", "onoff_diurnal", "heavy_tail")
@@ -462,3 +476,195 @@ class TestElasticApi:
         for boot in boots:
             ready = readies[boot["replica"]]
             assert ready["time_s"] == pytest.approx(boot["time_s"] + expected)
+
+
+# ----------------------------------------------------------------------
+# a static fleet is the degenerate cluster
+# ----------------------------------------------------------------------
+CONTROL_PLANE_FIELDS = ("admission", "autoscaler", "scaling")
+
+
+def _featured_spec(**overrides) -> EngineSpec:
+    """Tiny replica engine with preemption, chunked prefill and the prefix cache."""
+    defaults = dict(
+        model="tiny",
+        policy="clusterkv:tokens_per_cluster=12,decode_window=8,decode_clusters=2,num_sink_tokens=4",
+        budget=24,
+        max_new_tokens=8,
+        num_full_layers=1,
+        num_sink_tokens=4,
+        max_batch_size=2,
+        max_prefills_per_step=2,
+        prefill_chunk_tokens=24,
+        prefix_cache_tokens=512,
+        prefix_block_tokens=8,
+        preemption=True,
+    )
+    defaults.update(overrides)
+    return EngineSpec(**defaults)
+
+
+def _featured_workload(count: int = 10):
+    """Mixed-class traffic over two shared preambles (hits, chunks, preemptions)."""
+    vocab = get_model_config("tiny").vocab_size
+    preambles = [np.random.default_rng(k).integers(4, vocab, size=16) for k in (7, 8)]
+
+    def sampler(rng, length):
+        head = preambles[int(rng.integers(len(preambles)))]
+        return np.concatenate([head, rng.integers(4, vocab, size=length)])
+
+    shapes = [
+        RequestShape(
+            prompt_len_range=(16, 40),
+            max_new_tokens=8,
+            slo_class=slo_class,
+            prompt_sampler=sampler,
+        )
+        for slo_class in ("interactive", "batch")
+    ]
+    times = build_arrivals("poisson", rate=2.5).times(count, seed=3)
+    return generate_traffic(shapes, times, vocab_size=vocab, seed=5)
+
+
+class TestStaticFleetIsADegenerateCluster:
+    """A TrafficConfig run is the fixed-size, static, always-admit cluster."""
+
+    @pytest.mark.parametrize("replicas", (1, 3))
+    @pytest.mark.parametrize("router", router_names())
+    def test_traffic_config_equals_fixed_cluster(self, router, replicas):
+        """Every report field agrees except the control plane's own."""
+        requests = _featured_workload()
+        spec = _featured_spec()
+        static = traffic_simulate(
+            requests, TrafficConfig(engine=spec, num_replicas=replicas, router=router)
+        ).to_dict()
+        cluster = simulate_cluster(
+            requests,
+            ClusterConfig(
+                engine=spec, min_replicas=replicas, max_replicas=replicas, router=router
+            ),
+        ).to_dict()
+        assert static["num_replicas"] == replicas
+        for name in CONTROL_PLANE_FIELDS:
+            assert not static.pop(name)
+            assert cluster.pop(name)
+        assert static == cluster
+
+    def test_cluster_config_is_honoured_by_every_entry_point(self):
+        """api.simulate and traffic.simulate run a ClusterConfig as given.
+
+        Autoscaler, admission policy and failure plan all take effect:
+        the three entry points emit byte-identical JSON.
+        """
+        requests = _featured_workload()
+        config = ClusterConfig(
+            engine=_featured_spec(),
+            min_replicas=2,
+            max_replicas=3,
+            autoscaler="queue_depth:high=1",
+            router="jsq",
+            failures=FailurePlan(events=(FailureEvent(time_s=1.5, slot=0),)),
+        )
+        expected = simulate_cluster(requests, config)
+        assert expected.failures and expected.scaling
+        assert simulate(requests, config).to_json() == expected.to_json()
+        assert traffic_simulate(requests, config).to_json() == expected.to_json()
+
+
+# ----------------------------------------------------------------------
+# event order at equal instants
+# ----------------------------------------------------------------------
+class UnitClock(StepClock):
+    """Every step lasts one second and a boot two, so instants coincide exactly."""
+
+    name = "unit"
+
+    def step_seconds(self, trace) -> float:
+        return 1.0
+
+    def warmup_seconds(self) -> float:
+        return 2.0
+
+
+class FirstAccepting(Router):
+    """Always the lowest-index replica that accepts traffic."""
+
+    name = "first"
+
+    def choose(self, replicas, request) -> int:
+        return 0
+
+
+class BootOnce(Autoscaler):
+    """Boot one extra replica at the first decision, then hold."""
+
+    name = "boot_once"
+
+    def __init__(self) -> None:
+        self._fired = False
+
+    def reset(self) -> None:
+        self._fired = False
+
+    def decide(self, view) -> ScaleDecision:
+        if self._fired:
+            return ScaleDecision()
+        self._fired = True
+        return ScaleDecision(add=1, reason="boot once")
+
+
+def _request(request_id: str, arrival_s: float, max_new_tokens: int = 4) -> TrafficRequest:
+    prompt = np.random.default_rng(len(request_id)).integers(4, 200, size=24)
+    return TrafficRequest(request_id, arrival_s, prompt, max_new_tokens)
+
+
+class TestEventOrder:
+    """ready < fail < arrival < step when instants tie."""
+
+    def test_arrival_at_a_working_clock_is_routed_before_the_step(self):
+        """A request arriving exactly at a step boundary joins that step."""
+        requests = [_request("a", 0.0), _request("bb", 1.0)]
+        report = traffic_simulate(
+            requests,
+            TrafficConfig(engine=_featured_spec(preemption=False), num_replicas=1),
+            clock=UnitClock(),
+        )
+        late = next(m for m in report.requests if m.request_id == "bb")
+        # "a" is still decoding at t=1; "bb" is prefilled in the step that
+        # starts at its arrival, not the one after it.
+        assert late.queue_wait_s == 0.0
+        assert late.ttft_s == 1.0
+
+    def test_failure_fires_before_an_arrival_at_the_same_instant(self):
+        """The arrival never lands on the replica killed at its instant."""
+        config = ClusterConfig(
+            engine=_featured_spec(),
+            min_replicas=2,
+            max_replicas=2,
+            failures=FailurePlan(events=(FailureEvent(time_s=3.0, slot=0),)),
+        )
+        report = simulate_cluster(
+            [_request("a", 3.0)], config, router=FirstAccepting(), clock=UnitClock()
+        )
+        (failure,) = report.failures
+        assert failure["replica"] == 0 and failure["lost_requests"] == []
+        (served,) = report.requests
+        assert (served.replica, served.retries) == (1, 0)
+
+    def test_replica_ready_at_a_failure_instant_is_in_its_pool(self):
+        """A boot completing at the kill instant can be the victim."""
+        config = ClusterConfig(
+            engine=_featured_spec(),
+            min_replicas=1,
+            max_replicas=2,
+            autoscaler=BootOnce(),
+            failures=FailurePlan(events=(FailureEvent(time_s=2.0, slot=1),)),
+        )
+        report = simulate_cluster(
+            [_request("a", 0.0, max_new_tokens=6)], config, clock=UnitClock()
+        )
+        timeline = [(e["time_s"], e["action"], e["replica"]) for e in report.scaling]
+        assert timeline.index((2.0, "ready", 1)) < timeline.index((2.0, "fail", 1))
+        (failure,) = report.failures
+        assert failure["replica"] == 1
+        assert report.num_requests == 1 and report.num_retries == 0

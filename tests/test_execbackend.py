@@ -9,6 +9,7 @@ recovery, tiered-capacity exhaustion).  Wall-clock observability rides
 along but stays out of the serialized report.
 """
 
+import gc
 import json
 import threading
 from dataclasses import replace
@@ -23,7 +24,13 @@ from repro.capacity.scenarios import (
     probe_point,
 )
 from repro.cli import build_parser, main
-from repro.cluster import ClusterBenchConfig, ClusterConfig, FailurePlan, run_cluster_bench
+from repro.cluster import (
+    ClusterBenchConfig,
+    ClusterConfig,
+    ClusterSimulator,
+    FailurePlan,
+    run_cluster_bench,
+)
 from repro.execbackend import MultiprocessBackend, WorkerCrashed
 from repro.execbackend.mp import _model_digest
 from repro.memory import CapacityExceeded
@@ -36,7 +43,7 @@ from repro.traffic.bench import (
     build_bench_requests,
     run_traffic_bench,
 )
-from repro.traffic.simulator import TrafficConfig, TrafficSimulator
+from repro.traffic.simulator import TrafficConfig
 
 
 def traffic_config(
@@ -93,7 +100,7 @@ def capacity_config(workers=None, **engine) -> CapacityScenarioConfig:
 
 def run_traffic(config: TrafficBenchConfig, requests=None):
     """Run the benchmark workload, returning (report, raw per-request outputs)."""
-    with TrafficSimulator(config.fleet) as sim:
+    with ClusterSimulator(config.fleet) as sim:
         report = sim.run(build_bench_requests(config) if requests is None else requests)
         outputs = {
             request_id: (
@@ -218,7 +225,7 @@ class TestCapacityParity:
         """The typed exception arrives intact — class and tier attribute."""
         config = capacity_config(workers=1, tiers=self.TIGHT)
         requests = _burst_requests(config, 192, 3)
-        with TrafficSimulator(config.traffic_config(config.policies[-1], 3)) as sim:
+        with ClusterSimulator(config.traffic_config(config.policies[-1], 3)) as sim:
             with pytest.raises(CapacityExceeded) as excinfo:
                 sim.run(requests)
         assert excinfo.value.tier.value in ("gpu", "cpu", "ssd")
@@ -242,6 +249,24 @@ class TestWorkerLifecycle:
         finally:
             backend.close()
 
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        """A multiprocess spec without a worker count forks no more than the CPUs."""
+        monkeypatch.setattr(_lanes, "available_cpus", lambda: 1)
+        fleet = replace(traffic_config(backend="multiprocess").fleet, num_replicas=3)
+        with ClusterSimulator(fleet) as sim:
+            assert sim._backend.workers == 1
+
+    def test_dropped_simulator_leaves_no_live_worker(self):
+        """The backend's GC safety net reaps workers nobody closed."""
+        config = traffic_config(workers=2)
+        sim = ClusterSimulator(config.fleet)
+        sim.run(build_bench_requests(config)[:2])
+        processes = [client.process for client in sim._backend._clients]
+        assert all(process.is_alive() for process in processes)
+        del sim
+        gc.collect()
+        assert not any(process.is_alive() for process in processes)
+
     def test_close_is_idempotent(self):
         spec = EngineSpec(model="serve-sim", max_new_tokens=8)
         backend = MultiprocessBackend(spec.build_model(), spec, workers=1)
@@ -251,7 +276,7 @@ class TestWorkerLifecycle:
     def test_worker_weights_match_parent(self):
         """Shared-arena rebuild is bit-identical in every worker."""
         config = traffic_config(workers=2)
-        with TrafficSimulator(config.fleet) as sim:
+        with ClusterSimulator(config.fleet) as sim:
             parent = _model_digest(sim.model)
             digests = sim._backend.model_digests()
         assert len(digests) == 2

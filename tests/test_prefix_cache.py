@@ -35,7 +35,6 @@ from repro.traffic import (
     PrefixAffineRouter,
     TrafficConfig,
     TrafficRequest,
-    TrafficSimulator,
 )
 
 BLOCK = 16
@@ -465,9 +464,9 @@ class TestTrafficScenarios:
     def test_shared_preamble_hit_rate_and_ttft_improvement(self):
         """Hit rate >= 0.5 and strictly lower TTFT at equal output tokens."""
         requests = preamble_workload()
-        cached = TrafficSimulator(TrafficConfig(engine=traffic_spec(True), num_replicas=1))
+        cached = ClusterSimulator(TrafficConfig(engine=traffic_spec(True), num_replicas=1))
         cached_report = cached.run(requests)
-        plain = TrafficSimulator(TrafficConfig(engine=traffic_spec(False), num_replicas=1))
+        plain = ClusterSimulator(TrafficConfig(engine=traffic_spec(False), num_replicas=1))
         plain_report = plain.run(requests)
 
         # Outputs are token-identical, so goodput comparisons are fair.
@@ -500,10 +499,10 @@ class TestTrafficScenarios:
     def test_cached_traffic_report_is_byte_reproducible(self):
         """Two fresh cache-enabled runs emit byte-identical report JSON."""
         requests = preamble_workload()
-        first = TrafficSimulator(
+        first = ClusterSimulator(
             TrafficConfig(engine=traffic_spec(True), num_replicas=2, router="prefix_affine")
         ).run(requests)
-        second = TrafficSimulator(
+        second = ClusterSimulator(
             TrafficConfig(engine=traffic_spec(True), num_replicas=2, router="prefix_affine")
         ).run(requests)
         assert first.to_json() == second.to_json()

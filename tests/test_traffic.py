@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.api import EngineSpec, simulate as api_simulate
+from repro.cluster import ClusterSimulator
 from repro.model import TransformerModel, get_model_config
 from repro.policies import PolicySpec
 from repro.serving import BatchedEngine, SchedulerConfig
@@ -33,7 +34,6 @@ from repro.traffic import (
     TrafficBenchConfig,
     TrafficConfig,
     TrafficRequest,
-    TrafficSimulator,
     WallClock,
     WorkloadSpec,
     arrival_names,
@@ -274,7 +274,7 @@ class TestSimulatorEquivalence:
         """Single replica, batch capacity 1: token-for-token BatchedEngine."""
         spec = tiny_engine_spec(max_batch_size=1, max_prefills_per_step=1)
         requests = tiny_requests(3)
-        simulator = TrafficSimulator(TrafficConfig(engine=spec, num_replicas=1))
+        simulator = ClusterSimulator(TrafficConfig(engine=spec, num_replicas=1))
         simulator.run(requests)
 
         reference = BatchedEngine(
@@ -301,7 +301,7 @@ class TestSimulatorEquivalence:
         """At full batch capacity the simulator is still output-transparent."""
         spec = tiny_engine_spec()
         requests = tiny_requests(4)
-        simulator = TrafficSimulator(TrafficConfig(engine=spec, num_replicas=1))
+        simulator = ClusterSimulator(TrafficConfig(engine=spec, num_replicas=1))
         simulator.run(requests)
         reference = BatchedEngine(
             TransformerModel(get_model_config("tiny")),
@@ -412,7 +412,7 @@ class TestSimulatorDeterminismAndMetrics:
 
     def test_rerun_on_one_simulator_is_independent(self):
         """run() starts cold every time: same workload, same report."""
-        simulator = TrafficSimulator(
+        simulator = ClusterSimulator(
             TrafficConfig(engine=tiny_engine_spec(), num_replicas=2, router="round_robin")
         )
         requests = tiny_requests(4, spacing=0.5)
@@ -423,7 +423,7 @@ class TestSimulatorDeterminismAndMetrics:
     def test_least_kv_spreads_a_burst_across_replicas(self):
         """Queued requests count toward reserved KV, so bursts spread."""
         requests = tiny_requests(4)  # all arrive at t=0
-        simulator = TrafficSimulator(
+        simulator = ClusterSimulator(
             TrafficConfig(engine=tiny_engine_spec(), num_replicas=2, router="least_kv")
         )
         report = simulator.run(requests)
