@@ -10,6 +10,16 @@ Selectors are stateful per layer: they observe the keys produced during
 prefill and decoding (so that they can build whatever acceleration structure
 they need — semantic clusters, page bounds, partial keys, ...) and maintain
 instrumentation counters that the performance model consumes.
+
+Selectors do not own the key history.  The request's
+:class:`~repro.model.kv_cache.KVCacheStore` holds every layer's keys (and
+the :class:`~repro.model.pointer.CopyHead` the pointer head's); a selector
+keeps only what it derives from them.  A method that scores raw keys at
+selection time (H2O, the exact oracle) reads them from the ``keys``
+argument of :meth:`LayerSelectorState.select`: a read-only view of the
+store, valid for that call only, and ``None`` when a host-to-SSD spill
+pager is attached (a spilled page reads as zeros, so no selector may
+compute on it).
 """
 
 from __future__ import annotations
@@ -98,18 +108,27 @@ class LayerSelectorState(abc.ABC):
         self.n_kv_heads = n_kv_heads
         self.head_dim = head_dim
         self.stats = SelectorStats()
+        self._num_tokens = 0
 
-    @abc.abstractmethod
     def observe_prefill(self, keys: np.ndarray) -> None:
-        """Ingest prompt keys, shape ``(n_kv_heads, L, head_dim)``."""
+        """Ingest prompt keys, shape ``(n_kv_heads, L, head_dim)``.
 
-    @abc.abstractmethod
+        The default only counts them — all a policy needs whose selection
+        depends on the context length alone or on the ``keys`` argument
+        of :meth:`select`.  A policy that builds a structure overrides it.
+        """
+        self._num_tokens = int(np.asarray(keys).shape[1])
+
     def observe_decode(self, keys: np.ndarray) -> None:
-        """Ingest keys of newly decoded tokens, shape ``(n_kv_heads, t, head_dim)``."""
+        """Ingest keys of newly decoded tokens, shape ``(n_kv_heads, t, head_dim)``.
+
+        The default only counts them (see :meth:`observe_prefill`).
+        """
+        self._num_tokens += int(np.asarray(keys).shape[1])
 
     @abc.abstractmethod
     def select(
-        self, queries: np.ndarray, budget: int, step: int
+        self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
     ) -> list[np.ndarray]:
         """Select token indices for the current decoding step.
 
@@ -122,6 +141,13 @@ class LayerSelectorState(abc.ABC):
             KV cache budget ``B`` (tokens per head).
         step:
             Zero-based decoding step index.
+        keys:
+            The layer's whole key history, shape ``(n_kv_heads,
+            context_length, head_dim)``: a read-only view of the store the
+            engine owns (never a copy), so a state must not write to it or
+            keep it past the call.  ``None`` under a host-to-SSD spill
+            pager, and for callers that know the policy does not read keys;
+            a policy that needs them raises ``ValueError``.
 
         Returns
         -------
@@ -133,7 +159,24 @@ class LayerSelectorState(abc.ABC):
     @property
     def context_length(self) -> int:
         """Number of tokens observed so far (prefill plus decode)."""
-        raise NotImplementedError
+        return self._num_tokens
+
+    def _require_keys(self, keys: np.ndarray | None) -> np.ndarray:
+        """The ``keys`` argument of :meth:`select`, for a policy that scores raw keys."""
+        expected = (self.n_kv_heads, self._num_tokens, self.head_dim)
+        if keys is None or keys.shape != expected:
+            raise ValueError(f"{type(self).__name__}.select needs keys of shape {expected}")
+        return keys
+
+    def _validate_keys(self, keys: np.ndarray) -> np.ndarray:
+        """``keys`` as float64, checked to be ``(n_kv_heads, t, head_dim)``."""
+        keys = np.asarray(keys, dtype=np.float64)
+        if keys.ndim != 3 or keys.shape[0] != self.n_kv_heads or keys.shape[2] != self.head_dim:
+            raise ValueError(
+                f"expected keys of shape ({self.n_kv_heads}, t, {self.head_dim}), "
+                f"got {keys.shape}"
+            )
+        return keys
 
     # ------------------------------------------------------------------
     # whole-state checkpoint hooks (sequence migration / preemption)
@@ -146,10 +189,11 @@ class LayerSelectorState(abc.ABC):
         has accumulated — acceleration structures, caches, instrumentation
         counters — is captured so that :meth:`restore_state` on a fresh
         state of the same policy configuration reproduces this state
-        exactly.  Selector states hold only plain-Python containers and
-        NumPy arrays, so a deep copy of ``__dict__`` is exact for every
-        registered policy; a selector holding unpicklable resources must
-        override both hooks.
+        exactly.  The key history is not part of it: the KV store owns
+        that and is checkpointed on its own.  Selector states hold only
+        plain-Python containers and NumPy arrays, so a deep copy of
+        ``__dict__`` is exact for every registered policy; a selector
+        holding unpicklable resources must override both hooks.
         """
         return copy.deepcopy(self.__dict__)
 

@@ -12,31 +12,19 @@ __all__ = ["FullKVLayerState", "FullKVSelector"]
 
 
 class FullKVLayerState(LayerSelectorState):
-    """Selects every cached token at every step (exact attention)."""
+    """Selects every cached token at every step (exact attention).
 
-    def __init__(self, layer_idx: int, n_kv_heads: int, head_dim: int) -> None:
-        super().__init__(layer_idx, n_kv_heads, head_dim)
-        self._num_tokens = 0
+    Full attention needs no structure: observation only counts tokens.
+    """
 
-    def observe_prefill(self, keys: np.ndarray) -> None:
-        """Record the prompt length; full attention needs no structure."""
-        self._num_tokens = int(np.asarray(keys).shape[1])
-
-    def observe_decode(self, keys: np.ndarray) -> None:
-        """Extend the token count with the newly decoded tokens."""
-        self._num_tokens += int(np.asarray(keys).shape[1])
-
-    def select(self, queries: np.ndarray, budget: int, step: int) -> list[np.ndarray]:
+    def select(
+        self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
+    ) -> list[np.ndarray]:
         """Select every cached token for every kv head."""
         indices = np.arange(self._num_tokens, dtype=np.int64)
         self.stats.selected_tokens += self._num_tokens * self.n_kv_heads
         self.stats.num_selections += 1
         return [indices.copy() for _ in range(self.n_kv_heads)]
-
-    @property
-    def context_length(self) -> int:
-        """Number of tokens observed so far (prefill plus decode)."""
-        return self._num_tokens
 
 
 @register_policy("full", summary="uncompressed baseline: attend to every cached token")

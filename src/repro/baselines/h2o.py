@@ -58,8 +58,6 @@ class H2OLayerState(LayerSelectorState):
         super().__init__(layer_idx, n_kv_heads, head_dim)
         self.config = config
         self.num_sink_tokens = num_sink_tokens
-        self._key_blocks: list[np.ndarray] = []
-        self._num_tokens = 0
         # Per-head retained indices and their accumulated attention mass.
         self._retained: list[np.ndarray] | None = None
         self._accumulated: list[np.ndarray] | None = None
@@ -67,34 +65,13 @@ class H2OLayerState(LayerSelectorState):
         # anything beyond it is new and has not been evicted yet.
         self._seen_tokens = 0
 
-    # ------------------------------------------------------------------
-    # observation
-    # ------------------------------------------------------------------
-    def observe_prefill(self, keys: np.ndarray) -> None:
-        """Store the prompt keys; eviction starts at the first decode step."""
-        keys = np.asarray(keys, dtype=np.float64)
-        self._key_blocks.append(keys)
-        self._num_tokens = keys.shape[1]
-
-    def observe_decode(self, keys: np.ndarray) -> None:
-        """Store keys of newly decoded tokens (eviction candidates next step)."""
-        keys = np.asarray(keys, dtype=np.float64)
-        self._key_blocks.append(keys)
-        self._num_tokens += keys.shape[1]
-
-    def _all_keys(self) -> np.ndarray:
-        if len(self._key_blocks) > 1:
-            self._key_blocks = [np.concatenate(self._key_blocks, axis=1)]
-        return self._key_blocks[0]
-
-    # ------------------------------------------------------------------
-    # selection
-    # ------------------------------------------------------------------
-    def select(self, queries: np.ndarray, budget: int, step: int) -> list[np.ndarray]:
+    def select(
+        self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
+    ) -> list[np.ndarray]:
         """Keep sinks, the recent window and the heaviest hitters; evicted tokens are never recalled."""
         merged = merge_group_queries(queries)
         budget = clip_budget(budget, self._num_tokens)
-        keys = self._all_keys()
+        keys = self._require_keys(keys)
         if self._retained is None:
             # First decoding step: initialise the retained set from the full
             # prompt.  H2O accumulates attention during prefill; here the
@@ -151,11 +128,6 @@ class H2OLayerState(LayerSelectorState):
         self._seen_tokens = self._num_tokens
         self.stats.num_selections += 1
         return selections
-
-    @property
-    def context_length(self) -> int:
-        """Number of tokens observed so far (prefill plus decode)."""
-        return self._num_tokens
 
 
 @register_policy(

@@ -94,10 +94,9 @@ class InfiniGenLayerState(LayerSelectorState):
         super().__init__(layer_idx, n_kv_heads, head_dim)
         self.config = config
         self.partial_dim = config.partial_dim(head_dim)
-        self._num_tokens = 0
         # Per-head projection matrices (d, r) and partial key blocks.
         self._projections: list[np.ndarray] | None = None
-        self._partial_key_blocks: list[list[np.ndarray]] = [[] for _ in range(n_kv_heads)]
+        self._partial_blocks: list[list[np.ndarray]] = [[] for _ in range(n_kv_heads)]
         self._noise_rng = np.random.default_rng(config.seed + 7 * layer_idx + 1)
 
     # ------------------------------------------------------------------
@@ -105,7 +104,7 @@ class InfiniGenLayerState(LayerSelectorState):
     # ------------------------------------------------------------------
     def observe_prefill(self, keys: np.ndarray) -> None:
         """SVD the prompt keys into partial weights and build partial keys."""
-        keys = self._validate(keys)
+        keys = self._validate_keys(keys)
         self._num_tokens = keys.shape[1]
         self._projections = []
         for head in range(self.n_kv_heads):
@@ -117,7 +116,7 @@ class InfiniGenLayerState(LayerSelectorState):
             _, _, vt = np.linalg.svd(head_keys, full_matrices=False)
             projection = vt[: self.partial_dim].T  # (d, r)
             self._projections.append(projection)
-            self._partial_key_blocks[head].append(head_keys @ projection)
+            self._partial_blocks[head].append(head_keys @ projection)
             # SVD cost ~ L d^2, projection cost 2 L d r.
             self.stats.build_flops += int(
                 keys.shape[1] * self.head_dim**2
@@ -127,11 +126,11 @@ class InfiniGenLayerState(LayerSelectorState):
 
     def observe_decode(self, keys: np.ndarray) -> None:
         """Project newly decoded keys into the partial space."""
-        keys = self._validate(keys)
+        keys = self._validate_keys(keys)
         if self._projections is None:
             raise RuntimeError("observe_decode called before observe_prefill")
         for head in range(self.n_kv_heads):
-            self._partial_key_blocks[head].append(keys[head] @ self._projections[head])
+            self._partial_blocks[head].append(keys[head] @ self._projections[head])
             self.stats.build_flops += int(
                 2 * keys.shape[1] * self.head_dim * self.partial_dim
             )
@@ -141,7 +140,9 @@ class InfiniGenLayerState(LayerSelectorState):
     # ------------------------------------------------------------------
     # selection
     # ------------------------------------------------------------------
-    def select(self, queries: np.ndarray, budget: int, step: int) -> list[np.ndarray]:
+    def select(
+        self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
+    ) -> list[np.ndarray]:
         """Speculate scores with partial keys and pick the top-``B`` tokens."""
         if self._projections is None:
             raise RuntimeError("select called before observe_prefill")
@@ -172,28 +173,14 @@ class InfiniGenLayerState(LayerSelectorState):
         self.stats.num_selections += 1
         return selections
 
-    @property
-    def context_length(self) -> int:
-        """Number of tokens observed so far (prefill plus decode)."""
-        return self._num_tokens
-
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
     def _partial_keys(self, head: int) -> np.ndarray:
-        blocks = self._partial_key_blocks[head]
+        blocks = self._partial_blocks[head]
         if len(blocks) > 1:
-            self._partial_key_blocks[head] = [np.concatenate(blocks, axis=0)]
-        return self._partial_key_blocks[head][0]
-
-    def _validate(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.float64)
-        if keys.ndim != 3 or keys.shape[0] != self.n_kv_heads or keys.shape[2] != self.head_dim:
-            raise ValueError(
-                f"expected keys of shape ({self.n_kv_heads}, t, {self.head_dim}), "
-                f"got {keys.shape}"
-            )
-        return keys
+            self._partial_blocks[head] = [np.concatenate(blocks, axis=0)]
+        return self._partial_blocks[head][0]
 
     def _refresh_aux_bytes(self) -> None:
         # Partial keys stored at fp16 in addition to the original keys.

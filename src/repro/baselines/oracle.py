@@ -38,35 +38,18 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 class OracleTopKLayerState(LayerSelectorState):
-    """Keeps all keys and selects the exact top-``B`` per kv head."""
+    """Scores every key exactly and selects the top-``B`` per kv head.
 
-    def __init__(self, layer_idx: int, n_kv_heads: int, head_dim: int) -> None:
-        super().__init__(layer_idx, n_kv_heads, head_dim)
-        self._key_blocks: list[np.ndarray] = []
-        self._num_tokens = 0
+    Observation only counts tokens: ``select`` reads the keys it is handed.
+    """
 
-    def observe_prefill(self, keys: np.ndarray) -> None:
-        """Store the prompt keys for exact scoring."""
-        keys = np.asarray(keys, dtype=np.float64)
-        self._key_blocks.append(keys)
-        self._num_tokens = keys.shape[1]
-
-    def observe_decode(self, keys: np.ndarray) -> None:
-        """Store keys of newly decoded tokens."""
-        keys = np.asarray(keys, dtype=np.float64)
-        self._key_blocks.append(keys)
-        self._num_tokens += keys.shape[1]
-
-    def _all_keys(self) -> np.ndarray:
-        if len(self._key_blocks) > 1:
-            self._key_blocks = [np.concatenate(self._key_blocks, axis=1)]
-        return self._key_blocks[0]
-
-    def select(self, queries: np.ndarray, budget: int, step: int) -> list[np.ndarray]:
+    def select(
+        self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
+    ) -> list[np.ndarray]:
         """Select the exact top-``B`` tokens by true score per kv head."""
         merged = merge_group_queries(queries)
         budget = clip_budget(budget, self._num_tokens)
-        keys = self._all_keys()
+        keys = self._require_keys(keys)
         selections = []
         for head in range(self.n_kv_heads):
             scores = keys[head] @ merged[head]
@@ -76,11 +59,6 @@ class OracleTopKLayerState(LayerSelectorState):
             self.stats.selected_tokens += int(indices.shape[0])
         self.stats.num_selections += 1
         return selections
-
-    @property
-    def context_length(self) -> int:
-        """Number of tokens observed so far (prefill plus decode)."""
-        return self._num_tokens
 
 
 @register_policy("oracle", summary="exact top-k selection by true attention scores")

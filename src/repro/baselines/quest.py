@@ -66,7 +66,6 @@ class QuestLayerState(LayerSelectorState):
     ) -> None:
         super().__init__(layer_idx, n_kv_heads, head_dim)
         self.config = config
-        self._num_tokens = 0
         # Page summaries: lists of (n_kv_heads, head_dim) arrays per page.
         self._page_max: list[np.ndarray] = []
         self._page_min: list[np.ndarray] = []
@@ -84,12 +83,7 @@ class QuestLayerState(LayerSelectorState):
         self._ingest(keys)
 
     def _ingest(self, keys: np.ndarray) -> None:
-        keys = np.asarray(keys, dtype=np.float64)
-        if keys.ndim != 3 or keys.shape[0] != self.n_kv_heads or keys.shape[2] != self.head_dim:
-            raise ValueError(
-                f"expected keys of shape ({self.n_kv_heads}, t, {self.head_dim}), "
-                f"got {keys.shape}"
-            )
+        keys = self._validate_keys(keys)
         for t in range(keys.shape[1]):
             key_t = keys[:, t, :]
             if self._page_counts and self._page_counts[-1] < self.config.page_size:
@@ -108,7 +102,9 @@ class QuestLayerState(LayerSelectorState):
     # ------------------------------------------------------------------
     # selection
     # ------------------------------------------------------------------
-    def select(self, queries: np.ndarray, budget: int, step: int) -> list[np.ndarray]:
+    def select(
+        self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
+    ) -> list[np.ndarray]:
         """Rank pages by their score upper bound and take whole pages until the budget is met."""
         merged = merge_group_queries(queries)
         budget = clip_budget(budget, self._num_tokens)
@@ -148,11 +144,6 @@ class QuestLayerState(LayerSelectorState):
         self.stats.num_selections += 1
         self.stats.aux_bytes = int(2 * num_pages * self.n_kv_heads * self.head_dim * 2)
         return selections
-
-    @property
-    def context_length(self) -> int:
-        """Number of tokens observed so far (prefill plus decode)."""
-        return self._num_tokens
 
     @property
     def num_pages(self) -> int:

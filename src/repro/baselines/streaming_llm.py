@@ -31,17 +31,10 @@ class StreamingLLMLayerState(LayerSelectorState):
     ) -> None:
         super().__init__(layer_idx, n_kv_heads, head_dim)
         self.num_sink_tokens = num_sink_tokens
-        self._num_tokens = 0
 
-    def observe_prefill(self, keys: np.ndarray) -> None:
-        """Record the prompt length (the fixed pattern needs no structure)."""
-        self._num_tokens = int(np.asarray(keys).shape[1])
-
-    def observe_decode(self, keys: np.ndarray) -> None:
-        """Extend the token count with the newly decoded tokens."""
-        self._num_tokens += int(np.asarray(keys).shape[1])
-
-    def select(self, queries: np.ndarray, budget: int, step: int) -> list[np.ndarray]:
+    def select(
+        self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
+    ) -> list[np.ndarray]:
         """Select the sink tokens plus the most recent window."""
         budget = clip_budget(budget, self._num_tokens)
         num_sinks = min(self.num_sink_tokens, self._num_tokens, budget)
@@ -54,11 +47,6 @@ class StreamingLLMLayerState(LayerSelectorState):
         self.stats.selected_tokens += int(indices.shape[0]) * self.n_kv_heads
         self.stats.num_selections += 1
         return [indices.copy() for _ in range(self.n_kv_heads)]
-
-    @property
-    def context_length(self) -> int:
-        """Number of tokens observed so far (prefill plus decode)."""
-        return self._num_tokens
 
 
 @register_policy(

@@ -14,11 +14,21 @@ This module ties together the pieces of the paper's contribution:
 
 The class implements the generic :class:`repro.baselines.base.LayerSelectorState`
 interface so the inference engine treats ClusterKV exactly like any baseline.
+
+As in the paper, the full KV cache lives once, in the request's
+:class:`~repro.model.kv_cache.KVCacheStore` (host memory); a layer state
+holds only compact cluster metadata plus two key-derived things: the keys
+of the decode tokens not yet clustered (at most about ``decode_window``
+of them — the paper keeps these on the GPU until their window is
+clustered) and, under the non-default ``trim_policy="centroid"``, each
+clustered token's centroid affinity.  Selection therefore never reads a
+key, which is what lets it run while the store's cold pages sit on SSD.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -32,7 +42,7 @@ from ..memory import TierKind
 from ..perf import counters
 from ..policies.registry import register_policy
 from .cache import ClusterCache
-from .clustering import clustering_flops, kmeans_cluster_batch
+from .clustering import ClusteringResult, clustering_flops, kmeans_cluster_batch
 from .config import ClusterKVConfig
 from .metadata import ClusterMetadata
 from .selection import ClusterSelection, select_clusters, selection_from_order
@@ -66,13 +76,9 @@ class ClusterKVLayerState(LayerSelectorState):
         self._stacked_norms: np.ndarray | None = None
         self._stacked_sizes: np.ndarray | None = None
         self._sink_indices = np.zeros(0, dtype=np.int64)
-        # Full per-head key history; needed for decode-window clustering and
-        # the "centroid" trim policy.  Kept in one growable (n_kv_heads,
-        # capacity, head_dim) buffer with doubling growth so the decode path
-        # appends by slice assignment instead of re-concatenating blocks.
-        self._key_buffer: np.ndarray | None = None
-        self._key_capacity = 0
-        self._num_tokens = 0
+        # (n_kv_heads, t, head_dim) key blocks of the decode tokens not yet
+        # clustered; emptied each time their window is clustered.
+        self._pending_keys: list[np.ndarray] = []
         self._num_sinks_held = 0
         self._pending_start = 0  # absolute index of the first unclustered decode token
         self._prefilled = False
@@ -92,7 +98,7 @@ class ClusterKVLayerState(LayerSelectorState):
         if self._prefilled:
             raise RuntimeError("observe_prefill called twice")
         length = keys.shape[1]
-        self._append_keys(keys)
+        self._num_tokens = length
         self._prefilled = True
 
         self._num_sinks_held = min(self.num_sink_tokens, length)
@@ -100,24 +106,19 @@ class ClusterKVLayerState(LayerSelectorState):
         if self.config.prefill_segment_tokens is not None:
             self._observe_prefill_segmented(keys, length)
         else:
-            clusterable = length - self._num_sinks_held
-            n_clusters = self.config.num_prefill_clusters(clusterable)
+            clusterable = keys[:, self._num_sinks_held :, :]
+            n_clusters = self.config.num_prefill_clusters(clusterable.shape[1])
             if n_clusters > 0:
                 # All heads in one batched k-means; head h runs under seed
                 # base + h, matching the historical per-head calls bit for bit.
                 results = kmeans_cluster_batch(
-                    keys[:, self._num_sinks_held :, :],
+                    clusterable,
                     n_clusters,
                     metric=self.config.distance_metric,
                     max_iters=self.config.max_kmeans_iters,
                     seed=self.config.kmeans_seed + self.layer_idx * 131,
                 )
-                for head, result in enumerate(results):
-                    self.metadata[head].append_clustering(result, self._num_sinks_held)
-                    self.stats.build_flops += clustering_flops(
-                        clusterable, n_clusters, self.head_dim, result.n_iters
-                    )
-                self._stacked_centroids = None
+                self._append_clusterings(results, self._num_sinks_held, clusterable)
         self._pending_start = length
         self._refresh_aux_bytes()
 
@@ -137,6 +138,7 @@ class ClusterKVLayerState(LayerSelectorState):
         for seg_start in range(self._num_sinks_held, length, segment):
             seg_end = min(seg_start + segment, length)
             window = seg_end - seg_start
+            block = keys[:, seg_start:seg_end, :]
             restored = self._restored_segments.get((seg_start, seg_end))
             if restored is not None:
                 results = restored
@@ -146,7 +148,7 @@ class ClusterKVLayerState(LayerSelectorState):
                     continue
                 results = tuple(
                     kmeans_cluster_batch(
-                        keys[:, seg_start:seg_end, :],
+                        block,
                         n_clusters,
                         metric=self.config.distance_metric,
                         max_iters=self.config.max_kmeans_iters,
@@ -155,16 +157,35 @@ class ClusterKVLayerState(LayerSelectorState):
                         + 7919 * seg_start,
                     )
                 )
-            for head, result in enumerate(results):
-                self.metadata[head].append_clustering(result, seg_start)
-                if restored is None:
-                    self.stats.build_flops += clustering_flops(
-                        window, result.centroids.shape[0], self.head_dim, result.n_iters
-                    )
+            self._append_clusterings(results, seg_start, block, built=restored is None)
             if window == segment:
                 self._prefill_segments[(seg_start, seg_end)] = tuple(results)
-            self._stacked_centroids = None
         self._restored_segments = {}
+
+    def _append_clusterings(
+        self,
+        results: Sequence[ClusteringResult],
+        token_offset: int,
+        keys: np.ndarray,
+        built: bool = True,
+    ) -> None:
+        """Append one clustering run per head over the ``keys`` block.
+
+        ``built`` charges the run's k-means FLOPs (a segment adopted from
+        the prefix cache cost nothing here).  Under the "centroid" trim
+        policy the block keys also go to the metadata, which records each
+        member's centroid affinity once, so selection never reads a key.
+        """
+        centroid_trim = self.config.trim_policy == "centroid"
+        for head, result in enumerate(results):
+            self.metadata[head].append_clustering(
+                result, token_offset, keys[head] if centroid_trim else None
+            )
+            if built:
+                self.stats.build_flops += clustering_flops(
+                    keys.shape[1], result.centroids.shape[0], self.head_dim, result.n_iters
+                )
+        self._stacked_centroids = None
 
     # ------------------------------------------------------------------
     # prefix-cache hooks
@@ -198,32 +219,24 @@ class ClusterKVLayerState(LayerSelectorState):
         keys = self._validate_keys(keys)
         if not self._prefilled:
             raise RuntimeError("observe_decode called before observe_prefill")
-        self._append_keys(keys)
+        self._pending_keys.append(keys.copy())
+        self._num_tokens += keys.shape[1]
         if self._num_tokens - self._pending_start >= self.config.decode_window:
             self._cluster_pending_window()
 
     def _cluster_pending_window(self) -> None:
         """Cluster the buffered decode tokens into ``C+`` new clusters."""
-        start = self._pending_start
         end = self._num_tokens
-        window = end - start
-        if window <= 0:
-            return
-        all_keys = self._all_keys()
-        n_clusters = min(self.config.decode_clusters, window)
+        keys = np.concatenate(self._pending_keys, axis=1)
+        self._pending_keys = []
         results = kmeans_cluster_batch(
-            all_keys[:, start:end, :],
-            n_clusters,
+            keys,
+            min(self.config.decode_clusters, keys.shape[1]),
             metric=self.config.distance_metric,
             max_iters=self.config.max_kmeans_iters,
             seed=self.config.kmeans_seed + self.layer_idx * 131 + 7919 * end,
         )
-        for head, result in enumerate(results):
-            self.metadata[head].append_clustering(result, start)
-            self.stats.build_flops += clustering_flops(
-                window, n_clusters, self.head_dim, result.n_iters
-            )
-        self._stacked_centroids = None
+        self._append_clusterings(results, self._pending_start, keys)
         self._pending_start = end
         self._refresh_aux_bytes()
 
@@ -231,9 +244,12 @@ class ClusterKVLayerState(LayerSelectorState):
     # selection
     # ------------------------------------------------------------------
     def select(
-        self, queries: np.ndarray, budget: int, step: int
+        self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
     ) -> list[np.ndarray]:
-        """Select the clusters closest to the query until the budget is met (paper Sec. III-C)."""
+        """Select the clusters closest to the query until the budget is met (paper Sec. III-C).
+
+        ``keys`` is ignored: selection reads only cluster metadata.
+        """
         merged = merge_group_queries(queries)
         if merged.shape != (self.n_kv_heads, self.head_dim):
             raise ValueError(
@@ -241,28 +257,25 @@ class ClusterKVLayerState(LayerSelectorState):
                 f" got {merged.shape}"
             )
         budget = clip_budget(budget, self._num_tokens)
-        all_keys = (
-            self._all_keys() if self.config.trim_policy == "centroid" else None
-        )
 
         # Tokens that are always attended: the attention sinks and the decode
         # tokens that have not been clustered yet (they still live on the GPU).
+        # They come on top of the cluster budget, so once the pending tokens
+        # exceed ``budget - sinks`` a selection holds more than ``budget``.
         sinks = self._sink_indices
         pending = np.arange(self._pending_start, self._num_tokens, dtype=np.int64)
         cluster_budget = max(0, budget - sinks.shape[0] - pending.shape[0])
 
-        outcomes = self._select_all_heads(merged, cluster_budget, all_keys)
+        outcomes = self._select_all_heads(merged, cluster_budget)
         selections: list[np.ndarray] = []
         score_flops = 0
         selected_tokens = 0
         hit_tokens = 0
         miss_tokens = 0
         for head, outcome in enumerate(outcomes):
-            sizes = outcome.selected_sizes
-            if sizes is None:
-                sizes = list(self._selected_tokens_per_label(head, outcome).values())
+            # Only an empty selection comes back without per-label sizes.
             hits, misses = self.caches[head].access_counts(
-                outcome.selected_labels, sizes
+                outcome.selected_labels, outcome.selected_sizes or []
             )
 
             # Clusters only ever cover [num_sinks_held, pending_start) and
@@ -336,10 +349,7 @@ class ClusterKVLayerState(LayerSelectorState):
         return None
 
     def _select_all_heads(
-        self,
-        merged: np.ndarray,
-        cluster_budget: int,
-        all_keys: np.ndarray | None,
+        self, merged: np.ndarray, cluster_budget: int
     ) -> list[ClusterSelection]:
         """Cluster selection of every kv head, front half batched.
 
@@ -364,7 +374,6 @@ class ClusterKVLayerState(LayerSelectorState):
                     cluster_budget,
                     score_metric=self.config.score_metric,
                     trim_policy=self.config.trim_policy,
-                    keys=all_keys[head] if all_keys is not None else None,
                 )
                 for head in range(self.n_kv_heads)
             ]
@@ -389,7 +398,6 @@ class ClusterKVLayerState(LayerSelectorState):
                     int(cutoffs[head]),
                     cluster_budget,
                     self.config.trim_policy,
-                    all_keys[head] if all_keys is not None else None,
                     score_flops,
                 )
                 for head in range(self.n_kv_heads)
@@ -442,25 +450,9 @@ class ClusterKVLayerState(LayerSelectorState):
             )
         return outcomes
 
-    def _selected_tokens_per_label(self, head: int, outcome) -> dict[int, int]:
-        sizes = self.metadata[head].cluster_sizes
-        tokens_per_label = {
-            int(label): int(sizes[int(label)]) for label in outcome.selected_labels
-        }
-        if outcome.trimmed_label is not None:
-            tokens_per_label[outcome.trimmed_label] = max(
-                0, tokens_per_label[outcome.trimmed_label] - outcome.num_trimmed
-            )
-        return tokens_per_label
-
     # ------------------------------------------------------------------
     # helpers and introspection
     # ------------------------------------------------------------------
-    @property
-    def context_length(self) -> int:
-        """Number of tokens observed so far (prefill plus decode)."""
-        return self._num_tokens
-
     @property
     def num_pending_decode_tokens(self) -> int:
         """Decode tokens buffered but not yet clustered."""
@@ -478,39 +470,6 @@ class ClusterKVLayerState(LayerSelectorState):
         # below the pairwise-summation threshold).
         rates = [cache.hit_rate for cache in self.caches]
         return sum(rates) / len(rates) if rates else 0.0
-
-    def _validate_keys(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.float64)
-        if keys.ndim != 3 or keys.shape[0] != self.n_kv_heads or keys.shape[2] != self.head_dim:
-            raise ValueError(
-                f"expected keys of shape ({self.n_kv_heads}, t, {self.head_dim}), "
-                f"got {keys.shape}"
-            )
-        return keys
-
-    def _append_keys(self, keys: np.ndarray) -> None:
-        """Append a validated key block to the growable history buffer."""
-        t = keys.shape[1]
-        needed = self._num_tokens + t
-        if needed > self._key_capacity:
-            capacity = max(64, self._key_capacity)
-            while capacity < needed:
-                capacity *= 2
-            grown = np.zeros((self.n_kv_heads, capacity, self.head_dim))
-            if self._key_buffer is not None and self._num_tokens:
-                grown[:, : self._num_tokens, :] = self._key_buffer[
-                    :, : self._num_tokens, :
-                ]
-            self._key_buffer = grown
-            self._key_capacity = capacity
-        assert self._key_buffer is not None
-        self._key_buffer[:, self._num_tokens : needed, :] = keys
-        self._num_tokens = needed
-
-    def _all_keys(self) -> np.ndarray:
-        if self._key_buffer is None:
-            return np.zeros((self.n_kv_heads, 0, self.head_dim))
-        return self._key_buffer[:, : self._num_tokens, :]
 
     def _refresh_aux_bytes(self) -> None:
         self.stats.aux_bytes = sum(meta.metadata_nbytes() for meta in self.metadata)

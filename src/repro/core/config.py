@@ -29,7 +29,12 @@ class ClusterKVConfig:
         Optional upper bound on the number of prefill clusters.
     decode_window:
         ``m``: decoded tokens are clustered in groups of this size
-        (paper uses 320).
+        (paper uses 320).  Until its window is clustered a decoded token
+        is attended at every step *on top of* the cluster budget, as the
+        sinks are: a selection holds ``max(B, sinks + pending)`` tokens,
+        so it exceeds the budget ``B`` once more than ``B - sinks``
+        decoded tokens are pending (``chat_mixed`` — ``B`` 48, 8 sinks,
+        ``m`` 320 — crosses at decode token 41).
     decode_clusters:
         ``C+``: number of clusters created per decode window (paper uses 4).
     num_sink_tokens:

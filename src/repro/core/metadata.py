@@ -38,12 +38,22 @@ class ClusterMetadata:
         self._sorted_indices = np.zeros(0, dtype=np.int64)
         self._prefix_sum = np.zeros(0, dtype=np.int64)
         self._num_tokens = 0
+        # Affinity ``k·mu`` of every clustered token to its own centroid,
+        # aligned with ``_sorted_indices``; built only when appends supply
+        # the block keys (the "centroid" trim policy ranks members by it).
+        # Key and centroid are both fixed once appended, so it never needs
+        # recomputing — and trimming never reads a key.  Host-side
+        # bookkeeping of a non-default policy: not in metadata_nbytes.
+        self._affinity: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def append_clustering(
-        self, result: ClusteringResult, token_offset: int
+        self,
+        result: ClusteringResult,
+        token_offset: int,
+        keys: np.ndarray | None = None,
     ) -> np.ndarray:
         """Append the clusters of a new clustering run.
 
@@ -53,6 +63,10 @@ class ClusterMetadata:
             Clustering of a contiguous block of tokens.
         token_offset:
             Absolute position of the first token of that block.
+        keys:
+            The clustered block's ``(block_len, head_dim)`` keys, to record
+            each member's centroid affinity (see :meth:`cluster_affinity`).
+            Either every append of a metadata object passes them or none.
 
         Returns
         -------
@@ -73,6 +87,13 @@ class ClusterMetadata:
         # cluster are contiguous (paper Fig. 8, "Sort" step).
         order = np.argsort(result.labels, kind="stable")
         sorted_global = order.astype(np.int64) + token_offset
+        if (keys is None) != (self._affinity is None) and self.num_clusters:
+            raise ValueError("every append must pass keys, or none may")
+        if keys is not None:
+            members = np.split(order, np.cumsum(local_sizes)[:-1])
+            affinity = [keys[tokens] @ mu for tokens, mu in zip(members, result.centroids)]
+            previous = [] if self._affinity is None else [self._affinity]
+            self._affinity = np.concatenate(previous + affinity)
 
         self.centroids = np.concatenate([self.centroids, result.centroids], axis=0)
         # Norms are maintained incrementally: centroids are immutable once
@@ -137,6 +158,16 @@ class ClusterMetadata:
             raise IndexError(f"cluster label {label} out of range")
         start = self._prefix_sum[label]
         return self._sorted_indices[start : start + self._cluster_sizes[label]]
+
+    def cluster_affinity(self, label: int) -> np.ndarray | None:
+        """Centroid affinity ``k·mu`` of each token of :meth:`cluster_tokens`.
+
+        ``None`` unless the clusterings were appended with their keys.
+        """
+        if self._affinity is None:
+            return None
+        start = self._prefix_sum[label]
+        return self._affinity[start : start + self._cluster_sizes[label]]
 
     def tokens_of_clusters(self, labels: np.ndarray) -> np.ndarray:
         """Concatenated token indices of several clusters, in label order."""

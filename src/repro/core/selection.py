@@ -95,19 +95,21 @@ def score_centroids(
 def _trim_cluster(
     tokens: np.ndarray,
     keep: int,
-    centroid: np.ndarray,
-    keys: np.ndarray | None,
+    affinity: np.ndarray | None,
     policy: str,
 ) -> np.ndarray:
-    """Keep ``keep`` tokens of a cluster according to the trim policy."""
+    """Keep ``keep`` tokens of a cluster according to the trim policy.
+
+    ``affinity`` is the members' centroid affinity
+    (:meth:`~repro.core.ClusterMetadata.cluster_affinity`), aligned with
+    ``tokens``; without it the "centroid" policy keeps stored order.
+    """
     if keep >= tokens.shape[0]:
         return tokens
     if keep <= 0:
         return tokens[:0]
-    if policy == "centroid" and keys is not None:
-        member_keys = keys[tokens]
-        scores = member_keys @ centroid
-        order = np.argsort(-scores, kind="stable")[:keep]
+    if policy == "centroid" and affinity is not None:
+        order = np.argsort(-affinity, kind="stable")[:keep]
         return tokens[np.sort(order)]
     return tokens[:keep]
 
@@ -118,7 +120,6 @@ def select_clusters(
     budget: int,
     score_metric: str = "ip",
     trim_policy: str = "order",
-    keys: np.ndarray | None = None,
     scores: np.ndarray | None = None,
 ) -> ClusterSelection:
     """Select clusters for one head until the token budget is met.
@@ -135,10 +136,8 @@ def select_clusters(
     score_metric:
         Metric for scoring centroids (``"ip"`` by default).
     trim_policy:
-        ``"order"`` or ``"centroid"`` (see :class:`ClusterKVConfig`).
-    keys:
-        Full ``(L, d)`` key array of this head; only required by the
-        ``"centroid"`` trim policy.
+        ``"order"`` or ``"centroid"`` (see :class:`ClusterKVConfig`); the
+        latter ranks by the affinities ``metadata`` recorded at append.
     scores:
         Optional precomputed centroid scores of shape ``(num_clusters,)``.
         The ClusterKV layer state scores all kv heads in one batched GEMM
@@ -175,7 +174,7 @@ def select_clusters(
     # Number of clusters needed to reach the budget.
     cutoff = int(np.searchsorted(cumulative, budget, side="left"))
     return selection_from_order(
-        metadata, order, cumulative, cutoff, budget, trim_policy, keys, score_flops
+        metadata, order, cumulative, cutoff, budget, trim_policy, score_flops
     )
 
 
@@ -186,7 +185,6 @@ def selection_from_order(
     cutoff: int,
     budget: int,
     trim_policy: str,
-    keys: np.ndarray | None,
     score_flops: int,
 ) -> ClusterSelection:
     """Assemble a :class:`ClusterSelection` from a precomputed cluster order.
@@ -216,7 +214,7 @@ def selection_from_order(
         if rank == num_selected - 1 and overshoot > 0:
             keep = tokens.shape[0] - overshoot
             tokens = _trim_cluster(
-                tokens, keep, metadata.centroids[int(label)], keys, trim_policy
+                tokens, keep, metadata.cluster_affinity(int(label)), trim_policy
             )
             trimmed_label = int(label)
             num_trimmed = overshoot

@@ -231,9 +231,6 @@ class SequenceState:
         self.trace_layer = config.n_layers - 1
         self.prefilled = False
         self.position = 0
-        # Copy-head key blocks accumulated across prefill chunks; consumed
-        # (observed by the copy selector state) when the last chunk lands.
-        self._prefill_copy_keys: list[np.ndarray] = []
         self.result = GenerationResult(prompt_length=0, method=selector.name)
 
     def release(self) -> None:
@@ -419,7 +416,7 @@ class EngineCore:
             in_row_chunks(mix)
 
         if seq.copy_head is not None:
-            seq._prefill_copy_keys.append(seq.copy_head.ingest(prompt_ids[start:end]))
+            seq.copy_head.ingest(prompt_ids[start:end])
         seq.position = end
         if end < length:
             return None
@@ -432,13 +429,9 @@ class EngineCore:
             if state is not None:
                 state.observe_prefill(seq.kv_store.keys(layer_idx)[:, :length, :])
         if seq.copy_head is not None and seq.copy_state is not None:
-            copy_keys = (
-                seq._prefill_copy_keys[0]
-                if len(seq._prefill_copy_keys) == 1
-                else np.concatenate(seq._prefill_copy_keys, axis=0)
-            )
-            seq.copy_state.observe_prefill(copy_keys[None, :, :])
-        seq._prefill_copy_keys = []
+            # Chunks and attach_prefix ingest every prompt token exactly
+            # once, so the pointer head's history is the whole prompt now.
+            seq.copy_state.observe_prefill(seq.copy_head.keys[None, :, :])
 
         logits = self.model.final_logits(hidden[-1:, :])[0]
         vocab_probs = softmax(logits)
@@ -490,7 +483,7 @@ class EngineCore:
                 layer_idx, keys_per_layer[layer_idx], values_per_layer[layer_idx], step=-1
             )
         if seq.copy_head is not None:
-            seq._prefill_copy_keys.append(seq.copy_head.ingest(prompt_ids[:attached]))
+            seq.copy_head.ingest(prompt_ids[:attached])
         seq.position = int(attached)
 
     # ------------------------------------------------------------------
@@ -594,7 +587,11 @@ class EngineCore:
                 config.n_kv_heads, config.group_size, config.head_dim
             )
             fetched_before = state.stats.fetched_tokens
-            indices_per_head = state.select(grouped, budget, step)
+            # The store's own key view, not a copy; withheld under a spill
+            # pager, where a cold page reads as zeros until recalled.
+            store = seq.kv_store
+            keys = None if store.pager is not None else store.layers[layer_idx].keys
+            indices_per_head = state.select(grouped, budget, step, keys)
             fetched_delta = state.stats.fetched_tokens - fetched_before
             seq.kv_store.record_fetch(fetched_delta, step)
             # One stacked gather for all kv heads (right-padded when the
@@ -781,7 +778,9 @@ class EngineCore:
             seq.copy_state.stats.num_selections += 1
             return None
         query = seq.copy_head.current_signature()
-        selections = seq.copy_state.select(query[None, None, :], gen.budget, step)
+        selections = seq.copy_state.select(
+            query[None, None, :], gen.budget, step, seq.copy_head.keys[None, :, :]
+        )
         return selections[0]
 
     # ------------------------------------------------------------------

@@ -50,13 +50,22 @@ class LayerKVCache:
 
     @property
     def keys(self) -> np.ndarray:
-        """View of the stored keys, shape ``(n_kv_heads, length, head_dim)``."""
-        return self._kv[0, :, : self._length, :]
+        """Read-only view of the stored keys, shape ``(n_kv_heads, length, head_dim)``.
+
+        The store is the one owner of the layer's key history: selectors
+        are handed this view, never a copy, and cannot write through it.
+        """
+        return self._view(0)
 
     @property
     def values(self) -> np.ndarray:
-        """View of the stored values, shape ``(n_kv_heads, length, head_dim)``."""
-        return self._kv[1, :, : self._length, :]
+        """Read-only view of the stored values, shape ``(n_kv_heads, length, head_dim)``."""
+        return self._view(1)
+
+    def _view(self, part: int) -> np.ndarray:
+        view = self._kv[part, :, : self._length, :]
+        view.flags.writeable = False
+        return view
 
     def append(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Append ``t`` new tokens; both arrays are ``(n_kv_heads, t, head_dim)``."""

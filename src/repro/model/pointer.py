@@ -47,10 +47,23 @@ class CopyHead:
         self.bigram_weight = weights.config.copy_bigram_weight
         self.sharpness = weights.config.copy_sharpness
         self._token_ids: list[int] = []
-        self._copy_keys: list[np.ndarray] = []
+        # Signature (copy key) of every ingested token, in one growable
+        # (capacity, d_model) buffer; rows past len(self) are scratch.
+        self._copy_keys = np.zeros((0, self.d_model))
 
     def __len__(self) -> int:
         return len(self._token_ids)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Read-only view of the copy-key history, shape ``(len(self), d_model)``.
+
+        The pointer head owns this history; the engine hands the view to
+        the pointer head's selector state instead of it keeping a copy.
+        """
+        view = self._copy_keys[: len(self._token_ids)]
+        view.flags.writeable = False
+        return view
 
     def _signature(self, token_id: int, previous_token_id: int | None) -> np.ndarray:
         """Bigram signature of a (previous, current) token pair."""
@@ -71,22 +84,23 @@ class CopyHead:
         head's KV selector state.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        new_keys = []
-        for token_id in token_ids.tolist():
+        start = len(self._token_ids)
+        end = start + token_ids.shape[0]
+        if end > self._copy_keys.shape[0]:
+            grown = np.zeros((max(64, 2 * end), self.d_model))
+            grown[:start] = self._copy_keys[:start]
+            self._copy_keys = grown
+        for row, token_id in enumerate(token_ids.tolist(), start):
             previous = self._token_ids[-1] if self._token_ids else None
-            signature = self._signature(int(token_id), previous)
-            self._copy_keys.append(signature)
+            self._copy_keys[row] = self._signature(int(token_id), previous)
             self._token_ids.append(int(token_id))
-            new_keys.append(signature)
-        if not new_keys:
-            return np.zeros((0, self.d_model))
-        return np.stack(new_keys, axis=0)
+        return self._copy_keys[start:end].copy()
 
     def current_signature(self) -> np.ndarray:
         """Bigram signature of the most recently ingested token."""
-        if not self._copy_keys:
+        if not self._token_ids:
             raise RuntimeError("the copy head has not ingested any token yet")
-        return self._copy_keys[-1]
+        return self._copy_keys[len(self._token_ids) - 1]
 
     def copy_distribution(
         self,
@@ -131,12 +145,12 @@ class CopyHead:
             return None
 
         if self._token_ids and self._token_ids[-1] == current_token_id:
-            query = self._copy_keys[-1]
+            query = self._copy_keys[history - 1]
         else:
             previous = self._token_ids[-1] if self._token_ids else None
             query = self._signature(current_token_id, previous)
 
-        keys = np.stack([self._copy_keys[i] for i in allowed.tolist()], axis=0)
+        keys = self._copy_keys[allowed]
         scores = (keys @ query) * self.sharpness
         weights = softmax(scores / max(temperature, 1e-6))
 
@@ -151,24 +165,21 @@ class CopyHead:
         """Snapshot of the mutable pointer state (token and key history).
 
         The weights are shared and immutable, so the token-id list plus
-        the per-token signature vectors are the head's *entire* mutable
-        state; :meth:`restore_state` on a fresh head of the same model
-        reproduces it exactly.  Used by :mod:`repro.seqstate` checkpoints.
+        the ``(len(self), d_model)`` signature array are the head's
+        *entire* mutable state; :meth:`restore_state` on a fresh head of
+        the same model reproduces it exactly.  Used by
+        :mod:`repro.seqstate` checkpoints.
         """
-        return {
-            "token_ids": list(self._token_ids),
-            "copy_keys": [key.copy() for key in self._copy_keys],
-        }
+        return {"token_ids": list(self._token_ids), "copy_keys": self.keys.copy()}
 
     def restore_state(self, state: dict[str, object]) -> None:
         """Adopt a snapshot produced by :meth:`export_state`."""
         token_ids = state["token_ids"]
-        copy_keys = state["copy_keys"]
-        assert isinstance(token_ids, list) and isinstance(copy_keys, list)
+        assert isinstance(token_ids, list)
         self._token_ids = [int(token) for token in token_ids]
-        self._copy_keys = [np.asarray(key, dtype=np.float64).copy() for key in copy_keys]
+        keys = np.array(state["copy_keys"], dtype=np.float64)
+        self._copy_keys = keys.reshape(len(self._token_ids), self.d_model)
 
     def reset(self) -> None:
         """Clear the token history."""
         self._token_ids.clear()
-        self._copy_keys.clear()

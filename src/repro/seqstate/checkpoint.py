@@ -20,8 +20,13 @@ only (a) the KV cache, (b) the selector states, (c) the pointer-head
 history, (d) the RNG (for sampled decoding) and (e) the scheduling
 progress counters — all of which the checkpoint copies verbatim (float64
 KV entries, deep-copied selector ``__dict__``, the RNG bit-generator
-state).  The engine-level work buffers are stateless scratch space whose
-stale contents are masked every step, so they need no capture.  The same
+state).  Each key is captured exactly once, from its one owner: layer
+keys from the KV store, pointer keys from the copy head.  Selector
+snapshots carry no key history — a selector is handed the owner's keys
+when it selects (:meth:`~repro.baselines.base.LayerSelectorState.select`)
+— so restoring the owners restores everything a selector can read.  The
+engine-level work buffers are stateless scratch space whose stale
+contents are masked every step, so they need no capture.  The same
 closure argument underlies the serving engine's batch-1 ≡ single-sequence
 bit-identity; checkpointing just snapshots the closure at an arbitrary
 point.
@@ -62,7 +67,7 @@ __all__ = [
 
 # Format version of SequenceCheckpoint; bumped whenever the captured
 # fields change incompatibly.  Restore refuses mismatched versions.
-SEQSTATE_VERSION = 1
+SEQSTATE_VERSION = 2
 
 
 def policy_signature(selector: KVSelectorFactory) -> str:
@@ -112,11 +117,13 @@ class SequenceCheckpoint:
     layer_states:
         Per-layer selector snapshots from
         :meth:`~repro.baselines.base.LayerSelectorState.export_state`
-        (``None`` for the leading uncompressed layers).
-    copy_token_ids / copy_keys / copy_state / prefill_copy_keys:
-        Pointer-head history, its selector state and the not-yet-observed
-        prefill key blocks (mid-chunk checkpoints); ``None``/empty for
-        models without a copy head.
+        (``None`` for the leading uncompressed layers).  They hold the
+        selectors' derived structures only, never the key history.
+    copy_token_ids / copy_keys / copy_state:
+        Pointer-head history (token ids and their ``(len, d_model)``
+        signature array) and its selector state; ``None`` for models
+        without a copy head.  Mid-prefill, the history already covers
+        every prompt token prefilled or attached so far.
     result:
         Deep copy of the in-progress generation result (tokens and
         log-probabilities emitted so far, live statistics).
@@ -143,9 +150,8 @@ class SequenceCheckpoint:
     kv_values: tuple[np.ndarray, ...]
     layer_states: tuple[dict | None, ...]
     copy_token_ids: tuple[int, ...] | None
-    copy_keys: tuple[np.ndarray, ...] | None
+    copy_keys: np.ndarray | None
     copy_state: dict | None
-    prefill_copy_keys: tuple[np.ndarray, ...]
     result: GenerationResult
     request_id: str = ""
     prompt_ids: np.ndarray | None = None
@@ -206,11 +212,11 @@ def checkpoint_sequence(
         for state in seq.layer_states
     )
     copy_token_ids: tuple[int, ...] | None = None
-    copy_keys: tuple[np.ndarray, ...] | None = None
+    copy_keys: np.ndarray | None = None
     if seq.copy_head is not None:
         head_state = seq.copy_head.export_state()
         copy_token_ids = tuple(head_state["token_ids"])  # type: ignore[arg-type]
-        copy_keys = tuple(head_state["copy_keys"])  # type: ignore[arg-type]
+        copy_keys = head_state["copy_keys"]  # type: ignore[assignment]
     counters.record("seqstate.checkpointed_tokens", seq.position)
     return SequenceCheckpoint(
         version=SEQSTATE_VERSION,
@@ -228,9 +234,6 @@ def checkpoint_sequence(
         copy_keys=copy_keys,
         copy_state=(
             seq.copy_state.export_state() if seq.copy_state is not None else None
-        ),
-        prefill_copy_keys=tuple(
-            block.copy() for block in seq._prefill_copy_keys
         ),
         result=copy.deepcopy(seq.result),
     )
@@ -304,12 +307,11 @@ def restore_sequence(
         seq.copy_head.restore_state(
             {
                 "token_ids": list(checkpoint.copy_token_ids),
-                "copy_keys": list(checkpoint.copy_keys),
+                "copy_keys": checkpoint.copy_keys,
             }
         )
         if seq.copy_state is not None and checkpoint.copy_state is not None:
             seq.copy_state.restore_state(checkpoint.copy_state)
-    seq._prefill_copy_keys = [block.copy() for block in checkpoint.prefill_copy_keys]
     seq.rng.bit_generator.state = copy.deepcopy(checkpoint.rng_state)
     seq.prefilled = checkpoint.prefilled
     seq.position = checkpoint.position

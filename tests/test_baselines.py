@@ -76,7 +76,7 @@ class TestOracle:
         keys = rng.normal(size=(1, 30, 8))
         state.observe_prefill(keys)
         query = rng.normal(size=(1, 1, 8))
-        selections = state.select(query, budget=5, step=0)
+        selections = state.select(query, budget=5, step=0, keys=keys)
         scores = keys[0] @ query[0, 0]
         np.testing.assert_array_equal(selections[0], top_k_indices(scores, 5))
 
@@ -181,27 +181,42 @@ class TestInfiniGen:
 
 
 class TestH2O:
+    """H2O scores raw keys, which the caller (the KV store's owner) passes."""
+
     def test_budget_respected(self, rng):
         state = _state(H2OSelector(), sinks=2)
-        state.observe_prefill(rng.normal(size=(2, 40, 8)))
-        selections = state.select(rng.normal(size=(2, 1, 8)), budget=12, step=0)
+        keys = rng.normal(size=(2, 40, 8))
+        state.observe_prefill(keys)
+        selections = state.select(rng.normal(size=(2, 1, 8)), budget=12, step=0, keys=keys)
         for indices in selections:
             assert indices.shape[0] <= 14  # budget plus forced sinks margin
 
     def test_eviction_is_permanent(self, rng):
         """Tokens evicted at one step never reappear in later selections."""
         state = _state(H2OSelector(), sinks=2)
-        state.observe_prefill(rng.normal(size=(2, 60, 8)))
-        first = state.select(rng.normal(size=(2, 1, 8)), budget=12, step=0)
+        keys = rng.normal(size=(2, 60, 8))
+        state.observe_prefill(keys)
+        first = state.select(rng.normal(size=(2, 1, 8)), budget=12, step=0, keys=keys)
         evicted = set(range(60)) - set(first[0].tolist())
-        state.observe_decode(rng.normal(size=(2, 1, 8)))
-        second = state.select(rng.normal(size=(2, 1, 8)), budget=12, step=1)
+        new = rng.normal(size=(2, 1, 8))
+        state.observe_decode(new)
+        keys = np.concatenate([keys, new], axis=1)
+        second = state.select(rng.normal(size=(2, 1, 8)), budget=12, step=1, keys=keys)
         assert not (set(second[0].tolist()) & evicted)
 
     def test_new_tokens_enter_candidate_set(self, rng):
         state = _state(H2OSelector(), sinks=2)
-        state.observe_prefill(rng.normal(size=(2, 30, 8)))
-        state.select(rng.normal(size=(2, 1, 8)), budget=10, step=0)
-        state.observe_decode(rng.normal(size=(2, 1, 8)))
-        selections = state.select(rng.normal(size=(2, 1, 8)), budget=10, step=1)
+        keys = rng.normal(size=(2, 30, 8))
+        state.observe_prefill(keys)
+        state.select(rng.normal(size=(2, 1, 8)), budget=10, step=0, keys=keys)
+        new = rng.normal(size=(2, 1, 8))
+        state.observe_decode(new)
+        keys = np.concatenate([keys, new], axis=1)
+        selections = state.select(rng.normal(size=(2, 1, 8)), budget=10, step=1, keys=keys)
         assert 30 in selections[0].tolist()
+
+    def test_select_without_keys_raises(self, rng):
+        state = _state(H2OSelector(), sinks=2)
+        state.observe_prefill(rng.normal(size=(2, 30, 8)))
+        with pytest.raises(ValueError, match="needs keys"):
+            state.select(rng.normal(size=(2, 1, 8)), budget=10, step=0)

@@ -124,6 +124,29 @@ class TestClusterKVLayerState:
         assert state.num_pending_decode_tokens == 0
         assert state.num_clusters(0) == before + config.decode_clusters
 
+    def test_unclustered_decode_tokens_ride_on_top_of_the_budget(self, rng):
+        """Sinks and unclustered decode tokens are attended beyond ``B``.
+
+        Pins existing behaviour in ``chat_mixed``'s shape (B 48, 8 sinks,
+        ``decode_window`` 320, 96 new tokens): every selection holds
+        ``max(B, sinks + pending)`` tokens, so it first exceeds the budget
+        at decode token 41, when the pending tokens outgrow ``B - sinks``.
+        """
+        budget, sinks = 48, 8
+        state, _ = _make_state(decode_window=320, num_sink_tokens=sinks)
+        state.observe_prefill(rng.normal(size=(2, 200, 8)))
+        first_over = None
+        for token in range(1, 97):
+            state.observe_decode(rng.normal(size=(2, 1, 8)))
+            pending = state.num_pending_decode_tokens
+            assert pending == token
+            selections = state.select(rng.normal(size=(2, 1, 8)), budget, step=token)
+            for indices in selections:
+                assert indices.shape[0] == max(budget, sinks + pending)
+            if first_over is None and selections[0].shape[0] > budget:
+                first_over = token
+        assert first_over == 41
+
     def test_cache_hits_accumulate_on_repeated_queries(self, rng):
         state, _ = _make_state()
         state.observe_prefill(rng.normal(size=(2, 64, 8)))

@@ -152,11 +152,9 @@ class TestSelectClusters:
         )
         clustering = kmeans_cluster(keys, 2, seed=0)
         meta = ClusterMetadata(head_dim=2)
-        meta.append_clustering(clustering, 0)
+        meta.append_clustering(clustering, 0, keys=keys)
         query = np.array([1.0, 0.9])
-        outcome = select_clusters(
-            query, meta, budget=6, trim_policy="centroid", keys=keys
-        )
+        outcome = select_clusters(query, meta, budget=6, trim_policy="centroid")
         assert outcome.token_indices.shape[0] == 6
         assert outcome.num_trimmed == 2
 

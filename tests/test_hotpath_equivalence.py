@@ -155,7 +155,6 @@ class TestBatchedKMeansEquivalence:
                         cluster_budget,
                         score_metric=metric,
                         trim_policy=trim,
-                        keys=state._all_keys()[head] if trim == "centroid" else None,
                     )
                     expected = np.concatenate(
                         [
