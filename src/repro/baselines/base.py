@@ -129,7 +129,7 @@ class LayerSelectorState(abc.ABC):
     @abc.abstractmethod
     def select(
         self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
-    ) -> list[np.ndarray]:
+    ) -> np.ndarray | list[np.ndarray]:
         """Select token indices for the current decoding step.
 
         Parameters
@@ -151,9 +151,16 @@ class LayerSelectorState(abc.ABC):
 
         Returns
         -------
-        list of numpy.ndarray
-            One sorted, unique int64 index array per kv head; indices refer
-            to absolute token positions in ``[0, context_length)``.
+        numpy.ndarray or list of numpy.ndarray
+            One row of sorted, unique int64 token positions in ``[0,
+            context_length)`` per kv head, for all heads in one pass.  When
+            every head selects the same number of tokens — every registered
+            policy at its default configuration — the rows come as one
+            ``(n_kv_heads, S)`` int64 matrix; only a policy whose heads can
+            select different counts (Quest with ``include_last_page=False``)
+            returns a list of rows, and only on a step where they do.  The
+            result is read-only to the caller: it may be a view of the
+            state's own arrays or one row broadcast to every head.
         """
 
     @property
@@ -192,10 +199,20 @@ class LayerSelectorState(abc.ABC):
         exactly.  The key history is not part of it: the KV store owns
         that and is checkpointed on its own.  Selector states hold only
         plain-Python containers and NumPy arrays, so a deep copy of
-        ``__dict__`` is exact for every registered policy; a selector
-        holding unpicklable resources must override both hooks.
+        ``__dict__`` (as :meth:`_export_fields` trims it) is exact for every
+        registered policy; a selector holding unpicklable resources must
+        override both hooks.
         """
-        return copy.deepcopy(self.__dict__)
+        return copy.deepcopy(self._export_fields())
+
+    def _export_fields(self) -> dict[str, object]:
+        """The ``__dict__`` entries :meth:`export_state` deep-copies.
+
+        A state overrides this to leave out what it rebuilds on demand or
+        to cut a growable buffer to its live rows; the trimmed snapshot
+        must still restore to a state that selects identically.
+        """
+        return self.__dict__
 
     def restore_state(self, state: dict[str, object]) -> None:
         """Adopt a snapshot produced by :meth:`export_state`.

@@ -19,12 +19,12 @@ class FullKVLayerState(LayerSelectorState):
 
     def select(
         self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
-    ) -> list[np.ndarray]:
-        """Select every cached token for every kv head."""
+    ) -> np.ndarray:
+        """Select every cached token: one index row broadcast to every kv head."""
         indices = np.arange(self._num_tokens, dtype=np.int64)
         self.stats.selected_tokens += self._num_tokens * self.n_kv_heads
         self.stats.num_selections += 1
-        return [indices.copy() for _ in range(self.n_kv_heads)]
+        return np.broadcast_to(indices, (self.n_kv_heads, self._num_tokens))
 
 
 @register_policy("full", summary="uncompressed baseline: attend to every cached token")

@@ -45,7 +45,12 @@ class H2OConfig:
 
 
 class H2OLayerState(LayerSelectorState):
-    """Per-layer H2O state: retained token sets and accumulated scores."""
+    """Per-layer H2O state: retained token sets and accumulated scores of every kv head.
+
+    Every head keeps ``min(budget, candidates)`` tokens at every step, and
+    every head gains the same new tokens, so the per-head retained sets
+    always have equal sizes and stack into ``(n_kv_heads, n)`` matrices.
+    """
 
     def __init__(
         self,
@@ -58,76 +63,60 @@ class H2OLayerState(LayerSelectorState):
         super().__init__(layer_idx, n_kv_heads, head_dim)
         self.config = config
         self.num_sink_tokens = num_sink_tokens
-        # Per-head retained indices and their accumulated attention mass.
-        self._retained: list[np.ndarray] | None = None
-        self._accumulated: list[np.ndarray] | None = None
+        # Retained token indices per head (rows sorted ascending) and their
+        # accumulated attention mass.
+        self._retained = np.zeros((n_kv_heads, 0), dtype=np.int64)
+        self._accumulated = np.zeros((n_kv_heads, 0))
         # Highest token index (exclusive) already considered for retention;
         # anything beyond it is new and has not been evicted yet.
         self._seen_tokens = 0
 
     def select(
         self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
-    ) -> list[np.ndarray]:
-        """Keep sinks, the recent window and the heaviest hitters; evicted tokens are never recalled."""
+    ) -> np.ndarray:
+        """Keep sinks, the recent window and the heaviest hitters; evicted tokens are never recalled.
+
+        The first call retains the whole prompt: H2O accumulates attention
+        during prefill, here the first query plays that role, after which
+        eviction is greedy and permanent.
+        """
         merged = merge_group_queries(queries)
         budget = clip_budget(budget, self._num_tokens)
         keys = self._require_keys(keys)
-        if self._retained is None:
-            # First decoding step: initialise the retained set from the full
-            # prompt.  H2O accumulates attention during prefill; here the
-            # first query plays that role, after which eviction is greedy and
-            # permanent.
-            self._retained = [
-                np.arange(self._num_tokens, dtype=np.int64)
-                for _ in range(self.n_kv_heads)
-            ]
-            self._accumulated = [np.zeros(self._num_tokens) for _ in range(self.n_kv_heads)]
-            self._seen_tokens = self._num_tokens
+        heads = self.n_kv_heads
 
-        recent_budget = int(round(budget * self.config.recent_ratio))
-        selections: list[np.ndarray] = []
-        for head in range(self.n_kv_heads):
-            retained = self._retained[head]
-            accumulated = self._accumulated[head]
-
-            # New tokens since the last step are always added to the candidate
-            # set (they have not been evicted yet); previously evicted tokens
-            # are never re-added (non-recallable).
+        # New tokens since the last step join every head's candidates (they
+        # have not been evicted yet); evicted tokens never come back.
+        new = self._num_tokens - self._seen_tokens
+        retained, accumulated = self._retained, self._accumulated
+        if new:
             new_tokens = np.arange(self._seen_tokens, self._num_tokens, dtype=np.int64)
-            if new_tokens.size:
-                retained = np.concatenate([retained, new_tokens])
-                accumulated = np.concatenate([accumulated, np.zeros(new_tokens.size)])
+            retained = np.concatenate(
+                [retained, np.broadcast_to(new_tokens, (heads, new))], axis=1
+            )
+            accumulated = np.concatenate([accumulated, np.zeros((heads, new))], axis=1)
+        count = retained.shape[1]
 
-            # Attention over the retained candidates only (non-recallable).
-            scores = keys[head, retained, :] @ merged[head]
-            weights = softmax(scores / np.sqrt(self.head_dim))
-            accumulated = accumulated + weights
-            self.stats.score_flops += int(2 * retained.size * self.head_dim)
+        # Attention over the retained candidates only (non-recallable).
+        candidates = keys[np.arange(heads)[:, None], retained]  # (H, n, d)
+        scores = np.matmul(candidates, merged[:, :, None])[..., 0]
+        accumulated = accumulated + softmax(scores / np.sqrt(self.head_dim), axis=-1)
+        self.stats.score_flops += int(2 * count * self.head_dim) * heads
 
-            # Keep sinks and the most recent tokens unconditionally, fill the
-            # rest of the budget with the heaviest hitters.
-            recent_cutoff = self._num_tokens - max(recent_budget, 1)
-            keep_mask = (retained < self.num_sink_tokens) | (retained >= recent_cutoff)
-            forced = retained[keep_mask]
-            remaining = budget - forced.size
-            if remaining > 0:
-                candidate_mask = ~keep_mask
-                candidate_indices = np.flatnonzero(candidate_mask)
-                order = np.argsort(-accumulated[candidate_indices], kind="stable")
-                chosen = candidate_indices[order[:remaining]]
-                keep_positions = np.concatenate([np.flatnonzero(keep_mask), chosen])
-            else:
-                keep_positions = np.flatnonzero(keep_mask)[:budget]
-
-            keep_positions = np.sort(keep_positions)
-            self._retained[head] = retained[keep_positions]
-            self._accumulated[head] = accumulated[keep_positions]
-            selection = np.sort(self._retained[head].copy())
-            selections.append(selection)
-            self.stats.selected_tokens += int(selection.shape[0])
+        # Keep sinks and the most recent tokens unconditionally (in position
+        # order, the first ``budget`` of them if they alone overflow it),
+        # then the heaviest hitters: one stable sort ranks the forced
+        # tokens first and the rest by descending mass.
+        recent_cutoff = self._num_tokens - max(int(round(budget * self.config.recent_ratio)), 1)
+        forced = (retained < self.num_sink_tokens) | (retained >= recent_cutoff)
+        rank = np.where(forced, -np.inf, -accumulated)
+        keep = np.sort(np.argsort(rank, axis=1, kind="stable")[:, :budget], axis=1)
+        self._retained = np.take_along_axis(retained, keep, axis=1)
+        self._accumulated = np.take_along_axis(accumulated, keep, axis=1)
         self._seen_tokens = self._num_tokens
+        self.stats.selected_tokens += self._retained.size
         self.stats.num_selections += 1
-        return selections
+        return self._retained
 
 
 @register_policy(

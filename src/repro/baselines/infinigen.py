@@ -82,7 +82,12 @@ class InfiniGenConfig:
 
 
 class InfiniGenLayerState(LayerSelectorState):
-    """Per-layer InfiniGen state: SVD projections and partial keys per head."""
+    """Per-layer InfiniGen state: SVD projections and partial keys of every kv head.
+
+    The projections stack into one ``(n_kv_heads, d, r)`` tensor and the
+    partial keys live in one growable ``(n_kv_heads, capacity, r)``
+    buffer, so projecting, scoring and ranking run for all heads at once.
+    """
 
     def __init__(
         self,
@@ -94,10 +99,21 @@ class InfiniGenLayerState(LayerSelectorState):
         super().__init__(layer_idx, n_kv_heads, head_dim)
         self.config = config
         self.partial_dim = config.partial_dim(head_dim)
-        # Per-head projection matrices (d, r) and partial key blocks.
-        self._projections: list[np.ndarray] | None = None
-        self._partial_blocks: list[list[np.ndarray]] = [[] for _ in range(n_kv_heads)]
+        # Top-r right-singular vectors per head, (n_kv_heads, r, d).
+        self._basis: np.ndarray | None = None
+        self._partial_buffer: np.ndarray | None = None
         self._noise_rng = np.random.default_rng(config.seed + 7 * layer_idx + 1)
+
+    @property
+    def _projections(self) -> np.ndarray | None:
+        """``(n_kv_heads, d, r)`` projections: each head's ``vt[:r].T`` view.
+
+        The basis is stored C-contiguous and transposed on use, so every
+        product sees the layout the per-head ``vt[:r].T`` always had —
+        also after a deep copy or a pickle round trip, which could
+        otherwise change the BLAS kernel and with it the last bits.
+        """
+        return None if self._basis is None else self._basis.transpose(0, 2, 1)
 
     # ------------------------------------------------------------------
     # observation
@@ -105,36 +121,43 @@ class InfiniGenLayerState(LayerSelectorState):
     def observe_prefill(self, keys: np.ndarray) -> None:
         """SVD the prompt keys into partial weights and build partial keys."""
         keys = self._validate_keys(keys)
-        self._num_tokens = keys.shape[1]
-        self._projections = []
-        for head in range(self.n_kv_heads):
-            head_keys = keys[head]
-            # SVD of the prompt keys; the top right-singular vectors capture
-            # the directions along which keys (and hence attention scores)
-            # vary the most.  This models InfiniGen's offline partial-weight
-            # generation.
-            _, _, vt = np.linalg.svd(head_keys, full_matrices=False)
-            projection = vt[: self.partial_dim].T  # (d, r)
-            self._projections.append(projection)
-            self._partial_blocks[head].append(head_keys @ projection)
-            # SVD cost ~ L d^2, projection cost 2 L d r.
-            self.stats.build_flops += int(
-                keys.shape[1] * self.head_dim**2
-                + 2 * keys.shape[1] * self.head_dim * self.partial_dim
-            )
+        length = keys.shape[1]
+        self._num_tokens = length
+        # SVD of every head's prompt keys; the top right-singular vectors
+        # capture the directions along which keys (and hence attention
+        # scores) vary the most.  This models InfiniGen's offline
+        # partial-weight generation.
+        _, _, vt = np.linalg.svd(keys, full_matrices=False)
+        self._basis = np.ascontiguousarray(vt[:, : self.partial_dim, :])
+        partial = np.matmul(keys, self._projections)
+        self._partial_buffer = np.zeros(
+            (self.n_kv_heads, max(64, 2 * length), partial.shape[2])
+        )
+        self._partial_buffer[:, :length] = partial
+        # SVD cost ~ L d^2, projection cost 2 L d r, per head.
+        self.stats.build_flops += self.n_kv_heads * int(
+            length * self.head_dim**2 + 2 * length * self.head_dim * self.partial_dim
+        )
         self._refresh_aux_bytes()
 
     def observe_decode(self, keys: np.ndarray) -> None:
         """Project newly decoded keys into the partial space."""
         keys = self._validate_keys(keys)
-        if self._projections is None:
+        if self._projections is None or self._partial_buffer is None:
             raise RuntimeError("observe_decode called before observe_prefill")
-        for head in range(self.n_kv_heads):
-            self._partial_blocks[head].append(keys[head] @ self._projections[head])
-            self.stats.build_flops += int(
-                2 * keys.shape[1] * self.head_dim * self.partial_dim
+        start, added = self._num_tokens, keys.shape[1]
+        buffer = self._partial_buffer
+        if start + added > buffer.shape[1]:
+            grown = np.zeros(
+                (self.n_kv_heads, max(start + added, 2 * buffer.shape[1]), buffer.shape[2])
             )
-        self._num_tokens += keys.shape[1]
+            grown[:, :start] = buffer[:, :start]
+            self._partial_buffer = buffer = grown
+        buffer[:, start : start + added] = np.matmul(keys, self._projections)
+        self.stats.build_flops += self.n_kv_heads * int(
+            2 * added * self.head_dim * self.partial_dim
+        )
+        self._num_tokens += added
         self._refresh_aux_bytes()
 
     # ------------------------------------------------------------------
@@ -142,51 +165,54 @@ class InfiniGenLayerState(LayerSelectorState):
     # ------------------------------------------------------------------
     def select(
         self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
-    ) -> list[np.ndarray]:
-        """Speculate scores with partial keys and pick the top-``B`` tokens."""
-        if self._projections is None:
+    ) -> np.ndarray:
+        """Speculate scores with partial keys and pick the top-``B`` tokens of every head."""
+        if self._projections is None or self._partial_buffer is None:
             raise RuntimeError("select called before observe_prefill")
         merged = merge_group_queries(queries)
         budget = clip_budget(budget, self._num_tokens)
-        selections: list[np.ndarray] = []
-        for head in range(self.n_kv_heads):
-            partial_keys = self._partial_keys(head)
-            partial_query = merged[head] @ self._projections[head]
-            estimated = partial_keys @ partial_query
-            if self.config.speculation_noise > 0.0:
-                # The scores used for speculation are not the scores computed
-                # in the actual attention (cross-layer prefetch with offline
-                # partial weights); model that gap as relative Gaussian noise
-                # on the estimates.
-                scale = float(np.std(estimated)) or 1.0
-                estimated = estimated + self._noise_rng.normal(
-                    scale=self.config.speculation_noise * scale, size=estimated.shape
-                )
-            indices = top_k_indices(estimated, budget)
-            selections.append(indices)
-            self.stats.score_flops += int(
-                2 * self.head_dim * self.partial_dim  # query projection
-                + 2 * self._num_tokens * self.partial_dim  # score estimation
+        partial_query = np.matmul(merged[:, None, :], self._projections)  # (H, 1, r)
+        estimated = np.matmul(
+            self._partial_buffer[:, : self._num_tokens], partial_query.transpose(0, 2, 1)
+        )[..., 0]  # (H, L)
+        if self.config.speculation_noise > 0.0:
+            # The scores used for speculation are not the scores computed
+            # in the actual attention (cross-layer prefetch with offline
+            # partial weights); model that gap as relative Gaussian noise
+            # on the estimates.  One (H, L) draw consumes the stream
+            # exactly as one normal(scale=s) draw per head in head order
+            # did, and s * z is the product that draw returned.
+            scale = estimated.std(axis=1)
+            scale[scale == 0.0] = 1.0
+            scale *= self.config.speculation_noise
+            estimated = estimated + scale[:, None] * self._noise_rng.standard_normal(
+                estimated.shape
             )
-            self.stats.selected_tokens += int(indices.shape[0])
-            self.stats.fetched_tokens += int(indices.shape[0])
+        rows = top_k_indices(estimated, budget)
+        self.stats.score_flops += self.n_kv_heads * int(
+            2 * self.head_dim * self.partial_dim  # query projection
+            + 2 * self._num_tokens * self.partial_dim  # score estimation
+        )
+        self.stats.selected_tokens += rows.size
+        self.stats.fetched_tokens += rows.size
         self.stats.num_selections += 1
-        return selections
+        return rows
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _partial_keys(self, head: int) -> np.ndarray:
-        blocks = self._partial_blocks[head]
-        if len(blocks) > 1:
-            self._partial_blocks[head] = [np.concatenate(blocks, axis=0)]
-        return self._partial_blocks[head][0]
-
     def _refresh_aux_bytes(self) -> None:
         # Partial keys stored at fp16 in addition to the original keys.
         self.stats.aux_bytes = int(
             self._num_tokens * self.partial_dim * self.n_kv_heads * 2
         )
+
+    def _export_fields(self) -> dict[str, object]:
+        # Only the live partial keys; the next decode regrows the buffer.
+        fields = dict(self.__dict__)
+        if self._partial_buffer is not None:
+            fields["_partial_buffer"] = self._partial_buffer[:, : self._num_tokens]
+        return fields
 
 
 @register_policy(

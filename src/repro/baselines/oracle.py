@@ -26,15 +26,14 @@ __all__ = ["OracleTopKLayerState", "OracleTopKSelector", "top_k_indices"]
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest entries of ``scores``, sorted ascending.
 
-    Ties are broken deterministically in favour of smaller indices.
+    A 2-D ``scores`` is ranked row by row, giving one row of indices per
+    row.  Ties are broken deterministically in favour of smaller indices,
+    as a stable sort of ``-scores`` orders them.
     """
-    if k <= 0:
-        return np.zeros(0, dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
-    k = min(k, scores.shape[0])
-    # argsort on (-score, index) gives deterministic tie-breaking.
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return np.sort(order[:k].astype(np.int64))
+    neg = -np.asarray(scores, dtype=np.float64)
+    k = max(0, min(k, neg.shape[-1]))
+    order = np.argsort(neg, axis=-1, kind="stable")[..., :k]
+    return np.sort(order, axis=-1).astype(np.int64, copy=False)
 
 
 class OracleTopKLayerState(LayerSelectorState):
@@ -45,20 +44,17 @@ class OracleTopKLayerState(LayerSelectorState):
 
     def select(
         self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
-    ) -> list[np.ndarray]:
-        """Select the exact top-``B`` tokens by true score per kv head."""
+    ) -> np.ndarray:
+        """Select the exact top-``B`` tokens by true score, every kv head in one GEMM."""
         merged = merge_group_queries(queries)
         budget = clip_budget(budget, self._num_tokens)
         keys = self._require_keys(keys)
-        selections = []
-        for head in range(self.n_kv_heads):
-            scores = keys[head] @ merged[head]
-            indices = top_k_indices(scores, budget)
-            selections.append(indices)
-            self.stats.score_flops += int(2 * self._num_tokens * self.head_dim)
-            self.stats.selected_tokens += int(indices.shape[0])
+        scores = np.matmul(keys, merged[:, :, None])[..., 0]  # (n_kv_heads, L)
+        rows = top_k_indices(scores, budget)
+        self.stats.score_flops += int(2 * self._num_tokens * self.head_dim) * self.n_kv_heads
+        self.stats.selected_tokens += rows.size
         self.stats.num_selections += 1
-        return selections
+        return rows
 
 
 @register_policy("oracle", summary="exact top-k selection by true attention scores")

@@ -55,7 +55,14 @@ class QuestConfig:
 
 
 class QuestLayerState(LayerSelectorState):
-    """Per-layer Quest state: per-page min/max key summaries."""
+    """Per-layer Quest state: per-page min/max key summaries of every kv head.
+
+    Page ``p`` covers tokens ``[p * page_size, (p + 1) * page_size)``; only
+    the last page can be partial.  The summaries of all heads live in two
+    preallocated page-major ``(page capacity, n_kv_heads, head_dim)`` arrays
+    that grow in place: selection reads one slice instead of restacking
+    pages, and a decode token updates one contiguous block.
+    """
 
     def __init__(
         self,
@@ -66,10 +73,9 @@ class QuestLayerState(LayerSelectorState):
     ) -> None:
         super().__init__(layer_idx, n_kv_heads, head_dim)
         self.config = config
-        # Page summaries: lists of (n_kv_heads, head_dim) arrays per page.
-        self._page_max: list[np.ndarray] = []
-        self._page_min: list[np.ndarray] = []
-        self._page_counts: list[int] = []
+        self._page_max = np.zeros((0, n_kv_heads, head_dim))
+        self._page_min = np.zeros((0, n_kv_heads, head_dim))
+        self._num_pages = 0
 
     # ------------------------------------------------------------------
     # observation
@@ -84,71 +90,122 @@ class QuestLayerState(LayerSelectorState):
 
     def _ingest(self, keys: np.ndarray) -> None:
         keys = self._validate_keys(keys)
-        for t in range(keys.shape[1]):
-            key_t = keys[:, t, :]
-            if self._page_counts and self._page_counts[-1] < self.config.page_size:
-                self._page_max[-1] = np.maximum(self._page_max[-1], key_t)
-                self._page_min[-1] = np.minimum(self._page_min[-1], key_t)
-                self._page_counts[-1] += 1
+        size = self.config.page_size
+        total = keys.shape[1]
+        # Building the per-channel min/max costs two comparisons per
+        # channel per token: O(L * d) as in the paper (Sec. III-D).
+        self.stats.build_flops += 2 * self.n_kv_heads * self.head_dim * total
+        pos = min(-self._num_tokens % size, total)  # tokens topping up the last page
+        self._num_tokens += total
+        if total == 1:  # a decode step: its key is its own min and max
+            key = keys[:, 0]
+            if pos:
+                page = self._page_max[self._num_pages - 1]
+                np.maximum(page, key, out=page)
+                page = self._page_min[self._num_pages - 1]
+                np.minimum(page, key, out=page)
             else:
-                self._page_max.append(key_t.copy())
-                self._page_min.append(key_t.copy())
-                self._page_counts.append(1)
-            self._num_tokens += 1
-            # Building the per-channel min/max costs two comparisons per
-            # channel per token: O(L * d) as in the paper (Sec. III-D).
-            self.stats.build_flops += 2 * self.n_kv_heads * self.head_dim
+                page_max, page_min = self._reserve_pages(self._num_pages + 1)
+                page_max[self._num_pages] = page_min[self._num_pages] = key
+                self._num_pages += 1
+            return
+        if pos:
+            page = self._page_max[self._num_pages - 1]
+            np.maximum(page, keys[:, :pos].max(axis=1), out=page)
+            page = self._page_min[self._num_pages - 1]
+            np.minimum(page, keys[:, :pos].min(axis=1), out=page)
+        if pos == total:
+            return
+        first = self._num_pages
+        self._num_pages += -(-(total - pos) // size)
+        page_max, page_min = self._reserve_pages(self._num_pages)
+        # One reduction per array folds every whole page, one more the tail.
+        whole = (total - pos) // size
+        if whole:
+            blocks = keys[:, pos : pos + whole * size].reshape(
+                self.n_kv_heads, whole, size, self.head_dim
+            )
+            page_max[first : first + whole] = blocks.max(axis=2).swapaxes(0, 1)
+            page_min[first : first + whole] = blocks.min(axis=2).swapaxes(0, 1)
+        tail = keys[:, pos + whole * size :]
+        if tail.shape[1]:
+            page_max[first + whole] = tail.max(axis=1)
+            page_min[first + whole] = tail.min(axis=1)
+
+    def _reserve_pages(self, needed: int) -> tuple[np.ndarray, np.ndarray]:
+        """The summary arrays, grown by doubling to hold ``needed`` pages."""
+        capacity = self._page_max.shape[0]
+        if needed > capacity:
+            capacity = max(needed, 2 * capacity, 4)
+            for name in ("_page_max", "_page_min"):
+                old = getattr(self, name)
+                grown = np.zeros((capacity, self.n_kv_heads, self.head_dim))
+                grown[: old.shape[0]] = old
+                setattr(self, name, grown)
+        return self._page_max, self._page_min
+
+    def _export_fields(self) -> dict[str, object]:
+        # Only the summarised pages; the next new page regrows the arrays.
+        pages = self._num_pages
+        return {
+            **self.__dict__,
+            "_page_max": self._page_max[:pages],
+            "_page_min": self._page_min[:pages],
+        }
 
     # ------------------------------------------------------------------
     # selection
     # ------------------------------------------------------------------
     def select(
         self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
-    ) -> list[np.ndarray]:
-        """Rank pages by their score upper bound and take whole pages until the budget is met."""
+    ) -> np.ndarray | list[np.ndarray]:
+        """Rank pages by their score upper bound and take whole pages until the budget is met.
+
+        Every kv head is bounded, ranked and expanded to tokens in one
+        pass.  The rows are ragged only without ``include_last_page``, when
+        some heads pick the partial last page and others do not.
+        """
         merged = merge_group_queries(queries)
         budget = clip_budget(budget, self._num_tokens)
-        num_pages = len(self._page_counts)
+        num_pages = self._num_pages
         if num_pages == 0:
             self.stats.num_selections += 1
-            return [np.zeros(0, dtype=np.int64) for _ in range(self.n_kv_heads)]
+            return np.zeros((self.n_kv_heads, 0), dtype=np.int64)
 
-        pages_needed = max(1, budget // self.config.page_size)
-        page_max = np.stack(self._page_max, axis=1)  # (H, num_pages, d)
-        page_min = np.stack(self._page_min, axis=1)
-        counts = np.asarray(self._page_counts, dtype=np.int64)
-        starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
+        size = self.config.page_size
+        pages_needed = max(1, budget // size)
+        bounds = np.maximum(
+            merged * self._page_max[:num_pages], merged * self._page_min[:num_pages]
+        ).sum(axis=2).T  # (H, num_pages)
+        self.stats.score_flops += int(4 * num_pages * self.head_dim) * self.n_kv_heads
 
-        selections: list[np.ndarray] = []
-        for head in range(self.n_kv_heads):
-            query = merged[head]
-            bounds = np.sum(
-                np.maximum(query[None, :] * page_max[head], query[None, :] * page_min[head]),
-                axis=1,
-            )
-            self.stats.score_flops += int(4 * num_pages * self.head_dim)
-
-            order = np.lexsort((np.arange(num_pages), -bounds))
-            chosen = list(order[:pages_needed])
-            if self.config.include_last_page and (num_pages - 1) not in chosen:
-                chosen[-1] = num_pages - 1
-            chosen_pages = np.unique(np.asarray(chosen, dtype=np.int64))
-
-            pieces = [
-                np.arange(starts[p], starts[p] + counts[p], dtype=np.int64)
-                for p in chosen_pages
-            ]
-            indices = np.sort(np.concatenate(pieces))
-            selections.append(indices)
-            self.stats.selected_tokens += int(indices.shape[0])
+        # Stable: of two pages with equal bounds the earlier ranks first.
+        chosen = np.argsort(-bounds, axis=1, kind="stable")[:, :pages_needed]
+        last_page = num_pages - 1
+        has_last = (chosen == last_page).any(axis=1)
+        if self.config.include_last_page and not has_last.all():
+            chosen[~has_last, -1] = last_page
+            has_last[:] = True
+        chosen.sort(axis=1)
+        rows = (chosen[:, :, None] * size + np.arange(size)).reshape(self.n_kv_heads, -1)
+        # The last page is the largest one in a row holding it, so trimming
+        # it to its length drops that row's tail.
+        cut = num_pages * size - self._num_tokens
+        if cut and has_last.all():
+            rows = rows[:, :-cut]
+        elif cut and has_last.any():
+            rows = [row[:-cut] if last else row for row, last in zip(rows, has_last)]
+        self.stats.selected_tokens += int(
+            self.n_kv_heads * chosen.shape[1] * size - cut * has_last.sum()
+        )
         self.stats.num_selections += 1
         self.stats.aux_bytes = int(2 * num_pages * self.n_kv_heads * self.head_dim * 2)
-        return selections
+        return rows
 
     @property
     def num_pages(self) -> int:
         """Number of pages currently summarised."""
-        return len(self._page_counts)
+        return self._num_pages
 
 
 @register_policy(

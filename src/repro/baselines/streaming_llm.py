@@ -34,8 +34,8 @@ class StreamingLLMLayerState(LayerSelectorState):
 
     def select(
         self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
-    ) -> list[np.ndarray]:
-        """Select the sink tokens plus the most recent window."""
+    ) -> np.ndarray:
+        """Select the sink tokens plus the most recent window, one row for every kv head."""
         budget = clip_budget(budget, self._num_tokens)
         num_sinks = min(self.num_sink_tokens, self._num_tokens, budget)
         window = budget - num_sinks
@@ -43,10 +43,12 @@ class StreamingLLMLayerState(LayerSelectorState):
         recent = np.arange(
             max(num_sinks, self._num_tokens - window), self._num_tokens, dtype=np.int64
         )
-        indices = np.unique(np.concatenate([sinks, recent]))
+        # Sinks end where the window may start at the earliest: the two
+        # ranges are disjoint and ascending, so they concatenate sorted.
+        indices = np.concatenate([sinks, recent])
         self.stats.selected_tokens += int(indices.shape[0]) * self.n_kv_heads
         self.stats.num_selections += 1
-        return [indices.copy() for _ in range(self.n_kv_heads)]
+        return np.broadcast_to(indices, (self.n_kv_heads, indices.shape[0]))
 
 
 @register_policy(

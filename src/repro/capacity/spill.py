@@ -55,9 +55,9 @@ class StorePager:
         self,
         store: KVCacheStore,
         layer_idx: int,
-        indices_per_head: list[np.ndarray] | None,
+        indices_per_head: np.ndarray | list[np.ndarray] | None,
     ) -> None:
-        """Recall any spilled pages a read would touch (all pages if ``None``)."""
+        """Recall any spilled pages a read of these index rows would touch (all pages if ``None``)."""
         self.manager.before_read(self.request_id, store, layer_idx, indices_per_head)
 
     def make_room(self, store: KVCacheStore, nbytes: int, step: int = -1) -> None:
@@ -149,7 +149,7 @@ class HostSpillManager:
         request_id: str,
         store: KVCacheStore,
         layer_idx: int,
-        indices_per_head: list[np.ndarray] | None,
+        indices_per_head: np.ndarray | list[np.ndarray] | None,
     ) -> None:
         """Recall spilled pages a read would touch and refresh their recency."""
         if request_id not in self._stores or layer_idx not in self._eligible[request_id]:

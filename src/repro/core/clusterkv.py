@@ -45,7 +45,7 @@ from .cache import ClusterCache
 from .clustering import ClusteringResult, clustering_flops, kmeans_cluster_batch
 from .config import ClusterKVConfig
 from .metadata import ClusterMetadata
-from .selection import ClusterSelection, select_clusters, selection_from_order
+from .selection import selection_from_order
 
 __all__ = ["ClusterKVLayerState", "ClusterKVSelector"]
 
@@ -68,13 +68,11 @@ class ClusterKVLayerState(LayerSelectorState):
         )
         self.metadata = [ClusterMetadata(head_dim) for _ in range(n_kv_heads)]
         self.caches = [ClusterCache(config.cache_history) for _ in range(n_kv_heads)]
-        # Stacked (n_kv_heads, C, d) centroid tensor + norms + cluster
-        # sizes, rebuilt lazily after clustering appends; lets select()
-        # score, sort and prefix-sum every head's clusters in batched NumPy
-        # calls instead of per-head loops.
-        self._stacked_centroids: np.ndarray | None = None
-        self._stacked_norms: np.ndarray | None = None
-        self._stacked_sizes: np.ndarray | None = None
+        # Every head's metadata stacked along a head axis (see
+        # _centroid_stack), rebuilt lazily after clustering appends; lets
+        # select() score, sort, prefix-sum and assemble every head's
+        # clusters in batched NumPy calls instead of per-head loops.
+        self._stacked: tuple[np.ndarray, ...] | None = None
         self._sink_indices = np.zeros(0, dtype=np.int64)
         # (n_kv_heads, t, head_dim) key blocks of the decode tokens not yet
         # clustered; emptied each time their window is clustered.
@@ -185,7 +183,7 @@ class ClusterKVLayerState(LayerSelectorState):
                 self.stats.build_flops += clustering_flops(
                     keys.shape[1], result.centroids.shape[0], self.head_dim, result.n_iters
                 )
-        self._stacked_centroids = None
+        self._stacked = None
 
     # ------------------------------------------------------------------
     # prefix-cache hooks
@@ -245,10 +243,12 @@ class ClusterKVLayerState(LayerSelectorState):
     # ------------------------------------------------------------------
     def select(
         self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
-    ) -> list[np.ndarray]:
+    ) -> np.ndarray:
         """Select the clusters closest to the query until the budget is met (paper Sec. III-C).
 
-        ``keys`` is ignored: selection reads only cluster metadata.
+        Returns one ``(n_kv_heads, S)`` matrix: every head selects the same
+        number of tokens.  ``keys`` is ignored: selection reads only cluster
+        metadata.
         """
         merged = merge_group_queries(queries)
         if merged.shape != (self.n_kv_heads, self.head_dim):
@@ -262,71 +262,77 @@ class ClusterKVLayerState(LayerSelectorState):
         # tokens that have not been clustered yet (they still live on the GPU).
         # They come on top of the cluster budget, so once the pending tokens
         # exceed ``budget - sinks`` a selection holds more than ``budget``.
-        sinks = self._sink_indices
-        pending = np.arange(self._pending_start, self._num_tokens, dtype=np.int64)
-        cluster_budget = max(0, budget - sinks.shape[0] - pending.shape[0])
+        num_sinks = self._sink_indices.shape[0]
+        pending_start = self._pending_start
+        cluster_budget = max(0, budget - num_sinks - (self._num_tokens - pending_start))
 
-        outcomes = self._select_all_heads(merged, cluster_budget)
-        selections: list[np.ndarray] = []
-        score_flops = 0
-        selected_tokens = 0
+        clustered = self._select_all_heads(merged, cluster_budget)
+        # Clusters only ever cover [num_sinks_held, pending_start) and every
+        # row of cluster tokens is sorted, so sinks, clustered tokens and
+        # pending tokens side by side make sorted, unique rows.
+        width = clustered.shape[1]
+        rows = np.empty(
+            (self.n_kv_heads, num_sinks + width + self._num_tokens - pending_start),
+            dtype=np.int64,
+        )
+        rows[:, :num_sinks] = self._sink_indices
+        rows[:, num_sinks : num_sinks + width] = clustered
+        rows[:, num_sinks + width :] = np.arange(pending_start, self._num_tokens)
+        self.stats.selected_tokens += rows.size
+        self.stats.num_selections += 1
+        return rows
+
+    def _account(self, labels: Sequence[np.ndarray], sizes: Sequence[list[int]]) -> None:
+        """Charge every head's cluster cache with its selected labels and post-trim sizes."""
         hit_tokens = 0
         miss_tokens = 0
-        for head, outcome in enumerate(outcomes):
-            # Only an empty selection comes back without per-label sizes.
-            hits, misses = self.caches[head].access_counts(
-                outcome.selected_labels, outcome.selected_sizes or []
-            )
-
-            # Clusters only ever cover [num_sinks_held, pending_start) and
-            # cluster token lists are disjoint and sorted, so the three
-            # segments concatenate into a sorted, unique int64 index array
-            # without an O(B log B) np.unique on the decode hot path.
-            indices = np.concatenate([sinks, outcome.token_indices, pending])
-            selections.append(indices)
-
-            score_flops += outcome.score_flops
-            selected_tokens += indices.shape[0]
+        for cache, head_labels, head_sizes in zip(self.caches, labels, sizes):
+            hits, misses = cache.access_counts(head_labels, head_sizes)
             hit_tokens += hits
             miss_tokens += misses
         stats = self.stats
-        stats.score_flops += score_flops
-        stats.selected_tokens += int(selected_tokens)
         stats.cache_hit_tokens += hit_tokens
         stats.cache_miss_tokens += miss_tokens
         stats.fetched_tokens += miss_tokens
-        stats.num_selections += 1
-        return selections
 
-    def _centroid_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Stacked ``(n_kv_heads, C, d)`` centroids, norms and cluster sizes.
+    def _centroid_stack(self) -> tuple[np.ndarray, ...] | None:
+        """Every head's cluster metadata stacked along a leading head axis.
 
-        Every clustering run appends the same number of clusters to every
-        head, so the per-head centroid tensors always stack; the stack is
-        rebuilt lazily after appends.  Returns ``None`` in the (defensive)
-        case of per-head cluster counts diverging.
+        Returns ``(centroids, norms, spans, members)``: the ``(n_kv_heads,
+        C, d)`` centroids, the ``(n_kv_heads, C)`` norms, the
+        ``(n_kv_heads, N)`` token indices grouped by cluster, and ``spans``
+        of shape ``(2, n_kv_heads, C)``: every cluster's size, and the
+        offset of its members in the flattened ``members`` (head ``h``'s
+        size prefix sum plus ``h * N``).  Every clustering run appends the
+        same number of clusters over the same tokens to every head, so the
+        per-head arrays always stack; the stack is rebuilt lazily after
+        appends.  Returns ``None`` while no cluster exists.
         """
-        if self._stacked_centroids is None:
+        if self._stacked is None:
             # Clustering appends null the cache, so a non-None stack is
             # current; the uniformity check runs only on rebuild.
             counts = {meta.num_clusters for meta in self.metadata}
-            if len(counts) != 1 or 0 in counts:
+            if len(counts) != 1:
+                raise RuntimeError(f"kv heads hold different cluster counts {sorted(counts)}")
+            if 0 in counts:
                 return None
-            self._stacked_centroids = np.stack(
-                [meta.centroids for meta in self.metadata]
+            centroids, norms, sizes, prefix, members = (
+                np.stack([getattr(meta, name) for meta in self.metadata])
+                for name in (
+                    "centroids",
+                    "centroid_norms",
+                    "cluster_sizes",
+                    "prefix_sum",
+                    "sorted_indices",
+                )
             )
-            self._stacked_norms = np.stack(
-                [meta.centroid_norms for meta in self.metadata]
-            )
-            self._stacked_sizes = np.stack(
-                [meta.cluster_sizes for meta in self.metadata]
-            )
-        assert self._stacked_norms is not None and self._stacked_sizes is not None
-        return self._stacked_centroids, self._stacked_norms, self._stacked_sizes
+            offsets = prefix + members.shape[1] * np.arange(self.n_kv_heads)[:, None]
+            self._stacked = (centroids, norms, np.stack([sizes, offsets]), members)
+        return self._stacked
 
     def _score_all_heads(
         self, merged: np.ndarray, centroids: np.ndarray, norms: np.ndarray
-    ) -> np.ndarray | None:
+    ) -> np.ndarray:
         """Centroid scores of every kv head in one batched GEMM.
 
         ``merged`` is the ``(n_kv_heads, d)`` group-merged query.  The
@@ -335,62 +341,55 @@ class ClusterKVLayerState(LayerSelectorState):
         the cached :attr:`~repro.core.ClusterMetadata.centroid_norms`
         instead of renormalising static centroids every step.
         """
+        metric = self.config.score_metric
+        if metric not in ("ip", "cosine"):
+            raise ValueError(f"unknown score metric {metric!r}")
         scores = np.matmul(centroids, merged[:, :, None])[..., 0]
         counters.record("gemm.selection_score", 1)
-        if self.config.score_metric == "ip":
+        if metric == "ip":
             return scores
-        if self.config.score_metric == "cosine":
-            q_norms = np.linalg.norm(merged, axis=1)
-            safe = np.where(norms == 0.0, 1.0, norms) * np.where(
-                q_norms == 0.0, 1.0, q_norms
-            )[:, None]
-            return scores / safe
-        # Unknown metric: let select_clusters raise its usual error.
-        return None
+        q_norms = np.linalg.norm(merged, axis=1)
+        safe = np.where(norms == 0.0, 1.0, norms) * np.where(
+            q_norms == 0.0, 1.0, q_norms
+        )[:, None]
+        return scores / safe
 
-    def _select_all_heads(
-        self, merged: np.ndarray, cluster_budget: int
-    ) -> list[ClusterSelection]:
-        """Cluster selection of every kv head, front half batched.
+    def _select_all_heads(self, merged: np.ndarray, cluster_budget: int) -> np.ndarray:
+        """Clustered tokens selected for every kv head, as ``(n_kv_heads, S)`` sorted rows.
 
-        Scoring (one batched GEMM), the descending stable sort and the
-        size prefix sums run for all heads in single NumPy calls; each
-        head's row is then assembled by
-        :func:`~repro.core.selection.selection_from_order`.  Outcomes are
-        identical to per-head :func:`~repro.core.selection.select_clusters`
-        calls (the trivial/edge cases fall back to exactly those).
+        Scoring (one batched GEMM), the descending stable sort, the size
+        prefix sums and, under the default "order" trim policy, the
+        assembly of the token rows run for all heads in single NumPy calls.
+        Every head takes ``min(cluster_budget, clustered tokens)`` tokens,
+        so the rows have equal length.  The rows, the score FLOPs and the
+        cluster-cache accounting are identical to per-head
+        :func:`~repro.core.selection.select_clusters` calls; the "centroid"
+        trim policy assembles each head through
+        :func:`~repro.core.selection.selection_from_order`.
         """
+        heads = self.n_kv_heads
         stack = self._centroid_stack() if cluster_budget > 0 else None
-        batched_scores = (
-            self._score_all_heads(merged, stack[0], stack[1])
-            if stack is not None
-            else None
-        )
-        if batched_scores is None:
-            return [
-                select_clusters(
-                    merged[head],
-                    self.metadata[head],
-                    cluster_budget,
-                    score_metric=self.config.score_metric,
-                    trim_policy=self.config.trim_policy,
-                )
-                for head in range(self.n_kv_heads)
-            ]
-        assert stack is not None
-        sizes = stack[2]
-        num_clusters = sizes.shape[1]
+        if stack is None:
+            # No budget left for clusters, or none built yet: every head
+            # takes nothing, and its cache still records the empty step.
+            empty = np.zeros(0, dtype=np.int64)
+            self._account([empty] * heads, [[]] * heads)
+            return np.zeros((heads, 0), dtype=np.int64)
+        centroids, norms, spans, members = stack
+        num_clusters = spans.shape[2]
         score_flops = int(2 * num_clusters * self.head_dim)
-        order = np.argsort(-batched_scores, axis=1, kind="stable")
-        ordered_sizes = sizes[
-            np.arange(sizes.shape[0])[:, None], order
-        ]  # take_along_axis without its shape machinery
+        self.stats.score_flops += score_flops * heads
+        scores = self._score_all_heads(merged, centroids, norms)
+        order = np.argsort(-scores, axis=1, kind="stable")
+        # Sizes and member offsets in score order: take_along_axis without
+        # its shape machinery.
+        ordered_sizes, ordered_offsets = spans[:, np.arange(heads)[:, None], order]
         cumulative = np.cumsum(ordered_sizes, axis=1)
-        # Per-head np.searchsorted(cumulative, budget, "left"), vectorised:
-        # the count of prefix sums strictly below the budget.
-        cutoffs = (cumulative < cluster_budget).sum(axis=1)
         if self.config.trim_policy != "order":
-            return [
+            # Per-head np.searchsorted(cumulative, budget, "left"),
+            # vectorised: the count of prefix sums strictly below the budget.
+            cutoffs = (cumulative < cluster_budget).sum(axis=1)
+            outcomes = [
                 selection_from_order(
                     self.metadata[head],
                     order[head],
@@ -400,55 +399,36 @@ class ClusterKVLayerState(LayerSelectorState):
                     self.config.trim_policy,
                     score_flops,
                 )
-                for head in range(self.n_kv_heads)
+                for head in range(heads)
             ]
-        # Inline assembly for the default "order" trim policy: identical to
-        # selection_from_order (the general path above and the equivalence
-        # tests pin it), with the per-head token segments sliced directly
-        # out of the metadata index arrays.
-        outcomes: list[ClusterSelection] = []
-        for head in range(self.n_kv_heads):
-            meta = self.metadata[head]
-            sorted_indices = meta.sorted_indices
-            prefix = meta.prefix_sum
-            head_sizes = sizes[head]
-            cutoff = int(cutoffs[head])
-            if cutoff >= num_clusters:
-                labels = order[head]
-                overshoot = 0
-            else:
-                labels = order[head, : cutoff + 1]
-                overshoot = int(cumulative[head, cutoff] - cluster_budget)
-            pieces: list[np.ndarray] = []
-            selected_sizes: list[int] = []
-            trimmed_label: int | None = None
-            last = len(labels) - 1
-            for rank, label in enumerate(labels.tolist()):
-                start = prefix[label]
-                size = int(head_sizes[label])
-                if rank == last and overshoot > 0:
-                    size = max(0, size - overshoot)
-                    trimmed_label = label
-                tokens = sorted_indices[start : start + size]
-                pieces.append(tokens)
-                selected_sizes.append(size)
-            if not pieces:
-                token_indices = np.zeros(0, dtype=np.int64)
-            elif len(pieces) == 1:
-                token_indices = pieces[0]
-            else:
-                token_indices = np.sort(np.concatenate(pieces))
-            outcomes.append(
-                ClusterSelection(
-                    token_indices=token_indices,
-                    selected_labels=labels,
-                    trimmed_label=trimmed_label,
-                    num_trimmed=overshoot if trimmed_label is not None else 0,
-                    score_flops=score_flops,
-                    selected_sizes=selected_sizes,
-                )
+            self._account(
+                [outcome.selected_labels for outcome in outcomes],
+                [outcome.selected_sizes for outcome in outcomes],
             )
-        return outcomes
+            return np.stack([outcome.token_indices for outcome in outcomes])
+        # Batched assembly for the default "order" trim policy, identical to
+        # selection_from_order: each head takes clusters in score order while
+        # fewer than the budget tokens precede them, cutting the last one to
+        # what is left, and a taken cluster is a span of the head's members.
+        # The spans of all heads flatten into one gather of the selected
+        # tokens — no per-token work over the context.
+        selected = min(cluster_budget, members.shape[1])
+        preceding = cumulative - ordered_sizes
+        taken = np.minimum(ordered_sizes, np.maximum(selected - preceding, 0))
+        span_lengths = taken.ravel()
+        positions = np.repeat(
+            ordered_offsets.ravel() - np.cumsum(span_lengths) + span_lengths, span_lengths
+        )
+        positions += np.arange(positions.shape[0])
+        rows = members.ravel()[positions].reshape(heads, selected)
+        rows.sort(axis=1)
+        counts = (preceding < cluster_budget).sum(axis=1).tolist()
+        taken_sizes = taken.tolist()
+        self._account(
+            [order[head, :count] for head, count in enumerate(counts)],
+            [taken_sizes[head][:count] for head, count in enumerate(counts)],
+        )
+        return rows
 
     # ------------------------------------------------------------------
     # helpers and introspection
@@ -473,6 +453,10 @@ class ClusterKVLayerState(LayerSelectorState):
 
     def _refresh_aux_bytes(self) -> None:
         self.stats.aux_bytes = sum(meta.metadata_nbytes() for meta in self.metadata)
+
+    def _export_fields(self) -> dict[str, object]:
+        # The stack duplicates the metadata; the next select rebuilds it.
+        return {**self.__dict__, "_stacked": None}
 
 
 @register_policy(

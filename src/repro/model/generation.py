@@ -559,15 +559,16 @@ class EngineCore:
         v_new: np.ndarray,
         step: int,
     ) -> tuple:
-        """KV append, observation, selection and gather of one sequence/layer.
+        """KV append, observation and selection of one sequence/layer.
 
-        The non-GEMM front half of a decode-step attention: appends the new
-        token's KV, lets the selector observe it, runs token selection under
-        the budget and gathers the selected keys/values into stacked
-        tensors.  Returns the prepared-attention tuple ``(seq, query
-        vectors, keys, values, lengths, indices_per_head, state, context
-        length, step, from_selection)`` consumed by
-        :meth:`_attend_layer_batch`.
+        The first part of a decode-step attention's front half: appends the
+        new token's KV, lets the selector observe it and runs token
+        selection under the budget.  Returns the prepared-attention tuple
+        ``(seq, query vectors, keys, values, rows, state, context length,
+        step)`` consumed by :meth:`_attend_layer_batch`: a budgeted
+        request carries its selected index ``rows`` (keys and values are
+        ``None`` until :meth:`_gather_selected` writes them into the
+        workspace); a full-context one carries the cache views and no rows.
         """
         config = self.model.config
         gen = self.generation_config
@@ -579,10 +580,7 @@ class EngineCore:
             state.observe_decode(k_new)
 
         budget = gen.budget if gen.budget is not None else context_length
-        use_selection = (
-            state is not None and gen.budget is not None and budget < context_length
-        )
-        if use_selection:
+        if state is not None and gen.budget is not None and budget < context_length:
             grouped = query_vectors.reshape(
                 config.n_kv_heads, config.group_size, config.head_dim
             )
@@ -591,37 +589,24 @@ class EngineCore:
             # pager, where a cold page reads as zeros until recalled.
             store = seq.kv_store
             keys = None if store.pager is not None else store.layers[layer_idx].keys
-            indices_per_head = state.select(grouped, budget, step, keys)
-            fetched_delta = state.stats.fetched_tokens - fetched_before
-            seq.kv_store.record_fetch(fetched_delta, step)
-            # One stacked gather for all kv heads (right-padded when the
-            # selected counts differ — semantic clusters have variable
-            # sizes), feeding the two-GEMM batched attention.
-            keys_sel, values_sel, sel_lengths = seq.kv_store.gather_many(
-                layer_idx, indices_per_head
-            )
-        else:
-            # Full-context attention: hand the cache views straight to the
-            # batched attention — same values, no per-step O(L) copy.
-            # Index arrays are only materialised if a recorder needs them.
-            indices_per_head = None
-            if state is not None:
-                state.stats.selected_tokens += context_length * config.n_kv_heads
-                state.stats.num_selections += 1
-            keys_sel = seq.kv_store.keys(layer_idx)
-            values_sel = seq.kv_store.values(layer_idx)
-            sel_lengths = None
+            rows = state.select(grouped, budget, step, keys)
+            store.record_fetch(state.stats.fetched_tokens - fetched_before, step)
+            return (seq, query_vectors, None, None, rows, state, context_length, step)
+        # Full-context attention: hand the cache views straight to the
+        # batched attention — same values, no per-step O(L) copy.  Index
+        # rows are only materialised if a recorder needs them.
+        if state is not None:
+            state.stats.selected_tokens += context_length * config.n_kv_heads
+            state.stats.num_selections += 1
         return (
             seq,
             query_vectors,
-            keys_sel,
-            values_sel,
-            sel_lengths,
-            indices_per_head,
+            seq.kv_store.keys(layer_idx),
+            seq.kv_store.values(layer_idx),
+            None,
             state,
             context_length,
             step,
-            use_selection,
         )
 
     def _finish_attend(
@@ -632,7 +617,7 @@ class EngineCore:
     ) -> None:
         """Recording hooks of one sequence/layer attention (recall, trace)."""
         gen = self.generation_config
-        (seq, query_vectors, _, _, _, indices_per_head, state, context_length, step, _) = prep
+        (seq, query_vectors, _, _, rows, state, context_length, step) = prep
         record_recall = (
             gen.record_true_scores and state is not None and gen.budget is not None
         )
@@ -640,21 +625,17 @@ class EngineCore:
         if not record_recall and not record_trace:
             return
         config = self.model.config
-        if indices_per_head is None:
-            indices_per_head = [
-                np.arange(context_length, dtype=np.int64)
-                for _ in range(config.n_kv_heads)
-            ]
+        if rows is None:
+            rows = np.broadcast_to(
+                np.arange(context_length, dtype=np.int64),
+                (config.n_kv_heads, context_length),
+            )
         if record_recall:
             budget = gen.budget
             assert budget is not None
-            self._record_recall(
-                seq, layer_idx, step, query_vectors, indices_per_head, budget
-            )
+            self._record_recall(seq, layer_idx, step, query_vectors, rows, budget)
         if record_trace:
-            self._record_trace(
-                seq, layer_idx, step, query_vectors, indices_per_head, weights
-            )
+            self._record_trace(seq, layer_idx, step, query_vectors, rows, weights)
 
     def _attend_layer_batch(
         self,
@@ -668,15 +649,17 @@ class EngineCore:
     ) -> None:
         """Attention of one layer for the whole decode batch.
 
-        Requests decoding under a budget produce *bounded* selected-KV
-        tensors, so their attention fuses across requests into one pair of
-        broadcast GEMMs over a ``(R, n_kv_heads, g, S_max)`` score tensor
-        (padding entries carry exactly-zero weight, so each request's
-        output equals its solo computation).  Full-context requests keep
-        per-request GEMMs on zero-copy cache views — padding them would
-        copy O(context) per step; so does a lone budgeted request, which
-        is how a batch of one runs the single-sequence path.  Rows of
-        ``out`` are written in place.
+        Requests decoding under a budget produce *bounded* selections, and
+        their keys and values are gathered straight into the fused
+        workspace (:meth:`_gather_selected`) before any attention runs.
+        Two or more of them fuse across requests into one pair of broadcast
+        GEMMs over a ``(R, n_kv_heads, g, S_max)`` score tensor (padding
+        entries carry exactly-zero weight, so each request's output equals
+        its solo computation).  A lone budgeted request — which is how a
+        batch of one runs the single-sequence path — gathers into a
+        one-row workspace and attends alone; full-context requests keep
+        per-request GEMMs on zero-copy cache views, as padding them would
+        copy O(context) per step.  Rows of ``out`` are written in place.
         """
         gen = self.generation_config
         preps = [
@@ -691,7 +674,7 @@ class EngineCore:
             needs_weights = (
                 gen.record_attention_trace and layer_idx == prep[0].trace_layer
             )
-            if prep[9] and not needs_weights:
+            if prep[4] is not None and not needs_weights:
                 stacked.append((b, prep))
             else:
                 solo.append((b, prep))
@@ -700,47 +683,76 @@ class EngineCore:
             stacked = []
 
         if stacked:
-            self._attend_stacked(layer_idx, stacked, out)
+            workspace = self._gather_selected(layer_idx, stacked)
+            self._attend_stacked(layer_idx, stacked, out, workspace)
         for b, prep in solo:
             seq = prep[0]
             need_weights = (
                 gen.record_attention_trace and layer_idx == seq.trace_layer
             )
+            keys, values, lengths = prep[2], prep[3], None
+            if prep[4] is not None:
+                ws_keys, ws_values, _, ws_lengths = self._gather_selected(
+                    layer_idx, [(b, prep)]
+                )
+                keys, values = ws_keys[0], ws_values[0]
+                # Equal rows fill the one-row workspace exactly.
+                if not isinstance(prep[4], np.ndarray):
+                    lengths = ws_lengths[0]
             attn = selected_attention_batch(
                 prep[1],
-                prep[2],
-                prep[3],
+                keys,
+                values,
                 self.model.config.softmax_scale,
-                lengths=prep[4],
+                lengths=lengths,
                 return_weights=need_weights,
             )
             out[b] = attn.output
             self._finish_attend(layer_idx, prep, attn.weights)
 
+    def _gather_selected(
+        self, layer_idx: int, entries: list[tuple[int, tuple]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Gather each entry's selected KV straight into its workspace slot.
+
+        Returns the ``(keys, values, queries, lengths)`` workspace views of
+        :meth:`_stacked_workspace`, one slot per entry, sized to the widest
+        selection; the queries are left for :meth:`_attend_stacked`.
+        """
+        widths = [
+            prep[4].shape[1] if isinstance(prep[4], np.ndarray) else max(map(len, prep[4]))
+            for _, prep in entries
+        ]
+        workspace = self._stacked_workspace(len(entries), max(widths))
+        keys, values, _, lengths = workspace
+        for i, (_, prep) in enumerate(entries):
+            prep[0].kv_store.gather_many(
+                layer_idx, prep[4], out=(keys[i], values[i], lengths[i])
+            )
+        return workspace
+
     def _attend_stacked(
-        self, layer_idx: int, entries: list[tuple[int, tuple]], out: np.ndarray
+        self,
+        layer_idx: int,
+        entries: list[tuple[int, tuple]],
+        out: np.ndarray,
+        workspace: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
         """Fused attention of several requests' bounded KV selections.
 
-        Pads every request's stacked ``(n_kv_heads, S_r, d)`` selection to
-        the batch-wide maximum and runs the scores and the weighted sum as
-        two broadcast GEMMs for all requests and heads at once.  Padded
-        keys score ``-inf`` (zero weight) and padded values are zero, so
-        each request's slice is identical to its standalone computation.
+        ``workspace`` holds every request's gathered keys/values, padded to
+        the batch-wide maximum (:meth:`_gather_selected`); the scores and
+        the weighted sum run as two broadcast GEMMs for all requests and
+        heads at once.  Keys past a head's length score ``-inf`` (zero
+        weight), so each request's slice is identical to its standalone
+        computation.
         """
         config = self.model.config
         n_kv = config.n_kv_heads
-        group = config.group_size
-        head_dim = config.head_dim
-        num = len(entries)
-        s_max = max(prep[2].shape[1] for _, prep in entries)
-        keys, values, queries, lengths = self._stacked_workspace(num, s_max)
+        keys, values, queries, lengths = workspace
+        num, _, s_max, _ = keys.shape
         for i, (_, prep) in enumerate(entries):
-            size = prep[2].shape[1]
-            keys[i, :, :size] = prep[2]
-            values[i, :, :size] = prep[3]
-            lengths[i, :] = size if prep[4] is None else prep[4]
-            queries[i] = prep[1].reshape(n_kv, group, head_dim)
+            queries[i] = prep[1].reshape(n_kv, config.group_size, config.head_dim)
         if int(lengths.min(initial=1)) <= 0:
             raise ValueError("a kv head has no selected tokens")
 
@@ -895,7 +907,7 @@ class EngineCore:
         layer_idx: int,
         step: int,
         query_vectors: np.ndarray,
-        indices_per_head: list[np.ndarray],
+        rows: np.ndarray | list[np.ndarray],
         budget: int,
     ) -> None:
         config = self.model.config
@@ -911,7 +923,7 @@ class EngineCore:
         for kv_head in range(config.n_kv_heads):
             true_scores = keys[kv_head] @ grouped[kv_head]
             true_top = top_k_indices(true_scores, effective_budget)
-            selected = set(indices_per_head[kv_head].tolist())
+            selected = set(rows[kv_head].tolist())
             hits = sum(1 for index in true_top.tolist() if index in selected)
             recall = hits / max(1, true_top.shape[0])
             seq.result.recall_records.append(
@@ -930,7 +942,7 @@ class EngineCore:
         layer_idx: int,
         step: int,
         query_vectors: np.ndarray,
-        indices_per_head: list[np.ndarray],
+        rows: np.ndarray | list[np.ndarray],
         attention_weights: list[np.ndarray] | None,
     ) -> None:
         config = self.model.config
@@ -953,7 +965,7 @@ class EngineCore:
             StepAttentionRecord(
                 step=step,
                 layer=layer_idx,
-                selected_indices=[idx.copy() for idx in indices_per_head],
+                selected_indices=[row.copy() for row in rows],
                 attention_weights=kv_weights,
                 true_scores=true_scores,
             )

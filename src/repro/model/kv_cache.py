@@ -41,8 +41,7 @@ class LayerKVCache:
         self._length = 0
         self._capacity = max(1, initial_capacity)
         # Keys and values share one (2, n_kv_heads, capacity, head_dim)
-        # buffer so a selection's K and V can be gathered with a single
-        # fancy-indexing call on the decode hot path.
+        # buffer: appends, growth and spill pages move both in one copy.
         self._kv = np.zeros((2, n_kv_heads, self._capacity, head_dim))
 
     def __len__(self) -> int:
@@ -98,43 +97,44 @@ class LayerKVCache:
         )
 
     def gather_many(
-        self, indices_per_head: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Gather every kv head's selection in one fancy-indexing call.
+        self,
+        rows: np.ndarray | list[np.ndarray],
+        *,
+        out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        """Gather every kv head's selected rows straight into ``out``.
 
-        Returns ``(keys, values, lengths)`` where keys/values are stacked
-        ``(n_kv_heads, S, head_dim)`` tensors ready for
-        :func:`repro.model.attention.selected_attention_batch`.  When the
-        per-head selections have equal sizes ``lengths`` is ``None``;
-        otherwise heads are right-padded to the longest selection with
-        token 0 (a always-valid index — the padded entries are masked to
-        zero weight downstream) and ``lengths`` gives each head's valid
-        prefix.
+        ``rows`` is a selection as :meth:`LayerSelectorState.select
+        <repro.baselines.base.LayerSelectorState.select>` returns it: an
+        ``(n_kv_heads, S)`` index matrix or one index array per head.
+        ``out = (keys, values, lengths)``: head ``h``'s keys and values
+        land in ``keys[h, :n_h]`` / ``values[h, :n_h]`` (both at least
+        ``(n_kv_heads, max n_h, head_dim)``, each head's block C-contiguous,
+        as in the fused attention workspace) and ``n_h`` in ``lengths[h]``.
+        Entries past ``n_h`` are left as they were: the attention that
+        reads them masks everything beyond ``lengths``.
         """
-        if len(indices_per_head) != self.n_kv_heads:
-            raise ValueError(
-                f"expected {self.n_kv_heads} index arrays, got {len(indices_per_head)}"
-            )
-        lengths = np.asarray([idx.shape[0] for idx in indices_per_head], dtype=np.int64)
-        max_len = int(lengths.max()) if lengths.size else 0
-        if bool((lengths == max_len).all()):
-            index_matrix = np.asarray(indices_per_head, dtype=np.int64)
-            out_lengths = None
+        keys, values, lengths = out
+        if len(rows) != self.n_kv_heads:
+            raise ValueError(f"expected {self.n_kv_heads} index rows, got {len(rows)}")
+        if isinstance(rows, np.ndarray):
+            lengths[:] = rows.shape[1]
+            low, high = (rows.min(), rows.max()) if rows.size else (0, -1)
         else:
-            index_matrix = np.zeros((self.n_kv_heads, max_len), dtype=np.int64)
-            for head, idx in enumerate(indices_per_head):
-                index_matrix[head, : lengths[head]] = idx
-            out_lengths = lengths
-        if index_matrix.size and (
-            index_matrix.min() < 0 or index_matrix.max() >= self._length
-        ):
+            lengths[:] = [row.shape[0] for row in rows]
+            filled = [row for row in rows if row.size]
+            low = min((row.min() for row in filled), default=0)
+            high = max((row.max() for row in filled), default=-1)
+        if low < 0 or high >= self._length:
             raise IndexError(
                 f"indices out of range [0, {self._length}) for layer {self.layer_idx}"
             )
-        rows = np.arange(self.n_kv_heads)[:, None]
-        # One fancy-indexing call gathers both K and V from the fused buffer.
-        gathered = self._kv[:, rows, index_matrix, :]
-        return gathered[0], gathered[1], out_lengths
+        # Bounds are checked above, so "clip" never clips; unlike the
+        # default "raise" it lets take write into ``out`` unbuffered.
+        for head, row in enumerate(rows):
+            size = row.shape[0]
+            np.take(self._kv[0, head], row, axis=0, out=keys[head, :size], mode="clip")
+            np.take(self._kv[1, head], row, axis=0, out=values[head, :size], mode="clip")
 
     def evict_span(self, start: int, end: int) -> bytes:
         """Serialize tokens ``[start, end)`` to bytes and zero them in place.
@@ -288,12 +288,19 @@ class KVCacheStore:
         return self.layers[layer_idx].gather(head_idx, indices)
 
     def gather_many(
-        self, layer_idx: int, indices_per_head: list[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Stacked per-head selections of one layer (see :meth:`LayerKVCache.gather_many`)."""
+        self,
+        layer_idx: int,
+        rows: np.ndarray | list[np.ndarray],
+        *,
+        out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        """Gather one layer's selected rows into ``out`` (see :meth:`LayerKVCache.gather_many`).
+
+        A spill pager recalls the pages the rows touch first.
+        """
         if self.pager is not None:
-            self.pager.before_read(self, layer_idx, indices_per_head)
-        return self.layers[layer_idx].gather_many(indices_per_head)
+            self.pager.before_read(self, layer_idx, rows)
+        self.layers[layer_idx].gather_many(rows, out=out)
 
     def total_nbytes(self) -> int:
         """Total bytes of all cached K and V entries."""

@@ -19,8 +19,9 @@ The engine's mutable per-request state is *closed*: a decode step reads
 only (a) the KV cache, (b) the selector states, (c) the pointer-head
 history, (d) the RNG (for sampled decoding) and (e) the scheduling
 progress counters — all of which the checkpoint copies verbatim (float64
-KV entries, deep-copied selector ``__dict__``, the RNG bit-generator
-state).  Each key is captured exactly once, from its one owner: layer
+KV entries, deep-copied selector ``__dict__`` less what a selector
+rebuilds on demand and the spare capacity of its growable buffers, the
+RNG bit-generator state).  Each key is captured exactly once, from its one owner: layer
 keys from the KV store, pointer keys from the copy head.  Selector
 snapshots carry no key history — a selector is handed the owner's keys
 when it selects (:meth:`~repro.baselines.base.LayerSelectorState.select`)
@@ -67,7 +68,8 @@ __all__ = [
 
 # Format version of SequenceCheckpoint; bumped whenever the captured
 # fields change incompatibly.  Restore refuses mismatched versions.
-SEQSTATE_VERSION = 2
+# Version 3: Quest, InfiniGen and H2O states hold head-stacked arrays.
+SEQSTATE_VERSION = 3
 
 
 def policy_signature(selector: KVSelectorFactory) -> str:

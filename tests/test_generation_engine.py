@@ -3,19 +3,30 @@
 import numpy as np
 import pytest
 
-from repro.baselines import FullKVSelector, OracleTopKSelector, StreamingLLMSelector
+from repro.baselines import (
+    FullKVSelector,
+    KVSelectorFactory,
+    LayerSelectorState,
+    OracleTopKSelector,
+    StreamingLLMSelector,
+)
 from repro.core import ClusterKVConfig, ClusterKVSelector
 from repro.model import (
     CopyHead,
+    EngineCore,
     GenerationConfig,
     InferenceEngine,
     ModelConfig,
+    SequenceState,
     TransformerModel,
     greedy_sample,
+    get_model_config,
     mix_distributions,
     temperature_sample,
 )
-from repro.memory import TransferDirection
+from repro.baselines.quest import QuestLayerState
+from repro.memory import OffloadManager, TransferDirection
+from repro.policies import build_policy
 
 
 class TestSampling:
@@ -215,3 +226,88 @@ class TestStackedWorkspace:
         keys, values, queries, lengths = core._stacked_workspace(4, 100)
         assert keys.shape[:1] + keys.shape[2:3] == (4, 100)
         assert not keys.any() and not values.any()
+
+
+class _OutOfRangeState(LayerSelectorState):
+    """Selects a token one past the end of the context."""
+
+    def select(self, queries, budget, step, keys=None):
+        return np.full((self.n_kv_heads, 2), self._num_tokens, dtype=np.int64)
+
+
+class _OutOfRangeSelector(KVSelectorFactory):
+    name = "out_of_range"
+
+    def create_layer_state(self, layer_idx, n_kv_heads, head_dim, num_sink_tokens):
+        return _OutOfRangeState(layer_idx, n_kv_heads, head_dim)
+
+
+class TestWorkspaceGather:
+    """Budgeted selections are gathered straight into the fused workspace."""
+
+    @pytest.mark.parametrize("batch", [1, 2], ids=["solo", "stacked"])
+    def test_out_of_range_row_raises(self, tiny_model, batch):
+        gen = GenerationConfig(budget=8, num_full_layers=1, max_new_tokens=4)
+        core = EngineCore(tiny_model, gen)
+        seqs = [
+            SequenceState(tiny_model, _OutOfRangeSelector(), gen, OffloadManager())
+            for _ in range(batch)
+        ]
+        prompt = np.arange(4, 40)
+        tokens = [core.pick_token(seq, core.prefill(seq, prompt)) for seq in seqs]
+        with pytest.raises(IndexError, match="out of range"):
+            core.decode_step_batch(seqs, tokens, [0] * batch)
+
+    def test_stale_workspace_tails_are_masked(self, monkeypatch):
+        """A workspace left wider and dirty by earlier steps changes no output bit.
+
+        Quest without its forced last page selects 13 or 16 tokens per
+        head — ragged rows at some steps — and StreamingLLM 24, so both
+        the lone request's one-row slot (first three steps) and the fused
+        steps after it read past some head's length.
+        """
+        model = TransformerModel(get_model_config("tiny"))
+        gen = GenerationConfig(budget=24, num_full_layers=1, num_sink_tokens=4)
+        specs = ("quest:page_size=16,include_last_page=false", "streaming_llm")
+        ragged: list[int] = []  # the round of every ragged Quest selection
+        select = QuestLayerState.select
+
+        def recording(state, *args, **kwargs):
+            rows = select(state, *args, **kwargs)
+            if isinstance(rows, list) and state.layer_idx < model.config.n_layers:
+                ragged.append(current_round[0])
+            return rows
+
+        monkeypatch.setattr(QuestLayerState, "select", recording)
+        current_round = [0]
+
+        def decode(core):
+            seqs = [
+                SequenceState(model, build_policy(spec), gen, OffloadManager())
+                for spec in specs
+            ]
+            tokens = [
+                core.pick_token(seq, core.prefill(seq, np.arange(4, 4 + length)))
+                for seq, length in zip(seqs, (40, 60))
+            ]
+            steps = [0, 0]
+            outputs = []
+            for round_index in range(8):
+                current_round[0] = round_index
+                batch = [0] if round_index < 3 else [0, 1]  # solo, then fused
+                distributions = core.decode_step_batch(
+                    [seqs[i] for i in batch], [tokens[i] for i in batch], [steps[i] for i in batch]
+                )
+                for i, distribution in zip(batch, distributions):
+                    tokens[i] = core.pick_token(seqs[i], distribution)
+                    steps[i] += 1
+                outputs.extend(distributions)
+            return outputs
+
+        fresh = decode(EngineCore(model, gen))
+        assert min(ragged) < 3 <= max(ragged)  # both paths saw ragged rows
+        dirty = EngineCore(model, gen)
+        dirty._stacked_workspace(4, 256)
+        dirty._stacked_kv[...] = 1e3 * np.random.default_rng(0).normal(size=dirty._stacked_kv.shape)
+        for expected, got in zip(fresh, decode(dirty)):
+            assert np.array_equal(expected, got)

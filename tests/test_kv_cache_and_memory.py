@@ -48,6 +48,34 @@ class TestLayerKVCache:
         with pytest.raises(IndexError):
             cache.gather(0, np.array([5]))
 
+    def test_gather_many_fills_the_workspace_like_per_head_gather(self, rng):
+        """Equal and ragged rows land where per-head gather puts them; tails stay."""
+        cache = LayerKVCache(0, 3, 4)
+        cache.append(rng.normal(size=(3, 40, 4)), rng.normal(size=(3, 40, 4)))
+        equal = np.sort(rng.permutation(40)[:21].reshape(3, 7), axis=1)
+        ragged = [np.array([0, 5, 39]), np.arange(10, 19), np.array([7])]
+        for rows in (equal, ragged):
+            keys = np.full((3, 12, 4), 7.0)
+            values = np.full((3, 12, 4), 7.0)
+            lengths = np.zeros(3, dtype=np.int64)
+            cache.gather_many(rows, out=(keys, values, lengths))
+            for head, row in enumerate(rows):
+                size = len(row)
+                expected_keys, expected_values = cache.gather(head, row)
+                assert lengths[head] == size
+                assert np.array_equal(keys[head, :size], expected_keys)
+                assert np.array_equal(values[head, :size], expected_values)
+                assert np.all(keys[head, size:] == 7.0) and np.all(values[head, size:] == 7.0)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_gather_many_out_of_range_raises(self, rng, bad):
+        store = KVCacheStore(n_layers=2, n_kv_heads=2, head_dim=4)
+        store.append(1, rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 6, 4)))
+        out = (np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), np.zeros(2, dtype=np.int64))
+        for rows in (np.array([[0, 1, bad], [0, 1, 2]]), [np.array([0, 1]), np.array([bad])]):
+            with pytest.raises(IndexError, match="layer 1"):
+                store.gather_many(1, rows, out=out)
+
     def test_shape_mismatch_raises(self, rng):
         cache = LayerKVCache(0, 2, 4)
         with pytest.raises(ValueError):

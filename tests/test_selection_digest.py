@@ -12,10 +12,16 @@ A refactor of the selector protocol, the KV layout or the gather must
 leave these digests unchanged: a changed digest means some head attended
 a different token set at some step.  The prompts stay below the prefill
 lane threshold, so the digests do not depend on the CPU count.
+
+The same scenario also pins each request's merged ``SelectorStats`` and
+cluster-cache hit rate: the digests hash only indices, tokens and
+log-probabilities, and a batched selector must not change any FLOP, byte
+or cache count either.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -61,6 +67,86 @@ DIGESTS: dict[tuple[str, str], str] = {
 }
 
 
+# Per request ("a", "b"): the merged SelectorStats fields in declaration
+# order (score_flops, build_flops, selected_tokens, fetched_tokens,
+# cache_hit_tokens, cache_miss_tokens, num_selections, aux_bytes), then
+# GenerationResult.cache_hit_rate.
+STATS: dict[tuple[str, str], tuple] = {
+    ("clusterkv", "tiny"): (
+        (8448, 2878848, 1760, 909, 301, 909, 33, 5958, 0.2527548209366391),
+        (8448, 1822080, 1760, 776, 434, 776, 33, 6118, 0.3780991735537191),
+    ),
+    ("clusterkv", "serve-sim"): (
+        (12672, 3943296, 4224, 2009, 895, 2009, 33, 13608, 0.3081955922865014),
+        (12672, 3594240, 4224, 2145, 759, 2145, 33, 13992, 0.2613636363636364),
+    ),
+    ("full", "tiny"): (
+        (0, 0, 14410, 0, 0, 0, 33, 0, 0.0),
+        (0, 0, 14850, 0, 0, 0, 33, 0, 0.0),
+    ),
+    ("full", "serve-sim"): (
+        (0, 0, 34584, 0, 0, 0, 33, 0, 0.0),
+        (0, 0, 35640, 0, 0, 0, 33, 0, 0.0),
+    ),
+    ("h2o", "tiny"): (
+        (150272, 0, 1760, 0, 0, 0, 33, 0, 0.0),
+        (152320, 0, 1760, 0, 0, 0, 33, 0, 0.0),
+    ),
+    ("h2o", "serve-sim"): (
+        (225408, 0, 4224, 0, 0, 0, 33, 0, 0.0),
+        (228480, 0, 4224, 0, 0, 0, 33, 0, 0.0),
+    ),
+    ("infinigen", "tiny"): (
+        (212608, 1994240, 1760, 1760, 0, 0, 33, 17088, 0.0),
+        (218240, 2055680, 1760, 1760, 0, 0, 33, 17600, 0.0),
+    ),
+    ("infinigen", "serve-sim"): (
+        (293568, 1196544, 4224, 4224, 0, 0, 33, 25632, 0.0),
+        (302016, 1233408, 4224, 4224, 0, 0, 33, 26400, 0.0),
+    ),
+    ("oracle", "tiny"): (
+        (737792, 0, 1760, 0, 0, 0, 33, 0, 0.0),
+        (760320, 0, 1760, 0, 0, 0, 33, 0, 0.0),
+    ),
+    ("oracle", "serve-sim"): (
+        (1106688, 0, 4224, 0, 0, 0, 33, 0, 0.0),
+        (1140480, 0, 4224, 0, 0, 0, 33, 0, 0.0),
+    ),
+    ("quest", "tiny"): (
+        (95744, 68352, 1210, 0, 0, 0, 33, 8704, 0.0),
+        (97280, 70400, 1410, 0, 0, 0, 33, 9216, 0.0),
+    ),
+    ("quest", "serve-sim"): (
+        (143616, 102528, 2904, 0, 0, 0, 33, 13056, 0.0),
+        (145920, 105600, 3384, 0, 0, 0, 33, 13824, 0.0),
+    ),
+    ("streaming_llm", "tiny"): (
+        (0, 0, 1760, 0, 0, 0, 33, 0, 0.0),
+        (0, 0, 1760, 0, 0, 0, 33, 0, 0.0),
+    ),
+    ("streaming_llm", "serve-sim"): (
+        (0, 0, 4224, 0, 0, 0, 33, 0, 0.0),
+        (0, 0, 4224, 0, 0, 0, 33, 0, 0.0),
+    ),
+    ("clusterkv:trim_policy=centroid", "tiny"): (
+        (8448, 2878848, 1760, 829, 381, 829, 33, 5958, 0.2892561983471074),
+        (8448, 1822080, 1760, 836, 374, 836, 33, 6118, 0.3009641873278237),
+    ),
+    ("clusterkv:trim_policy=centroid", "serve-sim"): (
+        (12672, 3943296, 4224, 1923, 981, 1923, 33, 13608, 0.3378099173553719),
+        (12672, 3594240, 4224, 2263, 641, 2263, 33, 13992, 0.22073002754820936),
+    ),
+    ("clusterkv:decode_window=8", "tiny"): (
+        (12544, 2895232, 1760, 1026, 344, 1026, 33, 7342, 0.2542579075425791),
+        (12544, 1838464, 1760, 876, 494, 876, 33, 7502, 0.3765206812652068),
+    ),
+    ("clusterkv:decode_window=8", "serve-sim"): (
+        (18816, 3967872, 4224, 2273, 1015, 2273, 33, 16008, 0.30869829683698297),
+        (18816, 3618816, 4224, 2367, 921, 2367, 33, 16392, 0.2801094890510949),
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def models() -> dict[str, TransformerModel]:
     """One model instance per name, shared by every policy."""
@@ -76,8 +162,11 @@ def _state_classes() -> list[type]:
     return sorted(classes, key=lambda cls: cls.__name__)
 
 
-def selection_digest(model: TransformerModel, policy: str, monkeypatch) -> str:
-    """Serve the two-request scenario and hash every selection it made."""
+def selection_digest(model: TransformerModel, policy: str, monkeypatch) -> tuple[str, dict]:
+    """Serve the two-request scenario and hash every selection it made.
+
+    Returns the digest and the results by request id.
+    """
     hasher = hashlib.sha256()
     calls = [0]
 
@@ -127,12 +216,21 @@ def selection_digest(model: TransformerModel, policy: str, monkeypatch) -> str:
         result = results[request_id]
         hasher.update(np.asarray(result.output_ids, dtype=np.int64).tobytes())
         hasher.update(np.asarray(result.output_logprobs, dtype=np.float64).tobytes())
-    return hasher.hexdigest()
+    return hasher.hexdigest(), results
 
 
 @pytest.mark.parametrize("model_name", MODELS)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_selection_digest_pinned(models, policy, model_name, monkeypatch):
-    """Selections, tokens and log-probabilities match the pinned digest."""
-    digest = selection_digest(models[model_name], policy, monkeypatch)
+    """Selections, tokens and log-probabilities match the pinned digest.
+
+    Every FLOP, byte, token and cache count matches the pinned stats.
+    """
+    digest, results = selection_digest(models[model_name], policy, monkeypatch)
     assert digest == DIGESTS[(policy, model_name)]
+    observed = tuple(
+        dataclasses.astuple(results[request_id].selector_stats)
+        + (results[request_id].cache_hit_rate,)
+        for request_id in sorted(results)
+    )
+    assert observed == STATS[(policy, model_name)]

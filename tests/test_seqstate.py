@@ -165,6 +165,28 @@ class TestRoundTrip:
         actual = run_with_checkpoint(model, policy, generation, prompt, stop_step=3)
         assert_same_result(expected, actual)
 
+    @pytest.mark.parametrize("policy_name", ["clusterkv", "infinigen", "quest"])
+    def test_snapshot_holds_no_derived_or_spare_storage(self, policy_name):
+        """ClusterKV's head stack is left out; growable buffers keep only live rows."""
+        config = get_model_config("tiny")
+        model = TransformerModel(config)
+        core, seq = fresh_sequence(model, POLICY_SPECS[policy_name], tiny_generation())
+        token = core.pick_token(seq, core.prefill(seq, make_prompt(config.vocab_size)))
+        core.decode_step_batch([seq], [token], [0])  # one select has run
+        states = [state for state in seq.layer_states if state is not None]
+        assert states
+        for state in states:
+            snapshot = state.export_state()
+            if policy_name == "clusterkv":
+                assert state._stacked is not None and snapshot["_stacked"] is None
+            elif policy_name == "infinigen":
+                live = snapshot["_partial_buffer"].shape[1]
+                assert live == state.context_length < state._partial_buffer.shape[1]
+            else:
+                pages = snapshot["_page_max"].shape[0]
+                assert pages == snapshot["_page_min"].shape[0] == state.num_pages
+                assert pages < state._page_max.shape[0]
+
     def test_checkpoint_leaves_the_source_sequence_unaffected(self):
         """Checkpointing is a pure read: the source finishes identically."""
         config = get_model_config("tiny")
@@ -307,13 +329,19 @@ class TestRestoreValidation:
         return model, generation, checkpoint
 
     def test_version_mismatch_is_refused(self):
-        """A checkpoint from another format version does not restore."""
+        """A checkpoint from another format version does not restore.
+
+        The previous version (2) snapshotted per-head lists where Quest,
+        InfiniGen and H2O now hold head-stacked arrays; restored, it would
+        lack the fields selection reads, so it is refused up front.
+        """
         model, generation, checkpoint = self.make_checkpoint()
-        stale = dataclasses.replace(checkpoint, version=SEQSTATE_VERSION + 1)
-        with pytest.raises(ValueError, match="version"):
-            restore_sequence(
-                model, generation, stale, build_policy(CLUSTERKV), OffloadManager()
-            )
+        for version in (SEQSTATE_VERSION - 1, SEQSTATE_VERSION + 1):
+            stale = dataclasses.replace(checkpoint, version=version)
+            with pytest.raises(ValueError, match=f"version {version} "):
+                restore_sequence(
+                    model, generation, stale, build_policy(CLUSTERKV), OffloadManager()
+                )
 
     def test_policy_signature_mismatch_is_refused(self):
         """Same policy name, different configuration: refused."""
