@@ -66,6 +66,7 @@ from ..execbackend import (
     LocalReplicaHandle,
     ReplicaHandle,
     SerialBackend,
+    StepWindow,
 )
 from ..knobs import knob
 from ..model import _lanes
@@ -310,6 +311,7 @@ class ClusterSimulator:
         self._capacity_tokens = config.capacity_tokens(self._kv_bytes_per_token)
         self._run_wall_s = 0.0
         self._backend = self._build_backend()
+        self._backend.use_clock(self.clock)
         # Per-run state; between runs it holds the last run (for inspection).
         self._reset_run_state()
 
@@ -785,14 +787,16 @@ class ClusterSimulator:
         for _ in range(self.config.min_replicas):
             self._boot_replica(0.0, warm=False, reason="initial fleet")
         self._peak_provisioned = self._provisioned()
-        # Step-compute speculation is sound only while no control-plane
-        # path can mutate a replica between its step being posted and its
-        # outcome being processed: drain-migration checkpoints replicas
+        # A step window is sound only while no control-plane path can
+        # mutate a replica between its steps being computed and their
+        # outcomes being processed: drain-migration checkpoints replicas
         # out mid-window, and parked work can be dispatched onto one at a
-        # mid-window ready event.  Everything else (drain flags, failure
-        # kills, periodic checkpoints) only fires once every earlier step
-        # outcome has been consumed — see repro.execbackend.base.
-        may_speculate = not self.config.migrate_on_drain
+        # mid-window ready event.  Everything else (arrivals, failure
+        # kills, periodic checkpoints) lies at or past the window's gate
+        # or checkpoint instant, and drain flags do not change how an
+        # engine steps — see repro.execbackend.base.
+        may_open_windows = self._backend.runs_ahead and not self.config.migrate_on_drain
+        interval = self.config.checkpoint_interval_s
         run_start = time.perf_counter()
 
         try:
@@ -827,17 +831,28 @@ class ClusterSimulator:
                     and r.has_work()
                 ]
                 if working:
-                    if may_speculate and not self._parked and not self._parked_checkpoints:
+                    if may_open_windows and not self._parked and not self._parked_checkpoints:
                         # Every working replica strictly before the next
                         # non-step event must step before that event can
-                        # observe or touch it — start those steps now so
-                        # backend workers compute them concurrently.
-                        # Outcomes are still *processed* one at a time, in
-                        # exactly the serial order.
+                        # observe or touch it — open a window on each so
+                        # backend workers compute those steps concurrently
+                        # and ahead.  Outcomes are still *processed* one at
+                        # a time, in exactly the serial order; a handle
+                        # whose window is still open ignores the call.
                         gate_s = min((c[0] for c in candidates), default=None)
                         for candidate in working:
                             if gate_s is None or candidate.clock_s < gate_s:
-                                candidate.handle.start_step()
+                                candidate.handle.start_step(
+                                    StepWindow(
+                                        index=candidate.index,
+                                        clock_s=candidate.clock_s,
+                                        gate_s=gate_s,
+                                        last_checkpoint_s=self._last_ckpt_s.get(
+                                            candidate.index, 0.0
+                                        ),
+                                        checkpoint_interval_s=interval,
+                                    )
+                                )
                     replica = min(working, key=lambda r: (r.clock_s, r.index))
                     candidates.append((replica.clock_s, 3, replica.index, "step", replica))
                 if not candidates:
@@ -900,10 +915,9 @@ class ClusterSimulator:
 
         Returns the metrics of the requests that retired during the step
         and the step's end instant on the replica clock.  The step may
-        already be computing in a backend worker (speculation); this
-        collects its outcome at exactly the serial processing point.
+        already have run in a backend worker's step window; this collects
+        its outcome at exactly the serial processing point.
         """
-        replica.handle.start_step()
         outcome = replica.handle.finish_step()
         trace = outcome.trace
         step_start_s = replica.clock_s

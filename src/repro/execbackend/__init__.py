@@ -3,9 +3,11 @@
 ``serial`` keeps every :class:`~repro.serving.BatchedEngine` in the
 simulator's process and reproduces the pre-backend simulators bit for
 bit.  ``multiprocess`` hosts engines in a persistent worker pool sharing
-one read-only weight arena, overlapping step compute across cores while
-keeping reports, tokens, logprobs and GEMM counters byte-identical (the
-determinism argument lives in :mod:`repro.execbackend.base`).
+one read-only weight arena, where each replica runs ahead in a step
+window bounded by the simulator's own event gate, overlapping step
+compute across cores while keeping reports, tokens, logprobs and GEMM
+counters byte-identical (the determinism argument lives in
+:mod:`repro.execbackend.base`).
 """
 
 from .base import (
@@ -13,6 +15,8 @@ from .base import (
     ReplicaHandle,
     ReplicaStateView,
     StepOutcome,
+    StepWindow,
+    StepWindowOpen,
     WorkerCrashed,
     engine_offload_stats,
     engine_state_view,
@@ -25,6 +29,8 @@ __all__ = [
     "ReplicaHandle",
     "ReplicaStateView",
     "StepOutcome",
+    "StepWindow",
+    "StepWindowOpen",
     "WorkerCrashed",
     "SerialBackend",
     "LocalReplicaHandle",

@@ -13,21 +13,41 @@ Determinism contract
 --------------------
 The simulator processes events (ready < failure < arrival < step at equal
 instants) in exactly the serial order regardless of backend; only the
-*compute* of engine steps is allowed to run ahead on workers
-(speculation, see :meth:`ReplicaHandle.start_step`).  Speculation is
-sound because engines are fully isolated per replica: a replica's next
-step depends only on its own engine state, which no other replica's
-processing can touch.  The simulator disables speculation in the narrow
-cases where the control plane may mutate another replica between steps
-(drain-migration, parked work) — those runs execute steps one at a time
-through the same handles and stay byte-identical.
+*compute* of engine steps may run ahead on workers, inside a
+:class:`StepWindow` (see :meth:`ReplicaHandle.start_step`).  A window
+lets a worker step one replica again and again without a parent
+round-trip for as long as the simulator's own soundness rule holds: the
+replica has work, its clock is strictly below the window's *gate* — the
+earliest pending ready, failure or arrival event when the window opened
+— and its next periodic checkpoint is not yet due.  The worker re-applies
+that test after every step, pricing the step on the simulator's own
+:class:`~repro.traffic.clock.StepClock` with the simulator's predicates
+verbatim, so a window ends exactly where the serial loop would next let
+another event touch the replica.
+
+Windows are sound because engines are fully isolated per replica: a
+replica's next step depends only on its own engine state, and every
+event that can change that state (an arrival's submit, a failure's kill
+and retries, a periodic checkpoint) lies at or past the gate, by which
+time the simulator has consumed every step before it.  Events created
+mid-window (a replica booted by the autoscaler becoming ready) can only
+flip another replica's drain flag, which does not change how it steps.
+The simulator opens no window in the narrow cases where the control
+plane may mutate a replica between steps (drain-migration, parked work);
+those runs post one step at a time through the same handles.  Handles
+refuse state-changing commands while a window is open
+(:class:`StepWindowOpen`) — the rule says that cannot happen, so a
+violation fails loudly instead of silently diverging.
 
 A remote handle's cached state view is refreshed only when the
 corresponding outcome is *processed* by the simulator (submit, restore,
 checkpoint, pop-preempted responses, and :meth:`ReplicaHandle.finish_step`),
-never when a speculated step merely finishes computing — so routers,
+never when a step inside a window merely finishes computing — so routers,
 admission control and autoscalers observe exactly the replica state the
-serial backend would show them at the same event.
+serial backend would show them at the same event.  The simulator still
+prices every outcome itself, in the serial order: the worker's prices are
+only an ordering and stopping key, and the report has one source of
+truth.
 """
 
 from __future__ import annotations
@@ -43,10 +63,13 @@ if TYPE_CHECKING:  # imported lazily to keep this module dependency-light
     from ..seqstate import SequenceCheckpoint
     from ..serving import BatchedEngine, CompletedRequest, EngineSnapshot
     from ..serving.engine import ServeRequest, StepTrace
+    from ..traffic.clock import StepClock
 
 __all__ = [
     "ReplicaStateView",
     "StepOutcome",
+    "StepWindow",
+    "StepWindowOpen",
     "ReplicaHandle",
     "ExecutionBackend",
     "WorkerCrashed",
@@ -76,6 +99,66 @@ class WorkerCrashed(RuntimeError):
         self.worker = worker
         self.command = command
         self.detail = detail
+
+
+class StepWindowOpen(RuntimeError):
+    """A state-changing command reached a replica whose step window is open.
+
+    The simulator only opens a window while no event can touch the
+    replica before the window's gate, so this signals a broken soundness
+    rule; it is raised instead of letting the command see (or change) an
+    engine that may already have stepped past the simulator.
+    """
+
+    def __init__(self, replica: str, command: str) -> None:
+        super().__init__(
+            f"replica {replica} has an open step window; {command!r} would "
+            f"act on engine state the simulator has not consumed yet"
+        )
+        self.replica = replica
+        self.command = command
+
+
+@dataclass(frozen=True)
+class StepWindow:
+    """How far a worker may step one replica without the simulator.
+
+    Attributes
+    ----------
+    index:
+        The replica's simulator index, which breaks clock ties when a
+        worker orders its open windows (the simulator's own step order).
+    clock_s:
+        The replica's clock when the window opened: the start instant of
+        its first step.
+    gate_s:
+        The earliest pending ready, failure or arrival instant, or
+        ``None`` when no such event is pending.
+    last_checkpoint_s / checkpoint_interval_s:
+        The replica's last periodic checkpoint instant and the interval
+        (``None`` when periodic checkpoints are off).
+    """
+
+    index: int
+    clock_s: float
+    gate_s: float | None = None
+    last_checkpoint_s: float = 0.0
+    checkpoint_interval_s: float | None = None
+
+    def admits(self, clock_s: float) -> bool:
+        """Whether a step that would start at ``clock_s`` stays in the window.
+
+        ``clock_s`` is the end of the step just run.  The window ends when
+        the next step would start at or past the gate, or when the step
+        just run made a periodic checkpoint due — the simulator takes it
+        on exactly this post-step state.  Both tests are the simulator's
+        own expressions, verbatim: algebraically equal forms can round
+        differently.
+        """
+        if self.gate_s is not None and not clock_s < self.gate_s:
+            return False
+        interval = self.checkpoint_interval_s
+        return interval is None or not clock_s - self.last_checkpoint_s >= interval
 
 
 @dataclass(frozen=True)
@@ -239,19 +322,25 @@ class ReplicaHandle(ABC):
         """Enqueue one request on the replica engine."""
 
     @abstractmethod
-    def start_step(self) -> None:
+    def start_step(self, window: StepWindow | None = None) -> None:
         """Begin computing the replica's next engine step.
 
         For the multiprocess backend this posts the step command and
         returns immediately, letting several replicas compute
-        concurrently; the serial backend defers all work to
-        :meth:`finish_step` so engine state never runs ahead of the
-        simulator (bit-for-bit today's behaviour).
+        concurrently; with a ``window`` the worker keeps stepping the
+        replica while the window admits it.  A no-op while a step or
+        window is already in flight.  The serial backend defers all work
+        to :meth:`finish_step` so engine state never runs ahead of the
+        simulator.
         """
 
     @abstractmethod
     def finish_step(self) -> StepOutcome:
-        """Complete the step begun by :meth:`start_step` and return it."""
+        """Return the replica's next step outcome (computing it if needed).
+
+        Outcomes come back one per engine step, in step order; an
+        exception a step raised is re-raised here, at that step.
+        """
 
     @abstractmethod
     def drain(self) -> None:
@@ -288,6 +377,12 @@ class ExecutionBackend(ABC):
     """Factory and lifecycle owner of a set of replica handles."""
 
     name: str = "?"
+    # Whether engine steps may compute ahead of the simulator consuming
+    # them; the simulator opens step windows only on such a backend.
+    runs_ahead: bool = False
+
+    def use_clock(self, clock: "StepClock") -> None:
+        """Adopt the simulator's step clock as the key that bounds windows."""
 
     @abstractmethod
     def create_handle(self) -> ReplicaHandle:

@@ -12,12 +12,20 @@ Command protocol
 ----------------
 The parent talks to each worker over a pipe with self-identifying frames:
 requests are ``(command, replica_id, args)`` and replies
-``(replica_id, command, status, payload)``.  Because replies carry their
-identity, the parent can post several ``step`` commands speculatively
-(see :mod:`repro.execbackend.base`), interleave synchronous control
-commands (drain / snapshot / checkpoint / restore) on the same pipe, and
-still match every reply to its call — replies arriving out of turn are
-parked in a buffer until asked for.
+``(replica_id, command, status, payload)``.  A ``step`` command may carry
+a :class:`~repro.execbackend.StepWindow` (see
+:mod:`repro.execbackend.base`): the worker then keeps stepping that
+replica without further commands while the window admits it, sending one
+reply per step that says whether the window continues.  Between steps
+the worker serves whatever command has arrived, and it steps its open
+windows lowest ``(clock_s, replica index)`` first — the order the
+simulator consumes them — pricing each step on the simulator's
+:class:`~repro.traffic.clock.StepClock`, shipped to it once.  Because
+replies carry their identity, the parent can interleave synchronous
+control commands (drain / snapshot / checkpoint / restore) on the same
+pipe and still match every reply to its call: replies arriving out of
+turn are parked, first in first out per ``(replica, command)``, until
+asked for.
 
 Failure semantics
 -----------------
@@ -59,6 +67,7 @@ import pickle
 import time
 import traceback
 from multiprocessing import shared_memory
+from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -73,6 +82,8 @@ from .base import (
     ReplicaHandle,
     ReplicaStateView,
     StepOutcome,
+    StepWindow,
+    StepWindowOpen,
     WorkerCrashed,
     engine_offload_stats,
     engine_state_view,
@@ -83,7 +94,8 @@ if TYPE_CHECKING:
     from ..api import EngineSpec
     from ..policies import PolicySpec
     from ..seqstate import SequenceCheckpoint
-    from ..serving import EngineSnapshot
+    from ..serving import BatchedEngine, EngineSnapshot
+    from ..traffic.clock import StepClock
 
 __all__ = ["MultiprocessBackend"]
 
@@ -267,11 +279,13 @@ def _worker_main(
     spec_blob: bytes,
     workers: int,
 ) -> None:
-    """Serve engine commands until ``close`` or pipe EOF.
+    """Serve engine commands until ``close`` or pipe EOF, stepping open windows in between.
 
-    Runs with a process-local op counter permanently installed so every
-    GEMM/k-means event is tallied; the parent drains the tallies at the
-    end of each simulation run.
+    Before every window step the worker polls the pipe, so a command
+    (``create``, ``drain``, ...) never waits behind a window.  Runs with a
+    process-local op counter permanently installed so every GEMM/k-means
+    event is tallied; the parent drains the tallies at the end of each
+    simulation run.
     """
     # A worker sees the whole machine in its affinity mask; its prefill
     # lanes take only this worker's share so the pool does not
@@ -284,26 +298,34 @@ def _worker_main(
     spec = pickle.loads(spec_blob)
     weights = _rebuild_weights(model_name, shm, manifest, num_layers)
     model = TransformerModel(get_model_config(model_name), weights=weights)
-    engines: dict[str, object] = {}
     try:
         with count_ops() as counter:
+            worker = _Worker(model, spec, counter)
             while True:
-                try:
-                    command, rid, args = conn.recv()
-                except (EOFError, OSError):
-                    break
-                if command == "close":
+                if worker.windows and not conn.poll():
+                    reply = worker.step_next_window()
+                else:
                     try:
-                        conn.send((rid, command, "ok", None))
-                    except OSError:
-                        # Parent already gone; the ack is best-effort.
-                        pass
-                    break
-                try:
-                    payload = _serve(command, rid, args, engines, model, spec, counter)
-                    reply = (rid, command, "ok", payload)
-                except BaseException as exc:  # noqa: BLE001 — forwarded typed
-                    reply = (rid, command, "exc", _encode_error(exc))
+                        command, rid, args = conn.recv()
+                    except (EOFError, OSError):
+                        break
+                    if command == "close":
+                        try:
+                            conn.send((rid, command, "ok", None))
+                        except OSError:
+                            # Parent already gone; the ack is best-effort.
+                            pass
+                        break
+                    if command == "step" and args[0] is not None:
+                        # The window's steps reply one by one from the
+                        # branch above.
+                        worker.windows[rid] = (args[0], args[0].clock_s)
+                        continue
+                    try:
+                        payload = worker.serve(command, rid, args)
+                        reply = (rid, command, "ok", payload)
+                    except BaseException as exc:  # noqa: BLE001 — forwarded typed
+                        reply = (rid, command, "exc", _encode_error(exc))
                 try:
                     conn.send(reply)
                 except OSError:
@@ -314,50 +336,93 @@ def _worker_main(
         shm.close()
 
 
-def _serve(command, rid, args, engines, model, spec, counter):
-    """Execute one protocol command against the worker's engine table."""
-    if command == "create":
-        engines[rid] = build_engine(model, spec)
-        return engine_state_view(engines[rid])
-    if command == "reset":
-        engines.clear()
-        return None
-    if command == "counters":
-        counts = counter.as_dict()
-        counter.counts.clear()
-        return counts
-    if command == "model_digest":
-        return _model_digest(model)
-    if command == "ping":
-        return "pong"
-    engine = engines[rid]
-    if command == "submit":
-        engine.submit(**args[0])
-        return engine_state_view(engine)
-    if command == "step":
-        t0 = time.perf_counter()
-        finished = engine.step()
-        wall_s = time.perf_counter() - t0
-        return (finished, engine.last_step_trace, engine_state_view(engine), wall_s)
-    if command == "drain":
-        engine.drain()
-        return None
-    if command == "snapshot":
-        return engine.snapshot()
-    if command == "pop_preempted":
-        return (engine.pop_preempted(), engine_state_view(engine))
-    if command == "checkpoint":
-        request_id, keep = args
-        checkpoint = engine.checkpoint_request(request_id, keep=keep)
-        return (checkpoint, engine_state_view(engine))
-    if command == "restore":
-        engine.restore_request(args[0])
-        return engine_state_view(engine)
-    if command == "prefix_stats":
-        return engine.prefix_cache_stats()
-    if command == "offload_stats":
-        return engine_offload_stats(engine)
-    raise ValueError(f"unknown backend command {command!r}")
+def _step(engine: "BatchedEngine") -> tuple:
+    """One engine step: (finished, trace, post-step view, compute wall seconds)."""
+    t0 = time.perf_counter()
+    finished = engine.step()
+    wall_s = time.perf_counter() - t0
+    return finished, engine.last_step_trace, engine_state_view(engine), wall_s
+
+
+class _Worker:
+    """One worker's engine table, open step windows and step clock."""
+
+    def __init__(self, model: TransformerModel, spec: "EngineSpec", counter) -> None:
+        self.model = model
+        self.spec = spec
+        self.counter = counter
+        self.engines: dict[str, BatchedEngine] = {}
+        # Open windows: replica id -> (window, start instant of its next step).
+        self.windows: dict[str, tuple[StepWindow, float]] = {}
+        self.clock: StepClock | None = None
+
+    def step_next_window(self) -> tuple:
+        """Step the open window the simulator will consume first; its reply frame.
+
+        Ordered by ``(clock_s, replica index)``, the simulator's own step
+        order.  The step is priced on the simulator's clock with the
+        simulator's expression (start + price); the window stays open
+        while the replica has work and the window admits the new clock.
+        A step that raises closes its window and becomes that step's
+        reply.
+        """
+        rid = min(self.windows, key=lambda r: (self.windows[r][1], self.windows[r][0].index))
+        window, clock_s = self.windows.pop(rid)
+        try:
+            finished, trace, view, wall_s = _step(self.engines[rid])
+            clock_s = clock_s + self.clock.step_seconds(trace)
+        except BaseException as exc:  # noqa: BLE001 — forwarded typed
+            return (rid, "step", "exc", _encode_error(exc))
+        continues = view.has_work() and window.admits(clock_s)
+        if continues:
+            self.windows[rid] = (window, clock_s)
+        return (rid, "step", "ok", (finished, trace, view, wall_s, continues))
+
+    def serve(self, command: str, rid, args: tuple):
+        """Execute one protocol command against the engine table."""
+        if command == "create":
+            self.engines[rid] = build_engine(self.model, self.spec)
+            return engine_state_view(self.engines[rid])
+        if command == "reset":
+            self.engines.clear()
+            self.windows.clear()
+            return None
+        if command == "clock":
+            self.clock = args[0]
+            return None
+        if command == "counters":
+            counts = self.counter.as_dict()
+            self.counter.counts.clear()
+            return counts
+        if command == "model_digest":
+            return _model_digest(self.model)
+        if command == "ping":
+            return "pong"
+        engine = self.engines[rid]
+        if command == "submit":
+            engine.submit(**args[0])
+            return engine_state_view(engine)
+        if command == "step":
+            return (*_step(engine), False)
+        if command == "drain":
+            engine.drain()
+            return None
+        if command == "snapshot":
+            return engine.snapshot()
+        if command == "pop_preempted":
+            return (engine.pop_preempted(), engine_state_view(engine))
+        if command == "checkpoint":
+            request_id, keep = args
+            checkpoint = engine.checkpoint_request(request_id, keep=keep)
+            return (checkpoint, engine_state_view(engine))
+        if command == "restore":
+            engine.restore_request(args[0])
+            return engine_state_view(engine)
+        if command == "prefix_stats":
+            return engine.prefix_cache_stats()
+        if command == "offload_stats":
+            return engine_offload_stats(engine)
+        raise ValueError(f"unknown backend command {command!r}")
 
 
 # ----------------------------------------------------------------------
@@ -374,9 +439,14 @@ class _WorkerClient:
         )
         self.process.start()
         child_conn.close()
-        # Replies that arrived while waiting for a different call, keyed
-        # by (replica_id, command) — at most one in flight per key.
-        self._parked: dict[tuple[object, str], tuple] = {}
+        # Replies that arrived while waiting for a different call, first
+        # in first out per (replica_id, command): a window sends one step
+        # reply after another.
+        self._parked: defaultdict[tuple[object, str], deque] = defaultdict(deque)
+        # Per run: windows posted, and steps the worker ran inside a
+        # window without a command of their own.
+        self.windows_opened = 0
+        self.steps_run_ahead = 0
 
     def post(self, rid: object, command: str, *args: object) -> None:
         """Send one command without waiting for its reply."""
@@ -388,7 +458,8 @@ class _WorkerClient:
     def wait(self, rid: object, command: str):
         """Receive the reply of a posted command, parking strangers."""
         key = (rid, command)
-        reply = self._parked.pop(key, None)
+        parked = self._parked.get(key)
+        reply = parked.popleft() if parked else None
         while reply is None:
             try:
                 frame = self.conn.recv()
@@ -400,7 +471,7 @@ class _WorkerClient:
             if frame_key == key:
                 reply = frame
             else:
-                self._parked[frame_key] = frame
+                self._parked[frame_key].append(frame)
         _, _, status, payload = reply
         if status == "exc":
             raise _decode_error(payload)
@@ -442,9 +513,10 @@ class RemoteReplicaHandle(ReplicaHandle):
     """Proxy to a worker-resident engine with a cached state view.
 
     The view refreshes only from replies the simulator has actually
-    processed — a speculated step that already ran in the worker stays
-    invisible until :meth:`finish_step` — so every parent-side observer
-    sees serial-equivalent state (see :mod:`repro.execbackend.base`).
+    processed — a step that already ran in the worker's window stays
+    invisible until :meth:`finish_step` returns it — so every parent-side
+    observer sees serial-equivalent state (see
+    :mod:`repro.execbackend.base`).
     """
 
     def __init__(self, client: _WorkerClient, rid: str) -> None:
@@ -452,7 +524,11 @@ class RemoteReplicaHandle(ReplicaHandle):
         self.rid = rid
         self._view: ReplicaStateView = client.call(rid, "create")
         self._draining = False
-        self._step_posted = False
+        # A step is in flight: posted and not yet consumed, or the last
+        # consumed step said its window continues.
+        self._stepping = False
+        # The in-flight step was posted by a command of its own.
+        self._posted = False
 
     # ------------------------------------------------------------------
     # cached state
@@ -505,6 +581,11 @@ class RemoteReplicaHandle(ReplicaHandle):
     # ------------------------------------------------------------------
     # commands
     # ------------------------------------------------------------------
+    def _require_settled(self, command: str) -> None:
+        """Refuse a state-changing command while a step window is open."""
+        if self._stepping:
+            raise StepWindowOpen(self.rid, command)
+
     def submit(
         self,
         prompt_ids,
@@ -515,6 +596,7 @@ class RemoteReplicaHandle(ReplicaHandle):
         slo_class: str,
     ) -> None:
         """Send one request to the worker engine; refresh the view."""
+        self._require_settled("submit")
         self._view = self._client.call(
             self.rid,
             "submit",
@@ -528,35 +610,50 @@ class RemoteReplicaHandle(ReplicaHandle):
             },
         )
 
-    def start_step(self) -> None:
-        """Post the step command to the worker without waiting."""
-        if not self._step_posted:
-            self._client.post(self.rid, "step")
-            self._step_posted = True
+    def start_step(self, window: StepWindow | None = None) -> None:
+        """Post the step command (opening ``window``) without waiting.
+
+        A no-op while a step or window is in flight.  A window needs the
+        simulator's clock in the worker (:meth:`MultiprocessBackend.use_clock`).
+        """
+        if self._stepping:
+            return
+        self._client.post(self.rid, "step", window)
+        self._stepping = self._posted = True
+        self._client.windows_opened += window is not None
 
     def finish_step(self) -> StepOutcome:
-        """Receive the step outcome, refreshing the cached view."""
-        if not self._step_posted:
+        """Receive the next step outcome, refreshing the cached view."""
+        if not self._stepping:
             self.start_step()
-        finished, trace, view, wall_s = self._client.wait(self.rid, "step")
-        self._step_posted = False
+        ran_ahead = not self._posted
+        # Cleared first: a step that raised closed its window in the worker.
+        self._stepping = self._posted = False
+        finished, trace, view, wall_s, self._stepping = self._client.wait(
+            self.rid, "step"
+        )
+        self._client.steps_run_ahead += ran_ahead
         self._view = view
         return StepOutcome(finished=finished, trace=trace, wall_s=wall_s)
 
     def drain(self) -> None:
-        """Tell the worker engine to stop admitting (reply view dropped)."""
-        # The returned view is deliberately dropped: a speculated step may
-        # already have run in the worker, and the drain reply would leak
-        # its post-step state ahead of the simulator processing it.
+        """Tell the worker engine to stop admitting.
+
+        Allowed mid-window: draining only gates submissions, so it does
+        not change how the engine steps.  The reply carries no state view,
+        which would leak steps the simulator has not consumed yet.
+        """
         self._client.call(self.rid, "drain")
         self._draining = True
 
     def snapshot(self) -> "EngineSnapshot":
         """Queue/active snapshot fetched from the worker."""
+        self._require_settled("snapshot")
         return self._client.call(self.rid, "snapshot")
 
     def pop_preempted(self) -> "list[SequenceCheckpoint]":
         """Take the worker's preempted checkpoints; refresh the view."""
+        self._require_settled("pop_preempted")
         checkpoints, self._view = self._client.call(self.rid, "pop_preempted")
         return checkpoints
 
@@ -564,6 +661,7 @@ class RemoteReplicaHandle(ReplicaHandle):
         self, request_id: str, keep: bool = True
     ) -> "SequenceCheckpoint":
         """Checkpoint one request in the worker; refresh the view."""
+        self._require_settled("checkpoint_request")
         checkpoint, self._view = self._client.call(
             self.rid, "checkpoint", request_id, keep
         )
@@ -571,6 +669,7 @@ class RemoteReplicaHandle(ReplicaHandle):
 
     def restore_request(self, checkpoint: "SequenceCheckpoint") -> None:
         """Restore a checkpoint into the worker; refresh the view."""
+        self._require_settled("restore_request")
         self._view = self._client.call(self.rid, "restore", checkpoint)
 
     def prefix_cache_stats(self) -> dict[str, object]:
@@ -586,6 +685,7 @@ class MultiprocessBackend(ExecutionBackend):
     """Persistent worker pool sharing one read-only weight arena."""
 
     name = "multiprocess"
+    runs_ahead = True
 
     def __init__(
         self,
@@ -624,11 +724,19 @@ class MultiprocessBackend(ExecutionBackend):
         self._next_handle += 1
         return RemoteReplicaHandle(client, rid)
 
-    def reset(self) -> None:
-        """Discard every worker engine and stale parked replies."""
+    def use_clock(self, clock: "StepClock") -> None:
+        """Ship the simulator's step clock to every worker, once."""
         for client in self._clients:
+            client.call(None, "clock", clock)
+
+    def reset(self) -> None:
+        """Close every window; discard every worker engine and stale parked reply."""
+        for client in self._clients:
+            # The worker answers after every step reply it already sent,
+            # so the parked buffer holds them all once this returns.
             client.call(None, "reset")
             client._parked.clear()
+            client.windows_opened = client.steps_run_ahead = 0
 
     def drain_counters(self) -> None:
         """Merge each worker's op counters into the parent's."""
@@ -646,12 +754,14 @@ class MultiprocessBackend(ExecutionBackend):
         return digests
 
     def describe(self) -> dict[str, object]:
-        """Identity of this backend (for reports)."""
+        """Identity of this backend plus the last run's window counts (for reports)."""
         return {
             "name": self.name,
             "workers": self.workers,
             "start_method": self.start_method,
             "cpu_count": os.cpu_count() or 1,
+            "windows_opened": sum(client.windows_opened for client in self._clients),
+            "steps_run_ahead": sum(client.steps_run_ahead for client in self._clients),
         }
 
     def close(self) -> None:

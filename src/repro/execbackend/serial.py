@@ -1,12 +1,11 @@
-"""In-process execution backend: today's serial path, bit-for-bit.
+"""In-process execution backend: the serial reference path.
 
 Every handle wraps a live :class:`~repro.serving.BatchedEngine` in the
-simulator's own process.  ``start_step`` is deliberately lazy — the
-engine steps inside :meth:`LocalReplicaHandle.finish_step`, at exactly
-the moment the simulator processes the outcome — so engine state never
-runs ahead of the event loop and the serial backend reproduces the
-pre-backend simulators byte for byte, including mid-burst router and
-control-plane observations.
+simulator's own process.  Steps never run ahead: the engine steps once
+inside :meth:`LocalReplicaHandle.finish_step`, at exactly the moment the
+simulator processes the outcome, so the simulator opens no step windows
+on this backend and every router and control-plane observation reads the
+live engine.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from .base import (
     ExecutionBackend,
     ReplicaHandle,
     StepOutcome,
+    StepWindow,
     engine_offload_stats,
 )
 
@@ -43,7 +43,6 @@ class LocalReplicaHandle(ReplicaHandle):
 
     def __init__(self, engine: BatchedEngine) -> None:
         self._engine = engine
-        self._step_started = False
 
     @property
     def engine(self) -> BatchedEngine:
@@ -120,15 +119,11 @@ class LocalReplicaHandle(ReplicaHandle):
             slo_class=slo_class,
         )
 
-    def start_step(self) -> None:
-        """Mark a step as posted (the engine runs in finish_step)."""
-        # Lazy on purpose: the engine must not advance before the
-        # simulator processes the outcome (see module docstring).
-        self._step_started = True
+    def start_step(self, window: StepWindow | None = None) -> None:
+        """Nothing to start: the engine steps in :meth:`finish_step`."""
 
     def finish_step(self) -> StepOutcome:
         """Run one engine step and time it."""
-        self._step_started = False
         t0 = time.perf_counter()
         finished = self._engine.step()
         wall_s = time.perf_counter() - t0

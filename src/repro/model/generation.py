@@ -114,6 +114,10 @@ class GenerationResult:
     per_layer_stats: dict[int, SelectorStats] = field(default_factory=dict)
     recall_records: list[RecallRecord] = field(default_factory=list)
     attention_trace: list[StepAttentionRecord] = field(default_factory=list)
+    # The sequence's transfer ledger when the sequence owns its offload
+    # manager (InferenceEngine).  ``None`` for BatchedEngine results: their
+    # sequences share the engine's manager, whose ledger covers every
+    # request and is read from ServeReport.ledger or offload_stats().
     ledger: TransferLedger | None = None
     cache_hit_rate: float = 0.0
     decode_steps: int = 0

@@ -1215,6 +1215,10 @@ class BatchedEngine:
                 continue
             active.status = RequestStatus.FINISHED
             result = self.core.finalise(active.sequence)
+            # Every sequence shares the engine's offload manager, so its
+            # ledger holds every request's transfers, not this one's: it
+            # stays on ServeReport.ledger, never copied into each result.
+            result.ledger = None
             self._release_capacity(active.request.request_id)
             active.sequence.release()
             self._reserved_bytes.pop(active.request.request_id, None)

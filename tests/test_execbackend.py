@@ -10,7 +10,10 @@ along but stays out of the serialized report.
 """
 
 import gc
+import hashlib
 import json
+import os
+import signal
 import threading
 from dataclasses import replace
 
@@ -25,14 +28,22 @@ from repro.capacity.scenarios import (
 )
 from repro.cli import build_parser, main
 from repro.cluster import (
+    Autoscaler,
     ClusterBenchConfig,
     ClusterConfig,
     ClusterSimulator,
     FailurePlan,
+    ScaleDecision,
     run_cluster_bench,
 )
-from repro.execbackend import MultiprocessBackend, WorkerCrashed
-from repro.execbackend.mp import _model_digest
+from repro.execbackend import (
+    LocalReplicaHandle,
+    MultiprocessBackend,
+    StepWindow,
+    StepWindowOpen,
+    WorkerCrashed,
+)
+from repro.execbackend.mp import RemoteReplicaHandle, _model_digest
 from repro.memory import CapacityExceeded
 from repro.model import _lanes
 from repro.perf.counters import count_ops
@@ -43,6 +54,7 @@ from repro.traffic.bench import (
     build_bench_requests,
     run_traffic_bench,
 )
+from repro.traffic.clock import PerfModelClock
 from repro.traffic.simulator import TrafficConfig
 
 
@@ -71,7 +83,7 @@ def traffic_config(
 
 
 def cluster_config(**fleet) -> ClusterBenchConfig:
-    fleet = {"autoscaler": "slo_attainment", **fleet}
+    fleet = {"autoscaler": "slo_attainment", "min_replicas": 2, "max_replicas": 3, **fleet}
     return ClusterBenchConfig(
         workload=WorkloadSpec(
             policies=("quest",),
@@ -83,8 +95,6 @@ def cluster_config(**fleet) -> ClusterBenchConfig:
         ),
         fleet=ClusterConfig(
             engine=serving_engine_spec(max_new_tokens=8),
-            min_replicas=2,
-            max_replicas=3,
             router="jsq",
             **fleet,
         ),
@@ -100,8 +110,15 @@ def capacity_config(workers=None, **engine) -> CapacityScenarioConfig:
 
 def run_traffic(config: TrafficBenchConfig, requests=None):
     """Run the benchmark workload, returning (report, raw per-request outputs)."""
-    with ClusterSimulator(config.fleet) as sim:
-        report = sim.run(build_bench_requests(config) if requests is None else requests)
+    return run_traffic_fleet(
+        config.fleet, build_bench_requests(config) if requests is None else requests
+    )
+
+
+def run_traffic_fleet(fleet, requests):
+    """Simulate ``requests`` on ``fleet``: (report, raw per-request outputs)."""
+    with ClusterSimulator(fleet) as sim:
+        report = sim.run(requests)
         outputs = {
             request_id: (
                 np.asarray(item.result.output_ids),
@@ -195,6 +212,236 @@ class TestClusterParity:
         serial = run_cluster_bench(cluster_config(**overrides))
         parallel = run_cluster_bench(cluster_config(workers=2, **overrides))
         assert serial.to_json() == parallel.to_json()
+
+
+# ----------------------------------------------------------------------
+# step windows at their boundaries
+# ----------------------------------------------------------------------
+class DrainBusyOnce(Autoscaler):
+    """Hold the fleet at two replicas, then drain one at ``at_s``, busy or not."""
+
+    name = "drain_busy_once"
+
+    def __init__(self, at_s: float) -> None:
+        self.at_s = at_s
+        self._fired = False
+
+    def reset(self) -> None:
+        self._fired = False
+
+    def decide(self, view) -> ScaleDecision:
+        if not self._fired and len(view.replicas) < 2:
+            return ScaleDecision(add=2 - len(view.replicas), reason="hold fleet")
+        if not self._fired and view.now_s >= self.at_s:
+            self._fired = True
+            return ScaleDecision(drain=1, reason="forced drain")
+        return ScaleDecision()
+
+
+def window_cases() -> dict[str, tuple]:
+    """(fleet config, requests) per boundary case of the window rule."""
+    static = traffic_config()
+    saturated = replace(
+        static, workload=replace(static.workload, num_requests=8, rate=1000.0)
+    )
+    cluster = cluster_config()
+    checkpointed = cluster_config(checkpoint_interval_s=0.5)
+    return {
+        "saturated_static": (
+            replace(static.fleet, num_replicas=4),
+            build_bench_requests(saturated),
+        ),
+        "failures_pending": (
+            cluster_config(
+                failures=FailurePlan.seeded(seed=7, num_failures=2, horizon_s=3.0)
+            ).fleet,
+            build_bench_requests(cluster),
+        ),
+        "checkpoint_interval": (checkpointed.fleet, build_bench_requests(checkpointed)),
+        "migrate_on_drain": (
+            cluster_config(
+                autoscaler=DrainBusyOnce(at_s=2.0), min_replicas=1, migrate_on_drain=True
+            ).fleet,
+            build_bench_requests(cluster),
+        ),
+        "queue_depth_drains": (
+            cluster_config(
+                autoscaler="queue_depth:high=0.5,low=0.4,cooldown_s=0.1", min_replicas=1
+            ).fleet,
+            build_bench_requests(cluster),
+        ),
+    }
+
+
+def checkpoint_digest(checkpoint) -> tuple:
+    """What a periodic checkpoint captured: progress, tokens and the KV bits."""
+    kv = hashlib.sha256()
+    for array in (*checkpoint.kv_keys, *checkpoint.kv_values):
+        kv.update(np.ascontiguousarray(array).tobytes())
+    return (
+        checkpoint.request_id,
+        checkpoint.position,
+        checkpoint.decode_step,
+        tuple(checkpoint.result.output_ids),
+        kv.hexdigest(),
+    )
+
+
+class WindowProbe:
+    """Records, in the parent, what the simulator asked of its handles.
+
+    ``windows`` lists every window actually posted to a worker;
+    ``checkpoints`` the digest of every periodic checkpoint (either
+    backend); ``drains_mid_window`` counts drains sent to a worker while
+    one of its replicas had a window open.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.windows: list[StepWindow] = []
+        self.checkpoints: list[tuple] = []
+        self.drains_mid_window = 0
+        self.handles: list[RemoteReplicaHandle] = []
+        probe = self
+        start_step = RemoteReplicaHandle.start_step
+        drain = RemoteReplicaHandle.drain
+
+        def recording_start_step(handle, window=None):
+            if handle not in probe.handles:
+                probe.handles.append(handle)
+            if window is not None and not handle._stepping:
+                probe.windows.append(window)
+            start_step(handle, window)
+
+        def recording_drain(handle):
+            probe.drains_mid_window += any(
+                other._stepping and other._client is handle._client
+                for other in probe.handles
+            )
+            drain(handle)
+
+        monkeypatch.setattr(RemoteReplicaHandle, "start_step", recording_start_step)
+        monkeypatch.setattr(RemoteReplicaHandle, "drain", recording_drain)
+        for cls in (LocalReplicaHandle, RemoteReplicaHandle):
+            checkpoint = cls.checkpoint_request
+
+            def recording_checkpoint(handle, request_id, keep=True, _original=checkpoint):
+                result = _original(handle, request_id, keep)
+                probe.checkpoints.append(checkpoint_digest(result))
+                return result
+
+            monkeypatch.setattr(cls, "checkpoint_request", recording_checkpoint)
+
+
+class TestStepWindows:
+    """Serial ≡ multiprocess where windows open, stop, and must not open."""
+
+    @pytest.mark.parametrize("case", sorted(window_cases()))
+    def test_parity_at_window_boundaries(self, case, monkeypatch):
+        """Report bytes, tokens, logprobs, op counters and checkpoints agree."""
+        fleet, requests = window_cases()[case]
+        with monkeypatch.context() as patch, count_ops() as serial_ops:
+            serial_probe = WindowProbe(patch)
+            serial, serial_outputs = run_traffic_fleet(fleet, requests)
+        with monkeypatch.context() as patch, count_ops() as parallel_ops:
+            probe = WindowProbe(patch)
+            parallel, parallel_outputs = run_traffic_fleet(
+                replace(fleet, workers=2), requests
+            )
+        assert serial.to_json() == parallel.to_json()
+        assert_outputs_identical(serial_outputs, parallel_outputs)
+        assert serial_ops.as_dict() == parallel_ops.as_dict()
+        assert serial_probe.checkpoints == probe.checkpoints
+
+        backend = parallel.wall["backend"]
+        assert backend["windows_opened"] == len(probe.windows)
+        assert "windows_opened" not in parallel.to_json()
+        if case == "saturated_static":
+            assert backend["steps_run_ahead"] > 0
+        elif case == "failures_pending":
+            # No window opened before a failure may run past it: every
+            # unbounded window opens after the last failure has fired.
+            failure_times = [event.time_s for event in fleet.failures.events]
+            assert serial.failures  # the plan fired
+            for window in probe.windows:
+                for failure_s in failure_times:
+                    if window.clock_s < failure_s:
+                        assert window.gate_s is not None and window.gate_s <= failure_s
+            assert any(window.gate_s is None for window in probe.windows)
+        elif case == "checkpoint_interval":
+            # Windows stop at each due instant; the checkpoints equal serial's.
+            assert probe.checkpoints
+            assert backend["steps_run_ahead"] > 0
+            assert all(
+                window.checkpoint_interval_s == fleet.checkpoint_interval_s
+                for window in probe.windows
+            )
+        elif case == "migrate_on_drain":
+            assert backend["windows_opened"] == 0
+            assert parallel.num_migrations > 0
+        else:  # queue_depth_drains
+            assert probe.drains_mid_window > 0
+
+    def test_state_changing_commands_refuse_an_open_window(self):
+        spec = EngineSpec(model="serve-sim", max_new_tokens=8)
+        model = spec.build_model()
+        with MultiprocessBackend(model, spec, workers=1) as backend:
+            backend.use_clock(PerfModelClock())
+            handle = backend.create_handle()
+            prompt = np.arange(4, 28)
+            handle.submit(prompt, "a", 8, None, 0.0, "interactive")
+            handle.start_step(StepWindow(index=0, clock_s=0.0))
+            checkpoint = None
+            for command, call in (
+                ("submit", lambda: handle.submit(prompt, "b", 8, None, 0.0, "interactive")),
+                ("restore_request", lambda: handle.restore_request(checkpoint)),
+                ("checkpoint_request", lambda: handle.checkpoint_request("a")),
+                ("snapshot", handle.snapshot),
+                ("pop_preempted", handle.pop_preempted),
+            ):
+                with pytest.raises(StepWindowOpen, match=handle.rid) as excinfo:
+                    call()
+                assert excinfo.value.command == command
+            steps = 1
+            handle.finish_step()
+            while handle._stepping:
+                handle.finish_step()
+                steps += 1
+            assert steps > 1  # one window, several steps
+            assert not handle.has_work()
+            assert handle.snapshot().active == ()
+
+    def test_worker_killed_mid_window_raises_and_close_reaps(self):
+        spec = EngineSpec(model="serve-sim", max_new_tokens=256)
+        model = spec.build_model()
+        backend = MultiprocessBackend(model, spec, workers=2)
+        try:
+            backend.use_clock(PerfModelClock())
+            handles = [backend.create_handle() for _ in range(2)]
+            for index, handle in enumerate(handles):
+                handle.submit(np.arange(4, 40), f"q{index}", 256, None, 0.0, "interactive")
+                handle.start_step(StepWindow(index=index, clock_s=0.0))
+            victim = handles[0]
+            victim.finish_step()
+            assert victim._stepping  # the window is still open
+            os.kill(backend._clients[0].process.pid, signal.SIGKILL)
+            outcome: list[BaseException] = []
+
+            def consume() -> None:
+                try:
+                    while True:
+                        victim.finish_step()
+                except BaseException as exc:  # noqa: BLE001 — inspected below
+                    outcome.append(exc)
+
+            consumer = threading.Thread(target=consume, daemon=True)
+            consumer.start()
+            consumer.join(timeout=30)
+            assert not consumer.is_alive(), "finish_step hung on a dead worker"
+            assert isinstance(outcome[0], WorkerCrashed)
+            assert outcome[0].worker == 0
+        finally:
+            backend.close()
+        assert not any(client.process.is_alive() for client in backend._clients)
 
 
 # ----------------------------------------------------------------------

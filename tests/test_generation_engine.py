@@ -149,6 +149,32 @@ class TestInferenceEngine:
         assert result.ledger.total_bytes(TransferDirection.DEVICE_TO_HOST) > 0
         assert result.kv_cache_bytes > 0
 
+    def test_result_ledger_is_the_sequence_own_only(self, tiny_model, short_prompt):
+        """A single-sequence result carries its ledger; a batched one carries none.
+
+        Batched sequences share the engine's offload manager, so its ledger
+        holds every request's transfers: it stays on the serve report and
+        the engine, never copied into each result.
+        """
+        from repro.execbackend import engine_offload_stats
+        from repro.serving import BatchedEngine
+
+        config = GenerationConfig(budget=32, max_new_tokens=4, num_full_layers=1, num_sink_tokens=4)
+        policy = ClusterKVConfig(tokens_per_cluster=12, decode_window=8, num_sink_tokens=4)
+        single = InferenceEngine(tiny_model, ClusterKVSelector(policy), config)
+        assert single.generate(short_prompt).ledger is single.offload.ledger
+
+        batched = BatchedEngine(tiny_model, ClusterKVSelector(policy), config)
+        for index in range(2):
+            batched.submit(short_prompt, request_id=f"r{index}")
+        report = batched.run()
+        assert [item.result.ledger for item in report.completed] == [None, None]
+        assert report.ledger is batched.offload.ledger
+        transfers = engine_offload_stats(batched)["transfers"]
+        assert transfers[TransferDirection.HOST_TO_DEVICE.value] == report.ledger.total_bytes(
+            TransferDirection.HOST_TO_DEVICE
+        ) > 0
+
     def test_num_full_layers_bypass(self, tiny_model, short_prompt):
         """Layers below num_full_layers must not have selector states."""
         config = GenerationConfig(budget=16, max_new_tokens=2, num_full_layers=2)
