@@ -61,13 +61,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
-from ..execbackend import (
-    ExecutionBackend,
-    LocalReplicaHandle,
-    ReplicaHandle,
-    SerialBackend,
-    StepWindow,
-)
+from ..execbackend import ExecutionBackend, ReplicaHandle, SerialBackend, StepWindow
 from ..knobs import knob
 from ..model import _lanes
 from ..seqstate import SequenceCheckpoint
@@ -202,22 +196,19 @@ class ClusterReplica:
 
     The engine is driven through an execution-backend
     :class:`~repro.execbackend.ReplicaHandle` — in-process for the
-    serial backend, worker-resident for the multiprocess one.  A bare
-    :class:`~repro.serving.BatchedEngine` is wrapped on the spot for
-    callers constructing replicas directly.
+    serial backend, worker-resident for the multiprocess one — and its
+    state is read from ``handle.view``.
     """
 
     def __init__(
         self,
         index: int,
-        engine: BatchedEngine | ReplicaHandle,
+        handle: ReplicaHandle,
         state: ReplicaLifecycle = ReplicaLifecycle.ACTIVE,
         ready_at_s: float = 0.0,
     ) -> None:
         self.index = index
-        self.handle: ReplicaHandle = (
-            engine if isinstance(engine, ReplicaHandle) else LocalReplicaHandle(engine)
-        )
+        self.handle = handle
         self.state = state
         self.ready_at_s = ready_at_s
         self.clock_s = 0.0
@@ -235,12 +226,12 @@ class ClusterReplica:
     @property
     def queued(self) -> int:
         """Requests waiting in this replica's admission queue."""
-        return self.handle.queued
+        return self.handle.view.queued
 
     @property
     def active(self) -> int:
         """Requests currently decoding on this replica."""
-        return self.handle.active
+        return self.handle.view.active
 
     @property
     def reserved_kv_bytes(self) -> int:
@@ -251,7 +242,8 @@ class ClusterReplica:
         demand already committed to each queue, not just what has been
         admitted.
         """
-        return self.handle.reserved_kv_bytes + self.handle.queued_kv_bytes
+        view = self.handle.view
+        return view.reserved_kv_bytes + view.queued_kv_bytes
 
     def has_work(self) -> bool:
         """Whether the replica has queued, in-flight or preempted requests."""
@@ -478,7 +470,7 @@ class ClusterSimulator:
         """
         handle = replica.handle
         queued = list(handle.snapshot().queued)
-        for request_id in list(handle.active_request_ids):
+        for request_id in list(handle.view.active_request_ids):
             checkpoint = handle.checkpoint_request(request_id, keep=False)
             self._migration_counts[request_id] = (
                 self._migration_counts.get(request_id, 0) + 1
@@ -750,7 +742,7 @@ class ClusterSimulator:
         if now_s - self._last_ckpt_s.get(replica.index, 0.0) < interval:
             return
         self._last_ckpt_s[replica.index] = now_s
-        for request_id in replica.handle.active_request_ids:
+        for request_id in replica.handle.view.active_request_ids:
             self._checkpoints[request_id] = replica.handle.checkpoint_request(
                 request_id, keep=True
             )
@@ -1006,7 +998,7 @@ class ClusterSimulator:
             num_migrations=sum(self._migration_counts.values()),
             num_recoveries=sum(self._recovery_counts.values()),
             num_preemptions=sum(
-                replica.handle.num_preemptions_total for replica in self.fleet
+                replica.handle.view.num_preemptions_total for replica in self.fleet
             ),
             failures=self._failure_log,
             prefix_cache=self._prefix_cache_summary(),

@@ -1,5 +1,8 @@
 """Execution backends: where replica engines live and how steps run.
 
+The simulator drives every replica through one concrete
+:class:`ReplicaHandle`, whose commands run one command table and refresh
+one :class:`ReplicaStateView`; a backend supplies only the transport.
 ``serial`` keeps every :class:`~repro.serving.BatchedEngine` in the
 simulator's process and reproduces the pre-backend simulators bit for
 bit.  ``multiprocess`` hosts engines in a persistent worker pool sharing

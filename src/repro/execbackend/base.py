@@ -1,13 +1,16 @@
 """Execution-backend interface: where replica engines live and step.
 
 The fleet simulator (:class:`~repro.cluster.ClusterSimulator`) drives
-its replicas exclusively through this layer.  A :class:`ReplicaHandle` is the simulator-facing
-surface of one :class:`~repro.serving.BatchedEngine` — it may wrap the
-engine in-process (:class:`~repro.execbackend.SerialBackend`, bit-for-bit
-today's behaviour) or proxy it to a persistent worker process
-(:class:`~repro.execbackend.MultiprocessBackend`), in which case every
-call crosses a command pipe and the engine's state is mirrored back into
-a cached :class:`ReplicaStateView`.
+its replicas exclusively through this layer.  A :class:`ReplicaHandle` is
+the simulator-facing surface of one :class:`~repro.serving.BatchedEngine`.
+It is one concrete class: every command is written once, as a call of
+the module's command table :func:`serve_command`, and the handle keeps
+the :class:`ReplicaStateView` those replies carry.  A backend supplies
+only the transport, :meth:`ReplicaHandle._call`: the engine lives
+in-process (:class:`~repro.execbackend.SerialBackend`, bit-for-bit
+today's behaviour) or in a persistent worker process
+(:class:`~repro.execbackend.MultiprocessBackend`), where the same table
+runs on the far side of a command pipe.
 
 Determinism contract
 --------------------
@@ -39,12 +42,12 @@ refuse state-changing commands while a window is open
 (:class:`StepWindowOpen`) — the rule says that cannot happen, so a
 violation fails loudly instead of silently diverging.
 
-A remote handle's cached state view is refreshed only when the
+On both backends a handle's state view is refreshed only when the
 corresponding outcome is *processed* by the simulator (submit, restore,
 checkpoint, pop-preempted responses, and :meth:`ReplicaHandle.finish_step`),
 never when a step inside a window merely finishes computing — so routers,
-admission control and autoscalers observe exactly the replica state the
-serial backend would show them at the same event.  The simulator still
+admission control and autoscalers observe the same replica state on
+either backend at the same event.  The simulator still
 prices every outcome itself, in the serial order: the worker's prices are
 only an ordering and stopping key, and the report has one source of
 truth.
@@ -52,9 +55,10 @@ truth.
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported lazily to keep this module dependency-light
     import numpy as np
@@ -62,7 +66,7 @@ if TYPE_CHECKING:  # imported lazily to keep this module dependency-light
     from ..policies import PolicySpec
     from ..seqstate import SequenceCheckpoint
     from ..serving import BatchedEngine, CompletedRequest, EngineSnapshot
-    from ..serving.engine import ServeRequest, StepTrace
+    from ..serving.engine import StepTrace
     from ..traffic.clock import StepClock
 
 __all__ = [
@@ -166,9 +170,9 @@ class ReplicaStateView:
     """Snapshot of the scheduler-visible state of one replica engine.
 
     This is everything the simulator, routers and control-plane policies
-    read between steps.  The serial backend computes it live from the
-    engine; the multiprocess backend mirrors it across the process
-    boundary with every state-changing reply.
+    read between steps.  :func:`serve_command` builds it after every
+    state-changing command, and the handle keeps the latest one as
+    ``view`` on either backend.
     """
 
     queued: int = 0
@@ -177,9 +181,7 @@ class ReplicaStateView:
     reserved_kv_bytes: int = 0
     queued_kv_bytes: int = 0
     num_preemptions_total: int = 0
-    is_draining: bool = False
     active_request_ids: tuple[str, ...] = ()
-    preempted_request_ids: tuple[str, ...] = ()
 
     def has_work(self) -> bool:
         """Queued, in-flight or preempted requests present."""
@@ -209,9 +211,7 @@ def engine_state_view(engine: "BatchedEngine") -> ReplicaStateView:
         reserved_kv_bytes=engine.reserved_kv_bytes(),
         queued_kv_bytes=engine.queued_kv_bytes(),
         num_preemptions_total=engine.num_preemptions_total,
-        is_draining=engine.is_draining,
         active_request_ids=tuple(engine.active_request_ids),
-        preempted_request_ids=tuple(engine.preempted_request_ids),
     )
 
 
@@ -238,65 +238,75 @@ def engine_offload_stats(engine: "BatchedEngine") -> dict[str, dict[str, int]]:
     }
 
 
+def step_engine(engine: "BatchedEngine") -> tuple:
+    """One engine step: (finished, trace, post-step view, compute wall seconds)."""
+    t0 = time.perf_counter()
+    finished = engine.step()
+    wall_s = time.perf_counter() - t0
+    return finished, engine.last_step_trace, engine_state_view(engine), wall_s
+
+
+def serve_command(engine: "BatchedEngine", command: str, args: tuple):
+    """Run one replica command against an engine; the reply both backends send.
+
+    The one command table: the serial handle calls it in the simulator's
+    process, a multiprocess worker calls it on the far side of the pipe,
+    so both refresh their :class:`ReplicaStateView` from the same
+    replies.  A ``step`` reply says its window does not continue; only a
+    worker's window loop replies otherwise.
+    """
+    if command == "submit":
+        engine.submit(**args[0])
+        return engine_state_view(engine)
+    if command == "step":
+        return (*step_engine(engine), False)
+    if command == "drain":
+        engine.drain()
+        return None
+    if command == "snapshot":
+        return engine.snapshot()
+    if command == "pop_preempted":
+        return (engine.pop_preempted(), engine_state_view(engine))
+    if command == "checkpoint":
+        request_id, keep = args
+        checkpoint = engine.checkpoint_request(request_id, keep=keep)
+        return (checkpoint, engine_state_view(engine))
+    if command == "restore":
+        engine.restore_request(args[0])
+        return engine_state_view(engine)
+    if command == "prefix_stats":
+        return engine.prefix_cache_stats()
+    if command == "offload_stats":
+        return engine_offload_stats(engine)
+    raise ValueError(f"unknown backend command {command!r}")
+
+
 class ReplicaHandle(ABC):
     """Simulator-facing surface of one replica engine.
 
-    Mirrors the :class:`~repro.serving.BatchedEngine` methods the traffic
-    and cluster layers use, plus the split ``start_step``/``finish_step``
-    pair that lets a backend overlap step compute across replicas.
+    Every command is one :meth:`_call` of :func:`serve_command` — the
+    backend decides only where the engine lives — and ``view`` is the
+    state the last processed command returned.  Routers, admission
+    control and autoscalers read ``view``, never the engine, so they see
+    the same state on every backend.  The split ``start_step`` /
+    ``finish_step`` pair lets a backend overlap step compute across
+    replicas.
     """
 
-    # ------------------------------------------------------------------
-    # scheduler-visible state (routers / control plane / report)
-    # ------------------------------------------------------------------
-    @property
-    @abstractmethod
-    def queued(self) -> int:
-        """Requests waiting in the admission queue."""
+    # A step or window is in flight.  Only a run-ahead handle sets it,
+    # and such a handle names its replica in ``rid``.
+    _stepping = False
 
-    @property
-    @abstractmethod
-    def active(self) -> int:
-        """Requests currently holding a decode slot."""
+    def __init__(self, view: ReplicaStateView) -> None:
+        self.view = view
 
-    @property
     @abstractmethod
-    def num_preempted(self) -> int:
-        """Preempted requests parked as checkpoints."""
-
-    @property
-    @abstractmethod
-    def reserved_kv_bytes(self) -> int:
-        """Projected KV bytes of the in-flight requests."""
-
-    @property
-    @abstractmethod
-    def queued_kv_bytes(self) -> int:
-        """Projected KV bytes of the queued requests."""
-
-    @property
-    @abstractmethod
-    def num_preemptions_total(self) -> int:
-        """Checkpoint preemptions the engine performed so far."""
-
-    @property
-    @abstractmethod
-    def is_draining(self) -> bool:
-        """Whether the engine stopped accepting submissions."""
-
-    @property
-    @abstractmethod
-    def active_request_ids(self) -> tuple[str, ...]:
-        """Ids of the in-flight requests, in admission order."""
-
-    @property
-    @abstractmethod
-    def preempted_request_ids(self) -> tuple[str, ...]:
-        """Ids of the parked preempted requests, in preemption order."""
+    def _call(self, command: str, *args: object):
+        """Run ``serve_command(engine, command, args)`` wherever the engine lives."""
 
     def has_work(self) -> bool:
         """Whether the replica has queued, in-flight or preempted requests."""
-        return bool(self.queued or self.active or self.num_preempted)
+        return self.view.has_work()
 
     @property
     def engine(self) -> "BatchedEngine":
@@ -306,10 +316,14 @@ class ReplicaHandle(ABC):
             "handle methods instead of touching the engine directly"
         )
 
+    def _require_settled(self, command: str) -> None:
+        """Refuse a state-changing command while a step window is open."""
+        if self._stepping:
+            raise StepWindowOpen(self.rid, command)
+
     # ------------------------------------------------------------------
     # engine commands
     # ------------------------------------------------------------------
-    @abstractmethod
     def submit(
         self,
         prompt_ids: "np.ndarray",
@@ -320,57 +334,77 @@ class ReplicaHandle(ABC):
         slo_class: str,
     ) -> None:
         """Enqueue one request on the replica engine."""
+        self._require_settled("submit")
+        self.view = self._call(
+            "submit",
+            {
+                "prompt_ids": prompt_ids,
+                "request_id": request_id,
+                "max_new_tokens": max_new_tokens,
+                "policy": policy,
+                "arrival_time_s": arrival_time_s,
+                "slo_class": slo_class,
+            },
+        )
 
-    @abstractmethod
     def start_step(self, window: StepWindow | None = None) -> None:
         """Begin computing the replica's next engine step.
 
-        For the multiprocess backend this posts the step command and
-        returns immediately, letting several replicas compute
-        concurrently; with a ``window`` the worker keeps stepping the
-        replica while the window admits it.  A no-op while a step or
-        window is already in flight.  The serial backend defers all work
-        to :meth:`finish_step` so engine state never runs ahead of the
-        simulator.
+        A no-op here: the engine steps inside :meth:`finish_step`, so its
+        state never runs ahead of the simulator.  A run-ahead backend
+        posts the step (opening ``window``) and returns immediately.
         """
 
-    @abstractmethod
     def finish_step(self) -> StepOutcome:
         """Return the replica's next step outcome (computing it if needed).
 
         Outcomes come back one per engine step, in step order; an
-        exception a step raised is re-raised here, at that step.
+        exception a step raised is re-raised here, at that step, and
+        leaves ``view`` at the last outcome processed.
         """
+        finished, trace, self.view, wall_s, _ = self._call("step", None)
+        return StepOutcome(finished=finished, trace=trace, wall_s=wall_s)
 
-    @abstractmethod
     def drain(self) -> None:
-        """Flip the engine's submission gate (work in flight continues)."""
+        """Flip the engine's submission gate (work in flight continues).
 
-    @abstractmethod
+        Allowed mid-window: draining only gates submissions, so it does
+        not change how the engine steps.  Its reply carries no view, which
+        would show steps the simulator has not consumed yet.
+        """
+        self._call("drain")
+
     def snapshot(self) -> "EngineSnapshot":
         """Inventory queued and in-flight work (read-only)."""
+        self._require_settled("snapshot")
+        return self._call("snapshot")
 
-    @abstractmethod
     def pop_preempted(self) -> "list[SequenceCheckpoint]":
         """Take ownership of the parked preempted checkpoints."""
+        self._require_settled("pop_preempted")
+        checkpoints, self.view = self._call("pop_preempted")
+        return checkpoints
 
-    @abstractmethod
     def checkpoint_request(
         self, request_id: str, keep: bool = True
     ) -> "SequenceCheckpoint":
         """Checkpoint one in-flight request (evicting it when not kept)."""
+        self._require_settled("checkpoint_request")
+        checkpoint, self.view = self._call("checkpoint", request_id, keep)
+        return checkpoint
 
-    @abstractmethod
     def restore_request(self, checkpoint: "SequenceCheckpoint") -> None:
         """Restore a checkpointed request onto this replica."""
+        self._require_settled("restore_request")
+        self.view = self._call("restore", checkpoint)
 
-    @abstractmethod
     def prefix_cache_stats(self) -> dict[str, object]:
         """The engine's prefix-cache counters (empty when disabled)."""
+        return self._call("prefix_stats")
 
-    @abstractmethod
     def offload_stats(self) -> dict[str, dict[str, int]]:
         """Tier-transfer/peak accounting (see :func:`engine_offload_stats`)."""
+        return self._call("offload_stats")
 
 
 class ExecutionBackend(ABC):

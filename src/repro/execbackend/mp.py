@@ -64,7 +64,6 @@ import importlib
 import multiprocessing
 import os
 import pickle
-import time
 import traceback
 from multiprocessing import shared_memory
 from collections import defaultdict, deque
@@ -80,21 +79,18 @@ from ..perf.counters import record
 from .base import (
     ExecutionBackend,
     ReplicaHandle,
-    ReplicaStateView,
     StepOutcome,
     StepWindow,
-    StepWindowOpen,
     WorkerCrashed,
-    engine_offload_stats,
     engine_state_view,
+    serve_command,
+    step_engine,
 )
 from .serial import build_engine
 
 if TYPE_CHECKING:
     from ..api import EngineSpec
-    from ..policies import PolicySpec
-    from ..seqstate import SequenceCheckpoint
-    from ..serving import BatchedEngine, EngineSnapshot
+    from ..serving import BatchedEngine
     from ..traffic.clock import StepClock
 
 __all__ = ["MultiprocessBackend"]
@@ -145,7 +141,7 @@ class _WeightArena:
             view[...] = array
 
     def close(self) -> None:
-        """Shut down every worker and release the weight arena."""
+        """Unmap the weight arena in this process and unlink its block."""
         try:
             self.shm.close()
             self.shm.unlink()
@@ -336,14 +332,6 @@ def _worker_main(
         shm.close()
 
 
-def _step(engine: "BatchedEngine") -> tuple:
-    """One engine step: (finished, trace, post-step view, compute wall seconds)."""
-    t0 = time.perf_counter()
-    finished = engine.step()
-    wall_s = time.perf_counter() - t0
-    return finished, engine.last_step_trace, engine_state_view(engine), wall_s
-
-
 class _Worker:
     """One worker's engine table, open step windows and step clock."""
 
@@ -369,7 +357,7 @@ class _Worker:
         rid = min(self.windows, key=lambda r: (self.windows[r][1], self.windows[r][0].index))
         window, clock_s = self.windows.pop(rid)
         try:
-            finished, trace, view, wall_s = _step(self.engines[rid])
+            finished, trace, view, wall_s = step_engine(self.engines[rid])
             clock_s = clock_s + self.clock.step_seconds(trace)
         except BaseException as exc:  # noqa: BLE001 — forwarded typed
             return (rid, "step", "exc", _encode_error(exc))
@@ -379,7 +367,7 @@ class _Worker:
         return (rid, "step", "ok", (finished, trace, view, wall_s, continues))
 
     def serve(self, command: str, rid, args: tuple):
-        """Execute one protocol command against the engine table."""
+        """Execute one protocol command: worker-level here, the rest per engine."""
         if command == "create":
             self.engines[rid] = build_engine(self.model, self.spec)
             return engine_state_view(self.engines[rid])
@@ -398,31 +386,7 @@ class _Worker:
             return _model_digest(self.model)
         if command == "ping":
             return "pong"
-        engine = self.engines[rid]
-        if command == "submit":
-            engine.submit(**args[0])
-            return engine_state_view(engine)
-        if command == "step":
-            return (*_step(engine), False)
-        if command == "drain":
-            engine.drain()
-            return None
-        if command == "snapshot":
-            return engine.snapshot()
-        if command == "pop_preempted":
-            return (engine.pop_preempted(), engine_state_view(engine))
-        if command == "checkpoint":
-            request_id, keep = args
-            checkpoint = engine.checkpoint_request(request_id, keep=keep)
-            return (checkpoint, engine_state_view(engine))
-        if command == "restore":
-            engine.restore_request(args[0])
-            return engine_state_view(engine)
-        if command == "prefix_stats":
-            return engine.prefix_cache_stats()
-        if command == "offload_stats":
-            return engine_offload_stats(engine)
-        raise ValueError(f"unknown backend command {command!r}")
+        return serve_command(self.engines[rid], command, args)
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +474,7 @@ class _WorkerClient:
 
 
 class RemoteReplicaHandle(ReplicaHandle):
-    """Proxy to a worker-resident engine with a cached state view.
+    """Proxy to a worker-resident engine, holding the view its replies carry.
 
     The view refreshes only from replies the simulator has actually
     processed — a step that already ran in the worker's window stays
@@ -522,93 +486,16 @@ class RemoteReplicaHandle(ReplicaHandle):
     def __init__(self, client: _WorkerClient, rid: str) -> None:
         self._client = client
         self.rid = rid
-        self._view: ReplicaStateView = client.call(rid, "create")
-        self._draining = False
+        super().__init__(client.call(rid, "create"))
         # A step is in flight: posted and not yet consumed, or the last
         # consumed step said its window continues.
         self._stepping = False
         # The in-flight step was posted by a command of its own.
         self._posted = False
 
-    # ------------------------------------------------------------------
-    # cached state
-    # ------------------------------------------------------------------
-    @property
-    def queued(self) -> int:
-        """Requests waiting in the worker engine's queue (cached view)."""
-        return self._view.queued
-
-    @property
-    def active(self) -> int:
-        """Requests decoding in the worker engine (cached view)."""
-        return self._view.active
-
-    @property
-    def num_preempted(self) -> int:
-        """Checkpointed-out requests in the worker (cached view)."""
-        return self._view.num_preempted
-
-    @property
-    def reserved_kv_bytes(self) -> int:
-        """KV bytes reserved by active sequences (cached view)."""
-        return self._view.reserved_kv_bytes
-
-    @property
-    def queued_kv_bytes(self) -> int:
-        """KV bytes the queued requests will reserve (cached view)."""
-        return self._view.queued_kv_bytes
-
-    @property
-    def num_preemptions_total(self) -> int:
-        """Total preemptions performed (cached view)."""
-        return self._view.num_preemptions_total
-
-    @property
-    def is_draining(self) -> bool:
-        """Whether the replica is draining (local flag OR view)."""
-        return self._draining or self._view.is_draining
-
-    @property
-    def active_request_ids(self) -> tuple[str, ...]:
-        """Ids of the decoding requests (cached view)."""
-        return self._view.active_request_ids
-
-    @property
-    def preempted_request_ids(self) -> tuple[str, ...]:
-        """Ids of checkpointed-out requests (cached view)."""
-        return self._view.preempted_request_ids
-
-    # ------------------------------------------------------------------
-    # commands
-    # ------------------------------------------------------------------
-    def _require_settled(self, command: str) -> None:
-        """Refuse a state-changing command while a step window is open."""
-        if self._stepping:
-            raise StepWindowOpen(self.rid, command)
-
-    def submit(
-        self,
-        prompt_ids,
-        request_id: str,
-        max_new_tokens: int,
-        policy: "PolicySpec | str | None",
-        arrival_time_s: float,
-        slo_class: str,
-    ) -> None:
-        """Send one request to the worker engine; refresh the view."""
-        self._require_settled("submit")
-        self._view = self._client.call(
-            self.rid,
-            "submit",
-            {
-                "prompt_ids": prompt_ids,
-                "request_id": request_id,
-                "max_new_tokens": max_new_tokens,
-                "policy": policy,
-                "arrival_time_s": arrival_time_s,
-                "slo_class": slo_class,
-            },
-        )
+    def _call(self, command: str, *args: object):
+        """Round-trip the command to the worker's engine."""
+        return self._client.call(self.rid, command, *args)
 
     def start_step(self, window: StepWindow | None = None) -> None:
         """Post the step command (opening ``window``) without waiting.
@@ -623,62 +510,17 @@ class RemoteReplicaHandle(ReplicaHandle):
         self._client.windows_opened += window is not None
 
     def finish_step(self) -> StepOutcome:
-        """Receive the next step outcome, refreshing the cached view."""
+        """Receive the next step outcome, refreshing the view."""
         if not self._stepping:
             self.start_step()
         ran_ahead = not self._posted
         # Cleared first: a step that raised closed its window in the worker.
         self._stepping = self._posted = False
-        finished, trace, view, wall_s, self._stepping = self._client.wait(
+        finished, trace, self.view, wall_s, self._stepping = self._client.wait(
             self.rid, "step"
         )
         self._client.steps_run_ahead += ran_ahead
-        self._view = view
         return StepOutcome(finished=finished, trace=trace, wall_s=wall_s)
-
-    def drain(self) -> None:
-        """Tell the worker engine to stop admitting.
-
-        Allowed mid-window: draining only gates submissions, so it does
-        not change how the engine steps.  The reply carries no state view,
-        which would leak steps the simulator has not consumed yet.
-        """
-        self._client.call(self.rid, "drain")
-        self._draining = True
-
-    def snapshot(self) -> "EngineSnapshot":
-        """Queue/active snapshot fetched from the worker."""
-        self._require_settled("snapshot")
-        return self._client.call(self.rid, "snapshot")
-
-    def pop_preempted(self) -> "list[SequenceCheckpoint]":
-        """Take the worker's preempted checkpoints; refresh the view."""
-        self._require_settled("pop_preempted")
-        checkpoints, self._view = self._client.call(self.rid, "pop_preempted")
-        return checkpoints
-
-    def checkpoint_request(
-        self, request_id: str, keep: bool = True
-    ) -> "SequenceCheckpoint":
-        """Checkpoint one request in the worker; refresh the view."""
-        self._require_settled("checkpoint_request")
-        checkpoint, self._view = self._client.call(
-            self.rid, "checkpoint", request_id, keep
-        )
-        return checkpoint
-
-    def restore_request(self, checkpoint: "SequenceCheckpoint") -> None:
-        """Restore a checkpoint into the worker; refresh the view."""
-        self._require_settled("restore_request")
-        self._view = self._client.call(self.rid, "restore", checkpoint)
-
-    def prefix_cache_stats(self) -> dict[str, object]:
-        """Prefix-cache counters fetched from the worker."""
-        return self._client.call(self.rid, "prefix_stats")
-
-    def offload_stats(self) -> dict[str, dict[str, int]]:
-        """Tier transfer/peak accounting fetched from the worker."""
-        return self._client.call(self.rid, "offload_stats")
 
 
 class MultiprocessBackend(ExecutionBackend):
@@ -746,12 +588,14 @@ class MultiprocessBackend(ExecutionBackend):
                 record(name, counts[name])
 
     def model_digests(self) -> dict[str, str]:
-        """Weight digests of the parent model and every worker's copy."""
-        digests = {
+        """Weight digests of every worker's model copy, keyed ``worker<i>``.
+
+        Compare them with :func:`_model_digest` of the parent's model.
+        """
+        return {
             f"worker{client.index}": client.call(None, "model_digest")
             for client in self._clients
         }
-        return digests
 
     def describe(self) -> dict[str, object]:
         """Identity of this backend plus the last run's window counts (for reports)."""

@@ -67,7 +67,7 @@ class ReplicaView(Protocol):
 
     @property
     def reserved_kv_bytes(self) -> int:
-        """Projected KV bytes reserved by the replica's in-flight requests."""
+        """Projected KV bytes of the replica's in-flight and queued requests."""
         ...
 
 

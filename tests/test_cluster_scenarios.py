@@ -310,7 +310,7 @@ class TestControlPlaneInvariants:
         # Removing a replica that still holds work is an assertion error.
         victim = simulator.fleet[0]
         victim.engine._draining = False
-        victim.engine.submit(np.arange(8) + 4)
+        victim.handle.submit(np.arange(8) + 4, "late", 8, None, 0.0, "interactive")
         with pytest.raises(AssertionError):
             simulator._stop_replica(victim, 0.0)
 

@@ -39,10 +39,13 @@ from repro.cluster import (
 from repro.execbackend import (
     LocalReplicaHandle,
     MultiprocessBackend,
+    SerialBackend,
     StepWindow,
     StepWindowOpen,
     WorkerCrashed,
+    engine_state_view,
 )
+from repro.execbackend.base import serve_command
 from repro.execbackend.mp import RemoteReplicaHandle, _model_digest
 from repro.memory import CapacityExceeded
 from repro.model import _lanes
@@ -476,6 +479,54 @@ class TestCapacityParity:
             with pytest.raises(CapacityExceeded) as excinfo:
                 sim.run(requests)
         assert excinfo.value.tier.value in ("gpu", "cpu", "ssd")
+
+
+# ----------------------------------------------------------------------
+# one command table: the view after every command
+# ----------------------------------------------------------------------
+class TestCommandTable:
+    def test_view_matches_across_backends_after_every_command(self):
+        """Serial and worker handles refresh the same view from the same replies."""
+        spec = EngineSpec(model="serve-sim", max_new_tokens=8)
+        model = spec.build_model()
+        with MultiprocessBackend(model, spec, workers=1) as backend:
+            serial = SerialBackend(model, spec).create_handle()
+            remote = backend.create_handle()
+            handles = (serial, remote)
+
+            def both(command, *args):
+                replies = [getattr(handle, command)(*args) for handle in handles]
+                assert serial.view == remote.view == engine_state_view(serial.engine)
+                return replies
+
+            both("submit", np.arange(4, 28), "a", 8, None, 0.0, "interactive")
+            both("submit", np.arange(30, 46), "b", 3, None, 0.0, "interactive")
+            assert serial.view.queued == 2
+            while True:
+                outcomes = both("finish_step")
+                finished = [[c.request.request_id for c in o.finished] for o in outcomes]
+                assert finished[0] == finished[1]
+                if finished[0]:
+                    break
+            assert serial.view.active_request_ids == ("a",)
+            checkpoints = both("checkpoint_request", "a", False)
+            assert checkpoint_digest(checkpoints[0]) == checkpoint_digest(checkpoints[1])
+            assert not serial.has_work() and not remote.has_work()
+            for handle, checkpoint in zip(handles, checkpoints):
+                handle.restore_request(checkpoint)
+            assert serial.view == remote.view == engine_state_view(serial.engine)
+            assert serial.view.active_request_ids == ("a",)
+            snapshots = both("snapshot")
+            assert [s.request_ids for s in snapshots] == [("a",), ("a",)]
+            assert both("pop_preempted") == [[], []]
+            both("drain")
+            steps = 0
+            while serial.has_work():
+                both("finish_step")
+                steps += 1
+            assert steps > 0 and not remote.has_work()
+        with pytest.raises(ValueError, match="bogus"):
+            serve_command(serial.engine, "bogus", ())
 
 
 # ----------------------------------------------------------------------
