@@ -11,6 +11,10 @@ prefill and decoding (so that they can build whatever acceleration structure
 they need — semantic clusters, page bounds, partial keys, ...) and maintain
 instrumentation counters that the performance model consumes.
 
+A policy is declared, not programmed: its factory names a config class and
+a state class, and :class:`KVSelectorFactory` writes construction,
+layer-state creation and ``describe()`` once for every policy.
+
 Selectors do not own the key history.  The request's
 :class:`~repro.model.kv_cache.KVCacheStore` holds every layer's keys (and
 the :class:`~repro.model.pointer.CopyHead` the pointer head's); a selector
@@ -26,6 +30,8 @@ from __future__ import annotations
 
 import abc
 import copy
+import functools
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,12 +107,21 @@ class SelectorStats:
 
 
 class LayerSelectorState(abc.ABC):
-    """Per-layer state of a KV selection method."""
+    """Per-layer state of a KV selection method, with its factory's ``config``."""
 
-    def __init__(self, layer_idx: int, n_kv_heads: int, head_dim: int) -> None:
+    def __init__(
+        self,
+        layer_idx: int,
+        n_kv_heads: int,
+        head_dim: int,
+        config: object | None = None,
+        num_sink_tokens: int = 0,
+    ) -> None:
         self.layer_idx = layer_idx
         self.n_kv_heads = n_kv_heads
         self.head_dim = head_dim
+        self.config = config
+        self.num_sink_tokens = num_sink_tokens
         self.stats = SelectorStats()
         self._num_tokens = 0
 
@@ -250,8 +265,26 @@ class LayerSelectorState(abc.ABC):
         """
 
 
-class KVSelectorFactory(abc.ABC):
+@functools.cache
+def config_parameters(config_cls: type) -> tuple[str, ...]:
+    """A config class's keyword constructor parameters: a policy's kwargs, in order.
+
+    Cached per class: ``describe()`` runs for every report, checkpoint and
+    prefix-cache lookup.
+    """
+    params = inspect.signature(config_cls).parameters.values()
+    return tuple(
+        param.name
+        for param in params
+        if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+    )
+
+
+class KVSelectorFactory:
     """Factory building per-layer selector states for one generation run.
+
+    A policy declares the four class attributes below and writes no
+    method; a factory may still override any method.
 
     Attributes
     ----------
@@ -262,12 +295,27 @@ class KVSelectorFactory(abc.ABC):
         The memory tier holding the bulk KV cache under this method.  Full
         KV and Quest keep everything on the GPU; ClusterKV and InfiniGen
         offload to the CPU and fetch selected entries per step.
+    config_cls:
+        Class of ``config``, the only constructor argument; it must store
+        every constructor parameter as an attribute of the same name.
+        ``None`` for a policy without configuration.
+    state_cls:
+        The :class:`LayerSelectorState` subclass :meth:`create_layer_state`
+        builds.
     """
 
     name: str = "abstract"
     kv_residency: TierKind = TierKind.GPU
+    config_cls: type | None = None
+    state_cls: type[LayerSelectorState] | None = None
+    config: object | None = None
 
-    @abc.abstractmethod
+    def __init__(self, config: object | None = None) -> None:
+        if self.config_cls is not None:
+            self.config = config or self.config_cls()
+        elif config is not None:
+            raise TypeError(f"{type(self).__name__} takes no configuration")
+
     def create_layer_state(
         self,
         layer_idx: int,
@@ -276,18 +324,25 @@ class KVSelectorFactory(abc.ABC):
         num_sink_tokens: int,
     ) -> LayerSelectorState:
         """Create the selector state of one layer."""
+        if self.state_cls is None:
+            raise NotImplementedError(f"{type(self).__name__} declares no state_cls")
+        return self.state_cls(layer_idx, n_kv_heads, head_dim, self.config, num_sink_tokens)
 
     def describe(self) -> dict[str, object]:
         """Description of the method: identity plus its *full* configuration.
 
-        Subclasses with configuration must extend this with every config
-        field (keys matching their config class's constructor parameters):
-        the output is embedded in experiment reports and
-        :meth:`repro.serving.ServeReport.policy_descriptions` so that a
-        report alone can rebuild the policy via
+        ``name`` and ``kv_residency``, then every constructor parameter of
+        the config's class in parameter order, so the description is
+        complete by construction.  It is embedded in experiment reports
+        and :meth:`repro.serving.ServeReport.policy_descriptions`, keys
+        checkpoints and the prefix cache, and rebuilds the policy via
         :func:`repro.policies.policy_spec_from_description`.
         """
-        return {"name": self.name, "kv_residency": self.kv_residency.value}
+        description = {"name": self.name, "kv_residency": self.kv_residency.value}
+        if self.config is not None:
+            for param in config_parameters(type(self.config)):
+                description[param] = getattr(self.config, param)
+        return description
 
 
 def merge_group_queries(queries: np.ndarray) -> np.ndarray:

@@ -33,13 +33,4 @@ class FullKVSelector(KVSelectorFactory):
 
     name = "full"
     kv_residency = TierKind.GPU
-
-    def create_layer_state(
-        self,
-        layer_idx: int,
-        n_kv_heads: int,
-        head_dim: int,
-        num_sink_tokens: int,
-    ) -> FullKVLayerState:
-        """Create the full-attention state of one layer."""
-        return FullKVLayerState(layer_idx, n_kv_heads, head_dim)
+    state_cls = FullKVLayerState

@@ -58,11 +58,9 @@ class H2OLayerState(LayerSelectorState):
         n_kv_heads: int,
         head_dim: int,
         config: H2OConfig,
-        num_sink_tokens: int,
+        num_sink_tokens: int = 0,
     ) -> None:
-        super().__init__(layer_idx, n_kv_heads, head_dim)
-        self.config = config
-        self.num_sink_tokens = num_sink_tokens
+        super().__init__(layer_idx, n_kv_heads, head_dim, config, num_sink_tokens)
         # Retained token indices per head (rows sorted ascending) and their
         # accumulated attention mass.
         self._retained = np.zeros((n_kv_heads, 0), dtype=np.int64)
@@ -119,32 +117,11 @@ class H2OLayerState(LayerSelectorState):
         return self._retained
 
 
-@register_policy(
-    "h2o",
-    config_cls=H2OConfig,
-    summary="non-recallable heavy-hitter eviction plus recent window",
-)
+@register_policy("h2o", summary="non-recallable heavy-hitter eviction plus recent window")
 class H2OSelector(KVSelectorFactory):
     """Factory of the H2O (non-recallable heavy hitter) baseline."""
 
     name = "h2o"
     kv_residency = TierKind.GPU
-
-    def __init__(self, config: H2OConfig | None = None) -> None:
-        self.config = config or H2OConfig()
-
-    def create_layer_state(
-        self,
-        layer_idx: int,
-        n_kv_heads: int,
-        head_dim: int,
-        num_sink_tokens: int,
-    ) -> H2OLayerState:
-        """Create the H2O eviction state of one layer."""
-        return H2OLayerState(layer_idx, n_kv_heads, head_dim, self.config, num_sink_tokens)
-
-    def describe(self) -> dict[str, object]:
-        """Method configuration: the budget split between hitters and window."""
-        description = super().describe()
-        description.update(recent_ratio=self.config.recent_ratio)
-        return description
+    config_cls = H2OConfig
+    state_cls = H2OLayerState

@@ -95,9 +95,9 @@ class InfiniGenLayerState(LayerSelectorState):
         n_kv_heads: int,
         head_dim: int,
         config: InfiniGenConfig,
+        num_sink_tokens: int = 0,
     ) -> None:
-        super().__init__(layer_idx, n_kv_heads, head_dim)
-        self.config = config
+        super().__init__(layer_idx, n_kv_heads, head_dim, config, num_sink_tokens)
         self.partial_dim = config.partial_dim(head_dim)
         # Top-r right-singular vectors per head, (n_kv_heads, r, d).
         self._basis: np.ndarray | None = None
@@ -216,36 +216,12 @@ class InfiniGenLayerState(LayerSelectorState):
 
 
 @register_policy(
-    "infinigen",
-    config_cls=InfiniGenConfig,
-    summary="per-token speculation with SVD partial keys, KV offloaded to CPU",
+    "infinigen", summary="per-token speculation with SVD partial keys, KV offloaded to CPU"
 )
 class InfiniGenSelector(KVSelectorFactory):
     """Factory of the InfiniGen baseline (offloads KV to CPU memory)."""
 
     name = "infinigen"
     kv_residency = TierKind.CPU
-
-    def __init__(self, config: InfiniGenConfig | None = None) -> None:
-        self.config = config or InfiniGenConfig()
-
-    def create_layer_state(
-        self,
-        layer_idx: int,
-        n_kv_heads: int,
-        head_dim: int,
-        num_sink_tokens: int,
-    ) -> InfiniGenLayerState:
-        """Create the InfiniGen partial-key state of one layer."""
-        return InfiniGenLayerState(layer_idx, n_kv_heads, head_dim, self.config)
-
-    def describe(self) -> dict[str, object]:
-        """Method configuration: the full partial-key and speculation settings."""
-        description = super().describe()
-        description.update(
-            partial_ratio=self.config.partial_ratio,
-            min_partial_dim=self.config.min_partial_dim,
-            speculation_noise=self.config.speculation_noise,
-            seed=self.config.seed,
-        )
-        return description
+    config_cls = InfiniGenConfig
+    state_cls = InfiniGenLayerState

@@ -63,13 +63,4 @@ class OracleTopKSelector(KVSelectorFactory):
 
     name = "oracle"
     kv_residency = TierKind.GPU
-
-    def create_layer_state(
-        self,
-        layer_idx: int,
-        n_kv_heads: int,
-        head_dim: int,
-        num_sink_tokens: int,
-    ) -> OracleTopKLayerState:
-        """Create the exact top-k oracle state of one layer."""
-        return OracleTopKLayerState(layer_idx, n_kv_heads, head_dim)
+    state_cls = OracleTopKLayerState

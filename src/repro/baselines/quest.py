@@ -70,9 +70,9 @@ class QuestLayerState(LayerSelectorState):
         n_kv_heads: int,
         head_dim: int,
         config: QuestConfig,
+        num_sink_tokens: int = 0,
     ) -> None:
-        super().__init__(layer_idx, n_kv_heads, head_dim)
-        self.config = config
+        super().__init__(layer_idx, n_kv_heads, head_dim, config, num_sink_tokens)
         self._page_max = np.zeros((0, n_kv_heads, head_dim))
         self._page_min = np.zeros((0, n_kv_heads, head_dim))
         self._num_pages = 0
@@ -208,35 +208,11 @@ class QuestLayerState(LayerSelectorState):
         return self._num_pages
 
 
-@register_policy(
-    "quest",
-    config_cls=QuestConfig,
-    summary="page-level selection by per-page min/max score bounds",
-)
+@register_policy("quest", summary="page-level selection by per-page min/max score bounds")
 class QuestSelector(KVSelectorFactory):
     """Factory of the Quest baseline."""
 
     name = "quest"
     kv_residency = TierKind.GPU
-
-    def __init__(self, config: QuestConfig | None = None) -> None:
-        self.config = config or QuestConfig()
-
-    def create_layer_state(
-        self,
-        layer_idx: int,
-        n_kv_heads: int,
-        head_dim: int,
-        num_sink_tokens: int,
-    ) -> QuestLayerState:
-        """Create the Quest page-summary state of one layer."""
-        return QuestLayerState(layer_idx, n_kv_heads, head_dim, self.config)
-
-    def describe(self) -> dict[str, object]:
-        """Method configuration: the full page-summary settings."""
-        description = super().describe()
-        description.update(
-            page_size=self.config.page_size,
-            include_last_page=self.config.include_last_page,
-        )
-        return description
+    config_cls = QuestConfig
+    state_cls = QuestLayerState

@@ -22,16 +22,6 @@ __all__ = ["StreamingLLMLayerState", "StreamingLLMSelector"]
 class StreamingLLMLayerState(LayerSelectorState):
     """Sink tokens plus the most recent ``budget - sinks`` tokens."""
 
-    def __init__(
-        self,
-        layer_idx: int,
-        n_kv_heads: int,
-        head_dim: int,
-        num_sink_tokens: int,
-    ) -> None:
-        super().__init__(layer_idx, n_kv_heads, head_dim)
-        self.num_sink_tokens = num_sink_tokens
-
     def select(
         self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
     ) -> np.ndarray:
@@ -59,13 +49,4 @@ class StreamingLLMSelector(KVSelectorFactory):
 
     name = "streaming_llm"
     kv_residency = TierKind.GPU
-
-    def create_layer_state(
-        self,
-        layer_idx: int,
-        n_kv_heads: int,
-        head_dim: int,
-        num_sink_tokens: int,
-    ) -> StreamingLLMLayerState:
-        """Create the sink-plus-window state of one layer."""
-        return StreamingLLMLayerState(layer_idx, n_kv_heads, head_dim, num_sink_tokens)
+    state_cls = StreamingLLMLayerState

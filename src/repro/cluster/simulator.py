@@ -962,22 +962,14 @@ class ClusterSimulator:
             output_tokens=tokens,
             slo_met=self.config.slo.is_met(ttft, tpot),
             retries=self._retry_counts.get(request_id, 0),
-            cached_prefix_tokens=int(
-                getattr(item.result, "cached_prefix_tokens", 0)
-            ),
+            cached_prefix_tokens=item.result.cached_prefix_tokens,
             slo_class=item.request.slo_class,
             migrations=self._migration_counts.get(request_id, 0),
             recoveries=self._recovery_counts.get(request_id, 0),
-            spec_rounds=int(getattr(item.result, "spec_rounds", 0)),
-            spec_drafted_tokens=int(
-                getattr(item.result, "spec_drafted_tokens", 0)
-            ),
-            spec_accepted_tokens=int(
-                getattr(item.result, "spec_accepted_tokens", 0)
-            ),
-            spec_rejected_tokens=int(
-                getattr(item.result, "spec_rejected_tokens", 0)
-            ),
+            spec_rounds=item.result.spec_rounds,
+            spec_drafted_tokens=item.result.spec_drafted_tokens,
+            spec_accepted_tokens=item.result.spec_accepted_tokens,
+            spec_rejected_tokens=item.result.spec_rejected_tokens,
         )
 
     def _build_report(self) -> TrafficReport:

@@ -85,31 +85,48 @@ class ClusterCache:
             trimming), used for token-level accounting.
         """
         labels = np.asarray(selected_labels, dtype=np.int64).tolist()
-        sizes = [tokens_per_label.get(label, 0) for label in labels]
-        return self._lookup_core(labels, sizes, update=False)
-
-    def access(
-        self, selected_labels: np.ndarray, selected_sizes: list[int]
-    ) -> ClusterCacheLookup:
-        """Fused lookup-then-update for the decode hot path.
-
-        ``selected_sizes`` is the post-trim token count per label, aligned
-        with ``selected_labels`` (``ClusterSelection.selected_sizes``).
-        Equivalent to :meth:`lookup` followed by :meth:`update`, without
-        the per-label dict round-trip.
-        """
-        labels = np.asarray(selected_labels, dtype=np.int64).tolist()
-        return self._lookup_core(labels, selected_sizes, update=True)
+        # Membership-only view of the cached labels; with a single retained
+        # step (the common configuration) the set is used directly instead
+        # of copying it through the ``cached_labels`` union.
+        if not self._enabled:
+            cached: set[int] = set()
+        elif len(self._recent) == 1:
+            cached = self._recent[0]
+        else:
+            cached = self.cached_labels
+        hits: list[int] = []
+        misses: list[int] = []
+        hit_tokens = 0
+        miss_tokens = 0
+        for label in labels:
+            tokens = tokens_per_label.get(label, 0)
+            if label in cached:
+                hits.append(label)
+                hit_tokens += tokens
+            else:
+                misses.append(label)
+                miss_tokens += tokens
+        self.total_hit_tokens += hit_tokens
+        self.total_miss_tokens += miss_tokens
+        self.num_lookups += 1
+        return ClusterCacheLookup(
+            hit_labels=np.asarray(hits, dtype=np.int64),
+            miss_labels=np.asarray(misses, dtype=np.int64),
+            hit_tokens=hit_tokens,
+            miss_tokens=miss_tokens,
+        )
 
     def access_counts(
         self, selected_labels: np.ndarray, selected_sizes: list[int]
     ) -> tuple[int, int]:
-        """Allocation-free :meth:`access`: returns ``(hit, miss)`` tokens only.
+        """Fused lookup-then-update for the decode hot path: ``(hit, miss)`` tokens.
 
-        The decode hot path needs nothing but the token split (the label
-        arrays of :class:`ClusterCacheLookup` exist for tests and
-        analyses), so this variant skips building them.  Accounting is
-        identical to :meth:`access`.
+        ``selected_sizes`` is the post-trim token count per label, aligned
+        with ``selected_labels``.  Accounting is identical to
+        :meth:`lookup` followed by :meth:`update`; the decode hot path
+        needs nothing but the token split (the label arrays of
+        :class:`ClusterCacheLookup` exist for tests and analyses), so this
+        skips building them.
         """
         labels = selected_labels.tolist()
         if not self._enabled:
@@ -131,44 +148,6 @@ class ClusterCache:
         if self._enabled:
             self._recent.append(set(labels))
         return hit_tokens, miss_tokens
-
-    def _lookup_core(
-        self, labels: list[int], sizes: list[int], update: bool
-    ) -> ClusterCacheLookup:
-        """Shared hit/miss split of :meth:`lookup` and :meth:`access`."""
-        # Membership-only view of the cached labels; with a single retained
-        # step (the common configuration) the set is used directly instead
-        # of copying it through the ``cached_labels`` union.
-        if not self._enabled:
-            cached: set[int] = set()
-        elif len(self._recent) == 1:
-            cached = self._recent[0]
-        else:
-            cached = self.cached_labels
-        hits: list[int] = []
-        misses: list[int] = []
-        hit_tokens = 0
-        miss_tokens = 0
-        for label, tokens in zip(labels, sizes):
-            if label in cached:
-                hits.append(label)
-                hit_tokens += tokens
-            else:
-                misses.append(label)
-                miss_tokens += tokens
-        hit_labels = np.asarray(hits, dtype=np.int64)
-        miss_labels = np.asarray(misses, dtype=np.int64)
-        self.total_hit_tokens += hit_tokens
-        self.total_miss_tokens += miss_tokens
-        self.num_lookups += 1
-        if update and self._enabled:
-            self._recent.append(set(labels))
-        return ClusterCacheLookup(
-            hit_labels=hit_labels,
-            miss_labels=miss_labels,
-            hit_tokens=hit_tokens,
-            miss_tokens=miss_tokens,
-        )
 
     def update(self, selected_labels: np.ndarray) -> None:
         """Record the clusters selected at the current step."""

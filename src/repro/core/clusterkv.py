@@ -27,7 +27,6 @@ key, which is what lets it run while the store's cold pages sit on SSD.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 
 import numpy as np
@@ -61,11 +60,9 @@ class ClusterKVLayerState(LayerSelectorState):
         config: ClusterKVConfig,
         num_sink_tokens: int | None = None,
     ) -> None:
-        super().__init__(layer_idx, n_kv_heads, head_dim)
-        self.config = config
-        self.num_sink_tokens = (
-            config.num_sink_tokens if num_sink_tokens is None else num_sink_tokens
-        )
+        if num_sink_tokens is None:
+            num_sink_tokens = config.num_sink_tokens
+        super().__init__(layer_idx, n_kv_heads, head_dim, config, num_sink_tokens)
         self.metadata = [ClusterMetadata(head_dim) for _ in range(n_kv_heads)]
         self.caches = [ClusterCache(config.cache_history) for _ in range(n_kv_heads)]
         # Every head's metadata stacked along a head axis (see
@@ -460,9 +457,7 @@ class ClusterKVLayerState(LayerSelectorState):
 
 
 @register_policy(
-    "clusterkv",
-    config_cls=ClusterKVConfig,
-    summary="semantic-cluster recall (the paper's method), KV offloaded to CPU",
+    "clusterkv", summary="semantic-cluster recall (the paper's method), KV offloaded to CPU"
 )
 class ClusterKVSelector(KVSelectorFactory):
     """Factory creating :class:`ClusterKVLayerState` instances.
@@ -473,28 +468,5 @@ class ClusterKVSelector(KVSelectorFactory):
 
     name = "clusterkv"
     kv_residency = TierKind.CPU
-
-    def __init__(self, config: ClusterKVConfig | None = None) -> None:
-        self.config = config or ClusterKVConfig()
-
-    def create_layer_state(
-        self,
-        layer_idx: int,
-        n_kv_heads: int,
-        head_dim: int,
-        num_sink_tokens: int,
-    ) -> ClusterKVLayerState:
-        """Create the ClusterKV clustering state of one layer."""
-        return ClusterKVLayerState(
-            layer_idx,
-            n_kv_heads,
-            head_dim,
-            self.config,
-            num_sink_tokens=num_sink_tokens,
-        )
-
-    def describe(self) -> dict[str, object]:
-        """Method configuration: every :class:`ClusterKVConfig` field."""
-        description = super().describe()
-        description.update(dataclasses.asdict(self.config))
-        return description
+    config_cls = ClusterKVConfig
+    state_cls = ClusterKVLayerState

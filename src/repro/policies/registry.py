@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import Callable, TypeVar
 
+from ..baselines.base import KVSelectorFactory, config_parameters
 from .spec import PolicySpec
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..baselines.base import KVSelectorFactory
 
 __all__ = [
     "UnknownPolicyError",
@@ -92,13 +90,7 @@ class RegisteredPolicy:
         """Names of the configuration kwargs this policy accepts."""
         if self.config_cls is None:
             return ()
-        params = inspect.signature(self.config_cls).parameters
-        return tuple(
-            name
-            for name, param in params.items()
-            if param.kind
-            in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
-        )
+        return config_parameters(self.config_cls)
 
     def build(self, kwargs: dict[str, object]) -> "KVSelectorFactory":
         """Instantiate the factory from configuration kwargs."""
@@ -133,7 +125,8 @@ def register_policy(
         Public policy name; must be unique across the process.
     config_cls:
         Configuration class the factory constructor takes (as its only
-        argument); ``None`` when the factory is built without arguments.
+        argument); defaults to the factory's own ``config_cls`` attribute,
+        so a factory that declares one need not repeat it here.
     summary:
         One-line description for ``repro list`` and the docs.
 
@@ -158,7 +151,7 @@ def register_policy(
         _REGISTRY[name] = RegisteredPolicy(
             name=name,
             factory_cls=factory_cls,
-            config_cls=config_cls,
+            config_cls=config_cls or factory_cls.config_cls,
             summary=summary or (inspect.getdoc(factory_cls) or "").split("\n")[0],
         )
         return factory_cls
@@ -227,28 +220,13 @@ def policy_spec_from_description(description: "dict | object") -> PolicySpec:
 
 
 def policy_spec_of(factory: "KVSelectorFactory") -> PolicySpec:
-    """Recover the declarative spec of a live factory.
+    """Recover the declarative spec of a live factory from its ``describe()``.
 
-    For a registered factory the kwargs are read directly off its config
-    object using the registered config class's parameter names — exact by
-    construction, with no reliance on how (or whether) the selector
-    overrides ``describe()``.  Unregistered factories fall back to their
-    ``describe()`` output, which registered policies keep complete (see
-    :meth:`~repro.baselines.base.KVSelectorFactory.describe`).  Either
-    way the returned spec rebuilds an equivalently configured factory
-    through :func:`build_policy` — the registry round-trip the tests
-    assert.
+    :meth:`~repro.baselines.base.KVSelectorFactory.describe` lists every
+    constructor parameter of the factory's config, so the returned spec
+    rebuilds an equivalently configured factory through
+    :func:`build_policy` — the registry round-trip the tests assert.
     """
-    entry = _REGISTRY.get(getattr(factory, "name", ""))
-    if entry is not None and isinstance(factory, entry.factory_cls):
-        if entry.config_cls is None:
-            return PolicySpec(entry.name)
-        config = getattr(factory, "config", None)
-        parameters = entry.config_parameters()
-        if config is not None and all(hasattr(config, p) for p in parameters):
-            return PolicySpec(
-                entry.name, {p: getattr(config, p) for p in parameters}
-            )
     description = dict(factory.describe())
     description.setdefault("name", getattr(factory, "name", "abstract"))
     return policy_spec_from_description(description)

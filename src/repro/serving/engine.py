@@ -27,7 +27,6 @@ for bit.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -42,9 +41,9 @@ from ..model.transformer import TransformerModel
 from ..perf import counters
 from ..policies import PolicySpec, build_policy, resolve_policy_spec
 from ..prefixcache import PrefixCacheConfig, PrefixMatch, RadixPrefixCache
-from ..seqstate import SequenceCheckpoint
+from ..seqstate import SequenceCheckpoint, policy_signature
 from ..specdec import Drafter, SpeculationConfig
-from ..specdec.verify import speculative_round
+from ..specdec.verify import speculation_summary, speculative_round
 from .queue import RequestQueue
 from .request import ActiveRequest, CompletedRequest, RequestStatus, ServeRequest
 from .scheduler import ContinuousBatchingScheduler, SchedulerConfig
@@ -260,28 +259,11 @@ class ServeReport:
         return {c.request.request_id: c.result.method_config for c in self.completed}
 
     def speculation(self) -> dict[str, float]:
-        """Aggregate speculative-decoding accounting over the run.
+        """Speculative-decoding accounting summed over every completed request.
 
-        Sums the per-request draft/accept/reject counters carried on every
-        :class:`~repro.model.generation.GenerationResult` and derives the
-        two headline metrics: ``acceptance_rate`` (accepted / drafted) and
-        ``mean_accepted_run_length`` (accepted tokens per speculation
-        round).  ``accepted_tokens + rejected_tokens == drafted_tokens``
-        holds by construction.  All zeros when the run decoded without
-        speculation.
+        See :func:`repro.specdec.verify.speculation_summary` for the keys.
         """
-        rounds = sum(c.result.spec_rounds for c in self.completed)
-        drafted = sum(c.result.spec_drafted_tokens for c in self.completed)
-        accepted = sum(c.result.spec_accepted_tokens for c in self.completed)
-        rejected = sum(c.result.spec_rejected_tokens for c in self.completed)
-        return {
-            "rounds": float(rounds),
-            "drafted_tokens": float(drafted),
-            "accepted_tokens": float(accepted),
-            "rejected_tokens": float(rejected),
-            "acceptance_rate": accepted / drafted if drafted else 0.0,
-            "mean_accepted_run_length": accepted / rounds if rounds else 0.0,
-        }
+        return speculation_summary(c.result for c in self.completed)
 
 
 class BatchedEngine:
@@ -1105,19 +1087,9 @@ class BatchedEngine:
                 counters.record("prefix_cache.attached_tokens", match.num_tokens)
         self._active.append(active)
 
-    def _policy_signature(self, selector: KVSelectorFactory) -> str:
-        """Canonical signature of a selector's full configuration.
-
-        Semantic snapshots in the prefix cache are keyed by this string so
-        state is only ever reused by requests running the *same* policy
-        configuration (two ClusterKV requests with different segment sizes
-        never share clusters).
-        """
-        return json.dumps(selector.describe(), sort_keys=True, default=str)
-
     def _restore_semantic(self, sequence: SequenceState, match: PrefixMatch) -> None:
         """Hand cached per-policy segment state to the sequence's selectors."""
-        segments = match.semantic_segments(self._policy_signature(sequence.selector))
+        segments = match.semantic_segments(policy_signature(sequence.selector))
         if not segments:
             return
         per_layer: dict[int, dict[tuple[int, int], object]] = {}
@@ -1160,7 +1132,7 @@ class BatchedEngine:
                 ).items():
                     exported[(layer_idx, seg_start, seg_end)] = payload
             if exported:
-                semantic = {self._policy_signature(sequence.selector): exported}
+                semantic = {policy_signature(sequence.selector): exported}
         self.prefix_cache.insert(prompt_ids, layer_kv, semantic=semantic)
 
     def _advance_prefills(self, trace: StepTrace) -> None:

@@ -9,6 +9,7 @@ the decode path every request takes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -103,6 +104,34 @@ def speculative_round(
             counters.record("specdec.accepted_tokens", accepted)
             counters.record("specdec.rejected_tokens", rejected)
     return emitted
+
+
+def speculation_summary(records: Iterable) -> dict[str, float]:
+    """Aggregate speculative-decoding accounting over per-request records.
+
+    Each record carries the four counters ``spec_rounds``,
+    ``spec_drafted_tokens``, ``spec_accepted_tokens`` and
+    ``spec_rejected_tokens`` (a :class:`~repro.model.GenerationResult` or
+    a :class:`~repro.traffic.RequestMetrics`).  Derives the two headline
+    metrics: ``acceptance_rate`` (accepted / drafted) and
+    ``mean_accepted_run_length`` (accepted tokens per speculation round).
+    ``accepted_tokens + rejected_tokens == drafted_tokens`` holds by
+    construction.  All zeros when the run decoded without speculation.
+    """
+    rounds = drafted = accepted = rejected = 0
+    for record in records:
+        rounds += record.spec_rounds
+        drafted += record.spec_drafted_tokens
+        accepted += record.spec_accepted_tokens
+        rejected += record.spec_rejected_tokens
+    return {
+        "rounds": float(rounds),
+        "drafted_tokens": float(drafted),
+        "accepted_tokens": float(accepted),
+        "rejected_tokens": float(rejected),
+        "acceptance_rate": accepted / drafted if drafted else 0.0,
+        "mean_accepted_run_length": accepted / rounds if rounds else 0.0,
+    }
 
 
 def _verify(

@@ -26,6 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from ..knobs import knob
+from ..specdec.verify import speculation_summary
 
 __all__ = [
     "SLOSpec",
@@ -452,28 +453,11 @@ class TrafficReport:
         return summary
 
     def speculation(self) -> dict[str, float]:
-        """Aggregate speculative-decoding accounting over the run.
+        """Speculative-decoding accounting summed over every request.
 
-        Sums the per-request round/draft/accept/reject counters and
-        derives the two headline metrics: ``acceptance_rate``
-        (accepted / drafted) and ``mean_accepted_run_length`` (accepted
-        tokens per speculation round).
-        ``accepted_tokens + rejected_tokens == drafted_tokens`` holds by
-        construction.  All zeros when the run decoded without
-        speculation.
+        See :func:`repro.specdec.verify.speculation_summary` for the keys.
         """
-        rounds = sum(m.spec_rounds for m in self.requests)
-        drafted = sum(m.spec_drafted_tokens for m in self.requests)
-        accepted = sum(m.spec_accepted_tokens for m in self.requests)
-        rejected = sum(m.spec_rejected_tokens for m in self.requests)
-        return {
-            "rounds": float(rounds),
-            "drafted_tokens": float(drafted),
-            "accepted_tokens": float(accepted),
-            "rejected_tokens": float(rejected),
-            "acceptance_rate": accepted / drafted if drafted else 0.0,
-            "mean_accepted_run_length": accepted / rounds if rounds else 0.0,
-        }
+        return speculation_summary(self.requests)
 
     # ------------------------------------------------------------------
     # serialisation

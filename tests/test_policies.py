@@ -10,13 +10,18 @@ Load-bearing guarantees:
 * third-party selectors register without touching core files.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.baselines import (
     FullKVSelector,
     InfiniGenSelector,
+    OracleTopKSelector,
+    QuestConfig,
     QuestSelector,
+    StreamingLLMSelector,
 )
 from repro.baselines.base import KVSelectorFactory
 from repro.baselines.full import FullKVLayerState
@@ -195,7 +200,7 @@ class TestRegistry:
         assert rebuilt.describe() == factory.describe()
 
     def test_spec_of_registered_factory_ignores_incomplete_describe(self):
-        """policy_spec_of reads the config object, not describe() output."""
+        """policy_spec_of recovers the config of a factory keeping the base describe()."""
 
         class SparseConfig:
             """Config whose selector never overrides describe()."""
@@ -205,7 +210,7 @@ class TestRegistry:
 
         @register_policy("test_sparse", config_cls=SparseConfig, summary="toy")
         class SparseSelector(KVSelectorFactory):
-            """Deliberately keeps the base (config-less) describe()."""
+            """Keeps the base describe(); its config class is registered by argument."""
 
             name = "test_sparse"
 
@@ -278,6 +283,105 @@ class TestRegistry:
             register_policy("quest")(imposter)
         # The real entry is untouched.
         assert isinstance(build_policy("quest:page_size=16"), QuestSelector)
+
+
+# What every built-in policy describes, default and configured, as the
+# JSON reports, checkpoint signatures and prefix-cache keys embed it.
+DESCRIPTIONS = {
+    "full": '{"name": "full", "kv_residency": "gpu"}',
+    "streaming_llm": '{"name": "streaming_llm", "kv_residency": "gpu"}',
+    "oracle": '{"name": "oracle", "kv_residency": "gpu"}',
+    "quest": '{"name": "quest", "kv_residency": "gpu", "page_size": 16, '
+    '"include_last_page": true}',
+    "quest:page_size=32,include_last_page=false": '{"name": "quest", '
+    '"kv_residency": "gpu", "page_size": 32, "include_last_page": false}',
+    "h2o": '{"name": "h2o", "kv_residency": "gpu", "recent_ratio": 0.5}',
+    "h2o:recent_ratio=0.25": '{"name": "h2o", "kv_residency": "gpu", "recent_ratio": 0.25}',
+    "infinigen": '{"name": "infinigen", "kv_residency": "cpu", "partial_ratio": 0.25, '
+    '"min_partial_dim": 4, "speculation_noise": 0.6, "seed": 0}',
+    "infinigen:partial_ratio=0.5,min_partial_dim=8,speculation_noise=0,seed=3": '{"name": '
+    '"infinigen", "kv_residency": "cpu", "partial_ratio": 0.5, "min_partial_dim": 8, '
+    '"speculation_noise": 0, "seed": 3}',
+    "clusterkv": '{"name": "clusterkv", "kv_residency": "cpu", "tokens_per_cluster": 80, '
+    '"min_clusters": 1, "max_clusters": null, "decode_window": 320, "decode_clusters": 4, '
+    '"num_sink_tokens": 16, "distance_metric": "cosine", "max_kmeans_iters": 20, '
+    '"kmeans_seed": 0, "cache_history": 1, "trim_policy": "order", "score_metric": "ip", '
+    '"prefill_segment_tokens": null}',
+    "clusterkv:prefill_segment_tokens=256,trim_policy=centroid,max_clusters=64,"
+    "cache_history=2": '{"name": "clusterkv", "kv_residency": "cpu", '
+    '"tokens_per_cluster": 80, "min_clusters": 1, "max_clusters": 64, "decode_window": 320, '
+    '"decode_clusters": 4, "num_sink_tokens": 16, "distance_metric": "cosine", '
+    '"max_kmeans_iters": 20, "kmeans_seed": 0, "cache_history": 2, '
+    '"trim_policy": "centroid", "score_metric": "ip", "prefill_segment_tokens": 256}',
+}
+
+
+class TestDeclaredPolicies:
+    """Policies declared by class attributes describe their full configuration."""
+
+    def test_every_builtin_is_pinned(self):
+        assert {spec.split(":")[0] for spec in DESCRIPTIONS} == set(BUILTIN_POLICIES)
+
+    @pytest.mark.parametrize("spec", sorted(DESCRIPTIONS))
+    def test_describe_is_pinned_and_round_trips(self, spec):
+        factory = build_policy(spec)
+        assert json.dumps(factory.describe()) == DESCRIPTIONS[spec]
+        recovered = policy_spec_of(factory)
+        assert list(recovered.kwargs.items()) == list(factory.describe().items())[2:]
+        assert build_policy(recovered).describe() == factory.describe()
+
+    @pytest.mark.parametrize(
+        "factory_cls", [FullKVSelector, StreamingLLMSelector, OracleTopKSelector]
+    )
+    def test_configless_policy_rejects_a_config(self, factory_cls):
+        with pytest.raises(TypeError):
+            factory_cls(QuestConfig())
+
+    def test_undeclared_state_raises_clearly(self):
+        with pytest.raises(NotImplementedError, match="state_cls"):
+            KVSelectorFactory().create_layer_state(0, 1, 4, 0)
+
+    def test_declaration_only_policy(self):
+        """Three class attributes are a complete policy."""
+
+        class StrideConfig:
+            """Config of the declaration-only test policy."""
+
+            def __init__(self, stride: int = 2, offset: int = 0) -> None:
+                self.stride = stride
+                self.offset = offset
+
+        @register_policy("test_declared", summary="toy: declared, no methods")
+        class DeclaredSelector(KVSelectorFactory):
+            """Declares itself and writes no method."""
+
+            name = "test_declared"
+            config_cls = StrideConfig
+            state_cls = FullKVLayerState
+
+        try:
+            assert available_policies()["test_declared"].config_parameters() == (
+                "stride",
+                "offset",
+            )
+            factory = build_policy("test_declared:stride=4")
+            assert type(factory) is DeclaredSelector
+            assert factory.describe() == {
+                "name": "test_declared",
+                "kv_residency": "gpu",
+                "stride": 4,
+                "offset": 0,
+            }
+            rebuilt = build_policy(policy_spec_of(factory))
+            assert rebuilt.describe() == factory.describe()
+            state = factory.create_layer_state(3, 2, 8, 5)
+            assert type(state) is FullKVLayerState
+            assert (state.layer_idx, state.n_kv_heads, state.head_dim) == (3, 2, 8)
+            assert state.config is factory.config and state.num_sink_tokens == 5
+        finally:
+            from repro.policies.registry import _REGISTRY
+
+            _REGISTRY.pop("test_declared", None)
 
 
 class TestThirdPartyRegistration:
