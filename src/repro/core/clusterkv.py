@@ -113,7 +113,7 @@ class ClusterKVLayerState(LayerSelectorState):
                     max_iters=self.config.max_kmeans_iters,
                     seed=self.config.kmeans_seed + self.layer_idx * 131,
                 )
-                self._append_clusterings(results, self._num_sinks_held, clusterable)
+                self._append_clusterings([(results, self._num_sinks_held, clusterable, True)])
         self._pending_start = length
         self._refresh_aux_bytes()
 
@@ -130,14 +130,14 @@ class ClusterKVLayerState(LayerSelectorState):
         """
         segment = self.config.prefill_segment_tokens
         assert segment is not None
+        runs = []
         for seg_start in range(self._num_sinks_held, length, segment):
             seg_end = min(seg_start + segment, length)
             window = seg_end - seg_start
             block = keys[:, seg_start:seg_end, :]
-            restored = self._restored_segments.get((seg_start, seg_end))
-            if restored is not None:
-                results = restored
-            else:
+            results = self._restored_segments.get((seg_start, seg_end))
+            built = results is None
+            if built:
                 n_clusters = self.config.num_prefill_clusters(window)
                 if n_clusters <= 0:
                     continue
@@ -152,34 +152,42 @@ class ClusterKVLayerState(LayerSelectorState):
                         + 7919 * seg_start,
                     )
                 )
-            self._append_clusterings(results, seg_start, block, built=restored is None)
+            runs.append((results, seg_start, block, built))
             if window == segment:
                 self._prefill_segments[(seg_start, seg_end)] = tuple(results)
+        # Every segment, restored or computed, lands in one metadata append
+        # per head: appending segment by segment re-concatenates the growing
+        # metadata arrays once per segment.
+        self._append_clusterings(runs)
         self._restored_segments = {}
 
     def _append_clusterings(
-        self,
-        results: Sequence[ClusteringResult],
-        token_offset: int,
-        keys: np.ndarray,
-        built: bool = True,
+        self, runs: Sequence[tuple[Sequence[ClusteringResult], int, np.ndarray, bool]]
     ) -> None:
-        """Append one clustering run per head over the ``keys`` block.
+        """Append clustering runs, one metadata append per head for all of them.
 
-        ``built`` charges the run's k-means FLOPs (a segment adopted from
-        the prefix cache cost nothing here).  Under the "centroid" trim
-        policy the block keys also go to the metadata, which records each
-        member's centroid affinity once, so selection never reads a key.
+        A run is ``(results, token_offset, keys, built)``: one clustering
+        per head over the ``(n_kv_heads, t, head_dim)`` ``keys`` block
+        starting at ``token_offset``.  ``built`` charges the run's k-means
+        FLOPs (a segment adopted from the prefix cache cost nothing here).
+        Under the "centroid" trim policy the block keys also go to the
+        metadata, which records each member's centroid affinity once, so
+        selection never reads a key.
         """
         centroid_trim = self.config.trim_policy == "centroid"
-        for head, result in enumerate(results):
-            self.metadata[head].append_clustering(
-                result, token_offset, keys[head] if centroid_trim else None
+        for head, metadata in enumerate(self.metadata):
+            metadata.append_clusterings(
+                [
+                    (results[head], offset, keys[head] if centroid_trim else None)
+                    for results, offset, keys, _ in runs
+                ]
             )
+        for results, _, keys, built in runs:
             if built:
-                self.stats.build_flops += clustering_flops(
-                    keys.shape[1], result.centroids.shape[0], self.head_dim, result.n_iters
-                )
+                for result in results:
+                    self.stats.build_flops += clustering_flops(
+                        keys.shape[1], result.centroids.shape[0], self.head_dim, result.n_iters
+                    )
         self._stacked = None
 
     # ------------------------------------------------------------------
@@ -231,7 +239,7 @@ class ClusterKVLayerState(LayerSelectorState):
             max_iters=self.config.max_kmeans_iters,
             seed=self.config.kmeans_seed + self.layer_idx * 131 + 7919 * end,
         )
-        self._append_clusterings(results, self._pending_start, keys)
+        self._append_clusterings([(results, self._pending_start, keys, True)])
         self._pending_start = end
         self._refresh_aux_bytes()
 

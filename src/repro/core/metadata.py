@@ -18,6 +18,8 @@ stable identifiers for the cluster-granularity cache.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .clustering import ClusteringResult
@@ -73,45 +75,65 @@ class ClusterMetadata:
         numpy.ndarray
             The global labels assigned to the appended clusters.
         """
-        if result.n_clusters == 0:
-            return np.zeros(0, dtype=np.int64)
-        if result.centroids.shape[1] != self.head_dim:
-            raise ValueError(
-                f"centroid dimension {result.centroids.shape[1]} does not match "
-                f"metadata head_dim {self.head_dim}"
-            )
-        label_offset = self.num_clusters
-        local_sizes = result.cluster_sizes()
+        return self.append_clusterings(((result, token_offset, keys),))
 
-        # Sort the block's token indices by local label so that members of a
-        # cluster are contiguous (paper Fig. 8, "Sort" step).
-        order = np.argsort(result.labels, kind="stable")
-        sorted_global = order.astype(np.int64) + token_offset
-        if (keys is None) != (self._affinity is None) and self.num_clusters:
-            raise ValueError("every append must pass keys, or none may")
-        if keys is not None:
-            members = np.split(order, np.cumsum(local_sizes)[:-1])
-            affinity = [keys[tokens] @ mu for tokens, mu in zip(members, result.centroids)]
+    def append_clusterings(
+        self, runs: Sequence[tuple[ClusteringResult, int, np.ndarray | None]]
+    ) -> np.ndarray:
+        """Append several clustering runs, in order, as one append.
+
+        Each run is ``(result, token_offset, keys)`` as taken by
+        :meth:`append_clustering`, and the arrays come out exactly as one
+        :meth:`append_clustering` per run would leave them — but each
+        growing array is concatenated once, not once per run.  Returns the
+        global labels of every appended cluster.
+        """
+        label_offset = self.num_clusters
+        # Whether earlier appends recorded affinities (None: nothing yet).
+        with_keys = None if label_offset == 0 else self._affinity is not None
+        centroids, norms, sizes, members, affinity = [], [], [], [], []
+        tokens = 0
+        for result, token_offset, keys in runs:
+            if result.n_clusters == 0:
+                continue
+            if result.centroids.shape[1] != self.head_dim:
+                raise ValueError(
+                    f"centroid dimension {result.centroids.shape[1]} does not match "
+                    f"metadata head_dim {self.head_dim}"
+                )
+            if with_keys is not None and with_keys != (keys is not None):
+                raise ValueError("every append must pass keys, or none may")
+            with_keys = keys is not None
+            local_sizes = result.cluster_sizes()
+            # Sort the block's token indices by local label so that members
+            # of a cluster are contiguous (paper Fig. 8, "Sort" step).
+            order = np.argsort(result.labels, kind="stable")
+            members.append(order.astype(np.int64) + token_offset)
+            if keys is not None:
+                groups = np.split(order, np.cumsum(local_sizes)[:-1])
+                affinity += [keys[group] @ mu for group, mu in zip(groups, result.centroids)]
+            centroids.append(result.centroids)
+            # Norms are maintained incrementally: centroids are immutable
+            # once appended, so cosine scoring at decode time reads this
+            # cache instead of renormalising the same (mostly prefill-static)
+            # centroids at every step.
+            norms.append(np.linalg.norm(result.centroids, axis=1))
+            sizes.append(local_sizes.astype(np.int64))
+            tokens += int(result.labels.shape[0])
+        if not centroids:
+            return np.zeros(0, dtype=np.int64)
+        if affinity:
             previous = [] if self._affinity is None else [self._affinity]
             self._affinity = np.concatenate(previous + affinity)
-
-        self.centroids = np.concatenate([self.centroids, result.centroids], axis=0)
-        # Norms are maintained incrementally: centroids are immutable once
-        # appended, so cosine scoring at decode time reads this cache instead
-        # of renormalising the same (mostly prefill-static) centroids at
-        # every step.
-        self._centroid_norms = np.concatenate(
-            [self._centroid_norms, np.linalg.norm(result.centroids, axis=1)]
-        )
-        self._cluster_sizes = np.concatenate(
-            [self._cluster_sizes, local_sizes.astype(np.int64)]
-        )
-        self._sorted_indices = np.concatenate([self._sorted_indices, sorted_global])
+        self.centroids = np.concatenate([self.centroids, *centroids], axis=0)
+        self._centroid_norms = np.concatenate([self._centroid_norms, *norms])
+        self._cluster_sizes = np.concatenate([self._cluster_sizes, *sizes])
+        self._sorted_indices = np.concatenate([self._sorted_indices, *members])
         self._prefix_sum = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(self._cluster_sizes)]
         )[:-1]
-        self._num_tokens += int(result.labels.shape[0])
-        return np.arange(label_offset, label_offset + result.n_clusters, dtype=np.int64)
+        self._num_tokens += tokens
+        return np.arange(label_offset, self.num_clusters, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # queries

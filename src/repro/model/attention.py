@@ -67,12 +67,10 @@ class AttentionOutput:
 # Score-tensor budget of one prefill query block: 256k float64 elements
 # (2 MB) across all heads at full key width (blocks before the last stop at
 # their causal frontier and are smaller) — measured sweet spot on long
-# prompts; prompts whose whole score tensor fits are a single block.
+# prompts; prompts whose whole score tensor fits are a single block.  It is
+# also the score work a lane must have before a second lane pays for its
+# thread (docs/PERFORMANCE.md § Prefill).
 _PREFILL_BLOCK_ELEMENTS = 1 << 18
-
-# Blocks a lane must have before a second lane pays for its thread (measured
-# for the kernel alone, docs/PERFORMANCE.md § Prefill).
-_MIN_BLOCKS_PER_LANE = 4
 
 
 def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
@@ -135,11 +133,19 @@ def full_causal_attention(
     blocked = not (return_weights or n_heads * t_q * t_k <= _PREFILL_BLOCK_ELEMENTS)
     block = max(1, _PREFILL_BLOCK_ELEMENTS // (n_heads * t_k)) if blocked else t_q
     starts = range(0, t_q, block)
+    score_elements = 0
+    for start in starts:  # counters are recorded on the calling thread only
+        end = min(start + block, t_q)
+        elements = n_heads * (end - start) * (offset + end)
+        counters.record("gemm.attention_prefill", 2)
+        counters.record("attention_prefill.score_elements", elements)
+        score_elements += elements
     # Blocks are independent, so they are dealt round-robin to lanes (balances
-    # the growing causal widths; a single block is a single lane).  Per-block
-    # arithmetic is the same whatever the lane count, so the result does not
-    # depend on it.
-    lanes = lane_count(len(starts), _MIN_BLOCKS_PER_LANE)
+    # the growing causal widths; a single block is a single lane).  Lanes
+    # engage by score work, not block count: a short suffix against a long
+    # cached prefix is few blocks but wide ones.  Per-block arithmetic is the
+    # same whatever the lane count, so the result does not depend on it.
+    lanes = min(len(starts), lane_count(score_elements, _PREFILL_BLOCK_ELEMENTS))
     if blocked:
         # A block drops two of its passes over the score tensor: the queries
         # carry the scale in (T x d, once) and the (rows x d) output is
@@ -148,12 +154,6 @@ def full_causal_attention(
     future = ~np.tri(block, dtype=bool)  # [i, j]: block key j is after row i
     buffers = np.empty((lanes, n_heads * block * t_k))  # one score buffer per lane
     stacked = np.empty((t_q, n_heads, head_dim))
-    for start in starts:  # counters are recorded on the calling thread only
-        end = min(start + block, t_q)
-        counters.record("gemm.attention_prefill", 2)
-        counters.record(
-            "attention_prefill.score_elements", n_heads * (end - start) * (offset + end)
-        )
 
     def attend(lane: int) -> None:
         for start in starts[lane::lanes]:

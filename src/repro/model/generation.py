@@ -38,6 +38,7 @@ and the motivation analyses can be computed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -445,22 +446,24 @@ class EngineCore:
         self,
         seq: SequenceState,
         prompt_ids: np.ndarray,
-        keys_per_layer: list[np.ndarray],
-        values_per_layer: list[np.ndarray],
+        layer_blocks: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
     ) -> None:
         """Adopt the cached KV of a prompt prefix instead of prefilling it.
 
-        ``keys_per_layer``/``values_per_layer`` hold, per layer, the KV
-        entries of the first ``H`` prompt positions as produced by an
-        earlier prefill of the same token ids (shape
-        ``(n_kv_heads, H, head_dim)``).  Causality makes this exact: the KV
-        of position ``p`` depends only on tokens ``[0, p]``, so the
-        injected entries are bit-identical to what prefilling this prompt
-        would compute.  The copy head replays the attached token ids (its
-        ingest is a pure per-token function), and the selector states are
-        *not* notified here — the final suffix chunk's ``observe_prefill``
-        runs over the complete prompt keys exactly as in a monolithic
-        prefill, which is what keeps every policy token-identical.
+        ``layer_blocks`` holds, per layer, the ``(keys, values)`` blocks
+        (each ``(n_kv_heads, t, head_dim)``) that in order make up the KV
+        entries of the first ``H`` prompt positions, as produced by an
+        earlier prefill of the same token ids — a
+        :meth:`~repro.prefixcache.PrefixMatch.layer_blocks`.  Each block is
+        copied once, straight into the KV store.  Causality makes this
+        exact: the KV of position ``p`` depends only on tokens ``[0, p]``,
+        so the injected entries are bit-identical to what prefilling this
+        prompt would compute.  The copy head replays the attached token ids
+        (its ingest is a pure per-token function), and the selector states
+        are *not* notified here — the final suffix chunk's
+        ``observe_prefill`` runs over the complete prompt keys exactly as in
+        a monolithic prefill, which is what keeps every policy
+        token-identical.
 
         After attaching, the engine must prefill the remaining chunk(s)
         ``[H, len(prompt_ids))`` through :meth:`prefill_chunk`; ``H`` must
@@ -469,11 +472,14 @@ class EngineCore:
         prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
         config = self.model.config
         length = prompt_ids.shape[0]
-        attached = keys_per_layer[0].shape[1] if keys_per_layer else 0
         if seq.prefilled:
             raise RuntimeError("the sequence has already been prefilled")
-        if len(keys_per_layer) != config.n_layers or len(values_per_layer) != config.n_layers:
-            raise ValueError("attach_prefix needs one KV pair per model layer")
+        if len(layer_blocks) != config.n_layers:
+            raise ValueError("attach_prefix needs the KV blocks of every model layer")
+        totals = {sum(keys.shape[1] for keys, _ in blocks) for blocks in layer_blocks}
+        if len(totals) != 1:
+            raise ValueError(f"layers hold different attached lengths {sorted(totals)}")
+        attached = totals.pop()
         if not 0 < attached < length:
             raise ValueError(
                 f"attached prefix of {attached} tokens must leave at least one of "
@@ -482,10 +488,8 @@ class EngineCore:
         seq.prefilled = True
         seq.result.prompt_length = length
         seq.result.cached_prefix_tokens = int(attached)
-        for layer_idx in range(config.n_layers):
-            seq.kv_store.append(
-                layer_idx, keys_per_layer[layer_idx], values_per_layer[layer_idx], step=-1
-            )
+        for layer_idx, blocks in enumerate(layer_blocks):
+            seq.kv_store.append_blocks(layer_idx, blocks, step=-1)
         if seq.copy_head is not None:
             seq.copy_head.ingest(prompt_ids[:attached])
         seq.position = int(attached)

@@ -10,6 +10,7 @@ staged on the GPU (paper Fig. 5).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,21 +69,44 @@ class LayerKVCache:
 
     def append(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Append ``t`` new tokens; both arrays are ``(n_kv_heads, t, head_dim)``."""
-        keys = np.asarray(keys, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if keys.shape != values.shape:
-            raise ValueError(
-                f"key shape {keys.shape} does not match value shape {values.shape}"
-            )
-        if keys.ndim != 3 or keys.shape[0] != self.n_kv_heads or keys.shape[2] != self.head_dim:
-            raise ValueError(
-                f"expected shape ({self.n_kv_heads}, t, {self.head_dim}), got {keys.shape}"
-            )
-        t = keys.shape[1]
-        self._ensure_capacity(self._length + t)
-        self._kv[0, :, self._length : self._length + t, :] = keys
-        self._kv[1, :, self._length : self._length + t, :] = values
-        self._length += t
+        self.append_blocks(((keys, values),))
+
+    def append_blocks(self, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> int:
+        """Append ``(keys, values)`` token blocks in order; returns the tokens appended.
+
+        Each block is shaped as in :meth:`append`.  The buffer grows at most
+        once, to the blocks' total length, and each block is copied once,
+        straight into place — a cached prefix of many blocks is never
+        concatenated first.
+        """
+        blocks = [
+            (np.asarray(keys, dtype=np.float64), np.asarray(values, dtype=np.float64))
+            for keys, values in blocks
+        ]
+        for keys, values in blocks:
+            if keys.shape != values.shape:
+                raise ValueError(
+                    f"key shape {keys.shape} does not match value shape {values.shape}"
+                )
+            if (
+                keys.ndim != 3
+                or keys.shape[0] != self.n_kv_heads
+                or keys.shape[2] != self.head_dim
+            ):
+                raise ValueError(
+                    f"expected shape ({self.n_kv_heads}, t, {self.head_dim}), got {keys.shape}"
+                )
+        start = self._length
+        end = start + sum(keys.shape[1] for keys, _ in blocks)
+        self._ensure_capacity(end)
+        for keys, values in blocks:
+            stop = start + keys.shape[1]
+            self._kv[0, :, start:stop, :] = keys
+            self._kv[1, :, start:stop, :] = values
+            start = stop
+        appended = end - self._length
+        self._length = end
+        return appended
 
     def gather(self, head_idx: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(keys, values)`` of one kv head at the given token indices."""
@@ -234,8 +258,22 @@ class KVCacheStore:
 
     def append(self, layer_idx: int, keys: np.ndarray, values: np.ndarray, step: int = -1) -> None:
         """Append new tokens to a layer's cache and account for their bytes."""
+        self.append_blocks(layer_idx, ((keys, values),), step)
+
+    def append_blocks(
+        self,
+        layer_idx: int,
+        blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+        step: int = -1,
+    ) -> None:
+        """Append ``(keys, values)`` token blocks to a layer as one append.
+
+        Each block is copied once (:meth:`LayerKVCache.append_blocks`); the
+        bytes are accounted exactly as one :meth:`append` of the blocks'
+        concatenation would account them.
+        """
         layer = self.layers[layer_idx]
-        layer.append(keys, values)
+        appended = layer.append_blocks(blocks) * self.token_nbytes()
         if self.offload is not None:
             name = self._buffer_name(layer_idx)
             nbytes = len(layer) * self.token_nbytes()
@@ -246,12 +284,11 @@ class KVCacheStore:
                     raise
                 # Ask the pager to spill cold pages to the SSD tier, then
                 # retry once; a second failure is the real capacity wall.
-                self.pager.make_room(self, keys.shape[1] * self.token_nbytes(), step)
+                self.pager.make_room(self, appended, step)
                 self.offload.resize(name, nbytes)
             if self._policy.tier is TierKind.CPU:
                 # Newly produced KV is generated on the GPU and written back to
                 # host memory (paper Fig. 5, "Offload K & V").
-                appended = keys.shape[1] * self.token_nbytes()
                 self.offload.record_partial_offload(appended, step)
 
     def record_fetch(self, num_tokens: int, step: int, tag: str = "kv_fetch") -> int:

@@ -94,13 +94,15 @@ class PrefixMatch:
         """Number of matched radix-tree nodes."""
         return len(self._nodes)
 
-    def keys(self, layer_idx: int) -> np.ndarray:
-        """Cached prefix keys of one layer, shape ``(n_kv_heads, H, head_dim)``."""
-        return np.concatenate([node.kv[layer_idx][0] for node in self._nodes], axis=1)
+    def layer_blocks(self) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """Per layer, the matched blocks' cached ``(keys, values)`` in prefix order.
 
-    def values(self, layer_idx: int) -> np.ndarray:
-        """Cached prefix values of one layer, shape ``(n_kv_heads, H, head_dim)``."""
-        return np.concatenate([node.kv[layer_idx][1] for node in self._nodes], axis=1)
+        Each array is ``(n_kv_heads, block_tokens, head_dim)`` and is the
+        tree's own block, not a copy: a reader must not write to it
+        (:meth:`~repro.model.generation.EngineCore.attach_prefix` copies
+        each block once into the request's KV store).
+        """
+        return list(zip(*(node.kv for node in self._nodes)))
 
     def semantic_segments(self, signature: str) -> dict[SegmentKey, object]:
         """All semantic segments stored under ``signature`` along the path.

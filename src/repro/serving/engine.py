@@ -1072,13 +1072,7 @@ class BatchedEngine:
         if self.prefix_cache is not None:
             match = self.prefix_cache.match(request.prompt_ids)
             if match is not None:
-                n_layers = self.model.config.n_layers
-                self.core.attach_prefix(
-                    sequence,
-                    request.prompt_ids,
-                    [match.keys(layer_idx) for layer_idx in range(n_layers)],
-                    [match.values(layer_idx) for layer_idx in range(n_layers)],
-                )
+                self.core.attach_prefix(sequence, request.prompt_ids, match.layer_blocks())
                 if self.prefix_cache.config.semantic_reuse:
                     self._restore_semantic(sequence, match)
                 active.prefill_pos = match.num_tokens

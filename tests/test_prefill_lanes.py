@@ -22,6 +22,7 @@ from repro.model.generation import EngineCore, SequenceState
 from repro.memory import OffloadManager
 from repro.perf import count_ops
 from repro.policies import build_policy
+from repro.serving import BatchedEngine, SchedulerConfig
 
 LANE_COUNTS = (1, 2, 3)
 
@@ -87,12 +88,11 @@ class TestAttentionLanes:
         outputs = []
         for count in LANE_COUNTS:
             cpus(count)
-            outputs.append(full_causal_attention(q, k, v, 0.3).output)
+            with count_ops() as ops:
+                outputs.append(full_causal_attention(q, k, v, 0.3).output)
         n_blocks = -(-t_q // min(block, t_q))
-        assert lanes_used == [
-            max(1, min(count, n_blocks // attention._MIN_BLOCKS_PER_LANE))
-            for count in LANE_COUNTS
-        ]
+        work = ops.get("attention_prefill.score_elements") // attention._PREFILL_BLOCK_ELEMENTS
+        assert lanes_used == [min(n_blocks, max(1, min(count, work))) for count in LANE_COUNTS]
         assert np.array_equal(outputs[0], outputs[1])
         assert np.array_equal(outputs[0], outputs[2])
         # ... and the blocked arithmetic stays within rounding of one block.
@@ -135,6 +135,23 @@ class TestAttentionLanes:
         assert np.array_equal(outputs[0], outputs[1])
         assert np.array_equal(outputs[0], outputs[2])
 
+    def test_prefix_hit_shape_engages_lanes_by_work(self, cpus, lanes_used, rng):
+        """A cache hit's suffix: 63 rows against 3199 keys is only 7 blocks.
+
+        They are wide blocks — 1.6 M score elements, six blocks' worth of
+        the block budget — so every lane engages.
+        """
+        q, k, v = _qkv(rng, 8, 4, 16, 63, 3199)
+        outputs = []
+        for count in LANE_COUNTS:
+            cpus(count)
+            with count_ops() as ops:
+                outputs.append(full_causal_attention(q, k, v, 0.25).output)
+            assert ops.get("gemm.attention_prefill") == 2 * 7
+        assert lanes_used == [1, 2, 3]
+        assert np.array_equal(outputs[0], outputs[1])
+        assert np.array_equal(outputs[0], outputs[2])
+
 
 # ----------------------------------------------------------------------
 # (b) the whole engine
@@ -155,7 +172,7 @@ def _generate(model, policy, prompt, chunk=None, prefix=None):
     if prefix is not None:
         keys, values = prefix
         position = keys[0].shape[1]
-        core.attach_prefix(seq, prompt, keys, values)
+        core.attach_prefix(seq, prompt, [[(k, v)] for k, v in zip(keys, values)])
     step = chunk or prompt.shape[0]
     distribution = None
     while position < prompt.shape[0]:
@@ -220,6 +237,52 @@ class TestEngineLanes:
         # Tokens match the unattached run (logprob last bits may differ:
         # the suffix blocks its attention differently).
         assert np.array_equal(results[0][0], whole[0])
+
+    def test_prefix_cache_hit_is_lane_count_independent(
+        self, serve_model, cpus, lanes_used, monkeypatch
+    ):
+        """A question over a cached 2048-token document, served end to end.
+
+        The hit attaches the document's KV blocks, adopts its restored
+        cluster segments and prefills a 48-token suffix whose attention is
+        laned by work.  Tokens, log-probabilities and every byte of every
+        ``LayerKVCache`` buffer match across lane counts.
+        """
+        kv_buffers: list[list[bytes]] = []
+        real_finalise = EngineCore.finalise
+
+        def finalise(core, seq):
+            kv_buffers.append([layer._kv.tobytes() for layer in seq.kv_store.layers])
+            return real_finalise(core, seq)
+
+        monkeypatch.setattr(EngineCore, "finalise", finalise)
+        rng = np.random.default_rng(12)
+        vocab = serve_model.config.vocab_size
+        document = rng.integers(4, vocab, size=2048)
+        question = np.concatenate([document, rng.integers(4, vocab, size=48)])
+        runs = []
+        for count in LANE_COUNTS:
+            cpus(count)
+            engine = BatchedEngine(
+                serve_model,
+                selector="clusterkv:prefill_segment_tokens=512",
+                generation_config=GenerationConfig(
+                    budget=64, max_new_tokens=6, num_full_layers=1, num_sink_tokens=8
+                ),
+                scheduler_config=SchedulerConfig(
+                    prefix_cache_tokens=4096, prefix_block_tokens=64
+                ),
+            )
+            engine.submit(document, request_id="doc", max_new_tokens=1)
+            engine.run()
+            lanes_used.clear()
+            engine.submit(question, request_id="question")
+            result = engine.run().results()["question"]
+            assert result.cached_prefix_tokens == 2048
+            assert set(lanes_used) == {count}  # 4 suffix blocks, 3 blocks' work
+            runs.append((result.output_ids, result.output_logprobs, kv_buffers[-1]))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
     def test_op_counters_do_not_see_lanes(self, serve_model, cpus):
         """(d) counters are recorded on the calling thread, per block."""

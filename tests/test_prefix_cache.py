@@ -162,8 +162,9 @@ class TestRadixTreeProperties:
             assert actual == expected, f"round {round_idx}"
             if match is not None:
                 # Matched KV is the KV of exactly the matched positions.
+                keys = np.concatenate([k for k, _ in match.layer_blocks()[0]], axis=1)
                 assert np.array_equal(
-                    match.keys(0)[0, :, 0], prompt[: match.num_tokens].astype(np.float64)
+                    keys[0, :, 0], prompt[: match.num_tokens].astype(np.float64)
                 )
                 cache.release(match)
             cache.insert(prompt, fake_layer_kv(prompt))

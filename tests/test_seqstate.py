@@ -278,7 +278,7 @@ class TestPrefillCheckpoints:
         def attached_run(checkpoint_at: int | None):
             """Serve the prompt on attached KV, optionally checkpointing."""
             core, seq = fresh_sequence(model, CLUSTERKV, generation)
-            core.attach_prefix(seq, prompt, keys, values)
+            core.attach_prefix(seq, prompt, [[(k, v)] for k, v in zip(keys, values)])
             distribution = core.prefill_chunk(seq, prompt, attached, len(prompt))
             token = core.pick_token(seq, distribution)
             core.record_output(seq, token, distribution)
