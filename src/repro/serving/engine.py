@@ -269,6 +269,16 @@ class ServeReport:
 class BatchedEngine:
     """Serves many generation requests concurrently over one model.
 
+    An admitted request is one :class:`~repro.serving.request.ActiveRequest`
+    that owns everything the engine holds for it: its KV sequence, budget
+    reservation, GPU staging (capacity mode) and prefix-cache match.  It
+    has one way in — admission from the queue and :meth:`restore_request`
+    both enter through ``_enter`` — and one way out: retirement and
+    ``checkpoint_request(keep=False)`` both leave through ``_leave``,
+    which frees all of it.  The only per-request record the engine keeps
+    by id is the submission step; it outlives a preemption, so a resumed
+    request keeps its original queue wait.
+
     Parameters
     ----------
     model:
@@ -347,8 +357,6 @@ class BatchedEngine:
             self.spill = HostSpillManager(
                 self.offload, page_tokens=tiers.spill_page_tokens
             )
-        # GPU staging reservations of CPU-resident requests, by request id.
-        self._staging: dict[str, int] = {}
         self.scheduler = ContinuousBatchingScheduler(scheduler_config)
         self.queue = RequestQueue()
         self.core = EngineCore(model, self.generation_config)
@@ -356,12 +364,12 @@ class BatchedEngine:
         self._drafter: Drafter | None = (
             speculation.build_drafter() if speculation is not None else None
         )
+        # Admitted requests, in admission order: each owns its reservation,
+        # staging and prefix match (see _enter / _leave).
         self._active: list[ActiveRequest] = []
-        self._reserved_bytes: dict[str, int] = {}
+        # Submission step by request id.  Deliberately outlives a
+        # preemption, so a resumed request keeps its original step.
         self._submitted_at_step: dict[str, int] = {}
-        # Per-request selector factories, built (and validated) at submit
-        # time from each request's PolicySpec; popped at prefill.
-        self._request_selectors: dict[str, KVSelectorFactory] = {}
         self._engine_step = 0
         self._last_occupancy = 0
         # Per-step timing hook: refreshed by every step() call, consumed by
@@ -383,9 +391,6 @@ class BatchedEngine:
                     semantic_reuse=scheduler_cfg.prefix_semantic_reuse,
                 )
             )
-        # Live matches of in-flight requests; released at retirement so the
-        # cache never evicts blocks a request still reads.
-        self._prefix_matches: dict[str, PrefixMatch] = {}
         # Checkpoints of preempted batch-class requests, FIFO; resumed by
         # _resume_preempted once slots and KV budget free up.
         self._preempted: list[SequenceCheckpoint] = []
@@ -432,9 +437,12 @@ class BatchedEngine:
             If ``request_id`` was already submitted to this engine (the
             queue is the sole id issuer; ids key the shared KV buffers and
             the report), if ``policy`` names an unregistered method or has
-            invalid configuration keys, or if the request's projected KV
-            footprint exceeds the scheduler's whole memory budget (such a
-            request could never be admitted).
+            invalid configuration keys, if the prompt holds a token id
+            outside the model's vocabulary, if prompt plus decode length
+            runs past the model's learned position table, or if the
+            request's projected KV footprint exceeds the scheduler's whole
+            memory budget.  Such a request could never run, so it is
+            refused before an id is issued.
         """
         if self._draining:
             raise RuntimeError(
@@ -442,28 +450,32 @@ class BatchedEngine:
             )
         # Resolve the policy eagerly so a typo fails at submission, not
         # mid-batch at admission time.
-        policy_spec: PolicySpec | None = None
-        selector = self.selector
-        if policy is not None:
-            policy_spec = resolve_policy_spec(policy)
-            selector = build_policy(policy_spec)
+        policy_spec = resolve_policy_spec(policy) if policy is not None else None
+        self._selector_for(policy_spec)
+        label = request_id if request_id is not None else "<auto>"
+        prompt = np.asarray(prompt_ids, dtype=np.int64)
+        vocab_size = self.model.config.vocab_size
+        if prompt.size and (prompt.min() < 0 or prompt.max() >= vocab_size):
+            raise ValueError(
+                f"request {label} holds token ids outside the vocabulary "
+                f"[0, {vocab_size})"
+            )
+        # The last sampled token is never fed back, so a request embeds
+        # positions 0 .. prompt + decode length - 2.
+        positions = prompt.size + self._decode_length(max_new_tokens) - 1
+        table = self.model.weights.position_embedding
+        if table is not None and positions > table.shape[0]:
+            raise ValueError(
+                f"request {label} needs {positions} positions, "
+                f"more than the model's {table.shape[0]}"
+            )
         budget = self.scheduler.config.kv_budget_bytes
-        if budget is not None:
-            prompt_length = int(np.asarray(prompt_ids).shape[0])
-            resolved_max_new = (
-                max_new_tokens
-                if max_new_tokens is not None
-                else self.generation_config.max_new_tokens
+        projected = self._projected_bytes(prompt.size, max_new_tokens)
+        if budget is not None and projected > budget:
+            raise ValueError(
+                f"request {label} needs {projected} bytes of KV, "
+                f"more than the whole budget of {budget} bytes"
             )
-            projected = self.scheduler.projected_bytes_for(
-                prompt_length, resolved_max_new, self._kv_bytes_per_token
-            )
-            if projected > budget:
-                raise ValueError(
-                    f"request {request_id if request_id is not None else '<auto>'} "
-                    f"needs {projected} bytes of KV, "
-                    f"more than the whole budget of {budget} bytes"
-                )
         request = self.queue.submit(
             prompt_ids,
             request_id=request_id,
@@ -474,7 +486,6 @@ class BatchedEngine:
             slo_class=slo_class,
         )
         self._submitted_at_step[request.request_id] = self._engine_step
-        self._request_selectors[request.request_id] = selector
         return request
 
     @property
@@ -499,7 +510,7 @@ class BatchedEngine:
 
     def reserved_kv_bytes(self) -> int:
         """Projected KV bytes reserved by the in-flight requests."""
-        return sum(self._reserved_bytes.values())
+        return sum(active.reserved_bytes for active in self._active)
 
     def queued_kv_bytes(self) -> int:
         """Projected KV bytes of the queued (not yet admitted) requests.
@@ -510,9 +521,7 @@ class BatchedEngine:
         to compare replicas while a burst is still sitting in the queues.
         """
         return sum(
-            self.scheduler.projected_bytes(
-                request, self._kv_bytes_per_token, self.generation_config.max_new_tokens
-            )
+            self._projected_bytes(request.prompt_length(), request.max_new_tokens)
             for request in self.queue.pending()
         )
 
@@ -586,9 +595,7 @@ class BatchedEngine:
             checkpoint — they re-dispatch from their
             :class:`~repro.serving.request.ServeRequest` unchanged.
         """
-        active = next(
-            (a for a in self._active if a.request.request_id == request_id), None
-        )
+        active = self._active_by_id(request_id)
         if active is None:
             raise ValueError(f"request {request_id!r} is not in flight on this engine")
         if self.spill is not None and self.spill.managed(request_id):
@@ -613,14 +620,7 @@ class BatchedEngine:
             status=active.status.value,
         )
         if not keep:
-            self._active.remove(active)
-            active.status = RequestStatus.PREEMPTED
-            self._release_capacity(request_id)
-            active.sequence.release()
-            self._reserved_bytes.pop(request_id, None)
-            match = self._prefix_matches.pop(request_id, None)
-            if match is not None and self.prefix_cache is not None:
-                self.prefix_cache.release(match)
+            self._leave(active, RequestStatus.PREEMPTED)
         return checkpoint
 
     def restore_request(self, checkpoint: SequenceCheckpoint) -> ServeRequest:
@@ -638,19 +638,22 @@ class BatchedEngine:
         Raises
         ------
         ValueError
-            If the checkpoint carries no request id (engine-level
-            checkpoints need the identity fields filled by
-            :meth:`checkpoint_request`), if a request with the same id is
-            already in flight here, or if the checkpoint is incompatible
-            with this engine (model / generation config / policy signature
-            mismatch).
+            If the checkpoint carries no request identity (an id, prompt
+            and decode length, which engine-level checkpoints leave for
+            :meth:`checkpoint_request` to fill), if a request with the same
+            id is already in flight here, or if the checkpoint is
+            incompatible with this engine (model / generation config /
+            policy signature mismatch).
         """
         request_id = checkpoint.request_id
-        if not request_id:
+        if (
+            not request_id
+            or checkpoint.prompt_ids is None
+            or checkpoint.max_new_tokens is None
+        ):
             raise ValueError("checkpoint carries no request identity")
-        if any(a.request.request_id == request_id for a in self._active):
+        if self._active_by_id(request_id) is not None:
             raise ValueError(f"request {request_id!r} is already in flight")
-        assert checkpoint.prompt_ids is not None and checkpoint.max_new_tokens is not None
         self.queue.reserve_id(request_id)
         request = ServeRequest(
             request_id=request_id,
@@ -662,31 +665,24 @@ class BatchedEngine:
             arrival_time_s=checkpoint.arrival_time_s,
             slo_class=checkpoint.slo_class,
         )
-        selector = (
-            build_policy(checkpoint.policy)
-            if checkpoint.policy is not None
-            else self.selector
-        )
         sequence = self.core.restore_request(
-            checkpoint, selector, self.offload, buffer_prefix=f"{request_id}/"
+            checkpoint,
+            self._selector_for(request.policy),
+            self.offload,
+            buffer_prefix=f"{request_id}/",
         )
-        active = ActiveRequest(
-            request=request,
-            sequence=sequence,
-            max_new_tokens=checkpoint.max_new_tokens,
-            current_token=checkpoint.current_token,
-            decode_step=checkpoint.decode_step,
-            admitted_at_step=self._engine_step,
-            first_token_step=checkpoint.first_token_step,
-            prefill_pos=checkpoint.prefill_pos,
-            status=RequestStatus(checkpoint.status),
+        self._enter(
+            ActiveRequest(
+                request=request,
+                sequence=sequence,
+                max_new_tokens=checkpoint.max_new_tokens,
+                current_token=checkpoint.current_token,
+                decode_step=checkpoint.decode_step,
+                first_token_step=checkpoint.first_token_step,
+                prefill_pos=checkpoint.prefill_pos,
+                status=RequestStatus(checkpoint.status),
+            )
         )
-        self._reserved_bytes[request_id] = self.scheduler.projected_bytes(
-            request, self._kv_bytes_per_token, self.generation_config.max_new_tokens
-        )
-        self._register_capacity(active)
-        self._submitted_at_step.setdefault(request_id, self._engine_step)
-        self._active.append(active)
         counters.record("seqstate.migrated_in", 1)
         return request
 
@@ -699,38 +695,18 @@ class BatchedEngine:
         work), checkpointed with ``keep=False`` and parked on the engine;
         :meth:`_resume_preempted` restores them once pressure clears.
         """
-        config = self.scheduler.config
-        if not config.preemption or not self.queue:
+        if not self.scheduler.config.preemption:
             return
         head = self.queue.peek()
-        assert head is not None
-        if head.slo_class != "interactive":
+        if head is None or head.slo_class != "interactive":
             return
-        projected = self.scheduler.projected_bytes(
-            head, self._kv_bytes_per_token, self.generation_config.max_new_tokens
-        )
-        budget = config.kv_budget_bytes
-        while True:
-            fits_slots = len(self._active) < config.max_batch_size
-            fits_bytes = (
-                budget is None or self.reserved_kv_bytes() + projected <= budget
-            )
-            if fits_slots and fits_bytes:
+        projected = self._projected_bytes(head.prompt_length(), head.max_new_tokens)
+        while not self._fits(projected):
+            victims = [a for a in self._active if a.request.slo_class == "batch"]
+            if not victims:
                 return
-            victim = next(
-                (
-                    a
-                    for a in reversed(self._active)
-                    if a.request.slo_class == "batch"
-                ),
-                None,
-            )
-            if victim is None:
-                return
-            checkpoint = self.checkpoint_request(
-                victim.request.request_id, keep=False
-            )
-            self._preempted.append(checkpoint)
+            victim_id = victims[-1].request.request_id
+            self._preempted.append(self.checkpoint_request(victim_id, keep=False))
             self.num_preemptions_total += 1
             counters.record("seqstate.preemptions", 1)
 
@@ -741,24 +717,13 @@ class BatchedEngine:
         first admission, parked batch work stays parked (its KV is free, so
         it costs nothing to hold), keeping interactive latency first.
         """
-        config = self.scheduler.config
         while self._preempted and not self.queue:
             checkpoint = self._preempted[0]
-            if len(self._active) >= config.max_batch_size:
+            assert checkpoint.prompt_ids is not None
+            length = int(checkpoint.prompt_ids.shape[0])
+            if not self._fits(self._projected_bytes(length, checkpoint.max_new_tokens)):
                 return
-            budget = config.kv_budget_bytes
-            if budget is not None:
-                assert checkpoint.prompt_ids is not None
-                assert checkpoint.max_new_tokens is not None
-                projected = self.scheduler.projected_bytes_for(
-                    int(checkpoint.prompt_ids.shape[0]),
-                    checkpoint.max_new_tokens,
-                    self._kv_bytes_per_token,
-                )
-                if self.reserved_kv_bytes() + projected > budget:
-                    return
-            self._preempted.pop(0)
-            self.restore_request(checkpoint)
+            self.restore_request(self._preempted.pop(0))
             counters.record("seqstate.resumes", 1)
 
     def in_flight_result(self, request_id: str) -> GenerationResult | None:
@@ -769,10 +734,8 @@ class BatchedEngine:
         :meth:`repro.api.Session.stream` iterator reads it to emit tokens
         as they are generated.
         """
-        for active in self._active:
-            if active.request.request_id == request_id:
-                return active.sequence.result
-        return None
+        active = self._active_by_id(request_id)
+        return active.sequence.result if active is not None else None
 
     # ------------------------------------------------------------------
     # stepping
@@ -814,18 +777,20 @@ class BatchedEngine:
                     [a.current_token for a in batch],
                     [a.decode_step for a in batch],
                 )
+                emitted: list[list[int]] = []
                 for active, distribution in zip(batch, distributions):
                     token = self.core.pick_token(active.sequence, distribution)
                     self.core.record_output(active.sequence, token, distribution)
-                    active.sequence.result.decode_steps += 1
-                    active.current_token = token
-                    active.decode_step += 1
-                for active in batch:
-                    # sequence.position was advanced by the decode step and
-                    # now equals the KV context length attended at this step.
-                    trace.decodes.append(
-                        self._trace_entry(active, active.sequence.position)
-                    )
+                    emitted.append([token])
+                # sequence.position was advanced by the decode step and now
+                # equals the KV context length attended at this step.
+                self._record_decoded(
+                    batch,
+                    emitted,
+                    [a.sequence.position for a in batch],
+                    [1] * len(batch),
+                    trace,
+                )
         self._last_occupancy = len(batch)
 
         completed = self._retire_finished()
@@ -909,16 +874,36 @@ class BatchedEngine:
             [a.decode_step for a in batch],
             drafts,
         )
-        for active, draft, emitted, position0 in zip(
-            batch, drafts, emitted_all, positions0
+        self._record_decoded(
+            batch,
+            emitted_all,
+            [position0 + 1 for position0 in positions0],
+            [len(draft) + 1 for draft in drafts],
+            trace,
+        )
+
+    def _record_decoded(
+        self,
+        batch: list[ActiveRequest],
+        emitted: list[list[int]],
+        first_contexts: list[int],
+        entries: list[int],
+        trace: StepTrace,
+    ) -> None:
+        """Advance a decode batch past the tokens one round emitted.
+
+        Each request feeds its last emitted token back at the next step
+        and traces its ``entries`` decode positions, attending
+        ``first_context``, ``first_context + 1``, ... KV tokens.
+        """
+        for active, tokens, first_context, count in zip(
+            batch, emitted, first_contexts, entries
         ):
-            active.current_token = emitted[-1]
-            active.decode_step += len(emitted)
-            active.sequence.result.decode_steps += len(emitted)
-            for offset in range(len(draft) + 1):
-                trace.decodes.append(
-                    self._trace_entry(active, position0 + offset + 1)
-                )
+            active.current_token = tokens[-1]
+            active.decode_step += len(tokens)
+            active.sequence.result.decode_steps += len(tokens)
+            for offset in range(count):
+                trace.decodes.append(self._trace_entry(active, first_context + offset))
 
     def run(self) -> ServeReport:
         """Drain the queue: step until no request is queued or in flight."""
@@ -963,48 +948,12 @@ class BatchedEngine:
         per_layer_token = store.token_nbytes()
         n_layers = self.model.config.n_layers
         full_layers = min(self.generation_config.num_full_layers, n_layers)
-        projected = int(active.request.prompt_ids.shape[0]) + active.max_new_tokens
+        projected = active.request.prompt_length() + active.max_new_tokens
         budget = self.generation_config.budget
         selected = projected if budget is None else min(budget, projected)
         return per_layer_token * (
             full_layers * projected + (n_layers - full_layers) * selected
         )
-
-    def _register_capacity(self, active: ActiveRequest) -> None:
-        """Reserve GPU staging and enable SSD paging for one request.
-
-        No-op outside capacity mode and for GPU-resident policies (their
-        whole KV already counts against the GPU tier).  Raises
-        :class:`~repro.memory.CapacityExceeded` when the GPU tier cannot
-        hold the request's staging working set — the admission-time
-        capacity wall.
-        """
-        if self.tiers is None:
-            return
-        store = active.sequence.kv_store
-        if store.residency is not TierKind.CPU:
-            return
-        request_id = active.request.request_id
-        nbytes = self._staging_nbytes(active)
-        self.offload.register(f"{request_id}/staging", nbytes, TierKind.GPU)
-        self._staging[request_id] = nbytes
-        if self.spill is not None:
-            eligible = tuple(
-                range(
-                    min(self.generation_config.num_full_layers, self.model.config.n_layers),
-                    self.model.config.n_layers,
-                )
-            )
-            self.spill.manage(request_id, store, eligible)
-
-    def _release_capacity(self, request_id: str) -> None:
-        """Drop a request's staging reservation and pager registration."""
-        if self.tiers is None:
-            return
-        if self._staging.pop(request_id, None) is not None:
-            self.offload.release(f"{request_id}/staging")
-        if self.spill is not None:
-            self.spill.unmanage(request_id)
 
     def check_memory_invariants(self) -> dict[str, int]:
         """Reconcile tier accounting against the engine's live KV buffers.
@@ -1018,10 +967,91 @@ class BatchedEngine:
         """
         stores = [active.sequence.kv_store for active in self._active]
         staging = {
-            f"{request_id}/staging": nbytes
-            for request_id, nbytes in self._staging.items()
+            f"{active.request.request_id}/staging": active.staging_bytes
+            for active in self._active
+            if active.staging_bytes
         }
         return self.offload.check_invariants(stores, extra_allocations=staging)
+
+    # ------------------------------------------------------------------
+    # request lifecycle: one way in, one way out
+    # ------------------------------------------------------------------
+    def _selector_for(self, policy: PolicySpec | None) -> KVSelectorFactory:
+        """The selector factory serving ``policy`` (``None``: the engine default)."""
+        return self.selector if policy is None else build_policy(policy)
+
+    def _decode_length(self, max_new_tokens: int | None) -> int:
+        """A request's decode length (``None``: the engine's default)."""
+        if max_new_tokens is None:
+            return self.generation_config.max_new_tokens
+        return max_new_tokens
+
+    def _projected_bytes(self, prompt_length: int, max_new_tokens: int | None) -> int:
+        """The scheduler's lifetime KV projection, on this engine's model."""
+        return self.scheduler.projected_bytes(
+            prompt_length,
+            max_new_tokens,
+            self._kv_bytes_per_token,
+            self.generation_config.max_new_tokens,
+        )
+
+    def _fits(self, projected: int) -> bool:
+        """The scheduler's slot-and-budget test for one more request now."""
+        return self.scheduler.fits(len(self._active), self.reserved_kv_bytes(), projected)
+
+    def _active_by_id(self, request_id: str) -> ActiveRequest | None:
+        """The in-flight request with ``request_id``, ``None`` when not active."""
+        return next((a for a in self._active if a.request.request_id == request_id), None)
+
+    def _enter(self, active: ActiveRequest) -> None:
+        """The one way in, for admission and :meth:`restore_request` alike.
+
+        Stamps the admission step, reserves the request's projected KV
+        bytes and takes a decode slot.  In capacity mode a CPU-resident
+        request also reserves its GPU staging working set — raising
+        :class:`~repro.memory.CapacityExceeded` when the GPU tier cannot
+        hold it, the admission-time capacity wall — and hands its
+        compressed layers to the SSD pager.
+        """
+        request_id = active.request.request_id
+        active.admitted_at_step = self._engine_step
+        active.reserved_bytes = self._projected_bytes(
+            active.request.prompt_length(), active.max_new_tokens
+        )
+        store = active.sequence.kv_store
+        if self.tiers is not None and store.residency is TierKind.CPU:
+            active.staging_bytes = self._staging_nbytes(active)
+            self.offload.register(
+                f"{request_id}/staging", active.staging_bytes, TierKind.GPU
+            )
+            if self.spill is not None:
+                n_layers = self.model.config.n_layers
+                full_layers = min(self.generation_config.num_full_layers, n_layers)
+                self.spill.manage(request_id, store, tuple(range(full_layers, n_layers)))
+        self._submitted_at_step.setdefault(request_id, self._engine_step)
+        self._active.append(active)
+
+    def _leave(self, active: ActiveRequest, status: RequestStatus) -> None:
+        """The one way out, for retirement and ``checkpoint_request(keep=False)``.
+
+        Frees everything the request owns — its decode slot, GPU staging
+        and pager registration, KV buffers, budget reservation and
+        prefix-cache match (so the cache may evict those blocks again).
+        """
+        self._active = [a for a in self._active if a is not active]
+        active.status = status
+        request_id = active.request.request_id
+        if active.staging_bytes:
+            self.offload.release(f"{request_id}/staging")
+            active.staging_bytes = 0
+        if self.spill is not None:
+            self.spill.unmanage(request_id)
+        active.sequence.release()
+        active.reserved_bytes = 0
+        if active.prefix_match is not None:
+            assert self.prefix_cache is not None
+            self.prefix_cache.release(active.prefix_match)
+            active.prefix_match = None
 
     # ------------------------------------------------------------------
     # internals
@@ -1036,39 +1066,20 @@ class BatchedEngine:
         :meth:`_advance_prefills` only prefills the prompt suffix.  The
         attach is recorded on ``trace.attaches`` for the step-cost model.
         """
-        selector = self._request_selectors.pop(request.request_id, None)
-        if selector is None:
-            # Requests enqueued directly on ``self.queue`` (bypassing
-            # submit) still resolve their policy here.
-            selector = (
-                build_policy(request.policy)
-                if request.policy is not None
-                else self.selector
-            )
         sequence = SequenceState(
             self.model,
-            selector,
+            self._selector_for(request.policy),
             self.generation_config,
             self.offload,
             buffer_prefix=f"{request.request_id}/",
             seed=request.seed,
         )
-        max_new_tokens = (
-            request.max_new_tokens
-            if request.max_new_tokens is not None
-            else self.generation_config.max_new_tokens
-        )
         active = ActiveRequest(
             request=request,
             sequence=sequence,
-            max_new_tokens=max_new_tokens,
-            admitted_at_step=self._engine_step,
-            status=RequestStatus.PREFILLING,
+            max_new_tokens=self._decode_length(request.max_new_tokens),
         )
-        self._reserved_bytes[request.request_id] = self.scheduler.projected_bytes(
-            request, self._kv_bytes_per_token, self.generation_config.max_new_tokens
-        )
-        self._register_capacity(active)
+        self._enter(active)
         if self.prefix_cache is not None:
             match = self.prefix_cache.match(request.prompt_ids)
             if match is not None:
@@ -1076,10 +1087,9 @@ class BatchedEngine:
                 if self.prefix_cache.config.semantic_reuse:
                     self._restore_semantic(sequence, match)
                 active.prefill_pos = match.num_tokens
-                self._prefix_matches[request.request_id] = match
+                active.prefix_match = match
                 trace.attaches.append(self._trace_entry(active, match.num_tokens))
                 counters.record("prefix_cache.attached_tokens", match.num_tokens)
-        self._active.append(active)
 
     def _restore_semantic(self, sequence: SequenceState, match: PrefixMatch) -> None:
         """Hand cached per-policy segment state to the sequence's selectors."""
@@ -1172,25 +1182,15 @@ class BatchedEngine:
             active.status = RequestStatus.DECODING
 
     def _retire_finished(self) -> list[CompletedRequest]:
-        """Finalise finished requests and release their KV memory."""
+        """Finalise finished requests and send them out through :meth:`_leave`."""
         completed: list[CompletedRequest] = []
-        still_active: list[ActiveRequest] = []
-        for active in self._active:
-            if not active.is_finished:
-                still_active.append(active)
-                continue
-            active.status = RequestStatus.FINISHED
+        for active in [a for a in self._active if a.is_finished]:
             result = self.core.finalise(active.sequence)
             # Every sequence shares the engine's offload manager, so its
             # ledger holds every request's transfers, not this one's: it
             # stays on ServeReport.ledger, never copied into each result.
             result.ledger = None
-            self._release_capacity(active.request.request_id)
-            active.sequence.release()
-            self._reserved_bytes.pop(active.request.request_id, None)
-            match = self._prefix_matches.pop(active.request.request_id, None)
-            if match is not None and self.prefix_cache is not None:
-                self.prefix_cache.release(match)
+            self._leave(active, RequestStatus.FINISHED)
             completed.append(
                 CompletedRequest(
                     request=active.request,
@@ -1203,7 +1203,6 @@ class BatchedEngine:
                     first_token_step=active.first_token_step,
                 )
             )
-        self._active = still_active
         return completed
 
 

@@ -6,7 +6,8 @@ declarative :class:`~repro.policies.PolicySpec`, so one engine can serve a
 batch mixing ClusterKV, Quest, StreamingLLM and full-KV traffic.  While a
 request is in flight the engine wraps it in an :class:`ActiveRequest` that
 carries the mutable decoding state (the
-:class:`~repro.model.generation.SequenceState`); once it retires the engine
+:class:`~repro.model.generation.SequenceState`) and every engine resource
+the request holds; once it retires the engine
 emits a :class:`CompletedRequest` pairing the original request with its
 :class:`~repro.model.generation.GenerationResult` and scheduling timeline.
 """
@@ -20,6 +21,7 @@ import numpy as np
 
 from ..model.generation import GenerationResult, SequenceState
 from ..policies import PolicySpec
+from ..prefixcache import PrefixMatch
 
 __all__ = [
     "SLO_CLASSES",
@@ -66,9 +68,8 @@ class ServeRequest:
         :class:`~repro.policies.PolicySpec`; ``None`` falls back to the
         engine's default selector.  :meth:`repro.serving.BatchedEngine.
         submit` resolves and validates the spec through the policy
-        registry eagerly (typos fail at submission); only requests
-        enqueued directly on the queue, bypassing ``submit``, are resolved
-        later, at prefill.
+        registry eagerly (typos fail at submission); the engine builds the
+        request's selector factory from it again at admission.
     arrival_order:
         Monotonically increasing submission index, assigned by the queue.
         The FCFS scheduler admits strictly in this order.
@@ -117,6 +118,12 @@ class ServeRequest:
 class ActiveRequest:
     """A request currently holding a slot in the decode batch.
 
+    The object owns every engine resource held for the request — its KV
+    sequence, budget reservation, GPU staging and prefix-cache match.
+    :class:`repro.serving.BatchedEngine` builds it on the one enter path
+    (admission or restore) and frees those resources on the one leave
+    path (retirement or preemption), zeroing the fields that name them.
+
     Attributes
     ----------
     request:
@@ -143,6 +150,15 @@ class ActiveRequest:
         it in one step).
     status:
         Current lifecycle stage.
+    reserved_bytes:
+        Projected lifetime KV footprint reserved against the scheduler's
+        memory budget.
+    staging_bytes:
+        GPU staging allocation of a CPU-resident request in capacity mode
+        (``0`` when none is held).
+    prefix_match:
+        The prefix-cache match whose blocks the request attached; holding
+        it keeps those blocks from eviction.  ``None`` on a miss.
     """
 
     request: ServeRequest
@@ -154,6 +170,9 @@ class ActiveRequest:
     first_token_step: int = -1
     prefill_pos: int = 0
     status: RequestStatus = RequestStatus.PREFILLING
+    reserved_bytes: int = 0
+    staging_bytes: int = 0
+    prefix_match: PrefixMatch | None = None
 
     @property
     def tokens_generated(self) -> int:

@@ -113,35 +113,37 @@ class ContinuousBatchingScheduler:
     def __init__(self, config: SchedulerConfig | None = None) -> None:
         self.config = config or SchedulerConfig()
 
-    @staticmethod
-    def projected_bytes_for(
-        prompt_length: int, max_new_tokens: int, kv_bytes_per_token: int
+    def projected_bytes(
+        self,
+        prompt_length: int,
+        max_new_tokens: int | None,
+        kv_bytes_per_token: int,
+        default_max_new_tokens: int,
     ) -> int:
         """Worst-case KV footprint of one request over its whole lifetime.
 
         ``(prompt length + decode length) * kv_bytes_per_token`` where
         ``kv_bytes_per_token`` spans all layers (see
-        :meth:`repro.model.config.ModelConfig.kv_bytes_per_token`).  The
-        single source of the projection formula: used by admission here and
-        by :meth:`repro.serving.BatchedEngine.submit`'s early rejection, so
-        the two gates cannot drift.
+        :meth:`repro.model.config.ModelConfig.kv_bytes_per_token`) and a
+        ``max_new_tokens`` of ``None`` decodes ``default_max_new_tokens``.
+        The single source of the projection: admission here and every
+        budget decision of :class:`repro.serving.BatchedEngine` use it, so
+        the gates cannot drift.
         """
+        if max_new_tokens is None:
+            max_new_tokens = default_max_new_tokens
         return (prompt_length + max_new_tokens) * kv_bytes_per_token
 
-    def projected_bytes(
-        self,
-        request: ServeRequest,
-        kv_bytes_per_token: int,
-        default_max_new_tokens: int,
-    ) -> int:
-        """Projected KV footprint of a queued request (see ``projected_bytes_for``)."""
-        max_new = (
-            request.max_new_tokens
-            if request.max_new_tokens is not None
-            else default_max_new_tokens
-        )
-        return self.projected_bytes_for(
-            request.prompt_length(), max_new, kv_bytes_per_token
+    def fits(self, num_active: int, reserved_bytes: int, projected: int) -> bool:
+        """Whether one more request of ``projected`` KV bytes fits.
+
+        It needs a free decode slot beside ``num_active`` requests and,
+        under a KV budget, room for ``projected`` on top of the
+        ``reserved_bytes`` already reserved.
+        """
+        budget = self.config.kv_budget_bytes
+        return num_active < self.config.max_batch_size and (
+            budget is None or reserved_bytes + projected <= budget
         )
 
     def admit(
@@ -176,30 +178,33 @@ class ContinuousBatchingScheduler:
         """
         admitted: list[ServeRequest] = []
         budget = self.config.kv_budget_bytes
-        while queue:
-            if num_active + len(admitted) >= self.config.max_batch_size:
-                break
-            if len(admitted) >= self.config.max_prefills_per_step:
-                break
+        while queue and len(admitted) < self.config.max_prefills_per_step:
             head = queue.peek()
             assert head is not None
             projected = self.projected_bytes(
-                head, kv_bytes_per_token, default_max_new_tokens
+                head.prompt_length(),
+                head.max_new_tokens,
+                kv_bytes_per_token,
+                default_max_new_tokens,
             )
-            if budget is not None:
-                if projected > budget:
-                    # The head can never fit.  Only raise when nothing was
-                    # popped this call, so already-admitted requests are
-                    # returned (and served) rather than lost; the next
-                    # admission call reports the unservable head cleanly.
-                    if admitted:
-                        break
+            num_busy = num_active + len(admitted)
+            if not self.fits(num_busy, reserved_bytes, projected):
+                # A head larger than the whole budget can never fit.  Raise
+                # only when a slot is free and nothing was popped this call,
+                # so already-admitted requests are returned (and served)
+                # rather than lost; the next admission call reports the
+                # unservable head cleanly.
+                if (
+                    not admitted
+                    and num_busy < self.config.max_batch_size
+                    and budget is not None
+                    and projected > budget
+                ):
                     raise ValueError(
                         f"request {head.request_id!r} needs {projected} bytes of KV, "
                         f"more than the whole budget of {budget} bytes"
                     )
-                if reserved_bytes + projected > budget:
-                    break
+                break
             admitted.append(queue.pop())
             reserved_bytes += projected
         return admitted

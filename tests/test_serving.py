@@ -326,8 +326,11 @@ class TestBatchedEngine:
         for i in range(3):
             engine.submit(short_prompt, request_id=f"r{i}")
         engine.run()
+        # The submission step is the one per-request record the engine
+        # keeps by id (it outlives a preemption); retirement drops it.
         assert engine._submitted_at_step == {}
-        assert engine._reserved_bytes == {}
+        assert engine.reserved_kv_bytes() == 0
+        assert engine.check_memory_invariants() == {"gpu": 0, "cpu": 0, "ssd": 0}
         assert engine.num_active == 0
 
     def test_request_timings_surfaced_in_report(self, tiny_model, short_prompt):
