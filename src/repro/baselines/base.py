@@ -144,7 +144,7 @@ class LayerSelectorState(abc.ABC):
     @abc.abstractmethod
     def select(
         self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
-    ) -> np.ndarray | list[np.ndarray]:
+    ) -> np.ndarray:
         """Select token indices for the current decoding step.
 
         Parameters
@@ -166,16 +166,13 @@ class LayerSelectorState(abc.ABC):
 
         Returns
         -------
-        numpy.ndarray or list of numpy.ndarray
-            One row of sorted, unique int64 token positions in ``[0,
-            context_length)`` per kv head, for all heads in one pass.  When
-            every head selects the same number of tokens — every registered
-            policy at its default configuration — the rows come as one
-            ``(n_kv_heads, S)`` int64 matrix; only a policy whose heads can
-            select different counts (Quest with ``include_last_page=False``)
-            returns a list of rows, and only on a step where they do.  The
-            result is read-only to the caller: it may be a view of the
-            state's own arrays or one row broadcast to every head.
+        numpy.ndarray
+            An ``(n_kv_heads, S)`` int64 matrix, for all heads in one pass:
+            every head selects the same number ``S`` of tokens, and row
+            ``h`` holds head ``h``'s sorted, unique token positions in
+            ``[0, context_length)``.  The result is read-only to the
+            caller: it may be a view of the state's own arrays or one row
+            broadcast to every head.
         """
 
     @property

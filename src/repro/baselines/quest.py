@@ -8,9 +8,10 @@ page can achieve for the current query,
 
     bound(page) = sum_c max(q_c * max_key_c, q_c * min_key_c),
 
-ranks pages by this bound and selects the top ``B / page_size`` pages.  All
-tokens inside a selected page participate in attention — which is exactly
-the internal-fragmentation weakness ClusterKV addresses (paper Fig. 3b).
+ranks pages by this bound and selects the top ``B / page_size`` pages, always
+including the page containing the current token.  All tokens inside a
+selected page participate in attention — which is exactly the
+internal-fragmentation weakness ClusterKV addresses (paper Fig. 3b).
 
 Quest keeps the full KV cache in GPU memory (it reduces memory *accesses*,
 not capacity), so ``kv_residency`` is the GPU tier and no fetch traffic is
@@ -42,16 +43,12 @@ class QuestConfig:
     ----------
     page_size:
         Number of consecutive tokens per page (the original work uses 16).
-    include_last_page:
-        Whether the most recent (possibly partial) page is always selected;
-        Quest always attends to the page containing the current token.
     """
 
-    def __init__(self, page_size: int = DEFAULT_PAGE_SIZE, include_last_page: bool = True) -> None:
+    def __init__(self, page_size: int = DEFAULT_PAGE_SIZE) -> None:
         if page_size <= 0:
             raise ValueError("page_size must be positive")
         self.page_size = page_size
-        self.include_last_page = include_last_page
 
 
 class QuestLayerState(LayerSelectorState):
@@ -158,12 +155,14 @@ class QuestLayerState(LayerSelectorState):
     # ------------------------------------------------------------------
     def select(
         self, queries: np.ndarray, budget: int, step: int, keys: np.ndarray | None = None
-    ) -> np.ndarray | list[np.ndarray]:
+    ) -> np.ndarray:
         """Rank pages by their score upper bound and take whole pages until the budget is met.
 
         Every kv head is bounded, ranked and expanded to tokens in one
-        pass.  The rows are ragged only without ``include_last_page``, when
-        some heads pick the partial last page and others do not.
+        pass.  The (possibly partial) last page, which holds the current
+        token, is always taken — in place of a head's lowest-ranked page
+        when the ranking leaves it out — so every head selects the same
+        number of tokens.
         """
         merged = merge_group_queries(queries)
         budget = clip_budget(budget, self._num_tokens)
@@ -182,22 +181,14 @@ class QuestLayerState(LayerSelectorState):
         # Stable: of two pages with equal bounds the earlier ranks first.
         chosen = np.argsort(-bounds, axis=1, kind="stable")[:, :pages_needed]
         last_page = num_pages - 1
-        has_last = (chosen == last_page).any(axis=1)
-        if self.config.include_last_page and not has_last.all():
-            chosen[~has_last, -1] = last_page
-            has_last[:] = True
+        chosen[~(chosen == last_page).any(axis=1), -1] = last_page
         chosen.sort(axis=1)
         rows = (chosen[:, :, None] * size + np.arange(size)).reshape(self.n_kv_heads, -1)
-        # The last page is the largest one in a row holding it, so trimming
-        # it to its length drops that row's tail.
+        # The last page ends every row; trimming it to its length drops the tail.
         cut = num_pages * size - self._num_tokens
-        if cut and has_last.all():
+        if cut:
             rows = rows[:, :-cut]
-        elif cut and has_last.any():
-            rows = [row[:-cut] if last else row for row, last in zip(rows, has_last)]
-        self.stats.selected_tokens += int(
-            self.n_kv_heads * chosen.shape[1] * size - cut * has_last.sum()
-        )
+        self.stats.selected_tokens += int(rows.size)
         self.stats.num_selections += 1
         self.stats.aux_bytes = int(2 * num_pages * self.n_kv_heads * self.head_dim * 2)
         return rows

@@ -55,10 +55,10 @@ class StorePager:
         self,
         store: KVCacheStore,
         layer_idx: int,
-        indices_per_head: np.ndarray | list[np.ndarray] | None,
+        indices: np.ndarray | None,
     ) -> None:
-        """Recall any spilled pages a read of these index rows would touch (all pages if ``None``)."""
-        self.manager.before_read(self.request_id, store, layer_idx, indices_per_head)
+        """Recall the spilled pages a read of these token indices touches (all if ``None``)."""
+        self.manager.before_read(self.request_id, store, layer_idx, indices)
 
     def make_room(self, store: KVCacheStore, nbytes: int, step: int = -1) -> None:
         """Spill cold pages until the host tier can grow by ``nbytes``."""
@@ -149,23 +149,24 @@ class HostSpillManager:
         request_id: str,
         store: KVCacheStore,
         layer_idx: int,
-        indices_per_head: np.ndarray | list[np.ndarray] | None,
+        indices: np.ndarray | None,
     ) -> None:
-        """Recall spilled pages a read would touch and refresh their recency."""
+        """Recall spilled pages a read would touch and refresh their recency.
+
+        ``indices`` are the token positions read, of any shape (one head's
+        row or an ``(n_kv_heads, S)`` selection); ``None`` reads them all.
+        """
         if request_id not in self._stores or layer_idx not in self._eligible[request_id]:
             return
         self._sync(request_id)
         pages = self._page_counts.get((request_id, layer_idx), 0)
         if not pages:
             return
-        if indices_per_head is None:
+        if indices is None:
             touched = range(pages)
         else:
-            seen: set[int] = set()
-            for idx in indices_per_head:
-                if len(idx):
-                    seen.update(np.unique(np.asarray(idx, dtype=np.int64) // self.page_tokens).tolist())
-            touched = sorted(page for page in seen if page < pages)
+            seen = np.unique(indices // self.page_tokens).tolist()
+            touched = [page for page in seen if page < pages]
         for page in touched:
             key = (request_id, layer_idx, page)
             if key in self._spilled:

@@ -238,14 +238,23 @@ def _encode_error(exc: BaseException) -> tuple[str, str, tuple, dict, str]:
         )
 
 
+class _WorkerTraceback(Exception):
+    """The worker-side traceback text of an exception re-raised in the parent."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 def _decode_error(payload: tuple[str, str, tuple, dict, str]) -> BaseException:
     """Rebuild the worker's exception (falling back to RuntimeError).
 
-    The fallback covers exactly the ways reconstruction can fail — the
-    type's module is missing here, the attribute path is gone, the name
-    no longer refers to an exception type, or its ``__new__`` refuses the
-    bare call — and carries the worker's full traceback text so the
-    original failure is never lost.
+    A rebuilt exception carries the worker's traceback text as its
+    ``__cause__`` (as :mod:`concurrent.futures.process` does), so the
+    parent's traceback shows the worker frames that raised it.  The
+    fallback covers exactly the ways reconstruction can fail — the type's
+    module is missing here, the attribute path is gone, the name no longer
+    refers to an exception type, or its ``__new__`` refuses the bare call
+    — and carries the same text in its message.
     """
     module_name, qualname, args, state, tb = payload
     try:
@@ -256,6 +265,7 @@ def _decode_error(payload: tuple[str, str, tuple, dict, str]) -> BaseException:
         exc = obj.__new__(obj)
         exc.args = args
         exc.__dict__.update(state)
+        exc.__cause__ = _WorkerTraceback(f'\n"""\n{tb}"""')
         return exc
     except (ImportError, AttributeError, AssertionError, TypeError):
         return RuntimeError(

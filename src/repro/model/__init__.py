@@ -10,7 +10,6 @@ pluggable KV compression method.
 from .attention import (
     AttentionOutput,
     full_causal_attention,
-    selected_attention,
     selected_attention_batch,
 )
 from .config import GenerationConfig, ModelConfig
@@ -61,7 +60,6 @@ __all__ = [
     "init_weights",
     "AttentionOutput",
     "full_causal_attention",
-    "selected_attention",
     "selected_attention_batch",
     "greedy_sample",
     "temperature_sample",

@@ -4,8 +4,8 @@ Two entry points are provided:
 
 * :func:`full_causal_attention` — exact causal attention used during prefill
   (compression only applies to decoding, matching the paper's system).
-* :func:`selected_attention` — single-query attention restricted to the
-  tokens selected by a KV compression method, i.e. the approximation
+* :func:`selected_attention_batch` — single-query attention restricted to
+  the tokens selected by a KV compression method, i.e. the approximation
   ``softmax(q K_S^T / sqrt(d)) V_S`` of paper Sec. II-B.
 
 Grouped-query attention is supported: ``n_heads`` query heads share
@@ -22,9 +22,11 @@ cache-sized row blocks, each against the keys up to its causal frontier
 only, dealt to one lane (thread) per CPU the process owns; row sums then
 skip exactly-zero terms and the output, not the weights, is normalised,
 so last bits differ from the single-shot result (suite-verified) — but
-never with the lane count.  :func:`selected_attention_batch` is
-the decode hot path: per-kv-head selections arrive as one stacked
-(optionally padded) tensor, two GEMM launches whatever the head count.
+never with the lane count.  Decode has one kernel, :func:`_decode_attention`,
+over a leading request axis: :func:`selected_attention_batch` runs it for
+one request, and the engine runs it once per layer for every budgeted
+request of a batch, padded into one workspace (two GEMM launches whatever
+the head or request count).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from ._lanes import lane_count, run_lanes
 __all__ = [
     "AttentionOutput",
     "full_causal_attention",
-    "selected_attention",
     "selected_attention_batch",
 ]
 
@@ -182,40 +183,61 @@ def full_causal_attention(
     return AttentionOutput(stacked.reshape(t_q, n_heads * head_dim), weights_list)
 
 
-def selected_attention_batch(
+def _decode_attention(
     queries: np.ndarray,
     keys: np.ndarray,
     values: np.ndarray,
     scale: float,
     lengths: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-token attention of ``R`` requests over their selected KV: the decode kernel.
+
+    ``queries`` is ``(R, n_kv_heads, group, head_dim)`` and ``keys`` /
+    ``values`` ``(R, n_kv_heads, S, head_dim)``.  Request ``r`` attends to
+    the first ``lengths[r]`` of its ``S`` entries (all of them when
+    ``lengths`` is None); the entries past it must be finite, as their
+    scores are masked to ``-inf`` and their weight is exactly zero.
+    Returns the ``(R, n_kv_heads, group, head_dim)`` outputs and the
+    ``(R, n_kv_heads, group, S)`` weights (the score buffer, no copy).
+    """
+    width = keys.shape[2]
+    shortest = width if lengths is None else int(lengths.min())
+    if shortest <= 0:
+        raise ValueError("a kv head has no selected tokens")
+    scores = np.matmul(queries, np.swapaxes(keys, 2, 3)) * scale
+    counters.record("gemm.attention_decode", 2)
+    if shortest < width:
+        np.copyto(scores, -np.inf, where=np.arange(width) >= lengths[:, None, None, None])
+    weights = _softmax_inplace(scores)
+    return np.matmul(weights, values), weights
+
+
+def selected_attention_batch(
+    queries: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    scale: float,
     return_weights: bool = False,
 ) -> AttentionOutput:
-    """Single-token attention over stacked per-kv-head selections.
+    """Single-token attention of one request over stacked per-kv-head KV.
 
-    The decode hot path: the selected keys/values of *all* kv heads arrive
-    as one tensor, so the whole layer's attention is two batched GEMMs
-    (scores, weighted sum) independent of the head count.
+    The selected (or whole-context) keys/values of *all* kv heads arrive
+    as one tensor, so the layer's attention is two batched GEMMs (scores,
+    weighted sum) independent of the head count.
 
     Parameters
     ----------
     queries:
         ``(n_heads, head_dim)`` query vectors of the current token.
     keys / values:
-        ``(n_kv_heads, S, head_dim)``.  When per-head selection sizes
-        differ, heads are right-padded to the longest selection and
-        ``lengths`` marks the valid prefix of each head; padded entries
-        must be finite (their scores are masked to ``-inf``, so their
-        softmax weight is exactly zero and the result equals the unpadded
-        computation bit for bit).
+        ``(n_kv_heads, S, head_dim)``; every head attends to all ``S``
+        entries.  Views (such as a KV cache's) are read in place.
     scale:
         Softmax scale.
-    lengths:
-        Optional ``(n_kv_heads,)`` valid selection length per head;
-        ``None`` means every head uses all ``S`` entries.
     return_weights:
-        When True, per-query-head weights (trimmed to each head's valid
-        length) are returned; the default skips materialising them — the
-        engine only needs weights when an attention trace is recorded.
+        When True, per-query-head weights are returned; the default skips
+        materialising them — the engine only needs weights when an
+        attention trace is recorded.
 
     Returns
     -------
@@ -231,97 +253,10 @@ def selected_attention_batch(
     if not isinstance(values, np.ndarray) or values.dtype != np.float64:
         values = np.asarray(values, dtype=np.float64)
     n_heads, head_dim = queries.shape
-    n_kv_heads, max_selected, _ = keys.shape
+    n_kv_heads = keys.shape[0]
     group = _check_group(n_heads, n_kv_heads)
-    if lengths is not None:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        empty = np.flatnonzero(lengths <= 0)
-        if empty.size:
-            raise ValueError(f"kv head {int(empty[0])} has no selected tokens")
-    elif max_selected == 0:
-        raise ValueError("kv head 0 has no selected tokens")
-
-    grouped = queries.reshape(n_kv_heads, group, head_dim)
-    scores = np.matmul(grouped, np.swapaxes(keys, 1, 2)) * scale
-    counters.record("gemm.attention_decode", 2)
-    if lengths is not None:
-        # In-place tail masking (cheaper than a broadcast np.where and
-        # bit-identical: the same padded entries become -inf).
-        for kv_head in range(n_kv_heads):
-            valid = lengths[kv_head]
-            if valid < max_selected:
-                scores[kv_head, :, valid:] = -np.inf
-    weights = _softmax_inplace(scores)
-    output = np.matmul(weights, values)  # (n_kv_heads, group, head_dim)
-
-    weights_list: list[np.ndarray] | None = None
-    if return_weights:
-        weights_list = []
-        for kv_head in range(n_kv_heads):
-            valid = max_selected if lengths is None else int(lengths[kv_head])
-            weights_list.extend(
-                weights[kv_head, g, :valid] for g in range(group)
-            )
-    return AttentionOutput(output=output.reshape(-1), weights=weights_list)
-
-
-def selected_attention(
-    queries: np.ndarray,
-    keys_per_kv_head: list[np.ndarray],
-    values_per_kv_head: list[np.ndarray],
-    scale: float,
-    return_weights: bool = True,
-) -> AttentionOutput:
-    """Single-token attention restricted to selected KV entries.
-
-    Parameters
-    ----------
-    queries:
-        ``(n_heads, head_dim)`` query vectors of the current token.
-    keys_per_kv_head / values_per_kv_head:
-        One ``(S_h, head_dim)`` array per kv head containing the keys and
-        values of the tokens selected for that head (``S_h`` may differ
-        between heads — semantic clusters have variable sizes).  A stacked
-        ``(n_kv_heads, S, head_dim)`` array is also accepted and avoids
-        the per-head restacking.
-    scale:
-        Softmax scale.
-    return_weights:
-        Whether per-query-head attention weights are materialised.
-
-    Returns
-    -------
-    AttentionOutput
-        Output of shape ``(n_heads * head_dim,)`` and per-query-head
-        attention weights aligned with each kv head's selected tokens.
-    """
-    if isinstance(keys_per_kv_head, np.ndarray) and keys_per_kv_head.ndim == 3:
-        return selected_attention_batch(
-            queries,
-            keys_per_kv_head,
-            np.asarray(values_per_kv_head, dtype=np.float64),
-            scale,
-            return_weights=return_weights,
-        )
-    lengths = np.asarray([k.shape[0] for k in keys_per_kv_head], dtype=np.int64)
-    empty = np.flatnonzero(lengths <= 0)
-    if empty.size:
-        raise ValueError(f"kv head {int(empty[0])} has no selected tokens")
-    head_dim = keys_per_kv_head[0].shape[1]
-    max_selected = int(lengths.max())
-    if bool((lengths == max_selected).all()):
-        keys = np.stack([np.asarray(k, dtype=np.float64) for k in keys_per_kv_head])
-        values = np.stack(
-            [np.asarray(v, dtype=np.float64) for v in values_per_kv_head]
-        )
-        return selected_attention_batch(
-            queries, keys, values, scale, return_weights=return_weights
-        )
-    keys = np.zeros((lengths.shape[0], max_selected, head_dim))
-    values = np.zeros_like(keys)
-    for kv_head, (k, v) in enumerate(zip(keys_per_kv_head, values_per_kv_head)):
-        keys[kv_head, : lengths[kv_head]] = k
-        values[kv_head, : lengths[kv_head]] = v
-    return selected_attention_batch(
-        queries, keys, values, scale, lengths=lengths, return_weights=return_weights
+    output, weights = _decode_attention(
+        queries.reshape(1, n_kv_heads, group, head_dim), keys[None], values[None], scale
     )
+    weights_list = list(weights.reshape(n_heads, -1)) if return_weights else None
+    return AttentionOutput(output=output.reshape(-1), weights=weights_list)

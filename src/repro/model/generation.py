@@ -24,7 +24,8 @@ The module is split into three layers so that both the single-sequence
   :meth:`EngineCore.decode_step_batch` runs one decoding step for ``B``
   sequences at once, batching the per-token transformer blocks (embedding,
   QKV projection, attention output, feed-forward, logits) into single NumPy
-  calls while attention and KV selection remain per-request.  With ``B = 1``
+  calls; KV selection stays per-request, and the budgeted requests attend
+  together in one padded workspace.  With ``B = 1``
   the executed operations are exactly those of the single-sequence path, so
   batched serving at batch size one is bit-identical to this engine.
 * :class:`InferenceEngine` — the historical one-request facade used by the
@@ -50,11 +51,7 @@ from ..baselines.oracle import top_k_indices
 from ..memory import OffloadManager, TransferLedger
 from ..perf import counters
 from ._lanes import lane_count, run_lanes
-from .attention import (
-    _softmax_inplace,
-    full_causal_attention,
-    selected_attention_batch,
-)
+from .attention import _decode_attention, full_causal_attention, selected_attention_batch
 from .config import GenerationConfig, ModelConfig
 from .kv_cache import KVCacheStore
 from .pointer import CopyHead
@@ -265,8 +262,9 @@ class EngineCore:
         # every layer of every step, so steady-state decoding allocates no
         # new per-step buffer here.
         self._attn_buffers: dict[int, np.ndarray] = {}
-        # Growable zero-initialised workspaces of the fused cross-request
-        # attention (padded K/V, queries, lengths); see _stacked_workspace.
+        # Growable zero-initialised workspaces of the budgeted requests'
+        # attention (padded K/V, queries, one length per request); see
+        # _stacked_workspace.
         self._stacked_kv: np.ndarray | None = None
         self._stacked_queries: np.ndarray | None = None
         self._stacked_lengths: np.ndarray | None = None
@@ -302,7 +300,7 @@ class EngineCore:
             self._stacked_queries = np.empty(
                 (rows, config.n_kv_heads, config.group_size, config.head_dim)
             )
-            self._stacked_lengths = np.empty((rows, config.n_kv_heads), dtype=np.int64)
+            self._stacked_lengths = np.empty(rows, dtype=np.int64)
             kv = self._stacked_kv
         assert self._stacked_queries is not None and self._stacked_lengths is not None
         return (
@@ -621,9 +619,14 @@ class EngineCore:
         self,
         layer_idx: int,
         prep: tuple,
-        weights: list[np.ndarray] | None,
+        weights: Sequence[np.ndarray] | np.ndarray | None,
     ) -> None:
-        """Recording hooks of one sequence/layer attention (recall, trace)."""
+        """Recording hooks of one sequence/layer attention (recall, trace).
+
+        ``weights`` holds one row per query head (or an ``(n_kv_heads,
+        group, S)`` block), aligned with its kv head's selected tokens and
+        possibly padded past them.
+        """
         gen = self.generation_config
         (seq, query_vectors, _, _, rows, state, context_length, step) = prep
         record_recall = (
@@ -659,15 +662,13 @@ class EngineCore:
 
         Requests decoding under a budget produce *bounded* selections, and
         their keys and values are gathered straight into the fused
-        workspace (:meth:`_gather_selected`) before any attention runs.
-        Two or more of them fuse across requests into one pair of broadcast
-        GEMMs over a ``(R, n_kv_heads, g, S_max)`` score tensor (padding
-        entries carry exactly-zero weight, so each request's output equals
-        its solo computation).  A lone budgeted request — which is how a
-        batch of one runs the single-sequence path — gathers into a
-        one-row workspace and attends alone; full-context requests keep
-        per-request GEMMs on zero-copy cache views, as padding them would
-        copy O(context) per step.  Rows of ``out`` are written in place.
+        workspace (:meth:`_gather_selected`) before any attention runs;
+        then all of them — one request or many, trace-recording or not —
+        attend in one pair of broadcast GEMMs over a ``(R, n_kv_heads, g,
+        S_max)`` score tensor (:meth:`_attend_stacked`).  Full-context
+        requests attend one by one on zero-copy cache views
+        (:func:`selected_attention_batch`), as padding them would copy
+        O(context) per step.  Rows of ``out`` are written in place.
         """
         gen = self.generation_config
         preps = [
@@ -676,47 +677,21 @@ class EngineCore:
             )
             for b, seq in enumerate(seqs)
         ]
-        stacked: list[tuple[int, tuple]] = []
-        solo: list[tuple[int, tuple]] = []
+        budgeted = [(b, prep) for b, prep in enumerate(preps) if prep[4] is not None]
+        if budgeted:
+            workspace = self._gather_selected(layer_idx, budgeted)
+            self._attend_stacked(layer_idx, budgeted, out, workspace)
         for b, prep in enumerate(preps):
-            needs_weights = (
-                gen.record_attention_trace and layer_idx == prep[0].trace_layer
-            )
-            if prep[4] is not None and not needs_weights:
-                stacked.append((b, prep))
-            else:
-                solo.append((b, prep))
-        if len(stacked) < 2:
-            solo = sorted(solo + stacked)
-            stacked = []
-
-        if stacked:
-            workspace = self._gather_selected(layer_idx, stacked)
-            self._attend_stacked(layer_idx, stacked, out, workspace)
-        for b, prep in solo:
-            seq = prep[0]
-            need_weights = (
-                gen.record_attention_trace and layer_idx == seq.trace_layer
-            )
-            keys, values, lengths = prep[2], prep[3], None
-            if prep[4] is not None:
-                ws_keys, ws_values, _, ws_lengths = self._gather_selected(
-                    layer_idx, [(b, prep)]
+            if prep[4] is None:
+                attn = selected_attention_batch(
+                    prep[1],
+                    prep[2],
+                    prep[3],
+                    self.model.config.softmax_scale,
+                    return_weights=gen.record_attention_trace and layer_idx == prep[0].trace_layer,
                 )
-                keys, values = ws_keys[0], ws_values[0]
-                # Equal rows fill the one-row workspace exactly.
-                if not isinstance(prep[4], np.ndarray):
-                    lengths = ws_lengths[0]
-            attn = selected_attention_batch(
-                prep[1],
-                keys,
-                values,
-                self.model.config.softmax_scale,
-                lengths=lengths,
-                return_weights=need_weights,
-            )
-            out[b] = attn.output
-            self._finish_attend(layer_idx, prep, attn.weights)
+                out[b] = attn.output
+                self._finish_attend(layer_idx, prep, attn.weights)
 
     def _gather_selected(
         self, layer_idx: int, entries: list[tuple[int, tuple]]
@@ -725,18 +700,16 @@ class EngineCore:
 
         Returns the ``(keys, values, queries, lengths)`` workspace views of
         :meth:`_stacked_workspace`, one slot per entry, sized to the widest
-        selection; the queries are left for :meth:`_attend_stacked`.
+        selection, with each entry's selection width in ``lengths``; the
+        queries are left for :meth:`_attend_stacked`.
         """
-        widths = [
-            prep[4].shape[1] if isinstance(prep[4], np.ndarray) else max(map(len, prep[4]))
-            for _, prep in entries
-        ]
-        workspace = self._stacked_workspace(len(entries), max(widths))
+        workspace = self._stacked_workspace(
+            len(entries), max(prep[4].shape[1] for _, prep in entries)
+        )
         keys, values, _, lengths = workspace
         for i, (_, prep) in enumerate(entries):
-            prep[0].kv_store.gather_many(
-                layer_idx, prep[4], out=(keys[i], values[i], lengths[i])
-            )
+            prep[0].kv_store.gather_many(layer_idx, prep[4], out=(keys[i], values[i]))
+            lengths[i] = prep[4].shape[1]
         return workspace
 
     def _attend_stacked(
@@ -746,36 +719,22 @@ class EngineCore:
         out: np.ndarray,
         workspace: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
-        """Fused attention of several requests' bounded KV selections.
+        """Attention of every budgeted request of a batch over its gathered selection.
 
-        ``workspace`` holds every request's gathered keys/values, padded to
-        the batch-wide maximum (:meth:`_gather_selected`); the scores and
-        the weighted sum run as two broadcast GEMMs for all requests and
-        heads at once.  Keys past a head's length score ``-inf`` (zero
-        weight), so each request's slice is identical to its standalone
-        computation.
+        ``workspace`` holds each request's selected keys/values, padded to
+        the batch-wide widest selection (:meth:`_gather_selected`); the
+        scores and the weighted sum run as two broadcast GEMMs for all
+        requests and heads at once.  Keys past a request's width score
+        ``-inf`` (zero weight).
         """
         config = self.model.config
-        n_kv = config.n_kv_heads
         keys, values, queries, lengths = workspace
-        num, _, s_max, _ = keys.shape
         for i, (_, prep) in enumerate(entries):
-            queries[i] = prep[1].reshape(n_kv, config.group_size, config.head_dim)
-        if int(lengths.min(initial=1)) <= 0:
-            raise ValueError("a kv head has no selected tokens")
-
-        scores = np.matmul(queries, keys.transpose(0, 1, 3, 2)) * config.softmax_scale
-        counters.record("gemm.attention_decode", 2)
-        for i in range(num):
-            for kv_head in range(n_kv):
-                valid = lengths[i, kv_head]
-                if valid < s_max:
-                    scores[i, kv_head, :, valid:] = -np.inf
-        weights = _softmax_inplace(scores)
-        outputs = np.matmul(weights, values)  # (num, n_kv, group, head_dim)
+            queries[i] = prep[1].reshape(config.n_kv_heads, config.group_size, config.head_dim)
+        outputs, weights = _decode_attention(queries, keys, values, config.softmax_scale, lengths)
         for i, (b, prep) in enumerate(entries):
             out[b] = outputs[i].reshape(-1)
-            self._finish_attend(layer_idx, prep, None)
+            self._finish_attend(layer_idx, prep, weights[i])
 
     def _update_copy_head(
         self, seq: SequenceState, token_id: int, step: int
@@ -915,7 +874,7 @@ class EngineCore:
         layer_idx: int,
         step: int,
         query_vectors: np.ndarray,
-        rows: np.ndarray | list[np.ndarray],
+        rows: np.ndarray,
         budget: int,
     ) -> None:
         config = self.model.config
@@ -950,8 +909,8 @@ class EngineCore:
         layer_idx: int,
         step: int,
         query_vectors: np.ndarray,
-        rows: np.ndarray | list[np.ndarray],
-        attention_weights: list[np.ndarray] | None,
+        rows: np.ndarray,
+        attention_weights: Sequence[np.ndarray] | np.ndarray | None,
     ) -> None:
         config = self.model.config
         keys = seq.kv_store.keys(layer_idx)
@@ -964,11 +923,10 @@ class EngineCore:
         # has one weight vector per kv head, aligned with its selected indices.
         kv_weights: list[np.ndarray] = []
         if attention_weights is not None:
-            for kv_head in range(config.n_kv_heads):
-                group_slice = attention_weights[
-                    kv_head * config.group_size : (kv_head + 1) * config.group_size
-                ]
-                kv_weights.append(np.mean(np.stack(group_slice, axis=0), axis=0))
+            grouped_weights = np.reshape(
+                attention_weights, (config.n_kv_heads, config.group_size, -1)
+            )
+            kv_weights = list(grouped_weights[:, :, : rows.shape[1]].mean(axis=1))
         seq.result.attention_trace.append(
             StepAttentionRecord(
                 step=step,

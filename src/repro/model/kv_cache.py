@@ -121,42 +121,31 @@ class LayerKVCache:
         )
 
     def gather_many(
-        self,
-        rows: np.ndarray | list[np.ndarray],
-        *,
-        out: tuple[np.ndarray, np.ndarray, np.ndarray],
+        self, rows: np.ndarray, *, out: tuple[np.ndarray, np.ndarray]
     ) -> None:
         """Gather every kv head's selected rows straight into ``out``.
 
         ``rows`` is a selection as :meth:`LayerSelectorState.select
         <repro.baselines.base.LayerSelectorState.select>` returns it: an
-        ``(n_kv_heads, S)`` index matrix or one index array per head.
-        ``out = (keys, values, lengths)``: head ``h``'s keys and values
-        land in ``keys[h, :n_h]`` / ``values[h, :n_h]`` (both at least
-        ``(n_kv_heads, max n_h, head_dim)``, each head's block C-contiguous,
-        as in the fused attention workspace) and ``n_h`` in ``lengths[h]``.
-        Entries past ``n_h`` are left as they were: the attention that
-        reads them masks everything beyond ``lengths``.
+        ``(n_kv_heads, S)`` index matrix.  ``out = (keys, values)``: head
+        ``h``'s keys and values land in ``keys[h, :S]`` / ``values[h, :S]``
+        (both at least ``(n_kv_heads, S, head_dim)``, each head's block
+        C-contiguous, as in the fused attention workspace).  Entries past
+        ``S`` are left as they were: the attention that reads them masks
+        everything beyond the selection's width.
         """
-        keys, values, lengths = out
-        if len(rows) != self.n_kv_heads:
-            raise ValueError(f"expected {self.n_kv_heads} index rows, got {len(rows)}")
-        if isinstance(rows, np.ndarray):
-            lengths[:] = rows.shape[1]
-            low, high = (rows.min(), rows.max()) if rows.size else (0, -1)
-        else:
-            lengths[:] = [row.shape[0] for row in rows]
-            filled = [row for row in rows if row.size]
-            low = min((row.min() for row in filled), default=0)
-            high = max((row.max() for row in filled), default=-1)
+        keys, values = out
+        if rows.shape[0] != self.n_kv_heads:
+            raise ValueError(f"expected {self.n_kv_heads} index rows, got {rows.shape[0]}")
+        low, high = (rows.min(), rows.max()) if rows.size else (0, -1)
         if low < 0 or high >= self._length:
             raise IndexError(
                 f"indices out of range [0, {self._length}) for layer {self.layer_idx}"
             )
         # Bounds are checked above, so "clip" never clips; unlike the
         # default "raise" it lets take write into ``out`` unbuffered.
+        size = rows.shape[1]
         for head, row in enumerate(rows):
-            size = row.shape[0]
             np.take(self._kv[0, head], row, axis=0, out=keys[head, :size], mode="clip")
             np.take(self._kv[1, head], row, axis=0, out=values[head, :size], mode="clip")
 
@@ -321,15 +310,15 @@ class KVCacheStore:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Keys and values of selected tokens for one layer and kv head."""
         if self.pager is not None:
-            self.pager.before_read(self, layer_idx, [np.asarray(indices, dtype=np.int64)])
+            self.pager.before_read(self, layer_idx, np.asarray(indices, dtype=np.int64))
         return self.layers[layer_idx].gather(head_idx, indices)
 
     def gather_many(
         self,
         layer_idx: int,
-        rows: np.ndarray | list[np.ndarray],
+        rows: np.ndarray,
         *,
-        out: tuple[np.ndarray, np.ndarray, np.ndarray],
+        out: tuple[np.ndarray, np.ndarray],
     ) -> None:
         """Gather one layer's selected rows into ``out`` (see :meth:`LayerKVCache.gather_many`).
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.model import GenerationConfig, TransformerModel, attention, get_model_config
-from repro.model.attention import full_causal_attention, selected_attention
+from repro.model.attention import _decode_attention, full_causal_attention
 from repro.model.tensor_ops import causal_mask, masked_fill, softmax
 from repro.perf import count_ops
 from repro.serving import BatchedEngine, SchedulerConfig
@@ -67,38 +67,54 @@ class TestFullCausalAttention:
             full_causal_attention(q, k, v, scale=1.0)
 
 
+def _decode(queries, keys, values, scale, lengths=None):
+    """The decode kernel on ``(R, n_heads, d)`` queries; outputs ``(R, n_heads * d)``."""
+    n_requests, n_heads, head_dim = queries.shape
+    n_kv_heads = keys.shape[1]
+    grouped = queries.reshape(n_requests, n_kv_heads, n_heads // n_kv_heads, head_dim)
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=np.int64)
+    outputs, weights = _decode_attention(grouped, keys, values, scale, lengths)
+    return outputs.reshape(n_requests, -1), weights.reshape(n_requests, n_heads, -1)
+
+
 class TestSelectedAttention:
     def test_selecting_everything_matches_full(self, rng):
         """Decode attention over all tokens equals the last row of full attention."""
         q, k, v = _random_qkv(rng, length=10)
         full = full_causal_attention(q, k, v, scale=0.4)
-        last_queries = q[:, -1, :]
-        keys = [k[h] for h in range(k.shape[0])]
-        values = [v[h] for h in range(v.shape[0])]
-        selected = selected_attention(last_queries, keys, values, scale=0.4)
-        np.testing.assert_allclose(selected.output, full.output[-1], atol=1e-9)
+        outputs, _ = _decode(q[None, :, -1, :], k[None], v[None], scale=0.4)
+        np.testing.assert_allclose(outputs[0], full.output[-1], atol=1e-9)
 
     def test_variable_selection_sizes_per_head(self, rng):
-        q = rng.normal(size=(4, 8))
-        keys = [rng.normal(size=(3, 8)), rng.normal(size=(7, 8))]
-        values = [rng.normal(size=(3, 8)), rng.normal(size=(7, 8))]
-        out = selected_attention(q, keys, values, scale=1.0)
-        assert out.output.shape == (4 * 8,)
-        assert out.weights[0].shape == (3,)
-        assert out.weights[-1].shape == (7,)
+        """Requests of different widths share one padded workspace."""
+        q = rng.normal(size=(2, 4, 8))
+        keys = rng.normal(size=(2, 2, 7, 8))
+        values = rng.normal(size=(2, 2, 7, 8))
+        outputs, weights = _decode(q, keys, values, scale=1.0, lengths=[3, 7])
+        assert outputs.shape == (2, 4 * 8)
+        np.testing.assert_allclose(weights[0, :, :3].sum(axis=-1), 1.0, atol=1e-12)
+        assert not weights[0, :, 3:].any()
+        narrow, _ = _decode(q[:1], keys[:1, :, :3], values[:1, :, :3], scale=1.0)
+        np.testing.assert_allclose(outputs[0], narrow[0], atol=1e-12)
 
     def test_empty_selection_raises(self, rng):
-        q = rng.normal(size=(2, 8))
+        q = rng.normal(size=(1, 2, 8))
         with pytest.raises(ValueError):
-            selected_attention(q, [np.zeros((0, 8))], [np.zeros((0, 8))], scale=1.0)
+            _decode(q, np.zeros((1, 1, 0, 8)), np.zeros((1, 1, 0, 8)), scale=1.0)
+        with pytest.raises(ValueError):
+            _decode(
+                np.zeros((2, 2, 8)), np.zeros((2, 1, 3, 8)), np.zeros((2, 1, 3, 8)),
+                scale=1.0, lengths=[3, 0],
+            )
 
     def test_single_token_selection_returns_its_value(self, rng):
-        q = rng.normal(size=(2, 4))
-        key = rng.normal(size=(1, 4))
-        value = rng.normal(size=(1, 4))
-        out = selected_attention(q, [key], [value], scale=1.0)
-        np.testing.assert_allclose(out.output[:4], value[0], atol=1e-12)
-        np.testing.assert_allclose(out.output[4:], value[0], atol=1e-12)
+        q = rng.normal(size=(1, 2, 4))
+        key = rng.normal(size=(1, 1, 1, 4))
+        value = rng.normal(size=(1, 1, 1, 4))
+        outputs, _ = _decode(q, key, value, scale=1.0)
+        np.testing.assert_allclose(outputs[0, :4], value[0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(outputs[0, 4:], value[0, 0, 0], atol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -108,12 +108,13 @@ class TestQuest:
     def test_page_bound_finds_planted_outlier(self, rng):
         """A page containing an extreme key must outrank ordinary pages."""
         keys = 0.01 * rng.normal(size=(1, 64, 8))
-        keys[0, 37] = 5.0  # page 9 holds an extreme key
-        state = _state(QuestSelector(QuestConfig(page_size=8, include_last_page=False)), n_kv_heads=1)
+        keys[0, 37] = 5.0  # page 4 holds an extreme key
+        state = _state(QuestSelector(QuestConfig(page_size=8)), n_kv_heads=1)
         state.observe_prefill(keys)
         query = np.ones((1, 1, 8))
-        selections = state.select(query, budget=8, step=0)
-        assert 37 in selections[0].tolist()
+        # Two pages: the outlier's, plus the last page Quest always takes.
+        selections = state.select(query, budget=16, step=0)
+        assert selections[0].tolist() == list(range(32, 40)) + list(range(56, 64))
 
     def test_min_max_summaries_updated_on_decode(self, rng):
         state = _state(QuestSelector(QuestConfig(page_size=4)))

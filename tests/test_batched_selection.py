@@ -6,9 +6,9 @@ This suite keeps the per-head ``select``/ingest code each policy had before
 prefill plus 20 decode steps, asserting ``array_equal`` rows and equal
 ``SelectorStats`` after every step.  The cases cover 1, 2 and 4 kv heads,
 prompts that do not fill their last Quest page, budgets at or above the
-context and at or below H2O's forced set, Quest with and without
-``include_last_page`` (the ragged case included), an InfiniGen head whose
-scores have zero variance, and noise-free InfiniGen.  A protocol test then
+context and at or below H2O's forced set, Quest restored from a checkpoint
+halfway through, an InfiniGen head whose scores have zero variance, and
+noise-free InfiniGen.  A protocol test then
 checks what every registered policy returns at its default configuration.
 """
 
@@ -144,7 +144,7 @@ class QuestReference(LayerSelectorState):
             self.stats.score_flops += int(4 * num_pages * self.head_dim)
             order = np.lexsort((np.arange(num_pages), -bounds))
             chosen = list(order[:pages_needed])
-            if self.config.include_last_page and (num_pages - 1) not in chosen:
+            if (num_pages - 1) not in chosen:
                 chosen[-1] = num_pages - 1
             chosen_pages = np.unique(np.asarray(chosen, dtype=np.int64))
             pieces = [
@@ -305,8 +305,14 @@ class ClusterKVReference(ClusterKVLayerState):
 # ----------------------------------------------------------------------
 # running a state and its reference side by side
 # ----------------------------------------------------------------------
-def drive(state, reference, heads, prompt_len, budget, seed, zero_variance_head=False):
-    """Prefill plus DECODE_STEPS decode steps through both; returns the shapes seen."""
+def drive(
+    state, reference, heads, prompt_len, budget, seed, zero_variance_head=False, restore_at=None
+):
+    """Prefill plus DECODE_STEPS decode steps through both; returns the shapes seen.
+
+    At decode step ``restore_at`` the state is swapped for one restored
+    from its :meth:`export_state` snapshot, as a checkpoint restore does.
+    """
     rng = np.random.default_rng(seed)
     head_dim = state.head_dim
     keys = rng.normal(size=(heads, prompt_len + DECODE_STEPS, head_dim))
@@ -316,6 +322,10 @@ def drive(state, reference, heads, prompt_len, budget, seed, zero_variance_head=
     reference.observe_prefill(keys[:, :prompt_len])
     kinds = []
     for step in range(DECODE_STEPS):
+        if step == restore_at:
+            restored = type(state).__new__(type(state))
+            restored.restore_state(state.export_state())
+            state = restored
         context = prompt_len + step + 1
         state.observe_decode(keys[:, context - 1 : context])
         reference.observe_decode(keys[:, context - 1 : context])
@@ -362,21 +372,17 @@ def test_oracle_matches_reference(heads, prompt_len, budget):
 @pytest.mark.parametrize("heads", HEADS)
 @pytest.mark.parametrize("prompt_len", PROMPTS)
 @pytest.mark.parametrize("budget", (16, 40, 10_000))
-@pytest.mark.parametrize("include_last_page", (True, False))
-def test_quest_matches_reference(heads, prompt_len, budget, include_last_page):
-    config = QuestConfig(page_size=16, include_last_page=include_last_page)
+@pytest.mark.parametrize("restored", (True, False))
+def test_quest_matches_reference(heads, prompt_len, budget, restored):
+    """Restored: the page summaries, cut to the live pages by the snapshot, regrow alike."""
+    config = QuestConfig(page_size=16)
     state = QuestSelector(config).create_layer_state(2, heads, 8, SINKS)
     reference = QuestReference(2, heads, 8, config)
-    drive(state, reference, heads, prompt_len, budget, seed=budget + heads)
-
-
-def test_quest_without_last_page_returns_ragged_rows():
-    """Heads that disagree on the partial last page make ragged rows, as a list."""
-    config = QuestConfig(page_size=16, include_last_page=False)
-    state = QuestSelector(config).create_layer_state(2, 4, 8, SINKS)
-    reference = QuestReference(2, 4, 8, config)
-    kinds = drive(state, reference, 4, 37, 32, seed=1)
-    assert list in kinds and np.ndarray in kinds
+    restore_at = DECODE_STEPS // 2 if restored else None
+    kinds = drive(
+        state, reference, heads, prompt_len, budget, seed=budget + heads, restore_at=restore_at
+    )
+    assert set(kinds) == {np.ndarray}
 
 
 @pytest.mark.parametrize("heads", HEADS)

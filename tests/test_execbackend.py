@@ -15,6 +15,7 @@ import json
 import os
 import signal
 import threading
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -46,6 +47,7 @@ from repro.execbackend import (
     engine_state_view,
 )
 from repro.execbackend.base import serve_command
+from repro.execbackend import mp
 from repro.execbackend.mp import RemoteReplicaHandle, _model_digest
 from repro.memory import CapacityExceeded
 from repro.model import _lanes
@@ -546,6 +548,27 @@ class TestWorkerLifecycle:
                 handle.finish_step()
         finally:
             backend.close()
+
+    def test_worker_traceback_survives_the_pipe(self, monkeypatch):
+        """A worker's error keeps its type and shows the worker frames in the parent."""
+
+        def explode_in_worker(engine):
+            raise FloatingPointError("overflow in a worker step")
+
+        monkeypatch.setattr(mp, "step_engine", explode_in_worker)  # inherited by the fork
+        spec = EngineSpec(model="serve-sim", max_new_tokens=8)
+        backend = MultiprocessBackend(spec.build_model(), spec, workers=1, start_method="fork")
+        try:
+            backend.use_clock(PerfModelClock())
+            handle = backend.create_handle()
+            handle.submit(np.arange(4, 40), "a", 8, None, 0.0, "interactive")
+            handle.start_step(StepWindow(index=0, clock_s=0.0))
+            with pytest.raises(FloatingPointError, match="overflow in a worker step") as excinfo:
+                handle.finish_step()
+        finally:
+            backend.close()
+        assert excinfo.value.args == ("overflow in a worker step",)
+        assert "explode_in_worker" in "".join(traceback.format_exception(excinfo.value))
 
     def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
         """A multiprocess spec without a worker count forks no more than the CPUs."""

@@ -287,21 +287,21 @@ class TestWorkspaceGather:
     def test_stale_workspace_tails_are_masked(self, monkeypatch):
         """A workspace left wider and dirty by earlier steps changes no output bit.
 
-        Quest without its forced last page selects 13 or 16 tokens per
-        head — ragged rows at some steps — and StreamingLLM 24, so both
-        the lone request's one-row slot (first three steps) and the fused
-        steps after it read past some head's length.
+        Quest selects one 16-token page, cut to 13..16 tokens by the
+        partial last page, and StreamingLLM 24, so the fused steps after
+        the lone request's first three read past Quest's width in the
+        workspace.
         """
         model = TransformerModel(get_model_config("tiny"))
         gen = GenerationConfig(budget=24, num_full_layers=1, num_sink_tokens=4)
-        specs = ("quest:page_size=16,include_last_page=false", "streaming_llm")
-        ragged: list[int] = []  # the round of every ragged Quest selection
+        specs = ("quest:page_size=16", "streaming_llm")
+        narrow: list[int] = []  # the round of every Quest selection narrower than 24
         select = QuestLayerState.select
 
         def recording(state, *args, **kwargs):
             rows = select(state, *args, **kwargs)
-            if isinstance(rows, list) and state.layer_idx < model.config.n_layers:
-                ragged.append(current_round[0])
+            if rows.shape[1] < 24 and state.layer_idx < model.config.n_layers:
+                narrow.append(current_round[0])
             return rows
 
         monkeypatch.setattr(QuestLayerState, "select", recording)
@@ -320,7 +320,7 @@ class TestWorkspaceGather:
             outputs = []
             for round_index in range(8):
                 current_round[0] = round_index
-                batch = [0] if round_index < 3 else [0, 1]  # solo, then fused
+                batch = [0] if round_index < 3 else [0, 1]  # alone, then fused
                 distributions = core.decode_step_batch(
                     [seqs[i] for i in batch], [tokens[i] for i in batch], [steps[i] for i in batch]
                 )
@@ -331,9 +331,67 @@ class TestWorkspaceGather:
             return outputs
 
         fresh = decode(EngineCore(model, gen))
-        assert min(ragged) < 3 <= max(ragged)  # both paths saw ragged rows
+        assert max(narrow) >= 3  # fused steps padded Quest's rows
         dirty = EngineCore(model, gen)
         dirty._stacked_workspace(4, 256)
         dirty._stacked_kv[...] = 1e3 * np.random.default_rng(0).normal(size=dirty._stacked_kv.shape)
         for expected, got in zip(fresh, decode(dirty)):
             assert np.array_equal(expected, got)
+
+
+class TestOneAttentionRoute:
+    """Every budgeted request attends through one route, whatever the batch holds."""
+
+    SPECS = ("clusterkv", "quest", "full")
+    PROMPTS = (40, 53, 47)  # differing widths: Quest's cut page, full's whole context
+
+    def _decode(self, model, gen, batch_size):
+        """Decode the three requests in groups of ``batch_size``; one result per spec."""
+        core = EngineCore(model, gen)
+        results = {}
+        for start in range(0, len(self.SPECS), batch_size):
+            group = range(start, min(start + batch_size, len(self.SPECS)))
+            seqs = [
+                SequenceState(model, build_policy(self.SPECS[i]), gen, OffloadManager())
+                for i in group
+            ]
+            tokens = [
+                core.pick_token(seq, core.prefill(seq, np.arange(4, 4 + self.PROMPTS[i])))
+                for seq, i in zip(seqs, group)
+            ]
+            for step in range(gen.max_new_tokens):
+                distributions = core.decode_step_batch(seqs, tokens, [step] * len(seqs))
+                for b, (seq, distribution) in enumerate(zip(seqs, distributions)):
+                    tokens[b] = core.pick_token(seq, distribution)
+                    core.record_output(seq, tokens[b], distribution)
+            results.update((self.SPECS[i], seq.result) for seq, i in zip(seqs, group))
+        return results
+
+    def test_trace_recording_requests_match_alone_at_any_batch_size(self):
+        """Tokens and traced indices are exact; log-probs and weights agree to rounding.
+
+        A request narrower than the batch's widest selection is padded in
+        the workspace.  Its padding weighs exactly zero, but the padded
+        softmax row sum groups its float additions differently, so last
+        bits may move.
+        """
+        model = TransformerModel(get_model_config("tiny"))
+        gen = GenerationConfig(
+            budget=24, num_full_layers=1, num_sink_tokens=4, max_new_tokens=6,
+            record_attention_trace=True,
+        )
+        alone = self._decode(model, gen, 1)
+        for batch_size in (2, 3):
+            batched = self._decode(model, gen, batch_size)
+            for spec in self.SPECS:
+                want, got = alone[spec], batched[spec]
+                assert got.output_ids == want.output_ids
+                np.testing.assert_allclose(got.output_logprobs, want.output_logprobs, rtol=1e-12)
+                assert len(got.attention_trace) == len(want.attention_trace) == 6
+                for got_record, want_record in zip(got.attention_trace, want.attention_trace):
+                    assert len(got_record.selected_indices) == model.config.n_kv_heads
+                    assert len(got_record.attention_weights) == model.config.n_kv_heads
+                    for a, b in zip(got_record.selected_indices, want_record.selected_indices):
+                        assert np.array_equal(a, b)
+                    for a, b in zip(got_record.attention_weights, want_record.attention_weights):
+                        np.testing.assert_allclose(a, b, rtol=1e-12)

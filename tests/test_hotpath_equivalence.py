@@ -33,7 +33,7 @@ from repro.model import (
     TransformerModel,
     get_model_config,
 )
-from repro.model.attention import full_causal_attention, selected_attention
+from repro.model.attention import _decode_attention, full_causal_attention
 from repro.model.tensor_ops import (
     apply_rope,
     causal_mask,
@@ -98,19 +98,40 @@ class TestVectorizedAttentionEquivalence:
             assert np.array_equal(np.stack(got.weights), expected_weights)
 
     def test_selected_attention_matches_per_head_loop(self, rng):
-        """(a) Batched decode attention, equal and ragged selection sizes."""
+        """(a) The decode kernel: requests of equal and differing widths in one workspace.
+
+        A request as wide as the workspace, or any request of a workspace
+        narrower than 8, is bit-identical to the per-head loop.
+        """
         for sizes in ([5, 5, 5, 5], [5, 3, 7, 2], [1, 1, 1, 1], [64, 1, 32, 7]):
-            q = rng.normal(size=(8, 16))
-            keys = [rng.normal(size=(s, 16)) for s in sizes]
-            values = [rng.normal(size=(s, 16)) for s in sizes]
-            got = selected_attention(q, keys, values, 0.25)
-            expected, expected_weights = _reference_selected_attention(
-                q, keys, values, 0.25
-            )
-            assert np.array_equal(got.output, expected)
-            assert all(
-                np.array_equal(a, b) for a, b in zip(got.weights, expected_weights)
-            )
+            width = max(sizes)
+            queries = rng.normal(size=(4, 4, 2, 16))  # (requests, kv heads, group, d)
+            # Padding past a request's width is garbage, never read.
+            keys = 1e3 * rng.normal(size=(4, 4, width, 16))
+            values = 1e3 * rng.normal(size=(4, 4, width, 16))
+            for r, size in enumerate(sizes):
+                keys[r, :, :size] = rng.normal(size=(4, size, 16))
+                values[r, :, :size] = rng.normal(size=(4, size, 16))
+            lengths = np.asarray(sizes, dtype=np.int64)
+            outputs, weights = _decode_attention(queries, keys, values, 0.25, lengths)
+            for r, size in enumerate(sizes):
+                expected, expected_weights = _reference_selected_attention(
+                    queries[r].reshape(8, 16),
+                    list(keys[r, :, :size]),
+                    list(values[r, :, :size]),
+                    0.25,
+                )
+                got_weights = weights[r].reshape(8, width)
+                assert not got_weights[:, size:].any()
+                got_weights = got_weights[:, :size]
+                if size == width or width < 8:
+                    assert np.array_equal(outputs[r].reshape(-1), expected)
+                    assert np.array_equal(got_weights, expected_weights)
+                else:
+                    # Padding past 8 entries regroups the float additions of
+                    # NumPy's pairwise softmax row sum: last bits only.
+                    np.testing.assert_allclose(outputs[r].reshape(-1), expected, rtol=1e-14)
+                    np.testing.assert_allclose(got_weights, expected_weights, rtol=1e-14)
 
 
 class TestBatchedKMeansEquivalence:

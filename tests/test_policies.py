@@ -73,8 +73,8 @@ class TestPolicySpec:
             PolicySpec.parse("")
 
     def test_cli_round_trip(self):
-        spec = PolicySpec("quest", {"page_size": 32, "include_last_page": False})
-        assert PolicySpec.parse(spec.to_cli()) == spec
+        for spec in (PolicySpec("quest", {"page_size": 32}), PolicySpec("x", {"flag": False})):
+            assert PolicySpec.parse(spec.to_cli()) == spec
 
     def test_to_cli_refuses_unrepresentable_values(self):
         """Values the CLI form would corrupt raise instead (JSON still works)."""
@@ -103,7 +103,7 @@ class TestPolicySpec:
         import copy
         import pickle
 
-        spec = PolicySpec("quest", {"page_size": 8, "include_last_page": False})
+        spec = PolicySpec("quest", {"page_size": 8})
         assert pickle.loads(pickle.dumps(spec)) == spec
         assert copy.deepcopy(spec) == spec
         assert copy.copy(spec) == spec
@@ -144,9 +144,8 @@ class TestRegistry:
         assert isinstance(build_policy("infinigen"), InfiniGenSelector)
 
     def test_build_applies_kwargs(self):
-        factory = build_policy("quest:page_size=8,include_last_page=false")
+        factory = build_policy("quest:page_size=8")
         assert factory.config.page_size == 8
-        assert factory.config.include_last_page is False
 
     def test_unknown_name_lists_known_policies(self):
         with pytest.raises(UnknownPolicyError) as excinfo:
@@ -253,7 +252,7 @@ class TestRegistry:
         for key in ("partial_ratio", "min_partial_dim", "speculation_noise", "seed"):
             assert key in infinigen
         quest = QuestSelector().describe()
-        assert "page_size" in quest and "include_last_page" in quest
+        assert "page_size" in quest
         h2o = build_policy("h2o").describe()
         assert "recent_ratio" in h2o
 
@@ -291,10 +290,8 @@ DESCRIPTIONS = {
     "full": '{"name": "full", "kv_residency": "gpu"}',
     "streaming_llm": '{"name": "streaming_llm", "kv_residency": "gpu"}',
     "oracle": '{"name": "oracle", "kv_residency": "gpu"}',
-    "quest": '{"name": "quest", "kv_residency": "gpu", "page_size": 16, '
-    '"include_last_page": true}',
-    "quest:page_size=32,include_last_page=false": '{"name": "quest", '
-    '"kv_residency": "gpu", "page_size": 32, "include_last_page": false}',
+    "quest": '{"name": "quest", "kv_residency": "gpu", "page_size": 16}',
+    "quest:page_size=32": '{"name": "quest", "kv_residency": "gpu", "page_size": 32}',
     "h2o": '{"name": "h2o", "kv_residency": "gpu", "recent_ratio": 0.5}',
     "h2o:recent_ratio=0.25": '{"name": "h2o", "kv_residency": "gpu", "recent_ratio": 0.25}',
     "infinigen": '{"name": "infinigen", "kv_residency": "cpu", "partial_ratio": 0.25, '
