@@ -16,15 +16,18 @@ from dataclasses import replace
 import numpy as np
 
 from repro.api import EngineSpec
-from repro.cluster import ClusterBenchConfig, FailureEvent, FailurePlan, run_cluster_bench
+from repro.cluster import FailureEvent, FailurePlan
 from repro.traffic import (
     SLOSpec,
+    TrafficBenchConfig,
     TrafficConfig,
     TrafficRequest,
     WorkloadSpec,
     format_traffic_report,
+    run_traffic_bench,
     simulate,
 )
+from repro.traffic.bench import bench_fleet
 
 
 def _mixed_class_trace(vocab_size: int = 2048) -> list[TrafficRequest]:
@@ -106,21 +109,21 @@ def test_bench_checkpoint_recovery_beats_retry():
     """Periodic checkpoints lose strictly fewer tokens than retries."""
     def bench(checkpoint_interval_s):
         fleet = replace(
-            ClusterBenchConfig().fleet,
+            bench_fleet("cluster-bench"),
             min_replicas=2,
             max_replicas=2,
             autoscaler="static",
             failures=FailurePlan(events=(FailureEvent(time_s=6.0, slot=0),)),
             checkpoint_interval_s=checkpoint_interval_s,
         )
-        return ClusterBenchConfig(
+        return TrafficBenchConfig(
             workload=WorkloadSpec(num_requests=10, rate=4.0), fleet=fleet
         )
 
     def compare():
         return {
-            "retry": run_cluster_bench(bench(None)),
-            "recover": run_cluster_bench(bench(2.0)),
+            "retry": run_traffic_bench(bench(None)),
+            "recover": run_traffic_bench(bench(2.0)),
         }
 
     results = compare()

@@ -254,30 +254,31 @@ def test_bench_cluster_autoscaler_goodput():
     """
     from dataclasses import replace
 
-    from repro.cluster import ClusterBenchConfig, format_cluster_report, run_cluster_bench
+    from repro.traffic.bench import bench_fleet
 
-    # The bench's default fleet: 1..4 replicas scaled on SLO attainment.
-    base = ClusterBenchConfig(
+    # cluster-bench's default fleet: 1..4 replicas scaled on SLO attainment.
+    base = TrafficBenchConfig(
         workload=WorkloadSpec(
             rate=0.8, arrivals="onoff", burstiness=4.0, num_requests=18, seed=1
-        )
+        ),
+        fleet=bench_fleet("cluster-bench"),
     )
     assert (base.fleet.max_replicas, base.fleet.autoscaler) == (4, "slo_attainment")
 
     def compare():
-        static = run_cluster_bench(
+        static = run_traffic_bench(
             replace(base, fleet=replace(base.fleet, autoscaler="static", max_replicas=1))
         )
-        elastic = run_cluster_bench(base)
-        elastic_again = run_cluster_bench(base)
+        elastic = run_traffic_bench(base)
+        elastic_again = run_traffic_bench(base)
         return static, elastic, elastic_again
 
     static, elastic, elastic_again = compare()
     print()
     print("--- static minimum fleet (1 replica)")
-    print(format_cluster_report(static))
+    print(format_traffic_report(static))
     print("--- elastic fleet (slo_attainment, up to 4 replicas)")
-    print(format_cluster_report(elastic))
+    print(format_traffic_report(elastic))
 
     # The cluster-bench report is byte-identical across runs.
     assert elastic.to_json() == elastic_again.to_json()

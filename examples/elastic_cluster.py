@@ -20,33 +20,34 @@ Run with::
 
 from dataclasses import replace
 
-from repro.cluster import (
-    ClusterBenchConfig,
-    ClusterSimulator,
-    FailureEvent,
-    FailurePlan,
-    format_cluster_report,
-    run_cluster_bench,
+from repro.cluster import ClusterSimulator, FailureEvent, FailurePlan
+from repro.traffic.bench import (
+    TrafficBenchConfig,
+    WorkloadSpec,
+    bench_fleet,
+    build_bench_requests,
+    format_traffic_report,
+    run_traffic_bench,
 )
-from repro.traffic.bench import WorkloadSpec, build_bench_requests
 
 
 def main() -> None:
     """Compare static, autoscaled, admission-gated and failure-injected runs."""
-    # A bursty workload over the bench's default elastic fleet: one to four
+    # A bursty workload over cluster-bench's default fleet: one to four
     # serving-tuned replicas scaled by the slo_attainment autoscaler.
-    base = ClusterBenchConfig(
+    base = TrafficBenchConfig(
         workload=WorkloadSpec(
             rate=0.8, arrivals="onoff", burstiness=4.0, num_requests=18, seed=1
-        )
+        ),
+        fleet=bench_fleet("cluster-bench"),
     )
 
-    def with_fleet(**knobs) -> ClusterBenchConfig:
+    def with_fleet(**knobs) -> TrafficBenchConfig:
         return replace(base, fleet=replace(base.fleet, **knobs))
 
-    static = run_cluster_bench(with_fleet(autoscaler="static", max_replicas=1))
-    elastic = run_cluster_bench(base)
-    admitted = run_cluster_bench(
+    static = run_traffic_bench(with_fleet(autoscaler="static", max_replicas=1))
+    elastic = run_traffic_bench(base)
+    admitted = run_traffic_bench(
         with_fleet(
             autoscaler="static",
             max_replicas=1,
@@ -55,13 +56,13 @@ def main() -> None:
     )
 
     print("=== static minimum fleet (1 replica) ===")
-    print(format_cluster_report(static))
+    print(format_traffic_report(static))
     print()
     print("=== elastic fleet (slo_attainment autoscaler, up to 4 replicas) ===")
-    print(format_cluster_report(elastic))
+    print(format_traffic_report(elastic))
     print()
     print("=== static fleet + queue_deadline admission control ===")
-    print(format_cluster_report(admitted))
+    print(format_traffic_report(admitted))
     print()
     ratio = elastic.goodput_tokens_per_s / max(static.goodput_tokens_per_s, 1e-9)
     print(
@@ -97,10 +98,12 @@ def main() -> None:
             f"lost {event['lost_tokens']} decoded tokens, "
             f"retried {len(event['retried'])} request(s)"
         )
-    print(
-        "token sequences identical to the failure-free run:",
-        clean_tokens == failed_tokens,
-    )
+    identical = clean_tokens == failed_tokens
+    print("token sequences identical to the failure-free run:", identical)
+    assert failed_report.failures, "the planned kill must fire"
+    assert identical, "a failure must not change any request's tokens"
+    assert elastic.num_replicas > static.num_replicas, "the autoscaler must scale up"
+    assert admitted.num_rejected > 0, "admission control must reject under the burst"
 
 
 if __name__ == "__main__":

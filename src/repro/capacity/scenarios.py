@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..api import EngineSpec
-from ..cluster import ClusterSimulator
+from ..cluster import ClusterConfig, ClusterSimulator
 from ..knobs import knob
 from ..memory import CapacityExceeded, TierBudgets
 from ..model import get_model_config
@@ -34,7 +34,6 @@ from ..policies import PolicySpec
 from ..serving.bench import POLICY_FLAG, resolve_serving_policies, serving_engine_spec
 from ..traffic.bench import TrafficBenchConfig, WorkloadSpec, build_bench_requests
 from ..traffic.report import SLOSpec
-from ..traffic.simulator import TrafficConfig
 from ..traffic.workload import TrafficRequest
 from .report import CapacityPoint, CapacityReport
 
@@ -55,19 +54,22 @@ DEFAULT_TIERS = "gpu=320KiB,host=448KiB,ssd=4MiB"
 
 # Fleet/engine fields every probe sets itself, next to the swept policy
 # (traffic_config below): one round-robin replica batching exactly the swept
-# concurrency, on the virtual clock the byte-identical reports rest on.
-# They get no CLI flag.
+# concurrency, on the virtual clock the byte-identical reports rest on.  They
+# get no CLI flag, and neither does the control plane a one-replica probe
+# has no use for.
 PROBE_SET_FIELDS = (
-    "max_batch_size", "max_prefills_per_step", "num_replicas", "router", "clock"
+    "max_batch_size", "max_prefills_per_step", "router", "clock",
+    "min_replicas", "max_replicas", "autoscaler", "admission", "max_retries",
+    "migrate_on_drain", "checkpoint_interval_s",
 )
 
 
-def _default_fleet() -> TrafficConfig:
+def _default_fleet() -> ClusterConfig:
     # The SLO is looser than the interactive-serving default: capacity
     # probes run long prompts under spill pricing, where a 2.5 s TTFT bound
     # is unattainable at any rate and the curve would collapse at its first
     # point for every policy.
-    return TrafficConfig(
+    return ClusterConfig(
         engine=serving_engine_spec(max_new_tokens=16, tiers=DEFAULT_TIERS),
         slo=SLOSpec(ttft_s=8.0, tpot_s=0.5),
     )
@@ -99,7 +101,7 @@ class CapacityScenarioConfig:
     ``slo_floor``.
     """
 
-    fleet: TrafficConfig = field(default_factory=_default_fleet)
+    fleet: ClusterConfig = field(default_factory=_default_fleet)
     policies: tuple[PolicySpec | str, ...] = knob(
         ("clusterkv", "full"),
         "policy spec, repeatable; each is swept independently",
@@ -150,7 +152,7 @@ class CapacityScenarioConfig:
             range(self.context_min, self.context_max + 1, self.context_step)
         )
 
-    def traffic_config(self, policy: PolicySpec, concurrency: int) -> TrafficConfig:
+    def traffic_config(self, policy: PolicySpec, concurrency: int) -> ClusterConfig:
         """Single-replica simulation configuration of one probe."""
         engine = replace(
             self.engine,
@@ -159,7 +161,12 @@ class CapacityScenarioConfig:
             max_prefills_per_step=concurrency,
         )
         return replace(
-            self.fleet, engine=engine, num_replicas=1, router="round_robin", clock="perfmodel"
+            self.fleet,
+            engine=engine,
+            min_replicas=1,
+            max_replicas=1,
+            router="round_robin",
+            clock="perfmodel",
         )
 
     def describe(self) -> dict[str, object]:

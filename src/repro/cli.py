@@ -29,7 +29,9 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 from . import experiments as exp
 from .knobs import NONE_IF
 
-__all__ = ["main", "build_parser", "add_dataclass_flags", "dataclass_from_args"]
+__all__ = [
+    "main", "build_parser", "add_dataclass_flags", "dataclass_from_args", "fleet_bench_config"
+]
 
 _SCALARS = {"int": int, "float": float, "bool": bool}
 
@@ -173,13 +175,6 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
     return serving.format_serve_bench(serving.run_serve_bench(config))
 
 
-def _run_traffic_bench(args: argparse.Namespace) -> str:
-    from .traffic import TrafficBenchConfig, format_traffic_report, run_traffic_bench
-
-    report = run_traffic_bench(dataclass_from_args(TrafficBenchConfig, args))
-    return report.to_json() if args.json else format_traffic_report(report)
-
-
 def _parse_failure_plan(args: argparse.Namespace):
     """Build the FailurePlan from --kill and/or --failure-* flags."""
     from .cluster import FailureEvent, FailurePlan
@@ -213,15 +208,35 @@ def _parse_failure_plan(args: argparse.Namespace):
     return FailurePlan(events=tuple(events), num_zones=args.failure_zones)
 
 
-def _run_cluster_bench(args: argparse.Namespace) -> str:
-    from .cluster import ClusterBenchConfig, format_cluster_report, run_cluster_bench
+def fleet_bench_config(args: argparse.Namespace):
+    """The ``TrafficBenchConfig`` a ``traffic-bench`` / ``cluster-bench`` line asks for.
 
-    config = dataclass_from_args(ClusterBenchConfig, args)
-    config = replace(
-        config, fleet=replace(config.fleet, failures=_parse_failure_plan(args))
+    The command's default fleet (:func:`repro.traffic.bench.bench_fleet`)
+    with every passed flag applied, the failure plan built from the
+    ``--kill`` / ``--failure-*`` flags.
+    """
+    from .cluster import ClusterConfig
+    from .traffic.bench import TrafficBenchConfig, WorkloadSpec, bench_fleet
+
+    fleet = dataclass_from_args(ClusterConfig, args, bench_fleet(args.command))
+    return TrafficBenchConfig(
+        workload=dataclass_from_args(WorkloadSpec, args),
+        fleet=replace(fleet, failures=_parse_failure_plan(args)),
     )
-    report = run_cluster_bench(config)
-    return report.to_json() if args.json else format_cluster_report(report)
+
+
+def _run_fleet_bench(args: argparse.Namespace) -> str:
+    from .traffic import format_traffic_report, run_traffic_bench
+
+    report = run_traffic_bench(fleet_bench_config(args))
+    return report.to_json() if args.json else format_traffic_report(report)
+
+
+class _StaticReplicas(argparse.Action):
+    """``--replicas N``: N static replicas, i.e. both provisioning bounds."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        namespace.min_replicas = namespace.max_replicas = values
 
 
 def _run_capacity_bench(args: argparse.Namespace) -> str:
@@ -321,12 +336,12 @@ _SERVING_COMMANDS = {
     ),
     "traffic-bench": (
         "open-loop traffic simulation: routing, replicas, SLO latency metrics",
-        _run_traffic_bench,
+        _run_fleet_bench,
     ),
     "cluster-bench": (
         "elastic cluster simulation: autoscaling, admission control, "
         "failure injection",
-        _run_cluster_bench,
+        _run_fleet_bench,
     ),
     "capacity-bench": (
         "sweep-to-failure capacity scenarios over GPU/host/SSD tier budgets",
@@ -422,7 +437,7 @@ def _format_listing() -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser of the ``repro`` CLI."""
-    from . import capacity, cluster, serving, traffic
+    from . import capacity, serving, traffic
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -444,18 +459,27 @@ def build_parser() -> argparse.ArgumentParser:
             "--samples", type=int, default=2, help="samples per task (default 2)"
         )
 
-    def bench(command: str, cls, exclude) -> argparse.ArgumentParser:
+    def bench(command: str, cls, exclude, defaults=None) -> argparse.ArgumentParser:
         # Every flag that sets a config field is generated from that field,
         # except the fields the bench sets itself; only flags that are not a
         # field are written out below.
         sub = subparsers.add_parser(command, help=_SERVING_COMMANDS[command][0])
-        add_dataclass_flags(sub, cls, exclude=exclude)
+        add_dataclass_flags(sub, cls, defaults, exclude)
         return sub
 
     bench_sets = serving.bench.BENCH_SET_FIELDS
     serve = bench("serve-bench", serving.ServeBenchConfig, bench_sets)
-    traffic_bench = bench("traffic-bench", traffic.TrafficBenchConfig, bench_sets)
-    cluster_bench = bench("cluster-bench", cluster.ClusterBenchConfig, bench_sets)
+    # traffic-bench and cluster-bench run one config and differ only in
+    # their default fleet.
+    fleet_benches = {
+        command: bench(
+            command,
+            traffic.TrafficBenchConfig,
+            bench_sets,
+            traffic.TrafficBenchConfig(fleet=traffic.bench.bench_fleet(command)),
+        )
+        for command in traffic.bench.BENCH_FLEETS
+    }
     capacity_bench = bench(
         "capacity-bench", capacity.CapacityBenchConfig, capacity.scenarios.PROBE_SET_FIELDS
     )
@@ -473,33 +497,39 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve ONE batch mixing the policies across its requests "
         "instead of benchmarking each policy separately",
     )
-    cluster_bench.add_argument(
-        "--kill", action="append", metavar="TIME[@SLOT|@zoneZ]",
-        help="kill a replica at TIME seconds (optional live-replica slot), "
-        "or with @zoneZ every replica of failure zone Z; repeatable",
+    fleet_benches["traffic-bench"].add_argument(
+        "--num-replicas", "--replicas", type=int, action=_StaticReplicas,
+        default=argparse.SUPPRESS, metavar="N",
+        help="N static replicas: sets both --min-replicas and --max-replicas",
     )
-    cluster_bench.add_argument(
-        "--failure-zones", type=int, default=0,
-        help="number of correlated failure zones replicas stripe across "
-        "(0 disables zone-targeted kills)",
-    )
-    cluster_bench.add_argument(
-        "--failure-count", type=int, default=0,
-        help="number of seeded random replica kills (0 disables)",
-    )
-    cluster_bench.add_argument(
-        "--failure-seed", type=int, default=0, help="seed of the random kills"
-    )
-    cluster_bench.add_argument(
-        "--failure-horizon", type=float, default=60.0,
-        help="random kills are drawn uniform over [0, HORIZON) seconds",
-    )
+    for sub in fleet_benches.values():
+        sub.add_argument(
+            "--kill", action="append", metavar="TIME[@SLOT|@zoneZ]",
+            help="kill a replica at TIME seconds (optional live-replica slot), "
+            "or with @zoneZ every replica of failure zone Z; repeatable",
+        )
+        sub.add_argument(
+            "--failure-zones", type=int, default=0,
+            help="number of correlated failure zones replicas stripe across "
+            "(0 disables zone-targeted kills)",
+        )
+        sub.add_argument(
+            "--failure-count", type=int, default=0,
+            help="number of seeded random replica kills (0 disables)",
+        )
+        sub.add_argument(
+            "--failure-seed", type=int, default=0, help="seed of the random kills"
+        )
+        sub.add_argument(
+            "--failure-horizon", type=float, default=60.0,
+            help="random kills are drawn uniform over [0, HORIZON) seconds",
+        )
     capacity_bench.add_argument(
         "--sweep", type=str, default=None, metavar="MIN:MAX:STEP",
         help="context-length grid swept by the scenario, in prompt tokens "
         "(default: the config's context_min:context_max:context_step)",
     )
-    for sub in (traffic_bench, cluster_bench, capacity_bench):
+    for sub in (*fleet_benches.values(), capacity_bench):
         sub.add_argument(
             "--json", action="store_true",
             help="print the report as canonical JSON instead of a table",

@@ -1,8 +1,9 @@
 """Elastic cluster serving: autoscaling, admission control, failure injection.
 
-This subsystem holds the one fleet simulator,
-:class:`ClusterSimulator` — a static :class:`~repro.traffic.TrafficConfig`
-fleet runs through it as the degenerate cluster — and the control plane
+This subsystem holds the one fleet config, :class:`ClusterConfig`, and
+the one fleet simulator, :class:`ClusterSimulator` — a static fleet
+(:func:`repro.traffic.TrafficConfig`) runs through it as the degenerate
+cluster — and the control plane
 over its replica set: the layer that decides how much capacity exists,
 which requests get in, and what happens when a replica dies:
 
@@ -24,38 +25,24 @@ which requests get in, and what happens when a replica dies:
   reproduce their failure-free outputs token for token.
 
 Entry points: :func:`simulate_cluster` (which :func:`repro.traffic.simulate`
-and :func:`repro.api.simulate` forward to), :func:`run_cluster_bench`
-behind the ``repro cluster-bench`` CLI command, and the registries
+and :func:`repro.api.simulate` forward to; the ``repro cluster-bench``
+CLI command runs :func:`repro.traffic.run_traffic_bench` on an
+autoscaled default fleet), and the registries
 (:func:`build_autoscaler`, :func:`build_admission`) that make both
 policy families pluggable the same way :mod:`repro.policies` makes
 compression methods pluggable.
 """
 
-from .admission import (
-    AdmissionDecision,
-    AdmissionPolicy,
-    AlwaysAdmit,
-    QueueDeadlineAdmission,
-    SLOClassAdmission,
-    TokenBudgetAdmission,
-    admission_names,
-    build_admission,
-    register_admission,
-    resolve_admission,
-)
+from .admission import AdmissionPolicy, TokenBudgetAdmission, admission_names, build_admission
 from .autoscaler import (
     Autoscaler,
-    InteractiveSLOAutoscaler,
     QueueDepthAutoscaler,
     ScaleDecision,
     SLOAttainmentAutoscaler,
     StaticAutoscaler,
     autoscaler_names,
     build_autoscaler,
-    register_autoscaler,
-    resolve_autoscaler,
 )
-from .bench import ClusterBenchConfig, format_cluster_report, run_cluster_bench
 from .failures import FailureEvent, FailurePlan
 from .fleet import FleetView, ReplicaInfo, ReplicaLifecycle
 from .simulator import ClusterConfig, ClusterReplica, ClusterSimulator, simulate_cluster
@@ -69,20 +56,11 @@ __all__ = [
     "StaticAutoscaler",
     "QueueDepthAutoscaler",
     "SLOAttainmentAutoscaler",
-    "InteractiveSLOAutoscaler",
-    "register_autoscaler",
     "build_autoscaler",
-    "resolve_autoscaler",
     "autoscaler_names",
-    "AdmissionDecision",
     "AdmissionPolicy",
-    "AlwaysAdmit",
     "TokenBudgetAdmission",
-    "QueueDeadlineAdmission",
-    "SLOClassAdmission",
-    "register_admission",
     "build_admission",
-    "resolve_admission",
     "admission_names",
     "FailureEvent",
     "FailurePlan",
@@ -90,7 +68,4 @@ __all__ = [
     "ClusterReplica",
     "ClusterSimulator",
     "simulate_cluster",
-    "ClusterBenchConfig",
-    "run_cluster_bench",
-    "format_cluster_report",
 ]

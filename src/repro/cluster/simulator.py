@@ -38,11 +38,13 @@ A control plane runs over the replica set:
   re-prefilling — only the tokens decoded after the checkpoint count as
   lost work.
 
-A static fleet is the degenerate cluster: a
-:class:`~repro.traffic.TrafficConfig` runs as ``min_replicas ==
-max_replicas == num_replicas`` with the ``static`` autoscaler, ``always``
-admission and an empty failure plan, through the same loop.  Its report
-leaves the ``autoscaler``, ``admission`` and ``scaling`` fields empty.
+A static fleet is the degenerate cluster, run through the same loop:
+``min_replicas == max_replicas`` (:func:`repro.traffic.TrafficConfig`),
+the ``static`` autoscaler, ``always`` admission and no planned failure.
+The report carries the ``autoscaler``, ``admission`` and ``scaling``
+fields only when the config has a control plane to report — a
+non-``static`` autoscaler, a non-``always`` admission policy or a
+planned failure — so a static run reads the same from any entry point.
 
 Event order is total and fully deterministic: at equal instants, replicas
 becoming ready beat failures, failures beat arrivals, and arrivals beat
@@ -58,18 +60,18 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+from ..api import EngineSpec
 from ..execbackend import ExecutionBackend, ReplicaHandle, SerialBackend, StepWindow
 from ..knobs import knob
 from ..model import _lanes
 from ..seqstate import SequenceCheckpoint
 from ..serving import BatchedEngine, CompletedRequest
 from ..traffic.clock import StepClock, build_clock
-from ..traffic.report import RejectedRequest, RequestMetrics, TrafficReport
+from ..traffic.report import RejectedRequest, RequestMetrics, SLOSpec, TrafficReport
 from ..traffic.router import Router, build_router
-from ..traffic.simulator import FleetConfig
 from ..traffic.workload import TrafficRequest
 from .admission import AdmissionPolicy, resolve_admission
 from .autoscaler import Autoscaler, resolve_autoscaler
@@ -91,16 +93,37 @@ RECENT_SLO_WINDOW = 16
 
 
 @dataclass(frozen=True)
-class ClusterConfig(FleetConfig):
-    """Configuration of one elastic cluster simulation.
+class ClusterConfig:
+    """Configuration of one fleet simulation: the only fleet config.
 
-    A :class:`~repro.traffic.simulator.FleetConfig` (``engine``,
-    ``router``, ``clock``, ``arch``, ``context_scale``, ``slo``,
-    ``workers`` — the engine's ``kv_capacity_tokens`` feeds admission
-    control) plus the control plane:
+    A static fleet is the degenerate cluster: ``min_replicas ==
+    max_replicas``, the ``static`` autoscaler, ``always`` admission and
+    no failures (:func:`repro.traffic.TrafficConfig` names that preset).
 
     Attributes
     ----------
+    engine:
+        Replica engine description (model, default policy, budget,
+        decoding and scheduler knobs); every replica is built from this
+        one spec, and its ``kv_capacity_tokens`` feeds admission control.
+    router:
+        Routing strategy name (see :func:`repro.traffic.build_router`).
+    clock:
+        ``"perfmodel"`` (virtual, reproducible — the default) or
+        ``"wall"`` (measured host time).
+    arch / context_scale:
+        Perfmodel-clock parameters: reference architecture priced, and
+        the factor mapping simulated token counts to paper scale (matches
+        :class:`repro.experiments.ContextScale` down-scaling).
+    slo:
+        TTFT/TPOT deadlines goodput is evaluated under.
+    workers:
+        Worker-process count for the ``multiprocess`` execution backend.
+        Setting it implies ``backend="multiprocess"`` even when the
+        engine spec says ``"serial"``; leaving it ``None`` with a
+        multiprocess spec defaults to ``min(num_replicas, available
+        CPUs)``, counting the CPUs in the process's affinity mask.
+        Virtual-clock results are byte-identical either way.
     min_replicas / max_replicas:
         Provisioning bounds.  The simulator heals the fleet back to
         ``min_replicas`` after failures regardless of the autoscaler and
@@ -129,6 +152,24 @@ class ClusterConfig(FleetConfig):
         checkpoint count toward ``lost_tokens``.
     """
 
+    engine: EngineSpec = field(default_factory=EngineSpec)
+    router: str = knob(
+        "round_robin", "routing strategy (see `repro list` for registered routers)"
+    )
+    clock: str = knob(
+        "perfmodel",
+        "step clock: perfmodel (virtual, bit-reproducible) or wall",
+        choices=("perfmodel", "wall"),
+    )
+    arch: str = knob("llama-3.1-8b", "reference architecture priced by the perfmodel clock")
+    context_scale: int = knob(64, "factor mapping simulated token counts to paper scale")
+    slo: SLOSpec = field(default_factory=SLOSpec)
+    workers: int | None = knob(
+        None,
+        "worker-process count for the multiprocess backend (implies "
+        "--backend multiprocess; <= 0 derives min(replicas, available CPUs))",
+        none_if="<=0",
+    )
     min_replicas: int = knob(1, "fleet floor (always provisioned)")
     max_replicas: int = knob(4, "fleet ceiling for scale-up")
     autoscaler: Autoscaler | str = knob(
@@ -161,7 +202,8 @@ class ClusterConfig(FleetConfig):
     )
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be at least 1 when set")
         if self.min_replicas < 1:
             raise ValueError("min_replicas must be at least 1")
         if self.max_replicas < self.min_replicas:
@@ -268,28 +310,17 @@ class ClusterSimulator:
         The fleet description; autoscaler, admission policy, router and
         clock are built from it (instances can be injected through a
         :class:`ClusterConfig`'s ``autoscaler``/``admission`` fields or
-        the ``router``/``clock`` constructor arguments).  A
-        :class:`~repro.traffic.TrafficConfig` runs as the degenerate
-        static cluster of its ``num_replicas`` replicas.
+        the ``router``/``clock`` constructor arguments).
     """
 
     def __init__(
         self,
-        config: FleetConfig | None = None,
+        config: ClusterConfig | None = None,
         router: Router | None = None,
         clock: StepClock | None = None,
     ) -> None:
         config = config or ClusterConfig()
-        # The one place a static fleet differs from an elastic one: its
-        # report carries no control-plane fields.
-        self._elastic = isinstance(config, ClusterConfig)
-        if not self._elastic:
-            config = ClusterConfig(
-                **{item.name: getattr(config, item.name) for item in fields(FleetConfig)},
-                min_replicas=config.num_replicas,
-                max_replicas=config.num_replicas,
-            )
-        self.config: ClusterConfig = config
+        self.config = config
         self.model = config.engine.build_model()
         self.router = router if router is not None else build_router(config.router)
         self.clock = (
@@ -995,7 +1026,12 @@ class ClusterSimulator:
             failures=self._failure_log,
             prefix_cache=self._prefix_cache_summary(),
         )
-        if self._elastic:
+        # The degenerate cluster (a static fleet) has no control plane to report.
+        if (
+            self.autoscaler.name != "static"
+            or self.admission.name != "always"
+            or self.config.failures.events
+        ):
             report.autoscaler = {
                 **self.autoscaler.describe(),
                 "min_replicas": self.config.min_replicas,
@@ -1069,7 +1105,7 @@ class ClusterSimulator:
 
 def simulate_cluster(
     requests: Sequence[TrafficRequest],
-    config: FleetConfig | None = None,
+    config: ClusterConfig | None = None,
     router: Router | None = None,
     clock: StepClock | None = None,
     *,
@@ -1077,9 +1113,8 @@ def simulate_cluster(
 ) -> TrafficReport:
     """Run one fleet simulation and return its report.
 
-    Takes a :class:`ClusterConfig` (the default) or a static
-    :class:`~repro.traffic.TrafficConfig`; :func:`repro.traffic.simulate`
-    and :func:`repro.api.simulate` forward here.  ``workers`` selects the
+    The one simulation entry point: :func:`repro.traffic.simulate` and
+    :func:`repro.api.simulate` forward here.  ``workers`` selects the
     multiprocess execution backend; the report is byte-identical to the
     serial default.
     """

@@ -87,9 +87,9 @@ def _counted_prefill(config: PerfBenchConfig) -> dict[str, int]:
 
 def _parallel_bench_config(config: PerfBenchConfig):
     """The pinned multi-replica traffic workload of the parallel-serve scenario."""
+    from ..cluster import ClusterConfig
     from ..serving.bench import serving_engine_spec
     from ..traffic.bench import TrafficBenchConfig, WorkloadSpec
-    from ..traffic.simulator import TrafficConfig
 
     return TrafficBenchConfig(
         workload=WorkloadSpec(
@@ -99,7 +99,7 @@ def _parallel_bench_config(config: PerfBenchConfig):
             prompt_len_max=48,
             seed=config.seed,
         ),
-        fleet=TrafficConfig(
+        fleet=ClusterConfig(
             engine=serving_engine_spec(
                 model=config.model,
                 budget=config.budget,
@@ -107,7 +107,8 @@ def _parallel_bench_config(config: PerfBenchConfig):
                 num_full_layers=config.num_full_layers,
                 max_new_tokens=config.parallel_new_tokens,
             ),
-            num_replicas=config.parallel_replicas,
+            min_replicas=config.parallel_replicas,
+            max_replicas=config.parallel_replicas,
             router="jsq",
         ),
     )

@@ -19,10 +19,12 @@ The pieces compose left to right::
 
 Entry points: :func:`simulate` (also re-exported as
 :func:`repro.api.simulate`; it runs the fleet on
-:class:`repro.cluster.ClusterSimulator`), :func:`run_traffic_bench` behind the
-``repro traffic-bench`` CLI command, and the small registries
-(:func:`build_arrivals`, :func:`build_router`) that make arrival
-processes and routing strategies pluggable the same way
+:class:`repro.cluster.ClusterSimulator`), :func:`TrafficConfig` (the
+static-fleet preset of :class:`repro.cluster.ClusterConfig`, the one
+fleet config), :func:`run_traffic_bench` behind both the ``repro
+traffic-bench`` and ``cluster-bench`` CLI commands, and the small
+registries (:func:`build_arrivals`, :func:`build_router`) that make
+arrival processes and routing strategies pluggable the same way
 :mod:`repro.policies` makes compression methods pluggable.
 """
 
@@ -34,7 +36,6 @@ from .arrivals import (
     TraceArrivals,
     arrival_names,
     build_arrivals,
-    register_arrivals,
 )
 from .bench import (
     TrafficBenchConfig,
@@ -45,19 +46,8 @@ from .bench import (
 )
 from .clock import PerfModelClock, StepClock, WallClock, build_clock
 from .report import RequestMetrics, SLOSpec, TrafficReport
-from .router import (
-    JoinShortestQueueRouter,
-    LeastKVBytesRouter,
-    PrefixAffineRouter,
-    ReplicaView,
-    RoundRobinRouter,
-    Router,
-    SLOAwareRouter,
-    build_router,
-    register_router,
-    router_names,
-)
-from .simulator import FleetConfig, TrafficConfig, simulate
+from .router import JoinShortestQueueRouter, PrefixAffineRouter, Router, build_router, router_names
+from .simulator import TrafficConfig, simulate
 from .trace import load_trace, save_trace
 from .workload import RequestShape, TrafficRequest, generate_traffic
 
@@ -67,7 +57,6 @@ __all__ = [
     "PoissonArrivals",
     "OnOffArrivals",
     "TraceArrivals",
-    "register_arrivals",
     "build_arrivals",
     "arrival_names",
     "TrafficRequest",
@@ -76,13 +65,8 @@ __all__ = [
     "save_trace",
     "load_trace",
     "Router",
-    "ReplicaView",
-    "RoundRobinRouter",
     "JoinShortestQueueRouter",
-    "LeastKVBytesRouter",
     "PrefixAffineRouter",
-    "SLOAwareRouter",
-    "register_router",
     "build_router",
     "router_names",
     "StepClock",
@@ -92,7 +76,6 @@ __all__ = [
     "SLOSpec",
     "RequestMetrics",
     "TrafficReport",
-    "FleetConfig",
     "TrafficConfig",
     "simulate",
     "WorkloadSpec",

@@ -1,17 +1,22 @@
-"""Traffic benchmark: latency-under-load for the ``repro traffic-bench`` CLI.
+"""Fleet benchmark: latency under load for ``repro traffic-bench`` and ``cluster-bench``.
 
 Builds a seeded open-loop workload (arrival process x request-shape mix,
 or a replayed JSONL trace), simulates it over a router-fronted replica
 fleet on the virtual perfmodel clock, and formats the resulting
-:class:`~repro.traffic.report.TrafficReport` as a table.  With the
-default clock the whole benchmark is arithmetic on seeded inputs, so a
-given ``(config, seed)`` prints byte-identical numbers on any machine —
-the property the reproducibility tests assert.
+:class:`~repro.traffic.report.TrafficReport` as a table.  The two CLI
+commands run the same :class:`TrafficBenchConfig` and differ only in
+their default fleet (:data:`BENCH_FLEETS`): two static replicas for
+``traffic-bench``, one to four autoscaled ones for ``cluster-bench``.
+With the default clock the whole benchmark — every scaling decision,
+rejection and failure retry included — is arithmetic on seeded inputs,
+so a given ``(config, seed)`` prints byte-identical numbers on any
+machine, the property the reproducibility tests assert.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from ..knobs import knob
 from ..model import get_model_config
@@ -19,12 +24,17 @@ from ..policies import PolicySpec
 from ..serving.bench import POLICY_FLAG, resolve_serving_policies, serving_engine_spec
 from .arrivals import build_arrivals
 from .report import TrafficReport
-from .simulator import TrafficConfig, simulate
+from .simulator import simulate
 from .trace import load_trace
 from .workload import RequestShape, TrafficRequest, generate_traffic
 
+if TYPE_CHECKING:
+    from ..cluster import ClusterConfig
+
 __all__ = [
     "WorkloadSpec",
+    "BENCH_FLEETS",
+    "bench_fleet",
     "TrafficBenchConfig",
     "build_bench_requests",
     "run_traffic_bench",
@@ -95,27 +105,44 @@ class WorkloadSpec:
             raise ValueError("slo_class_mix must lie in [0, 1]")
 
 
+# Each fleet bench command's default fleet, as ClusterConfig fields over
+# serving-tuned replicas (48 new tokens) behind join-shortest-queue routing.
+BENCH_FLEETS: dict[str, dict[str, object]] = {
+    "traffic-bench": {"min_replicas": 2, "max_replicas": 2},
+    "cluster-bench": {"autoscaler": "slo_attainment"},
+}
+
+
+def bench_fleet(command: str = "traffic-bench") -> ClusterConfig:
+    """The default fleet of one fleet bench command (see :data:`BENCH_FLEETS`).
+
+    ``traffic-bench``: two static replicas; ``cluster-bench``: one to
+    four replicas scaled on SLO attainment.
+    """
+    from ..cluster import ClusterConfig
+
+    return ClusterConfig(
+        engine=serving_engine_spec(max_new_tokens=48), router="jsq", **BENCH_FLEETS[command]
+    )
+
+
 @dataclass(frozen=True)
 class TrafficBenchConfig:
-    """The traffic benchmark: a :class:`WorkloadSpec` over a static fleet.
+    """The fleet benchmark: a :class:`WorkloadSpec` over a fleet.
 
     Every knob lives in one of the two parts — the workload, or the
-    :class:`~repro.traffic.simulator.TrafficConfig` (replica count,
-    router, clock, SLO, workers, and the replica
-    :class:`~repro.api.EngineSpec` with its chunked-prefill, prefix-cache,
-    preemption, backend and speculation fields).  The defaults describe a
-    bursty chat-style workload: Poisson arrivals over two serving-tuned
-    replicas behind join-shortest-queue routing.  Construction resolves
-    the workload's policies, makes the first one the engines' default and
-    widens their per-step prefill cap to the batch size.
+    :class:`~repro.cluster.ClusterConfig` (provisioning bounds,
+    autoscaler, admission, failure plan, router, clock, SLO, workers, and
+    the replica :class:`~repro.api.EngineSpec` with its chunked-prefill,
+    prefix-cache, preemption, backend and speculation fields).  The
+    defaults describe a bursty chat-style workload: Poisson arrivals over
+    ``traffic-bench``'s two static serving-tuned replicas.  Construction
+    resolves the workload's policies, makes the first one the engines'
+    default and widens their per-step prefill cap to the batch size.
     """
 
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    fleet: TrafficConfig = field(
-        default_factory=lambda: TrafficConfig(
-            engine=serving_engine_spec(max_new_tokens=48), num_replicas=2, router="jsq"
-        )
-    )
+    fleet: ClusterConfig = field(default_factory=bench_fleet)
 
     def __post_init__(self) -> None:
         # The engine fields the benchmark sets itself (BENCH_SET_FIELDS): every
@@ -191,7 +218,13 @@ def run_traffic_bench(config: TrafficBenchConfig | None = None) -> TrafficReport
 
 
 def format_traffic_report(report: TrafficReport) -> str:
-    """Human-readable table of one traffic-simulation report."""
+    """Human-readable table of one fleet-simulation report.
+
+    A report that carries a control plane (autoscaler, admission or
+    failures) ends with its outcome: autoscaler and admission identity,
+    rejection/retry counters and the scaling timeline (boot / ready /
+    drain / remove / fail transitions).
+    """
     slo_parts = []
     if report.slo.ttft_s is not None:
         slo_parts.append(f"TTFT<={report.slo.ttft_s:g}s")
@@ -260,4 +293,31 @@ def format_traffic_report(report: TrafficReport) -> str:
             f"replica {index}: {count}" for index, count in sorted(per_replica.items())
         )
         lines.append(f"requests per replica: {spread}")
+    if report.autoscaler:
+        lines.extend(_control_plane_lines(report))
     return "\n".join(lines)
+
+
+def _control_plane_lines(report: TrafficReport) -> list[str]:
+    autoscaler = report.autoscaler
+    bounds = f"[{autoscaler['min_replicas']}, {autoscaler['max_replicas']}]"
+    lines = [
+        f"cluster: autoscaler={autoscaler['name']} bounds={bounds} "
+        f"admission={report.admission['name']}  peak replicas: {report.num_replicas}",
+        f"retries: {report.num_retries}  lost tokens: {report.lost_tokens}  "
+        f"failures: {len(report.failures)}",
+    ]
+    if report.num_migrations or report.num_recoveries:
+        lines.append(
+            f"migrations: {report.num_migrations}  "
+            f"checkpoint recoveries: {report.num_recoveries}"
+        )
+    if report.scaling:
+        lines.append("scaling timeline:")
+        for entry in report.scaling:
+            lines.append(
+                f"  t={entry['time_s']:8.2f}s {entry['action']:<6} "
+                f"replica {entry['replica']} (fleet {entry['provisioned']}) "
+                f"- {entry['reason']}"
+            )
+    return lines

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import hashlib
+import json
 import shlex
 
 import pytest
@@ -300,6 +301,23 @@ class TestMain:
         out = capsys.readouterr().out
         assert "cluster: autoscaler=slo_attainment" in out
         assert "scaling timeline:" in out
+
+    def test_static_cluster_bench_prints_the_traffic_bench_report(self, capsys):
+        """The degenerate cluster: a static fleet reads the same from both commands.
+
+        ``--max-replicas`` bounds nothing under the ``static`` autoscaler,
+        and neither run has a control plane to report.
+        """
+        workload = f"--requests 4 --rate 0.8 --router jsq --seed 3 {TINY}"
+        traffic, _ = stdout_digest(capsys, f"traffic-bench --replicas 2 {workload}")
+        for bounds in ("--max-replicas 2", "--max-replicas 4"):
+            cluster, _ = stdout_digest(
+                capsys,
+                f"cluster-bench --min-replicas 2 {bounds} --autoscaler static {workload}",
+            )
+            assert cluster == traffic
+        report = json.loads(traffic)
+        assert report["autoscaler"] == report["admission"] == {} and not report["scaling"]
 
     def test_cluster_bench_rejects_malformed_kill(self):
         with pytest.raises(ValueError, match="malformed --kill"):

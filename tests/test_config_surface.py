@@ -1,10 +1,12 @@
 """One declaration per knob: structural checks on the config surface.
 
 Every engine knob is an :class:`~repro.api.EngineSpec` field, every fleet
-knob a :class:`~repro.traffic.FleetConfig` (or subclass) field, every
+knob a :class:`~repro.cluster.ClusterConfig` field (the one fleet config;
+:func:`~repro.traffic.TrafficConfig` is its static-fleet preset), every
 workload knob a :class:`~repro.traffic.WorkloadSpec` field; the bench
 configs only *hold* those, and every bench CLI derives its flags from
-them.  These tests fail when a knob is declared a second time, when a
+them (``traffic-bench`` and ``cluster-bench`` from one
+:class:`~repro.traffic.TrafficBenchConfig`, with different default fleets).  These tests fail when a knob is declared a second time, when a
 bench CLI loses reach of an engine field, or when a default is copied
 somewhere it can drift.
 """
@@ -17,14 +19,22 @@ import pytest
 from repro import capacity, cluster
 from repro.api import EngineSpec
 from repro.capacity import CapacityBenchConfig, CapacityScenarioConfig
-from repro.cli import _dest, add_dataclass_flags, build_parser, dataclass_from_args, main
-from repro.cluster import ClusterBenchConfig, ClusterConfig
+from repro.cli import (
+    _dest,
+    add_dataclass_flags,
+    build_parser,
+    dataclass_from_args,
+    fleet_bench_config,
+    main,
+)
+from repro.cluster import ClusterConfig
 from repro.memory import TierBudgets
 from repro.model import GenerationConfig
 from repro.policies import PolicySpec, UnknownPolicyError
 from repro.serving import SchedulerConfig, ServeBenchConfig
 from repro.serving.bench import BENCH_SET_FIELDS, serving_engine_spec
-from repro.traffic import FleetConfig, TrafficBenchConfig, TrafficConfig, WorkloadSpec
+from repro.traffic import TrafficBenchConfig, TrafficConfig, WorkloadSpec
+from repro.traffic.bench import BENCH_FLEETS, bench_fleet
 
 # command -> (config class, the engine/fleet fields that bench sets itself and
 # therefore exposes no flag for).  ``EngineSpec.policy`` is set by every bench
@@ -32,9 +42,23 @@ from repro.traffic import FleetConfig, TrafficBenchConfig, TrafficConfig, Worklo
 BENCHES = {
     "serve-bench": (ServeBenchConfig, BENCH_SET_FIELDS),
     "traffic-bench": (TrafficBenchConfig, BENCH_SET_FIELDS),
-    "cluster-bench": (ClusterBenchConfig, BENCH_SET_FIELDS),
+    "cluster-bench": (TrafficBenchConfig, BENCH_SET_FIELDS),
     "capacity-bench": (CapacityBenchConfig, capacity.scenarios.PROBE_SET_FIELDS),
 }
+
+
+def default_config(command: str):
+    """The config a bench command runs when given no flag."""
+    if command in BENCH_FLEETS:
+        return TrafficBenchConfig(fleet=bench_fleet(command))
+    return BENCHES[command][0]()
+
+
+def config_from_args(command: str, args: argparse.Namespace):
+    """The config a bench command line builds, as that command's runner does."""
+    if command in BENCH_FLEETS:
+        return fleet_bench_config(args)
+    return dataclass_from_args(BENCHES[command][0], args)
 
 
 def names(cls) -> set[str]:
@@ -47,7 +71,6 @@ class TestOneDeclaration:
         [
             WorkloadSpec,
             TrafficBenchConfig,
-            ClusterBenchConfig,
             ServeBenchConfig,
             CapacityScenarioConfig,
             CapacityBenchConfig,
@@ -57,25 +80,24 @@ class TestOneDeclaration:
         # Holding a spec (as ``engine``) is the only link.  ``seed`` is the one
         # deliberate homonym: the workload/prompt seed (--seed) and
         # EngineSpec.seed, the sampling seed (--sampling-seed), are two values.
-        declared = names(EngineSpec) | names(TrafficConfig) | names(ClusterConfig)
+        declared = names(EngineSpec) | names(ClusterConfig)
         assert names(holder) & (declared - {"engine"}) <= {"seed"}
 
     def test_fleet_configs_declare_no_shared_field_twice(self):
-        shared = names(FleetConfig)
-        assert shared == {
+        # One fleet config: a static fleet is a ClusterConfig preset, not a type.
+        assert {
             "engine", "router", "clock", "arch", "context_scale", "slo", "workers"
-        }
-        for config in (TrafficConfig, ClusterConfig):
-            assert issubclass(config, FleetConfig)
-            own = set(config.__dict__.get("__annotations__", {}))
-            assert not own & shared
+        } <= names(ClusterConfig)
+        static = TrafficConfig(num_replicas=3, router="jsq")
+        assert type(static) is ClusterConfig
+        assert static == ClusterConfig(min_replicas=3, max_replicas=3, router="jsq")
+        assert names(TrafficBenchConfig) == {"workload", "fleet"}
         assert not hasattr(ClusterConfig, "traffic_config")
 
     def test_declared_field_count(self):
         configs = (
-            EngineSpec, FleetConfig, TrafficConfig, ClusterConfig, WorkloadSpec,
-            TrafficBenchConfig, ClusterBenchConfig, ServeBenchConfig,
-            CapacityScenarioConfig,
+            EngineSpec, ClusterConfig, WorkloadSpec, TrafficBenchConfig,
+            ServeBenchConfig, CapacityScenarioConfig,
         )
         declared = sum(
             len(config.__dict__.get("__annotations__", {})) for config in configs
@@ -103,18 +125,16 @@ class TestGeneratedFlags:
 
     @pytest.mark.parametrize("command", BENCHES)
     def test_no_flags_rebuilds_the_default_instance(self, command):
-        cls, _ = BENCHES[command]
         args = build_parser().parse_args([command])
-        assert dataclass_from_args(cls, args) == cls()
+        assert config_from_args(command, args) == default_config(command)
 
     @pytest.mark.parametrize("command", BENCHES)
     def test_new_engine_knobs_reach_the_engine(self, command):
-        cls, _ = BENCHES[command]
         args = build_parser().parse_args(
             [command, "--kv-capacity-tokens", "4096", "--sampling-seed", "9",
              "--num-sink-tokens", "4", "--no-greedy", "--seed", "5"]
         )
-        config = dataclass_from_args(cls, args)
+        config = config_from_args(command, args)
         holder = config.config if command == "capacity-bench" else config
         engine = holder.engine if command == "serve-bench" else holder.fleet.engine
         assert engine.kv_capacity_tokens == 4096
@@ -127,12 +147,10 @@ class TestGeneratedFlags:
         # command line said, not from the default instance's values.
         engine = serving_engine_spec(max_new_tokens=48, num_sink_tokens=4, max_batch_size=16)
         argv = ["--num-sink-tokens", "4", "--batch", "16"]
-        for command, cls, fleet in (
-            ("traffic-bench", TrafficBenchConfig, TrafficBenchConfig().fleet),
-            ("cluster-bench", ClusterBenchConfig, ClusterBenchConfig().fleet),
-        ):
-            built = dataclass_from_args(cls, build_parser().parse_args([command, *argv]))
-            assert built == cls(fleet=replace(fleet, engine=engine))
+        for command in BENCH_FLEETS:
+            built = config_from_args(command, build_parser().parse_args([command, *argv]))
+            fleet = replace(bench_fleet(command), engine=engine)
+            assert built == TrafficBenchConfig(fleet=fleet)
             assert built.fleet.engine.policy.kwargs["num_sink_tokens"] == 4
             assert built.fleet.engine.max_prefills_per_step == 16
         args = build_parser().parse_args(["capacity-bench", "--num-sink-tokens", "4"])
@@ -175,7 +193,7 @@ class TestGeneratedFlags:
             ["cluster-bench", "--budget", "0", "--slo-tpot", "0", "--workers", "0",
              "--prefix-cache", "-1", "--checkpoint-interval", "0", "--slo-class-mix", "-1"]
         )
-        config = dataclass_from_args(ClusterBenchConfig, args)
+        config = config_from_args("cluster-bench", args)
         assert config.fleet.engine.budget is None
         assert config.fleet.engine.prefix_cache_tokens is None
         assert config.fleet.slo.tpot_s is None

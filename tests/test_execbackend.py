@@ -30,12 +30,10 @@ from repro.capacity.scenarios import (
 from repro.cli import build_parser, main
 from repro.cluster import (
     Autoscaler,
-    ClusterBenchConfig,
     ClusterConfig,
     ClusterSimulator,
     FailurePlan,
     ScaleDecision,
-    run_cluster_bench,
 )
 from repro.execbackend import (
     LocalReplicaHandle,
@@ -87,9 +85,9 @@ def traffic_config(
     )
 
 
-def cluster_config(**fleet) -> ClusterBenchConfig:
+def cluster_config(**fleet) -> TrafficBenchConfig:
     fleet = {"autoscaler": "slo_attainment", "min_replicas": 2, "max_replicas": 3, **fleet}
-    return ClusterBenchConfig(
+    return TrafficBenchConfig(
         workload=WorkloadSpec(
             policies=("quest",),
             num_requests=6,
@@ -204,8 +202,8 @@ class TestClusterParity:
             failures=FailurePlan.seeded(seed=7, num_failures=2, horizon_s=3.0),
             checkpoint_interval_s=0.5,
         )
-        serial = run_cluster_bench(cluster_config(**overrides))
-        parallel = run_cluster_bench(cluster_config(workers=2, **overrides))
+        serial = run_traffic_bench(cluster_config(**overrides))
+        parallel = run_traffic_bench(cluster_config(workers=2, **overrides))
         assert serial.to_json() == parallel.to_json()
         assert serial.num_recoveries or serial.failures  # the plan actually fired
 
@@ -214,8 +212,8 @@ class TestClusterParity:
             autoscaler="queue_depth",
             migrate_on_drain=True,
         )
-        serial = run_cluster_bench(cluster_config(**overrides))
-        parallel = run_cluster_bench(cluster_config(workers=2, **overrides))
+        serial = run_traffic_bench(cluster_config(**overrides))
+        parallel = run_traffic_bench(cluster_config(workers=2, **overrides))
         assert serial.to_json() == parallel.to_json()
 
 
@@ -253,7 +251,7 @@ def window_cases() -> dict[str, tuple]:
     checkpointed = cluster_config(checkpoint_interval_s=0.5)
     return {
         "saturated_static": (
-            replace(static.fleet, num_replicas=4),
+            replace(static.fleet, min_replicas=4, max_replicas=4),
             build_bench_requests(saturated),
         ),
         "failures_pending": (
@@ -573,7 +571,9 @@ class TestWorkerLifecycle:
     def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
         """A multiprocess spec without a worker count forks no more than the CPUs."""
         monkeypatch.setattr(_lanes, "available_cpus", lambda: 1)
-        fleet = replace(traffic_config(backend="multiprocess").fleet, num_replicas=3)
+        fleet = replace(
+            traffic_config(backend="multiprocess").fleet, min_replicas=3, max_replicas=3
+        )
         with ClusterSimulator(fleet) as sim:
             assert sim._backend.workers == 1
 

@@ -16,7 +16,6 @@ import pytest
 
 from repro.cluster import (
     Autoscaler,
-    ClusterBenchConfig,
     ClusterSimulator,
     FailureEvent,
     FailurePlan,
@@ -25,7 +24,7 @@ from repro.cluster import (
 from repro.model import GenerationConfig, TransformerModel, get_model_config
 from repro.perf.counters import count_ops
 from repro.serving import BatchedEngine
-from repro.traffic.bench import WorkloadSpec, build_bench_requests
+from repro.traffic.bench import TrafficBenchConfig, WorkloadSpec, bench_fleet, build_bench_requests
 
 CLUSTERKV = "clusterkv:tokens_per_cluster=12,decode_window=8,decode_clusters=2,num_sink_tokens=4"
 
@@ -151,11 +150,11 @@ class RecordingClusterSimulator(ClusterSimulator):
 
 def cluster_run(**fleet):
     """One recorded cluster run; returns (report, outputs, op counter)."""
-    config = ClusterBenchConfig(
+    config = TrafficBenchConfig(
         workload=WorkloadSpec(
             num_requests=10, rate=4.0, policies=("clusterkv", "quest")
         ),
-        fleet=replace(ClusterBenchConfig().fleet, **fleet),
+        fleet=replace(bench_fleet("cluster-bench"), **fleet),
     )
     requests = build_bench_requests(config)
     simulator = RecordingClusterSimulator(config.fleet)
