@@ -19,12 +19,12 @@ import numpy as np
 from repro.api import EngineSpec
 from repro.serving.bench import serving_engine_spec
 from repro.traffic import (
+    ROUTERS,
     SLOSpec,
     TrafficBenchConfig,
     TrafficConfig,
     TrafficRequest,
     WorkloadSpec,
-    build_router,
     format_traffic_report,
     run_traffic_bench,
     simulate,
@@ -92,7 +92,7 @@ def test_bench_jsq_goodput_vs_round_robin():
                 slo=SLOSpec(ttft_s=2.5, tpot_s=0.08),
             )
             results[router] = simulate(
-                _skewed_trace(), config, router=build_router(router)
+                _skewed_trace(), config, router=ROUTERS.build(router)
             )
         return results
 

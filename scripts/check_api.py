@@ -2,7 +2,8 @@
 """Public-API surface check for the ``repro`` package.
 
 Renders every ``__all__`` export of the public modules — with call
-signatures for functions and classes and reprs for simple constants — and
+signatures for callables, the kind and registered names for registries
+and reprs for simple constants — and
 compares the result against the committed snapshot
 ``scripts/api_surface.txt``.  An accidental rename, a removed export or a
 changed signature therefore fails tier-1
@@ -54,7 +55,11 @@ PUBLIC_MODULES = (
 
 def _describe_object(obj: object) -> str:
     """One deterministic line fragment describing an exported object."""
-    if inspect.isclass(obj) or inspect.isfunction(obj):
+    from repro.registry import Registry
+
+    if isinstance(obj, Registry):
+        return f": Registry({obj.kind!r}: {', '.join(obj.names())})"
+    if callable(obj):
         try:
             return str(inspect.signature(obj))
         except (ValueError, TypeError):

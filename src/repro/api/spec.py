@@ -20,7 +20,7 @@ from ..memory import TierBudgets
 from ..model import GenerationConfig, TransformerModel, get_model_config
 from ..policies import PolicySpec, build_policy, resolve_policy_spec
 from ..serving import SchedulerConfig
-from ..specdec import SpeculationConfig, drafter_names
+from ..specdec import DRAFTERS, SpeculationConfig
 
 __all__ = ["EngineSpec"]
 
@@ -99,7 +99,7 @@ class EngineSpec:
         greedy outputs are bit-identical either way.
     drafter:
         Registered name of the drafter used when ``speculate_k > 0``
-        (:func:`repro.specdec.build_drafter`); the default ``"ngram"``
+        (:data:`repro.specdec.DRAFTERS`); the default ``"ngram"``
         self-drafter needs no second model.
     """
 
@@ -186,11 +186,8 @@ class EngineSpec:
             )
         if self.speculate_k < 0:
             raise ValueError("speculate_k must be >= 0 (0 disables speculation)")
-        if self.speculate_k > 0 and self.drafter not in drafter_names():
-            raise ValueError(
-                f"unknown drafter {self.drafter!r}; "
-                f"registered drafters: {', '.join(drafter_names())}"
-            )
+        if self.speculate_k > 0:
+            DRAFTERS.check(self.drafter)
         object.__setattr__(self, "policy", resolve_policy_spec(self.policy))
         if isinstance(self.tiers, str):
             object.__setattr__(self, "tiers", TierBudgets.parse(self.tiers))

@@ -15,7 +15,8 @@ Two halves:
   tier in fixed-size token pages (LRU victims, real byte movement, bit
   -identical recall), charging every transfer on the shared ledger so
   the perfmodel clock prices NVMe traffic into step latency.
-* **Scenarios** (:mod:`.scenarios`): registered sweep strategies —
+* **Scenarios** (:mod:`.scenarios`): sweep strategies registered in
+  :data:`SCENARIOS` (:class:`repro.registry.Registry`) —
   ``oom_finder``, ``latency_curve``, ``capacity_frontier`` — that drive
   the traffic simulator into the wall and emit byte-reproducible
   :class:`CapacityReport` artifacts mapping the feasible region.
@@ -40,11 +41,9 @@ from .scenarios import (
     CapacityScenarioConfig,
     LatencyCurveScenario,
     OOMFinderScenario,
-    build_scenario,
+    SCENARIOS,
     probe_point,
-    register_scenario,
     run_scenario,
-    scenario_names,
 )
 from .spill import HostSpillManager, StorePager
 
@@ -61,9 +60,7 @@ __all__ = [
     "OOMFinderScenario",
     "LatencyCurveScenario",
     "probe_point",
-    "register_scenario",
-    "scenario_names",
-    "build_scenario",
+    "SCENARIOS",
     "run_scenario",
     "CapacityBenchConfig",
     "run_capacity_bench",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ..knobs import knob
 from .report import CapacityReport
-from .scenarios import CapacityScenarioConfig, run_scenario, scenario_names
+from .scenarios import SCENARIOS, CapacityScenarioConfig, run_scenario
 
 __all__ = [
     "CapacityBenchConfig",
@@ -33,7 +33,7 @@ class CapacityBenchConfig:
     ----------
     scenario:
         Registry name of the sweep strategy to run (see
-        :func:`repro.capacity.scenario_names`).
+        :data:`repro.capacity.SCENARIOS`).
     config:
         The shared scenario configuration — policies, tier budgets,
         sweep grid, SLO floor, seed.
@@ -46,11 +46,7 @@ class CapacityBenchConfig:
     config: CapacityScenarioConfig = field(default_factory=CapacityScenarioConfig)
 
     def __post_init__(self) -> None:
-        if self.scenario not in scenario_names():
-            raise ValueError(
-                f"unknown capacity scenario {self.scenario!r}; "
-                f"available: {scenario_names()}"
-            )
+        SCENARIOS.check(self.scenario)
 
 
 def run_capacity_bench(config: CapacityBenchConfig | None = None) -> CapacityReport:

@@ -31,6 +31,7 @@ from ..knobs import knob
 from ..memory import CapacityExceeded, TierBudgets
 from ..model import get_model_config
 from ..policies import PolicySpec
+from ..registry import Registry
 from ..serving.bench import POLICY_FLAG, resolve_serving_policies, serving_engine_spec
 from ..traffic.bench import TrafficBenchConfig, WorkloadSpec, build_bench_requests
 from ..traffic.report import SLOSpec
@@ -44,9 +45,7 @@ __all__ = [
     "OOMFinderScenario",
     "LatencyCurveScenario",
     "probe_point",
-    "register_scenario",
-    "scenario_names",
-    "build_scenario",
+    "SCENARIOS",
     "run_scenario",
 ]
 
@@ -314,41 +313,17 @@ class CapacityScenario:
         )
 
 
-_SCENARIOS: dict[str, type[CapacityScenario]] = {}
-
-
-def register_scenario(cls: type[CapacityScenario]) -> type[CapacityScenario]:
-    """Class decorator adding a scenario to the registry by its ``name``."""
-    if cls.name in _SCENARIOS:
-        raise ValueError(f"duplicate capacity scenario {cls.name!r}")
-    _SCENARIOS[cls.name] = cls
-    return cls
-
-
-def scenario_names() -> list[str]:
-    """Names of all registered capacity scenarios, sorted."""
-    return sorted(_SCENARIOS)
-
-
-def build_scenario(
-    name: str, config: CapacityScenarioConfig | None = None
-) -> CapacityScenario:
-    """Instantiate a registered scenario by name."""
-    if name not in _SCENARIOS:
-        raise ValueError(
-            f"unknown capacity scenario {name!r}; available: {scenario_names()}"
-        )
-    return _SCENARIOS[name](config)
+SCENARIOS = Registry("capacity scenario", CapacityScenario)
 
 
 def run_scenario(
     name: str, config: CapacityScenarioConfig | None = None
 ) -> CapacityReport:
     """Build and run a registered scenario in one call."""
-    return build_scenario(name, config).run()
+    return SCENARIOS.build(name, config).run()
 
 
-@register_scenario
+@SCENARIOS.register("capacity_frontier")
 class CapacityFrontierScenario(CapacityScenario):
     """Probe the full (context × concurrency) grid per policy.
 
@@ -359,7 +334,6 @@ class CapacityFrontierScenario(CapacityScenario):
     feasible context on the grid (0 when none is).
     """
 
-    name = "capacity_frontier"
     description = "map the feasible (context x concurrency) region per policy"
 
     def run(self) -> CapacityReport:
@@ -380,7 +354,7 @@ class CapacityFrontierScenario(CapacityScenario):
         return self._report(points, frontier)
 
 
-@register_scenario
+@SCENARIOS.register("oom_finder")
 class OOMFinderScenario(CapacityScenario):
     """Bisect the maximum feasible context per (policy, concurrency).
 
@@ -392,7 +366,6 @@ class OOMFinderScenario(CapacityScenario):
     execution order.
     """
 
-    name = "oom_finder"
     description = "bisect the max feasible context per (policy, concurrency)"
 
     def run(self) -> CapacityReport:
@@ -421,7 +394,7 @@ class OOMFinderScenario(CapacityScenario):
         return self._report(points, frontier)
 
 
-@register_scenario
+@SCENARIOS.register("latency_curve")
 class LatencyCurveScenario(CapacityScenario):
     """Sweep the offered rate upward until the SLO collapses.
 
@@ -435,7 +408,6 @@ class LatencyCurveScenario(CapacityScenario):
     curve than raw capacity alone would suggest.
     """
 
-    name = "latency_curve"
     description = "sweep offered rate to SLO collapse per policy"
 
     def run(self) -> CapacityReport:

@@ -376,12 +376,14 @@ def _format_listing() -> str:
     lines.append("policies (use with --policy NAME[:KEY=VAL,...] or --methods NAME):")
     for name, entry in available_policies().items():
         lines.append(f"  {name:16s} {entry.summary}")
-    from .cluster import admission_names, autoscaler_names
-    from .traffic import arrival_names, router_names
+    from .capacity import SCENARIOS
+    from .cluster import ADMISSIONS, AUTOSCALERS
+    from .specdec import DRAFTERS
+    from .traffic import ARRIVALS, ROUTERS
 
     lines.append("")
     lines.append("traffic routers (use with traffic-bench --router NAME):")
-    lines.append("  " + ", ".join(router_names()))
+    lines.append("  " + ", ".join(ROUTERS.names()))
     lines.append(
         "prefix cache (traffic-/cluster-bench --prefix-cache TOKENS "
         "[--prefix-block N]; EngineSpec prefix_cache_tokens/"
@@ -391,19 +393,17 @@ def _format_listing() -> str:
         "  per-replica radix cache of prompt-prefix KV; pair with "
         "--router prefix_affine"
     )
-    from .capacity import scenario_names
-
     lines.append(
         "capacity scenarios (capacity-bench --scenario NAME "
         "--tiers gpu=SIZE,host=SIZE,ssd=SIZE --sweep MIN:MAX:STEP):"
     )
-    lines.append("  " + ", ".join(scenario_names()))
+    lines.append("  " + ", ".join(SCENARIOS.names()))
     lines.append("arrival processes (traffic-bench --arrivals NAME):")
-    lines.append("  " + ", ".join(arrival_names()))
+    lines.append("  " + ", ".join(ARRIVALS.names()))
     lines.append("autoscalers (cluster-bench --autoscaler NAME[:KEY=VAL,...]):")
-    lines.append("  " + ", ".join(autoscaler_names()))
+    lines.append("  " + ", ".join(AUTOSCALERS.names()))
     lines.append("admission policies (cluster-bench --admission NAME[:KEY=VAL,...]):")
-    lines.append("  " + ", ".join(admission_names()))
+    lines.append("  " + ", ".join(ADMISSIONS.names()))
     lines.append(
         "sequence state (traffic-/cluster-bench --slo-class-mix FRAC --preempt; "
         "cluster-bench --migrate-on-drain --checkpoint-interval S "
@@ -422,15 +422,13 @@ def _format_listing() -> str:
         "worker processes sharing read-only weights; reports byte-identical "
         "to serial, wall-clock scales with cores"
     )
-    from .specdec import drafter_names
-
     lines.append(
         "speculative decoding (serve-/traffic-/cluster-bench --speculate K "
         "[--drafter NAME]; EngineSpec speculate_k/drafter):"
     )
     lines.append(
         "  repro.specdec draft-then-verify decoding; drafters: "
-        + ", ".join(drafter_names())
+        + ", ".join(DRAFTERS.names())
     )
     return "\n".join(lines)
 

@@ -27,21 +27,20 @@ which requests get in, and what happens when a replica dies:
 Entry points: :func:`simulate_cluster` (which :func:`repro.traffic.simulate`
 and :func:`repro.api.simulate` forward to; the ``repro cluster-bench``
 CLI command runs :func:`repro.traffic.run_traffic_bench` on an
-autoscaled default fleet), and the registries
-(:func:`build_autoscaler`, :func:`build_admission`) that make both
+autoscaled default fleet), and the registries :data:`AUTOSCALERS` and
+:data:`ADMISSIONS` (:class:`repro.registry.Registry`) that make both
 policy families pluggable the same way :mod:`repro.policies` makes
 compression methods pluggable.
 """
 
-from .admission import AdmissionPolicy, TokenBudgetAdmission, admission_names, build_admission
+from .admission import ADMISSIONS, AdmissionPolicy, TokenBudgetAdmission
 from .autoscaler import (
+    AUTOSCALERS,
     Autoscaler,
     QueueDepthAutoscaler,
     ScaleDecision,
     SLOAttainmentAutoscaler,
     StaticAutoscaler,
-    autoscaler_names,
-    build_autoscaler,
 )
 from .failures import FailureEvent, FailurePlan
 from .fleet import FleetView, ReplicaInfo, ReplicaLifecycle
@@ -56,12 +55,10 @@ __all__ = [
     "StaticAutoscaler",
     "QueueDepthAutoscaler",
     "SLOAttainmentAutoscaler",
-    "build_autoscaler",
-    "autoscaler_names",
+    "AUTOSCALERS",
     "AdmissionPolicy",
     "TokenBudgetAdmission",
-    "build_admission",
-    "admission_names",
+    "ADMISSIONS",
     "FailureEvent",
     "FailurePlan",
     "ClusterConfig",

@@ -9,8 +9,9 @@ first-class :class:`~repro.traffic.report.RejectedRequest` records in the
 :class:`~repro.traffic.report.TrafficReport`, so request conservation
 (``submitted == completed + rejected``) is checkable from the report.
 
-Policies self-register in a name registry mirroring
-:mod:`repro.policies`; built-ins:
+Policies register in :data:`ADMISSIONS` (a
+:class:`~repro.registry.Registry`) and resolve through
+``ADMISSIONS.resolve``; built-ins:
 
 * ``always`` — admit everything (plain traffic-simulator behaviour);
 * ``token_budget`` — admit only when some accepting replica has enough
@@ -28,9 +29,9 @@ Policies self-register in a name registry mirroring
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
-from ..policies.spec import PolicySpec
+from ..registry import Registry
 from .fleet import FleetView
 
 __all__ = [
@@ -40,10 +41,7 @@ __all__ = [
     "TokenBudgetAdmission",
     "QueueDeadlineAdmission",
     "SLOClassAdmission",
-    "register_admission",
-    "build_admission",
-    "resolve_admission",
-    "admission_names",
+    "ADMISSIONS",
 ]
 
 
@@ -87,50 +85,10 @@ class AdmissionPolicy:
         return {"name": self.name}
 
 
-_ADMISSIONS: dict[str, type] = {}
+ADMISSIONS = Registry("admission policy", AdmissionPolicy)
 
 
-def register_admission(name: str) -> Callable[[type], type]:
-    """Class decorator registering an :class:`AdmissionPolicy` under ``name``."""
-
-    def decorator(cls: type) -> type:
-        existing = _ADMISSIONS.get(name)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"admission policy name {name!r} is already registered")
-        _ADMISSIONS[name] = cls
-        cls.name = name
-        return cls
-
-    return decorator
-
-
-def admission_names() -> tuple[str, ...]:
-    """Sorted names of all registered admission policies."""
-    return tuple(sorted(_ADMISSIONS))
-
-
-def build_admission(name: str, **kwargs: object) -> AdmissionPolicy:
-    """Instantiate a registered admission policy from its name and kwargs."""
-    cls = _ADMISSIONS.get(name)
-    if cls is None:
-        known = ", ".join(admission_names()) or "<none registered>"
-        raise ValueError(f"unknown admission policy {name!r}; registered: {known}")
-    return cls(**kwargs)
-
-
-def resolve_admission(value: "AdmissionPolicy | str") -> AdmissionPolicy:
-    """Coerce an admission-policy instance or spec string into an instance.
-
-    Strings use the compact policy form, e.g.
-    ``"queue_deadline:deadline_s=2.5"``.
-    """
-    if isinstance(value, AdmissionPolicy):
-        return value
-    spec = PolicySpec.parse(value)
-    return build_admission(spec.name, **dict(spec.kwargs))
-
-
-@register_admission("always")
+@ADMISSIONS.register("always")
 class AlwaysAdmit(AdmissionPolicy):
     """Admit every request (the plain traffic-simulator behaviour)."""
 
@@ -141,7 +99,7 @@ class AlwaysAdmit(AdmissionPolicy):
         return ADMIT
 
 
-@register_admission("token_budget")
+@ADMISSIONS.register("token_budget")
 class TokenBudgetAdmission(AdmissionPolicy):
     """Admit only requests the fleet has KV-token headroom for.
 
@@ -187,7 +145,7 @@ class TokenBudgetAdmission(AdmissionPolicy):
         return {"name": self.name, "slack_tokens": self.slack_tokens}
 
 
-@register_admission("queue_deadline")
+@ADMISSIONS.register("queue_deadline")
 class QueueDeadlineAdmission(AdmissionPolicy):
     """Reject requests whose queue delay would already blow the deadline.
 
@@ -251,7 +209,7 @@ class QueueDeadlineAdmission(AdmissionPolicy):
         }
 
 
-@register_admission("slo_class")
+@ADMISSIONS.register("slo_class")
 class SLOClassAdmission(AdmissionPolicy):
     """Class-aware load shedding: protect interactive traffic first.
 

@@ -10,9 +10,9 @@ removes a draining replica once it holds no work, so the two elasticity
 invariants (fleet size within bounds, no scale-down with in-flight work)
 hold regardless of what a policy returns.
 
-Strategies self-register in a name registry mirroring
-:mod:`repro.policies`: ``@register_autoscaler("name")`` makes one
-available to :func:`build_autoscaler`, the ``repro cluster-bench
+Strategies register in :data:`AUTOSCALERS` (a
+:class:`~repro.registry.Registry`): ``@AUTOSCALERS.register("name")``
+makes one available to ``AUTOSCALERS.resolve``, the ``repro cluster-bench
 --autoscaler`` flag and ``repro list`` at once.  Built-ins:
 
 * ``static`` — never scales; the fleet stays at ``min_replicas`` (the
@@ -33,9 +33,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
-from ..policies.spec import PolicySpec
+from ..registry import Registry
 from .fleet import FleetView
 
 __all__ = [
@@ -45,10 +44,7 @@ __all__ = [
     "QueueDepthAutoscaler",
     "SLOAttainmentAutoscaler",
     "InteractiveSLOAutoscaler",
-    "register_autoscaler",
-    "build_autoscaler",
-    "resolve_autoscaler",
-    "autoscaler_names",
+    "AUTOSCALERS",
 ]
 
 
@@ -97,50 +93,10 @@ class Autoscaler:
         return {"name": self.name}
 
 
-_AUTOSCALERS: dict[str, type] = {}
+AUTOSCALERS = Registry("autoscaler", Autoscaler)
 
 
-def register_autoscaler(name: str) -> Callable[[type], type]:
-    """Class decorator registering an :class:`Autoscaler` under ``name``."""
-
-    def decorator(cls: type) -> type:
-        existing = _AUTOSCALERS.get(name)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"autoscaler name {name!r} is already registered")
-        _AUTOSCALERS[name] = cls
-        cls.name = name
-        return cls
-
-    return decorator
-
-
-def autoscaler_names() -> tuple[str, ...]:
-    """Sorted names of all registered autoscalers."""
-    return tuple(sorted(_AUTOSCALERS))
-
-
-def build_autoscaler(name: str, **kwargs: object) -> Autoscaler:
-    """Instantiate a registered autoscaler from its name and kwargs."""
-    cls = _AUTOSCALERS.get(name)
-    if cls is None:
-        known = ", ".join(autoscaler_names()) or "<none registered>"
-        raise ValueError(f"unknown autoscaler {name!r}; registered: {known}")
-    return cls(**kwargs)
-
-
-def resolve_autoscaler(value: "Autoscaler | str") -> Autoscaler:
-    """Coerce an autoscaler instance or spec string into an instance.
-
-    Strings use the same compact form as policies:
-    ``"queue_depth"`` or ``"queue_depth:high=2,low=0.25"``.
-    """
-    if isinstance(value, Autoscaler):
-        return value
-    spec = PolicySpec.parse(value)
-    return build_autoscaler(spec.name, **dict(spec.kwargs))
-
-
-@register_autoscaler("static")
+@AUTOSCALERS.register("static")
 class StaticAutoscaler(Autoscaler):
     """Fixed fleet: never adds, never drains.
 
@@ -154,7 +110,7 @@ class StaticAutoscaler(Autoscaler):
         return NO_CHANGE
 
 
-@register_autoscaler("queue_depth")
+@AUTOSCALERS.register("queue_depth")
 class QueueDepthAutoscaler(Autoscaler):
     """Backlog-watermark scaling.
 
@@ -219,7 +175,7 @@ class QueueDepthAutoscaler(Autoscaler):
         }
 
 
-@register_autoscaler("slo_attainment")
+@AUTOSCALERS.register("slo_attainment")
 class SLOAttainmentAutoscaler(Autoscaler):
     """Scale on the sliding-window SLO attainment of completed requests.
 
@@ -315,7 +271,7 @@ class SLOAttainmentAutoscaler(Autoscaler):
         }
 
 
-@register_autoscaler("interactive_slo")
+@AUTOSCALERS.register("interactive_slo")
 class InteractiveSLOAutoscaler(SLOAttainmentAutoscaler):
     """SLO-attainment scaling driven by interactive completions only.
 

@@ -71,10 +71,10 @@ from ..seqstate import SequenceCheckpoint
 from ..serving import BatchedEngine, CompletedRequest
 from ..traffic.clock import StepClock, build_clock
 from ..traffic.report import RejectedRequest, RequestMetrics, SLOSpec, TrafficReport
-from ..traffic.router import Router, build_router
+from ..traffic.router import ROUTERS, Router
 from ..traffic.workload import TrafficRequest
-from .admission import AdmissionPolicy, resolve_admission
-from .autoscaler import Autoscaler, resolve_autoscaler
+from .admission import ADMISSIONS, AdmissionPolicy
+from .autoscaler import AUTOSCALERS, Autoscaler
 from .failures import FailureEvent, FailurePlan
 from .fleet import FleetView, ReplicaInfo, ReplicaLifecycle
 
@@ -107,7 +107,7 @@ class ClusterConfig:
         decoding and scheduler knobs); every replica is built from this
         one spec, and its ``kv_capacity_tokens`` feeds admission control.
     router:
-        Routing strategy name (see :func:`repro.traffic.build_router`).
+        Routing strategy name (see :data:`repro.traffic.ROUTERS`).
     clock:
         ``"perfmodel"`` (virtual, reproducible — the default) or
         ``"wall"`` (measured host time).
@@ -322,14 +322,14 @@ class ClusterSimulator:
         config = config or ClusterConfig()
         self.config = config
         self.model = config.engine.build_model()
-        self.router = router if router is not None else build_router(config.router)
+        self.router = router if router is not None else ROUTERS.build(config.router)
         self.clock = (
             clock
             if clock is not None
             else build_clock(config.clock, arch=config.arch, context_scale=config.context_scale)
         )
-        self.autoscaler = resolve_autoscaler(config.autoscaler)
-        self.admission = resolve_admission(config.admission)
+        self.autoscaler = AUTOSCALERS.resolve(config.autoscaler)
+        self.admission = ADMISSIONS.resolve(config.admission)
         self._kv_bytes_per_token = self.model.config.kv_bytes_per_token()
         self._capacity_tokens = config.capacity_tokens(self._kv_bytes_per_token)
         self._run_wall_s = 0.0

@@ -199,18 +199,6 @@ class ClusterMetadata:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate(pieces)
 
-    def labels_of_tokens(self) -> np.ndarray:
-        """Cluster label of every clustered token, indexed by *rank in sorted order*.
-
-        Primarily a consistency helper for tests: returns an array ``labels``
-        such that ``labels[i]`` is the cluster of ``sorted_indices[i]``.
-        """
-        labels = np.zeros(self._num_tokens, dtype=np.int64)
-        for cluster in range(self.num_clusters):
-            start = self._prefix_sum[cluster]
-            labels[start : start + self._cluster_sizes[cluster]] = cluster
-        return labels
-
     def metadata_nbytes(self, bytes_per_element: int = 2) -> int:
         """Approximate GPU footprint of centroids plus indexing metadata."""
         # Centroid norms are device-resident alongside the centroids (the

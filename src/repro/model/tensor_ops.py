@@ -28,7 +28,6 @@ __all__ = [
     "apply_rope",
     "causal_mask",
     "masked_fill",
-    "stable_dot",
 ]
 
 
@@ -254,8 +253,3 @@ def masked_fill(scores: np.ndarray, mask: np.ndarray, value: float = -1e30) -> n
     """Return ``scores`` with positions where ``mask`` is False set to ``value``."""
     scores = np.asarray(scores, dtype=np.float64)
     return np.where(mask, scores, value)
-
-
-def stable_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product computed in float64 regardless of input dtype."""
-    return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)

@@ -17,26 +17,19 @@ first rejected draft token and has nothing to undo.
 The serving engine drafts and clips
 (:meth:`repro.serving.BatchedEngine.step`); :mod:`repro.specdec.verify`
 holds the verify/accept round; this package also owns the drafter
-abstraction, its registry, and the :class:`SpeculationConfig` record
-threaded through :class:`repro.api.EngineSpec`.
+abstraction, its registry :data:`DRAFTERS`
+(:class:`repro.registry.Registry`), and the :class:`SpeculationConfig`
+record threaded through :class:`repro.api.EngineSpec`.
 """
 
 from __future__ import annotations
 
 from .config import SpeculationConfig
-from .drafter import (
-    Drafter,
-    NGramDrafter,
-    build_drafter,
-    drafter_names,
-    register_drafter,
-)
+from .drafter import DRAFTERS, Drafter, NGramDrafter
 
 __all__ = [
     "Drafter",
     "NGramDrafter",
+    "DRAFTERS",
     "SpeculationConfig",
-    "build_drafter",
-    "drafter_names",
-    "register_drafter",
 ]

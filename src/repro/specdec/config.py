@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .drafter import Drafter, build_drafter
+from .drafter import DRAFTERS, Drafter
 
 __all__ = ["SpeculationConfig"]
 
@@ -19,7 +19,7 @@ class SpeculationConfig:
     (or no) tokens on unmatchable histories.
     """
 
-    #: Registry name of the drafter (see :func:`repro.specdec.build_drafter`).
+    #: Registry name of the drafter (see :data:`repro.specdec.DRAFTERS`).
     drafter: str = "ngram"
     #: Maximum candidate tokens drafted per request per round.
     k: int = 4
@@ -32,7 +32,7 @@ class SpeculationConfig:
 
     def build_drafter(self) -> Drafter:
         """Instantiate the configured drafter from the registry."""
-        return build_drafter(self.drafter)
+        return DRAFTERS.build(self.drafter)
 
     def describe(self) -> dict[str, object]:
         """Identity of this configuration (for reports)."""

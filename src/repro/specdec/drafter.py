@@ -32,21 +32,21 @@ identical history.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
+
+from ..registry import Registry
 
 __all__ = [
     "Drafter",
     "NGramDrafter",
-    "register_drafter",
-    "build_drafter",
-    "drafter_names",
+    "DRAFTERS",
 ]
 
 
 class Drafter(ABC):
     """Interface every drafter implements: history in, candidates out."""
 
-    #: Registry name of the drafter (set by subclasses).
+    #: Registry name of the drafter (set by :meth:`DRAFTERS.register`).
     name: str = ""
 
     @abstractmethod
@@ -64,6 +64,10 @@ class Drafter(ABC):
         return {"name": self.name}
 
 
+DRAFTERS = Registry("drafter", Drafter)
+
+
+@DRAFTERS.register("ngram")
 class NGramDrafter(Drafter):
     """Prompt-lookup self-drafter: suffix n-gram matching, no model.
 
@@ -76,8 +80,6 @@ class NGramDrafter(Drafter):
     on novel text the drafter proposes nothing and the engine silently
     falls back to plain decoding.
     """
-
-    name = "ngram"
 
     def __init__(self, max_ngram: int = 3, min_ngram: int = 1) -> None:
         if max_ngram < 1:
@@ -114,33 +116,3 @@ class NGramDrafter(Drafter):
             "max_ngram": self.max_ngram,
             "min_ngram": self.min_ngram,
         }
-
-
-_DRAFTERS: dict[str, Callable[[], Drafter]] = {}
-
-
-def register_drafter(name: str, factory: Callable[[], Drafter]) -> None:
-    """Register a drafter factory under ``name`` (overwrites silently)."""
-    _DRAFTERS[name] = factory
-
-
-def build_drafter(name: str) -> Drafter:
-    """Instantiate the registered drafter ``name``.
-
-    Raises :class:`ValueError` with the known names when unknown, in the
-    style of the policy registry.
-    """
-    try:
-        factory = _DRAFTERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_DRAFTERS))
-        raise ValueError(f"unknown drafter {name!r} (known: {known})") from None
-    return factory()
-
-
-def drafter_names() -> tuple[str, ...]:
-    """Sorted names of all registered drafters."""
-    return tuple(sorted(_DRAFTERS))
-
-
-register_drafter("ngram", NGramDrafter)

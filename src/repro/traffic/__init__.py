@@ -22,20 +22,20 @@ Entry points: :func:`simulate` (also re-exported as
 :class:`repro.cluster.ClusterSimulator`), :func:`TrafficConfig` (the
 static-fleet preset of :class:`repro.cluster.ClusterConfig`, the one
 fleet config), :func:`run_traffic_bench` behind both the ``repro
-traffic-bench`` and ``cluster-bench`` CLI commands, and the small
-registries (:func:`build_arrivals`, :func:`build_router`) that make
-arrival processes and routing strategies pluggable the same way
-:mod:`repro.policies` makes compression methods pluggable.
+traffic-bench`` and ``cluster-bench`` CLI commands, and the registries
+:data:`ARRIVALS` and :data:`ROUTERS` (:class:`repro.registry.Registry`)
+that make arrival processes and routing strategies pluggable the same way
+:mod:`repro.policies` makes compression methods pluggable;
+:func:`build_arrivals` is ``ARRIVALS.build``.
 """
 
 from .arrivals import (
+    ARRIVALS,
     ArrivalProcess,
     ConstantArrivals,
     OnOffArrivals,
     PoissonArrivals,
     TraceArrivals,
-    arrival_names,
-    build_arrivals,
 )
 from .bench import (
     TrafficBenchConfig,
@@ -46,10 +46,13 @@ from .bench import (
 )
 from .clock import PerfModelClock, StepClock, WallClock, build_clock
 from .report import RequestMetrics, SLOSpec, TrafficReport
-from .router import JoinShortestQueueRouter, PrefixAffineRouter, Router, build_router, router_names
+from .router import ROUTERS, JoinShortestQueueRouter, PrefixAffineRouter, Router
 from .simulator import TrafficConfig, simulate
 from .trace import load_trace, save_trace
 from .workload import RequestShape, TrafficRequest, generate_traffic
+
+# The wall-clock benchmark's workloads (bench/workloads.py) import this name.
+build_arrivals = ARRIVALS.build
 
 __all__ = [
     "ArrivalProcess",
@@ -57,8 +60,8 @@ __all__ = [
     "PoissonArrivals",
     "OnOffArrivals",
     "TraceArrivals",
+    "ARRIVALS",
     "build_arrivals",
-    "arrival_names",
     "TrafficRequest",
     "RequestShape",
     "generate_traffic",
@@ -67,8 +70,7 @@ __all__ = [
     "Router",
     "JoinShortestQueueRouter",
     "PrefixAffineRouter",
-    "build_router",
-    "router_names",
+    "ROUTERS",
     "StepClock",
     "PerfModelClock",
     "WallClock",

@@ -2,9 +2,9 @@
 
 An arrival process turns ``(num_requests, seed)`` into a deterministic,
 non-decreasing sequence of arrival timestamps in seconds.  Processes
-self-register in a small name registry mirroring :mod:`repro.policies`, so
-the CLI (``repro traffic-bench --arrivals poisson``), config files and
-third-party processes all resolve through :func:`build_arrivals`:
+register in :data:`ARRIVALS` (a :class:`~repro.registry.Registry`), so the
+CLI (``repro traffic-bench --arrivals poisson``), config files and
+third-party processes all resolve through ``ARRIVALS.build``:
 
 * ``constant`` — evenly spaced arrivals at a fixed rate (the open-loop
   analogue of a paced load generator);
@@ -24,9 +24,11 @@ processes built with equal configuration emit bit-identical timestamps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from ..registry import Registry
 
 __all__ = [
     "ArrivalProcess",
@@ -34,9 +36,7 @@ __all__ = [
     "PoissonArrivals",
     "OnOffArrivals",
     "TraceArrivals",
-    "register_arrivals",
-    "build_arrivals",
-    "arrival_names",
+    "ARRIVALS",
 ]
 
 
@@ -54,38 +54,10 @@ class ArrivalProcess:
         return {"name": self.name}
 
 
-_ARRIVALS: dict[str, type] = {}
+ARRIVALS = Registry("arrival process", ArrivalProcess)
 
 
-def register_arrivals(name: str) -> Callable[[type], type]:
-    """Class decorator registering an :class:`ArrivalProcess` under ``name``."""
-
-    def decorator(cls: type) -> type:
-        existing = _ARRIVALS.get(name)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"arrival process name {name!r} is already registered")
-        _ARRIVALS[name] = cls
-        cls.name = name
-        return cls
-
-    return decorator
-
-
-def arrival_names() -> tuple[str, ...]:
-    """Sorted names of all registered arrival processes."""
-    return tuple(sorted(_ARRIVALS))
-
-
-def build_arrivals(name: str, **kwargs: object) -> ArrivalProcess:
-    """Instantiate a registered arrival process from its name and kwargs."""
-    cls = _ARRIVALS.get(name)
-    if cls is None:
-        known = ", ".join(arrival_names()) or "<none registered>"
-        raise ValueError(f"unknown arrival process {name!r}; registered: {known}")
-    return cls(**kwargs)
-
-
-@register_arrivals("constant")
+@ARRIVALS.register("constant")
 @dataclass(frozen=True)
 class ConstantArrivals(ArrivalProcess):
     """Evenly spaced arrivals: request ``i`` arrives at ``i / rate``."""
@@ -105,7 +77,7 @@ class ConstantArrivals(ArrivalProcess):
         return {"name": self.name, "rate": self.rate}
 
 
-@register_arrivals("poisson")
+@ARRIVALS.register("poisson")
 @dataclass(frozen=True)
 class PoissonArrivals(ArrivalProcess):
     """Poisson process: i.i.d. exponential gaps with mean ``1 / rate``."""
@@ -127,7 +99,7 @@ class PoissonArrivals(ArrivalProcess):
         return {"name": self.name, "rate": self.rate}
 
 
-@register_arrivals("onoff")
+@ARRIVALS.register("onoff")
 @dataclass(frozen=True)
 class OnOffArrivals(ArrivalProcess):
     """Bursty on/off arrivals with mean rate ``rate``.
@@ -194,7 +166,7 @@ class OnOffArrivals(ArrivalProcess):
         }
 
 
-@register_arrivals("trace")
+@ARRIVALS.register("trace")
 @dataclass(frozen=True)
 class TraceArrivals(ArrivalProcess):
     """Replay of explicit arrival timestamps (e.g. loaded from a trace)."""

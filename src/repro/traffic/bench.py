@@ -22,7 +22,7 @@ from ..knobs import knob
 from ..model import get_model_config
 from ..policies import PolicySpec
 from ..serving.bench import POLICY_FLAG, resolve_serving_policies, serving_engine_spec
-from .arrivals import build_arrivals
+from .arrivals import ARRIVALS
 from .report import TrafficReport
 from .simulator import simulate
 from .trace import load_trace
@@ -179,11 +179,11 @@ def build_bench_requests(config: TrafficBenchConfig) -> list[TrafficRequest]:
             "instead of --arrivals trace"
         )
     if workload.arrivals == "onoff":
-        process = build_arrivals(
+        process = ARRIVALS.build(
             "onoff", rate=workload.rate, burstiness=workload.burstiness
         )
     else:
-        process = build_arrivals(workload.arrivals, rate=workload.rate)
+        process = ARRIVALS.build(workload.arrivals, rate=workload.rate)
     times = process.times(workload.num_requests, seed=workload.seed)
     # With a class mix, every policy contributes one shape per service
     # class, weighted by the interactive fraction (degenerate fractions

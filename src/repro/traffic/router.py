@@ -6,10 +6,10 @@ depth, active decodes, reserved KV bytes, the replica clock — and must be
 deterministic: ties break toward the lowest replica index, so a simulation
 is bit-reproducible regardless of the routing strategy.
 
-Strategies self-register in a name registry mirroring
-:mod:`repro.policies`: ``@register_router("name")`` makes a strategy
-available to :func:`build_router`, the ``repro traffic-bench --router``
-flag and `repro list` at once.  Built-ins:
+Strategies register in :data:`ROUTERS` (a
+:class:`~repro.registry.Registry`): ``@ROUTERS.register("name")`` makes a
+strategy available to ``ROUTERS.build``, the ``repro traffic-bench
+--router`` flag and ``repro list`` at once.  Built-ins:
 
 * ``round_robin`` — cycle replicas in arrival order, load-blind;
 * ``jsq`` — join the shortest queue (queued + active requests), the
@@ -29,10 +29,11 @@ flag and `repro list` at once.  Built-ins:
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
+from ..registry import Registry
 from .workload import TrafficRequest
 
 __all__ = [
@@ -43,9 +44,7 @@ __all__ = [
     "LeastKVBytesRouter",
     "PrefixAffineRouter",
     "SLOAwareRouter",
-    "register_router",
-    "build_router",
-    "router_names",
+    "ROUTERS",
 ]
 
 
@@ -88,38 +87,10 @@ class Router:
         return {"name": self.name}
 
 
-_ROUTERS: dict[str, type] = {}
+ROUTERS = Registry("router", Router)
 
 
-def register_router(name: str) -> Callable[[type], type]:
-    """Class decorator registering a :class:`Router` under ``name``."""
-
-    def decorator(cls: type) -> type:
-        existing = _ROUTERS.get(name)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"router name {name!r} is already registered")
-        _ROUTERS[name] = cls
-        cls.name = name
-        return cls
-
-    return decorator
-
-
-def router_names() -> tuple[str, ...]:
-    """Sorted names of all registered routing strategies."""
-    return tuple(sorted(_ROUTERS))
-
-
-def build_router(name: str, **kwargs: object) -> Router:
-    """Instantiate a registered router from its name and kwargs."""
-    cls = _ROUTERS.get(name)
-    if cls is None:
-        known = ", ".join(router_names()) or "<none registered>"
-        raise ValueError(f"unknown router {name!r}; registered: {known}")
-    return cls(**kwargs)
-
-
-@register_router("round_robin")
+@ROUTERS.register("round_robin")
 class RoundRobinRouter(Router):
     """Cycle through replicas in arrival order, ignoring load."""
 
@@ -137,7 +108,7 @@ class RoundRobinRouter(Router):
         self._next = 0
 
 
-@register_router("jsq")
+@ROUTERS.register("jsq")
 class JoinShortestQueueRouter(Router):
     """Join the replica with the fewest in-system requests.
 
@@ -153,7 +124,7 @@ class JoinShortestQueueRouter(Router):
         )
 
 
-@register_router("least_kv")
+@ROUTERS.register("least_kv")
 class LeastKVBytesRouter(Router):
     """Join the replica with the fewest reserved KV bytes.
 
@@ -170,7 +141,7 @@ class LeastKVBytesRouter(Router):
         )
 
 
-@register_router("prefix_affine")
+@ROUTERS.register("prefix_affine")
 class PrefixAffineRouter(Router):
     """Route requests sharing a prompt prefix to the same replica.
 
@@ -208,7 +179,7 @@ class PrefixAffineRouter(Router):
         return {"name": self.name, "block_tokens": self.block_tokens}
 
 
-@register_router("slo_aware")
+@ROUTERS.register("slo_aware")
 class SLOAwareRouter(Router):
     """Class-aware placement: spread interactive, concentrate batch.
 

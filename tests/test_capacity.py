@@ -21,10 +21,9 @@ from repro.capacity import (
     CapacityReport,
     CapacityScenarioConfig,
     HostSpillManager,
-    build_scenario,
+    SCENARIOS,
     probe_point,
     run_scenario,
-    scenario_names,
 )
 from repro.memory import (
     CapacityExceeded,
@@ -289,13 +288,13 @@ class TestMemoryConservation:
 
 class TestScenarios:
     def test_registry(self):
-        assert scenario_names() == [
+        assert SCENARIOS.names() == (
             "capacity_frontier",
             "latency_curve",
             "oom_finder",
-        ]
+        )
         with pytest.raises(ValueError, match="unknown capacity scenario"):
-            build_scenario("nope")
+            SCENARIOS.build("nope")
 
     def test_probe_point_feasible_and_infeasible(self):
         config = CapacityScenarioConfig()

@@ -55,6 +55,9 @@ GOLDEN = {
     # perf-bench joined the table when it stopped timing anything: its stdout
     # is the deterministic counters, pinned from that commit on.
     PERF_GOLDEN: "79b6c4afe7423b1d",
+    # Every registry's names in one listing: a test that leaks a registration
+    # into the process changes this digest.
+    "list": "69918d52271d7850",
 }
 
 

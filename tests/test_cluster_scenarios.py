@@ -40,11 +40,9 @@ from repro.cluster import (
     ScaleDecision,
     SLOAttainmentAutoscaler,
     StaticAutoscaler,
+    ADMISSIONS,
+    AUTOSCALERS,
     TokenBudgetAdmission,
-    admission_names,
-    autoscaler_names,
-    build_admission,
-    build_autoscaler,
     simulate_cluster,
 )
 from repro.serving import BatchedEngine
@@ -57,9 +55,9 @@ from repro.traffic import (
     StepClock,
     TrafficConfig,
     TrafficRequest,
+    ROUTERS,
     build_arrivals,
     generate_traffic,
-    router_names,
 )
 from repro.traffic import simulate as traffic_simulate
 
@@ -206,10 +204,10 @@ class TestControlPlaneInvariants:
 
     def test_registries_enumerate_builtins(self):
         """Both registries expose the built-in strategies by name."""
-        assert set(autoscaler_names()) >= {"static", "queue_depth", "slo_attainment"}
-        assert set(admission_names()) >= {"always", "token_budget", "queue_deadline"}
-        assert isinstance(build_autoscaler("queue_depth", high=3.0), QueueDepthAutoscaler)
-        assert isinstance(build_admission("token_budget"), TokenBudgetAdmission)
+        assert set(AUTOSCALERS.names()) >= {"static", "queue_depth", "slo_attainment"}
+        assert set(ADMISSIONS.names()) >= {"always", "token_budget", "queue_deadline"}
+        assert isinstance(AUTOSCALERS.build("queue_depth", high=3.0), QueueDepthAutoscaler)
+        assert isinstance(ADMISSIONS.build("token_budget"), TokenBudgetAdmission)
 
     def test_autoscaler_decisions_respect_bounds(self):
         """No policy ever proposes growing past max or shrinking past min."""
@@ -532,7 +530,7 @@ class TestStaticFleetIsADegenerateCluster:
     """A TrafficConfig run is the fixed-size, static, always-admit cluster."""
 
     @pytest.mark.parametrize("replicas", (1, 3))
-    @pytest.mark.parametrize("router", router_names())
+    @pytest.mark.parametrize("router", ROUTERS.names())
     def test_traffic_config_equals_fixed_cluster(self, router, replicas):
         """The preset and the hand-built static cluster report identically.
 

@@ -39,15 +39,7 @@ from repro.model.sampling import (
 from repro.perf.counters import count_ops
 from repro.policies import available_policies, build_policy
 from repro.serving import BatchedEngine
-from repro.specdec import (
-    Drafter,
-    NGramDrafter,
-    SpeculationConfig,
-    build_drafter,
-    drafter_names,
-    register_drafter,
-)
-from repro.specdec.drafter import _DRAFTERS
+from repro.specdec import DRAFTERS, Drafter, NGramDrafter, SpeculationConfig
 from repro.specdec.verify import speculative_round
 from repro.serving.bench import serving_engine_spec
 from repro.traffic import TrafficConfig
@@ -181,26 +173,25 @@ class TestNGramDrafter:
 
 class TestRegistry:
     def test_ngram_registered(self):
-        assert "ngram" in drafter_names()
-        assert isinstance(build_drafter("ngram"), NGramDrafter)
+        assert "ngram" in DRAFTERS.names()
+        assert isinstance(DRAFTERS.build("ngram"), NGramDrafter)
 
     def test_unknown_drafter_lists_known_names(self):
         with pytest.raises(ValueError, match="ngram"):
-            build_drafter("definitely-not-registered")
+            DRAFTERS.build("definitely-not-registered")
 
     def test_register_custom_drafter(self):
+        @DRAFTERS.register("test-const")
         class _Const(Drafter):
-            name = "test-const"
-
             def propose(self, token_history, k):
                 return [0] * k
 
-        register_drafter("test-const", _Const)
         try:
-            assert "test-const" in drafter_names()
-            assert build_drafter("test-const").propose([1, 2], 2) == [0, 0]
+            assert _Const.name == "test-const"
+            assert "test-const" in DRAFTERS.names()
+            assert DRAFTERS.build("test-const").propose([1, 2], 2) == [0, 0]
         finally:
-            _DRAFTERS.pop("test-const", None)
+            DRAFTERS._classes.pop("test-const", None)
 
 
 class TestSpeculationConfig:
@@ -273,12 +264,11 @@ class TestGreedyDifferential:
         policy = POLICY_SPECS[policy_name]
         plain = run_serve(model, policy, [prompt])
         expected = results_by_id(plain)["req-0"]
-        register_drafter(
-            "test-replay",
-            lambda: _ReplayDrafter(
-                len(prompt), expected.output_ids, model.config.vocab_size
-            ),
-        )
+        @DRAFTERS.register("test-replay")
+        class _Replay(_ReplayDrafter):
+            def __init__(self):
+                super().__init__(len(prompt), expected.output_ids, model.config.vocab_size)
+
         try:
             spec = run_serve(
                 model,
@@ -287,7 +277,7 @@ class TestGreedyDifferential:
                 speculation=SpeculationConfig(drafter="test-replay", k=4),
             )
         finally:
-            _DRAFTERS.pop("test-replay", None)
+            DRAFTERS._classes.pop("test-replay", None)
         actual = results_by_id(spec)["req-0"]
         assert actual.output_ids == expected.output_ids
         assert actual.output_logprobs == expected.output_logprobs
@@ -514,12 +504,11 @@ class TestRollback:
         model = models["tiny"]
         prompt = repetitive_prompt(model.config.vocab_size)
         plain = results_by_id(run_serve(model, CLUSTERKV, [prompt]))["req-0"]
-        register_drafter(
-            "test-avoid",
-            lambda: _AvoidDrafter(
-                len(prompt), plain.output_ids, model.config.vocab_size, 4
-            ),
-        )
+        @DRAFTERS.register("test-avoid")
+        class _Avoid(_AvoidDrafter):
+            def __init__(self):
+                super().__init__(len(prompt), plain.output_ids, model.config.vocab_size, 4)
+
         try:
             spec = run_serve(
                 model,
@@ -528,7 +517,7 @@ class TestRollback:
                 speculation=SpeculationConfig(drafter="test-avoid", k=4),
             )
         finally:
-            _DRAFTERS.pop("test-avoid", None)
+            DRAFTERS._classes.pop("test-avoid", None)
         actual = results_by_id(spec)["req-0"]
         assert actual.output_ids == plain.output_ids
         assert actual.output_logprobs == plain.output_logprobs

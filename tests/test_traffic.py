@@ -24,6 +24,8 @@ from repro.policies import PolicySpec
 from repro.serving import BatchedEngine, SchedulerConfig
 from repro.serving.bench import serving_engine_spec
 from repro.traffic import (
+    ARRIVALS,
+    ROUTERS,
     ConstantArrivals,
     OnOffArrivals,
     PoissonArrivals,
@@ -36,13 +38,10 @@ from repro.traffic import (
     TrafficRequest,
     WallClock,
     WorkloadSpec,
-    arrival_names,
     build_arrivals,
-    build_router,
     format_traffic_report,
     generate_traffic,
     load_trace,
-    router_names,
     run_traffic_bench,
     save_trace,
     simulate,
@@ -52,14 +51,14 @@ from repro.traffic.report import percentile
 
 class TestArrivalProcesses:
     def test_registry_names(self):
-        assert set(arrival_names()) >= {"constant", "poisson", "onoff", "trace"}
-        assert set(router_names()) >= {"round_robin", "jsq", "least_kv"}
+        assert set(ARRIVALS.names()) >= {"constant", "poisson", "onoff", "trace"}
+        assert set(ROUTERS.names()) >= {"round_robin", "jsq", "least_kv"}
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown arrival process"):
             build_arrivals("bogus")
         with pytest.raises(ValueError, match="unknown router"):
-            build_router("bogus")
+            ROUTERS.build("bogus")
 
     def test_constant_spacing(self):
         times = ConstantArrivals(rate=4.0).times(5)
@@ -203,23 +202,23 @@ class TestRouters:
         return TrafficRequest("x", 0.0, np.array([1, 2, 3]), 4)
 
     def test_round_robin_cycles(self):
-        router = build_router("round_robin")
+        router = ROUTERS.build("round_robin")
         views = [self._View(i, 0, 0, 0) for i in range(3)]
         picks = [router.choose(views, self._request()) for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_jsq_prefers_fewest_in_system(self):
-        router = build_router("jsq")
+        router = ROUTERS.build("jsq")
         views = [self._View(0, 2, 1, 0), self._View(1, 0, 2, 0), self._View(2, 1, 2, 0)]
         assert router.choose(views, self._request()) == 1
 
     def test_jsq_ties_break_low_index(self):
-        router = build_router("jsq")
+        router = ROUTERS.build("jsq")
         views = [self._View(0, 1, 1, 0), self._View(1, 0, 2, 0)]
         assert router.choose(views, self._request()) == 0
 
     def test_least_kv_prefers_fewest_reserved_bytes(self):
-        router = build_router("least_kv")
+        router = ROUTERS.build("least_kv")
         views = [self._View(0, 0, 1, 500), self._View(1, 5, 0, 100)]
         assert router.choose(views, self._request()) == 1
 
