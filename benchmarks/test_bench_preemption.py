@@ -17,11 +17,11 @@ import numpy as np
 
 from repro.api import EngineSpec
 from repro.cluster import FailureEvent, FailurePlan
+from repro.serving import ServeRequest
 from repro.traffic import (
     SLOSpec,
     TrafficBenchConfig,
     TrafficConfig,
-    TrafficRequest,
     WorkloadSpec,
     format_traffic_report,
     run_traffic_bench,
@@ -30,7 +30,7 @@ from repro.traffic import (
 from repro.traffic.bench import bench_fleet
 
 
-def _mixed_class_trace(vocab_size: int = 2048) -> list[TrafficRequest]:
+def _mixed_class_trace(vocab_size: int = 2048) -> list[ServeRequest]:
     """A long batch-class filler plus a paced interactive stream.
 
     The batch request occupies the lone replica for hundreds of decode
@@ -40,7 +40,7 @@ def _mixed_class_trace(vocab_size: int = 2048) -> list[TrafficRequest]:
     """
     rng = np.random.default_rng(13)
     requests = [
-        TrafficRequest(
+        ServeRequest(
             request_id="filler",
             arrival_time_s=0.0,
             prompt_ids=rng.integers(4, vocab_size, size=48).astype(np.int64),
@@ -50,7 +50,7 @@ def _mixed_class_trace(vocab_size: int = 2048) -> list[TrafficRequest]:
     ]
     for index in range(8):
         requests.append(
-            TrafficRequest(
+            ServeRequest(
                 request_id=f"chat{index}",
                 arrival_time_s=2.0 + 1.5 * index,
                 prompt_ids=rng.integers(4, vocab_size, size=48).astype(np.int64),

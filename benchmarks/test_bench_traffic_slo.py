@@ -17,13 +17,13 @@ asserts the headline properties of the traffic and cluster layers:
 import numpy as np
 
 from repro.api import EngineSpec
+from repro.serving import ServeRequest
 from repro.serving.bench import serving_engine_spec
 from repro.traffic import (
     ROUTERS,
     SLOSpec,
     TrafficBenchConfig,
     TrafficConfig,
-    TrafficRequest,
     WorkloadSpec,
     format_traffic_report,
     run_traffic_bench,
@@ -47,7 +47,7 @@ def test_bench_traffic_p99_ttft():
     assert report.goodput_tokens_per_s > 0.0
 
 
-def _skewed_trace(vocab_size: int = 2048) -> list[TrafficRequest]:
+def _skewed_trace(vocab_size: int = 2048) -> list[ServeRequest]:
     """One long-decoding monster plus a paced stream of light requests.
 
     The monster occupies its replica for hundreds of slow decode steps;
@@ -58,7 +58,7 @@ def _skewed_trace(vocab_size: int = 2048) -> list[TrafficRequest]:
     """
     rng = np.random.default_rng(7)
     requests = [
-        TrafficRequest(
+        ServeRequest(
             request_id="monster",
             arrival_time_s=0.0,
             prompt_ids=rng.integers(4, vocab_size, size=48).astype(np.int64),
@@ -67,7 +67,7 @@ def _skewed_trace(vocab_size: int = 2048) -> list[TrafficRequest]:
     ]
     for index in range(10):
         requests.append(
-            TrafficRequest(
+            ServeRequest(
                 request_id=f"light{index}",
                 arrival_time_s=0.3 + 1.5 * index,
                 prompt_ids=rng.integers(4, vocab_size, size=48).astype(np.int64),
@@ -159,7 +159,7 @@ def test_bench_chunked_prefill_p99_ttft():
 
 def _shared_preamble_trace(
     count: int = 16, preamble_tokens: int = 128, vocab_size: int = 2048
-) -> list[TrafficRequest]:
+) -> list[ServeRequest]:
     """A paced request stream whose prompts share one long preamble.
 
     Models the dominant production pattern for prefix caching: every
@@ -170,7 +170,7 @@ def _shared_preamble_trace(
     rng = np.random.default_rng(19)
     preamble = rng.integers(4, vocab_size, size=preamble_tokens).astype(np.int64)
     return [
-        TrafficRequest(
+        ServeRequest(
             request_id=f"shared{index:03d}",
             arrival_time_s=0.8 * index,
             prompt_ids=np.concatenate(

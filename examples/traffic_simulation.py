@@ -22,11 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import EngineSpec, SLOSpec, TrafficConfig, simulate
+from repro import EngineSpec, ServeRequest, SLOSpec, TrafficConfig, simulate
 from repro.traffic import (
     OnOffArrivals,
     RequestShape,
-    TrafficRequest,
     format_traffic_report,
     generate_traffic,
     load_trace,
@@ -72,11 +71,11 @@ def build_config(router: str) -> TrafficConfig:
     )
 
 
-def skewed_workload() -> list[TrafficRequest]:
+def skewed_workload() -> list[ServeRequest]:
     """One long-decoding monster plus a paced stream of light requests."""
     rng = np.random.default_rng(7)
     requests = [
-        TrafficRequest(
+        ServeRequest(
             request_id="monster",
             arrival_time_s=0.0,
             prompt_ids=rng.integers(4, 2048, size=48).astype(np.int64),
@@ -85,7 +84,7 @@ def skewed_workload() -> list[TrafficRequest]:
     ]
     for index in range(10):
         requests.append(
-            TrafficRequest(
+            ServeRequest(
                 request_id=f"light{index}",
                 arrival_time_s=0.3 + 1.5 * index,
                 prompt_ids=rng.integers(4, 2048, size=48).astype(np.int64),

@@ -33,9 +33,9 @@ from ..model import get_model_config
 from ..policies import PolicySpec
 from ..registry import Registry
 from ..serving.bench import POLICY_FLAG, resolve_serving_policies, serving_engine_spec
+from ..serving.request import ServeRequest
 from ..traffic.bench import TrafficBenchConfig, WorkloadSpec, build_bench_requests
 from ..traffic.report import SLOSpec
-from ..traffic.workload import TrafficRequest
 from .report import CapacityPoint, CapacityReport
 
 __all__ = [
@@ -192,7 +192,7 @@ class CapacityScenarioConfig:
 
 def _burst_requests(
     config: CapacityScenarioConfig, context_tokens: int, concurrency: int
-) -> list[TrafficRequest]:
+) -> list[ServeRequest]:
     """Closed burst: ``concurrency`` equal-length prompts arriving at t=0.
 
     Prompt contents are seeded by ``(seed, context, concurrency)`` so
@@ -201,9 +201,8 @@ def _burst_requests(
     vocab_size = get_model_config(config.engine.model).vocab_size
     rng = np.random.default_rng([config.seed, context_tokens, concurrency])
     return [
-        TrafficRequest(
+        ServeRequest(
             request_id=f"c{index}",
-            arrival_time_s=0.0,
             prompt_ids=rng.integers(4, vocab_size, size=context_tokens).astype(
                 np.int64
             ),
@@ -215,7 +214,7 @@ def _burst_requests(
 
 def _rate_requests(
     config: CapacityScenarioConfig, policy: PolicySpec, rate: float
-) -> list[TrafficRequest]:
+) -> list[ServeRequest]:
     """Open-loop Poisson workload at one offered rate."""
     workload = WorkloadSpec(
         rate=rate,

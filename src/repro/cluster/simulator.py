@@ -68,11 +68,10 @@ from ..execbackend import ExecutionBackend, ReplicaHandle, SerialBackend, StepWi
 from ..knobs import knob
 from ..model import _lanes
 from ..seqstate import SequenceCheckpoint
-from ..serving import BatchedEngine, CompletedRequest
+from ..serving import BatchedEngine, CompletedRequest, ServeRequest
 from ..traffic.clock import StepClock, build_clock
 from ..traffic.report import RejectedRequest, RequestMetrics, SLOSpec, TrafficReport
 from ..traffic.router import ROUTERS, Router
-from ..traffic.workload import TrafficRequest
 from .admission import ADMISSIONS, AdmissionPolicy
 from .autoscaler import AUTOSCALERS, Autoscaler
 from .failures import FailureEvent, FailurePlan
@@ -212,6 +211,9 @@ class ClusterConfig:
             raise ValueError("max_retries must be non-negative")
         if self.checkpoint_interval_s is not None and self.checkpoint_interval_s <= 0:
             raise ValueError("checkpoint_interval_s must be positive when set")
+        ROUTERS.check(self.router)
+        AUTOSCALERS.check_spec(self.autoscaler)
+        ADMISSIONS.check_spec(self.admission)
 
     @property
     def num_replicas(self) -> int:
@@ -376,9 +378,8 @@ class ClusterSimulator:
         self._first_token_at_s: dict[str, float] = {}
         self._metrics: list[RequestMetrics] = []
         self._duration_s = 0.0
-        self._parked: deque[TrafficRequest] = deque()
+        self._parked: deque[ServeRequest] = deque()
         self._parked_checkpoints: deque[SequenceCheckpoint] = deque()
-        self._request_of: dict[str, TrafficRequest] = {}
         self._retry_counts: dict[str, int] = {}
         self._migration_counts: dict[str, int] = {}
         self._recovery_counts: dict[str, int] = {}
@@ -513,10 +514,9 @@ class ClusterSimulator:
                 self._migration_counts.get(request_id, 0) + 1
             )
             self._place_checkpoint(checkpoint, now_s)
-        for serve_request in queued:
-            request_id = serve_request.request_id
-            self._replica_of.pop(request_id, None)
-            self._dispatch(self._request_of[request_id], now_s)
+        for request in queued:
+            self._replica_of.pop(request.request_id, None)
+            self._dispatch(request, now_s)
         # The engine may still list the migrated-away queued entries; it is
         # discarded here, so bypass _stop_replica's empty assertion.
         replica.state = ReplicaLifecycle.STOPPED
@@ -577,11 +577,13 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # request flow
     # ------------------------------------------------------------------
-    def _projected_tokens(self, request: TrafficRequest) -> int:
-        """Projected KV tokens of one request (prompt plus decode length)."""
-        return request.prompt_length() + request.max_new_tokens
+    def _decode_length(self, request: ServeRequest) -> int:
+        """A request's decode length (``None``: the replica engine's default)."""
+        if request.max_new_tokens is None:
+            return self.config.engine.max_new_tokens
+        return request.max_new_tokens
 
-    def _dispatch(self, request: TrafficRequest, now_s: float) -> None:
+    def _dispatch(self, request: ServeRequest, now_s: float) -> None:
         """Route one admitted request, or park it when nothing accepts."""
         accepting = self._accepting()
         if not accepting:
@@ -605,6 +607,7 @@ class ClusterSimulator:
             policy=request.policy,
             arrival_time_s=request.arrival_time_s,
             slo_class=request.slo_class,
+            seed=request.seed,
         )
         self._replica_of[request.request_id] = replica.index
 
@@ -616,7 +619,7 @@ class ClusterSimulator:
             self._place_checkpoint(self._parked_checkpoints.popleft(), now_s)
 
     def _reject(
-        self, request: TrafficRequest, reason: str, detail: dict[str, float]
+        self, request: ServeRequest, reason: str, detail: dict[str, float]
     ) -> None:
         """Record one rejection as a first-class report entry."""
         self._rejected.append(
@@ -624,18 +627,17 @@ class ClusterSimulator:
                 request_id=request.request_id,
                 arrival_time_s=request.arrival_time_s,
                 prompt_tokens=request.prompt_length(),
-                max_new_tokens=request.max_new_tokens,
+                max_new_tokens=self._decode_length(request),
                 reason=reason,
                 policy=request.policy.name if request.policy is not None else "",
                 detail=detail,
             )
         )
 
-    def _handle_arrival(self, request: TrafficRequest, now_s: float) -> None:
+    def _handle_arrival(self, request: ServeRequest, now_s: float) -> None:
         """Admission-check one arrival, then dispatch or reject it."""
-        self._request_of[request.request_id] = request
         decision = self.admission.consider(
-            self._projected_tokens(request),
+            request.prompt_length() + self._decode_length(request),
             self._fleet_view(now_s),
             slo_class=request.slo_class,
         )
@@ -644,7 +646,7 @@ class ClusterSimulator:
             return
         self._dispatch(request, now_s)
 
-    def _retry_lost(self, request_id: str, now_s: float) -> bool:
+    def _retry_lost(self, request: ServeRequest, now_s: float) -> bool:
         """Re-dispatch one checkpoint-less lost request from its prompt.
 
         The lost attempt's admission/first-token stamps are void; the
@@ -654,10 +656,10 @@ class ClusterSimulator:
         request is rejected instead — ``_retry_counts`` counts actual
         re-dispatches, so a given-up request gets no phantom retry).
         """
+        request_id = request.request_id
         self._admitted_at_s.pop(request_id, None)
         self._first_token_at_s.pop(request_id, None)
         self._replica_of.pop(request_id, None)
-        request = self._request_of[request_id]
         retries_so_far = self._retry_counts.get(request_id, 0)
         if retries_so_far >= self.config.max_retries:
             self._reject(
@@ -716,13 +718,12 @@ class ClusterSimulator:
             retried: list[str] = []
             recovered: list[str] = []
             lost_tokens = 0
-            for serve_request in snapshot.queued:
-                request_id = serve_request.request_id
-                lost_ids.append(request_id)
-                if self._retry_lost(request_id, now_s):
-                    retried.append(request_id)
-            for serve_request, tokens_at_death in snapshot.active:
-                request_id = serve_request.request_id
+            for request in snapshot.queued:
+                lost_ids.append(request.request_id)
+                if self._retry_lost(request, now_s):
+                    retried.append(request.request_id)
+            for request, tokens_at_death in snapshot.active:
+                request_id = request.request_id
                 checkpoint = self._checkpoints.get(request_id)
                 if checkpoint is not None:
                     lost_tokens += max(
@@ -736,7 +737,7 @@ class ClusterSimulator:
                     continue
                 lost_ids.append(request_id)
                 lost_tokens += tokens_at_death
-                if self._retry_lost(request_id, now_s):
+                if self._retry_lost(request, now_s):
                     retried.append(request_id)
             for checkpoint in parked_checkpoints:
                 request_id = checkpoint.request_id
@@ -789,7 +790,7 @@ class ClusterSimulator:
             if r.state in (ReplicaLifecycle.ACTIVE, ReplicaLifecycle.DRAINING)
         )
 
-    def run(self, requests: Sequence[TrafficRequest]) -> TrafficReport:
+    def run(self, requests: Sequence[ServeRequest]) -> TrafficReport:
         """Simulate the workload over the fleet to completion.
 
         Each call starts cold: the fleet is rebuilt at ``min_replicas``,
@@ -1104,7 +1105,7 @@ class ClusterSimulator:
 
 
 def simulate_cluster(
-    requests: Sequence[TrafficRequest],
+    requests: Sequence[ServeRequest],
     config: ClusterConfig | None = None,
     router: Router | None = None,
     clock: StepClock | None = None,

@@ -328,10 +328,11 @@ class ReplicaHandle(ABC):
         self,
         prompt_ids: "np.ndarray",
         request_id: str,
-        max_new_tokens: int,
+        max_new_tokens: int | None,
         policy: "PolicySpec | str | None",
         arrival_time_s: float,
         slo_class: str,
+        seed: int | None = None,
     ) -> None:
         """Enqueue one request on the replica engine."""
         self._require_settled("submit")
@@ -344,6 +345,7 @@ class ReplicaHandle(ABC):
                 "policy": policy,
                 "arrival_time_s": arrival_time_s,
                 "slo_class": slo_class,
+                "seed": seed,
             },
         )
 

@@ -982,7 +982,13 @@ class InferenceEngine:
     # public API
     # ------------------------------------------------------------------
     def generate(self, prompt_ids: np.ndarray | list[int]) -> GenerationResult:
-        """Autoregressively generate ``max_new_tokens`` tokens after the prompt."""
+        """Autoregressively generate ``max_new_tokens`` tokens after the prompt.
+
+        Each decode step is the serving engine's decode round with an
+        empty draft (:func:`repro.specdec.verify.speculative_round`).
+        """
+        from ..specdec.verify import speculative_round
+
         seq = self._sequence
         distribution = self._core.prefill(seq, np.asarray(prompt_ids, dtype=np.int64))
 
@@ -990,9 +996,9 @@ class InferenceEngine:
         self._core.record_output(seq, current_token, distribution)
 
         for step in range(self.generation_config.max_new_tokens - 1):
-            distribution = self._core.decode_step_batch([seq], [current_token], [step])[0]
-            current_token = self._core.pick_token(seq, distribution)
-            self._core.record_output(seq, current_token, distribution)
+            ((current_token,),) = speculative_round(
+                self._core, [seq], [current_token], [step], [[]]
+            )
             seq.result.decode_steps += 1
 
         return self._core.finalise(seq)

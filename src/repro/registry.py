@@ -8,14 +8,16 @@ scenarios and drafters each keep one :class:`Registry`
 joins one with the ``@REGISTRY.register("name")`` decorator; a run turns
 names, or compact ``"name:key=value,..."`` specs, into instances through
 :meth:`Registry.build` and :meth:`Registry.resolve` while it is set up,
-never on the step path.  Compression policies keep their own registry
+never on the step path; a config checks the spec strings it holds with
+:meth:`Registry.check_spec` when it is constructed.  Compression policies keep their own registry
 (:mod:`repro.policies`): its entries also carry a config class and a
 summary.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generic, TypeVar
+import inspect
+from typing import Callable, Generic, Iterable, TypeVar
 
 from .policies.spec import PolicySpec
 
@@ -31,7 +33,8 @@ class Registry(Generic[T]):
     (same module and qualified name, as after a module re-import) is a
     no-op; a different class under a taken name raises
     :class:`ValueError`, and so does an unknown name, listing every
-    registered one.
+    registered one, or a keyword the class does not accept, listing the
+    accepted ones.
     """
 
     def __init__(self, kind: str, base: type[T]) -> None:
@@ -68,9 +71,29 @@ class Registry(Generic[T]):
             known = ", ".join(self.names()) or "<none registered>"
             raise ValueError(f"unknown {self.kind} {name!r}; registered: {known}")
 
+    def _check_keys(self, name: str, keys: Iterable[str]) -> None:
+        """Raise :class:`ValueError` unless ``name`` is registered and takes every key."""
+        self.check(name)
+        parameters = inspect.signature(self._classes[name]).parameters.values()
+        if any(p.kind is p.VAR_KEYWORD for p in parameters):
+            return
+        accepted = [p.name for p in parameters if p.kind is not p.VAR_POSITIONAL]
+        unknown = sorted(set(keys) - set(accepted))
+        if unknown:
+            raise ValueError(
+                f"unknown {name!r} configuration keys {unknown}; "
+                f"accepted keys: {', '.join(accepted) or '<none>'}"
+            )
+
+    def check_spec(self, value: object) -> None:
+        """Check a spec string's name and keys without building it; instances pass."""
+        if isinstance(value, str):
+            spec = PolicySpec.parse(value)
+            self._check_keys(spec.name, dict(spec.kwargs))
+
     def build(self, name: str, *args: object, **kwargs: object) -> T:
         """Instantiate the class registered under ``name`` with these arguments."""
-        self.check(name)
+        self._check_keys(name, kwargs)
         return self._classes[name](*args, **kwargs)
 
     def resolve(self, value: T | str) -> T:

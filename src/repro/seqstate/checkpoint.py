@@ -3,11 +3,12 @@
 A :class:`SequenceCheckpoint` captures everything one in-flight generation
 request owns — the per-layer KV buffers, the selector states of the active
 compression policy (via the :meth:`~repro.baselines.base.
-LayerSelectorState.export_state` hook, the generalisation of PR 6's
+LayerSelectorState.export_state` hook, the generalisation of the
 prefix-cache export to arbitrary decode positions), the pointer-head
 history, the sampler RNG and the partially built
-:class:`~repro.model.generation.GenerationResult` — plus the request's
-identity and scheduling progress.  Restoring a checkpoint onto a fresh
+:class:`~repro.model.generation.GenerationResult` — plus the
+:class:`~repro.serving.request.ServeRequest` itself and its scheduling
+progress.  Restoring a checkpoint onto a fresh
 :class:`~repro.model.generation.SequenceState` (same model, same
 generation configuration, same policy configuration) reproduces the
 remaining decode **bit for bit**: every restored run emits exactly the
@@ -47,6 +48,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,7 +58,9 @@ from ..model.config import GenerationConfig, ModelConfig
 from ..model.generation import GenerationResult, SequenceState
 from ..model.transformer import TransformerModel
 from ..perf import counters
-from ..policies import PolicySpec
+
+if TYPE_CHECKING:
+    from ..serving.request import ServeRequest
 
 __all__ = [
     "SEQSTATE_VERSION",
@@ -69,7 +73,8 @@ __all__ = [
 # Format version of SequenceCheckpoint; bumped whenever the captured
 # fields change incompatibly.  Restore refuses mismatched versions.
 # Version 3: Quest, InfiniGen and H2O states hold head-stacked arrays.
-SEQSTATE_VERSION = 3
+# Version 4: the request identity is one ServeRequest field.
+SEQSTATE_VERSION = 4
 
 
 def policy_signature(selector: KVSelectorFactory) -> str:
@@ -90,8 +95,8 @@ class SequenceCheckpoint:
 
     The numerical payload (``kv_keys``/``kv_values``, ``layer_states``,
     ``rng_state``, the pointer-head history, ``result``) is captured by
-    :func:`checkpoint_sequence`; the request identity and scheduling
-    progress fields are filled by the serving layer
+    :func:`checkpoint_sequence`; the request and scheduling progress
+    fields are filled by the serving layer
     (:meth:`repro.serving.BatchedEngine.checkpoint_request`).  Instances
     are immutable and self-contained — every array is an owned copy, so a
     checkpoint stays valid after its source sequence keeps decoding or is
@@ -129,10 +134,11 @@ class SequenceCheckpoint:
     result:
         Deep copy of the in-progress generation result (tokens and
         log-probabilities emitted so far, live statistics).
-    request_id / prompt_ids / max_new_tokens / seed / policy /
-    arrival_order / arrival_time_s / slo_class:
-        Request identity, as submitted (``max_new_tokens`` is stored
-        *resolved* against the engine default).
+    request:
+        The :class:`~repro.serving.request.ServeRequest` being decoded,
+        as the engine holds it (``arrival_order`` included), with
+        ``max_new_tokens`` *resolved* against the engine default;
+        ``None`` until the serving layer fills it in.
     current_token / decode_step / prefill_pos / first_token_step / status:
         Serving-engine progress: the token to feed back next, the decode
         step index, prompt tokens prefilled so far, the engine step of the
@@ -155,19 +161,17 @@ class SequenceCheckpoint:
     copy_keys: np.ndarray | None
     copy_state: dict | None
     result: GenerationResult
-    request_id: str = ""
-    prompt_ids: np.ndarray | None = None
-    max_new_tokens: int | None = None
-    seed: int | None = None
-    policy: PolicySpec | None = None
-    arrival_order: int = 0
-    arrival_time_s: float = 0.0
-    slo_class: str = "interactive"
+    request: ServeRequest | None = None
     current_token: int = -1
     decode_step: int = 0
     prefill_pos: int = 0
     first_token_step: int = -1
     status: str = "decoding"
+
+    @property
+    def request_id(self) -> str:
+        """Id of the checkpointed request (``""`` before the serving layer fills it)."""
+        return self.request.request_id if self.request is not None else ""
 
     @property
     def num_tokens(self) -> int:
@@ -188,7 +192,7 @@ class SequenceCheckpoint:
             "position": self.position,
             "tokens_generated": self.tokens_generated,
             "status": self.status,
-            "slo_class": self.slo_class,
+            "slo_class": self.request.slo_class if self.request is not None else None,
         }
 
 
@@ -200,8 +204,8 @@ def checkpoint_sequence(
     """Capture the complete decoding state of one live sequence.
 
     The sequence keeps running unaffected — every captured array is a
-    copy.  Engine-level progress fields (request identity, decode step)
-    are left at their defaults; the serving layer fills them in.
+    copy.  The serving-layer fields (the request, its decode step) are
+    left at their defaults; the serving layer fills them in.
     """
     config = model.config
     kv_keys: list[np.ndarray] = []
@@ -286,7 +290,6 @@ def restore_sequence(
         generation_config,
         offload,
         buffer_prefix=buffer_prefix,
-        seed=checkpoint.seed,
     )
     for layer_idx in range(model.config.n_layers):
         keys = checkpoint.kv_keys[layer_idx]

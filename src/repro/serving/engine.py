@@ -439,10 +439,11 @@ class BatchedEngine:
             the report), if ``policy`` names an unregistered method or has
             invalid configuration keys, if the prompt holds a token id
             outside the model's vocabulary, if prompt plus decode length
-            runs past the model's learned position table, or if the
+            runs past the model's learned position table, if the
             request's projected KV footprint exceeds the scheduler's whole
-            memory budget.  Such a request could never run, so it is
-            refused before an id is issued.
+            memory budget, or if ``arrival_time_s`` is negative.  Such a
+            request could never run, so it is refused before an id is
+            issued.
         """
         if self._draining:
             raise RuntimeError(
@@ -580,10 +581,10 @@ class BatchedEngine:
         """Checkpoint one in-flight request into a mobile, restorable object.
 
         The returned :class:`~repro.seqstate.SequenceCheckpoint` carries the
-        full request identity and progress; :meth:`restore_request` on this
-        engine or any compatible one (same model, generation configuration
-        and policy configuration) resumes it bit-identically to never having
-        been interrupted.  With ``keep=False`` the request is simultaneously
+        request itself (its decode length resolved) and its progress;
+        :meth:`restore_request` on this engine or any compatible one (same
+        model, generation configuration and policy configuration) resumes
+        it bit-identically to never having been interrupted.  With ``keep=False`` the request is simultaneously
         removed from the engine — its decode slot, KV buffers and budget
         reservation are released (the checkpoint owns copies), which is the
         migrate-out and preempt primitive.
@@ -602,17 +603,11 @@ class BatchedEngine:
             # A checkpoint copies the live KV; recall any SSD-resident
             # pages first so the copy is the true cache content.
             self.spill.recall_all(request_id, step=self._engine_step)
-        request = active.request
         checkpoint = dataclasses.replace(
             self.core.checkpoint_request(active.sequence),
-            request_id=request.request_id,
-            prompt_ids=request.prompt_ids,
-            max_new_tokens=active.max_new_tokens,
-            seed=request.seed,
-            policy=request.policy,
-            arrival_order=request.arrival_order,
-            arrival_time_s=request.arrival_time_s,
-            slo_class=request.slo_class,
+            request=dataclasses.replace(
+                active.request, max_new_tokens=active.max_new_tokens
+            ),
             current_token=active.current_token,
             decode_step=active.decode_step,
             prefill_pos=active.prefill_pos,
@@ -626,9 +621,11 @@ class BatchedEngine:
     def restore_request(self, checkpoint: SequenceCheckpoint) -> ServeRequest:
         """Resume a checkpointed request directly into the active set.
 
-        The request bypasses the queue (it was already admitted once — its
-        id is reserved with the queue so uniqueness stays enforced) and
-        rejoins exactly where it left off: a mid-prefill checkpoint
+        The checkpoint's :class:`~repro.serving.request.ServeRequest` is
+        reused as it is (``arrival_order`` included).  It bypasses the
+        queue (it was already admitted once — its id is reserved with the
+        queue so uniqueness stays enforced) and rejoins exactly where it
+        left off: a mid-prefill checkpoint
         continues its remaining chunks, a decoding one rejoins the decode
         batch.  The checkpoint's policy is rebuilt from its spec and
         validated against the captured policy signature; its KV registers
@@ -638,33 +635,19 @@ class BatchedEngine:
         Raises
         ------
         ValueError
-            If the checkpoint carries no request identity (an id, prompt
-            and decode length, which engine-level checkpoints leave for
-            :meth:`checkpoint_request` to fill), if a request with the same
-            id is already in flight here, or if the checkpoint is
-            incompatible with this engine (model / generation config /
-            policy signature mismatch).
+            If the checkpoint carries no request (engine-level checkpoints
+            leave it for :meth:`checkpoint_request` to fill), if a request
+            with the same id is already in flight here, or if the
+            checkpoint is incompatible with this engine (model / generation
+            config / policy signature mismatch).
         """
-        request_id = checkpoint.request_id
-        if (
-            not request_id
-            or checkpoint.prompt_ids is None
-            or checkpoint.max_new_tokens is None
-        ):
+        request = checkpoint.request
+        if request is None:
             raise ValueError("checkpoint carries no request identity")
+        request_id = request.request_id
         if self._active_by_id(request_id) is not None:
             raise ValueError(f"request {request_id!r} is already in flight")
         self.queue.reserve_id(request_id)
-        request = ServeRequest(
-            request_id=request_id,
-            prompt_ids=checkpoint.prompt_ids,
-            max_new_tokens=checkpoint.max_new_tokens,
-            seed=checkpoint.seed,
-            policy=checkpoint.policy,
-            arrival_order=checkpoint.arrival_order,
-            arrival_time_s=checkpoint.arrival_time_s,
-            slo_class=checkpoint.slo_class,
-        )
         sequence = self.core.restore_request(
             checkpoint,
             self._selector_for(request.policy),
@@ -675,7 +658,7 @@ class BatchedEngine:
             ActiveRequest(
                 request=request,
                 sequence=sequence,
-                max_new_tokens=checkpoint.max_new_tokens,
+                max_new_tokens=self._decode_length(request.max_new_tokens),
                 current_token=checkpoint.current_token,
                 decode_step=checkpoint.decode_step,
                 first_token_step=checkpoint.first_token_step,
@@ -718,10 +701,10 @@ class BatchedEngine:
         it costs nothing to hold), keeping interactive latency first.
         """
         while self._preempted and not self.queue:
-            checkpoint = self._preempted[0]
-            assert checkpoint.prompt_ids is not None
-            length = int(checkpoint.prompt_ids.shape[0])
-            if not self._fits(self._projected_bytes(length, checkpoint.max_new_tokens)):
+            request = self._preempted[0].request
+            assert request is not None
+            projected = self._projected_bytes(request.prompt_length(), request.max_new_tokens)
+            if not self._fits(projected):
                 return
             self.restore_request(self._preempted.pop(0))
             counters.record("seqstate.resumes", 1)
@@ -769,28 +752,7 @@ class BatchedEngine:
             if a.status is RequestStatus.DECODING and not a.is_finished
         ]
         if batch:
-            if self._drafter is not None:
-                self._speculative_decode(batch, trace)
-            else:
-                distributions = self.core.decode_step_batch(
-                    [a.sequence for a in batch],
-                    [a.current_token for a in batch],
-                    [a.decode_step for a in batch],
-                )
-                emitted: list[list[int]] = []
-                for active, distribution in zip(batch, distributions):
-                    token = self.core.pick_token(active.sequence, distribution)
-                    self.core.record_output(active.sequence, token, distribution)
-                    emitted.append([token])
-                # sequence.position was advanced by the decode step and now
-                # equals the KV context length attended at this step.
-                self._record_decoded(
-                    batch,
-                    emitted,
-                    [a.sequence.position for a in batch],
-                    [1] * len(batch),
-                    trace,
-                )
+            self._decode_round(batch, trace)
         self._last_occupancy = len(batch)
 
         completed = self._retire_finished()
@@ -830,18 +792,12 @@ class BatchedEngine:
             chunk_tokens=chunk_tokens,
         )
 
-    def _speculative_decode(
-        self, batch: list[ActiveRequest], trace: StepTrace
-    ) -> None:
-        """One speculative decode round over the whole decode batch.
+    def _decode_round(self, batch: list[ActiveRequest], trace: StepTrace) -> None:
+        """One decode round over the whole decode batch.
 
-        For every decoding request the drafter proposes up to
-        ``min(k, remaining - 1)`` candidate tokens from the request's own
-        token history (prompt plus emitted output — self-drafting needs no
-        second model); the clip guarantees a fully accepted draft plus its
-        bonus token never overshoots ``max_new_tokens``.  A request whose
-        draft comes back empty (cold history, or one token remaining)
-        rides the same round as a plain single-position decode.  One
+        Each request is fed its current token plus its draft (see
+        :meth:`_draft`); without a drafter every draft is empty and the
+        round is one plain decode position per request.  One
         :func:`repro.specdec.verify.speculative_round` call verifies the
         candidates, dropping each request at its first miss, so a
         rejected position is never computed and each request's KV length,
@@ -853,57 +809,43 @@ class BatchedEngine:
         verifies all ``k + 1`` positions in one fused batched pass, and
         that is what the virtual clock prices.
         """
-        assert self.speculation is not None and self._drafter is not None
-        drafts: list[list[int]] = []
-        positions0: list[int] = []
-        for active in batch:
-            remaining = active.max_new_tokens - active.tokens_generated
-            k_eff = min(self.speculation.k, remaining - 1)
-            draft: list[int] = []
-            if k_eff >= 1:
-                history = active.request.prompt_ids.tolist() + list(
-                    active.sequence.result.output_ids
-                )
-                draft = self._drafter.propose(history, k_eff)
-            drafts.append(draft)
-            positions0.append(active.sequence.position)
-        emitted_all = speculative_round(
+        drafts = [self._draft(active) for active in batch]
+        positions0 = [active.sequence.position for active in batch]
+        emitted = speculative_round(
             self.core,
             [a.sequence for a in batch],
             [a.current_token for a in batch],
             [a.decode_step for a in batch],
             drafts,
         )
-        self._record_decoded(
-            batch,
-            emitted_all,
-            [position0 + 1 for position0 in positions0],
-            [len(draft) + 1 for draft in drafts],
-            trace,
-        )
-
-    def _record_decoded(
-        self,
-        batch: list[ActiveRequest],
-        emitted: list[list[int]],
-        first_contexts: list[int],
-        entries: list[int],
-        trace: StepTrace,
-    ) -> None:
-        """Advance a decode batch past the tokens one round emitted.
-
-        Each request feeds its last emitted token back at the next step
-        and traces its ``entries`` decode positions, attending
-        ``first_context``, ``first_context + 1``, ... KV tokens.
-        """
-        for active, tokens, first_context, count in zip(
-            batch, emitted, first_contexts, entries
-        ):
+        for active, tokens, draft, position0 in zip(batch, emitted, drafts, positions0):
             active.current_token = tokens[-1]
             active.decode_step += len(tokens)
             active.sequence.result.decode_steps += len(tokens)
-            for offset in range(count):
-                trace.decodes.append(self._trace_entry(active, first_context + offset))
+            for offset in range(1, len(draft) + 2):
+                trace.decodes.append(self._trace_entry(active, position0 + offset))
+
+    def _draft(self, active: ActiveRequest) -> list[int]:
+        """The candidate tokens a request is fed after its current token.
+
+        The drafter proposes up to ``min(k, remaining - 1)`` tokens from
+        the request's own history (prompt plus emitted output —
+        self-drafting needs no second model); the clip guarantees a fully
+        accepted draft plus its bonus token never overshoots
+        ``max_new_tokens``.  Empty without a drafter, on a cold history or
+        with one token remaining.
+        """
+        if self._drafter is None:
+            return []
+        assert self.speculation is not None
+        remaining = active.max_new_tokens - active.tokens_generated
+        k_eff = min(self.speculation.k, remaining - 1)
+        if k_eff < 1:
+            return []
+        history = active.request.prompt_ids.tolist() + list(
+            active.sequence.result.output_ids
+        )
+        return self._drafter.propose(history, k_eff)
 
     def run(self) -> ServeReport:
         """Drain the queue: step until no request is queued or in flight."""

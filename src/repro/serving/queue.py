@@ -54,16 +54,17 @@ class RequestQueue:
         Raises
         ------
         ValueError
-            If ``request_id`` was already issued through this queue.
+            If ``request_id`` was already issued through this queue, or
+            the request is invalid (:class:`ServeRequest` checks it before
+            the id is issued).
         """
         if request_id is None:
             while f"req-{self._next_auto_id}" in self._issued_ids:
                 self._next_auto_id += 1
             request_id = f"req-{self._next_auto_id}"
-            self._next_auto_id += 1
         elif request_id in self._issued_ids:
             raise ValueError(f"request id {request_id!r} was already submitted")
-        self._issued_ids.add(request_id)
+        # Built before the id is issued: an invalid request burns no id.
         request = ServeRequest(
             request_id=request_id,
             prompt_ids=np.asarray(prompt_ids, dtype=np.int64),
@@ -74,6 +75,7 @@ class RequestQueue:
             arrival_time_s=arrival_time_s,
             slo_class=slo_class,
         )
+        self._issued_ids.add(request_id)
         self._next_arrival += 1
         self._pending.append(request)
         return request

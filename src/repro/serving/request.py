@@ -3,7 +3,11 @@
 A :class:`ServeRequest` is what a client submits: a prompt plus optional
 per-request overrides — including its own KV compression policy as a
 declarative :class:`~repro.policies.PolicySpec`, so one engine can serve a
-batch mixing ClusterKV, Quest, StreamingLLM and full-KV traffic.  While a
+batch mixing ClusterKV, Quest, StreamingLLM and full-KV traffic.  It is
+the one request record of the whole stack: generated workloads and
+replayed traces (:mod:`repro.traffic`), the fleet simulator's routing and
+re-dispatch (:mod:`repro.cluster`) and checkpoints
+(:class:`~repro.seqstate.SequenceCheckpoint`) all carry it.  While a
 request is in flight the engine wraps it in an :class:`ActiveRequest` that
 carries the mutable decoding state (the
 :class:`~repro.model.generation.SequenceState`) and every engine resource
@@ -78,8 +82,9 @@ class ServeRequest:
         clock of the :mod:`repro.traffic` simulator, or wall time).  The
         engine never reads it; it flows through to
         :class:`CompletedRequest` so latency metrics (TTFT, queue wait)
-        can be computed against the arrival instant.  Defaults to 0.0 for
-        closed-loop callers that do not track time.
+        can be computed against the arrival instant.  Must be
+        non-negative; defaults to 0.0 for closed-loop callers that do not
+        track time.
     slo_class:
         Service class of the request: ``"interactive"`` (latency-bound,
         never preempted) or ``"batch"`` (throughput work that a preempting
@@ -104,6 +109,8 @@ class ServeRequest:
         object.__setattr__(self, "prompt_ids", prompt)
         if self.max_new_tokens is not None and self.max_new_tokens <= 0:
             raise ValueError("max_new_tokens must be positive when set")
+        if self.arrival_time_s < 0:
+            raise ValueError("arrival_time_s must be non-negative")
         if self.slo_class not in SLO_CLASSES:
             raise ValueError(
                 f"slo_class must be one of {SLO_CLASSES}, got {self.slo_class!r}"

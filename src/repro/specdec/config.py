@@ -27,8 +27,7 @@ class SpeculationConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"speculation k must be >= 1, got {self.k}")
-        if not self.drafter:
-            raise ValueError("speculation drafter name must be non-empty")
+        DRAFTERS.check(self.drafter)
 
     def build_drafter(self) -> Drafter:
         """Instantiate the configured drafter from the registry."""

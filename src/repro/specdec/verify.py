@@ -1,10 +1,12 @@
-"""The speculative verify round: feed drafts offset by offset, stop at a miss.
+"""The decode round: feed drafts offset by offset, stop at a miss.
 
 :func:`speculative_round` is the whole draft-verify-accept loop of one
-engine step.  It drives an :class:`~repro.model.generation.EngineCore`
-through nothing but its public stepping calls — ``decode_step_batch``,
-``pick_token`` and ``record_output`` — so speculation adds no branch to
-the decode path every request takes.
+engine step, and the one decode path: the serving engine and
+:meth:`repro.model.InferenceEngine.generate` run every decode step
+through it, with an empty draft when they do not speculate.  It drives an
+:class:`~repro.model.generation.EngineCore` through nothing but its
+public stepping calls — ``decode_step_batch``, ``pick_token`` and
+``record_output`` — so speculation adds no branch to the decode path.
 """
 
 from __future__ import annotations

@@ -17,6 +17,11 @@ The pieces compose left to right::
      trace)                            least_kv,  clock)         SLO deadlines)
                                        prefix_affine)
 
+A request is one :class:`~repro.serving.ServeRequest` from generation
+(:func:`generate_traffic`) or replay (:func:`load_trace`) through routing
+to the replica engine that serves it; the fleet re-dispatches the same
+record after a failure or a drain.
+
 Entry points: :func:`simulate` (also re-exported as
 :func:`repro.api.simulate`; it runs the fleet on
 :class:`repro.cluster.ClusterSimulator`), :func:`TrafficConfig` (the
@@ -49,7 +54,7 @@ from .report import RequestMetrics, SLOSpec, TrafficReport
 from .router import ROUTERS, JoinShortestQueueRouter, PrefixAffineRouter, Router
 from .simulator import TrafficConfig, simulate
 from .trace import load_trace, save_trace
-from .workload import RequestShape, TrafficRequest, generate_traffic
+from .workload import RequestShape, generate_traffic
 
 # The wall-clock benchmark's workloads (bench/workloads.py) import this name.
 build_arrivals = ARRIVALS.build
@@ -62,7 +67,6 @@ __all__ = [
     "TraceArrivals",
     "ARRIVALS",
     "build_arrivals",
-    "TrafficRequest",
     "RequestShape",
     "generate_traffic",
     "save_trace",

@@ -22,11 +22,12 @@ from ..knobs import knob
 from ..model import get_model_config
 from ..policies import PolicySpec
 from ..serving.bench import POLICY_FLAG, resolve_serving_policies, serving_engine_spec
+from ..serving.request import ServeRequest
 from .arrivals import ARRIVALS
 from .report import TrafficReport
 from .simulator import simulate
 from .trace import load_trace
-from .workload import RequestShape, TrafficRequest, generate_traffic
+from .workload import RequestShape, generate_traffic
 
 if TYPE_CHECKING:
     from ..cluster import ClusterConfig
@@ -157,7 +158,7 @@ class TrafficBenchConfig:
         object.__setattr__(self, "fleet", replace(self.fleet, engine=engine))
 
 
-def build_bench_requests(config: TrafficBenchConfig) -> list[TrafficRequest]:
+def build_bench_requests(config: TrafficBenchConfig) -> list[ServeRequest]:
     """The benchmark's workload: generated from seeds or replayed from disk.
 
     With ``trace`` set, at most ``num_requests`` records are replayed (so

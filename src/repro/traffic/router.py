@@ -34,7 +34,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ..registry import Registry
-from .workload import TrafficRequest
+from ..serving.request import ServeRequest
 
 __all__ = [
     "ReplicaView",
@@ -75,7 +75,7 @@ class Router:
 
     name = "abstract"
 
-    def choose(self, replicas: Sequence[ReplicaView], request: TrafficRequest) -> int:
+    def choose(self, replicas: Sequence[ReplicaView], request: ServeRequest) -> int:
         """Index of the replica that serves ``request``."""
         raise NotImplementedError
 
@@ -97,7 +97,7 @@ class RoundRobinRouter(Router):
     def __init__(self) -> None:
         self._next = 0
 
-    def choose(self, replicas: Sequence[ReplicaView], request: TrafficRequest) -> int:
+    def choose(self, replicas: Sequence[ReplicaView], request: ServeRequest) -> int:
         """The next replica in cyclic order."""
         index = self._next % len(replicas)
         self._next += 1
@@ -116,7 +116,7 @@ class JoinShortestQueueRouter(Router):
     lowest replica index.
     """
 
-    def choose(self, replicas: Sequence[ReplicaView], request: TrafficRequest) -> int:
+    def choose(self, replicas: Sequence[ReplicaView], request: ServeRequest) -> int:
         """The replica with the fewest queued plus active requests."""
         return min(
             range(len(replicas)),
@@ -133,7 +133,7 @@ class LeastKVBytesRouter(Router):
     loaded than one holding many short ones.
     """
 
-    def choose(self, replicas: Sequence[ReplicaView], request: TrafficRequest) -> int:
+    def choose(self, replicas: Sequence[ReplicaView], request: ServeRequest) -> int:
         """The replica with the smallest reserved KV footprint."""
         return min(
             range(len(replicas)),
@@ -167,7 +167,7 @@ class PrefixAffineRouter(Router):
             raise ValueError("block_tokens must be positive")
         self.block_tokens = block_tokens
 
-    def choose(self, replicas: Sequence[ReplicaView], request: TrafficRequest) -> int:
+    def choose(self, replicas: Sequence[ReplicaView], request: ServeRequest) -> int:
         """The replica owning the hash bucket of the leading prompt block."""
         prompt = np.ascontiguousarray(
             np.asarray(request.prompt_ids, dtype=np.int64)[: self.block_tokens]
@@ -192,7 +192,7 @@ class SLOAwareRouter(Router):
     deterministic with ties toward the lowest index.
     """
 
-    def choose(self, replicas: Sequence[ReplicaView], request: TrafficRequest) -> int:
+    def choose(self, replicas: Sequence[ReplicaView], request: ServeRequest) -> int:
         """Shortest queue for interactive, fullest replica for batch."""
         if getattr(request, "slo_class", "interactive") == "batch":
             return min(

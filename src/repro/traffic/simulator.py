@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 from .clock import StepClock
 from .report import TrafficReport
 from .router import Router
-from .workload import TrafficRequest
+from ..serving.request import ServeRequest
 
 if TYPE_CHECKING:
     from ..cluster import ClusterConfig
@@ -44,7 +44,7 @@ def TrafficConfig(num_replicas: int = 1, **fleet: object) -> ClusterConfig:
 
 
 def simulate(
-    requests: Sequence[TrafficRequest],
+    requests: Sequence[ServeRequest],
     config: ClusterConfig | None = None,
     router: Router | None = None,
     clock: StepClock | None = None,

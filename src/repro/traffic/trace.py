@@ -5,12 +5,14 @@ A trace is one JSON object per line, in arrival order::
     {"arrival_time_s": 0.41, "prompt_len": 72, "max_new_tokens": 32,
      "policy": {"name": "clusterkv", "tokens_per_cluster": 32}}
 
-``policy`` is the flat :meth:`repro.policies.PolicySpec.to_dict` form (or
-``null`` for the engine default).  A record may carry explicit
-``"prompt_ids"`` for exact replay; otherwise :func:`load_trace`
-regenerates the prompt contents deterministically from its ``seed``
-argument, so a trace stores shapes and timing — the load pattern — in a
-few bytes per request while replays remain bit-reproducible.
+``policy`` is the flat :meth:`repro.policies.PolicySpec.to_dict` form;
+``null`` there, or in ``max_new_tokens``, means the engine default.  A
+record may carry explicit ``"prompt_ids"`` for exact replay; otherwise
+:func:`load_trace` regenerates the prompt contents deterministically from
+its ``seed`` argument, so a trace stores shapes and timing — the load
+pattern — in a few bytes per request while replays remain
+bit-reproducible.  A trace keeps no ``slo_class`` or ``seed``: replayed
+requests take the defaults.
 
 :func:`save_trace` writes the requests produced by
 :func:`~repro.traffic.workload.generate_traffic` (or completed runs), and
@@ -26,14 +28,14 @@ from typing import Iterable
 import numpy as np
 
 from ..policies import PolicySpec
-from .workload import TrafficRequest
+from ..serving.request import ServeRequest
 
 __all__ = ["save_trace", "load_trace"]
 
 
 def save_trace(
     path: str | Path,
-    requests: Iterable[TrafficRequest],
+    requests: Iterable[ServeRequest],
     include_prompt_ids: bool = False,
 ) -> int:
     """Write requests as a JSONL trace; returns the number of records.
@@ -65,8 +67,8 @@ def load_trace(
     seed: int = 0,
     id_prefix: str = "t",
     limit: int | None = None,
-) -> list[TrafficRequest]:
-    """Load a JSONL trace into replayable :class:`TrafficRequest` objects.
+) -> list[ServeRequest]:
+    """Load a JSONL trace into replayable :class:`~repro.serving.ServeRequest` objects.
 
     Records without embedded ``prompt_ids`` get deterministic contents
     drawn from ``numpy.random.default_rng(seed)`` at their recorded
@@ -85,7 +87,7 @@ def load_trace(
     if limit is not None and limit <= 0:
         raise ValueError("limit must be positive when set")
     rng = np.random.default_rng(seed)
-    requests: list[TrafficRequest] = []
+    requests: list[ServeRequest] = []
     previous_arrival = 0.0
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle):
@@ -125,13 +127,14 @@ def load_trace(
                     f"{path}:{line_number + 1}: record needs prompt_len or prompt_ids"
                 )
             policy = record.get("policy")
+            max_new_tokens = record.get("max_new_tokens", 32)
             requests.append(
-                TrafficRequest(
+                ServeRequest(
                     request_id=f"{id_prefix}{len(requests)}",
-                    arrival_time_s=arrival,
                     prompt_ids=prompt_ids,
-                    max_new_tokens=int(record.get("max_new_tokens", 32)),
+                    max_new_tokens=None if max_new_tokens is None else int(max_new_tokens),
                     policy=None if policy is None else PolicySpec.from_dict(policy),
+                    arrival_time_s=arrival,
                 )
             )
     return requests

@@ -3,10 +3,11 @@
 A :class:`RequestShape` describes one class of traffic — a prompt-length
 range, a decode length and an optional per-request compression policy —
 and a weight.  :func:`generate_traffic` composes a shape mix with an
-arrival process into a deterministic list of :class:`TrafficRequest`
-objects: everything (shape choice, prompt lengths, prompt token ids) is
-drawn from one seeded generator, so equal ``(shapes, arrivals, seed)``
-produce bit-identical workloads.
+arrival process into a deterministic list of
+:class:`~repro.serving.request.ServeRequest` objects stamped with their
+arrival instants: everything (shape choice, prompt lengths, prompt token
+ids) is drawn from one seeded generator, so equal ``(shapes, arrivals,
+seed)`` produce bit-identical workloads.
 
 The prompt token ids use the same uniform-over-vocabulary sampling as the
 serving benchmark (:func:`repro.serving.bench.run_serve_bench`); richer
@@ -24,61 +25,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..policies import PolicySpec, resolve_policy_spec
-from ..serving.request import SLO_CLASSES
+from ..serving.request import SLO_CLASSES, ServeRequest
 
-__all__ = ["TrafficRequest", "RequestShape", "generate_traffic"]
+__all__ = ["RequestShape", "generate_traffic"]
 
 PromptSampler = Callable[[np.random.Generator, int], np.ndarray]
-
-
-@dataclass(frozen=True)
-class TrafficRequest:
-    """One open-loop request: arrival instant plus generation parameters.
-
-    Attributes
-    ----------
-    request_id:
-        Unique id, stable across replicas and runs (derived from the
-        arrival index by :func:`generate_traffic`).
-    arrival_time_s:
-        Arrival instant in seconds on the simulation clock.
-    prompt_ids:
-        Prompt token ids, shape ``(L,)``.
-    max_new_tokens:
-        Decode length of this request.
-    policy:
-        Optional per-request KV compression policy; ``None`` uses the
-        replica engine's default selector.
-    slo_class:
-        Service class (``"interactive"`` or ``"batch"``): interactive
-        requests are latency-sensitive and may preempt batch-class work
-        on preemption-enabled replicas.
-    """
-
-    request_id: str
-    arrival_time_s: float
-    prompt_ids: np.ndarray
-    max_new_tokens: int
-    policy: PolicySpec | None = None
-    slo_class: str = "interactive"
-
-    def __post_init__(self) -> None:
-        prompt = np.asarray(self.prompt_ids, dtype=np.int64)
-        if prompt.ndim != 1 or prompt.shape[0] == 0:
-            raise ValueError("prompt_ids must be a non-empty 1-D array")
-        object.__setattr__(self, "prompt_ids", prompt)
-        if self.max_new_tokens <= 0:
-            raise ValueError("max_new_tokens must be positive")
-        if self.arrival_time_s < 0:
-            raise ValueError("arrival_time_s must be non-negative")
-        if self.slo_class not in SLO_CLASSES:
-            raise ValueError(
-                f"slo_class must be one of {SLO_CLASSES}, got {self.slo_class!r}"
-            )
-
-    def prompt_length(self) -> int:
-        """Number of prompt tokens."""
-        return int(self.prompt_ids.shape[0])
 
 
 @dataclass(frozen=True)
@@ -136,7 +87,7 @@ def generate_traffic(
     vocab_size: int,
     seed: int = 0,
     id_prefix: str = "t",
-) -> list[TrafficRequest]:
+) -> list[ServeRequest]:
     """Compose a shape mix with arrival times into concrete requests.
 
     Parameters
@@ -159,7 +110,7 @@ def generate_traffic(
 
     Returns
     -------
-    list of TrafficRequest
+    list of ServeRequest
         One request per arrival time, in arrival order.
     """
     if not shapes:
@@ -172,7 +123,7 @@ def generate_traffic(
     rng = np.random.default_rng(seed)
     weights = np.asarray([shape.weight for shape in shapes], dtype=np.float64)
     weights = weights / weights.sum()
-    requests: list[TrafficRequest] = []
+    requests: list[ServeRequest] = []
     for index, arrival in enumerate(times.tolist()):
         shape = shapes[int(rng.choice(len(shapes), p=weights))]
         lo, hi = shape.prompt_len_range
@@ -182,12 +133,12 @@ def generate_traffic(
         else:
             prompt_ids = rng.integers(4, vocab_size, size=length).astype(np.int64)
         requests.append(
-            TrafficRequest(
+            ServeRequest(
                 request_id=f"{id_prefix}{index}",
-                arrival_time_s=float(arrival),
                 prompt_ids=prompt_ids,
                 max_new_tokens=shape.max_new_tokens,
                 policy=shape.policy,  # type: ignore[arg-type]
+                arrival_time_s=float(arrival),
                 slo_class=shape.slo_class,
             )
         )

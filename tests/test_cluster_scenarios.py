@@ -22,6 +22,7 @@ outputs.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from repro.cluster import (
     TokenBudgetAdmission,
     simulate_cluster,
 )
-from repro.serving import BatchedEngine
+from repro.serving import BatchedEngine, ServeRequest
 from repro.serving.bench import serving_policy_spec
 from repro.model import get_model_config
 from repro.traffic import (
@@ -54,7 +55,6 @@ from repro.traffic import (
     SLOSpec,
     StepClock,
     TrafficConfig,
-    TrafficRequest,
     ROUTERS,
     build_arrivals,
     generate_traffic,
@@ -449,6 +449,21 @@ class TestElasticApi:
             m.request_id for m in static.requests
         ]
 
+    @pytest.mark.parametrize(
+        "field, spec, message",
+        [
+            ("router", "nope", "unknown router 'nope'; registered: "),
+            ("autoscaler", "nope", "unknown autoscaler 'nope'; registered: "),
+            ("admission", "nope", "unknown admission policy 'nope'; registered: "),
+            ("autoscaler", "queue_depth:hgh=2", "unknown 'queue_depth' configuration keys"),
+            ("admission", "queue_deadline:deadline=2", "accepted keys: deadline_s"),
+        ],
+    )
+    def test_config_refuses_unregistered_specs(self, field, spec, message):
+        """A misspelt control-plane spec fails when the config is built."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ClusterConfig(**{field: spec})
+
     def test_warmup_is_priced_by_the_perfmodel(self):
         """Scale-ups pay the cost model's replica warm-up lag on the clock."""
         from repro.perfmodel import StepCostModel
@@ -617,9 +632,14 @@ class BootOnce(Autoscaler):
         return ScaleDecision(add=1, reason="boot once")
 
 
-def _request(request_id: str, arrival_s: float, max_new_tokens: int = 4) -> TrafficRequest:
+def _request(request_id: str, arrival_s: float, max_new_tokens: int = 4) -> ServeRequest:
     prompt = np.random.default_rng(len(request_id)).integers(4, 200, size=24)
-    return TrafficRequest(request_id, arrival_s, prompt, max_new_tokens)
+    return ServeRequest(
+        request_id=request_id,
+        prompt_ids=prompt,
+        max_new_tokens=max_new_tokens,
+        arrival_time_s=arrival_s,
+    )
 
 
 class TestEventOrder:

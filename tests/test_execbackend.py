@@ -9,6 +9,7 @@ recovery, tiered-capacity exhaustion).  Wall-clock observability rides
 along but stays out of the serialized report.
 """
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -532,6 +533,41 @@ class TestCommandTable:
 # ----------------------------------------------------------------------
 # worker lifecycle
 # ----------------------------------------------------------------------
+def request_fields(request) -> dict:
+    """Every field of a ServeRequest, the prompt as a list (arrays do not compare)."""
+    fields = {field.name: getattr(request, field.name) for field in dataclasses.fields(request)}
+    fields["prompt_ids"] = request.prompt_ids.tolist()
+    return fields
+
+
+class TestRequestRecordTravels:
+    @pytest.mark.parametrize("backend_name", ["serial", "multiprocess"])
+    def test_restore_on_another_engine_resumes_the_submitted_request(self, backend_name):
+        """The restored ServeRequest is the submitted one, arrival order included."""
+        spec = EngineSpec(model="serve-sim", max_new_tokens=8)
+        model = spec.build_model()
+        backend = (
+            SerialBackend(model, spec)
+            if backend_name == "serial"
+            else MultiprocessBackend(model, spec, workers=1)
+        )
+        with backend:
+            backend.use_clock(PerfModelClock())
+            source, target = backend.create_handle(), backend.create_handle()
+            source.submit(np.arange(4, 20), "first", 4, None, 0.0, "interactive")
+            source.submit(np.arange(30, 54), "moving", None, "quest", 1.5, "batch", seed=7)
+            submitted = source.snapshot().queued[1]
+            while "moving" not in source.view.active_request_ids:
+                source.finish_step()
+            checkpoint = source.checkpoint_request("moving", keep=False)
+            expected = dict(request_fields(submitted), max_new_tokens=8)
+            assert expected["arrival_order"] == 1 and expected["seed"] == 7
+            assert request_fields(checkpoint.request) == expected
+            target.restore_request(checkpoint)
+            ((restored, _),) = target.snapshot().active
+            assert request_fields(restored) == expected
+
+
 class TestWorkerLifecycle:
     def test_worker_crash_raises_typed_error(self):
         spec = EngineSpec(model="serve-sim", max_new_tokens=8)

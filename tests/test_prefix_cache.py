@@ -30,11 +30,10 @@ from repro.cluster import ClusterConfig, ClusterSimulator, FailureEvent, Failure
 from repro.model import GenerationConfig, TransformerModel, get_model_config
 from repro.policies import available_policies
 from repro.prefixcache import PrefixCacheConfig, RadixPrefixCache
-from repro.serving import BatchedEngine, SchedulerConfig, serve_prompts
+from repro.serving import BatchedEngine, SchedulerConfig, ServeRequest, serve_prompts
 from repro.traffic import (
     PrefixAffineRouter,
     TrafficConfig,
-    TrafficRequest,
 )
 
 BLOCK = 16
@@ -427,13 +426,13 @@ class TestEngineDifferential:
 # ----------------------------------------------------------------------
 
 
-def preamble_workload(count: int = 8, preamble_tokens: int = 64) -> list[TrafficRequest]:
+def preamble_workload(count: int = 8, preamble_tokens: int = 64) -> list[ServeRequest]:
     """An open-loop trace whose prompts all share one long preamble."""
     vocab = get_model_config("tiny").vocab_size
     rng = np.random.default_rng(23)
     preamble = rng.integers(0, vocab, preamble_tokens)
     return [
-        TrafficRequest(
+        ServeRequest(
             request_id=f"req-{index:03d}",
             arrival_time_s=0.05 * index,
             prompt_ids=np.concatenate([preamble, rng.integers(0, vocab, 9 + index)]),
@@ -517,7 +516,7 @@ class TestTrafficScenarios:
         slots = {router.choose([0, 1, 2], request) for request in requests}
         assert len(slots) == 1
         assert router.describe() == {"name": "prefix_affine", "block_tokens": BLOCK}
-        lone = TrafficRequest(
+        lone = ServeRequest(
             request_id="solo",
             arrival_time_s=0.0,
             prompt_ids=np.arange(BLOCK * 2),

@@ -25,6 +25,15 @@ REGISTRIES = {
     "drafter": (DRAFTERS, "ngram", NGramDrafter),
 }
 EVERY_REGISTRY = pytest.mark.parametrize("kind", sorted(REGISTRIES))
+# The keywords each of those built-ins accepts, as an unknown key lists them.
+ACCEPTED_KEYS = {
+    "arrival process": "rate",
+    "router": "<none>",
+    "autoscaler": "<none>",
+    "admission policy": "<none>",
+    "capacity scenario": "config",
+    "drafter": "max_ngram, min_ngram",
+}
 
 
 @EVERY_REGISTRY
@@ -84,6 +93,25 @@ def test_resolve_passes_instances_and_builds_spec_strings(kind):
         registry.resolve("no-such-entry:x=1")
     with pytest.raises(TypeError, match=f"expected a {kind} or its spec string"):
         registry.resolve(3)
+
+
+@EVERY_REGISTRY
+def test_unknown_key_lists_the_accepted_ones(kind):
+    registry, name, _ = REGISTRIES[kind]
+    message = (
+        f"unknown {name!r} configuration keys ['no_such_key']; "
+        f"accepted keys: {ACCEPTED_KEYS[kind]}"
+    )
+    for attempt in (
+        lambda: registry.build(name, no_such_key=1),
+        lambda: registry.resolve(f"{name}:no_such_key=1"),
+        lambda: registry.check_spec(f"{name}:no_such_key=1"),
+    ):
+        with pytest.raises(ValueError) as error:
+            attempt()
+        assert str(error.value) == message
+    registry.check_spec(name)
+    registry.check_spec(registry.build(name))
 
 
 def test_register_names_the_class_and_builds_with_arguments():

@@ -144,6 +144,18 @@ class TestRefusedAtTheDoor:
         # ... and the refused id was never issued.
         engine.submit([5, 6, 3], request_id="bad")
 
+    def test_negative_arrival(self, tiny_model, short_prompt):
+        engine = BatchedEngine(tiny_model, FullKVSelector(), GenerationConfig(max_new_tokens=3))
+        for request_id in ("early", None):
+            with pytest.raises(ValueError, match="arrival_time_s must be non-negative"):
+                engine.submit(short_prompt, request_id=request_id, arrival_time_s=-0.5)
+        assert len(engine.queue) == 0
+        # Neither the explicit nor the automatic id, nor an arrival order, was issued.
+        first = engine.submit(short_prompt)
+        second = engine.submit(short_prompt, request_id="early")
+        assert (first.request_id, first.arrival_order) == ("req-0", 0)
+        assert (second.request_id, second.arrival_order) == ("early", 1)
+
     def test_learned_position_table_bounds_prompt_plus_decode(self):
         config = ModelConfig(
             name="test-learned-positions",
@@ -177,10 +189,9 @@ class TestRefusedAtTheDoor:
         source.step()
         checkpoint = source.checkpoint_request("moving")
         target = BatchedEngine(tiny_model, FullKVSelector(), GenerationConfig(max_new_tokens=4))
-        for field in ("prompt_ids", "max_new_tokens", "request_id"):
-            broken = dataclasses.replace(checkpoint, **{field: None})
-            with pytest.raises(ValueError, match="no request identity"):
-                target.restore_request(broken)
+        broken = dataclasses.replace(checkpoint, request=None)
+        with pytest.raises(ValueError, match="no request identity"):
+            target.restore_request(broken)
         assert target.num_active == 0
         assert target.reserved_kv_bytes() == 0
         # The intact checkpoint still restores and finishes.

@@ -373,12 +373,12 @@ class TestRestoreValidation:
             )
 
     def test_checkpoint_carries_identity_defaults(self):
-        """Engine-level identity fields default until the serving layer fills them."""
+        """An engine-level checkpoint carries no request until the serving layer fills it."""
         _, _, checkpoint = self.make_checkpoint()
         assert isinstance(checkpoint, SequenceCheckpoint)
         assert checkpoint.version == SEQSTATE_VERSION
+        assert checkpoint.request is None
         assert checkpoint.request_id == ""
-        assert checkpoint.slo_class == "interactive"
         assert checkpoint.tokens_generated == 1
         assert checkpoint.num_tokens == checkpoint.position
         summary = checkpoint.describe()

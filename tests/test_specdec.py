@@ -201,6 +201,10 @@ class TestSpeculationConfig:
         with pytest.raises(ValueError):
             SpeculationConfig(drafter="")
 
+    def test_unregistered_drafter_refused_at_construction(self):
+        with pytest.raises(ValueError, match="unknown drafter 'nope'; registered: ngram"):
+            SpeculationConfig(drafter="nope", k=2)
+
     def test_build_and_describe(self):
         config = SpeculationConfig(drafter="ngram", k=3)
         assert isinstance(config.build_drafter(), NGramDrafter)

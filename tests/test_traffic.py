@@ -12,6 +12,8 @@ The load-bearing guarantees:
   full KV at a fixed SLO — the serving claim of the paper, measurable.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -21,7 +23,7 @@ from repro.api import EngineSpec, simulate as api_simulate
 from repro.cluster import ClusterSimulator
 from repro.model import TransformerModel, get_model_config
 from repro.policies import PolicySpec
-from repro.serving import BatchedEngine, SchedulerConfig
+from repro.serving import BatchedEngine, SchedulerConfig, ServeRequest
 from repro.serving.bench import serving_engine_spec
 from repro.traffic import (
     ARRIVALS,
@@ -35,7 +37,6 @@ from repro.traffic import (
     TraceArrivals,
     TrafficBenchConfig,
     TrafficConfig,
-    TrafficRequest,
     WallClock,
     WorkloadSpec,
     build_arrivals,
@@ -131,8 +132,8 @@ class TestWorkloadGeneration:
             RequestShape(prompt_len_range=(0, 4))
         with pytest.raises(ValueError):
             RequestShape(max_new_tokens=0)
-        with pytest.raises(ValueError):
-            TrafficRequest("x", -1.0, np.array([1, 2]), 4)
+        with pytest.raises(ValueError, match="arrival_time_s"):
+            ServeRequest(request_id="x", prompt_ids=np.array([1, 2]), arrival_time_s=-1.0)
 
     def test_custom_prompt_sampler(self):
         shape = RequestShape(
@@ -172,6 +173,38 @@ class TestTraceRoundTrip:
         for original, x in zip(requests, loaded):
             assert np.array_equal(x.prompt_ids, original.prompt_ids)
 
+    # sha256 of the trace bytes, taken while workloads still had a request
+    # type of their own: a match shows ServeRequest changed no saved byte.
+    PINNED_SHA256 = {
+        False: "17cb2cae8ebac4eff8d18fe949cdf019aef060efdd59bf1596b0b15a990ca6a4",
+        True: "4ed26b8eb5aecef576dbd6e12d554009a2fc61254534861b0e5b4c5e7292c154",
+    }
+
+    @pytest.mark.parametrize("include_prompt_ids", [False, True])
+    def test_saved_bytes_are_pinned(self, tmp_path, include_prompt_ids):
+        shapes = [
+            RequestShape(prompt_len_range=(8, 24), max_new_tokens=6, weight=2.0),
+            RequestShape(
+                prompt_len_range=(16, 40),
+                max_new_tokens=4,
+                policy="clusterkv:tokens_per_cluster=8",
+                slo_class="batch",
+            ),
+        ]
+        times = PoissonArrivals(rate=4.0).times(12, seed=7)
+        requests = generate_traffic(shapes, times, vocab_size=64, seed=3)
+        path = tmp_path / "trace.jsonl"
+        save_trace(path, requests, include_prompt_ids=include_prompt_ids)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.PINNED_SHA256[include_prompt_ids]
+
+    def test_null_decode_length_means_engine_default(self, tmp_path):
+        request = ServeRequest(request_id="x", prompt_ids=np.arange(4, 12))
+        path = tmp_path / "trace.jsonl"
+        save_trace(path, [request])
+        (loaded,) = load_trace(path, vocab_size=128)
+        assert loaded.max_new_tokens is None
+
     def test_malformed_traces_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n", encoding="utf-8")
@@ -199,7 +232,7 @@ class TestRouters:
             self.clock_s = 0.0
 
     def _request(self):
-        return TrafficRequest("x", 0.0, np.array([1, 2, 3]), 4)
+        return ServeRequest(request_id="x", prompt_ids=np.array([1, 2, 3]), max_new_tokens=4)
 
     def test_round_robin_cycles(self):
         router = ROUTERS.build("round_robin")
@@ -261,7 +294,7 @@ def tiny_engine_spec(**overrides) -> EngineSpec:
     return EngineSpec(**defaults)
 
 
-def tiny_requests(count: int, spacing: float = 0.0, seed: int = 11) -> list[TrafficRequest]:
+def tiny_requests(count: int, spacing: float = 0.0, seed: int = 11) -> list[ServeRequest]:
     shapes = [RequestShape(prompt_len_range=(32, 56), max_new_tokens=6)]
     times = np.arange(count, dtype=np.float64) * spacing
     vocab = get_model_config("tiny").vocab_size
@@ -295,6 +328,30 @@ class TestSimulatorEquivalence:
             simulated = simulator.completed[request_id].result
             assert simulated.output_ids == result.output_ids
             assert simulated.output_logprobs == result.output_logprobs
+
+    def test_fleet_serves_the_request_it_is_given(self):
+        """A seed and an unset decode length reach the replica as given."""
+        requests = [
+            dataclasses.replace(request, seed=40 + index, max_new_tokens=None)
+            for index, request in enumerate(tiny_requests(2))
+        ]
+        simulator = ClusterSimulator(TrafficConfig(engine=tiny_engine_spec(), num_replicas=1))
+        simulator.run(requests)
+        for request in requests:
+            served = simulator.completed[request.request_id]
+            assert served.request.seed == request.seed
+            assert served.request.max_new_tokens is None
+            assert len(served.result.output_ids) == 6  # the engine default
+        # Admission projects, and a rejection records, the resolved length.
+        rejecting = ClusterSimulator(
+            TrafficConfig(
+                engine=tiny_engine_spec(kv_capacity_tokens=1),
+                num_replicas=1,
+                admission="token_budget",
+            )
+        )
+        report = rejecting.run(requests)
+        assert [r.max_new_tokens for r in report.rejected] == [6, 6]
 
     def test_batched_simulation_also_reproduces_engine_outputs(self):
         """At full batch capacity the simulator is still output-transparent."""
@@ -362,11 +419,11 @@ class TestSimulatorDeterminismAndMetrics:
         report = simulate(
             tiny_requests(1, spacing=0.0)[:1]
             + [
-                TrafficRequest(
-                    "late",
-                    50.0,
-                    tiny_requests(2)[1].prompt_ids,
-                    4,
+                ServeRequest(
+                    request_id="late",
+                    prompt_ids=tiny_requests(2)[1].prompt_ids,
+                    max_new_tokens=4,
+                    arrival_time_s=50.0,
                 )
             ],
             TrafficConfig(engine=tiny_engine_spec(), num_replicas=1),
