@@ -199,9 +199,8 @@ def _model_digest(model: TransformerModel) -> str:
         digest.update(np.ascontiguousarray(array).tobytes())
     for fused in model._wqkv:
         digest.update(np.ascontiguousarray(fused).tobytes())
-    if model._w_gate_up is not None:
-        for fused in model._w_gate_up:
-            digest.update(np.ascontiguousarray(fused).tobytes())
+    for fused in model._w_gate_up:
+        digest.update(np.ascontiguousarray(fused).tobytes())
     return digest.hexdigest()
 
 

@@ -1,10 +1,10 @@
 """NumPy transformer inference substrate.
 
 The substrate provides everything the paper's system needs from "the LLM":
-a decoder-only transformer with grouped-query attention and RoPE (or
-OPT-style learned positions), a KV cache with memory-tier accounting, and an
-inference engine whose decoding loop delegates token selection to a
-pluggable KV compression method.
+a decoder-only transformer (RMSNorm, SwiGLU, RoPE and grouped-query
+attention), a KV cache with memory-tier accounting, and an inference engine
+whose decoding loop delegates token selection to a pluggable KV compression
+method.
 """
 
 from .attention import (

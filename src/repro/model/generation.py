@@ -369,7 +369,7 @@ class EngineCore:
             )
         whole_prefix = start == 0
         positions = np.arange(start, end)
-        hidden = self.model.embed(prompt_ids[start:end], positions)
+        hidden = self.model.embed(prompt_ids[start:end])
 
         # The dense blocks are row-independent: each layer's QKV+RoPE and its
         # output projection+FFN run as fixed row chunks dealt round-robin to
@@ -531,7 +531,7 @@ class EngineCore:
             raise ValueError("seqs, token_ids and steps must have equal lengths")
         tokens = np.asarray(token_ids, dtype=np.int64)
         positions = np.asarray([seq.position for seq in seqs], dtype=np.int64)
-        hidden = self.model.embed(tokens, positions)
+        hidden = self.model.embed(tokens)
 
         attn_concat = self._attn_buffers.get(batch)
         if attn_concat is None:

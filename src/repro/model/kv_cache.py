@@ -11,7 +11,6 @@ staged on the GPU (paper Fig. 5).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,17 +185,6 @@ class LayerKVCache:
         self._capacity = new_capacity
 
 
-@dataclass
-class _ResidencyPolicy:
-    """Where the bulk KV of a method resides and whether fetches are charged."""
-
-    tier: TierKind
-
-    @property
-    def charges_fetch(self) -> bool:
-        return self.tier is TierKind.CPU
-
-
 class KVCacheStore:
     """KV caches for all layers of a model, with residency accounting."""
 
@@ -219,7 +207,9 @@ class KVCacheStore:
         # that many stores (one per in-flight serving request) can share one
         # OffloadManager without name collisions.
         self.buffer_prefix = buffer_prefix
-        self._policy = _ResidencyPolicy(residency)
+        # Tier on which the bulk KV cache of this run resides; only a
+        # CPU-resident cache is charged for fetches.
+        self.residency = residency
         self._released = False
         # Optional host->SSD pager (repro.capacity.spill).  When set, reads
         # recall any spilled pages first and appends that overflow the host
@@ -231,11 +221,6 @@ class KVCacheStore:
         if self.offload is not None:
             for layer_idx in range(n_layers):
                 self.offload.register(self._buffer_name(layer_idx), 0, residency)
-
-    @property
-    def residency(self) -> TierKind:
-        """Tier on which the bulk KV cache of this run resides."""
-        return self._policy.tier
 
     def context_length(self) -> int:
         """Number of cached tokens (identical across layers by construction)."""
@@ -275,7 +260,7 @@ class KVCacheStore:
                 # retry once; a second failure is the real capacity wall.
                 self.pager.make_room(self, appended, step)
                 self.offload.resize(name, nbytes)
-            if self._policy.tier is TierKind.CPU:
+            if self.residency is TierKind.CPU:
                 # Newly produced KV is generated on the GPU and written back to
                 # host memory (paper Fig. 5, "Offload K & V").
                 self.offload.record_partial_offload(appended, step)
@@ -286,7 +271,7 @@ class KVCacheStore:
         Returns the number of bytes charged (0 when the KV already resides on
         the GPU, as with full-KV or Quest-style methods).
         """
-        if self.offload is None or not self._policy.charges_fetch:
+        if self.offload is None or self.residency is not TierKind.CPU:
             return 0
         nbytes = num_tokens * self.token_nbytes()
         if nbytes > 0:

@@ -4,14 +4,15 @@ Two kinds of model descriptions live here:
 
 * **Simulation configs** (:func:`get_model_config`): small, deterministic
   :class:`~repro.model.config.ModelConfig` instances that run quickly on a
-  CPU with NumPy.  Their architecture *family* mirrors the models the paper
-  evaluates (GQA + RoPE + RMSNorm for Llama/GLM, MHA + learned positions +
-  LayerNorm for OPT), so the KV-compression code paths exercised are the
+  CPU with NumPy.  They all share the architecture family of the models
+  the paper's accuracy and serving results use (Llama/GLM: GQA + RoPE +
+  RMSNorm + SwiGLU), so the KV-compression code paths exercised are the
   same, only the width/depth is reduced.
 * **Reference architectures** (:func:`get_reference_architecture`): the
   full-size shapes of GLM4-9B-Chat, Llama-3.1-8B and OPT-6.7B.  These feed
   the analytical performance model, which reproduces the latency and
-  throughput experiments (paper Fig. 12/13) at the paper's true scale.
+  throughput experiments (paper Fig. 12/13) at the paper's true scale; the
+  OPT-6.7B comparison of Fig. 13a runs on this model only.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ _SIM_CONFIGS: dict[str, ModelConfig] = {
         n_heads=4,
         n_kv_heads=2,
         d_ff=128,
-        norm_type="rmsnorm",
-        activation="swiglu",
-        use_rope=True,
         seed=0,
     ),
     # Llama-3.1-8B analogue: GQA, RoPE, RMSNorm, SwiGLU.
@@ -97,9 +95,6 @@ _SIM_CONFIGS: dict[str, ModelConfig] = {
         n_heads=8,
         n_kv_heads=4,
         d_ff=256,
-        norm_type="rmsnorm",
-        activation="swiglu",
-        use_rope=True,
         seed=1,
     ),
     # GLM4-9B-Chat analogue: the long-context accuracy model of the paper.
@@ -111,9 +106,6 @@ _SIM_CONFIGS: dict[str, ModelConfig] = {
         n_heads=8,
         n_kv_heads=2,
         d_ff=256,
-        norm_type="rmsnorm",
-        activation="swiglu",
-        use_rope=True,
         seed=2,
     ),
     # Serving-benchmark analogue: keeps the Llama-style family but with the
@@ -131,26 +123,8 @@ _SIM_CONFIGS: dict[str, ModelConfig] = {
         n_heads=8,
         n_kv_heads=4,
         d_ff=512,
-        norm_type="rmsnorm",
-        activation="swiglu",
-        use_rope=True,
         use_copy_head=False,
         seed=11,
-    ),
-    # OPT-6.7B analogue: MHA, learned positions, LayerNorm, GELU.
-    "opt-sim": ModelConfig(
-        name="opt-sim",
-        vocab_size=1024,
-        d_model=128,
-        n_layers=4,
-        n_heads=8,
-        n_kv_heads=8,
-        d_ff=256,
-        norm_type="layernorm",
-        activation="gelu",
-        use_rope=False,
-        max_position_embeddings=8192,
-        seed=3,
     ),
 }
 

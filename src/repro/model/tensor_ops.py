@@ -1,8 +1,8 @@
 """Numerical primitives for the NumPy transformer inference substrate.
 
 All operations are pure functions over ``numpy.ndarray`` and are written to
-mirror the reference Transformer arithmetic used by Llama/GLM/OPT-style
-models: softmax, RMSNorm, LayerNorm, SiLU/GELU activations and rotary
+mirror the reference Transformer arithmetic used by Llama/GLM-style
+models: softmax, RMSNorm, the SiLU activation and SwiGLU gating, and rotary
 position embeddings (RoPE).
 
 The functions operate on float64 or float32 arrays; dtype is preserved where
@@ -20,9 +20,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "rms_norm",
-    "layer_norm",
     "silu",
-    "gelu",
     "swiglu",
     "rope_frequencies",
     "apply_rope",
@@ -65,33 +63,10 @@ def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray
     return x / np.sqrt(variance + eps) * weight
 
 
-def layer_norm(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """Standard layer normalisation (as used by OPT).
-
-    ``x`` has shape ``(..., d)``; ``weight`` and ``bias`` have shape ``(d,)``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.mean(x, axis=-1, keepdims=True)
-    variance = np.var(x, axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(variance + eps) * weight + bias
-
-
 def silu(x: np.ndarray) -> np.ndarray:
     """SiLU (a.k.a. swish) activation: ``x * sigmoid(x)``."""
     x = np.asarray(x, dtype=np.float64)
     return x / (1.0 + np.exp(-x))
-
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU activation using the tanh approximation (OPT/GPT style)."""
-    x = np.asarray(x, dtype=np.float64)
-    inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * np.power(x, 3))
-    return 0.5 * x * (1.0 + np.tanh(inner))
 
 
 def swiglu(gate: np.ndarray, up: np.ndarray) -> np.ndarray:

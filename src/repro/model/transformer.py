@@ -16,8 +16,6 @@ from .config import ModelConfig
 from .tensor_ops import (
     _rope_tables,
     apply_rope,
-    gelu,
-    layer_norm,
     rms_norm,
     rope_frequencies,
     swiglu,
@@ -35,11 +33,7 @@ class TransformerModel:
         self.weights = weights if weights is not None else init_weights(config)
         if self.weights.config is not config and self.weights.config != config:
             raise ValueError("weights were initialised for a different configuration")
-        self._inv_freq = (
-            rope_frequencies(config.head_dim, config.rope_base)
-            if config.use_rope
-            else None
-        )
+        self._inv_freq = rope_frequencies(config.head_dim, config.rope_base)
         # Fused projection weights, one per layer: the per-head Q/K/V
         # projections concatenated column-wise into a single (d_model,
         # (n_heads + 2 n_kv_heads) * head_dim) matrix, and the SwiGLU
@@ -64,41 +58,27 @@ class TransformerModel:
             )
             for layer in self.weights.layers
         ]
-        self._w_gate_up = (
-            [
-                np.concatenate([layer.w_gate, layer.w_up], axis=1)
-                for layer in self.weights.layers
-            ]
-            if config.activation == "swiglu"
-            else None
-        )
+        self._w_gate_up = [
+            np.concatenate([layer.w_gate, layer.w_up], axis=1)
+            for layer in self.weights.layers
+        ]
 
     # ------------------------------------------------------------------
     # embedding and output
     # ------------------------------------------------------------------
-    def embed(self, token_ids: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Token (plus positional, for OPT-style models) embeddings.
+    def embed(self, token_ids: np.ndarray) -> np.ndarray:
+        """Token embeddings, shape ``(T, d_model)``.
 
-        Returns an array of shape ``(T, d_model)``.
+        Positions enter through RoPE in :meth:`attention_qkv`.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        positions = np.asarray(positions, dtype=np.int64)
-        if token_ids.shape != positions.shape:
-            raise ValueError("token_ids and positions must have the same length")
         if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= self.config.vocab_size):
             raise ValueError("token id out of vocabulary range")
-        hidden = self.weights.embedding[token_ids]
-        if self.weights.position_embedding is not None:
-            if positions.size and positions.max() >= self.weights.position_embedding.shape[0]:
-                raise ValueError("position exceeds max_position_embeddings")
-            hidden = hidden + self.weights.position_embedding[positions]
-        return hidden
+        return self.weights.embedding[token_ids]
 
     def final_logits(self, hidden: np.ndarray) -> np.ndarray:
         """Vocabulary logits of the given hidden states, shape ``(T, vocab)``."""
-        normed = self._norm(
-            hidden, self.weights.final_norm_weight, self.weights.final_norm_bias
-        )
+        normed = rms_norm(hidden, self.weights.final_norm_weight)
         return normed @ self.weights.lm_head
 
     # ------------------------------------------------------------------
@@ -114,7 +94,7 @@ class TransformerModel:
         """
         layer = self.weights.layers[layer_idx]
         positions = np.asarray(positions, dtype=np.int64)
-        normed = self._norm(hidden, layer.attn_norm_weight, layer.attn_norm_bias)
+        normed = rms_norm(hidden, layer.attn_norm_weight)
 
         # One fused GEMM for all Q/K/V heads, then per-head views: column
         # blocks of the fused product equal the per-head projections.
@@ -130,9 +110,8 @@ class TransformerModel:
         q = q.swapaxes(0, 1)
         k = k.swapaxes(0, 1)
         v = v.swapaxes(0, 1)
-        if self._inv_freq is not None:
-            q = apply_rope(q, positions, self._inv_freq)
-            k = apply_rope(k, positions, self._inv_freq)
+        q = apply_rope(q, positions, self._inv_freq)
+        k = apply_rope(k, positions, self._inv_freq)
         return q, k, v
 
     def reserve_positions(self, end: int) -> None:
@@ -142,8 +121,7 @@ class TransformerModel:
         caller about to run :meth:`attention_qkv` on several threads does
         the growing here first, on its own thread.
         """
-        if self._inv_freq is not None:
-            _rope_tables(self._inv_freq, end)
+        _rope_tables(self._inv_freq, end)
 
     def attention_output(
         self, layer_idx: int, hidden: np.ndarray, attn_concat: np.ndarray
@@ -155,15 +133,12 @@ class TransformerModel:
     def ffn(self, layer_idx: int, hidden: np.ndarray) -> np.ndarray:
         """Feed-forward block with residual connection."""
         layer = self.weights.layers[layer_idx]
-        normed = self._norm(hidden, layer.ffn_norm_weight, layer.ffn_norm_bias)
-        if self._w_gate_up is not None:
-            # Fused gate/up GEMM; the two column halves equal the separate
-            # products.
-            fused = normed @ self._w_gate_up[layer_idx]
-            d_ff = self.config.d_ff
-            inner = swiglu(fused[:, :d_ff], fused[:, d_ff:])
-        else:
-            inner = gelu(normed @ layer.w_gate)
+        normed = rms_norm(hidden, layer.ffn_norm_weight)
+        # Fused gate/up GEMM; the two column halves equal the separate
+        # products.
+        fused = normed @ self._w_gate_up[layer_idx]
+        d_ff = self.config.d_ff
+        inner = swiglu(fused[:, :d_ff], fused[:, d_ff:])
         return hidden + inner @ layer.w_down
 
     # ------------------------------------------------------------------
@@ -179,23 +154,13 @@ class TransformerModel:
 
         token_ids = np.asarray(token_ids, dtype=np.int64)
         positions = np.arange(token_ids.shape[0])
-        hidden = self.embed(token_ids, positions)
+        hidden = self.embed(token_ids)
         for layer_idx in range(self.config.n_layers):
             q, k, v = self.attention_qkv(layer_idx, hidden, positions)
             attn = full_causal_attention(q, k, v, self.config.softmax_scale)
             hidden = self.attention_output(layer_idx, hidden, attn.output)
             hidden = self.ffn(layer_idx, hidden)
         return self.final_logits(hidden)
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _norm(
-        self, hidden: np.ndarray, weight: np.ndarray, bias: np.ndarray
-    ) -> np.ndarray:
-        if self.config.norm_type == "rmsnorm":
-            return rms_norm(hidden, weight)
-        return layer_norm(hidden, weight, bias)
 
     @property
     def num_parameters(self) -> int:

@@ -39,7 +39,7 @@ class LayerWeights:
     * ``wo``: ``(n_heads * head_dim, d_model)``
     * feed-forward: ``w_gate``/``w_up``: ``(d_model, d_ff)``, ``w_down``:
       ``(d_ff, d_model)``
-    * norms: ``(d_model,)`` vectors (bias only used for LayerNorm).
+    * RMSNorm weights: ``(d_model,)`` vectors.
     """
 
     wq: np.ndarray
@@ -50,9 +50,7 @@ class LayerWeights:
     w_up: np.ndarray
     w_down: np.ndarray
     attn_norm_weight: np.ndarray
-    attn_norm_bias: np.ndarray
     ffn_norm_weight: np.ndarray
-    ffn_norm_bias: np.ndarray
 
 
 @dataclass
@@ -61,10 +59,8 @@ class ModelWeights:
 
     config: ModelConfig
     embedding: np.ndarray  # (vocab_size, d_model)
-    position_embedding: np.ndarray | None  # (max_positions, d_model) or None
     layers: list[LayerWeights] = field(default_factory=list)
     final_norm_weight: np.ndarray | None = None
-    final_norm_bias: np.ndarray | None = None
     lm_head: np.ndarray | None = None  # (d_model, vocab_size)
     copy_query_proj: np.ndarray | None = None  # (d_model, d_model)
     copy_key_proj: np.ndarray | None = None  # (d_model, d_model)
@@ -73,8 +69,6 @@ class ModelWeights:
     def num_parameters(self) -> int:
         """Total number of scalar parameters (for reporting)."""
         total = self.embedding.size
-        if self.position_embedding is not None:
-            total += self.position_embedding.size
         for layer in self.layers:
             total += (
                 layer.wq.size
@@ -85,14 +79,10 @@ class ModelWeights:
                 + layer.w_up.size
                 + layer.w_down.size
                 + layer.attn_norm_weight.size
-                + layer.attn_norm_bias.size
                 + layer.ffn_norm_weight.size
-                + layer.ffn_norm_bias.size
             )
         if self.final_norm_weight is not None:
             total += self.final_norm_weight.size
-        if self.final_norm_bias is not None:
-            total += self.final_norm_bias.size
         if self.lm_head is not None:
             total += self.lm_head.size
         if self.copy_query_proj is not None:
@@ -146,14 +136,6 @@ def init_weights(config: ModelConfig) -> ModelWeights:
         weight * centres[cluster_ids] + (1.0 - weight) * individual
     )
 
-    position_embedding = None
-    if not config.use_rope:
-        # OPT-style learned absolute position embeddings, small magnitude so
-        # that content similarity still dominates attention scores.
-        position_embedding = 0.05 * rng.normal(
-            size=(config.max_position_embeddings, d_model)
-        )
-
     layers: list[LayerWeights] = []
     for _layer_idx in range(config.n_layers):
         # Shared retrieval projection for this layer: queries and keys of all
@@ -190,9 +172,7 @@ def init_weights(config: ModelConfig) -> ModelWeights:
                 w_up=w_up,
                 w_down=w_down,
                 attn_norm_weight=np.ones(d_model),
-                attn_norm_bias=np.zeros(d_model),
                 ffn_norm_weight=np.ones(d_model),
-                ffn_norm_bias=np.zeros(d_model),
             )
         )
 
@@ -215,10 +195,8 @@ def init_weights(config: ModelConfig) -> ModelWeights:
     return ModelWeights(
         config=config,
         embedding=embedding,
-        position_embedding=position_embedding,
         layers=layers,
         final_norm_weight=np.ones(d_model),
-        final_norm_bias=np.zeros(d_model),
         lm_head=lm_head,
         copy_query_proj=copy_query_proj,
         copy_key_proj=copy_key_proj,

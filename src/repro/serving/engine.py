@@ -438,12 +438,10 @@ class BatchedEngine:
             queue is the sole id issuer; ids key the shared KV buffers and
             the report), if ``policy`` names an unregistered method or has
             invalid configuration keys, if the prompt holds a token id
-            outside the model's vocabulary, if prompt plus decode length
-            runs past the model's learned position table, if the
-            request's projected KV footprint exceeds the scheduler's whole
-            memory budget, or if ``arrival_time_s`` is negative.  Such a
-            request could never run, so it is refused before an id is
-            issued.
+            outside the model's vocabulary, if the request's projected KV
+            footprint exceeds the scheduler's whole memory budget, or if
+            ``arrival_time_s`` is negative.  Such a request could never
+            run, so it is refused before an id is issued.
         """
         if self._draining:
             raise RuntimeError(
@@ -460,15 +458,6 @@ class BatchedEngine:
             raise ValueError(
                 f"request {label} holds token ids outside the vocabulary "
                 f"[0, {vocab_size})"
-            )
-        # The last sampled token is never fed back, so a request embeds
-        # positions 0 .. prompt + decode length - 2.
-        positions = prompt.size + self._decode_length(max_new_tokens) - 1
-        table = self.model.weights.position_embedding
-        if table is not None and positions > table.shape[0]:
-            raise ValueError(
-                f"request {label} needs {positions} positions, "
-                f"more than the model's {table.shape[0]}"
             )
         budget = self.scheduler.config.kv_budget_bytes
         projected = self._projected_bytes(prompt.size, max_new_tokens)

@@ -19,7 +19,7 @@ emits a :class:`CompletedRequest` pairing the original request with its
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,9 +50,13 @@ class RequestStatus(enum.Enum):
 SLO_CLASSES = ("interactive", "batch")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServeRequest:
     """One client request to the batched serving engine.
+
+    Two requests are equal when their prompts hold the same token ids and
+    every other field is equal; like any mutable-array holder, a request
+    is not hashable.
 
     Attributes
     ----------
@@ -115,6 +119,15 @@ class ServeRequest:
             raise ValueError(
                 f"slo_class must be one of {SLO_CLASSES}, got {self.slo_class!r}"
             )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ServeRequest):
+            return NotImplemented
+        return all(
+            getattr(self, item.name) == getattr(other, item.name)
+            for item in fields(self)
+            if item.name != "prompt_ids"
+        ) and np.array_equal(self.prompt_ids, other.prompt_ids)
 
     def prompt_length(self) -> int:
         """Number of prompt tokens."""

@@ -2,17 +2,19 @@
 
 A trace is one JSON object per line, in arrival order::
 
-    {"arrival_time_s": 0.41, "prompt_len": 72, "max_new_tokens": 32,
-     "policy": {"name": "clusterkv", "tokens_per_cluster": 32}}
+    {"arrival_time_s": 0.41, "max_new_tokens": 32,
+     "policy": {"name": "clusterkv", "tokens_per_cluster": 32},
+     "prompt_len": 72, "seed": null, "slo_class": "interactive"}
 
 ``policy`` is the flat :meth:`repro.policies.PolicySpec.to_dict` form;
-``null`` there, or in ``max_new_tokens``, means the engine default.  A
-record may carry explicit ``"prompt_ids"`` for exact replay; otherwise
-:func:`load_trace` regenerates the prompt contents deterministically from
-its ``seed`` argument, so a trace stores shapes and timing — the load
-pattern — in a few bytes per request while replays remain
-bit-reproducible.  A trace keeps no ``slo_class`` or ``seed``: replayed
-requests take the defaults.
+``null`` there, or in ``max_new_tokens`` or the per-request sampling
+``seed``, means the engine default.  ``slo_class`` keeps a class-mixed
+workload class-mixed on replay; records written without it (or without
+``seed``) load as ``"interactive"`` (and ``None``).  A record may carry
+explicit ``"prompt_ids"`` for exact replay; otherwise :func:`load_trace`
+regenerates the prompt contents deterministically from its ``seed``
+argument, so a trace stores shapes and timing — the load pattern — in a
+few bytes per request while replays remain bit-reproducible.
 
 :func:`save_trace` writes the requests produced by
 :func:`~repro.traffic.workload.generate_traffic` (or completed runs), and
@@ -53,6 +55,8 @@ def save_trace(
                 "prompt_len": request.prompt_length(),
                 "max_new_tokens": request.max_new_tokens,
                 "policy": None if request.policy is None else request.policy.to_dict(),
+                "seed": request.seed,
+                "slo_class": request.slo_class,
             }
             if include_prompt_ids:
                 record["prompt_ids"] = [int(t) for t in request.prompt_ids]
@@ -128,6 +132,7 @@ def load_trace(
                 )
             policy = record.get("policy")
             max_new_tokens = record.get("max_new_tokens", 32)
+            request_seed = record.get("seed")
             requests.append(
                 ServeRequest(
                     request_id=f"{id_prefix}{len(requests)}",
@@ -135,6 +140,8 @@ def load_trace(
                     max_new_tokens=None if max_new_tokens is None else int(max_new_tokens),
                     policy=None if policy is None else PolicySpec.from_dict(policy),
                     arrival_time_s=arrival,
+                    seed=None if request_seed is None else int(request_seed),
+                    slo_class=record.get("slo_class", "interactive"),
                 )
             )
     return requests

@@ -533,13 +533,6 @@ class TestCommandTable:
 # ----------------------------------------------------------------------
 # worker lifecycle
 # ----------------------------------------------------------------------
-def request_fields(request) -> dict:
-    """Every field of a ServeRequest, the prompt as a list (arrays do not compare)."""
-    fields = {field.name: getattr(request, field.name) for field in dataclasses.fields(request)}
-    fields["prompt_ids"] = request.prompt_ids.tolist()
-    return fields
-
-
 class TestRequestRecordTravels:
     @pytest.mark.parametrize("backend_name", ["serial", "multiprocess"])
     def test_restore_on_another_engine_resumes_the_submitted_request(self, backend_name):
@@ -560,12 +553,12 @@ class TestRequestRecordTravels:
             while "moving" not in source.view.active_request_ids:
                 source.finish_step()
             checkpoint = source.checkpoint_request("moving", keep=False)
-            expected = dict(request_fields(submitted), max_new_tokens=8)
-            assert expected["arrival_order"] == 1 and expected["seed"] == 7
-            assert request_fields(checkpoint.request) == expected
+            expected = dataclasses.replace(submitted, max_new_tokens=8)
+            assert expected.arrival_order == 1 and expected.seed == 7
+            assert checkpoint.request == expected
             target.restore_request(checkpoint)
             ((restored, _),) = target.snapshot().active
-            assert request_fields(restored) == expected
+            assert restored == expected
 
 
 class TestWorkerLifecycle:

@@ -22,20 +22,12 @@ class TestModelZoo:
 
     def test_expected_families_present(self):
         names = list_model_configs()
-        assert {"tiny", "llama-sim", "glm-sim", "opt-sim"}.issubset(set(names))
-
-    def test_opt_family_architecture(self):
-        opt = get_model_config("opt-sim")
-        assert opt.norm_type == "layernorm"
-        assert opt.activation == "gelu"
-        assert not opt.use_rope
-        assert opt.n_kv_heads == opt.n_heads  # MHA
+        assert set(names) == {"tiny", "llama-sim", "glm-sim", "serve-sim"}
 
     def test_llama_and_glm_use_gqa(self):
         for name in ("llama-sim", "glm-sim"):
             config = get_model_config(name)
             assert config.n_kv_heads < config.n_heads
-            assert config.use_rope
 
     def test_all_sim_models_instantiate(self):
         for name in list_model_configs():

@@ -17,7 +17,7 @@ import pytest
 
 from repro.baselines import FullKVSelector
 from repro.memory import TierBudgets
-from repro.model import GenerationConfig, ModelConfig, TransformerModel
+from repro.model import GenerationConfig
 from repro.serving import BatchedEngine, SchedulerConfig
 
 CLUSTERKV = "clusterkv:tokens_per_cluster=12,decode_window=8,decode_clusters=2,num_sink_tokens=4"
@@ -155,33 +155,6 @@ class TestRefusedAtTheDoor:
         second = engine.submit(short_prompt, request_id="early")
         assert (first.request_id, first.arrival_order) == ("req-0", 0)
         assert (second.request_id, second.arrival_order) == ("early", 1)
-
-    def test_learned_position_table_bounds_prompt_plus_decode(self):
-        config = ModelConfig(
-            name="test-learned-positions",
-            vocab_size=128,
-            d_model=32,
-            n_layers=2,
-            n_heads=4,
-            n_kv_heads=2,
-            d_ff=64,
-            use_rope=False,
-            max_position_embeddings=32,
-            seed=7,
-        )
-        engine = BatchedEngine(
-            TransformerModel(config), FullKVSelector(), GenerationConfig(max_new_tokens=4)
-        )
-        prompt = np.arange(4, 34, dtype=np.int64)  # 30 tokens
-        # The last sampled token is never embedded: 30 + 3 - 1 positions fit.
-        engine.submit(prompt, request_id="fits", max_new_tokens=3)
-        with pytest.raises(ValueError, match="33 positions, more than the model's 32"):
-            engine.submit(prompt, request_id="long")  # engine default: 4 tokens
-        with pytest.raises(ValueError, match="positions"):
-            engine.submit(prompt, request_id="long", max_new_tokens=5)
-        report = engine.run()
-        assert list(report.results()) == ["fits"]
-        assert len(report.results()["fits"].output_ids) == 3
 
     def test_restore_rejects_checkpoint_without_identity(self, tiny_model, short_prompt):
         source = BatchedEngine(tiny_model, FullKVSelector(), GenerationConfig(max_new_tokens=4))

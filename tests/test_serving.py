@@ -82,6 +82,35 @@ class TestRequestQueue:
             ServeRequest(request_id="x", prompt_ids=np.array([1]), max_new_tokens=0)
 
 
+class TestServeRequestEquality:
+    def _request(self, prompt=(4, 5, 6), **overrides):
+        return ServeRequest(
+            **{
+                "request_id": "r",
+                "prompt_ids": np.array(prompt),
+                "policy": PolicySpec("quest"),
+                "seed": 3,
+                **overrides,
+            }
+        )
+
+    def test_equal_requests_from_separate_arrays_compare_equal(self):
+        assert self._request() == self._request()
+        assert not self._request() != self._request()
+
+    @pytest.mark.parametrize(
+        "prompt, overrides",
+        [((4, 5, 7), {}), ((4, 5), {}), ((4, 5, 6), {"slo_class": "batch"}),
+         ((4, 5, 6), {"seed": None}), ((4, 5, 6), {"policy": None})],
+    )
+    def test_a_different_field_compares_unequal(self, prompt, overrides):
+        assert self._request() != self._request(prompt, **overrides)
+
+    def test_stays_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(self._request())
+
+
 class TestSchedulerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -173,15 +173,7 @@ class TestTraceRoundTrip:
         for original, x in zip(requests, loaded):
             assert np.array_equal(x.prompt_ids, original.prompt_ids)
 
-    # sha256 of the trace bytes, taken while workloads still had a request
-    # type of their own: a match shows ServeRequest changed no saved byte.
-    PINNED_SHA256 = {
-        False: "17cb2cae8ebac4eff8d18fe949cdf019aef060efdd59bf1596b0b15a990ca6a4",
-        True: "4ed26b8eb5aecef576dbd6e12d554009a2fc61254534861b0e5b4c5e7292c154",
-    }
-
-    @pytest.mark.parametrize("include_prompt_ids", [False, True])
-    def test_saved_bytes_are_pinned(self, tmp_path, include_prompt_ids):
+    def _mixed_class_requests(self):
         shapes = [
             RequestShape(prompt_len_range=(8, 24), max_new_tokens=6, weight=2.0),
             RequestShape(
@@ -192,11 +184,42 @@ class TestTraceRoundTrip:
             ),
         ]
         times = PoissonArrivals(rate=4.0).times(12, seed=7)
-        requests = generate_traffic(shapes, times, vocab_size=64, seed=3)
+        return generate_traffic(shapes, times, vocab_size=64, seed=3)
+
+    # sha256 of the trace bytes.  Each record holds every key of the
+    # format's docstring, ``seed`` and ``slo_class`` included.
+    PINNED_SHA256 = {
+        False: "30c3ef5f2f92dff77a1579926836e6a473f7915661a9befb7afdcf07b18f7958",
+        True: "e09d29200057815142f89f0fb9d4fc905bda914ed9b95ef8ec6753f17a1c9095",
+    }
+
+    @pytest.mark.parametrize("include_prompt_ids", [False, True])
+    def test_saved_bytes_are_pinned(self, tmp_path, include_prompt_ids):
         path = tmp_path / "trace.jsonl"
-        save_trace(path, requests, include_prompt_ids=include_prompt_ids)
+        save_trace(path, self._mixed_class_requests(), include_prompt_ids=include_prompt_ids)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.PINNED_SHA256[include_prompt_ids]
+
+    def test_embedded_trace_reloads_the_requests_it_saved(self, tmp_path):
+        requests = self._mixed_class_requests()
+        requests.append(
+            ServeRequest(
+                request_id=f"t{len(requests)}",
+                prompt_ids=np.arange(4, 9),
+                arrival_time_s=requests[-1].arrival_time_s,
+                seed=5,
+            )
+        )
+        assert {request.slo_class for request in requests} == {"interactive", "batch"}
+        path = tmp_path / "trace.jsonl"
+        save_trace(path, requests, include_prompt_ids=True)
+        assert load_trace(path, vocab_size=64) == requests
+
+    def test_records_without_class_or_seed_load_with_defaults(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"arrival_time_s": 0.5, "prompt_len": 4}\n', encoding="utf-8")
+        (loaded,) = load_trace(path, vocab_size=64)
+        assert (loaded.slo_class, loaded.seed) == ("interactive", None)
 
     def test_null_decode_length_means_engine_default(self, tmp_path):
         request = ServeRequest(request_id="x", prompt_ids=np.arange(4, 12))

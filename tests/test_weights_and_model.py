@@ -19,10 +19,6 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(n_heads=8, n_kv_heads=3, d_model=64)
 
-    def test_rejects_unknown_norm(self):
-        with pytest.raises(ValueError):
-            ModelConfig(norm_type="batchnorm")
-
     def test_kv_bytes_per_token(self):
         config = ModelConfig(d_model=64, n_heads=8, n_kv_heads=4, n_layers=2)
         expected = 2 * 4 * 8 * 2 * 2  # K+V * kv_heads * head_dim * fp16 * layers
@@ -65,15 +61,6 @@ class TestWeights:
         assert count > 0
         assert count == tiny_model.weights.num_parameters()
 
-    def test_opt_style_has_position_embeddings(self):
-        config = ModelConfig(
-            d_model=32, n_heads=4, n_kv_heads=4, use_rope=False, norm_type="layernorm",
-            activation="gelu", max_position_embeddings=64, vocab_size=64,
-        )
-        weights = init_weights(config)
-        assert weights.position_embedding is not None
-        assert weights.position_embedding.shape == (64, 32)
-
 
 class TestTransformerForward:
     def test_forward_shapes(self, tiny_model, short_prompt):
@@ -98,11 +85,11 @@ class TestTransformerForward:
 
     def test_rejects_out_of_vocab(self, tiny_model):
         with pytest.raises(ValueError):
-            tiny_model.embed(np.array([10_000]), np.array([0]))
+            tiny_model.embed(np.array([10_000]))
 
     def test_qkv_shapes(self, tiny_model, short_prompt):
         config = tiny_model.config
-        hidden = tiny_model.embed(short_prompt[:6], np.arange(6))
+        hidden = tiny_model.embed(short_prompt[:6])
         q, k, v = tiny_model.attention_qkv(0, hidden, np.arange(6))
         assert q.shape == (config.n_heads, 6, config.head_dim)
         assert k.shape == (config.n_kv_heads, 6, config.head_dim)
