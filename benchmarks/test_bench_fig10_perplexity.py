@@ -1,5 +1,7 @@
 """Benchmark regenerating paper Fig. 10 (language-modelling perplexity)."""
 
+from conftest import check_format_golden
+
 from repro.experiments import Fig10Config, format_fig10, run_fig10
 
 
@@ -13,7 +15,9 @@ def test_bench_fig10_perplexity(bench_scale, bench_samples):
     )
     result = run_fig10(config)
     print()
-    print(format_fig10(result))
+    text = format_fig10(result)
+    print(text)
+    check_format_golden("fig10", text)
 
     # Shape check from the paper: ClusterKV tracks the full-KV perplexity more
     # closely than Quest does.

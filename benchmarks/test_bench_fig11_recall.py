@@ -1,6 +1,6 @@
 """Benchmark regenerating paper Fig. 11 (recall rate of important tokens)."""
 
-from conftest import FULL_SIZE
+from conftest import FULL_SIZE, check_format_golden
 
 from repro.experiments import (
     Fig11Config,
@@ -23,7 +23,9 @@ def test_bench_fig11a_methods(bench_scale):
     """Recall rate of ClusterKV vs. Quest vs. InfiniGen across budgets."""
     result = run_fig11_methods(_config(bench_scale))
     print()
-    print(format_fig11(result, "[Fig. 11a] recall rate by method"))
+    text = format_fig11(result, "[Fig. 11a] recall rate by method")
+    print(text)
+    check_format_golden("fig11a", text)
 
     clusterkv = result.curves["clusterkv"]
     quest = result.curves["quest"]
@@ -38,7 +40,9 @@ def test_bench_fig11b_ablation(bench_scale):
     """Ablation of the clustering distance metric and the cluster count C0."""
     result = run_fig11_ablation(_config(bench_scale))
     print()
-    print(format_fig11(result, "[Fig. 11b] ClusterKV ablation"))
+    text = format_fig11(result, "[Fig. 11b] ClusterKV ablation")
+    print(text)
+    check_format_golden("fig11b", text)
 
     budgets = sorted(result.curves["metric=cosine"])
     largest = budgets[-1]

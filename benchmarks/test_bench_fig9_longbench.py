@@ -1,12 +1,16 @@
 """Benchmark regenerating paper Fig. 9 (LongBench scores per task and budget)."""
 
+from conftest import check_format_golden
+
 from repro.experiments import format_fig9
 
 
 def test_bench_fig9_longbench(fig9_result):
     """Scores of Full/ClusterKV/Quest/InfiniGen on the eight task analogues."""
     print()
-    print(format_fig9(fig9_result))
+    text = format_fig9(fig9_result)
+    print(text)
+    check_format_golden("fig9", text)
 
     table = fig9_result.table
     budgets = table.budgets()

@@ -1,5 +1,7 @@
 """Benchmark regenerating paper Table I (average score across the eight tasks)."""
 
+from conftest import check_format_golden
+
 from repro.experiments import format_table1, run_table1
 
 
@@ -7,7 +9,9 @@ def test_bench_table1_average(fig9_result):
     """Average score per method and budget, next to the paper's values."""
     result = run_table1(fig9=fig9_result)
     print()
-    print(format_table1(result))
+    text = format_table1(result)
+    print(text)
+    check_format_golden("table1", text)
 
     budgets = sorted(result.averages["clusterkv"])
     tightest, largest = budgets[0], budgets[-1]
