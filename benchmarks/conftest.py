@@ -24,7 +24,8 @@ import os
 
 import pytest
 
-from repro.experiments import ContextScale, Fig9Config, Fig9Result, run_fig9
+from repro.experiments import ContextScale, Fig9Config
+from repro.experiments.fig9_longbench import Fig9Result, run_fig9
 
 FULL_SIZE = os.environ.get("REPRO_BENCH_FULL", "").lower() in ("1", "true", "yes")
 

@@ -1,18 +1,15 @@
 """Benchmark for the ClusterKV design-choice ablation (DESIGN.md §5)."""
 
-from repro.experiments import (
-    DesignAblationConfig,
-    format_design_ablation,
-    run_design_ablation,
-)
+from repro.experiments import EXPERIMENTS, DesignAblationConfig
 
 
 def test_bench_ablation_design(bench_scale):
     """Score/recall/hit-rate of ClusterKV variants (sinks, trimming, cache, C0)."""
     config = DesignAblationConfig(scale=bench_scale, num_samples=2, decode_steps=10)
-    result = run_design_ablation(config)
+    ablation = EXPERIMENTS.build("design-ablation")
+    result = ablation.run(config)
     print()
-    print(format_design_ablation(result))
+    print(ablation.format(result))
 
     assert "default" in result.variants
     # The cache depth must not affect accuracy (it only affects transfers).

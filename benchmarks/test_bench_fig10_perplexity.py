@@ -2,7 +2,7 @@
 
 from conftest import check_format_golden
 
-from repro.experiments import Fig10Config, format_fig10, run_fig10
+from repro.experiments import EXPERIMENTS, Fig10Config
 
 
 def test_bench_fig10_perplexity(bench_scale, bench_samples):
@@ -13,9 +13,10 @@ def test_bench_fig10_perplexity(bench_scale, bench_samples):
         paper_lengths=(8000, 16000, 32000),
         scored_tokens=32,
     )
-    result = run_fig10(config)
+    fig10 = EXPERIMENTS.build("fig10")
+    result = fig10.run(config)
     print()
-    text = format_fig10(result)
+    text = fig10.format(result)
     print(text)
     check_format_golden("fig10", text)
 

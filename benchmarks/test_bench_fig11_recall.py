@@ -2,8 +2,8 @@
 
 from conftest import FULL_SIZE, check_format_golden
 
-from repro.experiments import (
-    Fig11Config,
+from repro.experiments import Fig11Config
+from repro.experiments.fig11_recall import (
     format_fig11,
     run_fig11_ablation,
     run_fig11_methods,

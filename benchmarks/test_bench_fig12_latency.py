@@ -1,13 +1,14 @@
 """Benchmark regenerating paper Fig. 12 (latency vs. full KV cache)."""
 
-from repro.experiments import Fig12Config, format_fig12, run_fig12
+from repro.experiments import EXPERIMENTS, Fig12Config
 
 
 def test_bench_fig12_latency():
     """ClusterKV vs. full KV latency over the paper's P/D/budget grid."""
-    result = run_fig12(Fig12Config())
+    fig12 = EXPERIMENTS.build("fig12")
+    result = fig12.run(Fig12Config())
     print()
-    print(format_fig12(result))
+    print(fig12.format(result))
 
     # Shape checks from the paper: speedup grows with the prompt length and
     # reaches well above 1.4x at 32k; prefill clustering overhead is small.

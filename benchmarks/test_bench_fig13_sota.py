@@ -1,19 +1,15 @@
 """Benchmark regenerating paper Fig. 13 (comparison with Quest and InfiniGen)."""
 
-from repro.experiments import (
-    Fig13Config,
-    format_fig13,
-    run_fig13_infinigen,
-    run_fig13_quest,
-)
+from repro.experiments import EXPERIMENTS, Fig13Config
+from repro.experiments.fig13_sota import run_fig13_quest
 
 
 def test_bench_fig13a_vs_infinigen():
     """ClusterKV vs. InfiniGen on an OPT-6.7B-class model (paper: ~2.3x)."""
-    result = run_fig13_infinigen(Fig13Config())
-    quest_result = run_fig13_quest(Fig13Config())
+    fig13 = EXPERIMENTS.build("fig13")
+    result, quest_result = fig13.run(Fig13Config())
     print()
-    print(format_fig13(result, quest_result))
+    print(fig13.format((result, quest_result)))
     assert result.mean_speedup("infinigen") > 1.8
 
 

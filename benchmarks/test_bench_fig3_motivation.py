@@ -1,14 +1,15 @@
 """Benchmark regenerating paper Fig. 3 (motivation analyses)."""
 
-from repro.experiments import Fig3Config, format_fig3, run_fig3
+from repro.experiments import EXPERIMENTS, Fig3Config
 
 
 def test_bench_fig3_motivation(bench_scale):
     """Token-importance fluctuation (3a) and page fragmentation (3b)."""
     config = Fig3Config(scale=bench_scale, decode_steps=24)
-    result = run_fig3(config)
+    fig3 = EXPERIMENTS.build("fig3")
+    result = fig3.run(config)
     print()
-    print(format_fig3(result))
+    print(fig3.format(result))
 
     # Fig. 3a: importance rankings fluctuate across decoding steps.
     assert result.mean_rank_variation > 0

@@ -2,7 +2,7 @@
 
 from conftest import check_format_golden
 
-from repro.experiments import format_fig9
+from repro.experiments.fig9_longbench import format_fig9
 
 
 def test_bench_fig9_longbench(fig9_result):

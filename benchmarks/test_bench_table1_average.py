@@ -2,7 +2,7 @@
 
 from conftest import check_format_golden
 
-from repro.experiments import format_table1, run_table1
+from repro.experiments.table1_average import format_table1, run_table1
 
 
 def test_bench_table1_average(fig9_result):

@@ -9,13 +9,7 @@ Run with:  python examples/clustering_ablation.py
 
 from __future__ import annotations
 
-from repro.experiments import (
-    ContextScale,
-    Fig11Config,
-    format_fig11,
-    run_fig11_ablation,
-    run_fig11_methods,
-)
+from repro.experiments import EXPERIMENTS, ContextScale, Fig11Config
 
 
 def main() -> None:
@@ -25,11 +19,10 @@ def main() -> None:
         decode_steps=8,
         ablation_cluster_counts=(200, 400, 800),
     )
-    methods = run_fig11_methods(config)
-    print(format_fig11(methods, "[Fig. 11a] recall rate by method"))
-    print()
-    ablation = run_fig11_ablation(config)
-    print(format_fig11(ablation, "[Fig. 11b] ClusterKV ablation"))
+    # ``repro fig11`` runs Fig. 11a (methods) and Fig. 11b (ablation).
+    fig11 = EXPERIMENTS.build("fig11")
+    methods, ablation = fig11.run(config)
+    print(fig11.format((methods, ablation)))
     print()
     largest = max(config.paper_budgets)
     best_metric = max(

@@ -10,7 +10,7 @@ Run with:  python examples/language_modeling.py
 
 from __future__ import annotations
 
-from repro.experiments import ContextScale, Fig10Config, format_fig10, run_fig10
+from repro.experiments import EXPERIMENTS, ContextScale, Fig10Config
 
 
 def main() -> None:
@@ -20,8 +20,9 @@ def main() -> None:
         scored_tokens=32,
         scale=ContextScale(32),
     )
-    result = run_fig10(config)
-    print(format_fig10(result))
+    fig10 = EXPERIMENTS.build("fig10")
+    result = fig10.run(config)
+    print(fig10.format(result))
     print()
     for method in ("clusterkv", "infinigen", "quest"):
         deviation = result.deviation_from_full(method)

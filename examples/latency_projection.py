@@ -10,26 +10,18 @@ Run with:  python examples/latency_projection.py
 
 from __future__ import annotations
 
-from repro.experiments import (
-    CacheStudyConfig,
-    Fig12Config,
-    Fig13Config,
-    format_fig12,
-    format_fig13,
-    run_fig12,
-    run_fig13_infinigen,
-    run_fig13_quest,
-)
+from repro.experiments import EXPERIMENTS
 from repro.model import get_reference_architecture
 from repro.perfmodel import ADA_6000, LatencyModel
 
 
 def main() -> None:
-    fig12 = run_fig12(Fig12Config())
-    print(format_fig12(fig12))
-    print()
-    print(format_fig13(run_fig13_infinigen(Fig13Config()), run_fig13_quest(Fig13Config())))
-    print()
+    # What ``repro fig12`` and ``repro fig13`` print: each registered
+    # experiment runs its default config and formats the result.
+    for name in ("fig12", "fig13"):
+        experiment = EXPERIMENTS.build(name)
+        print(experiment.format(experiment.run(experiment.config_cls())))
+        print()
 
     # Caching study at the paper's hit rates (Sec. V-C).
     arch = get_reference_architecture("llama-3.1-8b")

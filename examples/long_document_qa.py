@@ -10,13 +10,7 @@ Run with:  python examples/long_document_qa.py
 
 from __future__ import annotations
 
-from repro.experiments import (
-    ContextScale,
-    Fig9Config,
-    format_fig9,
-    format_table1,
-    run_table1,
-)
+from repro.experiments import EXPERIMENTS, ContextScale, Fig9Config
 
 # Two representative tasks (one single-doc, one multi-hop) keep the example
 # under a couple of minutes; add more task names from LONGBENCH_TASKS to
@@ -31,11 +25,11 @@ def main() -> None:
         num_samples=3,
         scale=ContextScale(32),
     )
-    result = run_table1(config)
+    # ``repro fig9`` runs Fig. 9 and averages it into Table I.
+    fig9 = EXPERIMENTS.build("fig9")
+    result = fig9.run(config)
 
-    print(format_fig9(result.fig9))
-    print()
-    print(format_table1(result))
+    print(fig9.format(result))
     print()
     tight = min(result.averages["clusterkv"])
     print(

@@ -1,5 +1,13 @@
 """Command-line interface for running the reproduction experiments.
 
+The experiment commands are read from :data:`repro.experiments.EXPERIMENTS`:
+each registered experiment is one subcommand whose flags are its config's
+knob fields (``--scale`` on every accuracy experiment, ``--samples`` where
+the config has ``num_samples``; the performance-model figures take
+neither).  The bench commands are written out in ``_SERVING_COMMANDS``.
+Every command builds its config before it runs; a value the config
+refuses is a usage error (exit code 2), not a traceback.
+
 Examples
 --------
 List the available experiments::
@@ -26,7 +34,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import MISSING, fields, is_dataclass, replace
 
-from . import experiments as exp
+from .experiments import EXPERIMENTS
 from .knobs import NONE_IF
 
 __all__ = [
@@ -163,13 +171,19 @@ def _parse_policy_json(text: str) -> tuple:
     return tuple(specs)
 
 
-def _run_serve_bench(args: argparse.Namespace) -> str:
+def _serve_bench_config(args: argparse.Namespace):
     from . import serving
 
     config = dataclass_from_args(serving.ServeBenchConfig, args)
     if args.policy_json:
         policies = (config.policies or ()) + _parse_policy_json(args.policy_json)
         config = replace(config, policies=policies)
+    return config
+
+
+def _run_serve_bench(config, args: argparse.Namespace) -> str:
+    from . import serving
+
     if args.mixed:
         return serving.format_mixed_serve_bench(serving.run_mixed_serve_bench(config))
     return serving.format_serve_bench(serving.run_serve_bench(config))
@@ -225,10 +239,10 @@ def fleet_bench_config(args: argparse.Namespace):
     )
 
 
-def _run_fleet_bench(args: argparse.Namespace) -> str:
+def _run_fleet_bench(config, args: argparse.Namespace) -> str:
     from .traffic import format_traffic_report, run_traffic_bench
 
-    report = run_traffic_bench(fleet_bench_config(args))
+    report = run_traffic_bench(config)
     return report.to_json() if args.json else format_traffic_report(report)
 
 
@@ -239,8 +253,8 @@ class _StaticReplicas(argparse.Action):
         namespace.min_replicas = namespace.max_replicas = values
 
 
-def _run_capacity_bench(args: argparse.Namespace) -> str:
-    from .capacity import CapacityBenchConfig, format_capacity_report, run_capacity_bench
+def _capacity_bench_config(args: argparse.Namespace):
+    from .capacity import CapacityBenchConfig
 
     config = dataclass_from_args(CapacityBenchConfig, args)
     if args.sweep:
@@ -252,125 +266,86 @@ def _run_capacity_bench(args: argparse.Namespace) -> str:
             ) from error
         grid = replace(config.config, context_min=low, context_max=high, context_step=step)
         config = replace(config, config=grid)
+    return config
+
+
+def _run_capacity_bench(config, args: argparse.Namespace) -> str:
+    from .capacity import format_capacity_report, run_capacity_bench
+
     report = run_capacity_bench(config)
     return report.to_json() if args.json else format_capacity_report(report)
 
 
-def _run_perf_bench(args: argparse.Namespace) -> str:
+def _run_perf_bench(config, args: argparse.Namespace) -> str:
     from .perf import format_perf_bench, run_perf_bench
 
     return format_perf_bench(run_perf_bench())
 
 
-def _run_fig3(args: argparse.Namespace) -> str:
-    result = exp.run_fig3(exp.Fig3Config(scale=exp.ContextScale(args.scale)))
-    return exp.format_fig3(result)
-
-
-def _run_fig9(args: argparse.Namespace) -> str:
-    config = exp.Fig9Config(
-        scale=exp.ContextScale(args.scale), num_samples=args.samples
-    )
-    result = exp.run_table1(config)
-    return exp.format_fig9(result.fig9) + "\n\n" + exp.format_table1(result)
-
-
-def _run_fig10(args: argparse.Namespace) -> str:
-    config = exp.Fig10Config(
-        scale=exp.ContextScale(args.scale), num_samples=args.samples
-    )
-    return exp.format_fig10(exp.run_fig10(config))
-
-
-def _run_fig11(args: argparse.Namespace) -> str:
-    config = exp.Fig11Config(scale=exp.ContextScale(args.scale))
-    methods = exp.run_fig11_methods(config)
-    ablation = exp.run_fig11_ablation(config)
-    return (
-        exp.format_fig11(methods, "[Fig. 11a] recall rate by method")
-        + "\n\n"
-        + exp.format_fig11(ablation, "[Fig. 11b] ClusterKV ablation")
-    )
-
-
-def _run_fig12(args: argparse.Namespace) -> str:
-    return exp.format_fig12(exp.run_fig12(exp.Fig12Config()))
-
-
-def _run_fig13(args: argparse.Namespace) -> str:
-    config = exp.Fig13Config()
-    return exp.format_fig13(exp.run_fig13_infinigen(config), exp.run_fig13_quest(config))
-
-
-def _run_cache_study(args: argparse.Namespace) -> str:
-    config = exp.CacheStudyConfig(scale=exp.ContextScale(args.scale))
-    return exp.format_cache_study(exp.run_cache_study(config))
-
-
-def _run_design_ablation(args: argparse.Namespace) -> str:
-    config = exp.DesignAblationConfig(
-        scale=exp.ContextScale(args.scale), num_samples=args.samples
-    )
-    return exp.format_design_ablation(exp.run_design_ablation(config))
-
-
-_EXPERIMENTS = {
-    "fig3": ("Fig. 3 motivation analyses", _run_fig3),
-    "fig9": ("Fig. 9 / Table I LongBench-analogue accuracy", _run_fig9),
-    "fig10": ("Fig. 10 language-modelling perplexity", _run_fig10),
-    "fig11": ("Fig. 11 recall rate and ablations", _run_fig11),
-    "fig12": ("Fig. 12 latency vs. full KV (perf model)", _run_fig12),
-    "fig13": ("Fig. 13 vs. Quest / InfiniGen (perf model)", _run_fig13),
-    "cache-study": ("Sec. V-C cluster-cache effectiveness", _run_cache_study),
-    "design-ablation": ("ClusterKV design-choice ablation", _run_design_ablation),
-}
-
-# Commands with their own argument sets (not the shared experiment flags).
-# ``build_parser`` registers their subparsers; ``main`` dispatches and
-# ``list`` prints both registries, so adding a command means one entry here
-# plus its subparser setup.
+# The bench commands: (description, configure(args) -> config,
+# run(config, args) -> output).  ``build_parser`` registers their
+# subparsers, ``main`` builds the config and runs it, and ``list`` prints
+# them after the experiments, so adding a command means one entry here plus
+# its subparser setup.
 _SERVING_COMMANDS = {
     "serve-bench": (
         "continuous-batching serving throughput vs. sequential runs",
+        _serve_bench_config,
         _run_serve_bench,
     ),
     "traffic-bench": (
         "open-loop traffic simulation: routing, replicas, SLO latency metrics",
+        fleet_bench_config,
         _run_fleet_bench,
     ),
     "cluster-bench": (
         "elastic cluster simulation: autoscaling, admission control, "
         "failure injection",
+        fleet_bench_config,
         _run_fleet_bench,
     ),
     "capacity-bench": (
         "sweep-to-failure capacity scenarios over GPU/host/SSD tier budgets",
+        _capacity_bench_config,
         _run_capacity_bench,
     ),
     "perf-bench": (
         "deterministic hot-path op counters on pinned scenarios "
         "(the BENCH_hotpaths.json guard)",
+        lambda args: None,
         _run_perf_bench,
     ),
 }
 
 
+def _command(name: str):
+    """The ``(configure, run)`` pair of command ``name``."""
+    if name not in EXPERIMENTS:
+        return _SERVING_COMMANDS[name][1:]
+    experiment = EXPERIMENTS.build(name)
+    return (
+        lambda args: dataclass_from_args(experiment.config_cls, args, experiment.cli_defaults),
+        lambda config, args: experiment.format(experiment.run(config)),
+    )
+
+
 def _format_listing() -> str:
     """The ``repro list`` output: every subcommand plus every policy.
 
-    Commands come from the experiment and serving command registries;
-    policies come from the policy registry, so third-party selectors that
-    registered themselves show up here automatically.
+    Commands come from the experiment registry (in registration order,
+    the paper's) and the serving command table; policies come from the
+    policy registry, so third-party selectors that registered themselves
+    show up here automatically.
     """
     from .policies import available_policies
 
     lines = ["commands:"]
     commands = {
-        **_EXPERIMENTS,
-        **_SERVING_COMMANDS,
-        "list": ("list all subcommands and registered compression policies", None),
+        **{experiment.name: experiment.summary for experiment in EXPERIMENTS},
+        **{name: entry[0] for name, entry in _SERVING_COMMANDS.items()},
+        "list": "list all subcommands and registered compression policies",
     }
-    for name, (description, _) in commands.items():
+    for name, description in commands.items():
         lines.append(f"  {name:16s} {description}")
     lines.append("")
     lines.append("policies (use with --policy NAME[:KEY=VAL,...] or --methods NAME):")
@@ -445,17 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser(
         "list", help="list all subcommands and registered compression policies"
     )
-    for name, (description, _) in _EXPERIMENTS.items():
-        sub = subparsers.add_parser(name, help=description)
-        sub.add_argument(
-            "--scale",
-            type=int,
-            default=64,
-            help="context down-scale factor for accuracy experiments (default 64)",
-        )
-        sub.add_argument(
-            "--samples", type=int, default=2, help="samples per task (default 2)"
-        )
+    for experiment in EXPERIMENTS:
+        sub = subparsers.add_parser(experiment.name, help=experiment.summary)
+        add_dataclass_flags(sub, experiment.config_cls, experiment.cli_defaults)
 
     def bench(command: str, cls, exclude, defaults=None) -> argparse.ArgumentParser:
         # Every flag that sets a config field is generated from that field,
@@ -534,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
     for sub in subparsers.choices.values():
         sub.add_argument("--out", type=str, default=None, help="write output to a file")
+        sub.set_defaults(usage_error=sub.error)  # "repro <command>: error: ..."
     return parser
 
 
@@ -547,8 +515,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "list":
         output = _format_listing()
     else:
-        _, runner = {**_EXPERIMENTS, **_SERVING_COMMANDS}[args.command]
-        output = runner(args)
+        configure, run = _command(args.command)
+        try:
+            config = configure(args)
+        except ValueError as error:
+            args.usage_error(str(error))
+        output = run(config, args)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(output + "\n")

@@ -1,109 +1,48 @@
-"""Experiment harness: one module per table/figure of the paper.
+"""Experiment harness: one registered :class:`Experiment` per paper figure.
 
-Every module exposes a frozen ``*Config`` dataclass with CPU-friendly
-defaults, a ``run_*`` function returning a structured result, and a
-``format_*`` function rendering the result as a plain-text table — the same
-rows/series the paper reports.  The benchmark harness under ``benchmarks/``
-regenerates each one.
+Each figure module holds a frozen ``*Config`` dataclass with CPU-friendly
+defaults and registers one :class:`Experiment` in :data:`EXPERIMENTS`
+under its ``repro`` command name: ``EXPERIMENTS.build("fig10")`` is an
+experiment whose ``run(config)`` returns the result and whose
+``format(result)`` renders the rows/series the paper reports.  The CLI
+reads its experiment commands, their ``repro list`` lines and their flags
+from this registry; the paper-figure tests under ``benchmarks/``
+regenerate each figure.
 """
 
-from .ablation_design import (
-    DesignAblationConfig,
-    DesignAblationResult,
-    DesignVariantResult,
-    format_design_ablation,
-    run_design_ablation,
-)
-from .cache_study import (
-    CacheStudyConfig,
-    CacheStudyResult,
-    format_cache_study,
-    run_cache_study,
-)
-from .fig3_motivation import Fig3Config, Fig3Result, format_fig3, run_fig3
-from .fig9_longbench import Fig9Config, Fig9Result, format_fig9, run_fig9
-from .fig10_perplexity import Fig10Config, Fig10Result, format_fig10, run_fig10
-from .fig11_recall import (
-    Fig11Config,
-    Fig11Result,
-    format_fig11,
-    run_fig11_ablation,
-    run_fig11_methods,
-)
-from .fig12_latency import Fig12Config, Fig12Result, format_fig12, run_fig12
-from .fig13_sota import (
-    Fig13Config,
-    Fig13Result,
-    format_fig13,
-    run_fig13_infinigen,
-    run_fig13_quest,
-)
-from .methods import (
-    ACCURACY_METHODS,
-    build_clusterkv_config,
-    build_selector,
-    build_selector_spec,
-)
-from .reporting import format_kv, format_series, format_table
-from .runner import EvaluationContext, evaluate_sample, score_prediction
-from .scale import DEFAULT_SCALE, ContextScale
-from .table1_average import (
-    PAPER_TABLE1,
-    Table1Result,
-    format_table1,
-    run_table1,
-)
+from .base import EXPERIMENTS, Experiment
+from .methods import build_clusterkv_config, build_selector, build_selector_spec
+from .runner import EvaluationContext, evaluate_sample
+from .scale import ContextScale
+
+# Every import below registers one experiment; they run in the paper's
+# order, which is the order ``repro list`` prints.  ``table1_average``
+# registers ``fig9``: Fig. 9 and Table I come from one run.
+from .fig3_motivation import Fig3Config
+from .fig9_longbench import Fig9Config
+from . import table1_average  # noqa: F401
+from .fig10_perplexity import Fig10Config
+from .fig11_recall import Fig11Config
+from .fig12_latency import Fig12Config
+from .fig13_sota import Fig13Config
+from .cache_study import CacheStudyConfig
+from .ablation_design import DesignAblationConfig
 
 __all__ = [
+    "Experiment",
+    "EXPERIMENTS",
     "ContextScale",
-    "DEFAULT_SCALE",
     "EvaluationContext",
     "evaluate_sample",
-    "score_prediction",
-    "ACCURACY_METHODS",
     "build_selector",
     "build_selector_spec",
     "build_clusterkv_config",
-    "format_table",
-    "format_series",
-    "format_kv",
     "Fig3Config",
-    "Fig3Result",
-    "run_fig3",
-    "format_fig3",
     "Fig9Config",
-    "Fig9Result",
-    "run_fig9",
-    "format_fig9",
-    "Table1Result",
-    "PAPER_TABLE1",
-    "run_table1",
-    "format_table1",
     "Fig10Config",
-    "Fig10Result",
-    "run_fig10",
-    "format_fig10",
     "Fig11Config",
-    "Fig11Result",
-    "run_fig11_methods",
-    "run_fig11_ablation",
-    "format_fig11",
     "Fig12Config",
-    "Fig12Result",
-    "run_fig12",
-    "format_fig12",
     "Fig13Config",
-    "Fig13Result",
-    "run_fig13_infinigen",
-    "run_fig13_quest",
-    "format_fig13",
     "CacheStudyConfig",
-    "CacheStudyResult",
-    "run_cache_study",
-    "format_cache_study",
     "DesignAblationConfig",
-    "DesignAblationResult",
-    "DesignVariantResult",
-    "run_design_ablation",
-    "format_design_ablation",
 ]

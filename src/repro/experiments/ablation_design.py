@@ -17,10 +17,11 @@ import numpy as np
 from ..core import ClusterKVSelector
 from ..metrics import mean_recall
 from ..workloads import LONGBENCH_TASKS, LongBenchTaskGenerator
+from .base import EXPERIMENTS, Experiment, SampledConfig, samples_knob
 from .methods import build_clusterkv_config
 from .reporting import format_table
 from .runner import EvaluationContext, evaluate_sample
-from .scale import ContextScale, DEFAULT_SCALE
+from .scale import CLI_SCALE, DEFAULT_SCALE, ContextScale
 
 __all__ = [
     "DesignAblationConfig",
@@ -32,13 +33,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DesignAblationConfig:
+class DesignAblationConfig(SampledConfig):
     """Configuration of the design-choice ablation."""
 
     task: str = "multifieldqa"
     paper_context: int = 32768
     paper_budget: int = 1024
-    num_samples: int = 2
+    num_samples: int = samples_knob(2)
     decode_steps: int = 12
     scale: ContextScale = DEFAULT_SCALE
     model_name: str = "glm-sim"
@@ -137,3 +138,14 @@ def format_design_ablation(result: DesignAblationResult) -> str:
             [name, 100.0 * variant.score, variant.recall, f"{100 * variant.cache_hit_rate:.1f}%"]
         )
     return format_table(headers, rows, title="[Design ablation] ClusterKV variants")
+
+
+@EXPERIMENTS.register("design-ablation")
+class DesignAblation(Experiment):
+    """``repro design-ablation``: score, recall and hit rate per variant."""
+
+    summary = "ClusterKV design-choice ablation"
+    config_cls = DesignAblationConfig
+    cli_defaults = DesignAblationConfig(scale=CLI_SCALE)
+    run = staticmethod(run_design_ablation)
+    format = staticmethod(format_design_ablation)

@@ -18,23 +18,24 @@ from ..core import ClusterKVSelector
 from ..model import get_reference_architecture
 from ..perfmodel import ADA_6000, HardwareConfig, LatencyModel
 from ..workloads import LONGBENCH_TASKS, LongBenchTaskGenerator
+from .base import EXPERIMENTS, Experiment, SampledConfig, samples_knob
 from .methods import build_clusterkv_config
 from .reporting import format_table
 from .runner import EvaluationContext, evaluate_sample
-from .scale import ContextScale, DEFAULT_SCALE
+from .scale import CLI_SCALE, DEFAULT_SCALE, ContextScale
 
 __all__ = ["CacheStudyConfig", "CacheStudyResult", "run_cache_study", "format_cache_study"]
 
 
 @dataclass(frozen=True)
-class CacheStudyConfig:
+class CacheStudyConfig(SampledConfig):
     """Configuration of the caching study."""
 
     cache_histories: tuple[int, ...] = (1, 2)
     paper_context: int = 32768
     paper_budget: int = 1024
     decode_steps: int = 24
-    num_samples: int = 1
+    num_samples: int = samples_knob(1)
     task: str = "narrativeqa"
     scale: ContextScale = DEFAULT_SCALE
     model_name: str = "glm-sim"
@@ -145,3 +146,14 @@ def format_cache_study(result: CacheStudyResult) -> str:
             ]
         )
     return format_table(headers, rows, title="[Sec. V-C] cluster-cache effectiveness")
+
+
+@EXPERIMENTS.register("cache-study")
+class CacheStudy(Experiment):
+    """``repro cache-study``: measured hit rates and the modelled gains."""
+
+    summary = "Sec. V-C cluster-cache effectiveness"
+    config_cls = CacheStudyConfig
+    cli_defaults = CacheStudyConfig(scale=CLI_SCALE)
+    run = staticmethod(run_cache_study)
+    format = staticmethod(format_cache_study)

@@ -17,10 +17,11 @@ import numpy as np
 
 from ..model import GenerationConfig, InferenceEngine
 from ..workloads import PG19Config, PG19Generator
+from .base import EXPERIMENTS, Experiment, SampledConfig, samples_knob
 from .methods import ACCURACY_METHODS, build_selector
 from .reporting import format_table
 from .runner import EvaluationContext
-from .scale import ContextScale, DEFAULT_SCALE
+from .scale import CLI_SCALE, DEFAULT_SCALE, ContextScale
 
 __all__ = ["Fig10Config", "Fig10Result", "run_fig10", "format_fig10"]
 
@@ -30,13 +31,13 @@ PAPER_LENGTHS = (4000, 8000, 16000, 24000, 32000)
 
 
 @dataclass(frozen=True)
-class Fig10Config:
+class Fig10Config(SampledConfig):
     """Configuration of the Fig. 10 reproduction."""
 
     methods: tuple[str, ...] = ACCURACY_METHODS
     paper_lengths: tuple[int, ...] = PAPER_LENGTHS
     paper_budget: int = PAPER_BUDGET
-    num_samples: int = 2
+    num_samples: int = samples_knob(2)
     scored_tokens: int = 48
     scale: ContextScale = DEFAULT_SCALE
     model_name: str = "glm-sim"
@@ -111,3 +112,14 @@ def format_fig10(result: Fig10Result) -> str:
     return format_table(
         headers, rows, title=f"[Fig. 10] perplexity (budget {result.budget} sim tokens)"
     )
+
+
+@EXPERIMENTS.register("fig10")
+class Fig10(Experiment):
+    """``repro fig10``: perplexity curves under a fixed budget."""
+
+    summary = "Fig. 10 language-modelling perplexity"
+    config_cls = Fig10Config
+    cli_defaults = Fig10Config(scale=CLI_SCALE)
+    run = staticmethod(run_fig10)
+    format = staticmethod(format_fig10)

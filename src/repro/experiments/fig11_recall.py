@@ -17,10 +17,11 @@ import numpy as np
 from ..core import ClusterKVConfig, ClusterKVSelector
 from ..metrics import mean_recall
 from ..workloads import LONGBENCH_TASKS, LongBenchTaskGenerator
+from .base import EXPERIMENTS, Experiment, SampledConfig, samples_knob
 from .methods import build_clusterkv_config, build_selector
 from .reporting import format_series
 from .runner import EvaluationContext, evaluate_sample
-from .scale import ContextScale, DEFAULT_SCALE
+from .scale import CLI_SCALE, DEFAULT_SCALE, ContextScale
 
 __all__ = [
     "Fig11Config",
@@ -36,14 +37,14 @@ PAPER_CONTEXT = 32768
 
 
 @dataclass(frozen=True)
-class Fig11Config:
+class Fig11Config(SampledConfig):
     """Configuration of the recall-rate experiments."""
 
     methods: tuple[str, ...] = ("clusterkv", "quest", "infinigen")
     paper_budgets: tuple[int, ...] = (256, 512, 1024, 1536, 2048)
     paper_context: int = PAPER_CONTEXT
     task: str = "narrativeqa"
-    num_samples: int = 1
+    num_samples: int = samples_knob(1)
     decode_steps: int = 16
     scale: ContextScale = DEFAULT_SCALE
     model_name: str = "glm-sim"
@@ -180,3 +181,25 @@ def format_fig11(result: Fig11Result, title: str = "[Fig. 11] recall rate") -> s
     for series, curve in result.curves.items():
         lines.append(format_series(series, dict(sorted(curve.items()))))
     return "\n".join(lines)
+
+
+@EXPERIMENTS.register("fig11")
+class Fig11(Experiment):
+    """``repro fig11``: recall by method (11a), then the ClusterKV ablation (11b)."""
+
+    summary = "Fig. 11 recall rate and ablations"
+    config_cls = Fig11Config
+    cli_defaults = Fig11Config(scale=CLI_SCALE)
+
+    def run(self, config: Fig11Config) -> tuple[Fig11Result, Fig11Result]:
+        """Both parts of Fig. 11, methods first."""
+        return run_fig11_methods(config), run_fig11_ablation(config)
+
+    def format(self, result: tuple[Fig11Result, Fig11Result]) -> str:
+        """Fig. 11a's curves, then Fig. 11b's."""
+        methods, ablation = result
+        return (
+            format_fig11(methods, "[Fig. 11a] recall rate by method")
+            + "\n\n"
+            + format_fig11(ablation, "[Fig. 11b] ClusterKV ablation")
+        )

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from ..model import get_reference_architecture
 from ..perfmodel import ADA_6000, HardwareConfig, LatencyModel, LatencyReport
+from .base import EXPERIMENTS, Experiment
 from .reporting import format_table
 
 __all__ = ["Fig12Config", "Fig12Result", "run_fig12", "format_fig12"]
@@ -117,3 +118,13 @@ def format_fig12(result: Fig12Result) -> str:
                 + [max(speedups), max(ratios), f"{100 * overhead:.1f}%"]
             )
     return format_table(headers, rows, title="[Fig. 12] latency vs. full KV (Llama-3.1-8B scale)")
+
+
+@EXPERIMENTS.register("fig12")
+class Fig12(Experiment):
+    """``repro fig12``: the latency grid on the performance model."""
+
+    summary = "Fig. 12 latency vs. full KV (perf model)"
+    config_cls = Fig12Config
+    run = staticmethod(run_fig12)
+    format = staticmethod(format_fig12)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from ..model import get_reference_architecture
 from ..perfmodel import ADA_6000, HardwareConfig, LatencyModel, LatencyReport
+from .base import EXPERIMENTS, Experiment
 from .reporting import format_table
 
 __all__ = [
@@ -156,3 +157,19 @@ def format_fig13(infinigen_result: Fig13Result, quest_result: Fig13Result) -> st
         title="[Fig. 13b] ClusterKV vs. Quest (Llama-3.1-8B scale, budget 1k)",
     )
     return part_a + "\n\n" + part_b
+
+
+@EXPERIMENTS.register("fig13")
+class Fig13(Experiment):
+    """``repro fig13``: ClusterKV vs. InfiniGen (13a), then vs. Quest (13b)."""
+
+    summary = "Fig. 13 vs. Quest / InfiniGen (perf model)"
+    config_cls = Fig13Config
+
+    def run(self, config: Fig13Config) -> tuple[Fig13Result, Fig13Result]:
+        """Both parts of Fig. 13, InfiniGen first."""
+        return run_fig13_infinigen(config), run_fig13_quest(config)
+
+    def format(self, result: tuple[Fig13Result, Fig13Result]) -> str:
+        """Both comparison tables."""
+        return format_fig13(*result)

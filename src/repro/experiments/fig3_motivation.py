@@ -22,9 +22,10 @@ from ..analysis import (
 from ..baselines import FullKVSelector
 from ..model import GenerationConfig, InferenceEngine
 from ..workloads import LONGBENCH_TASKS, LongBenchTaskGenerator
+from .base import EXPERIMENTS, Experiment
 from .reporting import format_kv
 from .runner import EvaluationContext
-from .scale import ContextScale, DEFAULT_SCALE
+from .scale import CLI_SCALE, DEFAULT_SCALE, ContextScale
 
 __all__ = ["Fig3Config", "Fig3Result", "run_fig3", "format_fig3"]
 
@@ -133,3 +134,14 @@ def format_fig3(result: Fig3Result) -> str:
         title="[Fig. 3b] internal fragmentation of important tokens in pages",
     )
     return importance + "\n" + fragmentation
+
+
+@EXPERIMENTS.register("fig3")
+class Fig3(Experiment):
+    """``repro fig3``: importance fluctuation and page fragmentation."""
+
+    summary = "Fig. 3 motivation analyses"
+    config_cls = Fig3Config
+    cli_defaults = Fig3Config(scale=CLI_SCALE)
+    run = staticmethod(run_fig3)
+    format = staticmethod(format_fig3)

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..metrics import ScoreTable
 from ..workloads import LONGBENCH_TASKS, LongBenchTaskGenerator
+from .base import SampledConfig, samples_knob
 from .methods import ACCURACY_METHODS, build_selector
 from .reporting import format_table
 from .runner import EvaluationContext, evaluate_sample
@@ -28,7 +29,7 @@ PAPER_CONTEXT = 32768
 
 
 @dataclass(frozen=True)
-class Fig9Config:
+class Fig9Config(SampledConfig):
     """Configuration of the Fig. 9 reproduction.
 
     Defaults are sized for a CPU run of a few minutes; larger values
@@ -39,7 +40,7 @@ class Fig9Config:
     methods: tuple[str, ...] = ACCURACY_METHODS
     paper_budgets: tuple[int, ...] = PAPER_BUDGETS
     paper_context: int = PAPER_CONTEXT
-    num_samples: int = 4
+    num_samples: int = samples_knob(4)
     scale: ContextScale = DEFAULT_SCALE
     model_name: str = "glm-sim"
     num_full_layers: int = 2

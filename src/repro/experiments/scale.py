@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ContextScale", "DEFAULT_SCALE"]
+from ..knobs import knob
+
+__all__ = ["ContextScale", "DEFAULT_SCALE", "CLI_SCALE"]
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class ContextScale:
         context to 2k simulated tokens).
     """
 
-    factor: int = 16
+    factor: int = knob(16, "context down-scale factor of the experiment", flag="--scale")
 
     def __post_init__(self) -> None:
         if self.factor < 1:
@@ -53,3 +55,7 @@ class ContextScale:
 
 
 DEFAULT_SCALE = ContextScale(factor=16)
+
+# The scale a bare ``repro <experiment>`` runs at: every accuracy command
+# finishes in seconds to a minute.
+CLI_SCALE = ContextScale(factor=64)

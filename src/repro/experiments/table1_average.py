@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fig9_longbench import Fig9Config, Fig9Result, run_fig9
+from .base import EXPERIMENTS, Experiment
+from .fig9_longbench import Fig9Config, Fig9Result, format_fig9, run_fig9
 from .reporting import format_table
+from .scale import CLI_SCALE
 
 __all__ = ["Table1Result", "run_table1", "format_table1"]
 
@@ -60,3 +62,17 @@ def format_table1(result: Table1Result, include_paper: bool = True) -> str:
             headers, paper_rows, title="[Table I] paper-reported values (GLM4-9B, LongBench)"
         )
     return text
+
+
+@EXPERIMENTS.register("fig9")
+class Fig9(Experiment):
+    """``repro fig9``: the per-task Fig. 9 tables and Table I, from one run."""
+
+    summary = "Fig. 9 / Table I LongBench-analogue accuracy"
+    config_cls = Fig9Config
+    cli_defaults = Fig9Config(scale=CLI_SCALE, num_samples=2)
+    run = staticmethod(run_table1)
+
+    def format(self, result: Table1Result) -> str:
+        """The Fig. 9 tables, then Table I next to the paper's values."""
+        return format_fig9(result.fig9) + "\n\n" + format_table1(result)

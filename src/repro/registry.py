@@ -1,10 +1,11 @@
 """One name registry for the pluggable parts around the engine.
 
 Arrival processes, routers, autoscalers, admission policies, capacity
-scenarios and drafters each keep one :class:`Registry`
-(:data:`repro.traffic.ARRIVALS`, :data:`repro.traffic.ROUTERS`,
-:data:`repro.cluster.AUTOSCALERS`, :data:`repro.cluster.ADMISSIONS`,
-:data:`repro.capacity.SCENARIOS`, :data:`repro.specdec.DRAFTERS`).  A class
+scenarios, drafters and the paper's experiments each keep one
+:class:`Registry` (:data:`repro.traffic.ARRIVALS`,
+:data:`repro.traffic.ROUTERS`, :data:`repro.cluster.AUTOSCALERS`,
+:data:`repro.cluster.ADMISSIONS`, :data:`repro.capacity.SCENARIOS`,
+:data:`repro.specdec.DRAFTERS`, :data:`repro.experiments.EXPERIMENTS`).  A class
 joins one with the ``@REGISTRY.register("name")`` decorator; a run turns
 names, or compact ``"name:key=value,..."`` specs, into instances through
 :meth:`Registry.build` and :meth:`Registry.resolve` while it is set up,
@@ -17,7 +18,7 @@ summary.
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Generic, Iterable, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, TypeVar
 
 from .policies.spec import PolicySpec
 
@@ -64,6 +65,10 @@ class Registry(Generic[T]):
 
     def __contains__(self, name: object) -> bool:
         return name in self._classes
+
+    def __iter__(self) -> Iterator[type[T]]:
+        """The registered classes, in registration order."""
+        return iter(self._classes.values())
 
     def check(self, name: str) -> None:
         """Raise :class:`ValueError`, naming every registered entry, unless ``name`` is one."""

@@ -19,6 +19,7 @@ emits a :class:`CompletedRequest` pairing the original request with its
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -86,8 +87,8 @@ class ServeRequest:
         clock of the :mod:`repro.traffic` simulator, or wall time).  The
         engine never reads it; it flows through to
         :class:`CompletedRequest` so latency metrics (TTFT, queue wait)
-        can be computed against the arrival instant.  Must be
-        non-negative; defaults to 0.0 for closed-loop callers that do not
+        can be computed against the arrival instant.  Must be finite
+        and non-negative; defaults to 0.0 for closed-loop callers that do not
         track time.
     slo_class:
         Service class of the request: ``"interactive"`` (latency-bound,
@@ -113,8 +114,10 @@ class ServeRequest:
         object.__setattr__(self, "prompt_ids", prompt)
         if self.max_new_tokens is not None and self.max_new_tokens <= 0:
             raise ValueError("max_new_tokens must be positive when set")
-        if self.arrival_time_s < 0:
-            raise ValueError("arrival_time_s must be non-negative")
+        if not 0 <= self.arrival_time_s < math.inf:  # also refuses NaN
+            raise ValueError(
+                f"arrival_time_s must be non-negative and finite, got {self.arrival_time_s}"
+            )
         if self.slo_class not in SLO_CLASSES:
             raise ValueError(
                 f"slo_class must be one of {SLO_CLASSES}, got {self.slo_class!r}"

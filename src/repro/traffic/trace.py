@@ -83,9 +83,12 @@ def load_trace(
     Raises
     ------
     ValueError
-        On malformed lines, negative or decreasing arrival times (traces
-        must be in arrival order), or records with neither ``prompt_len``
-        nor ``prompt_ids``.
+        Prefixed ``path:line:``, on any record it cannot replay: malformed
+        JSON, records with neither ``prompt_len`` nor ``prompt_ids``,
+        decreasing arrival times (traces must be in arrival order), and
+        any field :class:`~repro.serving.ServeRequest` refuses (a
+        negative or non-finite arrival, an unknown SLO class, an empty
+        prompt, a non-positive decode length, a non-integer seed).
     """
     path = Path(path)
     if limit is not None and limit <= 0:
@@ -94,54 +97,53 @@ def load_trace(
     requests: list[ServeRequest] = []
     previous_arrival = 0.0
     with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle):
+        for line_number, line in enumerate(handle, start=1):
             if limit is not None and len(requests) >= limit:
                 break
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ValueError(
-                    f"{path}:{line_number + 1}: malformed JSON: {error}"
-                ) from None
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"{path}:{line_number + 1}: trace records must be objects"
-                )
-            arrival = float(record.get("arrival_time_s", 0.0))
-            if arrival < previous_arrival:
-                raise ValueError(
-                    f"{path}:{line_number + 1}: arrival times must be "
-                    "non-decreasing (traces are in arrival order)"
-                )
-            previous_arrival = arrival
-            if "prompt_ids" in record:
-                prompt_ids = np.asarray(record["prompt_ids"], dtype=np.int64)
-            elif "prompt_len" in record:
-                length = int(record["prompt_len"])
-                if length <= 0:
+                request = _parse_record(line, f"{id_prefix}{len(requests)}", vocab_size, rng)
+                if request.arrival_time_s < previous_arrival:
                     raise ValueError(
-                        f"{path}:{line_number + 1}: prompt_len must be positive"
+                        "arrival times must be non-decreasing (traces are in arrival order)"
                     )
-                prompt_ids = rng.integers(4, vocab_size, size=length).astype(np.int64)
-            else:
-                raise ValueError(
-                    f"{path}:{line_number + 1}: record needs prompt_len or prompt_ids"
-                )
-            policy = record.get("policy")
-            max_new_tokens = record.get("max_new_tokens", 32)
-            request_seed = record.get("seed")
-            requests.append(
-                ServeRequest(
-                    request_id=f"{id_prefix}{len(requests)}",
-                    prompt_ids=prompt_ids,
-                    max_new_tokens=None if max_new_tokens is None else int(max_new_tokens),
-                    policy=None if policy is None else PolicySpec.from_dict(policy),
-                    arrival_time_s=arrival,
-                    seed=None if request_seed is None else int(request_seed),
-                    slo_class=record.get("slo_class", "interactive"),
-                )
-            )
+            except (ValueError, TypeError) as error:
+                raise ValueError(f"{path}:{line_number}: {error}") from None
+            previous_arrival = request.arrival_time_s
+            requests.append(request)
     return requests
+
+
+def _parse_record(
+    line: str, request_id: str, vocab_size: int, rng: np.random.Generator
+) -> ServeRequest:
+    """The request one trace line records; ``ValueError`` or ``TypeError`` if it cannot."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as error:
+        raise ValueError(f"malformed JSON: {error}") from None
+    if not isinstance(record, dict):
+        raise ValueError("trace records must be objects")
+    if "prompt_ids" in record:
+        prompt_ids = np.asarray(record["prompt_ids"], dtype=np.int64)
+    elif "prompt_len" in record:
+        length = int(record["prompt_len"])
+        if length <= 0:
+            raise ValueError("prompt_len must be positive")
+        prompt_ids = rng.integers(4, vocab_size, size=length).astype(np.int64)
+    else:
+        raise ValueError("record needs prompt_len or prompt_ids")
+    policy = record.get("policy")
+    max_new_tokens = record.get("max_new_tokens", 32)
+    seed = record.get("seed")
+    return ServeRequest(
+        request_id=request_id,
+        prompt_ids=prompt_ids,
+        max_new_tokens=None if max_new_tokens is None else int(max_new_tokens),
+        policy=None if policy is None else PolicySpec.from_dict(policy),
+        arrival_time_s=float(record.get("arrival_time_s", 0.0)),
+        seed=None if seed is None else int(seed),
+        slo_class=record.get("slo_class", "interactive"),
+    )

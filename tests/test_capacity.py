@@ -386,11 +386,15 @@ class TestCapacityCLI:
         payload = json.loads(out)
         assert payload["scenario"] == "capacity_frontier"
 
-    def test_malformed_sweep_rejected(self):
+    def test_malformed_sweep_rejected(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(ValueError, match="malformed --sweep"):
+        with pytest.raises(SystemExit) as usage:
             main(["capacity-bench", "--sweep", "sideways"])
+        assert usage.value.code == 2
+        assert "repro capacity-bench: error: malformed --sweep 'sideways'" in (
+            capsys.readouterr().err
+        )
 
     def test_listing_mentions_capacity(self, capsys):
         from repro.cli import main

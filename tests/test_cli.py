@@ -7,6 +7,7 @@ import shlex
 import pytest
 
 from repro.cli import build_parser, dataclass_from_args, main
+from repro.experiments import EXPERIMENTS
 from repro.serving import ServeBenchConfig
 from repro.traffic import TrafficBenchConfig
 
@@ -203,8 +204,8 @@ class TestMain:
         out = capsys.readouterr().out
         assert "streaming_llm" in out and "full" in out
 
-    def test_policy_json_rejects_non_mapping_entries(self):
-        with pytest.raises(ValueError, match="policy objects"):
+    def test_policy_json_rejects_non_mapping_entries(self, capsys):
+        with pytest.raises(SystemExit) as usage:
             main(
                 [
                     "serve-bench",
@@ -212,6 +213,10 @@ class TestMain:
                     "--policy-json", "[42]",
                 ]
             )
+        assert usage.value.code == 2
+        assert "repro serve-bench: error: --policy-json entries must be policy objects" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -330,9 +335,40 @@ class TestMain:
         report = json.loads(traffic)
         assert report["autoscaler"] == report["admission"] == {} and not report["scaling"]
 
-    def test_cluster_bench_rejects_malformed_kill(self):
-        with pytest.raises(ValueError, match="malformed --kill"):
+    def test_cluster_bench_rejects_malformed_kill(self, capsys):
+        with pytest.raises(SystemExit) as usage:
             main(["cluster-bench", "--kill", "nonsense"])
+        assert usage.value.code == 2
+        assert "repro cluster-bench: error: malformed --kill 'nonsense'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("fig10 --samples 0", "num_samples must be at least 1, got 0"),
+            ("fig3 --scale 0", "factor must be at least 1"),
+            ("traffic-bench --requests 0", "num_requests must be positive"),
+            ("capacity-bench --sweep 5:1:1", "context_max must be >= context_min"),
+        ],
+    )
+    def test_a_value_the_config_refuses_is_a_usage_error(self, capsys, argv, message):
+        command = argv.split()[0]
+        with pytest.raises(SystemExit) as usage:
+            main(shlex.split(argv))
+        assert usage.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"repro {command}: error: {message}"]
+
+    def test_an_error_during_the_run_still_propagates(self, monkeypatch):
+        experiment = type(EXPERIMENTS.build("fig12"))
+
+        def fail(self, config):
+            raise ValueError("raised by the run")
+
+        monkeypatch.setattr(experiment, "run", fail)
+        with pytest.raises(ValueError, match="raised by the run"):
+            main(["fig12"])
 
     def test_fig12_runs_and_prints_table(self, capsys):
         assert main(["fig12"]) == 0
@@ -349,3 +385,59 @@ class TestMain:
         target = tmp_path / "fig12.txt"
         assert main(["fig12", "--out", str(target)]) == 0
         assert "[Fig. 12]" in target.read_text()
+
+
+# The experiment commands, in the paper's order, and the flags each takes:
+# one per knob field of its config, and nothing else.
+EXPERIMENT_FLAGS = {
+    "fig3": ["--scale"],
+    "fig9": ["--samples", "--scale"],
+    "fig10": ["--samples", "--scale"],
+    "fig11": ["--samples", "--scale"],
+    "fig12": [],
+    "fig13": [],
+    "cache-study": ["--samples", "--scale"],
+    "design-ablation": ["--samples", "--scale"],
+}
+
+
+class TestExperimentCommands:
+    def test_registered_in_the_paper_order(self):
+        assert [experiment.name for experiment in EXPERIMENTS] == list(EXPERIMENT_FLAGS)
+
+    def test_flags_are_the_config_knobs(self):
+        choices = build_parser()._subparsers._group_actions[0].choices
+        flags = {
+            name: sorted(
+                option
+                for action in choices[name]._actions
+                for option in action.option_strings
+                if option not in ("-h", "--help", "--out")
+            )
+            for name in EXPERIMENT_FLAGS
+        }
+        assert flags == EXPERIMENT_FLAGS
+        assert sum(map(len, flags.values())) == 11
+
+    @pytest.mark.parametrize("name", EXPERIMENT_FLAGS)
+    def test_no_flag_builds_the_declared_defaults(self, name):
+        experiment = EXPERIMENTS.build(name)
+        args = build_parser().parse_args([name])
+        built = dataclass_from_args(experiment.config_cls, args, experiment.cli_defaults)
+        assert built == (experiment.cli_defaults or experiment.config_cls())
+        if hasattr(built, "scale"):  # what the hand-written --scale defaulted to
+            assert built.scale.factor == 64
+
+    def test_an_ignored_flag_is_now_refused(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["fig12", "--scale", "4"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --scale 4" in capsys.readouterr().err
+
+    def test_fig11_runs_the_samples_asked_for(self, monkeypatch):
+        seen = []
+        experiment = type(EXPERIMENTS.build("fig11"))
+        monkeypatch.setattr(experiment, "run", lambda self, config: seen.append(config))
+        monkeypatch.setattr(experiment, "format", lambda self, result: "")
+        assert main(["fig11", "--scale", "64", "--samples", "2"]) == 0
+        assert (seen[0].num_samples, seen[0].scale.factor) == (2, 64)

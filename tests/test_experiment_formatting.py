@@ -7,20 +7,16 @@ benchmark harness expects.
 
 import pytest
 
-from repro.experiments import (
-    CacheStudyResult,
+from repro.experiments.ablation_design import (
     DesignAblationResult,
     DesignVariantResult,
-    Fig10Result,
-    Fig11Result,
-    format_cache_study,
     format_design_ablation,
-    format_fig10,
-    format_fig11,
-    format_table1,
-    Table1Result,
 )
+from repro.experiments.cache_study import CacheStudyResult, format_cache_study
 from repro.experiments.fig9_longbench import Fig9Result
+from repro.experiments.fig10_perplexity import Fig10Result, format_fig10
+from repro.experiments.fig11_recall import Fig11Result, format_fig11
+from repro.experiments.table1_average import Table1Result, format_table1
 from repro.metrics import ScoreTable
 
 

@@ -3,25 +3,23 @@
 import pytest
 
 from repro.experiments import (
-    ACCURACY_METHODS,
+    EXPERIMENTS,
+    CacheStudyConfig,
     ContextScale,
+    DesignAblationConfig,
     Fig9Config,
+    Fig10Config,
+    Fig11Config,
     Fig12Config,
     Fig13Config,
-    PAPER_TABLE1,
     build_clusterkv_config,
     build_selector,
-    format_fig12,
-    format_fig13,
-    format_kv,
-    format_series,
-    format_table,
-    run_fig9,
-    run_fig12,
-    run_fig13_infinigen,
-    run_fig13_quest,
 )
 from repro.experiments import fig9_longbench
+from repro.experiments.fig9_longbench import run_fig9
+from repro.experiments.methods import ACCURACY_METHODS
+from repro.experiments.reporting import format_kv, format_series, format_table
+from repro.experiments.table1_average import PAPER_TABLE1
 from repro.baselines import FullKVSelector, InfiniGenSelector, QuestSelector
 from repro.core import ClusterKVSelector
 
@@ -49,6 +47,15 @@ class TestContextScale:
             ContextScale(0)
         with pytest.raises(ValueError):
             ContextScale(4).length(0)
+
+
+@pytest.mark.parametrize(
+    "config_cls",
+    [Fig9Config, Fig10Config, Fig11Config, CacheStudyConfig, DesignAblationConfig],
+)
+def test_sampled_configs_take_at_least_one_sample(config_cls):
+    with pytest.raises(ValueError, match="num_samples must be at least 1"):
+        config_cls(num_samples=0)
 
 
 class TestMethodBuilders:
@@ -138,20 +145,20 @@ class TestPerfExperiments:
         config = Fig12Config(
             prompt_lengths=(8192, 32768), decode_lengths=(1024,), budgets=(1024,)
         )
-        result = run_fig12(config)
+        fig12 = EXPERIMENTS.build("fig12")
+        result = fig12.run(config)
         assert len(result.reports) == 2 * 1 * 2  # (full + 1 budget) per cell
         speedup_short = result.speedup(8192, 1024, 1024)
         speedup_long = result.speedup(32768, 1024, 1024)
         assert speedup_long > speedup_short  # gains grow with context length
         assert speedup_long > 1.4
         assert result.prefill_overhead_fraction(32768, 1024, 1024) < 0.10
-        assert "Fig. 12" in format_fig12(result)
+        assert "Fig. 12" in fig12.format(result)
 
     def test_fig13_claims(self):
-        config = Fig13Config()
-        infinigen = run_fig13_infinigen(config)
-        quest = run_fig13_quest(config)
+        fig13 = EXPERIMENTS.build("fig13")
+        infinigen, quest = fig13.run(Fig13Config())
         assert infinigen.mean_speedup("infinigen") > 1.8
         assert quest.max_deviation("quest") < 0.08
-        text = format_fig13(infinigen, quest)
+        text = fig13.format((infinigen, quest))
         assert "Fig. 13a" in text and "Fig. 13b" in text

@@ -15,6 +15,7 @@ The load-bearing guarantees:
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,32 @@ class TestTraceRoundTrip:
             load_trace(path, vocab_size=128)
         path.write_text('{"arrival_time_s": 0.5}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="prompt_len or prompt_ids"):
+            load_trace(path, vocab_size=128)
+
+    @pytest.mark.parametrize(
+        "lines, refused",
+        [
+            (['{"prompt_len": 4, "slo_class": "gold"}'], "slo_class must be one of"),
+            (['{"prompt_len": 4, "seed": "x"}'], "invalid literal for int"),
+            (['{"prompt_ids": []}'], "prompt_ids must be a non-empty"),
+            (['{"prompt_len": 4, "arrival_time_s": "soon"}'], "could not convert"),
+            (['{"prompt_len": 4, "max_new_tokens": 0}'], "max_new_tokens must be positive"),
+            # A NaN arrival compares False with everything, so it would also
+            # switch off the ordering check for the records after it.
+            (
+                [
+                    '{"prompt_len": 4, "arrival_time_s": NaN}',
+                    '{"prompt_len": 4, "arrival_time_s": 0.5}',
+                ],
+                "arrival_time_s must be non-negative and finite",
+            ),
+        ],
+        ids=["slo-class", "seed", "empty-prompt", "arrival-text", "decode-length", "nan-arrival"],
+    )
+    def test_a_record_the_request_refuses_names_its_line(self, tmp_path, lines, refused):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"prompt_len": 4}\n' + "\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {refused}"):
             load_trace(path, vocab_size=128)
 
 
