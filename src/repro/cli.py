@@ -1,12 +1,8 @@
 """Command-line interface for running the reproduction experiments.
 
-The experiment commands are read from :data:`repro.experiments.EXPERIMENTS`:
-each registered experiment is one subcommand whose flags are its config's
-knob fields (``--scale`` on every accuracy experiment, ``--samples`` where
-the config has ``num_samples``; the performance-model figures take
-neither).  The bench commands are written out in ``_SERVING_COMMANDS``.
-Every command builds its config before it runs; a value the config
-refuses is a usage error (exit code 2), not a traceback.
+The experiment commands, their ``list`` lines and their flags (their
+config's knob fields) are read from :data:`repro.experiments.EXPERIMENTS`.
+A flag value a command's config refuses is a usage error (exit code 2).
 
 Examples
 --------
@@ -31,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 from .experiments import EXPERIMENTS
@@ -171,22 +167,16 @@ def _parse_policy_json(text: str) -> tuple:
     return tuple(specs)
 
 
-def _serve_bench_config(args: argparse.Namespace):
+def _serve_bench(args: argparse.Namespace) -> Callable[[], str]:
     from . import serving
 
     config = dataclass_from_args(serving.ServeBenchConfig, args)
     if args.policy_json:
         policies = (config.policies or ()) + _parse_policy_json(args.policy_json)
         config = replace(config, policies=policies)
-    return config
-
-
-def _run_serve_bench(config, args: argparse.Namespace) -> str:
-    from . import serving
-
     if args.mixed:
-        return serving.format_mixed_serve_bench(serving.run_mixed_serve_bench(config))
-    return serving.format_serve_bench(serving.run_serve_bench(config))
+        return lambda: serving.format_mixed_serve_bench(serving.run_mixed_serve_bench(config))
+    return lambda: serving.format_serve_bench(serving.run_serve_bench(config))
 
 
 def _parse_failure_plan(args: argparse.Namespace):
@@ -239,11 +229,15 @@ def fleet_bench_config(args: argparse.Namespace):
     )
 
 
-def _run_fleet_bench(config, args: argparse.Namespace) -> str:
+def _fleet_bench(args: argparse.Namespace) -> Callable[[], str]:
     from .traffic import format_traffic_report, run_traffic_bench
 
-    report = run_traffic_bench(config)
-    return report.to_json() if args.json else format_traffic_report(report)
+    config = fleet_bench_config(args)
+    return lambda: _report(run_traffic_bench(config), args, format_traffic_report)
+
+
+def _report(report, args: argparse.Namespace, format_table: Callable) -> str:
+    return report.to_json() if args.json else format_table(report)
 
 
 class _StaticReplicas(argparse.Action):
@@ -253,8 +247,8 @@ class _StaticReplicas(argparse.Action):
         namespace.min_replicas = namespace.max_replicas = values
 
 
-def _capacity_bench_config(args: argparse.Namespace):
-    from .capacity import CapacityBenchConfig
+def _capacity_bench(args: argparse.Namespace) -> Callable[[], str]:
+    from .capacity import CapacityBenchConfig, format_capacity_report, run_capacity_bench
 
     config = dataclass_from_args(CapacityBenchConfig, args)
     if args.sweep:
@@ -266,67 +260,51 @@ def _capacity_bench_config(args: argparse.Namespace):
             ) from error
         grid = replace(config.config, context_min=low, context_max=high, context_step=step)
         config = replace(config, config=grid)
-    return config
+    return lambda: _report(run_capacity_bench(config), args, format_capacity_report)
 
 
-def _run_capacity_bench(config, args: argparse.Namespace) -> str:
-    from .capacity import format_capacity_report, run_capacity_bench
-
-    report = run_capacity_bench(config)
-    return report.to_json() if args.json else format_capacity_report(report)
-
-
-def _run_perf_bench(config, args: argparse.Namespace) -> str:
+def _perf_bench(args: argparse.Namespace) -> Callable[[], str]:
     from .perf import format_perf_bench, run_perf_bench
 
-    return format_perf_bench(run_perf_bench())
+    return lambda: format_perf_bench(run_perf_bench())
 
 
-# The bench commands: (description, configure(args) -> config,
-# run(config, args) -> output).  ``build_parser`` registers their
-# subparsers, ``main`` builds the config and runs it, and ``list`` prints
-# them after the experiments, so adding a command means one entry here plus
-# its subparser setup.
+def _experiment(args: argparse.Namespace) -> Callable[[], str]:
+    experiment = EXPERIMENTS.build(args.command)
+    config = dataclass_from_args(experiment.config_cls, args, experiment.cli_defaults)
+    return lambda: experiment.format(experiment.run(config))
+
+
+# The bench commands: (description, prepare).  Like ``_experiment``,
+# ``prepare(args)`` builds the command's config and returns the run, so
+# ``main`` can tell a value the config refuses (a usage error) from a
+# failure during the run.  ``build_parser`` registers their subparsers and
+# ``list`` prints them after the experiments, so adding a command means one
+# entry here plus its subparser setup.
 _SERVING_COMMANDS = {
     "serve-bench": (
         "continuous-batching serving throughput vs. sequential runs",
-        _serve_bench_config,
-        _run_serve_bench,
+        _serve_bench,
     ),
     "traffic-bench": (
         "open-loop traffic simulation: routing, replicas, SLO latency metrics",
-        fleet_bench_config,
-        _run_fleet_bench,
+        _fleet_bench,
     ),
     "cluster-bench": (
         "elastic cluster simulation: autoscaling, admission control, "
         "failure injection",
-        fleet_bench_config,
-        _run_fleet_bench,
+        _fleet_bench,
     ),
     "capacity-bench": (
         "sweep-to-failure capacity scenarios over GPU/host/SSD tier budgets",
-        _capacity_bench_config,
-        _run_capacity_bench,
+        _capacity_bench,
     ),
     "perf-bench": (
         "deterministic hot-path op counters on pinned scenarios "
         "(the BENCH_hotpaths.json guard)",
-        lambda args: None,
-        _run_perf_bench,
+        _perf_bench,
     ),
 }
-
-
-def _command(name: str):
-    """The ``(configure, run)`` pair of command ``name``."""
-    if name not in EXPERIMENTS:
-        return _SERVING_COMMANDS[name][1:]
-    experiment = EXPERIMENTS.build(name)
-    return (
-        lambda args: dataclass_from_args(experiment.config_cls, args, experiment.cli_defaults),
-        lambda config, args: experiment.format(experiment.run(config)),
-    )
 
 
 def _format_listing() -> str:
@@ -342,7 +320,7 @@ def _format_listing() -> str:
     lines = ["commands:"]
     commands = {
         **{experiment.name: experiment.summary for experiment in EXPERIMENTS},
-        **{name: entry[0] for name, entry in _SERVING_COMMANDS.items()},
+        **{name: description for name, (description, _) in _SERVING_COMMANDS.items()},
         "list": "list all subcommands and registered compression policies",
     }
     for name, description in commands.items():
@@ -356,55 +334,50 @@ def _format_listing() -> str:
     from .specdec import DRAFTERS
     from .traffic import ARRIVALS, ROUTERS
 
+    sections = (
+        ("traffic routers (use with traffic-bench --router NAME):", ", ".join(ROUTERS.names())),
+        (
+            "prefix cache (traffic-/cluster-bench --prefix-cache TOKENS [--prefix-block N]; "
+            "EngineSpec prefix_cache_tokens/prefix_block_tokens/prefix_semantic_reuse):",
+            "per-replica radix cache of prompt-prefix KV; pair with --router prefix_affine",
+        ),
+        (
+            "capacity scenarios (capacity-bench --scenario NAME "
+            "--tiers gpu=SIZE,host=SIZE,ssd=SIZE --sweep MIN:MAX:STEP):",
+            ", ".join(SCENARIOS.names()),
+        ),
+        ("arrival processes (traffic-bench --arrivals NAME):", ", ".join(ARRIVALS.names())),
+        (
+            "autoscalers (cluster-bench --autoscaler NAME[:KEY=VAL,...]):",
+            ", ".join(AUTOSCALERS.names()),
+        ),
+        (
+            "admission policies (cluster-bench --admission NAME[:KEY=VAL,...]):",
+            ", ".join(ADMISSIONS.names()),
+        ),
+        (
+            "sequence state (traffic-/cluster-bench --slo-class-mix FRAC --preempt; "
+            "cluster-bench --migrate-on-drain --checkpoint-interval S "
+            "[--failure-zones N, --kill TIME@zoneZ]):",
+            "repro.seqstate checkpoints: SLO-class preemption, live KV migration off "
+            "draining replicas, periodic-checkpoint failure recovery",
+        ),
+        (
+            "execution backends (traffic-/cluster-/capacity-bench "
+            "--backend {serial,multiprocess} [--workers N]):",
+            "repro.execbackend replica workers: --workers N runs engines in N worker "
+            "processes sharing read-only weights; reports byte-identical to serial, "
+            "wall-clock scales with cores",
+        ),
+        (
+            "speculative decoding (serve-/traffic-/cluster-bench --speculate K "
+            "[--drafter NAME]; EngineSpec speculate_k/drafter):",
+            "repro.specdec draft-then-verify decoding; drafters: " + ", ".join(DRAFTERS.names()),
+        ),
+    )
     lines.append("")
-    lines.append("traffic routers (use with traffic-bench --router NAME):")
-    lines.append("  " + ", ".join(ROUTERS.names()))
-    lines.append(
-        "prefix cache (traffic-/cluster-bench --prefix-cache TOKENS "
-        "[--prefix-block N]; EngineSpec prefix_cache_tokens/"
-        "prefix_block_tokens/prefix_semantic_reuse):"
-    )
-    lines.append(
-        "  per-replica radix cache of prompt-prefix KV; pair with "
-        "--router prefix_affine"
-    )
-    lines.append(
-        "capacity scenarios (capacity-bench --scenario NAME "
-        "--tiers gpu=SIZE,host=SIZE,ssd=SIZE --sweep MIN:MAX:STEP):"
-    )
-    lines.append("  " + ", ".join(SCENARIOS.names()))
-    lines.append("arrival processes (traffic-bench --arrivals NAME):")
-    lines.append("  " + ", ".join(ARRIVALS.names()))
-    lines.append("autoscalers (cluster-bench --autoscaler NAME[:KEY=VAL,...]):")
-    lines.append("  " + ", ".join(AUTOSCALERS.names()))
-    lines.append("admission policies (cluster-bench --admission NAME[:KEY=VAL,...]):")
-    lines.append("  " + ", ".join(ADMISSIONS.names()))
-    lines.append(
-        "sequence state (traffic-/cluster-bench --slo-class-mix FRAC --preempt; "
-        "cluster-bench --migrate-on-drain --checkpoint-interval S "
-        "[--failure-zones N, --kill TIME@zoneZ]):"
-    )
-    lines.append(
-        "  repro.seqstate checkpoints: SLO-class preemption, live KV "
-        "migration off draining replicas, periodic-checkpoint failure recovery"
-    )
-    lines.append(
-        "execution backends (traffic-/cluster-/capacity-bench "
-        "--backend {serial,multiprocess} [--workers N]):"
-    )
-    lines.append(
-        "  repro.execbackend replica workers: --workers N runs engines in N "
-        "worker processes sharing read-only weights; reports byte-identical "
-        "to serial, wall-clock scales with cores"
-    )
-    lines.append(
-        "speculative decoding (serve-/traffic-/cluster-bench --speculate K "
-        "[--drafter NAME]; EngineSpec speculate_k/drafter):"
-    )
-    lines.append(
-        "  repro.specdec draft-then-verify decoding; drafters: "
-        + ", ".join(DRAFTERS.names())
-    )
+    for heading, body in sections:
+        lines += [heading, "  " + body]
     return "\n".join(lines)
 
 
@@ -515,12 +488,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "list":
         output = _format_listing()
     else:
-        configure, run = _command(args.command)
+        _, prepare = _SERVING_COMMANDS.get(args.command, (None, _experiment))
         try:
-            config = configure(args)
+            run = prepare(args)
         except ValueError as error:
             args.usage_error(str(error))
-        output = run(config, args)
+        output = run()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(output + "\n")

@@ -2,12 +2,9 @@
 
 Each figure module holds a frozen ``*Config`` dataclass with CPU-friendly
 defaults and registers one :class:`Experiment` in :data:`EXPERIMENTS`
-under its ``repro`` command name: ``EXPERIMENTS.build("fig10")`` is an
-experiment whose ``run(config)`` returns the result and whose
-``format(result)`` renders the rows/series the paper reports.  The CLI
-reads its experiment commands, their ``repro list`` lines and their flags
-from this registry; the paper-figure tests under ``benchmarks/``
-regenerate each figure.
+under its ``repro`` command name: ``EXPERIMENTS.build("fig10").run(config)``
+returns the result and ``.format(result)`` renders the rows/series the
+paper reports.  The CLI reads its experiment commands from this registry.
 """
 
 from .base import EXPERIMENTS, Experiment

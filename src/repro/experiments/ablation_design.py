@@ -16,7 +16,6 @@ import numpy as np
 
 from ..core import ClusterKVSelector
 from ..metrics import mean_recall
-from ..workloads import LONGBENCH_TASKS, LongBenchTaskGenerator
 from .base import EXPERIMENTS, Experiment, SampledConfig, samples_knob
 from .methods import build_clusterkv_config
 from .reporting import format_table
@@ -90,17 +89,10 @@ def run_design_ablation(config: DesignAblationConfig | None = None) -> DesignAbl
     """Evaluate every ClusterKV design variant on the same samples."""
     config = config or DesignAblationConfig()
     context = EvaluationContext.create(config.model_name, config.scale, config.seed)
-    generator = LongBenchTaskGenerator(
-        context.tokenizer,
-        LONGBENCH_TASKS[config.task],
-        topic_model=context.topic_model,
-        seed=config.seed,
-    )
-    scaled_context = config.scale.length(config.paper_context)
     scaled_budget = config.scale.length(config.paper_budget)
-    samples = generator.generate_dataset(scaled_context, config.num_samples)
-    for sample in samples:
-        sample.answer_length = max(sample.answer_length, config.decode_steps)
+    samples = context.task_samples(
+        config.task, config.paper_context, config.num_samples, config.seed, config.decode_steps
+    )
 
     base_config = build_clusterkv_config(config.scale)
     result = DesignAblationResult(config=config)

@@ -1,12 +1,7 @@
 """The one shape of a paper experiment, and the registry the CLI reads.
 
-Each table or figure the ``repro`` CLI regenerates is one
-:class:`Experiment` subclass, registered in :data:`EXPERIMENTS` under its
-command name.  It declares its config dataclass, :meth:`Experiment.run`
-and :meth:`Experiment.format`; ``repro <name>`` takes one flag per knob
-field of that config (``--scale`` is :attr:`ContextScale.factor
-<repro.experiments.ContextScale.factor>`, ``--samples`` a config's
-``num_samples``) and prints ``format(run(config))``.
+Each table or figure is one :class:`Experiment` subclass, registered in
+:data:`EXPERIMENTS` under its ``repro`` command name.
 """
 
 from __future__ import annotations
@@ -22,16 +17,15 @@ __all__ = ["Experiment", "EXPERIMENTS"]
 class Experiment:
     """One of the paper's tables or figures: a config class, a run and a format.
 
-    A subclass sets ``summary`` (its ``repro list`` line) and
-    ``config_cls``, and ``cli_defaults`` when a bare ``repro <name>`` runs
-    something other than ``config_cls()`` (a smaller context scale, say);
-    the CLI's flag defaults are read from it.  ``name`` is the command,
-    set by ``@EXPERIMENTS.register(name)``.
+    A subclass sets ``summary`` (its ``repro list`` line), ``config_cls``
+    and, when a bare ``repro <name>`` runs something other than
+    ``config_cls()``, ``cli_defaults``; the command's flags are the
+    config's knob fields, with their defaults read from it.
     """
 
-    name: ClassVar[str] = ""
-    summary: ClassVar[str] = ""
-    config_cls: ClassVar[type] = object
+    name: ClassVar[str]
+    summary: ClassVar[str]
+    config_cls: ClassVar[type]
     cli_defaults: ClassVar[Any] = None
 
     def run(self, config: Any) -> Any:

@@ -17,7 +17,6 @@ import numpy as np
 from ..core import ClusterKVSelector
 from ..model import get_reference_architecture
 from ..perfmodel import ADA_6000, HardwareConfig, LatencyModel
-from ..workloads import LONGBENCH_TASKS, LongBenchTaskGenerator
 from .base import EXPERIMENTS, Experiment, SampledConfig, samples_knob
 from .methods import build_clusterkv_config
 from .reporting import format_table
@@ -69,26 +68,24 @@ def run_cache_study(config: CacheStudyConfig | None = None) -> CacheStudyResult:
     """Measure cache hit rates and derive the throughput improvement."""
     config = config or CacheStudyConfig()
     context = EvaluationContext.create(config.model_name, config.scale, config.seed)
-    spec = LONGBENCH_TASKS[config.task]
-    generator = LongBenchTaskGenerator(
-        context.tokenizer, spec, topic_model=context.topic_model, seed=config.seed
-    )
-    scaled_context = config.scale.length(config.paper_context)
     scaled_budget = config.scale.length(config.paper_budget)
-    samples = generator.generate_dataset(scaled_context, config.num_samples)
-    for sample in samples:
-        sample.answer_length = max(sample.answer_length, config.decode_steps)
-
-    arch = get_reference_architecture(config.architecture)
-    latency_model = LatencyModel(arch, config.hardware)
-    no_cache_step = latency_model.decode_step(
-        "clusterkv",
-        config.paper_context,
-        config.paper_budget,
-        cache_hit_rate=0.0,
-        cluster_cache_enabled=False,
+    samples = context.task_samples(
+        config.task, config.paper_context, config.num_samples, config.seed, config.decode_steps
     )
 
+    latency_model = LatencyModel(get_reference_architecture(config.architecture), config.hardware)
+
+    def step_seconds(hit_rate: float, cache: bool = True) -> float:
+        """Modelled seconds of one decode step at the paper's context and budget."""
+        return latency_model.decode_step(
+            "clusterkv",
+            config.paper_context,
+            config.paper_budget,
+            cache_hit_rate=hit_rate,
+            cluster_cache_enabled=cache,
+        )["total"]
+
+    no_cache = step_seconds(0.0, cache=False)
     result = CacheStudyResult(config=config)
     for history in config.cache_histories:
         clusterkv_config = build_clusterkv_config(config.scale, cache_history=history)
@@ -101,25 +98,9 @@ def run_cache_study(config: CacheStudyConfig | None = None) -> CacheStudyResult:
             hit_rates.append(generation.cache_hit_rate)
         hit_rate = float(np.mean(hit_rates))
         result.hit_rates[history] = hit_rate
-
-        cached_step = latency_model.decode_step(
-            "clusterkv",
-            config.paper_context,
-            config.paper_budget,
-            cache_hit_rate=hit_rate,
-            cluster_cache_enabled=True,
-        )
-        result.throughput_gain[history] = no_cache_step["total"] / cached_step["total"]
-        paper_step = latency_model.decode_step(
-            "clusterkv",
-            config.paper_context,
-            config.paper_budget,
-            cache_hit_rate=PAPER_HIT_RATES.get(history, hit_rate),
-            cluster_cache_enabled=True,
-        )
-        result.throughput_gain_paper_hit[history] = (
-            no_cache_step["total"] / paper_step["total"]
-        )
+        result.throughput_gain[history] = no_cache / step_seconds(hit_rate)
+        paper_hit_rate = PAPER_HIT_RATES.get(history, hit_rate)
+        result.throughput_gain_paper_hit[history] = no_cache / step_seconds(paper_hit_rate)
     return result
 
 

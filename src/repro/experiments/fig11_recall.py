@@ -10,13 +10,15 @@ the number of prefill clusters ``C0``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from ..baselines import KVSelectorFactory
 from ..core import ClusterKVConfig, ClusterKVSelector
 from ..metrics import mean_recall
-from ..workloads import LONGBENCH_TASKS, LongBenchTaskGenerator
 from .base import EXPERIMENTS, Experiment, SampledConfig, samples_knob
 from .methods import build_clusterkv_config, build_selector
 from .reporting import format_series
@@ -68,61 +70,38 @@ class Fig11Result:
         self.curves.setdefault(series, {})[paper_budget] = recall
 
 
-def _samples_for(config: Fig11Config, context: EvaluationContext) -> list:
-    spec = LONGBENCH_TASKS[config.task]
-    generator = LongBenchTaskGenerator(
-        context.tokenizer, spec, topic_model=context.topic_model, seed=config.seed
+def _recall_curves(
+    config: Fig11Config, selectors: dict[str, Callable[[], KVSelectorFactory]]
+) -> Fig11Result:
+    """The recall of every named selector at every budget, on one set of samples."""
+    context = EvaluationContext.create(config.model_name, config.scale, config.seed)
+    samples = context.task_samples(
+        config.task, config.paper_context, config.num_samples, config.seed, config.decode_steps
     )
-    scaled_context = config.scale.length(config.paper_context)
-    samples = generator.generate_dataset(scaled_context, config.num_samples)
-    # Lengthen the decode so that recall is averaged over enough steps.
-    for sample in samples:
-        sample.answer_length = max(sample.answer_length, config.decode_steps)
-    return samples
-
-
-def _recall_for_selector(
-    config: Fig11Config,
-    context: EvaluationContext,
-    samples: list,
-    selector_builder,
-    paper_budget: int,
-) -> float:
-    scaled_budget = config.scale.length(paper_budget)
-    recalls = []
-    for sample in samples:
-        selector = selector_builder()
-        _, result = evaluate_sample(
-            context,
-            selector,
-            sample,
-            scaled_budget,
-            num_full_layers=config.num_full_layers,
-            record_true_scores=True,
-        )
-        recalls.append(mean_recall(result.recall_records))
-    return float(np.mean(recalls))
+    result = Fig11Result(context_length=config.scale.length(config.paper_context), config=config)
+    for series, build in selectors.items():
+        for paper_budget in config.paper_budgets:
+            recalls = []
+            for sample in samples:
+                _, generation = evaluate_sample(
+                    context,
+                    build(),
+                    sample,
+                    config.scale.length(paper_budget),
+                    num_full_layers=config.num_full_layers,
+                    record_true_scores=True,
+                )
+                recalls.append(mean_recall(generation.recall_records))
+            result.record(series, paper_budget, float(np.mean(recalls)))
+    return result
 
 
 def run_fig11_methods(config: Fig11Config | None = None) -> Fig11Result:
     """Fig. 11a: recall rate of each method across budgets."""
     config = config or Fig11Config()
-    context = EvaluationContext.create(config.model_name, config.scale, config.seed)
-    samples = _samples_for(config, context)
-    result = Fig11Result(
-        context_length=config.scale.length(config.paper_context), config=config
+    return _recall_curves(
+        config, {name: partial(build_selector, name, config.scale) for name in config.methods}
     )
-    for method in config.methods:
-        for paper_budget in config.paper_budgets:
-            recall = _recall_for_selector(
-                config,
-                context,
-                samples,
-                lambda method=method: build_selector(method, config.scale),
-                paper_budget,
-            )
-            result.record(method, paper_budget, recall)
-    return result
 
 
 def run_fig11_ablation(config: Fig11Config | None = None) -> Fig11Result:
@@ -133,46 +112,24 @@ def run_fig11_ablation(config: Fig11Config | None = None) -> Fig11Result:
     distance-metric ablation keeps the paper's default ``C0 = L / 80``.
     """
     config = config or Fig11Config()
-    context = EvaluationContext.create(config.model_name, config.scale, config.seed)
-    samples = _samples_for(config, context)
-    result = Fig11Result(
-        context_length=config.scale.length(config.paper_context), config=config
-    )
-
-    for metric in config.ablation_metrics:
-        for paper_budget in config.paper_budgets:
-            recall = _recall_for_selector(
-                config,
-                context,
-                samples,
-                lambda metric=metric: ClusterKVSelector(
-                    build_clusterkv_config(config.scale, distance_metric=metric)
-                ),
-                paper_budget,
-            )
-            result.record(f"metric={metric}", paper_budget, recall)
-
+    selectors = {
+        f"metric={metric}": partial(
+            ClusterKVSelector, build_clusterkv_config(config.scale, distance_metric=metric)
+        )
+        for metric in config.ablation_metrics
+    }
     scaled_context = config.scale.length(config.paper_context)
     for paper_c0 in config.ablation_cluster_counts:
         # C0 clusters over the paper's context correspond to one cluster per
         # ``context / C0`` tokens; keep that ratio at simulation scale.
-        tokens_per_cluster = max(2, round(scaled_context / paper_c0))
         clusterkv_config = ClusterKVConfig(
-            tokens_per_cluster=tokens_per_cluster,
+            tokens_per_cluster=max(2, round(scaled_context / paper_c0)),
             decode_window=max(4, config.scale.length(320)),
             decode_clusters=2,
             num_sink_tokens=config.scale.sink_tokens(),
         )
-        for paper_budget in config.paper_budgets:
-            recall = _recall_for_selector(
-                config,
-                context,
-                samples,
-                lambda cfg=clusterkv_config: ClusterKVSelector(cfg),
-                paper_budget,
-            )
-            result.record(f"C0={paper_c0}", paper_budget, recall)
-    return result
+        selectors[f"C0={paper_c0}"] = partial(ClusterKVSelector, clusterkv_config)
+    return _recall_curves(config, selectors)
 
 
 def format_fig11(result: Fig11Result, title: str = "[Fig. 11] recall rate") -> str:
@@ -197,9 +154,5 @@ class Fig11(Experiment):
 
     def format(self, result: tuple[Fig11Result, Fig11Result]) -> str:
         """Fig. 11a's curves, then Fig. 11b's."""
-        methods, ablation = result
-        return (
-            format_fig11(methods, "[Fig. 11a] recall rate by method")
-            + "\n\n"
-            + format_fig11(ablation, "[Fig. 11b] ClusterKV ablation")
-        )
+        titles = ("[Fig. 11a] recall rate by method", "[Fig. 11b] ClusterKV ablation")
+        return "\n\n".join(map(format_fig11, result, titles))

@@ -65,8 +65,7 @@ class Fig12Result:
 def run_fig12(config: Fig12Config | None = None) -> Fig12Result:
     """Evaluate the Fig. 12 latency grid."""
     config = config or Fig12Config()
-    arch = get_reference_architecture(config.architecture)
-    model = LatencyModel(arch, config.hardware)
+    model = LatencyModel(get_reference_architecture(config.architecture), config.hardware)
     result = Fig12Result(config=config)
     for prompt in config.prompt_lengths:
         for decode in config.decode_lengths:

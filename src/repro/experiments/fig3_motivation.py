@@ -21,7 +21,6 @@ from ..analysis import (
 )
 from ..baselines import FullKVSelector
 from ..model import GenerationConfig, InferenceEngine
-from ..workloads import LONGBENCH_TASKS, LongBenchTaskGenerator
 from .base import EXPERIMENTS, Experiment
 from .reporting import format_kv
 from .runner import EvaluationContext
@@ -64,12 +63,7 @@ def run_fig3(config: Fig3Config | None = None) -> Fig3Result:
     """Run both motivation analyses on one long sample."""
     config = config or Fig3Config()
     context = EvaluationContext.create(config.model_name, config.scale, config.seed)
-    spec = LONGBENCH_TASKS[config.task]
-    generator = LongBenchTaskGenerator(
-        context.tokenizer, spec, topic_model=context.topic_model, seed=config.seed
-    )
-    scaled_context = config.scale.length(config.paper_context)
-    sample = generator.generate_sample(scaled_context)
+    (sample,) = context.task_samples(config.task, config.paper_context, 1, config.seed)
 
     # Track tokens spread across the context (mirroring the paper's choice of
     # tokens at different depths, e.g. 2048/3200/7168 in an 8k context).
@@ -106,7 +100,7 @@ def run_fig3(config: Fig3Config | None = None) -> Fig3Result:
     return Fig3Result(
         importance=importance,
         fragmentation=fragmentation,
-        context_length=scaled_context,
+        context_length=config.scale.length(config.paper_context),
         config=config,
     )
 

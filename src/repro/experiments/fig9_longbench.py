@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..metrics import ScoreTable
-from ..workloads import LONGBENCH_TASKS, LongBenchTaskGenerator
+from ..workloads import LONGBENCH_TASKS
 from .base import SampledConfig, samples_knob
 from .methods import ACCURACY_METHODS, build_selector
 from .reporting import format_table
@@ -68,11 +68,9 @@ def run_fig9(config: Fig9Config | None = None) -> Fig9Result:
 
     table = ScoreTable()
     for task_name in config.tasks:
-        spec = LONGBENCH_TASKS[task_name]
-        generator = LongBenchTaskGenerator(
-            context.tokenizer, spec, topic_model=context.topic_model, seed=config.seed
+        samples = context.task_samples(
+            task_name, config.paper_context, config.num_samples, config.seed
         )
-        samples = generator.generate_dataset(scaled_context, config.num_samples)
         for method in config.methods:
             # One evaluation per distinct effective budget: the full KV cache
             # ignores the budget, so a single generation per sample fills

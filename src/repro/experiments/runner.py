@@ -16,7 +16,7 @@ from ..model import (
     TransformerModel,
     get_model_config,
 )
-from ..workloads import LongBenchSample, TopicModel
+from ..workloads import LONGBENCH_TASKS, LongBenchSample, LongBenchTaskGenerator, TopicModel
 from .scale import ContextScale, DEFAULT_SCALE
 
 __all__ = ["EvaluationContext", "evaluate_sample", "score_prediction"]
@@ -49,6 +49,21 @@ class EvaluationContext:
         tokenizer = SyntheticTokenizer(config.vocab_size)
         topic_model = TopicModel(tokenizer, seed=seed)
         return cls(model=model, tokenizer=tokenizer, topic_model=topic_model, scale=scale)
+
+    def task_samples(
+        self, task: str, paper_context: int, num_samples: int, seed: int, decode_steps: int = 0
+    ) -> list[LongBenchSample]:
+        """``num_samples`` samples of ``task`` at the scaled ``paper_context``.
+
+        Each answer is lengthened to ``decode_steps`` tokens at least.
+        """
+        generator = LongBenchTaskGenerator(
+            self.tokenizer, LONGBENCH_TASKS[task], topic_model=self.topic_model, seed=seed
+        )
+        samples = generator.generate_dataset(self.scale.length(paper_context), num_samples)
+        for sample in samples:
+            sample.answer_length = max(sample.answer_length, decode_steps)
+        return samples
 
 
 def score_prediction(prediction: str, reference: str, metric: str) -> float:

@@ -84,11 +84,9 @@ def load_trace(
     ------
     ValueError
         Prefixed ``path:line:``, on any record it cannot replay: malformed
-        JSON, records with neither ``prompt_len`` nor ``prompt_ids``,
-        decreasing arrival times (traces must be in arrival order), and
-        any field :class:`~repro.serving.ServeRequest` refuses (a
-        negative or non-finite arrival, an unknown SLO class, an empty
-        prompt, a non-positive decode length, a non-integer seed).
+        JSON, neither ``prompt_len`` nor ``prompt_ids``, a decreasing
+        arrival time (traces are in arrival order), or any field
+        :class:`~repro.serving.ServeRequest` refuses (e.g. a NaN arrival).
     """
     path = Path(path)
     if limit is not None and limit <= 0:
