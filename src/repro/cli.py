@@ -310,10 +310,9 @@ _SERVING_COMMANDS = {
 def _format_listing() -> str:
     """The ``repro list`` output: every subcommand plus every policy.
 
-    Commands come from the experiment registry (in registration order,
-    the paper's) and the serving command table; policies come from the
-    policy registry, so third-party selectors that registered themselves
-    show up here automatically.
+    Commands come from the experiment registry and the serving command
+    table; policies come from the policy registry, so third-party selectors
+    that registered themselves show up here automatically.
     """
     from .policies import available_policies
 
@@ -334,50 +333,55 @@ def _format_listing() -> str:
     from .specdec import DRAFTERS
     from .traffic import ARRIVALS, ROUTERS
 
-    sections = (
-        ("traffic routers (use with traffic-bench --router NAME):", ", ".join(ROUTERS.names())),
-        (
-            "prefix cache (traffic-/cluster-bench --prefix-cache TOKENS [--prefix-block N]; "
-            "EngineSpec prefix_cache_tokens/prefix_block_tokens/prefix_semantic_reuse):",
-            "per-replica radix cache of prompt-prefix KV; pair with --router prefix_affine",
-        ),
-        (
-            "capacity scenarios (capacity-bench --scenario NAME "
-            "--tiers gpu=SIZE,host=SIZE,ssd=SIZE --sweep MIN:MAX:STEP):",
-            ", ".join(SCENARIOS.names()),
-        ),
-        ("arrival processes (traffic-bench --arrivals NAME):", ", ".join(ARRIVALS.names())),
-        (
-            "autoscalers (cluster-bench --autoscaler NAME[:KEY=VAL,...]):",
-            ", ".join(AUTOSCALERS.names()),
-        ),
-        (
-            "admission policies (cluster-bench --admission NAME[:KEY=VAL,...]):",
-            ", ".join(ADMISSIONS.names()),
-        ),
-        (
-            "sequence state (traffic-/cluster-bench --slo-class-mix FRAC --preempt; "
-            "cluster-bench --migrate-on-drain --checkpoint-interval S "
-            "[--failure-zones N, --kill TIME@zoneZ]):",
-            "repro.seqstate checkpoints: SLO-class preemption, live KV migration off "
-            "draining replicas, periodic-checkpoint failure recovery",
-        ),
-        (
-            "execution backends (traffic-/cluster-/capacity-bench "
-            "--backend {serial,multiprocess} [--workers N]):",
-            "repro.execbackend replica workers: --workers N runs engines in N worker "
-            "processes sharing read-only weights; reports byte-identical to serial, "
-            "wall-clock scales with cores",
-        ),
-        (
-            "speculative decoding (serve-/traffic-/cluster-bench --speculate K "
-            "[--drafter NAME]; EngineSpec speculate_k/drafter):",
-            "repro.specdec draft-then-verify decoding; drafters: " + ", ".join(DRAFTERS.names()),
-        ),
-    )
     lines.append("")
-    for heading, body in sections:
-        lines += [heading, "  " + body]
+    lines.append("traffic routers (use with traffic-bench --router NAME):")
+    lines.append("  " + ", ".join(ROUTERS.names()))
+    lines.append(
+        "prefix cache (traffic-/cluster-bench --prefix-cache TOKENS "
+        "[--prefix-block N]; EngineSpec prefix_cache_tokens/"
+        "prefix_block_tokens/prefix_semantic_reuse):"
+    )
+    lines.append(
+        "  per-replica radix cache of prompt-prefix KV; pair with "
+        "--router prefix_affine"
+    )
+    lines.append(
+        "capacity scenarios (capacity-bench --scenario NAME "
+        "--tiers gpu=SIZE,host=SIZE,ssd=SIZE --sweep MIN:MAX:STEP):"
+    )
+    lines.append("  " + ", ".join(SCENARIOS.names()))
+    lines.append("arrival processes (traffic-bench --arrivals NAME):")
+    lines.append("  " + ", ".join(ARRIVALS.names()))
+    lines.append("autoscalers (cluster-bench --autoscaler NAME[:KEY=VAL,...]):")
+    lines.append("  " + ", ".join(AUTOSCALERS.names()))
+    lines.append("admission policies (cluster-bench --admission NAME[:KEY=VAL,...]):")
+    lines.append("  " + ", ".join(ADMISSIONS.names()))
+    lines.append(
+        "sequence state (traffic-/cluster-bench --slo-class-mix FRAC --preempt; "
+        "cluster-bench --migrate-on-drain --checkpoint-interval S "
+        "[--failure-zones N, --kill TIME@zoneZ]):"
+    )
+    lines.append(
+        "  repro.seqstate checkpoints: SLO-class preemption, live KV "
+        "migration off draining replicas, periodic-checkpoint failure recovery"
+    )
+    lines.append(
+        "execution backends (traffic-/cluster-/capacity-bench "
+        "--backend {serial,multiprocess} [--workers N]):"
+    )
+    lines.append(
+        "  repro.execbackend replica workers: --workers N runs engines in N "
+        "worker processes sharing read-only weights; reports byte-identical "
+        "to serial, wall-clock scales with cores"
+    )
+    lines.append(
+        "speculative decoding (serve-/traffic-/cluster-bench --speculate K "
+        "[--drafter NAME]; EngineSpec speculate_k/drafter):"
+    )
+    lines.append(
+        "  repro.specdec draft-then-verify decoding; drafters: "
+        + ", ".join(DRAFTERS.names())
+    )
     return "\n".join(lines)
 
 

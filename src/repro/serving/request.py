@@ -115,9 +115,7 @@ class ServeRequest:
         if self.max_new_tokens is not None and self.max_new_tokens <= 0:
             raise ValueError("max_new_tokens must be positive when set")
         if not 0 <= self.arrival_time_s < math.inf:  # also refuses NaN
-            raise ValueError(
-                f"arrival_time_s must be non-negative and finite, got {self.arrival_time_s}"
-            )
+            raise ValueError("arrival_time_s must be non-negative and finite")
         if self.slo_class not in SLO_CLASSES:
             raise ValueError(
                 f"slo_class must be one of {SLO_CLASSES}, got {self.slo_class!r}"
