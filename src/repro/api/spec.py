@@ -18,7 +18,7 @@ from typing import Mapping
 from ..knobs import knob
 from ..memory import TierBudgets
 from ..model import GenerationConfig, TransformerModel, get_model_config
-from ..policies import PolicySpec, build_policy, resolve_policy_spec
+from ..policies import PolicySpec, available_policies, build_policy, resolve_policy_spec
 from ..serving import SchedulerConfig
 from ..specdec import DRAFTERS, SpeculationConfig
 
@@ -45,7 +45,8 @@ class EngineSpec:
         Default KV compression policy of the session; requests can still
         override it individually.  Accepts a :class:`PolicySpec` or a
         policy string (``"quest"``, ``"clusterkv:tokens_per_cluster=32"``),
-        normalised to a spec at construction.
+        normalised to a spec at construction; a registered policy's keys
+        and value types are checked then too.
     budget:
         KV cache budget ``B`` in tokens per head; ``None`` disables
         compression.
@@ -189,6 +190,9 @@ class EngineSpec:
         if self.speculate_k > 0:
             DRAFTERS.check(self.drafter)
         object.__setattr__(self, "policy", resolve_policy_spec(self.policy))
+        entry = available_policies().get(self.policy.name)
+        if entry is not None:  # an unknown name fails where the policy is built
+            entry.check(self.policy.kwargs)
         if isinstance(self.tiers, str):
             object.__setattr__(self, "tiers", TierBudgets.parse(self.tiers))
         elif isinstance(self.tiers, Mapping):

@@ -129,16 +129,17 @@ def _init_centroids(
     return keys[chosen].copy()
 
 
-def _label_sums(rows: np.ndarray, labels: np.ndarray, n_bins: int) -> np.ndarray:
-    """Per-label sums of ``rows`` (``(N, d)``), shape ``(n_bins, d)``.
+def _label_sums(columns: np.ndarray, labels: np.ndarray, n_bins: int) -> np.ndarray:
+    """Per-label sums of ``d`` columns (``(d, N)``), shape ``(n_bins, d)``.
 
     One weighted ``np.bincount`` per column: it accumulates in input order
     like ``np.add.at(sums, labels, rows)`` — the same bits — without that
-    call's per-element dispatch.
+    call's per-element dispatch.  Contiguous columns are read at unit
+    stride.
     """
-    sums = np.empty((n_bins, rows.shape[1]))
-    for column in range(rows.shape[1]):
-        sums[:, column] = np.bincount(labels, weights=rows[:, column], minlength=n_bins)
+    sums = np.empty((n_bins, columns.shape[0]))
+    for column in range(columns.shape[0]):
+        sums[:, column] = np.bincount(labels, weights=columns[column], minlength=n_bins)
     return sums
 
 
@@ -153,7 +154,7 @@ def _update_centroids(
     Empty clusters keep their previous centroid; they are repaired by
     :func:`_repair_empty_clusters` before the next assignment.
     """
-    sums = _label_sums(keys, labels, n_clusters)
+    sums = _label_sums(keys.T, labels, n_clusters)
     counts = np.bincount(labels, minlength=n_clusters).astype(np.float64)
     centroids = previous.copy()
     non_empty = counts > 0
@@ -313,11 +314,14 @@ def kmeans_cluster_batch(
         ]
     n_clusters = min(n_clusters, num_keys)
 
-    # Loop-invariant key terms, computed once instead of per iteration.
+    # Loop-invariant key terms, computed once instead of per iteration;
+    # ``columns`` holds each key dimension of every head contiguously, for
+    # the update step's weighted bincounts.
     normed_keys = _normalise(keys) if metric == "cosine" else None
     sq_keys = (
         np.sum(keys**2, axis=2, keepdims=True) if metric == "l2" else None
     )
+    columns = np.ascontiguousarray(keys.transpose(2, 0, 1))
 
     centroids = np.empty((n_heads, n_clusters, dim))
     for head in range(n_heads):
@@ -352,26 +356,29 @@ def kmeans_cluster_batch(
 
         # Batched update step: one pass of per-label sums / counts over all
         # still-moving heads (per-(head, cluster) accumulation order equals
-        # the per-head _update_centroids call, so centroids are bit-identical).
+        # the per-head _update_centroids call, so centroids are bit-identical),
+        # then one masked divide: empty clusters keep their centroid.
+        every = live.size == n_heads
         offsets = np.arange(live.size, dtype=np.int64)[:, None] * n_clusters
         flat = (live_labels + offsets).ravel()
         sums = _label_sums(
-            keys[live].reshape(-1, dim), flat, live.size * n_clusters
+            (columns if every else columns[:, live]).reshape(dim, -1),
+            flat,
+            live.size * n_clusters,
         ).reshape(live.size, n_clusters, dim)
         counts = np.bincount(flat, minlength=live.size * n_clusters).reshape(
-            live.size, n_clusters
+            live.size, n_clusters, 1
         )
         non_empty = counts > 0
-        for slot, head in enumerate(live):
-            updated = centroids[head]
-            mask = non_empty[slot]
-            updated[mask] = sums[slot][mask] / counts[slot][mask, None].astype(
-                np.float64
+        updated = centroids if every else centroids[live]
+        np.divide(sums, counts, out=updated, where=non_empty)
+        if not every:
+            centroids[live] = updated
+        for slot in np.flatnonzero(~non_empty.all(axis=(1, 2))):
+            head = live[slot]
+            labels[head], centroids[head] = _repair_empty_clusters(
+                keys[head], labels[head], centroids[head], metric
             )
-            if not mask.all():
-                labels[head], centroids[head] = _repair_empty_clusters(
-                    keys[head], labels[head], updated, metric
-                )
     return [
         ClusteringResult(
             labels=labels[head].copy(),

@@ -22,7 +22,10 @@ cache-sized row blocks, each against the keys up to its causal frontier
 only, dealt to one lane (thread) per CPU the process owns; row sums then
 skip exactly-zero terms and the output, not the weights, is normalised,
 so last bits differ from the single-shot result (suite-verified) — but
-never with the lane count.  Decode has one kernel, :func:`_decode_attention`,
+never with the lane count.  The engine's prefill runs its last layer
+through the private :func:`_causal_attention` with ``final_block_only``:
+the same block partition, but only the block holding the final row, the
+one row that reaches the logits.  Decode has one kernel, :func:`_decode_attention`,
 over a leading request axis: :func:`selected_attention_batch` runs it for
 one request, and the engine runs it once per layer for every budgeted
 request of a batch, padded into one workspace (two GEMM launches whatever
@@ -112,6 +115,25 @@ def full_causal_attention(
         When True, attention weights ``(n_heads, T_q, T_k)`` are also
         returned (used by the motivation analyses).
     """
+    return _causal_attention(queries, keys, values, scale, return_weights)
+
+
+def _causal_attention(
+    queries: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    scale: float,
+    return_weights: bool = False,
+    final_block_only: bool = False,
+) -> AttentionOutput:
+    """:func:`full_causal_attention`, or only the query block of its final row.
+
+    With ``final_block_only`` the rows are partitioned into blocks exactly
+    as in the full call (same blocked/single-shot choice), but only the
+    last block is computed: the same GEMM shapes, so its rows are the full
+    call's bit for bit.  Every other output row is zero.  The prefill's
+    last layer uses it, as only the prompt's final row reaches the logits.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -134,6 +156,8 @@ def full_causal_attention(
     blocked = not (return_weights or n_heads * t_q * t_k <= _PREFILL_BLOCK_ELEMENTS)
     block = max(1, _PREFILL_BLOCK_ELEMENTS // (n_heads * t_k)) if blocked else t_q
     starts = range(0, t_q, block)
+    if final_block_only:
+        starts = starts[-1:]
     score_elements = 0
     for start in starts:  # counters are recorded on the calling thread only
         end = min(start + block, t_q)
@@ -154,7 +178,7 @@ def full_causal_attention(
         grouped = grouped * scale
     future = ~np.tri(block, dtype=bool)  # [i, j]: block key j is after row i
     buffers = np.empty((lanes, n_heads * block * t_k))  # one score buffer per lane
-    stacked = np.empty((t_q, n_heads, head_dim))
+    stacked = (np.zeros if final_block_only else np.empty)((t_q, n_heads, head_dim))
 
     def attend(lane: int) -> None:
         for start in starts[lane::lanes]:

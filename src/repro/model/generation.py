@@ -51,7 +51,12 @@ from ..baselines.oracle import top_k_indices
 from ..memory import OffloadManager, TransferLedger
 from ..perf import counters
 from ._lanes import lane_count, run_lanes
-from .attention import _decode_attention, full_causal_attention, selected_attention_batch
+from .attention import _decode_attention, selected_attention_batch
+
+# Prefill attention is the private helper that can stop at the final row's
+# query block.  It keeps the public function's name here, the one that
+# bench/trace.py times as ``model.prefill_attention``.
+from .attention import _causal_attention as full_causal_attention
 from .config import GenerationConfig, ModelConfig
 from .kv_cache import KVCacheStore
 from .pointer import CopyHead
@@ -403,12 +408,17 @@ class EngineCore:
 
             in_row_chunks(project)
             seq.kv_store.append(layer_idx, k, v, step=-1)
+            last_layer = layer_idx == config.n_layers - 1
+            if last_layer and end < length:
+                break  # no one reads a non-final chunk's output hidden state
             if whole_prefix:
                 keys_ctx, values_ctx = k, v
             else:
                 keys_ctx = seq.kv_store.keys(layer_idx)
                 values_ctx = seq.kv_store.values(layer_idx)
-            attn = full_causal_attention(q, keys_ctx, values_ctx, config.softmax_scale)
+            attn = full_causal_attention(
+                q, keys_ctx, values_ctx, config.softmax_scale, final_block_only=last_layer
+            )
 
             def mix(part: slice) -> None:
                 hidden[part] = model.ffn(
@@ -416,7 +426,15 @@ class EngineCore:
                     model.attention_output(layer_idx, hidden[part], attn.output[part]),
                 )
 
-            in_row_chunks(mix)
+            if last_layer:
+                # Only the final row reaches the logits.  Its attention block
+                # and its dense chunk keep the row counts of a full layer —
+                # a shorter GEMM does not reproduce a longer one's rows bit
+                # for bit — and the rest of the chunk mixes zero attention
+                # output into a hidden state that is discarded.
+                mix(slice(chunks[-1], rows))
+            else:
+                in_row_chunks(mix)
 
         if seq.copy_head is not None:
             seq.copy_head.ingest(prompt_ids[start:end])

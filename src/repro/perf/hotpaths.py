@@ -59,8 +59,8 @@ class PerfBenchConfig:
             raise ValueError("prefill_prompt_len must be positive")
 
 
-def _counted_prefill(config: PerfBenchConfig) -> dict[str, int]:
-    """Op counters of one exact prefill (plus ClusterKV build) of the long prompt."""
+def _prefill_engine(config: PerfBenchConfig):
+    """A fresh ClusterKV engine and the pinned long prompt it prefills."""
     import numpy as np
 
     from ..model import GenerationConfig, InferenceEngine, TransformerModel, get_model_config
@@ -80,9 +80,32 @@ def _counted_prefill(config: PerfBenchConfig) -> dict[str, int]:
     prompt = rng.integers(
         4, model.config.vocab_size, size=config.prefill_prompt_len
     ).astype(np.int64)
+    return engine, prompt
+
+
+def _counted_prefill(config: PerfBenchConfig) -> dict[str, int]:
+    """Op counters of one exact prefill (plus ClusterKV build) of the long prompt."""
+    engine, prompt = _prefill_engine(config)
     with count_ops() as ops:
         engine._core.prefill(engine._sequence, prompt)
     return ops.as_dict()
+
+
+def _counted_chunked_prefill(config: PerfBenchConfig) -> dict[str, dict[str, int]]:
+    """Op counters of the long prompt prefilled in two halves, one dict per chunk.
+
+    Nothing reads a non-final chunk's output hidden state, so its last
+    layer stops once its KV is appended: the first chunk's counters cover
+    one attention layer fewer than the final chunk's.
+    """
+    engine, prompt = _prefill_engine(config)
+    split = config.prefill_prompt_len // 2
+    chunks = {}
+    for name, start, end in (("first", 0, split), ("final", split, prompt.shape[0])):
+        with count_ops() as ops:
+            engine._core.prefill_chunk(engine._sequence, prompt, start, end)
+        chunks[name] = ops.as_dict()
+    return chunks
 
 
 def _parallel_bench_config(config: PerfBenchConfig):
@@ -280,6 +303,13 @@ def deterministic_counters(config: PerfBenchConfig | None = None) -> dict[str, o
         "prefill": {
             "prompt_tokens": config.prefill_prompt_len,
             "counters": _counted_prefill(config),
+        },
+        # The same prompt in two halves: the first chunk's last layer does
+        # no attention work, which its counters show.
+        "chunked_prefill": {
+            "prompt_tokens": config.prefill_prompt_len,
+            "chunk_tokens": config.prefill_prompt_len // 2,
+            "counters": _counted_chunked_prefill(config),
         },
         "serve": {
             "engine_steps": report.engine_steps,

@@ -17,9 +17,13 @@ The registry is intentionally declarative-first: the canonical input is a
 
 from __future__ import annotations
 
+import functools
 import inspect
+import numbers
+import types
+import typing
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Mapping, TypeVar
 
 from ..baselines.base import KVSelectorFactory, config_parameters
 from .spec import PolicySpec
@@ -92,15 +96,22 @@ class RegisteredPolicy:
             return ()
         return config_parameters(self.config_cls)
 
-    def build(self, kwargs: dict[str, object]) -> "KVSelectorFactory":
-        """Instantiate the factory from configuration kwargs."""
+    def check(self, kwargs: Mapping[str, object]) -> None:
+        """Raise :class:`ValueError` unless ``kwargs`` configure this policy.
+
+        Every key must be a parameter of the config class, and every value
+        must have that parameter's annotated type (an int passes as a
+        float, a bool passes only as a bool; unannotated parameters take
+        anything).  The message names the policy, the key, the expected
+        type and the value.
+        """
         if self.config_cls is None:
             if kwargs:
                 raise ValueError(
                     f"policy {self.name!r} accepts no configuration, "
                     f"got {sorted(kwargs)}"
                 )
-            return self.factory_cls()
+            return
         accepted = self.config_parameters()
         unknown = sorted(set(kwargs) - set(accepted))
         if unknown:
@@ -108,7 +119,60 @@ class RegisteredPolicy:
                 f"unknown {self.name!r} configuration keys {unknown}; "
                 f"accepted keys: {', '.join(accepted)}"
             )
+        annotations = _parameter_types(self.config_cls)
+        for key, value in kwargs.items():
+            expected = annotations.get(key)
+            if expected is not None and not _has_type(value, expected):
+                raise ValueError(
+                    f"policy {self.name!r} key {key!r} expects "
+                    f"{_type_name(expected)}, got {value!r}"
+                )
+
+    def build(self, kwargs: dict[str, object]) -> "KVSelectorFactory":
+        """Instantiate the factory from configuration kwargs (checked by :meth:`check`)."""
+        self.check(kwargs)
+        if self.config_cls is None:
+            return self.factory_cls()
         return self.factory_cls(self.config_cls(**kwargs))
+
+
+@functools.cache
+def _parameter_types(config_cls: type) -> dict[str, object]:
+    """The resolved annotations of a config class's constructor parameters.
+
+    Empty when they do not resolve (a name imported only for type
+    checkers): such a class's values go unchecked.
+    """
+    try:
+        return typing.get_type_hints(config_cls.__init__)
+    except NameError:
+        return {}
+
+
+def _has_type(value: object, expected: object) -> bool:
+    """Whether ``value`` fits the annotation ``expected`` (see :meth:`RegisteredPolicy.check`)."""
+    if typing.get_origin(expected) in (typing.Union, types.UnionType):
+        return any(_has_type(value, option) for option in typing.get_args(expected))
+    if expected is type(None):
+        return value is None
+    if expected is bool:
+        return isinstance(value, bool)
+    if expected is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if expected is float:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if isinstance(expected, type):
+        return isinstance(value, expected)
+    return True  # an annotation this check does not model (Literal, generics)
+
+
+def _type_name(expected: object) -> str:
+    """``int``, ``int | None``: how an annotation reads in an error message."""
+    if typing.get_origin(expected) in (typing.Union, types.UnionType):
+        return " | ".join(_type_name(option) for option in typing.get_args(expected))
+    if expected is type(None):
+        return "None"
+    return getattr(expected, "__name__", str(expected))
 
 
 _REGISTRY: dict[str, RegisteredPolicy] = {}

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..knobs import knob
 from ..model import InferenceEngine, TransformerModel
-from ..policies import PolicySpec, build_policy, resolve_policy_spec
+from ..policies import PolicySpec, available_policies, build_policy, resolve_policy_spec
 from .engine import BatchedEngine
 
 if TYPE_CHECKING:
@@ -130,6 +130,7 @@ class ServeBenchConfig:
             raise ValueError("policies must be non-empty when set (or None)")
         if self.policies is None and not self.methods:
             raise ValueError("methods must be non-empty")
+        self.resolved_policies()  # refuses a wrong key or value type now, not mid-run
         widened = replace(self.engine, max_prefills_per_step=self.engine.max_batch_size)
         object.__setattr__(self, "engine", widened)
 
@@ -266,9 +267,15 @@ def resolve_serving_policies(
     resolves to the serving-tuned :func:`serving_policy_spec`; a spec with
     any explicit key (``"clusterkv:tokens_per_cluster=16"``) is used
     verbatim.  The one resolver behind serve-, traffic- and
-    capacity-bench.
+    capacity-bench; a registered policy's keys and value types are
+    checked here (:meth:`~repro.policies.RegisteredPolicy.check`), so a
+    bench config refuses them while it is built.
     """
-    specs = (resolve_policy_spec(item) for item in policies)
+    specs = tuple(resolve_policy_spec(item) for item in policies)
+    registered = available_policies()
+    for spec in specs:
+        if spec.name in registered:  # an unknown name fails where the policy is built
+            registered[spec.name].check(spec.kwargs)
     return tuple(
         spec if spec.kwargs else serving_policy_spec(spec.name, num_sink_tokens)
         for spec in specs

@@ -104,6 +104,7 @@ class WorkloadSpec:
             raise ValueError("rate must be positive")
         if self.slo_class_mix is not None and not 0.0 <= self.slo_class_mix <= 1.0:
             raise ValueError("slo_class_mix must lie in [0, 1]")
+        ARRIVALS.check(self.arrivals)
 
 
 # Each fleet bench command's default fleet, as ClusterConfig fields over

@@ -349,6 +349,18 @@ class TestMain:
             ("fig10 --samples 0", "num_samples must be at least 1, got 0"),
             ("fig3 --scale 0", "factor must be at least 1"),
             ("traffic-bench --requests 0", "num_requests must be positive"),
+            (
+                "traffic-bench --arrivals nope --requests 1",
+                "unknown arrival process 'nope'; registered: constant, onoff, poisson, trace",
+            ),
+            (
+                "traffic-bench --policy clusterkv:tokens_per_cluster=abc --requests 1",
+                "policy 'clusterkv' key 'tokens_per_cluster' expects int, got 'abc'",
+            ),
+            (
+                "serve-bench --policy quest:page_size=8.5 --requests 1",
+                "policy 'quest' key 'page_size' expects int, got 8.5",
+            ),
             ("capacity-bench --sweep 5:1:1", "context_max must be >= context_min"),
         ],
     )

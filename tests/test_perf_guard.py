@@ -102,3 +102,22 @@ def test_prefill_attention_stops_at_the_causal_frontier():
     assert 1 <= block < tokens  # the pinned prefill takes the blocked path
     bound = 0.5 * tokens**2 * heads * (1 + block / tokens) * model.n_layers
     assert 0 < prefill["counters"]["attention_prefill.score_elements"] <= bound
+
+
+def test_non_final_chunk_skips_the_last_layer():
+    """The first of the pinned prefill's two chunks attends in every layer but the last.
+
+    A chunk of ``c`` rows against its own ``c`` keys is ``ceil(c / b)``
+    row blocks of two GEMMs per layer.  Nothing reads a non-final chunk's
+    output hidden state, so its last layer appends its KV and stops.
+    """
+    payload = load_baseline()
+    model = get_model_config(payload["config"]["model"])
+    chunked = payload["deterministic"]["chunked_prefill"]
+    rows, heads = chunked["chunk_tokens"], model.n_heads
+    budget = attention._PREFILL_BLOCK_ELEMENTS
+    block = rows if heads * rows * rows <= budget else max(1, budget // (heads * rows))
+    blocks = -(-rows // block)
+    first = chunked["counters"]["first"]
+    assert first["gemm.attention_prefill"] == 2 * blocks * (model.n_layers - 1)
+    assert "gemm.kmeans_assign" not in first  # clustering waits for the final chunk

@@ -11,6 +11,8 @@ Load-bearing guarantees:
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.baselines import (
     QuestSelector,
     StreamingLLMSelector,
 )
+from repro.api import EngineSpec
 from repro.baselines.base import KVSelectorFactory
 from repro.baselines.full import FullKVLayerState
 from repro.core import ClusterKVSelector
@@ -430,6 +433,82 @@ class TestThirdPartyRegistration:
             from repro.policies.registry import _REGISTRY
 
             _REGISTRY.pop("test_every_other", None)
+
+
+# One wrong-typed value per registered policy: (key, value, expected type).
+# The configuration-less policies take no key at all.
+WRONG_TYPED = {
+    "clusterkv": ("tokens_per_cluster", "abc", "int"),
+    "h2o": ("recent_ratio", True, "float"),
+    "infinigen": ("seed", 0.5, "int"),
+    "quest": ("page_size", "8", "int"),
+}
+
+SPEC_STRING = re.compile(
+    r"\b(?:" + "|".join(BUILTIN_POLICIES) + r"):[a-z_]+=[^,\s\"'`)]+(?:,[a-z_]+=[^,\s\"'`)]+)*"
+)
+
+
+class TestValueTypes:
+    """A policy value of the wrong type is refused while the config is built."""
+
+    @pytest.mark.parametrize("name", BUILTIN_POLICIES)
+    def test_a_wrong_typed_value_names_policy_key_and_type(self, name):
+        if available_policies()[name].config_cls is None:
+            assert name not in WRONG_TYPED
+            with pytest.raises(ValueError, match="accepts no configuration"):
+                build_policy(PolicySpec(name, {"seed": 1}))
+            return
+        key, value, expected = WRONG_TYPED[name]
+        spec = PolicySpec(name, {key: value})
+        message = f"policy {name!r} key {key!r} expects {expected}, got {value!r}"
+        with pytest.raises(ValueError) as excinfo:
+            build_policy(spec)
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            EngineSpec(policy=spec)
+        assert str(excinfo.value) == message
+
+    def test_every_configured_policy_has_a_wrong_typed_case(self):
+        configured = {name for name, entry in available_policies().items() if entry.config_cls}
+        assert configured == set(WRONG_TYPED)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "clusterkv:max_clusters=none",  # int | None takes None
+            "clusterkv:max_clusters=64",
+            "h2o:recent_ratio=0",  # an int passes as a float
+            "infinigen:speculation_noise=0,seed=3",
+        ],
+    )
+    def test_values_of_the_annotated_type_pass(self, spec):
+        build_policy(spec)
+        EngineSpec(policy=spec)
+
+    def test_an_unknown_name_still_fails_where_the_policy_is_built(self):
+        spec = EngineSpec(policy="no_such_policy:x=1")
+        with pytest.raises(UnknownPolicyError):
+            spec.build_policy()
+
+    def test_every_spec_string_in_the_repo_still_builds(self):
+        """Each ``name:key=value`` string outside the tests builds and checks clean."""
+        root = Path(__file__).resolve().parent.parent
+        files = [root / "README.md"] + [
+            path
+            for folder in ("src", "bench", "benchmarks", "examples", "docs")
+            for path in sorted((root / folder).rglob("*"))
+            if path.suffix in (".py", ".md")
+        ]
+        found = {
+            match
+            for path in files
+            for match in SPEC_STRING.findall(path.read_text(encoding="utf-8"))
+        }
+        assert "clusterkv:tokens_per_cluster=80" in found  # longctx_ingest's policy
+        for text in sorted(found):
+            build_policy(text)
+            EngineSpec(policy=text)
 
 
 class TestExperimentMethods:
