@@ -25,11 +25,11 @@ so last bits differ from the single-shot result (suite-verified) — but
 never with the lane count.  The engine's prefill runs its last layer
 through the private :func:`_causal_attention` with ``final_block_only``:
 the same block partition, but only the block holding the final row, the
-one row that reaches the logits.  Decode has one kernel, :func:`_decode_attention`,
-over a leading request axis: :func:`selected_attention_batch` runs it for
-one request, and the engine runs it once per layer for every budgeted
-request of a batch, padded into one workspace (two GEMM launches whatever
-the head or request count).
+one row that reaches the logits.  Decode has one kernel,
+:func:`_decode_attention`, over a leading request axis:
+:func:`selected_attention_batch` runs it for one request, and the engine
+runs it once per layer for every budgeted request of a batch, padded into
+one workspace (two GEMM launches whatever the head or request count).
 """
 
 from __future__ import annotations

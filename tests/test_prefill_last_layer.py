@@ -17,8 +17,8 @@ per-head :func:`kmeans_cluster` the same way.
 import numpy as np
 import pytest
 
-from repro.core.clustering import kmeans_cluster, kmeans_cluster_batch
 from repro.core import clustering
+from repro.core.clustering import kmeans_cluster, kmeans_cluster_batch
 from repro.memory import OffloadManager
 from repro.model import GenerationConfig, TransformerModel, get_model_config
 from repro.model.attention import full_causal_attention
