@@ -109,6 +109,8 @@ def main() -> None:
     print(f"sequential throughput: {total_tokens / sequential_seconds:7.1f} tok/s")
     print(f"batched throughput   : {total_tokens / batched_seconds:7.1f} tok/s "
           f"({sequential_seconds / batched_seconds:.2f}x)")
+    if matches != NUM_REQUESTS:
+        raise SystemExit(f"{NUM_REQUESTS - matches} request(s) differ from their sequential run")
 
 
 if __name__ == "__main__":

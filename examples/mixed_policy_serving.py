@@ -4,15 +4,19 @@ One ``BatchedEngine.run()`` serves a burst of requests in which every
 request carries its own KV compression policy — ClusterKV, Quest,
 StreamingLLM and full KV side by side in the same continuous batch.  The
 example then re-serves each request homogeneously (a batch containing only
-its policy) and verifies the outputs are **bit-identical**: per-request
-policies change what each request computes, never how its batch
-neighbours decode.
+its policy) and verifies each request generates the **same tokens**:
+per-request policies change what each request computes, never how its
+batch neighbours decode.  Log-probabilities are compared to within
+rounding (``rtol=1e-9, atol=1e-12``): a request narrower than its batch's
+widest selection attends over a padded workspace, which can move its
+log-probabilities in the last bits (docs/ARCHITECTURE.md, per-request
+policies).
 
 It also shows the two declarative layers this flows through:
 
 * policies are named through the registry (``repro.policies``) as
   ``PolicySpec`` strings, round-trippable to JSON — the same strings the
-  CLI accepts via ``repro serve-bench --policy ... --mixed``;
+  CLI accepts via ``repro traffic-bench --policy ... --policy ...``;
 * the ``repro.api.Session`` facade drives everything from one
   ``EngineSpec``.
 
@@ -92,23 +96,22 @@ def main() -> None:
         for i in indices:
             mixed = report.results()[f"r{i}"]
             homogeneous = control_results[f"r{i}"]
-            identical = (
-                mixed.output_ids == homogeneous.output_ids
-                and mixed.output_logprobs == homogeneous.output_logprobs
+            matches = mixed.output_ids == homogeneous.output_ids and np.allclose(
+                mixed.output_logprobs, homogeneous.output_logprobs, rtol=1e-9, atol=1e-12
             )
-            mismatches += 0 if identical else 1
+            mismatches += 0 if matches else 1
 
     print()
     if mismatches:
         raise SystemExit(f"{mismatches} request(s) diverged between mixed and homogeneous runs")
     print(
-        "verified: all requests are bit-identical (tokens and logprobs) to "
-        "homogeneous runs of their policy"
+        "verified: every request generates the same tokens as a homogeneous "
+        "run of its policy (logprobs within rtol=1e-9)"
     )
     print()
-    print("same thing from the command line:")
+    print("a traffic workload mixing policies across its requests, from the command line:")
     print(
-        "  python -m repro serve-bench --mixed "
+        "  python -m repro traffic-bench "
         + " ".join(f"--policy {policy.split(':')[0]}" for policy in POLICIES[:3])
     )
 

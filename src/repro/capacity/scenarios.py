@@ -86,7 +86,7 @@ class CapacityScenarioConfig:
     under tight tier budgets (``gpu=320KiB,host=448KiB,ssd=4MiB``) where
     the host-resident ClusterKV policy survives points the dense ``full``
     baseline cannot admit.  ``policies`` entries resolve through the same
-    serving-tuned configuration as ``serve-bench``
+    serving-tuned configuration as ``traffic-bench``
     (:func:`repro.serving.bench.resolve_serving_policies`).
 
     Context sweeps (``oom_finder``, ``capacity_frontier``) probe closed

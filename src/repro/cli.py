@@ -25,7 +25,6 @@ Run an accuracy experiment at a reduced context scale::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import MISSING, fields, is_dataclass, replace
@@ -147,38 +146,6 @@ def dataclass_from_args(cls, args: argparse.Namespace, defaults=None):
     return cls(**values)
 
 
-def _parse_policy_json(text: str) -> tuple:
-    """The policy specs of one ``--policy-json`` value (an object or a list)."""
-    from .policies import PolicySpec
-
-    payload = json.loads(text)
-    specs = []
-    for item in payload if isinstance(payload, list) else [payload]:
-        if isinstance(item, str):
-            specs.append(item)
-        elif isinstance(item, dict):
-            specs.append(PolicySpec.from_dict(item))
-        else:
-            raise ValueError(
-                "--policy-json entries must be policy objects like "
-                '{"name": "quest", "page_size": 32} or name strings, '
-                f"got {item!r}"
-            )
-    return tuple(specs)
-
-
-def _serve_bench(args: argparse.Namespace) -> Callable[[], str]:
-    from . import serving
-
-    config = dataclass_from_args(serving.ServeBenchConfig, args)
-    if args.policy_json:
-        policies = (config.policies or ()) + _parse_policy_json(args.policy_json)
-        config = replace(config, policies=policies)
-    if args.mixed:
-        return lambda: serving.format_mixed_serve_bench(serving.run_mixed_serve_bench(config))
-    return lambda: serving.format_serve_bench(serving.run_serve_bench(config))
-
-
 def _parse_failure_plan(args: argparse.Namespace):
     """Build the FailurePlan from --kill and/or --failure-* flags."""
     from .cluster import FailureEvent, FailurePlan
@@ -282,10 +249,6 @@ def _experiment(args: argparse.Namespace) -> Callable[[], str]:
 # ``list`` prints them after the experiments, so adding a command means one
 # entry here plus its subparser setup.
 _SERVING_COMMANDS = {
-    "serve-bench": (
-        "continuous-batching serving throughput vs. sequential runs",
-        _serve_bench,
-    ),
     "traffic-bench": (
         "open-loop traffic simulation: routing, replicas, SLO latency metrics",
         _fleet_bench,
@@ -325,7 +288,7 @@ def _format_listing() -> str:
     for name, description in commands.items():
         lines.append(f"  {name:16s} {description}")
     lines.append("")
-    lines.append("policies (use with --policy NAME[:KEY=VAL,...] or --methods NAME):")
+    lines.append("policies (use with --policy NAME[:KEY=VAL,...]):")
     for name, entry in available_policies().items():
         lines.append(f"  {name:16s} {entry.summary}")
     from .capacity import SCENARIOS
@@ -375,7 +338,7 @@ def _format_listing() -> str:
         "to serial, wall-clock scales with cores"
     )
     lines.append(
-        "speculative decoding (serve-/traffic-/cluster-bench --speculate K "
+        "speculative decoding (traffic-/cluster-/capacity-bench --speculate K "
         "[--drafter NAME]; EngineSpec speculate_k/drafter):"
     )
     lines.append(
@@ -387,7 +350,8 @@ def _format_listing() -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser of the ``repro`` CLI."""
-    from . import capacity, serving, traffic
+    from . import capacity, traffic
+    from .serving.bench import BENCH_SET_FIELDS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -409,15 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
         add_dataclass_flags(sub, cls, defaults, exclude)
         return sub
 
-    bench_sets = serving.bench.BENCH_SET_FIELDS
-    serve = bench("serve-bench", serving.ServeBenchConfig, bench_sets)
     # traffic-bench and cluster-bench run one config and differ only in
     # their default fleet.
     fleet_benches = {
         command: bench(
             command,
             traffic.TrafficBenchConfig,
-            bench_sets,
+            BENCH_SET_FIELDS,
             traffic.TrafficBenchConfig(fleet=traffic.bench.bench_fleet(command)),
         )
         for command in traffic.bench.BENCH_FLEETS
@@ -426,19 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         "capacity-bench", capacity.CapacityBenchConfig, capacity.scenarios.PROBE_SET_FIELDS
     )
     subparsers.add_parser("perf-bench", help=_SERVING_COMMANDS["perf-bench"][0])
-    serve.add_argument(
-        "--policy-json",
-        type=str,
-        default=None,
-        help="JSON policy spec or list of specs, e.g. "
-        '\'{"name": "quest", "page_size": 32}\'; overrides --methods',
-    )
-    serve.add_argument(
-        "--mixed",
-        action="store_true",
-        help="serve ONE batch mixing the policies across its requests "
-        "instead of benchmarking each policy separately",
-    )
     fleet_benches["traffic-bench"].add_argument(
         "--num-replicas", "--replicas", type=int, action=_StaticReplicas,
         default=argparse.SUPPRESS, metavar="N",

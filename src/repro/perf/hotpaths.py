@@ -38,8 +38,9 @@ __all__ = [
 class PerfBenchConfig:
     """Pinned workload shapes of the hot-path counter guard.
 
-    The engine settings match the ``serve-sim`` serving benchmark (budget
-    48, 8 sink tokens); the prefill is long enough to take the blocked
+    The engine settings match the serving-tuned ``serve-sim`` engine
+    (:func:`repro.serving.bench.serving_engine_spec`: budget 48, 8 sink
+    tokens); the prefill is long enough to take the blocked
     attention path, and the ``parallel_*`` fields shape the 4-replica
     traffic scenario.
     """

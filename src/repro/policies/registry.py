@@ -50,7 +50,7 @@ class UnknownPolicyError(ValueError):
     """Raised for a policy name that no registered method answers to.
 
     The message lists every registered name so that a typo on the command
-    line (``repro serve-bench --methods typo``) is self-diagnosing.
+    line (``repro traffic-bench --policy typo``) is self-diagnosing.
     """
 
     def __init__(self, name: str) -> None:

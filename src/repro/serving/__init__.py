@@ -8,7 +8,9 @@ per-step decodes across all active sequences, retiring requests as they
 finish.  Every request can carry its own compression policy (a
 :class:`~repro.policies.PolicySpec`, resolved through the policy registry
 at submission), so one engine serves heterogeneous traffic — each
-request's output is bit-identical to serving it under that policy alone.
+request's tokens are those of serving it under that policy alone (a
+request narrower than its batch's widest selection can move its
+log-probabilities in the last bits).
 All requests share one transformer, one
 :class:`~repro.memory.OffloadManager` (so tier usage and transfer traffic
 are accounted globally) and one
@@ -17,15 +19,6 @@ also the single-sequence path — a batch of one is bit-identical to
 :class:`repro.model.InferenceEngine`.
 """
 
-from .bench import (
-    MethodThroughput,
-    MixedServeResult,
-    ServeBenchConfig,
-    format_mixed_serve_bench,
-    format_serve_bench,
-    run_mixed_serve_bench,
-    run_serve_bench,
-)
 from .engine import (
     BatchedEngine,
     EngineSnapshot,
@@ -59,11 +52,4 @@ __all__ = [
     "RequestStatus",
     "ContinuousBatchingScheduler",
     "SchedulerConfig",
-    "ServeBenchConfig",
-    "MethodThroughput",
-    "MixedServeResult",
-    "run_serve_bench",
-    "run_mixed_serve_bench",
-    "format_serve_bench",
-    "format_mixed_serve_bench",
 ]

@@ -232,7 +232,8 @@ class ServeReport:
         ``submitted_step``, ``admitted_step``, ``first_token_step``,
         ``finish_step`` and the derived ``queue_wait_steps``.  The traffic
         simulator converts these step indices into seconds on its virtual
-        clock; callers of plain ``serve-bench`` read them as step counts.
+        clock; callers of a bare :class:`BatchedEngine` read them as step
+        counts.
         """
         return {
             c.request.request_id: {

@@ -60,8 +60,7 @@ class WorkloadSpec:
     :class:`~repro.traffic.workload.RequestShape` per policy —
     proportions are equal in expectation, not exactly balanced); entries
     are specs or spec strings, bare names resolving to the serving-tuned
-    configuration of ``serve-bench``
-    (:func:`repro.serving.bench.resolve_serving_policies`).
+    configuration (:func:`repro.serving.bench.resolve_serving_policies`).
     ``slo_class_mix`` splits the workload into service classes: that
     fraction of traffic (in expectation, seeded draw) is
     ``interactive``-class and the rest ``batch``-class (``None`` keeps

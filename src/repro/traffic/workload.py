@@ -9,8 +9,7 @@ arrival instants: everything (shape choice, prompt lengths, prompt token
 ids) is drawn from one seeded generator, so equal ``(shapes, arrivals,
 seed)`` produce bit-identical workloads.
 
-The prompt token ids use the same uniform-over-vocabulary sampling as the
-serving benchmark (:func:`repro.serving.bench.run_serve_bench`); richer
+The prompt token ids are drawn uniformly over the vocabulary; richer
 content — planted-span retrieval documents, LongBench-analogue tasks —
 can be substituted per shape through ``prompt_sampler``, which receives
 the seeded generator and the drawn length and returns the token ids (the

@@ -8,7 +8,6 @@ import pytest
 
 from repro.cli import build_parser, dataclass_from_args, main
 from repro.experiments import EXPERIMENTS
-from repro.serving import ServeBenchConfig
 from repro.traffic import TrafficBenchConfig
 
 # Golden CLI behaviour: sha256(stdout)[:16] of ``main(argv)``, taken at the
@@ -57,8 +56,9 @@ GOLDEN = {
     # is the deterministic counters, pinned from that commit on.
     PERF_GOLDEN: "79b6c4afe7423b1d",
     # Every registry's names in one listing: a test that leaks a registration
-    # into the process changes this digest.
-    "list": "69918d52271d7850",
+    # into the process changes this digest.  Re-pinned when serve-bench left
+    # the command table (and with it the --methods and serve- mentions).
+    "list": "060fbdb685985e5b",
     # The experiment commands, pinned at commit 21914e3, before their flags
     # were generated from the experiment configs.  fig9, fig10 and fig11 are
     # too slow here at CLI scale; benchmarks/ pins their formatted text.
@@ -90,37 +90,6 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["fig99"])
-
-    def test_serve_bench_registered(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["serve-bench", "--batch", "4", "--requests", "6", "--methods", "full"]
-        )
-        assert args.command == "serve-bench"
-        config = dataclass_from_args(ServeBenchConfig, args)
-        assert config.engine.max_batch_size == 4
-        assert config.num_requests == 6
-        assert config.methods == ("full",)
-
-    def test_serve_bench_policy_flags(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            [
-                "serve-bench",
-                "--policy", "clusterkv:tokens_per_cluster=32",
-                "--policy", "quest:page_size=8",
-                "--mixed",
-            ]
-        )
-        assert args.policy == ["clusterkv:tokens_per_cluster=32", "quest:page_size=8"]
-        assert args.mixed is True
-
-    def test_serve_bench_policy_json_flag(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["serve-bench", "--policy-json", '{"name": "quest", "page_size": 32}']
-        )
-        assert args.policy_json == '{"name": "quest", "page_size": 32}'
 
     def test_traffic_bench_registered(self):
         parser = build_parser()
@@ -156,67 +125,12 @@ class TestMain:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig12" in out and "cache-study" in out
-        # Every subcommand is enumerated, including serving and list itself.
-        assert "serve-bench" in out
+        # Every subcommand is enumerated, including the benches and list itself.
+        assert "traffic-bench" in out
         assert "list" in out
         # Registered policies are enumerated from the registry.
         for policy in ("clusterkv", "quest", "infinigen", "streaming_llm", "full"):
             assert policy in out
-
-    def test_mixed_serve_bench_runs(self, capsys):
-        assert (
-            main(
-                [
-                    "serve-bench",
-                    "--mixed",
-                    "--requests", "3",
-                    "--batch", "3",
-                    "--prompt-len", "12",
-                    "--new-tokens", "4",
-                    "--repeats", "1",
-                    "--policy", "streaming_llm",
-                    "--policy", "quest:page_size=8",
-                    "--policy", "full",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "per-request policies" in out
-        assert "quest:page_size=8" in out
-
-    def test_policy_json_serve_bench_runs(self, capsys):
-        assert (
-            main(
-                [
-                    "serve-bench",
-                    "--requests", "2",
-                    "--batch", "2",
-                    "--prompt-len", "12",
-                    "--new-tokens", "4",
-                    "--repeats", "1",
-                    # Object form and bare-string form mix in one list.
-                    "--policy-json", '[{"name": "streaming_llm"}, "full"]',
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "streaming_llm" in out and "full" in out
-
-    def test_policy_json_rejects_non_mapping_entries(self, capsys):
-        with pytest.raises(SystemExit) as usage:
-            main(
-                [
-                    "serve-bench",
-                    "--repeats", "1",
-                    "--policy-json", "[42]",
-                ]
-            )
-        assert usage.value.code == 2
-        assert "repro serve-bench: error: --policy-json entries must be policy objects" in (
-            capsys.readouterr().err
-        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -358,7 +272,7 @@ class TestMain:
                 "policy 'clusterkv' key 'tokens_per_cluster' expects int, got 'abc'",
             ),
             (
-                "serve-bench --policy quest:page_size=8.5 --requests 1",
+                "traffic-bench --policy quest:page_size=8.5 --requests 1",
                 "policy 'quest' key 'page_size' expects int, got 8.5",
             ),
             ("capacity-bench --sweep 5:1:1", "context_max must be >= context_min"),

@@ -31,7 +31,7 @@ from repro.cluster import ClusterConfig
 from repro.memory import TierBudgets
 from repro.model import GenerationConfig
 from repro.policies import PolicySpec, UnknownPolicyError
-from repro.serving import SchedulerConfig, ServeBenchConfig
+from repro.serving import SchedulerConfig
 from repro.serving.bench import BENCH_SET_FIELDS, serving_engine_spec
 from repro.traffic import TrafficBenchConfig, TrafficConfig, WorkloadSpec
 from repro.traffic.bench import BENCH_FLEETS, bench_fleet
@@ -40,7 +40,6 @@ from repro.traffic.bench import BENCH_FLEETS, bench_fleet
 # therefore exposes no flag for).  ``EngineSpec.policy`` is set by every bench
 # (from its own --policy list) and carries no flag anywhere.
 BENCHES = {
-    "serve-bench": (ServeBenchConfig, BENCH_SET_FIELDS),
     "traffic-bench": (TrafficBenchConfig, BENCH_SET_FIELDS),
     "cluster-bench": (TrafficBenchConfig, BENCH_SET_FIELDS),
     "capacity-bench": (CapacityBenchConfig, capacity.scenarios.PROBE_SET_FIELDS),
@@ -71,7 +70,6 @@ class TestOneDeclaration:
         [
             WorkloadSpec,
             TrafficBenchConfig,
-            ServeBenchConfig,
             CapacityScenarioConfig,
             CapacityBenchConfig,
         ],
@@ -97,12 +95,12 @@ class TestOneDeclaration:
     def test_declared_field_count(self):
         configs = (
             EngineSpec, ClusterConfig, WorkloadSpec, TrafficBenchConfig,
-            ServeBenchConfig, CapacityScenarioConfig,
+            CapacityScenarioConfig,
         )
         declared = sum(
             len(config.__dict__.get("__annotations__", {})) for config in configs
         )
-        assert declared <= 75  # 117 before the configs became composed
+        assert declared <= 59  # 117 before the configs became composed
 
     def test_cluster_simulator_runs_on_its_own_config(self):
         config = ClusterConfig(engine=EngineSpec(model="tiny"), min_replicas=2, max_replicas=3)
@@ -136,7 +134,7 @@ class TestGeneratedFlags:
         )
         config = config_from_args(command, args)
         holder = config.config if command == "capacity-bench" else config
-        engine = holder.engine if command == "serve-bench" else holder.fleet.engine
+        engine = holder.fleet.engine
         assert engine.kv_capacity_tokens == 4096
         assert (engine.seed, engine.num_sink_tokens, engine.greedy) == (9, 4, False)
         workload = holder.workload if hasattr(holder, "workload") else holder
@@ -159,12 +157,6 @@ class TestGeneratedFlags:
             fleet=replace(probed.fleet, engine=replace(probed.engine, num_sink_tokens=4))
         )
         assert probed.policies[0].kwargs["num_sink_tokens"] == 4
-        args = build_parser().parse_args(["serve-bench", "--batch", "16"])
-        served = dataclass_from_args(ServeBenchConfig, args)
-        assert served == ServeBenchConfig(
-            engine=serving_engine_spec(max_new_tokens=96, max_batch_size=16)
-        )
-        assert served.engine.max_prefills_per_step == 16
 
     def test_capacity_probes_pin_router_and_clock(self):
         sub = build_parser()._subparsers._group_actions[0].choices["capacity-bench"]
@@ -270,12 +262,6 @@ class TestStringPolicySpecs:
         config = CapacityScenarioConfig(policies=("quest:page_size=8", " clusterkv "))
         assert config.policies[0] == PolicySpec("quest", {"page_size": 8})
         assert config.policies[1].kwargs["tokens_per_cluster"] == 32  # serving-tuned
-
-    def test_serve_bench_config(self):
-        config = ServeBenchConfig(policies=("quest:page_size=8", PolicySpec("clusterkv")))
-        explicit, tuned = config.resolved_policies()
-        assert explicit == PolicySpec("quest", {"page_size": 8})
-        assert tuned.kwargs["num_sink_tokens"] == config.engine.num_sink_tokens
 
     def test_unknown_names_still_fail_loudly(self):
         config = TrafficBenchConfig(workload=WorkloadSpec(policies=("no_such_policy",)))
